@@ -9,7 +9,8 @@ use edse_core::dse::DseConfig;
 use edse_core::evaluate::{CodesignEvaluator, EvalEngine, Evaluator};
 use edse_core::space::{edge, edge_space};
 use edse_telemetry::{Collector, MemorySink};
-use mapper::{FixedMapper, LinearMapper, MappingOptimizer, MappingSpace, SpaceBudget};
+use mapper::sweep::{self, ALL_ORDERINGS};
+use mapper::{FixedMapper, LinearMapper, MappingOptimizer, MappingSpace, SpaceBudget, SweepConf};
 use std::hint::black_box;
 use workloads::{zoo, LayerShape};
 
@@ -37,14 +38,33 @@ fn bench_mapping_space(c: &mut Criterion) {
         b.iter(|| black_box(m.optimize(&l, &cfg)))
     });
     // The evaluation fast path's headline single-thread number: one full
-    // linear mapping of one layer (space build + 9 orderings per tiling).
+    // linear mapping of one layer (space + 9 orderings per tiling). Warm
+    // memo: `optimize` takes its space from the process-wide
+    // `MappingSpace::build_shared` memo, so every iteration after the
+    // first is a memo hit and this series measures the sweep alone.
     c.bench_function("mapper/linear_layer", |b| {
         let m = LinearMapper::new(100);
         b.iter(|| black_box(m.optimize(&l, &cfg)))
     });
-    // The same batch-1 query with a 2-way intra-layer worker budget, so
-    // recorded speedups stay attributable to a thread count (results are
-    // bit-identical to the serial variant; only wall-clock differs).
+    // The same mapping with a cold memo: the space is built fresh every
+    // iteration, as `optimize` does on a memo miss, so this series
+    // measures space enumeration plus the sweep.
+    c.bench_function("mapper/linear_layer_cold", |b| {
+        let budget = SpaceBudget::top(100);
+        b.iter(|| {
+            let space = MappingSpace::build(&l, &cfg, budget);
+            black_box(sweep::sweep_best(
+                &l,
+                &cfg,
+                space.tilings(),
+                &ALL_ORDERINGS,
+                SweepConf::serial(),
+            ))
+        })
+    });
+    // The warm-memo batch-1 query with a 2-way intra-layer worker budget,
+    // so recorded speedups stay attributable to a thread count (results
+    // are bit-identical to the serial variant; only wall-clock differs).
     c.bench_function("mapper/linear_layer_t2", |b| {
         let m = LinearMapper::new(100);
         b.iter(|| black_box(m.optimize_threaded(&l, &cfg, 2)))
@@ -101,14 +121,16 @@ fn bench_dse(c: &mut Criterion) {
 
 /// The evaluation engine's headline number: a 16-candidate batch through
 /// `evaluate_batch`, serial vs. all-cores. Each iteration uses a fresh
-/// evaluator so the caches start cold and the mapping work is real; the
-/// parallel run must produce identical evaluations, just faster (the
-/// speedup only shows on multi-core hosts — with one CPU the engine
-/// resolves to a single thread and the two series coincide).
+/// evaluator so its point and layer caches start cold and the sweeps are
+/// real; the process-wide space memo is warm after the first iteration,
+/// so spaces are not rebuilt. The parallel run must produce identical
+/// evaluations, just faster (the speedup only shows on multi-core hosts —
+/// with one CPU the engine resolves to a single thread and the two series
+/// coincide).
 fn bench_batch_engine(c: &mut Criterion) {
     let space = edge_space();
     // 16 distinct configs: each point changes a NoC and a memory parameter,
-    // so no layer-mapping work is shared between candidates.
+    // so no layer mapping is shared between candidates (spaces may be).
     let points: Vec<_> = (0..16)
         .map(|i| {
             space

@@ -445,4 +445,83 @@ mod tests {
             assert!((b / a - s).abs() < 0.01, "{variant} speedup ratio drifted");
         }
     }
+
+    /// The checked-in space-memo record stays schema-valid and keeps
+    /// documenting the acceptance bar: keying the shared `MappingSpace`
+    /// memo on what enumeration reads makes the end-to-end
+    /// `codesign_cold` benchmark >= 1.5x faster from a cold memo, in ten
+    /// alternating pairs as well as in the recorded run, through memo hits
+    /// on the same mapper calls; and on both sides the traced ledger's
+    /// layers add up to within 5% of the wall-clock.
+    #[test]
+    fn recorded_space_memo_bench_report_parses_and_holds_the_bar() {
+        let path = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../results/json/bench_space_memo.json"
+        );
+        let line = std::fs::read_to_string(path).expect("results/json/bench_space_memo.json");
+        let doc = edse_telemetry::json::parse(line.trim()).expect("valid JSON");
+        assert_eq!(
+            doc.get("schema").and_then(Json::as_str),
+            Some(REPORT_SCHEMA)
+        );
+        let config = doc.get("config").expect("config");
+        assert_eq!(
+            config.get("memo_at_start").and_then(Json::as_str),
+            Some("cold"),
+            "the record must state the memo temperature"
+        );
+        for state in ["pool_budget", "host_cpus", "host_steal_s"] {
+            assert!(config.get(state).is_some(), "config must record {state}");
+        }
+        let metric = |name: &str| {
+            doc.get("metrics")
+                .and_then(|m| m.get(name))
+                .and_then(Json::as_f64)
+                .unwrap_or_else(|| panic!("missing metric {name}"))
+        };
+        let speedup = metric("codesign_cold/wall_speedup");
+        assert!(
+            speedup >= 1.5,
+            "recorded wall speedup {speedup} below the 1.5x bar"
+        );
+        let (before, after) = (
+            metric("codesign_cold/before/wall_s"),
+            metric("codesign_cold/after/wall_s"),
+        );
+        assert!(
+            (before / after - speedup).abs() < 0.01,
+            "speedup ratio drifted"
+        );
+        // The gain holds by the pairing rule: the change wins at least
+        // nine in ten alternating pairs, and the medians differ by more
+        // than the parent's interquartile range.
+        let pairs = metric("codesign_cold/pairs/count");
+        assert!(pairs >= 10.0, "at least ten pairs, got {pairs}");
+        assert!(metric("codesign_cold/pairs/wins") >= 0.9 * pairs);
+        let gap = metric("codesign_cold/pairs/before_wall_s_median")
+            - metric("codesign_cold/pairs/after_wall_s_median");
+        let spread = metric("codesign_cold/pairs/before_wall_s_q3")
+            - metric("codesign_cold/pairs/before_wall_s_q1");
+        assert!(
+            gap > spread,
+            "median gain {gap} within the parent's spread {spread}"
+        );
+        assert!(
+            metric("codesign_cold/after/space.memo_hits") > 0.0,
+            "the gain must come from memo hits"
+        );
+        assert_eq!(
+            metric("codesign_cold/before/mapper.calls"),
+            metric("codesign_cold/after/mapper.calls"),
+            "only the cost of each mapper call may change"
+        );
+        for side in ["before", "after"] {
+            let coverage = metric(&format!("codesign_cold/{side}/trace.coverage"));
+            assert!(
+                coverage >= 0.95,
+                "{side}: traced layers cover {coverage} of the wall-clock, below 0.95"
+            );
+        }
+    }
 }

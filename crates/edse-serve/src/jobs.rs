@@ -373,8 +373,8 @@ impl Registry {
     /// Merged Prometheus exposition: the server collector plus every
     /// job's `job<id>/`-prefixed collector (terminal jobs included — a
     /// scrape after completion still sees the run's totals), plus the
-    /// process-wide executor pool's cumulative counters (the pool is
-    /// shared by all tenants, so these are server-level series).
+    /// process-wide executor pool's and space memo's cumulative counters
+    /// (both are shared by all tenants, so these are server-level series).
     pub fn prometheus_text(&self) -> String {
         let mut counters = self.server_telemetry.counters();
         let mut histograms: Vec<HistogramSummary> = self.server_telemetry.histograms();
@@ -391,6 +391,11 @@ impl Registry {
         counters.insert("executor/idle_ns".to_string(), pool.idle_ns);
         counters.insert("executor/tasks".to_string(), pool.tasks);
         counters.insert("executor/workers_spawned".to_string(), pool.workers_spawned);
+        let memo = mapper::space_cache_stats();
+        counters.insert("space_memo/hits".to_string(), memo.hits);
+        counters.insert("space_memo/misses".to_string(), memo.misses);
+        counters.insert("space_memo/inflight_waits".to_string(), memo.inflight_waits);
+        counters.insert("space_memo/evictions".to_string(), memo.evictions);
         export::prometheus_text(&counters, &histograms)
     }
 

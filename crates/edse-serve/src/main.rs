@@ -341,7 +341,12 @@ fn self_check_against(addr: std::net::SocketAddr, scratch: &std::path::Path) -> 
         return Err(format!("metrics -> {status}"));
     }
     // Names reach Prometheus sanitized: `/` becomes `_`, `edse_` prefix.
-    for needle in ["edse_serve_jobs_submitted", "edse_job1_", "edse_job2_"] {
+    for needle in [
+        "edse_serve_jobs_submitted",
+        "edse_job1_",
+        "edse_job2_",
+        "edse_space_memo_hits",
+    ] {
         if !metrics.contains(needle) {
             return Err(format!("metrics missing {needle:?}:\n{metrics}"));
         }

@@ -203,12 +203,17 @@ fn short_tenant_completes_while_long_sweep_tenant_runs() {
         Some(false),
         "long sweep tenant should still be running when the short one finishes"
     );
-    // The shared pool's counters are server-level series in /metrics.
+    // The shared pool's and space memo's counters are server-level series
+    // in /metrics.
     let metrics = registry.prometheus_text();
     for needle in [
         "executor_spawn_avoided",
         "executor_steals",
         "executor_idle_ns",
+        "space_memo_hits",
+        "space_memo_misses",
+        "space_memo_inflight_waits",
+        "space_memo_evictions",
     ] {
         assert!(metrics.contains(needle), "missing {needle} in:\n{metrics}");
     }

@@ -106,7 +106,8 @@ impl MappingSpace {
     /// relax-and-re-enumerate loop would ([`Self::build_reference`], the
     /// retained oracle a property test compares against).
     pub fn build(layer: &LayerShape, cfg: &AcceleratorConfig, budget: SpaceBudget) -> Self {
-        let mut enumerator = StagedEnumerator::new(layer, cfg, budget);
+        let hw = SpaceInputs::of(cfg);
+        let mut enumerator = StagedEnumerator::new(layer, &hw, budget);
         let mut thresholds = Thresholds::aggressive();
         let mut tilings = enumerator.select(thresholds);
         let mut rounds = 0;
@@ -117,7 +118,7 @@ impl MappingSpace {
         }
         if tilings.is_empty() {
             // Last resort: serial execution on one PE if it validates.
-            let t = fallback_serial(layer, cfg);
+            let t = fallback_serial(layer, &hw);
             tilings.extend(t);
         }
         Self {
@@ -128,17 +129,26 @@ impl MappingSpace {
 
     /// [`Self::build`] through a process-wide bounded memo.
     ///
-    /// Space construction is a pure function of `(layer, cfg, budget)`, so
-    /// the returned `Arc` always holds exactly what a fresh `build` would
-    /// produce — callers get bit-identical spaces whether the memo hit or
-    /// missed. The memo is the warm process state that complements the
-    /// shared executor pool: repeated batches over the same layers (DSE
-    /// iterations, `edse-serve` tenants on the same workload, warm
-    /// restarts) skip the dominant enumeration cost and go straight to the
-    /// sweep. Concurrent requests for the same key deduplicate in flight
-    /// (both wait on one build); the memo is bounded by approximate byte
-    /// size and evicts whole shards on overflow, which only costs future
-    /// rebuilds, never correctness.
+    /// Space construction is a pure function of `(layer, inputs, budget)`,
+    /// where `inputs` is the part of `cfg` enumeration reads: PE count,
+    /// L1/L2 capacity, element width, and each operand's NoC group cap
+    /// `phys × virt` clamped to the PE count. Configs that differ only in
+    /// anything else (off-chip bandwidth, NoC width, frequency, DMA
+    /// overhead, a NoC cap at or above the PE count) therefore share one
+    /// space, so one search that varies those parameters builds each
+    /// space once. The clamp is exact: the spatial DFS rejects
+    /// `pes_used > pes` before it checks NoC groups, and each operand's
+    /// group count is a sub-product of `pes_used`, so a cap at or above
+    /// `pes` never prunes. The returned `Arc` always holds exactly what a
+    /// fresh `build` would produce — callers get bit-identical spaces
+    /// whether the memo hit or missed. The memo is the warm process state
+    /// that complements the shared executor pool: repeated batches over
+    /// the same layers (DSE iterations, `edse-serve` tenants on the same
+    /// workload, warm restarts) skip the dominant enumeration cost and go
+    /// straight to the sweep. Concurrent requests for the same key
+    /// deduplicate in flight (both wait on one build); the memo is bounded
+    /// by approximate byte size and evicts whole shards on overflow, which
+    /// only costs future rebuilds, never correctness.
     pub fn build_shared(
         layer: &LayerShape,
         cfg: &AcceleratorConfig,
@@ -151,7 +161,8 @@ impl MappingSpace {
     /// full staged DFS on every threshold adjustment. Retained verbatim as
     /// the differential oracle for the single-pass [`Self::build`]; the two
     /// must agree exactly (same tilings, same order, same settled
-    /// thresholds) on every input.
+    /// thresholds) on every input. It prunes on the unclamped NoC caps, so
+    /// the comparison also checks the clamp `build` goes through.
     pub fn build_reference(
         layer: &LayerShape,
         cfg: &AcceleratorConfig,
@@ -166,7 +177,7 @@ impl MappingSpace {
             rounds += 1;
         }
         if tilings.is_empty() {
-            let t = fallback_serial(layer, cfg);
+            let t = fallback_serial(layer, &SpaceInputs::unclamped(cfg));
             tilings.extend(t);
         }
         Self {
@@ -222,7 +233,46 @@ pub struct SpaceCacheStats {
     pub evictions: u64,
 }
 
-type SpaceKey = (LayerShape, AcceleratorConfig, SpaceBudget);
+/// Everything space enumeration reads of an [`AcceleratorConfig`]. The
+/// staged enumerator sees only this, so the compiler proves that configs
+/// with equal projections get equal spaces.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct SpaceInputs {
+    pes: u64,
+    l1_bytes: u64,
+    l2_bytes: u64,
+    elem_bytes: u64,
+    /// Per-operand NoC group cap, `phys × virt` (saturating).
+    noc_caps: [u64; 4],
+}
+
+impl SpaceInputs {
+    /// The projection the memo keys on: NoC caps clamped to `pes`, where
+    /// they stop pruning (see [`MappingSpace::build_shared`]).
+    fn of(cfg: &AcceleratorConfig) -> Self {
+        let raw = Self::unclamped(cfg);
+        Self {
+            noc_caps: raw.noc_caps.map(|cap| cap.min(raw.pes)),
+            ..raw
+        }
+    }
+
+    /// The raw caps, for the reference construction to check the clamp
+    /// against.
+    fn unclamped(cfg: &AcceleratorConfig) -> Self {
+        Self {
+            pes: cfg.pes,
+            l1_bytes: cfg.l1_bytes,
+            l2_bytes: cfg.l2_bytes,
+            elem_bytes: cfg.elem_bytes,
+            noc_caps: std::array::from_fn(|op| {
+                cfg.noc_phys_links[op].saturating_mul(cfg.noc_virt_links[op])
+            }),
+        }
+    }
+}
+
+type SpaceKey = (LayerShape, SpaceInputs, SpaceBudget);
 type SpaceSlot = Arc<std::sync::OnceLock<Arc<MappingSpace>>>;
 
 /// Process-wide memo behind [`MappingSpace::build_shared`]: sharded maps of
@@ -266,7 +316,7 @@ impl SharedSpaceCache {
         cfg: &AcceleratorConfig,
         budget: SpaceBudget,
     ) -> Arc<MappingSpace> {
-        let key: SpaceKey = (*layer, *cfg, budget);
+        let key: SpaceKey = (*layer, SpaceInputs::of(cfg), budget);
         let slot = {
             let mut shard = self.shards[self.shard_of(&key)].lock().unwrap();
             if let Some(slot) = shard.get(&key) {
@@ -418,7 +468,7 @@ fn enumerate(
     let spatial_divs = quota_divisors(|d| layer.dim(d));
     dfs_spatial(
         layer,
-        cfg,
+        &SpaceInputs::unclamped(cfg),
         &spatial_dims,
         &spatial_divs,
         0,
@@ -567,7 +617,7 @@ fn enumerate(
 /// fallbacks taken when a threshold filters a stage to nothing.
 struct StagedEnumerator<'a> {
     layer: &'a LayerShape,
-    cfg: &'a AcceleratorConfig,
+    hw: &'a SpaceInputs,
     budget: SpaceBudget,
     /// Spatial-stage choices, PE utilization, sorted highest first.
     spatial: Vec<(Extents, f64)>,
@@ -578,7 +628,7 @@ struct StagedEnumerator<'a> {
 }
 
 impl<'a> StagedEnumerator<'a> {
-    fn new(layer: &'a LayerShape, cfg: &'a AcceleratorConfig, budget: SpaceBudget) -> Self {
+    fn new(layer: &'a LayerShape, hw: &'a SpaceInputs, budget: SpaceBudget) -> Self {
         // The spatial stage has a single input; enumerate it eagerly.
         let spatial_dims = [Dim::M, Dim::C, Dim::Oy, Dim::Ox];
         let mut spatial: Vec<(Extents, f64)> = Vec::new();
@@ -586,7 +636,7 @@ impl<'a> StagedEnumerator<'a> {
         let spatial_divs = quota_divisors(|d| layer.dim(d));
         dfs_spatial(
             layer,
-            cfg,
+            hw,
             &spatial_dims,
             &spatial_divs,
             0,
@@ -599,7 +649,7 @@ impl<'a> StagedEnumerator<'a> {
         spatial.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap());
         Self {
             layer,
-            cfg,
+            hw,
             budget,
             spatial,
             rf: HashMap::new(),
@@ -612,15 +662,15 @@ impl<'a> StagedEnumerator<'a> {
     fn select(&mut self, th: Thresholds) -> Vec<Tiling> {
         let StagedEnumerator {
             layer,
-            cfg,
+            hw,
             budget,
             spatial,
             rf,
             l2,
         } = self;
-        let (layer, cfg, budget) = (*layer, *cfg, *budget);
+        let (layer, hw, budget) = (*layer, *hw, *budget);
         let (spatial_cap, rf_cap, l2_cap) = stage_caps(budget);
-        let elem = cfg.elem_bytes;
+        let elem = hw.elem_bytes;
 
         let mut kept_spatial: Vec<Extents> = spatial
             .iter()
@@ -647,7 +697,7 @@ impl<'a> StagedEnumerator<'a> {
                     &rf_divs,
                     &[1u64; 7],
                     elem,
-                    cfg.l1_bytes,
+                    hw.l1_bytes,
                     1024,
                     rf_cap,
                 )
@@ -683,7 +733,7 @@ impl<'a> StagedEnumerator<'a> {
                         &l2_divs,
                         &base,
                         elem,
-                        cfg.l2_bytes,
+                        hw.l2_bytes,
                         512,
                         l2_cap,
                     )
@@ -698,7 +748,7 @@ impl<'a> StagedEnumerator<'a> {
                     kept_l2 = l2_choices.iter().take(2.min(l2_cap)).cloned().collect();
                 }
 
-                let pe_util = sp.iter().product::<u64>() as f64 / cfg.pes as f64;
+                let pe_util = sp.iter().product::<u64>() as f64 / hw.pes as f64;
                 for (l2e, spm_util) in kept_l2 {
                     let mut factors = [[1u64; 4]; 7];
                     let mut ok = true;
@@ -1044,7 +1094,7 @@ fn fill_choices(
 #[allow(clippy::too_many_arguments)]
 fn dfs_spatial(
     layer: &LayerShape,
-    cfg: &AcceleratorConfig,
+    hw: &SpaceInputs,
     dims: &[Dim],
     divs: &DimDivisors,
     i: usize,
@@ -1057,18 +1107,17 @@ fn dfs_spatial(
     if out.len() >= max_leaves {
         return;
     }
-    if pes_used > cfg.pes {
+    if pes_used > hw.pes {
         return;
     }
     // NoC capacity: groups per operand only grow with more spatial factors.
     for op in Tensor::ALL {
-        let cap = cfg.noc_phys_links[op.index()] * cfg.noc_virt_links[op.index()];
-        if groups[op.index()] > cap {
+        if groups[op.index()] > hw.noc_caps[op.index()] {
             return;
         }
     }
     if i == dims.len() {
-        out.push((*sp, pes_used as f64 / cfg.pes as f64));
+        out.push((*sp, pes_used as f64 / hw.pes as f64));
         return;
     }
     let d = dims[i];
@@ -1082,7 +1131,7 @@ fn dfs_spatial(
         }
         dfs_spatial(
             layer,
-            cfg,
+            hw,
             dims,
             divs,
             i + 1,
@@ -1145,14 +1194,14 @@ fn dfs_fill<W>(
 }
 
 /// Serial single-PE execution, valid whenever a unit working set fits L1.
-fn fallback_serial(layer: &LayerShape, cfg: &AcceleratorConfig) -> Option<Tiling> {
+fn fallback_serial(layer: &LayerShape, hw: &SpaceInputs) -> Option<Tiling> {
     let mut factors = [[1u64; 4]; 7];
     for d in Dim::ALL {
         factors[d.index()][Level::Dram.index()] = layer.dim(d);
     }
     let t = Tiling::from_factors(layer, factors).ok()?;
-    let unit = working_set_bytes(layer, &[1; 7], cfg.elem_bytes);
-    (unit <= cfg.l1_bytes).then_some(t)
+    let unit = working_set_bytes(layer, &[1; 7], hw.elem_bytes);
+    (unit <= hw.l1_bytes).then_some(t)
 }
 
 #[cfg(test)]
@@ -1245,5 +1294,89 @@ mod tests {
         assert!(Arc::ptr_eq(&shared, &again));
         assert_eq!(after.hits, before.hits + 1);
         assert_eq!(after.misses, before.misses);
+    }
+
+    /// A layer and budget no other test uses, so each memo test below
+    /// starts from its own keys.
+    fn memo_layer() -> LayerShape {
+        LayerShape::conv(1, 32, 48, 14, 14, 3, 3, 1)
+    }
+
+    #[test]
+    fn configs_that_differ_only_outside_the_projection_share_one_space() {
+        let base = AcceleratorConfig::edge_baseline();
+        // edge_baseline's NoC caps are 16 x 64 = 1024, above its 256 PEs.
+        assert!(base.noc_phys_links[0] * base.noc_virt_links[0] > base.pes);
+        let budget = SpaceBudget::top(41);
+        let shared = MappingSpace::build_shared(&memo_layer(), &base, budget);
+        let variants = [
+            AcceleratorConfig {
+                offchip_bw_mbps: 2 * base.offchip_bw_mbps,
+                ..base
+            },
+            AcceleratorConfig {
+                noc_width_bits: 2 * base.noc_width_bits,
+                ..base
+            },
+            AcceleratorConfig {
+                freq_mhz: 2 * base.freq_mhz,
+                ..base
+            },
+            AcceleratorConfig {
+                dma_burst_overhead_cycles: 2 * base.dma_burst_overhead_cycles,
+                ..base
+            },
+            // A cap moved between two values at or above `pes`.
+            AcceleratorConfig {
+                noc_phys_links: [16, 4, 16, 16],
+                noc_virt_links: [64, 64, 64, u64::MAX],
+                ..base
+            },
+        ];
+        for cfg in variants {
+            let again = MappingSpace::build_shared(&memo_layer(), &cfg, budget);
+            assert!(Arc::ptr_eq(&shared, &again), "{cfg:?} missed the memo");
+            let fresh = MappingSpace::build_reference(&memo_layer(), &cfg, budget);
+            assert_eq!(again.tilings(), fresh.tilings());
+            assert_eq!(again.thresholds(), fresh.thresholds());
+        }
+    }
+
+    #[test]
+    fn configs_that_differ_inside_the_projection_get_their_own_space() {
+        let base = AcceleratorConfig::edge_baseline();
+        let budget = SpaceBudget::top(43);
+        let shared = MappingSpace::build_shared(&memo_layer(), &base, budget);
+        let variants = [
+            AcceleratorConfig {
+                pes: 2 * base.pes,
+                ..base
+            },
+            AcceleratorConfig {
+                l1_bytes: 2 * base.l1_bytes,
+                ..base
+            },
+            AcceleratorConfig {
+                l2_bytes: 2 * base.l2_bytes,
+                ..base
+            },
+            AcceleratorConfig {
+                elem_bytes: 2 * base.elem_bytes,
+                ..base
+            },
+            // The output-write cap drops to 8 x 8 = 64, below the 256 PEs.
+            AcceleratorConfig {
+                noc_phys_links: [16, 16, 16, 8],
+                noc_virt_links: [64, 64, 64, 8],
+                ..base
+            },
+        ];
+        for cfg in variants {
+            let other = MappingSpace::build_shared(&memo_layer(), &cfg, budget);
+            assert!(!Arc::ptr_eq(&shared, &other), "{cfg:?} hit the memo");
+            let fresh = MappingSpace::build_reference(&memo_layer(), &cfg, budget);
+            assert_eq!(other.tilings(), fresh.tilings());
+            assert_eq!(other.thresholds(), fresh.thresholds());
+        }
     }
 }

@@ -35,6 +35,58 @@ fn arb_layer() -> impl Strategy<Value = LayerShape> {
         .prop_map(|(m, c, hw, f, s)| LayerShape::conv(1, m, c, hw, hw, f, f, s))
 }
 
+/// Hardware that varies what space enumeration reads (PEs, L1, L2,
+/// element width, per-operand NoC caps, which land both below and above
+/// the PE count) and what it must ignore (bandwidth, NoC width,
+/// frequency, DMA overhead).
+fn arb_cfg() -> impl Strategy<Value = AcceleratorConfig> {
+    let links = |choices: [u64; 4]| {
+        collection::vec(
+            prop_oneof![
+                Just(choices[0]),
+                Just(choices[1]),
+                Just(choices[2]),
+                Just(choices[3])
+            ],
+            4,
+        )
+        .prop_map(|v| [v[0], v[1], v[2], v[3]])
+    };
+    (
+        prop_oneof![Just(16u64), Just(64), Just(96), Just(256), Just(1024)],
+        prop_oneof![Just(8u64), Just(32), Just(128), Just(512)],
+        prop_oneof![
+            Just(16u64 << 10),
+            Just(64 << 10),
+            Just(256 << 10),
+            Just(1 << 20)
+        ],
+        prop_oneof![Just(1u64), Just(2)],
+        prop_oneof![Just(1024u64), Just(8192), Just(65536)],
+        prop_oneof![Just(16u64), Just(64), Just(256)],
+        links([1, 2, 8, 32]),
+        links([1, 4, 16, 64]),
+        prop_oneof![Just(200u64), Just(500), Just(1000)],
+        prop_oneof![Just(0u64), Just(8), Just(32)],
+    )
+        .prop_map(
+            |(pes, l1_bytes, l2_bytes, elem_bytes, bw, width, phys, virt, freq, dma)| {
+                AcceleratorConfig {
+                    pes,
+                    l1_bytes,
+                    l2_bytes,
+                    offchip_bw_mbps: bw,
+                    noc_width_bits: width,
+                    noc_phys_links: phys,
+                    noc_virt_links: virt,
+                    freq_mhz: freq,
+                    elem_bytes,
+                    dma_burst_overhead_cycles: dma,
+                }
+            },
+        )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -129,10 +181,13 @@ proptest! {
 
     /// The single-pass staged enumeration behind `MappingSpace::build`
     /// settles on exactly the spaces the multi-pass reference builds: same
-    /// tilings, same order, for every budget/hardware combination.
+    /// tilings, same order, for every budget/hardware combination. `build`
+    /// reads the hardware through the projection the shared memo keys on
+    /// (NoC caps clamped to the PE count); the reference reads the full
+    /// config, so this also pins the projection as exact.
     #[test]
-    fn staged_space_build_matches_reference(layer in arb_layer()) {
-        for cfg in [AcceleratorConfig::edge_baseline(), AcceleratorConfig::edge_minimum()] {
+    fn staged_space_build_matches_reference(layer in arb_layer(), arb in arb_cfg()) {
+        for cfg in [arb, AcceleratorConfig::edge_baseline(), AcceleratorConfig::edge_minimum()] {
             for budget in [SpaceBudget::top(32), SpaceBudget::paper_default()] {
                 let staged = MappingSpace::build(&layer, &cfg, budget);
                 let reference = MappingSpace::build_reference(&layer, &cfg, budget);
@@ -144,6 +199,7 @@ proptest! {
                 for (a, b) in staged.tilings().iter().zip(reference.tilings()) {
                     prop_assert_eq!(a.factors(), b.factors(), "tiling order diverged");
                 }
+                prop_assert_eq!(staged.thresholds(), reference.thresholds());
             }
         }
     }
