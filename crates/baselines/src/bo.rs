@@ -2,13 +2,11 @@
 //! HyperMapper-2.0-style constrained variant whose acquisition multiplies
 //! expected improvement by a feasibility probability.
 
-use crate::{random_point, step, step_batch, DseTechnique};
-use edse_core::cost::Trace;
-use edse_core::evaluate::Evaluator;
+use crate::{random_point, DseTechnique, Problem};
+use edse_core::cost::Sample;
 use edse_core::space::{DesignPoint, DesignSpace};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::time::Instant;
 
 /// Gaussian process with an RBF kernel over normalized parameter indices.
 ///
@@ -179,70 +177,76 @@ fn expected_improvement(mean: f64, std: f64, best: f64) -> f64 {
     (best - mean) * big_phi(z) + std * phi(z)
 }
 
-/// Shared BO skeleton: initial random design, then GP-EI acquisition over a
-/// random candidate pool, with optional feasibility weighting.
-fn run_bo(
-    evaluator: &dyn Evaluator,
-    budget: usize,
-    rng: &mut StdRng,
-    name: &str,
+/// Shared BO state machine: an initial random design, then GP-EI
+/// acquisition over a random candidate pool, with optional feasibility
+/// weighting.
+#[derive(Debug, Clone)]
+struct Bo {
+    rng: StdRng,
     feasibility_aware: bool,
-) -> Trace {
-    let start = Instant::now();
-    let space = evaluator.space().clone();
-    let mut trace = Trace::new(name);
+    started: bool,
+    /// Normalized observed points, their log costs, and their feasibility.
+    xs: Vec<Vec<f64>>,
+    ys: Vec<f64>,
+    feas: Vec<bool>,
+}
 
-    let init = (budget / 5).clamp(3, 20).min(budget);
-    let mut xs: Vec<Vec<f64>> = Vec::new();
-    let mut ys: Vec<f64> = Vec::new();
-    let mut feas: Vec<bool> = Vec::new();
-
-    // Initial design: feedback-free, evaluated as one batch.
-    let design: Vec<DesignPoint> = (0..init).map(|_| random_point(&space, rng)).collect();
-    for (p, cost) in design
-        .iter()
-        .zip(step_batch(evaluator, &mut trace, &design))
-    {
-        xs.push(normalize(&space, p));
-        // Fit the GP on log cost: the penalized range spans orders of
-        // magnitude.
-        ys.push(cost.max(1e-12).ln());
-        feas.push(cost < 1e12);
+impl Bo {
+    fn new(seed: u64, feasibility_aware: bool) -> Bo {
+        Bo {
+            rng: StdRng::seed_from_u64(seed),
+            feasibility_aware,
+            started: false,
+            xs: Vec::new(),
+            ys: Vec::new(),
+            feas: Vec::new(),
+        }
     }
 
-    while trace.evaluations() < budget {
+    fn propose(&mut self, problem: &Problem) -> Option<Vec<DesignPoint>> {
+        let space = problem.space;
+        if !std::mem::replace(&mut self.started, true) {
+            // Initial design: feedback-free, one batch.
+            let init = (problem.budget / 5).clamp(3, 20).min(problem.budget);
+            return Some(
+                (0..init)
+                    .map(|_| random_point(space, &mut self.rng))
+                    .collect(),
+            );
+        }
+        if self.xs.len() >= problem.budget {
+            return None;
+        }
         // Subsample history for the GP (keep the most recent + best).
         const MAX_GP: usize = 120;
-        let (gx, gy): (Vec<Vec<f64>>, Vec<f64>) = if xs.len() > MAX_GP {
-            let skip = xs.len() - MAX_GP;
-            (xs[skip..].to_vec(), ys[skip..].to_vec())
-        } else {
-            (xs.clone(), ys.clone())
-        };
-        let gp = Gp::fit(gx, &gy);
-        let best = ys.iter().cloned().fold(f64::INFINITY, f64::min);
+        let skip = self.xs.len().saturating_sub(MAX_GP);
+        let gp = Gp::fit(self.xs[skip..].to_vec(), &self.ys[skip..]);
+        let best = self.ys.iter().cloned().fold(f64::INFINITY, f64::min);
 
         let pool = 256;
         let mut best_cand: Option<(DesignPoint, f64)> = None;
         for _ in 0..pool {
-            let cand = random_point(&space, rng);
-            let q = normalize(&space, &cand);
+            let cand = random_point(space, &mut self.rng);
+            let q = normalize(space, &cand);
             let score = match &gp {
                 Some(gp) => {
                     let (m, s) = gp.predict(&q);
                     let mut ei = expected_improvement(m, s, best);
-                    if feasibility_aware {
+                    if self.feasibility_aware {
                         // k-NN feasibility probability (HyperMapper's
                         // feasibility classifier stand-in).
-                        let mut dists: Vec<(f64, bool)> = xs
+                        let mut dists: Vec<(f64, bool)> = self
+                            .xs
                             .iter()
-                            .zip(&feas)
+                            .zip(&self.feas)
                             .map(|(x, f)| {
                                 let d: f64 = x.iter().zip(&q).map(|(a, b)| (a - b).powi(2)).sum();
                                 (d, *f)
                             })
                             .collect();
-                        dists.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
+                        dists.sort_by(|a, b| {
+                            a.0.partial_cmp(&b.0).expect("distances are never NaN")
+                        });
                         let k = dists.len().min(7);
                         let p_feas =
                             dists[..k].iter().filter(|(_, f)| *f).count() as f64 / k as f64;
@@ -257,27 +261,33 @@ fn run_bo(
             }
         }
         let (cand, _) = best_cand.expect("pool non-empty");
-        let cost = step(evaluator, &mut trace, &cand);
-        xs.push(normalize(&space, &cand));
-        ys.push(cost.max(1e-12).ln());
-        feas.push(cost < 1e12);
+        Some(vec![cand])
     }
-    trace.wall_seconds = start.elapsed().as_secs_f64();
-    trace
+
+    fn observe(&mut self, problem: &Problem, samples: &[Sample]) {
+        for sample in samples {
+            let cost = problem.cost(sample);
+            self.xs.push(normalize(problem.space, &sample.point));
+            // Fit the GP on log cost: the penalized range spans orders of
+            // magnitude.
+            self.ys.push(cost.max(1e-12).ln());
+            self.feas.push(cost < 1e12);
+        }
+    }
 }
 
 /// Vanilla Bayesian optimization (GP + expected improvement), the
 /// `fmfn/BayesianOptimization`-style baseline.
 #[derive(Debug, Clone)]
 pub struct BayesianOpt {
-    rng: StdRng,
+    bo: Bo,
 }
 
 impl BayesianOpt {
     /// A BO run with the given seed.
     pub fn new(seed: u64) -> Self {
         Self {
-            rng: StdRng::seed_from_u64(seed),
+            bo: Bo::new(seed, false),
         }
     }
 }
@@ -287,8 +297,12 @@ impl DseTechnique for BayesianOpt {
         "bayesian".into()
     }
 
-    fn run(&mut self, evaluator: &dyn Evaluator, budget: usize) -> Trace {
-        run_bo(evaluator, budget, &mut self.rng, "bayesian", false)
+    fn propose(&mut self, problem: &Problem) -> Option<Vec<DesignPoint>> {
+        self.bo.propose(problem)
+    }
+
+    fn observe(&mut self, problem: &Problem, samples: &[Sample]) {
+        self.bo.observe(problem, samples)
     }
 }
 
@@ -296,14 +310,14 @@ impl DseTechnique for BayesianOpt {
 /// improvement weighted by a feasibility classifier.
 #[derive(Debug, Clone)]
 pub struct HyperMapperLike {
-    rng: StdRng,
+    bo: Bo,
 }
 
 impl HyperMapperLike {
     /// A constrained-BO run with the given seed.
     pub fn new(seed: u64) -> Self {
         Self {
-            rng: StdRng::seed_from_u64(seed),
+            bo: Bo::new(seed, true),
         }
     }
 }
@@ -313,8 +327,12 @@ impl DseTechnique for HyperMapperLike {
         "hypermapper".into()
     }
 
-    fn run(&mut self, evaluator: &dyn Evaluator, budget: usize) -> Trace {
-        run_bo(evaluator, budget, &mut self.rng, "hypermapper", true)
+    fn propose(&mut self, problem: &Problem) -> Option<Vec<DesignPoint>> {
+        self.bo.propose(problem)
+    }
+
+    fn observe(&mut self, problem: &Problem, samples: &[Sample]) {
+        self.bo.observe(problem, samples)
     }
 }
 

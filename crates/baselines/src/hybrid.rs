@@ -2,28 +2,96 @@
 //! quickly-found efficient solutions serve as high-quality initial points
 //! for further black-box refinement, and black-box techniques can be
 //! chained with each other.
+//!
+//! An explainable warm-up is a composition: run an
+//! `edse_core::SearchSession` for the warm-up share of the budget, then a
+//! [`Refine`] seeded with that trace's incumbent for the rest.
 
-use crate::{random_point, step, DseTechnique};
-use edse_core::bottleneck::dnn_latency_model;
-use edse_core::cost::Trace;
-use edse_core::dse::DseConfig;
-use edse_core::evaluate::Evaluator;
+use crate::{random_point, DseTechnique, Problem};
+use edse_core::cost::Sample;
 use edse_core::space::DesignPoint;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::time::Instant;
 
-/// Chains two phases: any warm-up technique followed by a refinement
-/// technique whose exploration is biased around the warm-up's best point.
+/// The refinement phase of the hybrids: a seeded local random search
+/// around an incumbent. Each sample re-draws a few parameters of the
+/// incumbent (the common "basin hopping around a good initial point"
+/// pattern the paper's hybrid-methodology note alludes to), and every
+/// observed improvement becomes the new incumbent.
 ///
-/// The refinement is a seeded local random search: each sample re-draws a
-/// few parameters of the incumbent (the common "basin hopping around a
-/// good initial point" pattern the paper's hybrid-methodology note
-/// alludes to).
+/// The seeded point only centres the first proposal: its cost is not
+/// known, so the first observed sample replaces it whatever that sample
+/// costs, even when it is worse or infeasible.
+#[derive(Debug, Clone)]
+pub struct Refine {
+    rng: StdRng,
+    incumbent: Option<DesignPoint>,
+    incumbent_cost: f64,
+    observed: usize,
+}
+
+impl Refine {
+    /// Centres the first proposal on `incumbent`, or on a random point
+    /// when there is none; from the first observed sample on, the best
+    /// sample observed is the centre (see the type docs).
+    pub fn around(incumbent: Option<DesignPoint>, seed: u64) -> Self {
+        Self {
+            rng: StdRng::seed_from_u64(seed),
+            incumbent,
+            incumbent_cost: f64::INFINITY,
+            observed: 0,
+        }
+    }
+}
+
+impl DseTechnique for Refine {
+    fn name(&self) -> String {
+        "refine".into()
+    }
+
+    fn propose(&mut self, problem: &Problem) -> Option<Vec<DesignPoint>> {
+        if self.observed >= problem.budget {
+            return None;
+        }
+        let space = problem.space;
+        let rng = &mut self.rng;
+        let mut cand = self
+            .incumbent
+            .get_or_insert_with(|| random_point(space, rng))
+            .clone();
+        // Redraw 1-3 parameters of the incumbent.
+        let moves = self.rng.gen_range(1..=3usize);
+        for _ in 0..moves {
+            let p = self.rng.gen_range(0..space.len());
+            let idx = self.rng.gen_range(0..space.param(p).len());
+            cand = cand.with_index(p, idx);
+        }
+        Some(vec![cand])
+    }
+
+    fn observe(&mut self, problem: &Problem, samples: &[Sample]) {
+        for sample in samples {
+            let cost = problem.cost(sample);
+            if cost < self.incumbent_cost {
+                self.incumbent_cost = cost;
+                self.incumbent = Some(sample.point.clone());
+            }
+        }
+        self.observed += samples.len();
+    }
+}
+
+/// Chains two phases: any warm-up technique, then a [`Refine`] around the
+/// warm-up's best feasible sample for the rest of the budget.
 pub struct WarmStartHybrid {
     warmup: Box<dyn DseTechnique>,
     warmup_share: f64,
-    rng: StdRng,
+    /// Still in the warm-up phase.
+    warming: bool,
+    warm_samples: usize,
+    /// The warm-up's best feasible sample so far: point and objective.
+    warm_best: Option<(DesignPoint, f64)>,
+    refine: Refine,
 }
 
 impl WarmStartHybrid {
@@ -38,8 +106,24 @@ impl WarmStartHybrid {
         Self {
             warmup,
             warmup_share,
-            rng: StdRng::seed_from_u64(seed),
+            warming: true,
+            warm_samples: 0,
+            warm_best: None,
+            refine: Refine::around(None, seed),
         }
+    }
+
+    /// The problem each phase sees: the warm-up gets its share of the
+    /// budget, the refinement whatever the warm-up left.
+    fn phase<'a>(&self, problem: &Problem<'a>) -> Problem<'a> {
+        let budget = if self.warming {
+            ((problem.budget as f64 * self.warmup_share) as usize)
+                .max(1)
+                .min(problem.budget)
+        } else {
+            problem.budget.saturating_sub(self.warm_samples)
+        };
+        Problem { budget, ..*problem }
     }
 }
 
@@ -48,81 +132,32 @@ impl DseTechnique for WarmStartHybrid {
         format!("{}+refine", self.warmup.name())
     }
 
-    fn run(&mut self, evaluator: &dyn Evaluator, budget: usize) -> Trace {
-        let start = Instant::now();
-        let space = evaluator.space().clone();
-        let warm_budget = ((budget as f64 * self.warmup_share) as usize)
-            .max(1)
-            .min(budget);
-        let mut trace = self.warmup.run(evaluator, warm_budget);
-        trace.technique = self.name();
-
-        let mut incumbent = trace
-            .best_feasible()
-            .map(|s| s.point.clone())
-            .unwrap_or_else(|| random_point(&space, &mut self.rng));
-        let mut incumbent_cost = f64::INFINITY;
-
-        while trace.evaluations() < budget {
-            // Redraw 1-3 parameters of the incumbent.
-            let mut cand = incumbent.clone();
-            let moves = self.rng.gen_range(1..=3usize);
-            for _ in 0..moves {
-                let p = self.rng.gen_range(0..space.len());
-                let idx = self.rng.gen_range(0..space.param(p).len());
-                cand = cand.with_index(p, idx);
+    fn propose(&mut self, problem: &Problem) -> Option<Vec<DesignPoint>> {
+        if self.warming {
+            let warm = self.phase(problem);
+            if let Some(batch) = self.warmup.propose(&warm) {
+                return Some(batch);
             }
-            let cost = step(evaluator, &mut trace, &cand);
-            if cost < incumbent_cost {
-                incumbent_cost = cost;
-                incumbent = cand;
+            self.warming = false;
+            self.refine.incumbent = self.warm_best.take().map(|(point, _)| point);
+        }
+        let rest = self.phase(problem);
+        self.refine.propose(&rest)
+    }
+
+    fn observe(&mut self, problem: &Problem, samples: &[Sample]) {
+        let phase = self.phase(problem);
+        if !self.warming {
+            return self.refine.observe(&phase, samples);
+        }
+        self.warm_samples += samples.len();
+        for s in samples {
+            let best = self.warm_best.as_ref().map_or(f64::INFINITY, |b| b.1);
+            if s.feasible && s.objective.is_finite() && s.objective < best {
+                self.warm_best = Some((s.point.clone(), s.objective));
             }
         }
-        trace.wall_seconds = start.elapsed().as_secs_f64();
-        trace
-    }
-}
-
-/// Explainable-DSE as a [`DseTechnique`], so it can warm-start hybrids and
-/// participate in any baseline-style harness. Uses the standard DNN
-/// latency bottleneck model.
-pub struct ExplainableTechnique {
-    config: DseConfig,
-}
-
-impl ExplainableTechnique {
-    /// Wraps Explainable-DSE with the given seed (other knobs default).
-    pub fn new(seed: u64) -> Self {
-        Self {
-            config: DseConfig {
-                seed,
-                ..DseConfig::default()
-            },
-        }
-    }
-
-    /// Wraps Explainable-DSE with an explicit configuration.
-    pub fn with_config(config: DseConfig) -> Self {
-        Self { config }
-    }
-}
-
-impl DseTechnique for ExplainableTechnique {
-    fn name(&self) -> String {
-        "explainable".into()
-    }
-
-    fn run(&mut self, evaluator: &dyn Evaluator, budget: usize) -> Trace {
-        let session = edse_core::SearchSession::new(
-            dnn_latency_model(),
-            DseConfig {
-                budget,
-                ..self.config.clone()
-            },
-        )
-        .evaluator(evaluator);
-        let initial: DesignPoint = evaluator.space().minimum_point();
-        session.run(initial).into_trace()
+        self.warmup.observe(&phase, samples);
     }
 }
 
@@ -130,8 +165,12 @@ impl DseTechnique for ExplainableTechnique {
 mod tests {
     use super::*;
     use crate::RandomSearch;
-    use edse_core::evaluate::CodesignEvaluator;
+    use edse_core::bottleneck::dnn_latency_model;
+    use edse_core::cost::Trace;
+    use edse_core::dse::DseConfig;
+    use edse_core::evaluate::{CodesignEvaluator, Evaluator};
     use edse_core::space::edge_space;
+    use edse_core::SearchSession;
     use mapper::FixedMapper;
     use workloads::zoo;
 
@@ -147,19 +186,36 @@ mod tests {
         assert_eq!(trace.technique, "random+refine");
     }
 
+    /// Explainable-DSE on `budget` evaluations of `ev`, seed 1.
+    fn explainable(ev: &dyn Evaluator, budget: usize) -> Trace {
+        SearchSession::new(
+            dnn_latency_model(),
+            DseConfig {
+                budget,
+                seed: 1,
+                ..DseConfig::default()
+            },
+        )
+        .evaluator(ev)
+        .run(ev.space().minimum_point())
+        .into_trace()
+    }
+
     #[test]
     fn explainable_warmup_hands_off_a_feasible_incumbent() {
         // §B: the explainable phase lands a feasible point quickly; the
-        // refinement phase may only improve on it.
-        let mut h = WarmStartHybrid::new(Box::new(ExplainableTechnique::new(1)), 0.5, 1);
+        // refinement phase may only improve on it. The warm-up takes half
+        // of 160 evaluations, the refinement the rest.
         let ev = evaluator();
-        let trace = h.run(&ev, 160);
+        let mut trace = explainable(&ev, 80);
+        let incumbent = trace.best_feasible().map(|s| s.point.clone());
+        let refined = Refine::around(incumbent, 1).run(&ev, 160 - trace.evaluations());
+        trace.samples.extend(refined.samples);
         let best = trace
             .best_feasible()
             .expect("hybrid finds a feasible design");
         // Compare with warmup-only at the same share of budget.
-        let ev2 = evaluator();
-        let warm_only = ExplainableTechnique::new(1).run(&ev2, 80);
+        let warm_only = explainable(&evaluator(), 80);
         if let Some(w) = warm_only.best_feasible() {
             assert!(
                 best.objective <= w.objective + 1e-9,

@@ -5,9 +5,13 @@
 //! Bayesian optimization, HyperMapper-2.0-style constrained Bayesian
 //! optimization, and Confuciux-style constrained reinforcement learning.
 //!
-//! All techniques run against the same [`edse_core::evaluate::Evaluator`]
-//! and report the same [`edse_core::cost::Trace`] format as the explainable
-//! DSE, so every figure compares like with like.
+//! Every technique is an ask/tell state machine: [`DseTechnique::propose`]
+//! hands out the next batch of design points and
+//! [`DseTechnique::observe`] takes that batch's evaluations. Techniques
+//! never see the evaluator; one driver ([`BaselineDriver`]) owns the loop,
+//! so blocking, stepped, checkpointed and resumed runs share one code path
+//! and report the same [`edse_core::cost::Trace`] format as the
+//! explainable DSE, so every figure compares like with like.
 //!
 //! # Example
 //!
@@ -31,50 +35,126 @@ pub mod sensitivity;
 pub mod simple;
 
 pub use bo::{BayesianOpt, HyperMapperLike};
-pub use hybrid::{ExplainableTechnique, WarmStartHybrid};
+pub use hybrid::{Refine, WarmStartHybrid};
 pub use rl::ConfuciuxRl;
 pub use sensitivity::SensitivityGuided;
 pub use simple::{GeneticAlgorithm, GridSearch, RandomSearch, SimulatedAnnealing};
 
-use edse_core::checkpoint::{load_baseline, CheckpointingEvaluator};
-use edse_core::cost::{Constraint, Evaluation, Sample, Trace};
-use edse_core::evaluate::{CacheSnapshot, CacheStats, Evaluator};
-use edse_core::fault::EvalFault;
+use edse_core::checkpoint::{load_baseline, save_baseline, BaselineSnapshot};
+use edse_core::cost::{Constraint, Sample, Trace};
+use edse_core::evaluate::Evaluator;
 use edse_core::space::{DesignPoint, DesignSpace};
 use edse_core::{CancelToken, JobSpec, StepOutcome};
 use edse_telemetry::{Collector, Level};
-use std::cell::RefCell;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
+use std::time::Instant;
 
-/// A DSE technique: explores for `budget` unique evaluations and returns
-/// the full trace.
-pub trait DseTechnique {
+/// What a technique explores: the design space it draws points from, the
+/// constraints that decide feasibility, and its evaluation budget.
+#[derive(Debug, Clone, Copy)]
+pub struct Problem<'a> {
+    /// The design space.
+    pub space: &'a DesignSpace,
+    /// The constraints, aligned with every sample's `constraint_values`.
+    pub constraints: &'a [Constraint],
+    /// How many samples the technique may propose in total.
+    pub budget: usize,
+}
+
+impl Problem<'_> {
+    /// The penalized scalar cost every baseline optimizes: the objective
+    /// for feasible samples; a large violation-scaled penalty otherwise, so
+    /// unconstrained optimizers still feel constraint pressure the way the
+    /// paper's penalized baselines do.
+    pub fn cost(&self, sample: &Sample) -> f64 {
+        if sample.feasible {
+            return sample.objective;
+        }
+        let budget = sample.constraint_budget(self.constraints);
+        // Infeasible points rank strictly worse than any feasible one and
+        // worse the deeper the violation.
+        if budget.is_finite() {
+            1e12 * (1.0 + budget)
+        } else {
+            1e15
+        }
+    }
+}
+
+/// A DSE technique as an ask/tell state machine: it proposes batches of
+/// design points and observes their evaluations until it reports that it
+/// is done. Its state is a pure function of its seed, the problem, and
+/// the samples it has observed, which is what makes a resumed run
+/// (restore the evaluator caches, step a fresh technique from the start)
+/// bit-identical to an uninterrupted one.
+///
+/// A technique explores once: build a fresh one per run. Techniques are
+/// `Send` so a stepped exploration can move between scheduler threads.
+pub trait DseTechnique: Send {
     /// Technique name for reports, e.g. `"random"`.
     fn name(&self) -> String;
 
-    /// Runs the exploration against an evaluator. Feedback-free stages
-    /// (initial designs, whole non-adaptive sweeps) go through
-    /// [`Evaluator::evaluate_batch`], so a parallel evaluator speeds them
-    /// up without changing any result.
-    ///
-    /// For telemetry (a `baseline/<name>` span plus per-sample iteration
-    /// records) and checkpoint/resume, run the technique through
-    /// [`BaselineSession`] instead of calling this directly.
-    fn run(&mut self, evaluator: &dyn Evaluator, budget: usize) -> Trace;
+    /// The next batch to evaluate, or `None` once the exploration is over.
+    /// Feedback-free stages (initial designs, whole non-adaptive sweeps)
+    /// come as one batch, so a parallel evaluator speeds them up without
+    /// changing any result.
+    fn propose(&mut self, problem: &Problem) -> Option<Vec<DesignPoint>>;
+
+    /// Receives the evaluations of the batch the last
+    /// [`propose`](DseTechnique::propose) returned, as trace samples in
+    /// batch order.
+    fn observe(&mut self, problem: &Problem, samples: &[Sample]);
+
+    /// Runs the exploration against an evaluator for `budget` evaluations:
+    /// a [`BaselineSession`] without telemetry or checkpointing.
+    fn run(&mut self, evaluator: &dyn Evaluator, budget: usize) -> Trace {
+        BaselineSession::new(self).run(evaluator, budget)
+    }
 }
 
-/// Builder and runner for one baseline exploration: telemetry plus
-/// checkpoint/resume for any [`DseTechnique`], mirroring
-/// `edse_core::SearchSession` for the explainable search.
-///
-/// Baselines are black boxes, so there is no mid-search state to
-/// serialize; instead the session checkpoints the *evaluator caches*
-/// (every [`BaselineSession::checkpoint_every`] unique evaluations, via
-/// [`CheckpointingEvaluator`]) and resumes by replay: the caches are
-/// restored and the deterministic technique re-runs from scratch, with
-/// every already-completed evaluation answered from cache. The resumed
-/// trace is bit-for-bit identical to the uninterrupted one.
+impl<T: DseTechnique + ?Sized> DseTechnique for &mut T {
+    fn name(&self) -> String {
+        (**self).name()
+    }
+
+    fn propose(&mut self, problem: &Problem) -> Option<Vec<DesignPoint>> {
+        (**self).propose(problem)
+    }
+
+    fn observe(&mut self, problem: &Problem, samples: &[Sample]) {
+        (**self).observe(problem, samples)
+    }
+
+    // Forwarded: the provided `run` would box a `&mut &mut T`, whose own
+    // `run` boxes a `&mut &mut &mut T`, without end.
+    fn run(&mut self, evaluator: &dyn Evaluator, budget: usize) -> Trace {
+        (**self).run(evaluator, budget)
+    }
+}
+
+/// The technique registry shared by the bench harness and `edse-serve`:
+/// the black-box baseline labelled `name` (`"grid"`, `"random"`,
+/// `"annealing"`, `"genetic"`, `"bayesian"`, `"hypermapper"` or `"rl"`),
+/// seeded with `seed`; the genetic algorithm gets a population of 16.
+/// `None` for any other name, including `"explainable"`.
+pub fn by_name(name: &str, seed: u64) -> Option<Box<dyn DseTechnique>> {
+    Some(match name {
+        "grid" => Box::new(GridSearch::new()),
+        "random" => Box::new(RandomSearch::new(seed)),
+        "annealing" => Box::new(SimulatedAnnealing::new(seed)),
+        "genetic" => Box::new(GeneticAlgorithm::new(16, seed)),
+        "bayesian" => Box::new(BayesianOpt::new(seed)),
+        "hypermapper" => Box::new(HyperMapperLike::new(seed)),
+        "rl" => Box::new(ConfuciuxRl::new(seed)),
+        _ => return None,
+    })
+}
+
+/// Builder and runner for one blocking baseline exploration: telemetry
+/// plus checkpoint/resume for any [`DseTechnique`], mirroring
+/// `edse_core::SearchSession` for the explainable search. It runs a
+/// [`BaselineDriver`] to completion, so see there for what a checkpoint
+/// holds and how a resume works.
 ///
 /// ```
 /// use baselines::{BaselineSession, RandomSearch};
@@ -90,28 +170,24 @@ pub trait DseTechnique {
 /// assert_eq!(trace.evaluations(), 20);
 /// ```
 pub struct BaselineSession<'t> {
-    technique: &'t mut dyn DseTechnique,
+    technique: Box<dyn DseTechnique + 't>,
     telemetry: Collector,
-    checkpoint: Option<PathBuf>,
-    checkpoint_every: usize,
-    resume: bool,
+    spec: JobSpec,
 }
 
 impl<'t> BaselineSession<'t> {
-    /// Starts a session around a technique. Telemetry defaults to the
-    /// inert collector and checkpointing is off.
-    pub fn new(technique: &'t mut dyn DseTechnique) -> Self {
+    /// Starts a session around a technique (owned or `&mut`). Telemetry
+    /// defaults to the inert collector and checkpointing is off.
+    pub fn new(technique: impl DseTechnique + 't) -> Self {
         BaselineSession {
-            technique,
+            technique: Box::new(technique),
             telemetry: Collector::noop(),
-            checkpoint: None,
-            checkpoint_every: 10,
-            resume: false,
+            spec: JobSpec::default(),
         }
     }
 
-    /// Attaches a telemetry collector: the run gets a `baseline/<name>`
-    /// span and per-sample iteration records.
+    /// Attaches a telemetry collector: the run gets `baseline/<name>`
+    /// spans and per-sample iteration records.
     pub fn telemetry(mut self, telemetry: Collector) -> Self {
         self.telemetry = telemetry;
         self
@@ -121,99 +197,24 @@ impl<'t> BaselineSession<'t> {
     /// path, snapshot cadence, and resume policy — the same configuration
     /// surface `edse_core::SearchSession::spec` consumes.
     pub fn spec(mut self, spec: &JobSpec) -> Self {
-        self.checkpoint = spec.checkpoint.clone();
-        self.checkpoint_every = spec.checkpoint_every.max(1);
-        self.resume = spec.resume;
+        self.spec = spec.clone();
         self
     }
 
-    /// Enables checkpointing of the evaluator caches to `path`.
-    #[deprecated(since = "0.8.0", note = "set `JobSpec::checkpoint` and use `spec()`")]
-    pub fn checkpoint(mut self, path: impl Into<PathBuf>) -> Self {
-        self.checkpoint = Some(path.into());
-        self
-    }
-
-    /// Snapshot cadence in unique evaluations (default 10; clamped to at
-    /// least 1).
-    #[deprecated(
-        since = "0.8.0",
-        note = "set `JobSpec::checkpoint_every` and use `spec()`"
-    )]
-    pub fn checkpoint_every(mut self, every: usize) -> Self {
-        self.checkpoint_every = every.max(1);
-        self
-    }
-
-    /// When enabled (with a checkpoint path), restores the snapshot's
-    /// evaluator caches before running, if the snapshot file exists;
-    /// starts fresh when it does not.
-    #[deprecated(since = "0.8.0", note = "set `JobSpec::resume` and use `spec()`")]
-    pub fn resume(mut self, resume: bool) -> Self {
-        self.resume = resume;
-        self
-    }
-
-    /// Runs the technique for `budget` unique evaluations.
+    /// Runs the technique for `budget` evaluations.
     ///
     /// # Panics
     ///
     /// Panics when resume is enabled and the snapshot file exists but
     /// cannot be loaded, or records a different technique or budget than
-    /// this run — replay-resume is only bit-identical when the re-run
-    /// matches the interrupted run exactly, so a mismatch is surfaced
-    /// loudly rather than silently recomputing.
+    /// this run (see [`BaselineDriver::spec`], which returns the same
+    /// mismatch as an error).
     pub fn run(self, evaluator: &dyn Evaluator, budget: usize) -> Trace {
-        let name = self.technique.name();
-        if let (Some(path), true) = (&self.checkpoint, self.resume) {
-            if path.exists() {
-                let snapshot =
-                    load_baseline(path).unwrap_or_else(|e| panic!("cannot resume baseline: {e}"));
-                assert_eq!(
-                    snapshot.technique, name,
-                    "cannot resume baseline: snapshot records technique {:?}, this run is {:?}",
-                    snapshot.technique, name
-                );
-                assert_eq!(
-                    snapshot.budget, budget,
-                    "cannot resume baseline: snapshot records budget {}, this run has {}",
-                    snapshot.budget, budget
-                );
-                evaluator.restore_caches(&snapshot.caches);
-                self.telemetry.log(
-                    Level::Info,
-                    &format!(
-                        "resumed baseline {name} from {} with {} cached evaluations",
-                        path.display(),
-                        snapshot.caches.unique_evaluations
-                    ),
-                );
-            }
-        }
-        let trace = match &self.checkpoint {
-            Some(path) => {
-                let guarded = CheckpointingEvaluator::new(
-                    evaluator,
-                    path.clone(),
-                    self.checkpoint_every,
-                    name.clone(),
-                    budget,
-                    self.telemetry.clone(),
-                );
-                let trace = {
-                    let _span = self.telemetry.span(&format!("baseline/{name}"));
-                    self.technique.run(&guarded, budget)
-                };
-                guarded.save();
-                trace
-            }
-            None => {
-                let _span = self.telemetry.span(&format!("baseline/{name}"));
-                self.technique.run(evaluator, budget)
-            }
-        };
-        trace.emit_iteration_records(&self.telemetry, budget);
-        trace
+        BaselineDriver::new(self.technique, evaluator, budget)
+            .telemetry(self.telemetry)
+            .spec(&self.spec)
+            .unwrap_or_else(|e| panic!("{e}"))
+            .run_to_completion()
     }
 }
 
@@ -222,102 +223,100 @@ impl<'t> BaselineSession<'t> {
 /// [`StepOutcome`]/[`CancelToken`] protocol so a scheduler can interleave
 /// explainable and baseline jobs uniformly.
 ///
-/// Baselines are black boxes with no mid-search state to hand back, so the
-/// driver steps by *replay chunks*: each [`BaselineDriver::step`] builds a
-/// fresh technique from a deterministic factory and re-runs it against the
-/// **full** budget — several techniques plan from the budget (grid strides,
-/// cooling schedules, generation counts), so handing them a partial budget
-/// would change their decisions — but the replay is stopped, by unwinding
-/// out of the evaluator, once it has performed one chunk of *new*
-/// evaluations. Every evaluation completed by earlier steps is answered
-/// from the evaluator's caches, so a replay costs cache lookups plus one
-/// chunk of new evaluations, and the final trace is bit-for-bit identical
-/// to an uninterrupted [`BaselineSession::run`] (the same property behind
-/// replay-resume, enforced by the conformance driver oracle
-/// `driver_stepping_matches_blocking_run`). Iteration records stream
-/// incrementally: each step emits only the samples it appended.
-pub struct BaselineDriver<E, F> {
-    factory: F,
+/// One [`BaselineDriver::step`] is one ask/tell round: the technique
+/// proposes a batch, the evaluator evaluates it as one batch, and the
+/// technique observes the results. Iteration records stream as the
+/// samples arrive.
+///
+/// With a checkpoint path the driver saves a `"baseline"` snapshot — the
+/// evaluator caches, tagged with the technique label and budget — every
+/// `checkpoint_every` steps, at termination, and on cancel. A technique's
+/// state is a pure function of its seed, its budget and the samples it has
+/// observed, and the caches hold those samples, so a resume restores the
+/// caches and steps a fresh technique from the start: every completed
+/// evaluation is a cache hit, and the trace is bit-identical to the
+/// uninterrupted run's.
+pub struct BaselineDriver<'t, E> {
+    technique: Box<dyn DseTechnique + 't>,
     evaluator: E,
     budget: usize,
-    chunk: usize,
     telemetry: Collector,
-    checkpoint: Option<PathBuf>,
-    checkpoint_every: usize,
+    checkpoint: Option<(PathBuf, usize)>,
+    steps_since_save: usize,
     cancel: CancelToken,
     trace: Trace,
-    emitted: usize,
+    started: Instant,
     outcome: Option<StepOutcome>,
-    name: String,
 }
 
-impl<E, F> BaselineDriver<E, F>
-where
-    E: Evaluator,
-    F: Fn() -> Box<dyn DseTechnique>,
-{
-    /// Starts a driver around a deterministic technique factory: every
-    /// call to `factory` must produce an identically-configured technique
-    /// (same kind, same seed), because each step replays the search from
-    /// scratch against the warm caches.
-    ///
-    /// # Panics
-    ///
-    /// Panics when [`JobSpec::resume`] is set and the snapshot file exists
-    /// but cannot be loaded, or records a different technique or budget —
-    /// the same loud mismatch policy as [`BaselineSession::run`].
-    pub fn new(factory: F, evaluator: E, budget: usize, spec: &JobSpec) -> Self {
-        let name = factory().name();
-        let telemetry = Collector::noop();
-        let driver = BaselineDriver {
-            factory,
+impl<'t, E: Evaluator> BaselineDriver<'t, E> {
+    /// Starts a fresh exploration of `evaluator`'s problem with `budget`
+    /// evaluations.
+    pub fn new(technique: Box<dyn DseTechnique + 't>, evaluator: E, budget: usize) -> Self {
+        let trace = Trace::new(technique.name());
+        BaselineDriver {
+            technique,
             evaluator,
             budget,
-            chunk: 10,
-            telemetry,
-            checkpoint: spec.checkpoint.clone(),
-            checkpoint_every: spec.checkpoint_every.max(1),
+            telemetry: Collector::noop(),
+            checkpoint: None,
+            steps_since_save: 0,
             cancel: CancelToken::new(),
-            trace: Trace::new(name.clone()),
-            emitted: 0,
+            trace,
+            started: Instant::now(),
             outcome: None,
-            name,
-        };
-        if spec.resume {
-            if let Some(path) = &driver.checkpoint {
-                if path.exists() {
-                    let snapshot = load_baseline(path)
-                        .unwrap_or_else(|e| panic!("cannot resume baseline: {e}"));
-                    assert_eq!(
-                        snapshot.technique, driver.name,
-                        "cannot resume baseline: snapshot records technique {:?}, this run is {:?}",
-                        snapshot.technique, driver.name
-                    );
-                    assert_eq!(
-                        snapshot.budget, budget,
-                        "cannot resume baseline: snapshot records budget {}, this run has {}",
-                        snapshot.budget, budget
-                    );
-                    driver.evaluator.restore_caches(&snapshot.caches);
-                }
-            }
         }
-        driver
     }
 
-    /// Attaches a telemetry collector: each step then streams the
-    /// iteration records of the samples it appended.
+    /// Attaches a telemetry collector: each step opens a `baseline/<name>`
+    /// span and streams the iteration records of the samples it appended.
     pub fn telemetry(mut self, telemetry: Collector) -> Self {
         self.telemetry = telemetry;
         self
     }
 
-    /// Replay-chunk size: how many *new* samples one [`BaselineDriver::step`]
-    /// targets (default 10; clamped to at least 1). Smaller chunks react
-    /// to cancellation faster at the price of more replay overhead.
-    pub fn chunk(mut self, chunk: usize) -> Self {
-        self.chunk = chunk.max(1);
-        self
+    /// Applies the checkpoint path, snapshot cadence (in steps) and resume
+    /// policy of a [`JobSpec`]. With `resume` set and the snapshot file
+    /// present, the snapshot's caches are restored into the evaluator.
+    ///
+    /// # Errors
+    ///
+    /// Fails when the snapshot cannot be loaded, or records a different
+    /// technique or budget than this run: stepping a different search
+    /// against those caches would not reproduce the interrupted run.
+    pub fn spec(mut self, spec: &JobSpec) -> Result<Self, String> {
+        self.checkpoint = spec
+            .checkpoint
+            .clone()
+            .map(|path| (path, spec.checkpoint_every.max(1)));
+        let resume_from = self.checkpoint.as_ref().map(|(path, _)| path);
+        let Some(path) = resume_from.filter(|path| spec.resume && path.exists()) else {
+            return Ok(self);
+        };
+        let snapshot = load_baseline(path).map_err(|e| format!("cannot resume baseline: {e}"))?;
+        let name = &self.trace.technique;
+        if &snapshot.technique != name {
+            return Err(format!(
+                "cannot resume baseline: snapshot records technique {:?}, this run is {name:?}",
+                snapshot.technique
+            ));
+        }
+        if snapshot.budget != self.budget {
+            return Err(format!(
+                "cannot resume baseline: snapshot records budget {}, this run has {}",
+                snapshot.budget, self.budget
+            ));
+        }
+        self.evaluator.restore_caches(&snapshot.caches);
+        self.telemetry.log(
+            Level::Info,
+            &format!(
+                "resumed baseline {name} from {} with {} cached evaluations",
+                path.display(),
+                snapshot.caches.unique_evaluations
+            ),
+        );
+        Ok(self)
     }
 
     /// Uses `token` as the driver's cancellation token instead of a fresh
@@ -332,8 +331,8 @@ where
         self.cancel.clone()
     }
 
-    /// Advances the exploration by one replay chunk. Checks the
-    /// [`CancelToken`] first: when it has fired, no chunk runs, the
+    /// Advances the exploration by one ask/tell round. Checks the
+    /// [`CancelToken`] first: when it has fired, no round runs, the
     /// evaluator caches are snapshotted if checkpointing is configured,
     /// and [`StepOutcome::Cancelled`] is returned. After termination (or a
     /// cancel) further calls are no-ops returning the same outcome.
@@ -346,63 +345,49 @@ where
             self.outcome = Some(StepOutcome::Cancelled);
             return StepOutcome::Cancelled;
         }
-        let mut technique = (self.factory)();
-        let (trace, done) = match &self.checkpoint {
-            Some(path) => {
-                let guarded = CheckpointingEvaluator::new(
-                    &self.evaluator,
-                    path.clone(),
-                    self.checkpoint_every,
-                    self.name.clone(),
-                    self.budget,
-                    self.telemetry.clone(),
-                );
-                let limited = ChunkLimited::new(&guarded, self.chunk);
-                let run = {
-                    let _span = self.telemetry.span(&format!("baseline/{}", self.name));
-                    catch_unwind(AssertUnwindSafe(|| technique.run(&limited, self.budget)))
-                };
-                guarded.save();
-                Self::replay_outcome(run, limited, &self.name)
-            }
-            None => {
-                let limited = ChunkLimited::new(&self.evaluator, self.chunk);
-                let run = {
-                    let _span = self.telemetry.span(&format!("baseline/{}", self.name));
-                    catch_unwind(AssertUnwindSafe(|| technique.run(&limited, self.budget)))
-                };
-                Self::replay_outcome(run, limited, &self.name)
+        let start = self.trace.samples.len();
+        let done = {
+            let _span = self
+                .telemetry
+                .span(&format!("baseline/{}", self.trace.technique));
+            let problem = Problem {
+                space: self.evaluator.space(),
+                constraints: self.evaluator.constraints(),
+                budget: self.budget,
+            };
+            match self.technique.propose(&problem) {
+                None => true,
+                Some(batch) => {
+                    let evals = self.evaluator.evaluate_batch(&batch);
+                    for (point, eval) in batch.into_iter().zip(evals) {
+                        let feasible = eval.feasible(problem.constraints);
+                        self.trace.samples.push(Sample {
+                            point,
+                            objective: eval.objective,
+                            constraint_values: eval.constraint_values,
+                            feasible,
+                        });
+                    }
+                    self.technique
+                        .observe(&problem, &self.trace.samples[start..]);
+                    false
+                }
             }
         };
-        self.trace = trace;
         self.trace
-            .emit_iteration_records_from(&self.telemetry, self.budget, self.emitted);
-        self.emitted = self.trace.samples.len();
+            .emit_iteration_records_from(&self.telemetry, self.budget, start);
+        if let Some((_, every)) = self.checkpoint {
+            self.steps_since_save += 1;
+            if done || self.steps_since_save >= every {
+                self.steps_since_save = 0;
+                self.snapshot();
+            }
+        }
         if done {
             self.outcome = Some(StepOutcome::Done);
             StepOutcome::Done
         } else {
             StepOutcome::Pending
-        }
-    }
-
-    /// Interprets one replay: a normal return is the complete run (the
-    /// technique hit its own termination against the full budget); a
-    /// [`ChunkDone`] unwind yields the prefix trace the adapter recorded;
-    /// any other panic is a real failure and is re-raised.
-    fn replay_outcome<I: Evaluator>(
-        run: std::thread::Result<Trace>,
-        limited: ChunkLimited<'_, I>,
-        name: &str,
-    ) -> (Trace, bool) {
-        match run {
-            Ok(trace) => (trace, true),
-            Err(payload) => {
-                if payload.downcast_ref::<ChunkDone>().is_none() {
-                    resume_unwind(payload);
-                }
-                (limited.into_trace(name), false)
-            }
         }
     }
 
@@ -413,21 +398,28 @@ where
         self.finish()
     }
 
-    /// Writes an evaluator-cache snapshot now when checkpointing is
-    /// configured; a no-op otherwise. Returns whether a save was attempted.
+    /// Writes a baseline snapshot now when checkpointing is configured; a
+    /// no-op otherwise. Returns whether a save was attempted. Failures are
+    /// reported through telemetry (`checkpoint/save_failures` plus a
+    /// warning), never panicked on: losing a checkpoint must not kill the
+    /// run it exists to protect.
     pub fn snapshot(&mut self) -> bool {
-        let Some(path) = self.checkpoint.clone() else {
+        let Some((path, _)) = &self.checkpoint else {
             return false;
         };
-        let guarded = CheckpointingEvaluator::new(
-            &self.evaluator,
-            path,
-            self.checkpoint_every,
-            self.name.clone(),
-            self.budget,
-            self.telemetry.clone(),
-        );
-        guarded.save();
+        let snapshot = BaselineSnapshot {
+            technique: self.trace.technique.clone(),
+            budget: self.budget,
+            caches: self.evaluator.cache_snapshot(),
+        };
+        match save_baseline(path, &snapshot) {
+            Ok(()) => self.telemetry.counter("checkpoint/saves", 1),
+            Err(e) => {
+                self.telemetry.counter("checkpoint/save_failures", 1);
+                self.telemetry
+                    .log(Level::Warn, &format!("checkpoint save failed: {e}"));
+            }
+        }
         true
     }
 
@@ -436,7 +428,7 @@ where
         self.outcome.is_some()
     }
 
-    /// Unique evaluations recorded so far.
+    /// Samples recorded so far.
     pub fn evaluations(&self) -> usize {
         self.trace.evaluations()
     }
@@ -457,182 +449,14 @@ where
     }
 
     /// Consumes the driver, yielding the trace explored so far.
-    pub fn finish(self) -> Trace {
+    pub fn finish(mut self) -> Trace {
+        self.trace.wall_seconds = self.started.elapsed().as_secs_f64();
         self.trace
     }
 }
 
-/// Unwind payload used by [`ChunkLimited`] to stop a replay once its chunk
-/// of new evaluations is complete. Never escapes [`BaselineDriver::step`].
-struct ChunkDone;
-
-/// Evaluator adapter behind [`BaselineDriver::step`]: forwards to `inner`,
-/// records every evaluated sample (so an aborted replay still yields the
-/// trace prefix the technique had built), and unwinds with [`ChunkDone`]
-/// once `inner` has performed `limit` *new* evaluations since the adapter
-/// was built. The check runs before each call, never mid-batch, so batch
-/// results — and therefore the eventual full trace — are untouched.
-struct ChunkLimited<'e, E> {
-    inner: &'e E,
-    base: usize,
-    limit: usize,
-    log: RefCell<Vec<Sample>>,
-}
-
-impl<'e, E: Evaluator> ChunkLimited<'e, E> {
-    fn new(inner: &'e E, limit: usize) -> Self {
-        ChunkLimited {
-            inner,
-            base: inner.unique_evaluations(),
-            limit: limit.max(1),
-            log: RefCell::new(Vec::new()),
-        }
-    }
-
-    /// Unwinds out of the replay when the chunk is spent. Uses
-    /// `resume_unwind` (not a panic) so the per-step abort is silent —
-    /// it must not trip the panic hook once per scheduler step.
-    fn check(&self) {
-        if self.inner.unique_evaluations() - self.base >= self.limit {
-            resume_unwind(Box::new(ChunkDone));
-        }
-    }
-
-    fn record(&self, point: &DesignPoint, eval: &Evaluation) {
-        let feasible = eval.feasible(self.inner.constraints());
-        self.log.borrow_mut().push(Sample {
-            point: point.clone(),
-            objective: eval.objective,
-            constraint_values: eval.constraint_values.clone(),
-            feasible,
-        });
-    }
-
-    /// The prefix trace of the aborted replay, in evaluation order.
-    fn into_trace(self, name: &str) -> Trace {
-        let mut trace = Trace::new(name);
-        trace.samples = self.log.into_inner();
-        trace
-    }
-}
-
-impl<E: Evaluator> Evaluator for ChunkLimited<'_, E> {
-    fn evaluate(&self, point: &DesignPoint) -> Evaluation {
-        self.check();
-        let eval = self.inner.evaluate(point);
-        self.record(point, &eval);
-        eval
-    }
-
-    fn evaluate_batch(&self, points: &[DesignPoint]) -> Vec<Evaluation> {
-        self.check();
-        let evals = self.inner.evaluate_batch(points);
-        for (point, eval) in points.iter().zip(&evals) {
-            self.record(point, eval);
-        }
-        evals
-    }
-
-    fn try_evaluate(&self, point: &DesignPoint) -> Result<Evaluation, EvalFault> {
-        self.check();
-        let result = self.inner.try_evaluate(point);
-        if let Ok(eval) = &result {
-            self.record(point, eval);
-        }
-        result
-    }
-
-    fn try_evaluate_batch(&self, points: &[DesignPoint]) -> Vec<Result<Evaluation, EvalFault>> {
-        self.check();
-        let results = self.inner.try_evaluate_batch(points);
-        for (point, result) in points.iter().zip(&results) {
-            if let Ok(eval) = result {
-                self.record(point, eval);
-            }
-        }
-        results
-    }
-
-    fn space(&self) -> &DesignSpace {
-        self.inner.space()
-    }
-
-    fn constraints(&self) -> &[Constraint] {
-        self.inner.constraints()
-    }
-
-    fn unique_evaluations(&self) -> usize {
-        self.inner.unique_evaluations()
-    }
-
-    fn decode(&self, point: &DesignPoint) -> accel_model::AcceleratorConfig {
-        self.inner.decode(point)
-    }
-
-    fn cache_snapshot(&self) -> CacheSnapshot {
-        self.inner.cache_snapshot()
-    }
-
-    fn restore_caches(&self, snapshot: &CacheSnapshot) {
-        self.inner.restore_caches(snapshot)
-    }
-
-    fn cache_stats(&self) -> CacheStats {
-        self.inner.cache_stats()
-    }
-}
-
-/// Evaluates a point, appends it to the trace, and returns its penalized
-/// scalar cost (shared by all baselines): the objective for feasible
-/// points; a large violation-scaled penalty otherwise, so unconstrained
-/// optimizers still feel constraint pressure the way the paper's penalized
-/// baselines do.
-pub(crate) fn step(evaluator: &dyn Evaluator, trace: &mut Trace, point: &DesignPoint) -> f64 {
-    step_batch(evaluator, trace, std::slice::from_ref(point))[0]
-}
-
-/// Batch counterpart of [`step`]: evaluates all points through
-/// [`Evaluator::evaluate_batch`], records them in input order, and returns
-/// their penalized costs. Identical results to calling [`step`] per point.
-pub(crate) fn step_batch(
-    evaluator: &dyn Evaluator,
-    trace: &mut Trace,
-    points: &[DesignPoint],
-) -> Vec<f64> {
-    let constraints = evaluator.constraints().to_vec();
-    let evals = evaluator.evaluate_batch(points);
-    points
-        .iter()
-        .zip(evals)
-        .map(|(point, eval)| {
-            let feasible = eval.feasible(&constraints);
-            trace.samples.push(Sample {
-                point: point.clone(),
-                objective: eval.objective,
-                constraint_values: eval.constraint_values.clone(),
-                feasible,
-            });
-            if feasible {
-                eval.objective
-            } else {
-                let budget = eval.constraint_budget(&constraints);
-                // Infeasible points rank strictly worse than any feasible
-                // one and worse the deeper the violation.
-                if budget.is_finite() {
-                    1e12 * (1.0 + budget)
-                } else {
-                    1e15
-                }
-            }
-        })
-        .collect()
-}
-
 /// Uniformly random point in a space.
-pub(crate) fn random_point(
-    space: &edse_core::space::DesignSpace,
-    rng: &mut rand::rngs::StdRng,
-) -> DesignPoint {
+pub(crate) fn random_point(space: &DesignSpace, rng: &mut rand::rngs::StdRng) -> DesignPoint {
     use rand::Rng;
     DesignPoint::new(
         space
@@ -659,7 +483,7 @@ mod tests {
     fn every_technique_respects_budget_and_reports_samples() {
         let budget = 15;
         let mut techs: Vec<Box<dyn DseTechnique>> = vec![
-            Box::new(GridSearch),
+            Box::new(GridSearch::new()),
             Box::new(RandomSearch::new(1)),
             Box::new(SimulatedAnnealing::new(1)),
             Box::new(GeneticAlgorithm::new(6, 1)),
@@ -679,6 +503,24 @@ mod tests {
             assert!(trace.evaluations() > 0, "{} did nothing", t.name());
             assert!(!trace.technique.is_empty());
         }
+    }
+
+    #[test]
+    fn registry_builds_every_baseline_by_name() {
+        for name in [
+            "grid",
+            "random",
+            "annealing",
+            "genetic",
+            "bayesian",
+            "hypermapper",
+            "rl",
+        ] {
+            let technique = by_name(name, 3).expect("registered");
+            assert_eq!(technique.name(), name);
+        }
+        assert!(by_name("explainable", 3).is_none());
+        assert!(by_name("nope", 3).is_none());
     }
 
     #[test]
@@ -763,56 +605,100 @@ mod tests {
             std::thread::current().id()
         ));
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("random.ckpt.json");
+        let path = dir.join("annealing.ckpt.json");
         let budget = 14;
 
-        let mut technique = RandomSearch::new(9);
-        let uninterrupted = BaselineSession::new(&mut technique).run(&evaluator(), budget);
+        let full_ev = evaluator();
+        let mut technique = SimulatedAnnealing::new(9);
+        let uninterrupted = BaselineSession::new(&mut technique).run(&full_ev, budget);
 
-        // "Interrupted" run: checkpoint every 3 unique evaluations, but
-        // stop the technique early by shrinking its budget — the snapshot
-        // still records the full budget so a resume can check it.
-        {
-            let ev = evaluator();
-            let guarded = edse_core::CheckpointingEvaluator::new(
-                &ev,
-                path.clone(),
-                3,
-                "random",
-                budget,
-                Collector::noop(),
+        // "Interrupted" run: annealing proposes one point per step, so
+        // with a snapshot every 3 steps the driver saves after steps 3
+        // and 6. It is dropped after step 7, before the next save.
+        let spec = JobSpec {
+            checkpoint: Some(path.clone()),
+            checkpoint_every: 3,
+            ..JobSpec::default()
+        };
+        let cached = {
+            let mut driver =
+                BaselineDriver::new(Box::new(SimulatedAnnealing::new(9)), evaluator(), budget)
+                    .spec(&spec)
+                    .unwrap();
+            let mut saved = None;
+            for step in 1..=7 {
+                assert_eq!(driver.step(), StepOutcome::Pending);
+                let unique = driver.evaluator().unique_evaluations();
+                if step % 3 == 0 {
+                    saved = Some(unique);
+                }
+                assert_eq!(
+                    path.exists(),
+                    saved.is_some(),
+                    "no snapshot before the first cadence point, one after it"
+                );
+                if let Some(saved) = saved {
+                    let snapshot = load_baseline(&path).unwrap();
+                    assert_eq!(
+                        (snapshot.technique.as_str(), snapshot.budget),
+                        ("annealing", budget)
+                    );
+                    assert_eq!(
+                        snapshot.caches.unique_evaluations, saved,
+                        "step {step}: the snapshot holds the last cadence point's caches"
+                    );
+                }
+            }
+            assert!(
+                driver.evaluator().unique_evaluations() > saved.unwrap(),
+                "step 7 must evaluate past the saved caches for the cadence check to bite"
             );
-            let _partial = RandomSearch::new(9).run(&guarded, budget / 2);
-        }
-        assert!(path.exists(), "interrupted run must leave a snapshot");
+            saved.unwrap()
+        };
 
-        // Resume: restore caches, replay from scratch against a mapper
-        // that would give different answers if re-consulted for cached
-        // layers — replay must hit only the cache for the first half.
+        // Resume: restore caches and step a fresh technique from the
+        // start; the saved steps are answered from the cache.
+        let spec = JobSpec {
+            resume: true,
+            ..spec
+        };
         let ev = evaluator();
-        let mut technique = RandomSearch::new(9);
+        let mut technique = SimulatedAnnealing::new(9);
         let resumed = BaselineSession::new(&mut technique)
-            .spec(&JobSpec {
-                checkpoint: Some(path.clone()),
-                resume: true,
-                ..JobSpec::default()
-            })
+            .spec(&spec)
             .run(&ev, budget);
         assert_eq!(
             uninterrupted.samples, resumed.samples,
-            "replay-resume must be bit-identical"
+            "resume must be bit-identical"
+        );
+        assert_eq!(ev.unique_evaluations(), full_ev.unique_evaluations());
+        assert_eq!(
+            ev.cache_stats().point.misses as usize,
+            full_ev.unique_evaluations() - cached,
+            "a resume must not recompute the saved steps"
         );
 
         // A mismatched budget must refuse to resume rather than silently
-        // replay a different search.
-        let mut technique = RandomSearch::new(9);
+        // run a different search: an error from the driver, a panic from
+        // the blocking session.
+        let refused = BaselineDriver::new(
+            Box::new(SimulatedAnnealing::new(9)),
+            evaluator(),
+            budget + 1,
+        )
+        .spec(&spec)
+        .err()
+        .expect("budget drift must be rejected");
+        assert!(refused.contains("budget"), "{refused}");
+        let refused = BaselineDriver::new(Box::new(GridSearch::new()), evaluator(), budget)
+            .spec(&spec)
+            .err()
+            .expect("technique drift must be rejected");
+        assert!(refused.contains("technique"), "{refused}");
+        let mut technique = SimulatedAnnealing::new(9);
         let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             BaselineSession::new(&mut technique)
-                .spec(&JobSpec {
-                    checkpoint: Some(path.clone()),
-                    resume: true,
-                    ..JobSpec::default()
-                })
+                .spec(&spec)
                 .run(&evaluator(), budget + 1)
         }));
         assert!(refused.is_err(), "budget drift must be rejected");
@@ -820,13 +706,73 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// Counts the `propose` calls of the technique it wraps.
+    struct CountProposals<T> {
+        inner: T,
+        calls: usize,
+    }
+
+    impl<T: DseTechnique> DseTechnique for CountProposals<T> {
+        fn name(&self) -> String {
+            self.inner.name()
+        }
+
+        fn propose(&mut self, problem: &Problem) -> Option<Vec<DesignPoint>> {
+            self.calls += 1;
+            self.inner.propose(problem)
+        }
+
+        fn observe(&mut self, problem: &Problem, samples: &[Sample]) {
+            self.inner.observe(problem, samples)
+        }
+    }
+
+    #[test]
+    fn stepping_proposes_once_per_step_and_never_replays() {
+        let budget = 100;
+        let mut blocking = CountProposals {
+            inner: BayesianOpt::new(4),
+            calls: 0,
+        };
+        let blocking_trace = blocking.run(&evaluator(), budget);
+
+        let mut stepped = CountProposals {
+            inner: BayesianOpt::new(4),
+            calls: 0,
+        };
+        let ev = evaluator();
+        let mut driver = BaselineDriver::new(Box::new(&mut stepped), &ev, budget);
+        let mut steps = 1;
+        while driver.step() == StepOutcome::Pending {
+            steps += 1;
+        }
+        let stepped_trace = driver.finish();
+        assert_eq!(stepped_trace.samples, blocking_trace.samples);
+        // An initial design of 20 points, 80 single-point rounds, and the
+        // call that reports the technique done.
+        assert_eq!(blocking.calls, 1 + 80 + 1);
+        assert_eq!(stepped.calls, blocking.calls);
+        assert_eq!(steps, stepped.calls, "one proposal per step");
+    }
+
     #[test]
     fn penalized_cost_orders_infeasible_below_feasible() {
         let ev = evaluator();
-        let mut trace = Trace::new("test");
         // Minimum point: infeasible (violates the throughput floor).
         let bad = ev.space().minimum_point();
-        let cost = step(&ev, &mut trace, &bad);
-        assert!(cost >= 1e12);
+        let eval = ev.evaluate(&bad);
+        let problem = Problem {
+            space: ev.space(),
+            constraints: ev.constraints(),
+            budget: 1,
+        };
+        let sample = Sample {
+            point: bad,
+            objective: eval.objective,
+            feasible: eval.feasible(ev.constraints()),
+            constraint_values: eval.constraint_values,
+        };
+        assert!(!sample.feasible);
+        assert!(problem.cost(&sample) >= 1e12);
     }
 }

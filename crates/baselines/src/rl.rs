@@ -4,19 +4,22 @@
 //! arbitrary number of parameters, per-parameter domain sizes, and an
 //! arbitrary number of constraints.
 
-use crate::{step, DseTechnique};
-use edse_core::cost::Trace;
-use edse_core::evaluate::Evaluator;
+use crate::{DseTechnique, Problem};
+use edse_core::cost::Sample;
 use edse_core::space::DesignPoint;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::time::Instant;
 
 /// The RL baseline.
 #[derive(Debug, Clone)]
 pub struct ConfuciuxRl {
     rng: StdRng,
     learning_rate: f64,
+    /// Per-parameter policy logits; empty until the first proposal.
+    logits: Vec<Vec<f64>>,
+    /// Running mean reward (the REINFORCE baseline).
+    baseline: f64,
+    episodes: usize,
 }
 
 impl ConfuciuxRl {
@@ -25,28 +28,32 @@ impl ConfuciuxRl {
         Self {
             rng: StdRng::seed_from_u64(seed),
             learning_rate: 0.2,
+            logits: Vec::new(),
+            baseline: 0.0,
+            episodes: 0,
         }
     }
+}
 
-    fn sample(&mut self, logits: &[Vec<f64>]) -> DesignPoint {
-        let indices = logits
-            .iter()
-            .map(|row| {
-                let max = row.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-                let exps: Vec<f64> = row.iter().map(|l| (l - max).exp()).collect();
-                let total: f64 = exps.iter().sum();
-                let mut u = self.rng.gen::<f64>() * total;
-                for (i, e) in exps.iter().enumerate() {
-                    u -= e;
-                    if u <= 0.0 {
-                        return i;
-                    }
+/// Draws one index per parameter from the softmax of its logits.
+fn sample(rng: &mut StdRng, logits: &[Vec<f64>]) -> DesignPoint {
+    let indices = logits
+        .iter()
+        .map(|row| {
+            let max = row.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+            let exps: Vec<f64> = row.iter().map(|l| (l - max).exp()).collect();
+            let total: f64 = exps.iter().sum();
+            let mut u = rng.gen::<f64>() * total;
+            for (i, e) in exps.iter().enumerate() {
+                u -= e;
+                if u <= 0.0 {
+                    return i;
                 }
-                exps.len() - 1
-            })
-            .collect();
-        DesignPoint::new(indices)
-    }
+            }
+            exps.len() - 1
+        })
+        .collect();
+    DesignPoint::new(indices)
 }
 
 impl DseTechnique for ConfuciuxRl {
@@ -54,63 +61,60 @@ impl DseTechnique for ConfuciuxRl {
         "rl".into()
     }
 
-    fn run(&mut self, evaluator: &dyn Evaluator, budget: usize) -> Trace {
-        let start = Instant::now();
-        let space = evaluator.space().clone();
-        let constraints = evaluator.constraints().to_vec();
-        let mut trace = Trace::new(self.name());
+    fn propose(&mut self, problem: &Problem) -> Option<Vec<DesignPoint>> {
+        if self.episodes >= problem.budget {
+            return None;
+        }
+        if self.logits.is_empty() {
+            self.logits = problem
+                .space
+                .params()
+                .iter()
+                .map(|p| vec![0.0; p.len()])
+                .collect();
+        }
+        Some(vec![sample(&mut self.rng, &self.logits)])
+    }
 
-        let mut logits: Vec<Vec<f64>> = space.params().iter().map(|p| vec![0.0; p.len()]).collect();
-        let mut baseline = 0.0f64;
-        let mut episodes = 0usize;
-
-        while trace.evaluations() < budget {
-            let point = self.sample(&logits);
-            let eval = evaluator.evaluate(&point);
-            let cost = step(evaluator, &mut trace, &point);
-            let _ = cost;
-
-            // Constraint-aware reward shaping (Confuciux penalizes
-            // violations; we generalize to the mean over-utilization).
-            let feasible = eval.feasible(&constraints);
-            let reward = if feasible && eval.objective.is_finite() {
-                -eval.objective.max(1e-9).ln()
-            } else {
-                let over = eval.constraint_budget(&constraints);
-                -10.0
-                    - if over.is_finite() {
-                        over.min(100.0)
-                    } else {
-                        100.0
-                    }
-            };
-
-            episodes += 1;
-            baseline += (reward - baseline) / episodes as f64;
-            let advantage = reward - baseline;
-
-            // REINFORCE update per parameter.
-            for (p, row) in logits.iter_mut().enumerate() {
-                let chosen = point.index(p);
-                let max = row.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-                let exps: Vec<f64> = row.iter().map(|l| (l - max).exp()).collect();
-                let total: f64 = exps.iter().sum();
-                for (i, item) in row.iter_mut().enumerate() {
-                    let prob = exps[i] / total;
-                    let grad = if i == chosen { 1.0 - prob } else { -prob };
-                    *item += self.learning_rate * advantage * grad;
+    fn observe(&mut self, problem: &Problem, samples: &[Sample]) {
+        let s = &samples[0];
+        // Constraint-aware reward shaping (Confuciux penalizes
+        // violations; we generalize to the mean over-utilization).
+        let reward = if s.feasible && s.objective.is_finite() {
+            -s.objective.max(1e-9).ln()
+        } else {
+            let over = s.constraint_budget(problem.constraints);
+            -10.0
+                - if over.is_finite() {
+                    over.min(100.0)
+                } else {
+                    100.0
                 }
+        };
+
+        self.episodes += 1;
+        self.baseline += (reward - self.baseline) / self.episodes as f64;
+        let advantage = reward - self.baseline;
+
+        // REINFORCE update per parameter.
+        for (p, row) in self.logits.iter_mut().enumerate() {
+            let chosen = s.point.index(p);
+            let max = row.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+            let exps: Vec<f64> = row.iter().map(|l| (l - max).exp()).collect();
+            let total: f64 = exps.iter().sum();
+            for (i, item) in row.iter_mut().enumerate() {
+                let prob = exps[i] / total;
+                let grad = if i == chosen { 1.0 - prob } else { -prob };
+                *item += self.learning_rate * advantage * grad;
             }
         }
-        trace.wall_seconds = start.elapsed().as_secs_f64();
-        trace
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use edse_core::evaluate::CodesignEvaluator;
+    use edse_core::evaluate::{CodesignEvaluator, Evaluator};
     use edse_core::space::edge_space;
     use mapper::FixedMapper;
     use workloads::zoo;

@@ -8,13 +8,11 @@
 //! moves the most promising parameter in its improving direction, and
 //! periodically re-probes a random parameter so stale estimates recover.
 
-use crate::{random_point, step, DseTechnique};
-use edse_core::cost::Trace;
-use edse_core::evaluate::Evaluator;
+use crate::{random_point, DseTechnique, Problem};
+use edse_core::cost::Sample;
 use edse_core::space::DesignPoint;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::time::Instant;
 
 /// The gray-box sensitivity-guided explorer.
 #[derive(Debug, Clone)]
@@ -24,6 +22,20 @@ pub struct SensitivityGuided {
     explore_prob: f64,
     /// EWMA smoothing factor for sensitivity updates.
     alpha: f64,
+    /// The point moves start from and its cost, once the start point is
+    /// observed.
+    current: Option<(DesignPoint, f64)>,
+    /// Per parameter: estimated |improvement| per step, and the direction
+    /// to try next.
+    gain: Vec<f64>,
+    dir: Vec<isize>,
+    /// The parameter the pending proposal moves; `None` while the pending
+    /// proposal is a (re)start point.
+    moving: Option<usize>,
+    /// Every direction looked exhausted: the next proposal is a random
+    /// restart.
+    restart: bool,
+    observed: usize,
 }
 
 impl SensitivityGuided {
@@ -33,6 +45,12 @@ impl SensitivityGuided {
             rng: StdRng::seed_from_u64(seed),
             explore_prob: 0.2,
             alpha: 0.5,
+            current: None,
+            gain: Vec::new(),
+            dir: Vec::new(),
+            moving: None,
+            restart: false,
+            observed: 0,
         }
     }
 }
@@ -42,19 +60,24 @@ impl DseTechnique for SensitivityGuided {
         "sensitivity".into()
     }
 
-    fn run(&mut self, evaluator: &dyn Evaluator, budget: usize) -> Trace {
-        let start = Instant::now();
-        let space = evaluator.space().clone();
-        let mut trace = Trace::new(self.name());
-
-        let mut current: DesignPoint = space.minimum_point();
-        let mut current_cost = step(evaluator, &mut trace, &current);
-
-        // Per parameter: (estimated |improvement| per step, best direction).
-        let mut gain: Vec<f64> = vec![f64::INFINITY; space.len()]; // optimistic init
-        let mut dir: Vec<isize> = vec![1; space.len()];
-
-        while trace.evaluations() < budget {
+    fn propose(&mut self, problem: &Problem) -> Option<Vec<DesignPoint>> {
+        let space = problem.space;
+        let Some((current, _)) = &self.current else {
+            self.gain = vec![f64::INFINITY; space.len()]; // optimistic init
+            self.dir = vec![1; space.len()];
+            return Some(vec![space.minimum_point()]);
+        };
+        if self.observed >= problem.budget {
+            return None;
+        }
+        self.moving = None;
+        if std::mem::take(&mut self.restart) {
+            return Some(vec![random_point(space, &mut self.rng)]);
+        }
+        if space.params().iter().all(|p| p.len() <= 1) {
+            return None; // nothing can move
+        }
+        loop {
             // Pick the parameter with the highest estimated gain (ties and
             // unprobed parameters first thanks to the optimistic init), or
             // explore randomly.
@@ -62,53 +85,59 @@ impl DseTechnique for SensitivityGuided {
                 self.rng.gen_range(0..space.len())
             } else {
                 (0..space.len())
-                    .max_by(|&a, &b| gain[a].partial_cmp(&gain[b]).unwrap())
+                    .max_by(|&a, &b| {
+                        self.gain[a]
+                            .partial_cmp(&self.gain[b])
+                            .expect("gains of finite costs are never NaN")
+                    })
                     .unwrap_or(0)
             };
-            let len = space.param(p).len();
+            let len = space.param(p).len() as isize;
             if len <= 1 {
-                gain[p] = 0.0;
+                self.gain[p] = 0.0;
                 continue;
             }
             let idx = current.index(p) as isize;
-            let mut next = idx + dir[p];
-            if next < 0 || next >= len as isize {
-                dir[p] = -dir[p];
-                next = idx + dir[p];
-                if next < 0 || next >= len as isize {
-                    gain[p] = 0.0;
-                    continue;
-                }
+            // With two or more values, one of the two directions stays in
+            // the domain.
+            if !(0..len).contains(&(idx + self.dir[p])) {
+                self.dir[p] = -self.dir[p];
             }
-            let cand = current.with_index(p, next as usize);
-            let cost = step(evaluator, &mut trace, &cand);
-
-            // Update the sensitivity estimate from the observed delta.
-            let improvement = current_cost - cost;
-            let observed = improvement.abs();
-            gain[p] = if gain[p].is_finite() {
-                self.alpha * observed + (1.0 - self.alpha) * gain[p]
-            } else {
-                observed
-            };
-            if improvement > 0.0 {
-                current = cand;
-                current_cost = cost;
-            } else {
-                // Wrong direction: flip and decay the estimate.
-                dir[p] = -dir[p];
-                gain[p] *= 0.5;
-            }
-
-            // Occasional restart if every direction looks exhausted.
-            if gain.iter().all(|g| *g <= 1e-12) {
-                current = random_point(&space, &mut self.rng);
-                current_cost = step(evaluator, &mut trace, &current);
-                gain.fill(f64::INFINITY);
-            }
+            self.moving = Some(p);
+            return Some(vec![current.with_index(p, (idx + self.dir[p]) as usize)]);
         }
-        trace.wall_seconds = start.elapsed().as_secs_f64();
-        trace
+    }
+
+    fn observe(&mut self, problem: &Problem, samples: &[Sample]) {
+        let sample = &samples[0];
+        let cost = problem.cost(sample);
+        self.observed += 1;
+        let (Some(p), Some((current, current_cost))) = (self.moving, &mut self.current) else {
+            // A (re)start point: moves continue from here with fresh
+            // optimistic estimates.
+            self.current = Some((sample.point.clone(), cost));
+            self.gain.fill(f64::INFINITY);
+            return;
+        };
+
+        // Update the sensitivity estimate from the observed delta.
+        let improvement = *current_cost - cost;
+        let observed = improvement.abs();
+        self.gain[p] = if self.gain[p].is_finite() {
+            self.alpha * observed + (1.0 - self.alpha) * self.gain[p]
+        } else {
+            observed
+        };
+        if improvement > 0.0 {
+            *current = sample.point.clone();
+            *current_cost = cost;
+        } else {
+            // Wrong direction: flip and decay the estimate.
+            self.dir[p] = -self.dir[p];
+            self.gain[p] *= 0.5;
+        }
+        // Restart next if every direction looks exhausted.
+        self.restart = self.gain.iter().all(|g| *g <= 1e-12);
     }
 }
 
@@ -116,9 +145,59 @@ impl DseTechnique for SensitivityGuided {
 mod tests {
     use super::*;
     use edse_core::evaluate::CodesignEvaluator;
-    use edse_core::space::edge_space;
+    use edse_core::space::{edge_space, DesignSpace, ParamDef};
     use mapper::FixedMapper;
     use workloads::zoo;
+
+    /// Steps a technique by hand against a flat objective (every point is
+    /// feasible with cost 1) over a space with the given domain sizes, and
+    /// returns how many samples it took.
+    fn flat_run(technique: &mut dyn DseTechnique, sizes: &[usize], budget: usize) -> usize {
+        let params = sizes
+            .iter()
+            .enumerate()
+            .map(|(i, &n)| ParamDef::new(format!("p{i}"), (1..=n).map(|v| v as f64).collect()))
+            .collect();
+        let space = DesignSpace::new(params);
+        let problem = Problem {
+            space: &space,
+            constraints: &[],
+            budget,
+        };
+        let mut samples = 0;
+        while let Some(batch) = technique.propose(&problem) {
+            let evaluated: Vec<Sample> = batch
+                .into_iter()
+                .map(|point| Sample {
+                    point,
+                    objective: 1.0,
+                    constraint_values: Vec::new(),
+                    feasible: true,
+                })
+                .collect();
+            samples += evaluated.len();
+            assert!(samples <= 10 * budget, "no termination");
+            technique.observe(&problem, &evaluated);
+        }
+        samples
+    }
+
+    #[test]
+    fn nothing_to_move_ends_after_the_start_point() {
+        let mut t = SensitivityGuided::new(1);
+        assert_eq!(flat_run(&mut t, &[1, 1], 10), 1);
+    }
+
+    #[test]
+    fn restart_probe_respects_the_budget() {
+        // On a flat objective the first move exhausts the one parameter's
+        // estimate, which asks for a restart probe the budget has no room
+        // for.
+        for budget in 1..6 {
+            let mut t = SensitivityGuided::new(1);
+            assert_eq!(flat_run(&mut t, &[4], budget), budget);
+        }
+    }
 
     #[test]
     fn sensitivity_guided_improves_within_budget() {

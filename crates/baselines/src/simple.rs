@@ -1,28 +1,37 @@
 //! Non-feedback and classic stochastic baselines: grid search, random
 //! search, simulated annealing, genetic algorithm.
 
-use crate::{random_point, step, step_batch, DseTechnique};
-use edse_core::cost::Trace;
-use edse_core::evaluate::Evaluator;
+use crate::{random_point, DseTechnique, Problem};
+use edse_core::cost::Sample;
 use edse_core::space::DesignPoint;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::time::Instant;
 
 /// Grid search: strides each parameter so the grid's size roughly matches
 /// the budget, then sweeps it (a non-feedback technique, Fig. 1a).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct GridSearch;
+#[derive(Debug, Clone, Default)]
+pub struct GridSearch {
+    proposed: bool,
+}
+
+impl GridSearch {
+    /// A grid search.
+    pub fn new() -> Self {
+        Self::default()
+    }
+}
 
 impl DseTechnique for GridSearch {
     fn name(&self) -> String {
         "grid".into()
     }
 
-    fn run(&mut self, evaluator: &dyn Evaluator, budget: usize) -> Trace {
-        let start = Instant::now();
-        let space = evaluator.space().clone();
-        let mut trace = Trace::new(self.name());
+    fn propose(&mut self, problem: &Problem) -> Option<Vec<DesignPoint>> {
+        if std::mem::replace(&mut self.proposed, true) {
+            return None;
+        }
+        let space = problem.space;
+        let budget = problem.budget;
 
         // Choose per-parameter sample counts so the product ~ budget:
         // repeatedly double the count of the parameter with the largest
@@ -31,7 +40,7 @@ impl DseTechnique for GridSearch {
         loop {
             let grid: usize = counts.iter().product();
             let candidate = (0..space.len())
-                .filter(|&i| counts[i] * 2 <= space.param(i).len().max(2))
+                .filter(|&i| counts[i] * 2 <= space.param(i).len())
                 .max_by_key(|&i| space.param(i).len() / counts[i]);
             match candidate {
                 Some(i) if grid * 2 <= budget => {
@@ -42,7 +51,7 @@ impl DseTechnique for GridSearch {
         }
 
         // The sweep has no feedback: enumerate every grid point first, then
-        // evaluate the whole set as one batch.
+        // propose the whole set as one batch.
         let mut points = Vec::new();
         let mut counter = vec![0usize; space.len()];
         'outer: loop {
@@ -74,16 +83,17 @@ impl DseTechnique for GridSearch {
             }
             break;
         }
-        step_batch(evaluator, &mut trace, &points);
-        trace.wall_seconds = start.elapsed().as_secs_f64();
-        trace
+        Some(points)
     }
+
+    fn observe(&mut self, _: &Problem, _: &[Sample]) {}
 }
 
 /// Uniform random search (non-feedback).
 #[derive(Debug, Clone)]
 pub struct RandomSearch {
     rng: StdRng,
+    proposed: bool,
 }
 
 impl RandomSearch {
@@ -91,6 +101,7 @@ impl RandomSearch {
     pub fn new(seed: u64) -> Self {
         Self {
             rng: StdRng::seed_from_u64(seed),
+            proposed: false,
         }
     }
 }
@@ -100,18 +111,19 @@ impl DseTechnique for RandomSearch {
         "random".into()
     }
 
-    fn run(&mut self, evaluator: &dyn Evaluator, budget: usize) -> Trace {
-        let start = Instant::now();
-        let space = evaluator.space().clone();
-        let mut trace = Trace::new(self.name());
-        // No feedback: draw every point up front, evaluate as one batch.
-        let points: Vec<DesignPoint> = (0..budget)
-            .map(|_| random_point(&space, &mut self.rng))
-            .collect();
-        step_batch(evaluator, &mut trace, &points);
-        trace.wall_seconds = start.elapsed().as_secs_f64();
-        trace
+    fn propose(&mut self, problem: &Problem) -> Option<Vec<DesignPoint>> {
+        if std::mem::replace(&mut self.proposed, true) {
+            return None;
+        }
+        // No feedback: draw every point up front, as one batch.
+        Some(
+            (0..problem.budget)
+                .map(|_| random_point(problem.space, &mut self.rng))
+                .collect(),
+        )
     }
+
+    fn observe(&mut self, _: &Problem, _: &[Sample]) {}
 }
 
 /// Simulated annealing with a linear temperature schedule and single-index
@@ -120,6 +132,9 @@ impl DseTechnique for RandomSearch {
 pub struct SimulatedAnnealing {
     rng: StdRng,
     initial_temp: f64,
+    /// The accepted point and its cost, once the initial point is observed.
+    current: Option<(DesignPoint, f64)>,
+    observed: usize,
 }
 
 impl SimulatedAnnealing {
@@ -128,6 +143,8 @@ impl SimulatedAnnealing {
         Self {
             rng: StdRng::seed_from_u64(seed),
             initial_temp: 1.0,
+            current: None,
+            observed: 0,
         }
     }
 }
@@ -137,38 +154,44 @@ impl DseTechnique for SimulatedAnnealing {
         "annealing".into()
     }
 
-    fn run(&mut self, evaluator: &dyn Evaluator, budget: usize) -> Trace {
-        let start = Instant::now();
-        let space = evaluator.space().clone();
-        let mut trace = Trace::new(self.name());
-
-        let mut current = random_point(&space, &mut self.rng);
-        let mut current_cost = step(evaluator, &mut trace, &current);
-        while trace.evaluations() < budget {
-            let temp =
-                self.initial_temp * (1.0 - trace.evaluations() as f64 / budget as f64).max(1e-3);
-            // Neighbor: move one random parameter by +-1 index.
-            let p = self.rng.gen_range(0..space.len());
-            let len = space.param(p).len();
-            let idx = current.index(p);
-            let next = if self.rng.gen::<bool>() && idx + 1 < len {
-                idx + 1
-            } else {
-                idx.saturating_sub(1)
-            };
-            let cand = current.with_index(p, next);
-            let cost = step(evaluator, &mut trace, &cand);
-            let accept = cost <= current_cost || {
-                let ratio = (current_cost - cost) / (current_cost.abs().max(1e-9) * temp);
-                self.rng.gen::<f64>() < ratio.exp()
-            };
-            if accept {
-                current = cand;
-                current_cost = cost;
-            }
+    fn propose(&mut self, problem: &Problem) -> Option<Vec<DesignPoint>> {
+        let space = problem.space;
+        let Some((current, _)) = &self.current else {
+            return Some(vec![random_point(space, &mut self.rng)]);
+        };
+        if self.observed >= problem.budget {
+            return None;
         }
-        trace.wall_seconds = start.elapsed().as_secs_f64();
-        trace
+        // Neighbor: move one random parameter by +-1 index.
+        let p = self.rng.gen_range(0..space.len());
+        let len = space.param(p).len();
+        let idx = current.index(p);
+        let next = if self.rng.gen::<bool>() && idx + 1 < len {
+            idx + 1
+        } else {
+            idx.saturating_sub(1)
+        };
+        Some(vec![current.with_index(p, next)])
+    }
+
+    fn observe(&mut self, problem: &Problem, samples: &[Sample]) {
+        let sample = &samples[0];
+        let cost = problem.cost(sample);
+        let accept = match &self.current {
+            None => true,
+            Some((_, current_cost)) => {
+                let temp = self.initial_temp
+                    * (1.0 - self.observed as f64 / problem.budget as f64).max(1e-3);
+                cost <= *current_cost || {
+                    let ratio = (current_cost - cost) / (current_cost.abs().max(1e-9) * temp);
+                    self.rng.gen::<f64>() < ratio.exp()
+                }
+            }
+        };
+        if accept {
+            self.current = Some((sample.point.clone(), cost));
+        }
+        self.observed += 1;
     }
 }
 
@@ -178,6 +201,11 @@ impl DseTechnique for SimulatedAnnealing {
 pub struct GeneticAlgorithm {
     population: usize,
     rng: StdRng,
+    /// Members and their costs; empty until the initial population is
+    /// observed.
+    pop: Vec<(DesignPoint, f64)>,
+    started: bool,
+    observed: usize,
 }
 
 impl GeneticAlgorithm {
@@ -186,6 +214,9 @@ impl GeneticAlgorithm {
         Self {
             population: population.max(4),
             rng: StdRng::seed_from_u64(seed),
+            pop: Vec::new(),
+            started: false,
+            observed: 0,
         }
     }
 }
@@ -195,61 +226,73 @@ impl DseTechnique for GeneticAlgorithm {
         "genetic".into()
     }
 
-    fn run(&mut self, evaluator: &dyn Evaluator, budget: usize) -> Trace {
-        let start = Instant::now();
-        let space = evaluator.space().clone();
-        let mut trace = Trace::new(self.name());
-
-        // Initial population: no feedback between members, one batch.
-        let seeds: Vec<DesignPoint> = (0..self.population.min(budget))
-            .map(|_| random_point(&space, &mut self.rng))
-            .collect();
-        let costs = step_batch(evaluator, &mut trace, &seeds);
-        let mut pop: Vec<(DesignPoint, f64)> = seeds.into_iter().zip(costs).collect();
-
-        while trace.evaluations() < budget {
-            let pick = |rng: &mut StdRng, pop: &[(DesignPoint, f64)]| {
-                let a = rng.gen_range(0..pop.len());
-                let b = rng.gen_range(0..pop.len());
-                if pop[a].1 <= pop[b].1 {
-                    pop[a].0.clone()
-                } else {
-                    pop[b].0.clone()
-                }
-            };
-            let pa = pick(&mut self.rng, &pop);
-            let pb = pick(&mut self.rng, &pop);
-            // Uniform crossover + mutation.
-            let mut child: Vec<usize> = (0..space.len())
-                .map(|i| {
-                    if self.rng.gen::<bool>() {
-                        pa.index(i)
-                    } else {
-                        pb.index(i)
-                    }
-                })
-                .collect();
-            for (i, gene) in child.iter_mut().enumerate() {
-                if self.rng.gen::<f64>() < 0.1 {
-                    *gene = self.rng.gen_range(0..space.param(i).len());
-                }
+    fn propose(&mut self, problem: &Problem) -> Option<Vec<DesignPoint>> {
+        let space = problem.space;
+        if !std::mem::replace(&mut self.started, true) {
+            // Initial population: no feedback between members, one batch.
+            return Some(
+                (0..self.population.min(problem.budget))
+                    .map(|_| random_point(space, &mut self.rng))
+                    .collect(),
+            );
+        }
+        if self.observed >= problem.budget {
+            return None;
+        }
+        let pick = |rng: &mut StdRng, pop: &[(DesignPoint, f64)]| {
+            let a = rng.gen_range(0..pop.len());
+            let b = rng.gen_range(0..pop.len());
+            if pop[a].1 <= pop[b].1 {
+                pop[a].0.clone()
+            } else {
+                pop[b].0.clone()
             }
-            let cand = DesignPoint::new(child);
-            let cost = step(evaluator, &mut trace, &cand);
+        };
+        let pa = pick(&mut self.rng, &self.pop);
+        let pb = pick(&mut self.rng, &self.pop);
+        // Uniform crossover + mutation.
+        let mut child: Vec<usize> = (0..space.len())
+            .map(|i| {
+                if self.rng.gen::<bool>() {
+                    pa.index(i)
+                } else {
+                    pb.index(i)
+                }
+            })
+            .collect();
+        for (i, gene) in child.iter_mut().enumerate() {
+            if self.rng.gen::<f64>() < 0.1 {
+                *gene = self.rng.gen_range(0..space.param(i).len());
+            }
+        }
+        Some(vec![DesignPoint::new(child)])
+    }
+
+    fn observe(&mut self, problem: &Problem, samples: &[Sample]) {
+        let costs = samples.iter().map(|s| (s.point.clone(), problem.cost(s)));
+        if self.observed == 0 {
+            self.pop = costs.collect();
+        } else {
             // Replace the worst member if the child is better.
-            if let Some(worst) = pop
-                .iter()
-                .enumerate()
-                .max_by(|a, b| a.1 .1.partial_cmp(&b.1 .1).unwrap())
-                .map(|(i, _)| i)
-            {
-                if cost < pop[worst].1 {
-                    pop[worst] = (cand, cost);
+            for (cand, cost) in costs {
+                if let Some(worst) = self
+                    .pop
+                    .iter()
+                    .enumerate()
+                    .max_by(|a, b| {
+                        a.1 .1
+                            .partial_cmp(&b.1 .1)
+                            .expect("penalized costs are never NaN")
+                    })
+                    .map(|(i, _)| i)
+                {
+                    if cost < self.pop[worst].1 {
+                        self.pop[worst] = (cand, cost);
+                    }
                 }
             }
         }
-        trace.wall_seconds = start.elapsed().as_secs_f64();
-        trace
+        self.observed += samples.len();
     }
 }
 
@@ -268,7 +311,7 @@ mod tests {
     #[test]
     fn grid_covers_distinct_points() {
         let ev = evaluator();
-        let t = GridSearch.run(&ev, 30);
+        let t = GridSearch::new().run(&ev, 30);
         let mut pts: Vec<_> = t.samples.iter().map(|s| s.point.clone()).collect();
         pts.sort_by_key(|p| p.indices().to_vec());
         pts.dedup();

@@ -4,7 +4,7 @@
 
 use baselines::{
     BayesianOpt, ConfuciuxRl, DseTechnique, GeneticAlgorithm, GridSearch, HyperMapperLike,
-    RandomSearch, SimulatedAnnealing,
+    RandomSearch, SensitivityGuided, SimulatedAnnealing, WarmStartHybrid,
 };
 use edse_core::cost::{Constraint, Evaluation};
 use edse_core::evaluate::Evaluator;
@@ -88,13 +88,19 @@ fn kind_sum(counters: &std::collections::BTreeMap<String, u64>, cache: &str, kin
 
 fn techniques(seed: u64) -> Vec<Box<dyn DseTechnique>> {
     vec![
-        Box::new(GridSearch),
+        Box::new(GridSearch::new()),
         Box::new(RandomSearch::new(seed)),
         Box::new(SimulatedAnnealing::new(seed)),
         Box::new(GeneticAlgorithm::new(8, seed)),
         Box::new(BayesianOpt::new(seed)),
         Box::new(HyperMapperLike::new(seed)),
         Box::new(ConfuciuxRl::new(seed)),
+        Box::new(SensitivityGuided::new(seed)),
+        Box::new(WarmStartHybrid::new(
+            Box::new(RandomSearch::new(seed)),
+            0.4,
+            seed,
+        )),
     ]
 }
 
@@ -104,7 +110,7 @@ proptest! {
     /// Budget discipline and in-domain sampling on arbitrary spaces.
     #[test]
     fn budget_and_domains_hold(
-        sizes in proptest::collection::vec(2usize..9, 2..6),
+        sizes in proptest::collection::vec(1usize..9, 2..6),
         budget in 5usize..40,
         seed in 0u64..100,
     ) {

@@ -7,10 +7,7 @@
 //! each in the fixed-dataflow and codesign settings), and plain-text table
 //! rendering so each binary prints the same rows/series the paper reports.
 
-use baselines::{
-    BaselineSession, BayesianOpt, ConfuciuxRl, DseTechnique, GeneticAlgorithm, GridSearch,
-    HyperMapperLike, RandomSearch, SimulatedAnnealing,
-};
+use baselines::BaselineSession;
 use edse_core::bottleneck::dnn_latency_model;
 use edse_core::cost::Trace;
 use edse_core::dse::DseConfig;
@@ -108,6 +105,21 @@ impl TechniqueKind {
             TechniqueKind::Explainable => "Explainable-DSE",
         }
     }
+
+    /// Technique name, as in traces and [`JobSpec::technique`], e.g.
+    /// `"hypermapper"`; [`baselines::by_name`] builds the baselines from it.
+    pub fn name(self) -> &'static str {
+        match self {
+            TechniqueKind::Grid => "grid",
+            TechniqueKind::Random => "random",
+            TechniqueKind::Annealing => "annealing",
+            TechniqueKind::Genetic => "genetic",
+            TechniqueKind::Bayesian => "bayesian",
+            TechniqueKind::HyperMapper => "hypermapper",
+            TechniqueKind::Rl => "rl",
+            TechniqueKind::Explainable => "explainable",
+        }
+    }
 }
 
 /// Runs Explainable-DSE and returns its trace together with the
@@ -161,9 +173,10 @@ pub fn run_explainable_detailed(
 /// Runs one technique on one workload set and returns the trace.
 ///
 /// Explainable-DSE emits live iteration records; the black-box baselines
-/// go through a [`BaselineSession`], which reconstructs comparable
-/// records post hoc. Either way the evaluator reports cache and stage
-/// metrics, and the run ends with a counter/histogram flush. When
+/// (built by [`baselines::by_name`]) go through a [`BaselineSession`],
+/// which emits comparable records as each batch is observed. Either way
+/// the evaluator reports cache and stage metrics, and the run ends with a
+/// counter/histogram flush. When
 /// `session` enables checkpointing, each technique snapshots to its own
 /// `<base>.<technique><suffix>` file (see [`SessionOpts::path_for`]);
 /// when it carries a disk cache (`--cache-dir`), the evaluator
@@ -207,18 +220,10 @@ pub fn run_technique(
             let initial = evaluator.space().minimum_point();
             search.run(initial).into_trace()
         }
-        other => {
-            let mut technique: Box<dyn DseTechnique> = match other {
-                TechniqueKind::Grid => Box::new(GridSearch),
-                TechniqueKind::Random => Box::new(RandomSearch::new(seed)),
-                TechniqueKind::Annealing => Box::new(SimulatedAnnealing::new(seed)),
-                TechniqueKind::Genetic => Box::new(GeneticAlgorithm::new(16, seed)),
-                TechniqueKind::Bayesian => Box::new(BayesianOpt::new(seed)),
-                TechniqueKind::HyperMapper => Box::new(HyperMapperLike::new(seed)),
-                TechniqueKind::Rl => Box::new(ConfuciuxRl::new(seed)),
-                TechniqueKind::Explainable => unreachable!("handled above"),
-            };
-            let label = format!("{}{}", technique.name(), mapper.suffix());
+        baseline => {
+            let mut technique =
+                baselines::by_name(baseline.name(), seed).expect("every other kind is a baseline");
+            let label = format!("{}{}", baseline.name(), mapper.suffix());
             let mut run = BaselineSession::new(technique.as_mut()).telemetry(telemetry.clone());
             if let Some(path) = session.path_for(&label) {
                 run = run.spec(&JobSpec {

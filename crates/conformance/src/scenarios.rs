@@ -9,10 +9,7 @@
 //! cost model, a search technique, the acquisition order, or the report
 //! schema shows up as a fixture diff naming the exact metric that moved.
 
-use baselines::{
-    BaselineSession, BayesianOpt, ConfuciuxRl, DseTechnique, GeneticAlgorithm, GridSearch,
-    HyperMapperLike, RandomSearch, SimulatedAnnealing,
-};
+use baselines::{BaselineSession, DseTechnique, GeneticAlgorithm};
 use bench::toy::{single_layer_model, toy_space};
 use bench::{BenchArgs, BenchReport, TechniqueKind};
 use edse_core::bottleneck::dnn_latency_model;
@@ -53,6 +50,20 @@ pub fn run_toy(kind: TechniqueKind, budget: usize, seed: u64) -> Trace {
     run_with(kind, &evaluator, budget, seed)
 }
 
+/// The baseline of `kind` as every conformance scenario and oracle builds
+/// it: the shared registry's technique, except that the genetic algorithm
+/// gets the toy setting's population of 8.
+///
+/// # Panics
+///
+/// Panics for [`TechniqueKind::Explainable`], which is not a baseline.
+pub fn toy_technique(kind: TechniqueKind, seed: u64) -> Box<dyn DseTechnique> {
+    match kind {
+        TechniqueKind::Genetic => Box::new(GeneticAlgorithm::new(8, seed)),
+        other => baselines::by_name(other.name(), seed).expect("explainable is not a baseline"),
+    }
+}
+
 /// Runs one technique against an arbitrary evaluator (the scenarios' and
 /// paper-bound tests' shared driver; mirrors `bench::run_technique`
 /// without the telemetry/checkpoint plumbing the fixtures don't pin).
@@ -74,18 +85,8 @@ pub fn run_with<E: Evaluator>(
         .evaluator(&evaluator)
         .run(evaluator.space().minimum_point())
         .into_trace(),
-        other => {
-            let mut technique: Box<dyn DseTechnique> = match other {
-                TechniqueKind::Grid => Box::new(GridSearch),
-                TechniqueKind::Random => Box::new(RandomSearch::new(seed)),
-                TechniqueKind::Annealing => Box::new(SimulatedAnnealing::new(seed)),
-                TechniqueKind::Genetic => Box::new(GeneticAlgorithm::new(8, seed)),
-                TechniqueKind::Bayesian => Box::new(BayesianOpt::new(seed)),
-                TechniqueKind::HyperMapper => Box::new(HyperMapperLike::new(seed)),
-                TechniqueKind::Rl => Box::new(ConfuciuxRl::new(seed)),
-                TechniqueKind::Explainable => unreachable!("handled above"),
-            };
-            BaselineSession::new(technique.as_mut()).run(&evaluator, budget)
+        baseline => {
+            BaselineSession::new(toy_technique(baseline, seed).as_mut()).run(&evaluator, budget)
         }
     }
 }

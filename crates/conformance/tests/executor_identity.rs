@@ -12,10 +12,8 @@
 //! test seeing a perturbed claim order is exactly the scenario being
 //! pinned.
 
-use baselines::{
-    BaselineSession, BayesianOpt, ConfuciuxRl, DseTechnique, GeneticAlgorithm, GridSearch,
-    HyperMapperLike, RandomSearch, SimulatedAnnealing,
-};
+use baselines::BaselineSession;
+use conformance::scenarios::toy_technique;
 use edse_core::bottleneck::dnn_latency_model;
 use edse_core::dse::DseConfig;
 use edse_core::evaluate::{CodesignEvaluator, EvalEngine, Evaluator};
@@ -34,20 +32,6 @@ fn toy_evaluator(engine: EvalEngine, chunk: usize) -> CodesignEvaluator<LinearMa
         mapper,
     )
     .with_engine(engine)
-}
-
-fn technique(kind: bench::TechniqueKind) -> Box<dyn DseTechnique> {
-    use bench::TechniqueKind;
-    match kind {
-        TechniqueKind::Grid => Box::new(GridSearch),
-        TechniqueKind::Random => Box::new(RandomSearch::new(SEED)),
-        TechniqueKind::Annealing => Box::new(SimulatedAnnealing::new(SEED)),
-        TechniqueKind::Genetic => Box::new(GeneticAlgorithm::new(8, SEED)),
-        TechniqueKind::Bayesian => Box::new(BayesianOpt::new(SEED)),
-        TechniqueKind::HyperMapper => Box::new(HyperMapperLike::new(SEED)),
-        TechniqueKind::Rl => Box::new(ConfuciuxRl::new(SEED)),
-        TechniqueKind::Explainable => unreachable!("handled separately"),
-    }
 }
 
 /// A canonical serialization of one full run — every sample in order, the
@@ -73,7 +57,7 @@ fn run_digest(kind: bench::TechniqueKind, engine: EvalEngine) -> String {
             ev.unique_evaluations()
         )
     } else {
-        let mut tech = technique(kind);
+        let mut tech = toy_technique(kind, SEED);
         let outcome = BaselineSession::new(tech.as_mut()).run(&ev, BUDGET);
         format!("{:?}|{}", outcome.samples, ev.unique_evaluations())
     }

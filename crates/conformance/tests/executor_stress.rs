@@ -10,10 +10,8 @@
 //! test, not a unit test; `scripts/check.sh` runs it explicitly under
 //! `EDSE_TEST_THREADS=2` with a timeout so CI keeps it bounded.
 
-use baselines::{
-    BaselineSession, BayesianOpt, ConfuciuxRl, DseTechnique, GeneticAlgorithm, GridSearch,
-    HyperMapperLike, RandomSearch, SimulatedAnnealing,
-};
+use baselines::BaselineSession;
+use conformance::scenarios::toy_technique;
 use edse_core::evaluate::{CodesignEvaluator, EvalEngine, Evaluator};
 use mapper::{LinearMapper, SweepConf};
 
@@ -29,20 +27,6 @@ fn toy_evaluator(engine: EvalEngine, chunk: usize) -> CodesignEvaluator<LinearMa
         mapper,
     )
     .with_engine(engine)
-}
-
-fn technique(kind: bench::TechniqueKind) -> Box<dyn DseTechnique> {
-    use bench::TechniqueKind;
-    match kind {
-        TechniqueKind::Grid => Box::new(GridSearch),
-        TechniqueKind::Random => Box::new(RandomSearch::new(SEED)),
-        TechniqueKind::Annealing => Box::new(SimulatedAnnealing::new(SEED)),
-        TechniqueKind::Genetic => Box::new(GeneticAlgorithm::new(8, SEED)),
-        TechniqueKind::Bayesian => Box::new(BayesianOpt::new(SEED)),
-        TechniqueKind::HyperMapper => Box::new(HyperMapperLike::new(SEED)),
-        TechniqueKind::Rl => Box::new(ConfuciuxRl::new(SEED)),
-        TechniqueKind::Explainable => unreachable!("baselines only under stress"),
-    }
 }
 
 /// One tenant's pass over the matrix: every baseline technique × engine
@@ -65,7 +49,7 @@ fn matrix_digest(tenant: usize) -> Vec<(String, String)> {
         for engine in engines {
             for chunk in [1usize, 3] {
                 let ev = toy_evaluator(engine, chunk);
-                let mut tech = technique(kind);
+                let mut tech = toy_technique(kind, SEED);
                 let outcome = BaselineSession::new(tech.as_mut()).run(&ev, BUDGET);
                 digests.push((
                     format!("{kind:?}/{engine:?}/chunk{chunk}"),

@@ -12,10 +12,8 @@
 //! (exported by `scripts/check.sh`) keeps the host-default column from
 //! silently collapsing into the serial one.
 
-use baselines::{
-    BaselineSession, BayesianOpt, ConfuciuxRl, DseTechnique, GeneticAlgorithm, GridSearch,
-    HyperMapperLike, RandomSearch, SimulatedAnnealing,
-};
+use baselines::BaselineSession;
+use conformance::scenarios::toy_technique;
 use edse_core::bottleneck::dnn_latency_model;
 use edse_core::dse::{DseConfig, DseResult};
 use edse_core::evaluate::{CodesignEvaluator, EvalEngine, Evaluator};
@@ -67,20 +65,6 @@ fn assert_results_identical(a: &DseResult, b: &DseResult, what: &str) {
     assert_eq!(a.termination(), b.termination(), "{what}: termination");
 }
 
-fn technique(kind: bench::TechniqueKind) -> Box<dyn DseTechnique> {
-    use bench::TechniqueKind;
-    match kind {
-        TechniqueKind::Grid => Box::new(GridSearch),
-        TechniqueKind::Random => Box::new(RandomSearch::new(SEED)),
-        TechniqueKind::Annealing => Box::new(SimulatedAnnealing::new(SEED)),
-        TechniqueKind::Genetic => Box::new(GeneticAlgorithm::new(8, SEED)),
-        TechniqueKind::Bayesian => Box::new(BayesianOpt::new(SEED)),
-        TechniqueKind::HyperMapper => Box::new(HyperMapperLike::new(SEED)),
-        TechniqueKind::Rl => Box::new(ConfuciuxRl::new(SEED)),
-        TechniqueKind::Explainable => unreachable!("explainable is not a baseline"),
-    }
-}
-
 fn run_explainable(engine: EvalEngine, chunk: usize) -> (DseResult, usize) {
     let ev = toy_evaluator(engine, chunk);
     let config = DseConfig {
@@ -115,12 +99,12 @@ fn baseline_searches_are_bit_identical_across_threads_and_chunks() {
             continue; // covered by the dedicated test above
         }
         let reference_ev = toy_evaluator(EvalEngine::serial(), 1);
-        let mut reference_tech = technique(kind);
+        let mut reference_tech = toy_technique(kind, SEED);
         let reference = BaselineSession::new(reference_tech.as_mut()).run(&reference_ev, BUDGET);
         for engine in engines() {
             for chunk in CHUNKS {
                 let ev = toy_evaluator(engine, chunk);
-                let mut tech = technique(kind);
+                let mut tech = toy_technique(kind, SEED);
                 let outcome = BaselineSession::new(tech.as_mut()).run(&ev, BUDGET);
                 assert_eq!(
                     outcome.samples, reference.samples,

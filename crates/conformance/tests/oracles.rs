@@ -12,10 +12,8 @@
 //!    [`NaiveReferenceEvaluator`].
 
 use accel_model::AcceleratorConfig;
-use baselines::{
-    BaselineSession, BayesianOpt, ConfuciuxRl, DseTechnique, GeneticAlgorithm, GridSearch,
-    HyperMapperLike, RandomSearch, SimulatedAnnealing,
-};
+use baselines::BaselineSession;
+use conformance::scenarios::toy_technique;
 use conformance::NaiveReferenceEvaluator;
 use edse_core::bottleneck::dnn_latency_model;
 use edse_core::cost::{Constraint, Evaluation};
@@ -300,42 +298,65 @@ fn killed_and_resumed_search_session_matches_straight_through() {
 fn killed_and_resumed_baseline_session_matches_straight_through() {
     silence_expected_panics();
     let budget = 25;
-    let reference = {
-        let mut technique = RandomSearch::new(13);
-        BaselineSession::new(&mut technique).run(&edge_evaluator(EvalEngine::serial()), budget)
-    };
+    // Random search is one batch, so a kill lands inside its only step,
+    // before any save. Annealing steps one point at a time, so a kill
+    // after `kill_after` evaluations leaves the snapshot of step
+    // `kill_after` to resume from.
+    for name in ["random", "annealing"] {
+        let technique = || baselines::by_name(name, 13).expect("registered");
+        let reference = BaselineSession::new(technique().as_mut())
+            .run(&edge_evaluator(EvalEngine::serial()), budget);
 
-    for kill_after in [3usize, 12, 10_000] {
-        let path = temp_snapshot_path("baseline-kill");
-        let killed_ev = KillSwitch::new(edge_evaluator(EvalEngine::serial()), kill_after);
-        let killed = catch_unwind(AssertUnwindSafe(|| {
-            let mut technique = RandomSearch::new(13);
-            BaselineSession::new(&mut technique)
-                .spec(&JobSpec {
-                    checkpoint: Some(path.clone()),
-                    checkpoint_every: 1,
-                    ..JobSpec::default()
-                })
-                .run(&killed_ev, budget)
-        }));
-        let mut technique = RandomSearch::new(13);
-        let resumed = BaselineSession::new(&mut technique)
-            .spec(&JobSpec {
+        for kill_after in [3usize, 12, 10_000] {
+            let path = temp_snapshot_path("baseline-kill");
+            let spec = JobSpec {
                 checkpoint: Some(path.clone()),
                 checkpoint_every: 1,
-                resume: true,
                 ..JobSpec::default()
-            })
-            .run(&edge_evaluator(EvalEngine::serial()), budget);
-        assert_eq!(
-            resumed.samples, reference.samples,
-            "kill_after={kill_after}"
-        );
-        assert_eq!(resumed.technique, reference.technique);
-        if let Ok(completed) = killed {
-            assert_eq!(completed.samples, reference.samples);
+            };
+            let killed_ev = KillSwitch::new(edge_evaluator(EvalEngine::serial()), kill_after);
+            let killed = catch_unwind(AssertUnwindSafe(|| {
+                BaselineSession::new(technique().as_mut())
+                    .spec(&spec)
+                    .run(&killed_ev, budget)
+            }));
+            let saved = edse_core::load_baseline(&path)
+                .ok()
+                .map(|snapshot| snapshot.caches.unique_evaluations);
+            let resumed_ev = edge_evaluator(EvalEngine::serial());
+            let resumed = BaselineSession::new(technique().as_mut())
+                .spec(&JobSpec {
+                    resume: true,
+                    ..spec
+                })
+                .run(&resumed_ev, budget);
+            assert_eq!(
+                resumed.samples, reference.samples,
+                "{name} kill_after={kill_after}"
+            );
+            assert_eq!(resumed.technique, reference.technique);
+            match killed {
+                Ok(completed) => assert_eq!(completed.samples, reference.samples),
+                Err(_) if name == "random" => assert_eq!(saved, None, "kill_after={kill_after}"),
+                Err(_) => {
+                    let distinct: std::collections::HashSet<_> = reference.samples[..kill_after]
+                        .iter()
+                        .map(|s| &s.point)
+                        .collect();
+                    assert_eq!(
+                        saved,
+                        Some(distinct.len()),
+                        "{name} kill_after={kill_after}: the snapshot of the last step"
+                    );
+                    assert_eq!(
+                        resumed_ev.cache_stats().point.misses as usize,
+                        resumed_ev.unique_evaluations() - distinct.len(),
+                        "{name} kill_after={kill_after}: the resume recomputed saved work"
+                    );
+                }
+            }
+            let _ = std::fs::remove_file(&path);
         }
-        let _ = std::fs::remove_file(&path);
     }
 }
 
@@ -410,33 +431,27 @@ fn warm_search_session_matches_the_cold_run_from_disk() {
 /// store also exercises cross-technique reuse.
 #[test]
 fn warm_baseline_sessions_match_their_cold_runs_from_disk() {
-    type TechniqueFactory = fn(u64) -> Box<dyn DseTechnique>;
     let budget = 10;
-    let factories: Vec<(&str, TechniqueFactory)> = vec![
-        ("grid", |_| Box::new(GridSearch)),
-        ("random", |s| Box::new(RandomSearch::new(s))),
-        ("annealing", |s| Box::new(SimulatedAnnealing::new(s))),
-        ("genetic", |s| Box::new(GeneticAlgorithm::new(8, s))),
-        ("bayesian", |s| Box::new(BayesianOpt::new(s))),
-        ("hypermapper", |s| Box::new(HyperMapperLike::new(s))),
-        ("rl", |s| Box::new(ConfuciuxRl::new(s))),
-    ];
+    let kinds: Vec<_> = bench::TechniqueKind::ALL
+        .into_iter()
+        .filter(|&kind| kind != bench::TechniqueKind::Explainable)
+        .collect();
     let dir = temp_cache_dir("baselines");
     let mut cold_samples = Vec::new();
-    for (name, make) in &factories {
+    for &kind in &kinds {
         let ev = edge_evaluator(EvalEngine::serial())
             .with_disk_cache(Arc::new(DiskCache::open(&dir).expect("open cache")));
-        let mut technique = make(7);
+        let mut technique = toy_technique(kind, 7);
         let trace = BaselineSession::new(technique.as_mut()).run(&ev, budget);
-        cold_samples.push((*name, trace.samples));
+        cold_samples.push(trace.samples);
     }
-    for ((name, make), (_, cold)) in factories.iter().zip(&cold_samples) {
+    for (&kind, cold) in kinds.iter().zip(&cold_samples) {
         let ev = edge_evaluator(EvalEngine::serial())
             .with_disk_cache(Arc::new(DiskCache::open(&dir).expect("reopen cache")));
-        let mut technique = make(7);
+        let mut technique = toy_technique(kind, 7);
         let warm = BaselineSession::new(technique.as_mut()).run(&ev, budget);
-        assert_eq!(&warm.samples, cold, "technique {name} drifted when warm");
-        assert_warm(&ev, name);
+        assert_eq!(&warm.samples, cold, "technique {kind:?} drifted when warm");
+        assert_warm(&ev, kind.name());
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -489,22 +504,6 @@ fn toy_evaluator(engine: EvalEngine) -> CodesignEvaluator<FixedMapper> {
     .with_engine(engine)
 }
 
-/// A deterministic baseline-technique factory for the driver oracle,
-/// mirroring `bench::run_technique`'s registry.
-fn toy_technique(kind: bench::TechniqueKind, seed: u64) -> Box<dyn DseTechnique> {
-    use bench::TechniqueKind;
-    match kind {
-        TechniqueKind::Grid => Box::new(GridSearch),
-        TechniqueKind::Random => Box::new(RandomSearch::new(seed)),
-        TechniqueKind::Annealing => Box::new(SimulatedAnnealing::new(seed)),
-        TechniqueKind::Genetic => Box::new(GeneticAlgorithm::new(8, seed)),
-        TechniqueKind::Bayesian => Box::new(BayesianOpt::new(seed)),
-        TechniqueKind::HyperMapper => Box::new(HyperMapperLike::new(seed)),
-        TechniqueKind::Rl => Box::new(ConfuciuxRl::new(seed)),
-        TechniqueKind::Explainable => unreachable!("explainable is not a baseline"),
-    }
-}
-
 /// `SearchSession::run` / `BaselineSession::run` must be bit-identical to
 /// stepping the corresponding driver by hand, for every technique, on both
 /// the serial and the parallel engine — the API-redesign contract that lets
@@ -549,12 +548,8 @@ fn driver_stepping_matches_blocking_run() {
                 let blocking = BaselineSession::new(technique.as_mut()).run(&blocking_ev, budget);
 
                 let stepped_ev = toy_evaluator(engine);
-                let mut driver = baselines::BaselineDriver::new(
-                    move || toy_technique(kind, seed),
-                    &stepped_ev,
-                    budget,
-                    &edse_core::JobSpec::default(),
-                );
+                let mut driver =
+                    baselines::BaselineDriver::new(toy_technique(kind, seed), &stepped_ev, budget);
                 let mut steps = 0usize;
                 while driver.step() == edse_core::StepOutcome::Pending {
                     steps += 1;

@@ -10,10 +10,13 @@
 //!   the evaluator caches. Resuming replays nothing: the search continues
 //!   from the exact attempt it stopped at, bit-for-bit identical to an
 //!   uninterrupted run.
-//! * **`"baseline"`** — evaluator caches only. Black-box baselines are
-//!   resumed *by replay*: every re-evaluated point hits the restored cache
-//!   (and does not count against [`crate::Evaluator::unique_evaluations`]),
-//!   so the replay is cheap and lands on the same trajectory.
+//! * **`"baseline"`** — evaluator caches only, tagged with the technique
+//!   label and budget. A black-box technique's state is a pure function of
+//!   its seed, its budget and the evaluations it has observed, so a resume
+//!   restores the caches and steps a fresh technique from the start: every
+//!   completed evaluation is a cache hit (and does not count against
+//!   [`crate::Evaluator::unique_evaluations`]), landing on the same
+//!   trajectory.
 //!
 //! Snapshots are written with a write-then-rename so a crash mid-write
 //! never corrupts the previous snapshot. See `DESIGN.md` ("Snapshot
@@ -21,14 +24,11 @@
 
 use crate::cost::{Evaluation, LayerEval, Sample, Trace};
 use crate::dse::{Aggregation, Attempt, DseConfig, PhaseState, SearchState};
-use crate::evaluate::{CacheSnapshot, Evaluator, LayerEntry};
+use crate::evaluate::{CacheSnapshot, LayerEntry};
 use crate::space::DesignPoint;
-use accel_model::AcceleratorConfig;
 use edse_telemetry::json::{self, Json};
-use edse_telemetry::{Collector, Level};
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
 
 /// Magic string identifying a snapshot file.
 pub const SNAPSHOT_FORMAT: &str = "edse-snapshot";
@@ -693,8 +693,8 @@ pub(crate) fn load_search(
 }
 
 /// A baseline-technique snapshot: evaluator caches plus enough identity to
-/// verify the resume matches (technique label and budget). Baselines resume
-/// *by replay* — see the module docs.
+/// verify the resume matches (technique label and budget). See the module
+/// docs for how a baseline resumes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BaselineSnapshot {
     /// The technique's [`name`](crate::Trace::technique) label.
@@ -736,136 +736,6 @@ pub fn load_baseline(path: &Path) -> Result<BaselineSnapshot, String> {
         caches: caches_from_json(field(&j, "caches")?)
             .map_err(|e| format!("{}: {e}", path.display()))?,
     })
-}
-
-// ---------------------------------------------------------------------------
-// Mid-run checkpointing for black-box techniques
-// ---------------------------------------------------------------------------
-
-/// An [`Evaluator`] decorator that saves a [`BaselineSnapshot`] after every
-/// `every` unique evaluations. Black-box baselines drive their evaluator
-/// through the [`Evaluator`] trait only, so wrapping it is the one seam
-/// where checkpoints can be taken without touching the techniques.
-pub struct CheckpointingEvaluator<E> {
-    inner: E,
-    path: PathBuf,
-    every: usize,
-    technique: String,
-    budget: usize,
-    telemetry: Collector,
-    last_saved: Mutex<usize>,
-}
-
-impl<E: Evaluator> CheckpointingEvaluator<E> {
-    /// Wraps `inner`, snapshotting to `path` every `every` unique
-    /// evaluations (`every` is clamped to at least 1).
-    pub fn new(
-        inner: E,
-        path: impl Into<PathBuf>,
-        every: usize,
-        technique: impl Into<String>,
-        budget: usize,
-        telemetry: Collector,
-    ) -> Self {
-        CheckpointingEvaluator {
-            inner,
-            path: path.into(),
-            every: every.max(1),
-            technique: technique.into(),
-            budget,
-            telemetry,
-            last_saved: Mutex::new(0),
-        }
-    }
-
-    /// Saves a snapshot right now (also called automatically every `every`
-    /// unique evaluations). Failures are reported through telemetry
-    /// (`checkpoint/save_failures` + a warning), never panicked on: losing
-    /// a checkpoint must not kill the run it exists to protect.
-    pub fn save(&self) {
-        let snapshot = BaselineSnapshot {
-            technique: self.technique.clone(),
-            budget: self.budget,
-            caches: self.inner.cache_snapshot(),
-        };
-        match save_baseline(&self.path, &snapshot) {
-            Ok(()) => self.telemetry.counter("checkpoint/saves", 1),
-            Err(e) => {
-                self.telemetry.counter("checkpoint/save_failures", 1);
-                self.telemetry
-                    .log(Level::Warn, &format!("checkpoint save failed: {e}"));
-            }
-        }
-    }
-
-    fn maybe_save(&self) {
-        let uniques = self.inner.unique_evaluations();
-        {
-            let mut last = self.last_saved.lock().expect("checkpoint lock poisoned");
-            if uniques < *last + self.every {
-                return;
-            }
-            *last = uniques;
-        }
-        self.save();
-    }
-}
-
-impl<E: Evaluator> Evaluator for CheckpointingEvaluator<E> {
-    fn evaluate(&self, point: &DesignPoint) -> Evaluation {
-        let e = self.inner.evaluate(point);
-        self.maybe_save();
-        e
-    }
-
-    fn evaluate_batch(&self, points: &[DesignPoint]) -> Vec<Evaluation> {
-        let e = self.inner.evaluate_batch(points);
-        self.maybe_save();
-        e
-    }
-
-    fn try_evaluate(&self, point: &DesignPoint) -> Result<Evaluation, crate::EvalFault> {
-        let e = self.inner.try_evaluate(point);
-        self.maybe_save();
-        e
-    }
-
-    fn try_evaluate_batch(
-        &self,
-        points: &[DesignPoint],
-    ) -> Vec<Result<Evaluation, crate::EvalFault>> {
-        let e = self.inner.try_evaluate_batch(points);
-        self.maybe_save();
-        e
-    }
-
-    fn space(&self) -> &crate::space::DesignSpace {
-        self.inner.space()
-    }
-
-    fn constraints(&self) -> &[crate::cost::Constraint] {
-        self.inner.constraints()
-    }
-
-    fn unique_evaluations(&self) -> usize {
-        self.inner.unique_evaluations()
-    }
-
-    fn decode(&self, point: &DesignPoint) -> AcceleratorConfig {
-        self.inner.decode(point)
-    }
-
-    fn cache_snapshot(&self) -> CacheSnapshot {
-        self.inner.cache_snapshot()
-    }
-
-    fn restore_caches(&self, snapshot: &CacheSnapshot) {
-        self.inner.restore_caches(snapshot)
-    }
-
-    fn cache_stats(&self) -> crate::evaluate::CacheStats {
-        self.inner.cache_stats()
-    }
 }
 
 #[cfg(test)]

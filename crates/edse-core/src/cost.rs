@@ -103,15 +103,7 @@ impl Evaluation {
 
     /// The constraints-budget of §4.6: mean utilization across constraints.
     pub fn constraint_budget(&self, constraints: &[Constraint]) -> f64 {
-        if constraints.is_empty() {
-            return 0.0;
-        }
-        self.constraint_values
-            .iter()
-            .zip(constraints)
-            .map(|(v, c)| c.utilization(*v))
-            .sum::<f64>()
-            / constraints.len() as f64
+        constraint_budget(&self.constraint_values, constraints)
     }
 
     /// Number of violated constraints.
@@ -122,6 +114,19 @@ impl Evaluation {
             .filter(|(v, c)| !c.satisfied(**v))
             .count()
     }
+}
+
+/// Mean utilization of constraint `values` across `constraints`.
+fn constraint_budget(values: &[f64], constraints: &[Constraint]) -> f64 {
+    if constraints.is_empty() {
+        return 0.0;
+    }
+    values
+        .iter()
+        .zip(constraints)
+        .map(|(v, c)| c.utilization(*v))
+        .sum::<f64>()
+        / constraints.len() as f64
 }
 
 /// One evaluated sample in an exploration trace.
@@ -135,6 +140,14 @@ pub struct Sample {
     pub constraint_values: Vec<f64>,
     /// Whether all constraints were met.
     pub feasible: bool,
+}
+
+impl Sample {
+    /// The constraints-budget of §4.6, as
+    /// [`Evaluation::constraint_budget`] computes it.
+    pub fn constraint_budget(&self, constraints: &[Constraint]) -> f64 {
+        constraint_budget(&self.constraint_values, constraints)
+    }
 }
 
 /// A complete exploration trace: every evaluated sample in order, plus
@@ -165,7 +178,9 @@ impl Trace {
         self.samples.len()
     }
 
-    /// Emits one telemetry [`IterationRecord`] per sample, post hoc.
+    /// Emits one telemetry [`IterationRecord`] per sample at index `start`
+    /// and later (the incumbent tracking still scans the full prefix), so a
+    /// stepwise driver streams records without repeating the prefix.
     ///
     /// This is how black-box baselines produce iteration records that line
     /// up with the explainable DSE's live ones: each evaluated sample is
@@ -173,14 +188,6 @@ impl Trace {
     /// sample itself, and the bottleneck fields stay empty — a black box
     /// has no explanation to offer, which is precisely the contrast a
     /// trace comparison should show.
-    pub fn emit_iteration_records(&self, collector: &Collector, budget: usize) {
-        self.emit_iteration_records_from(collector, budget, 0);
-    }
-
-    /// Like [`Trace::emit_iteration_records`], but only emits records for
-    /// samples at index `start` and later (the incumbent tracking still
-    /// scans the full prefix). Stepwise drivers use this to stream records
-    /// incrementally without duplicating the already-emitted prefix.
     pub fn emit_iteration_records_from(&self, collector: &Collector, budget: usize, start: usize) {
         if !collector.active() {
             return;

@@ -59,7 +59,7 @@ pub mod session;
 pub mod space;
 
 pub use bottleneck::{dnn_latency_model, BottleneckModel, BottleneckTree, LayerCtx, TreeBuilder};
-pub use checkpoint::{load_baseline, save_baseline, BaselineSnapshot, CheckpointingEvaluator};
+pub use checkpoint::{load_baseline, save_baseline, BaselineSnapshot};
 pub use cost::{Constraint, Evaluation, LayerEval, Sample, Trace};
 pub use diskcache::{DiskCache, DiskCacheStats, StoredLayer};
 pub use dse::{Attempt, DseConfig, DseResult, ExplainableDse};

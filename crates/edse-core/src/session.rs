@@ -303,32 +303,6 @@ impl<C, E> SearchSession<C, E> {
         self.cancel = token;
         self
     }
-
-    /// Enables checkpointing to `path`.
-    #[deprecated(since = "0.8.0", note = "set `JobSpec::checkpoint` and use `spec()`")]
-    pub fn checkpoint(mut self, path: impl Into<PathBuf>) -> Self {
-        self.checkpoint = Some(path.into());
-        self
-    }
-
-    /// Snapshot cadence in search steps (default 10; clamped to at least
-    /// 1). A *step* is one acquisition attempt or one phase start.
-    #[deprecated(
-        since = "0.8.0",
-        note = "set `JobSpec::checkpoint_every` and use `spec()`"
-    )]
-    pub fn checkpoint_every(mut self, every: usize) -> Self {
-        self.checkpoint_every = every.max(1);
-        self
-    }
-
-    /// When enabled (with a checkpoint path), the run resumes from the
-    /// snapshot file if it exists and starts fresh when it does not.
-    #[deprecated(since = "0.8.0", note = "set `JobSpec::resume` and use `spec()`")]
-    pub fn resume(mut self, resume: bool) -> Self {
-        self.resume = resume;
-        self
-    }
 }
 
 impl<C, E: Evaluator> SearchSession<C, E> {

@@ -8,10 +8,7 @@
 //! at most one evaluation batch, which is the service's cancellation and
 //! fairness granularity.
 
-use baselines::{
-    BaselineDriver, BayesianOpt, ConfuciuxRl, DseTechnique, GeneticAlgorithm, GridSearch,
-    HyperMapperLike, RandomSearch, SimulatedAnnealing,
-};
+use baselines::BaselineDriver;
 use bench::toy::{single_layer_model, toy_space};
 use edse_core::bottleneck::dnn::LayerCtx;
 use edse_core::bottleneck::dnn_latency_model;
@@ -110,15 +107,11 @@ impl JobDriver for ExplainableJob {
     }
 }
 
-/// The boxed technique factory baseline jobs replay from.
-type BoxedFactory = Box<dyn Fn() -> Box<dyn DseTechnique> + Send>;
-
 /// Baseline jobs: a [`JobDriver`] shim over [`BaselineDriver`] that also
 /// remembers the terminal outcome (the trace itself does not say whether
 /// it was cancelled).
 struct BaselineJob {
-    driver: BaselineDriver<JobEvaluator, BoxedFactory>,
-    technique: String,
+    driver: BaselineDriver<'static, JobEvaluator>,
     last: Option<StepOutcome>,
 }
 
@@ -152,7 +145,7 @@ impl JobDriver for BaselineJob {
         };
         let trace = self.driver.finish();
         Json::obj(vec![
-            ("technique", Json::Str(self.technique.clone())),
+            ("technique", Json::Str(trace.technique.clone())),
             ("evaluations", Json::Num(trace.evaluations() as f64)),
             (
                 "best_objective",
@@ -207,26 +200,6 @@ fn build_mapper(spec: &JobSpec) -> Result<Box<dyn MappingOptimizer>, String> {
     }
 }
 
-/// The baseline-technique registry, mirroring the bench harness's
-/// labels. `None` for `"explainable"` (not a baseline) and unknown names.
-fn baseline_factory(technique: &str, seed: u64) -> Option<BoxedFactory> {
-    macro_rules! factory {
-        ($build:expr) => {
-            Some(Box::new(move || Box::new($build) as Box<dyn DseTechnique>) as BoxedFactory)
-        };
-    }
-    match technique {
-        "grid" => factory!(GridSearch),
-        "random" => factory!(RandomSearch::new(seed)),
-        "annealing" => factory!(SimulatedAnnealing::new(seed)),
-        "genetic" => factory!(GeneticAlgorithm::new(16, seed)),
-        "bayesian" => factory!(BayesianOpt::new(seed)),
-        "hypermapper" => factory!(HyperMapperLike::new(seed)),
-        "rl" => factory!(ConfuciuxRl::new(seed)),
-        _ => None,
-    }
-}
-
 /// Builds the per-job evaluator: its own memo tables (so per-job budgets
 /// count per-job work), the *shared* evaluation engine, and the *shared*
 /// disk cache; a degraded disk tier is recorded so
@@ -251,8 +224,10 @@ fn build_evaluator(
 }
 
 /// Turns a [`JobSpec`] into a running-ready [`JobDriver`]. Validation
-/// errors (unknown technique/space/mapper/model) come back as `Err` and
-/// map to HTTP 400 — nothing is evaluated until the spec is sound.
+/// errors (unknown technique/space/mapper/model, or a baseline resume
+/// whose snapshot cannot be loaded or records another technique or
+/// budget) come back as `Err` and map to HTTP 400 — nothing is evaluated
+/// until the spec is sound.
 pub fn build_driver(
     spec: &JobSpec,
     engine: EvalEngine,
@@ -282,7 +257,7 @@ pub fn build_driver(
         .driver(initial);
         Ok(Box::new(ExplainableJob { driver }))
     } else {
-        let factory = baseline_factory(&spec.technique, spec.seed).ok_or_else(|| {
+        let technique = baselines::by_name(&spec.technique, spec.seed).ok_or_else(|| {
             format!(
                 "unknown technique {:?} (expected \"explainable\", \"grid\", \"random\", \
                  \"annealing\", \"genetic\", \"bayesian\", \"hypermapper\", or \"rl\")",
@@ -290,13 +265,10 @@ pub fn build_driver(
             )
         })?;
         let evaluator = build_evaluator(spec, engine, disk, disk_error, telemetry.clone())?;
-        let driver = BaselineDriver::new(factory, evaluator, spec.budget, spec)
+        let driver = BaselineDriver::new(technique, evaluator, spec.budget)
             .telemetry(telemetry)
-            .with_cancel_token(cancel);
-        Ok(Box::new(BaselineJob {
-            driver,
-            technique: spec.technique.clone(),
-            last: None,
-        }))
+            .with_cancel_token(cancel)
+            .spec(spec)?;
+        Ok(Box::new(BaselineJob { driver, last: None }))
     }
 }

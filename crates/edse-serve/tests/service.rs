@@ -171,6 +171,61 @@ fn cancel_stops_within_one_batch_and_leaves_resumable_snapshot() {
 }
 
 #[test]
+fn grid_job_over_single_valued_parameters_completes() {
+    // The toy space frees two seven-valued parameters and pins the rest
+    // to one value each. At a budget past twice the 4 x 4 grid, only the
+    // one-valued parameters are left to double, and doubling them must
+    // end the grid sizing rather than repeat forever.
+    let registry = Registry::new(EvalEngine::serial(), None, None, Collector::noop());
+    let workers = registry.spawn_workers(1);
+    let id = registry
+        .submit(toy_spec("grid", 64, 1))
+        .expect("submit grid");
+    assert_eq!(registry.wait_terminal(id), Some(JobState::Completed));
+    let status = registry.status(id).expect("status");
+    assert_eq!(status.get("evaluations").and_then(Json::as_f64), Some(16.0));
+    registry.shutdown();
+    for w in workers {
+        w.join().expect("worker join");
+    }
+}
+
+#[test]
+fn mismatched_baseline_resume_is_rejected_at_submit() {
+    let dir = scratch_dir("mismatch");
+    let recorded = JobSpec {
+        checkpoint: Some(dir.join("random.snapshot")),
+        ..toy_spec("random", 10, 5)
+    };
+    run_straight(&recorded, EvalEngine::serial());
+
+    let registry = Registry::new(EvalEngine::serial(), None, None, Collector::noop());
+    let workers = registry.spawn_workers(1);
+    let drifted = JobSpec {
+        budget: 11,
+        resume: true,
+        ..recorded.clone()
+    };
+    let err = registry
+        .submit(drifted)
+        .expect_err("a snapshot of another budget must not resume");
+    assert!(err.contains("budget"), "{err}");
+    // The registry is unharmed: a valid resume is accepted and completes.
+    let id = registry
+        .submit(JobSpec {
+            resume: true,
+            ..recorded
+        })
+        .expect("valid resume");
+    assert_eq!(registry.wait_terminal(id), Some(JobState::Completed));
+    registry.shutdown();
+    for w in workers {
+        w.join().expect("worker join");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn short_tenant_completes_while_long_sweep_tenant_runs() {
     // Two tenants on one registry sharing the process-wide executor pool:
     // a long job whose every step runs real linear-mapper sweeps over the

@@ -41,7 +41,7 @@ fn main() {
 
     // Baselines (each on a fresh evaluator so caching is fair).
     let mut baselines: Vec<Box<dyn DseTechnique>> = vec![
-        Box::new(GridSearch),
+        Box::new(GridSearch::new()),
         Box::new(RandomSearch::new(1)),
         Box::new(SimulatedAnnealing::new(1)),
         Box::new(GeneticAlgorithm::new(16, 1)),

@@ -21,7 +21,8 @@ fn main() {
 
     // 2) The explorer: the DNN latency bottleneck model drives
     //    acquisitions. A SearchSession could additionally checkpoint the
-    //    run (`.checkpoint("run.ckpt.json").resume(true)`).
+    //    run (`.spec(&JobSpec { checkpoint: Some("run.ckpt.json".into()),
+    //    resume: true, ..JobSpec::default() })`).
     let session = SearchSession::new(
         dnn_latency_model(),
         DseConfig {

@@ -19,6 +19,12 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
+echo "==> cargo check perfbench (the benchmark builds against these crates)"
+# perfbench/ is a workspace of its own, so nothing above compiles it;
+# type-check it here so an API change it depends on fails the gate.
+cargo check --offline --locked --manifest-path perfbench/Cargo.toml \
+    --target-dir target/perfbench
+
 echo "==> cargo test -q -p edse-core --features validation (checked disk-cache reads)"
 # The CheckedArchive idiom: reads are trusting by default; CI exercises
 # the checksum/key-verifying read path behind the validation feature.
