@@ -2,7 +2,7 @@
 //! HyperMapper-2.0-style constrained variant whose acquisition multiplies
 //! expected improvement by a feasibility probability.
 
-use crate::{random_point, DseTechnique, Problem};
+use crate::{random_point, DseTechnique, EvalResult, Problem};
 use edse_core::cost::Sample;
 use edse_core::space::{DesignPoint, DesignSpace};
 use rand::rngs::StdRng;
@@ -301,7 +301,7 @@ impl DseTechnique for BayesianOpt {
         self.bo.propose(problem)
     }
 
-    fn observe(&mut self, problem: &Problem, samples: &[Sample]) {
+    fn observe(&mut self, problem: &Problem, samples: &[Sample], _: Vec<EvalResult>) {
         self.bo.observe(problem, samples)
     }
 }
@@ -331,7 +331,7 @@ impl DseTechnique for HyperMapperLike {
         self.bo.propose(problem)
     }
 
-    fn observe(&mut self, problem: &Problem, samples: &[Sample]) {
+    fn observe(&mut self, problem: &Problem, samples: &[Sample], _: Vec<EvalResult>) {
         self.bo.observe(problem, samples)
     }
 }

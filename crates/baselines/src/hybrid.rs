@@ -3,11 +3,12 @@
 //! for further black-box refinement, and black-box techniques can be
 //! chained with each other.
 //!
-//! An explainable warm-up is a composition: run an
-//! `edse_core::SearchSession` for the warm-up share of the budget, then a
-//! [`Refine`] seeded with that trace's incumbent for the rest.
+//! [`WarmStartHybrid`] over the registry's explainable technique
+//! (`by_name("explainable", seed)`) is the §B hybrid: Explainable-DSE for
+//! the warm-up share of the budget, then a [`Refine`] around its best
+//! feasible sample for the rest.
 
-use crate::{random_point, DseTechnique, Problem};
+use crate::{random_point, DseTechnique, EvalResult, Problem};
 use edse_core::cost::Sample;
 use edse_core::space::DesignPoint;
 use rand::rngs::StdRng;
@@ -69,7 +70,7 @@ impl DseTechnique for Refine {
         Some(vec![cand])
     }
 
-    fn observe(&mut self, problem: &Problem, samples: &[Sample]) {
+    fn observe(&mut self, problem: &Problem, samples: &[Sample], _: Vec<EvalResult>) {
         for sample in samples {
             let cost = problem.cost(sample);
             if cost < self.incumbent_cost {
@@ -145,10 +146,10 @@ impl DseTechnique for WarmStartHybrid {
         self.refine.propose(&rest)
     }
 
-    fn observe(&mut self, problem: &Problem, samples: &[Sample]) {
+    fn observe(&mut self, problem: &Problem, samples: &[Sample], results: Vec<EvalResult>) {
         let phase = self.phase(problem);
         if !self.warming {
-            return self.refine.observe(&phase, samples);
+            return self.refine.observe(&phase, samples, results);
         }
         self.warm_samples += samples.len();
         for s in samples {
@@ -157,7 +158,7 @@ impl DseTechnique for WarmStartHybrid {
                 self.warm_best = Some((s.point.clone(), s.objective));
             }
         }
-        self.warmup.observe(&phase, samples);
+        self.warmup.observe(&phase, samples, results);
     }
 }
 
@@ -165,12 +166,8 @@ impl DseTechnique for WarmStartHybrid {
 mod tests {
     use super::*;
     use crate::RandomSearch;
-    use edse_core::bottleneck::dnn_latency_model;
-    use edse_core::cost::Trace;
-    use edse_core::dse::DseConfig;
-    use edse_core::evaluate::{CodesignEvaluator, Evaluator};
+    use edse_core::evaluate::CodesignEvaluator;
     use edse_core::space::edge_space;
-    use edse_core::SearchSession;
     use mapper::FixedMapper;
     use workloads::zoo;
 
@@ -186,36 +183,18 @@ mod tests {
         assert_eq!(trace.technique, "random+refine");
     }
 
-    /// Explainable-DSE on `budget` evaluations of `ev`, seed 1.
-    fn explainable(ev: &dyn Evaluator, budget: usize) -> Trace {
-        SearchSession::new(
-            dnn_latency_model(),
-            DseConfig {
-                budget,
-                seed: 1,
-                ..DseConfig::default()
-            },
-        )
-        .evaluator(ev)
-        .run(ev.space().minimum_point())
-        .into_trace()
-    }
-
     #[test]
     fn explainable_warmup_hands_off_a_feasible_incumbent() {
         // §B: the explainable phase lands a feasible point quickly; the
         // refinement phase may only improve on it. The warm-up takes half
         // of 160 evaluations, the refinement the rest.
-        let ev = evaluator();
-        let mut trace = explainable(&ev, 80);
-        let incumbent = trace.best_feasible().map(|s| s.point.clone());
-        let refined = Refine::around(incumbent, 1).run(&ev, 160 - trace.evaluations());
-        trace.samples.extend(refined.samples);
+        let explainable = || crate::by_name("explainable", 1).expect("registered");
+        let trace = WarmStartHybrid::new(explainable(), 0.5, 1).run(&evaluator(), 160);
         let best = trace
             .best_feasible()
             .expect("hybrid finds a feasible design");
         // Compare with warmup-only at the same share of budget.
-        let warm_only = explainable(&evaluator(), 80);
+        let warm_only = explainable().run(&evaluator(), 80);
         if let Some(w) = warm_only.best_feasible() {
             assert!(
                 best.objective <= w.objective + 1e-9,

@@ -5,13 +5,15 @@
 //! Bayesian optimization, HyperMapper-2.0-style constrained Bayesian
 //! optimization, and Confuciux-style constrained reinforcement learning.
 //!
-//! Every technique is an ask/tell state machine: [`DseTechnique::propose`]
-//! hands out the next batch of design points and
-//! [`DseTechnique::observe`] takes that batch's evaluations. Techniques
-//! never see the evaluator; one driver ([`BaselineDriver`]) owns the loop,
-//! so blocking, stepped, checkpointed and resumed runs share one code path
+//! Every technique is an ask/tell state machine ([`DseTechnique`], shared
+//! with the explainable search): [`DseTechnique::propose`] hands out the
+//! next batch of design points and [`DseTechnique::observe`] takes that
+//! batch's outcomes. Techniques never see the evaluator; one driver
+//! ([`edse_core::SearchDriver`]) owns the loop for every technique, so
+//! blocking, stepped, checkpointed and resumed runs share one code path
 //! and report the same [`edse_core::cost::Trace`] format as the
-//! explainable DSE, so every figure compares like with like.
+//! explainable DSE, and every figure compares like with like. The
+//! registry [`by_name`] builds all eight techniques of the comparison.
 //!
 //! # Example
 //!
@@ -35,110 +37,35 @@ pub mod sensitivity;
 pub mod simple;
 
 pub use bo::{BayesianOpt, HyperMapperLike};
+pub use edse_core::{DseTechnique, EvalResult, Problem};
 pub use hybrid::{Refine, WarmStartHybrid};
 pub use rl::ConfuciuxRl;
 pub use sensitivity::SensitivityGuided;
 pub use simple::{GeneticAlgorithm, GridSearch, RandomSearch, SimulatedAnnealing};
 
-use edse_core::checkpoint::{load_baseline, save_baseline, BaselineSnapshot};
-use edse_core::cost::{Constraint, Sample, Trace};
+use edse_core::bottleneck::dnn_latency_model;
+use edse_core::cost::Trace;
 use edse_core::evaluate::Evaluator;
 use edse_core::space::{DesignPoint, DesignSpace};
-use edse_core::{CancelToken, JobSpec, StepOutcome};
-use edse_telemetry::{Collector, Level};
-use std::path::PathBuf;
-use std::time::Instant;
-
-/// What a technique explores: the design space it draws points from, the
-/// constraints that decide feasibility, and its evaluation budget.
-#[derive(Debug, Clone, Copy)]
-pub struct Problem<'a> {
-    /// The design space.
-    pub space: &'a DesignSpace,
-    /// The constraints, aligned with every sample's `constraint_values`.
-    pub constraints: &'a [Constraint],
-    /// How many samples the technique may propose in total.
-    pub budget: usize,
-}
-
-impl Problem<'_> {
-    /// The penalized scalar cost every baseline optimizes: the objective
-    /// for feasible samples; a large violation-scaled penalty otherwise, so
-    /// unconstrained optimizers still feel constraint pressure the way the
-    /// paper's penalized baselines do.
-    pub fn cost(&self, sample: &Sample) -> f64 {
-        if sample.feasible {
-            return sample.objective;
-        }
-        let budget = sample.constraint_budget(self.constraints);
-        // Infeasible points rank strictly worse than any feasible one and
-        // worse the deeper the violation.
-        if budget.is_finite() {
-            1e12 * (1.0 + budget)
-        } else {
-            1e15
-        }
-    }
-}
-
-/// A DSE technique as an ask/tell state machine: it proposes batches of
-/// design points and observes their evaluations until it reports that it
-/// is done. Its state is a pure function of its seed, the problem, and
-/// the samples it has observed, which is what makes a resumed run
-/// (restore the evaluator caches, step a fresh technique from the start)
-/// bit-identical to an uninterrupted one.
-///
-/// A technique explores once: build a fresh one per run. Techniques are
-/// `Send` so a stepped exploration can move between scheduler threads.
-pub trait DseTechnique: Send {
-    /// Technique name for reports, e.g. `"random"`.
-    fn name(&self) -> String;
-
-    /// The next batch to evaluate, or `None` once the exploration is over.
-    /// Feedback-free stages (initial designs, whole non-adaptive sweeps)
-    /// come as one batch, so a parallel evaluator speeds them up without
-    /// changing any result.
-    fn propose(&mut self, problem: &Problem) -> Option<Vec<DesignPoint>>;
-
-    /// Receives the evaluations of the batch the last
-    /// [`propose`](DseTechnique::propose) returned, as trace samples in
-    /// batch order.
-    fn observe(&mut self, problem: &Problem, samples: &[Sample]);
-
-    /// Runs the exploration against an evaluator for `budget` evaluations:
-    /// a [`BaselineSession`] without telemetry or checkpointing.
-    fn run(&mut self, evaluator: &dyn Evaluator, budget: usize) -> Trace {
-        BaselineSession::new(self).run(evaluator, budget)
-    }
-}
-
-impl<T: DseTechnique + ?Sized> DseTechnique for &mut T {
-    fn name(&self) -> String {
-        (**self).name()
-    }
-
-    fn propose(&mut self, problem: &Problem) -> Option<Vec<DesignPoint>> {
-        (**self).propose(problem)
-    }
-
-    fn observe(&mut self, problem: &Problem, samples: &[Sample]) {
-        (**self).observe(problem, samples)
-    }
-
-    // Forwarded: the provided `run` would box a `&mut &mut T`, whose own
-    // `run` boxes a `&mut &mut &mut T`, without end.
-    fn run(&mut self, evaluator: &dyn Evaluator, budget: usize) -> Trace {
-        (**self).run(evaluator, budget)
-    }
-}
+use edse_core::{DseConfig, ExplainableDse, JobSpec, SearchDriver};
+use edse_telemetry::Collector;
 
 /// The technique registry shared by the bench harness and `edse-serve`:
-/// the black-box baseline labelled `name` (`"grid"`, `"random"`,
-/// `"annealing"`, `"genetic"`, `"bayesian"`, `"hypermapper"` or `"rl"`),
-/// seeded with `seed`; the genetic algorithm gets a population of 16.
-/// `None` for any other name, including `"explainable"`.
+/// the technique labelled `name` — `"explainable"` (Explainable-DSE on the
+/// DNN-latency bottleneck model, from the space's minimum point) or one of
+/// the black-box baselines `"grid"`, `"random"`, `"annealing"`,
+/// `"genetic"`, `"bayesian"`, `"hypermapper"` and `"rl"` — seeded with
+/// `seed`; the genetic algorithm gets a population of 16. Every technique
+/// takes its budget from the [`Problem`]. `None` for any other name.
 pub fn by_name(name: &str, seed: u64) -> Option<Box<dyn DseTechnique>> {
     Some(match name {
+        "explainable" => Box::new(ExplainableDse::new(
+            dnn_latency_model(),
+            DseConfig {
+                seed,
+                ..DseConfig::default()
+            },
+        )),
         "grid" => Box::new(GridSearch::new()),
         "random" => Box::new(RandomSearch::new(seed)),
         "annealing" => Box::new(SimulatedAnnealing::new(seed)),
@@ -150,11 +77,10 @@ pub fn by_name(name: &str, seed: u64) -> Option<Box<dyn DseTechnique>> {
     })
 }
 
-/// Builder and runner for one blocking baseline exploration: telemetry
-/// plus checkpoint/resume for any [`DseTechnique`], mirroring
-/// `edse_core::SearchSession` for the explainable search. It runs a
-/// [`BaselineDriver`] to completion, so see there for what a checkpoint
-/// holds and how a resume works.
+/// Builder and runner for one blocking exploration by any
+/// [`DseTechnique`]: telemetry plus checkpoint/resume, run to completion
+/// through [`SearchDriver`] (see there for what a checkpoint holds and how
+/// a resume works).
 ///
 /// ```
 /// use baselines::{BaselineSession, RandomSearch};
@@ -186,8 +112,8 @@ impl<'t> BaselineSession<'t> {
         }
     }
 
-    /// Attaches a telemetry collector: the run gets `baseline/<name>`
-    /// spans and per-sample iteration records.
+    /// Attaches a telemetry collector: a black-box run gets
+    /// `baseline/<name>` spans and per-sample iteration records.
     pub fn telemetry(mut self, telemetry: Collector) -> Self {
         self.telemetry = telemetry;
         self
@@ -207,251 +133,15 @@ impl<'t> BaselineSession<'t> {
     ///
     /// Panics when resume is enabled and the snapshot file exists but
     /// cannot be loaded, or records a different technique or budget than
-    /// this run (see [`BaselineDriver::spec`], which returns the same
+    /// this run (see [`SearchDriver::spec`], which returns the same
     /// mismatch as an error).
     pub fn run(self, evaluator: &dyn Evaluator, budget: usize) -> Trace {
-        BaselineDriver::new(self.technique, evaluator, budget)
+        SearchDriver::new(self.technique, evaluator, budget)
             .telemetry(self.telemetry)
             .spec(&self.spec)
             .unwrap_or_else(|e| panic!("{e}"))
             .run_to_completion()
-    }
-}
-
-/// An owned, stepwise, cancellable baseline exploration — the baseline
-/// counterpart of `edse_core::SearchDriver`, speaking the same
-/// [`StepOutcome`]/[`CancelToken`] protocol so a scheduler can interleave
-/// explainable and baseline jobs uniformly.
-///
-/// One [`BaselineDriver::step`] is one ask/tell round: the technique
-/// proposes a batch, the evaluator evaluates it as one batch, and the
-/// technique observes the results. Iteration records stream as the
-/// samples arrive.
-///
-/// With a checkpoint path the driver saves a `"baseline"` snapshot — the
-/// evaluator caches, tagged with the technique label and budget — every
-/// `checkpoint_every` steps, at termination, and on cancel. A technique's
-/// state is a pure function of its seed, its budget and the samples it has
-/// observed, and the caches hold those samples, so a resume restores the
-/// caches and steps a fresh technique from the start: every completed
-/// evaluation is a cache hit, and the trace is bit-identical to the
-/// uninterrupted run's.
-pub struct BaselineDriver<'t, E> {
-    technique: Box<dyn DseTechnique + 't>,
-    evaluator: E,
-    budget: usize,
-    telemetry: Collector,
-    checkpoint: Option<(PathBuf, usize)>,
-    steps_since_save: usize,
-    cancel: CancelToken,
-    trace: Trace,
-    started: Instant,
-    outcome: Option<StepOutcome>,
-}
-
-impl<'t, E: Evaluator> BaselineDriver<'t, E> {
-    /// Starts a fresh exploration of `evaluator`'s problem with `budget`
-    /// evaluations.
-    pub fn new(technique: Box<dyn DseTechnique + 't>, evaluator: E, budget: usize) -> Self {
-        let trace = Trace::new(technique.name());
-        BaselineDriver {
-            technique,
-            evaluator,
-            budget,
-            telemetry: Collector::noop(),
-            checkpoint: None,
-            steps_since_save: 0,
-            cancel: CancelToken::new(),
-            trace,
-            started: Instant::now(),
-            outcome: None,
-        }
-    }
-
-    /// Attaches a telemetry collector: each step opens a `baseline/<name>`
-    /// span and streams the iteration records of the samples it appended.
-    pub fn telemetry(mut self, telemetry: Collector) -> Self {
-        self.telemetry = telemetry;
-        self
-    }
-
-    /// Applies the checkpoint path, snapshot cadence (in steps) and resume
-    /// policy of a [`JobSpec`]. With `resume` set and the snapshot file
-    /// present, the snapshot's caches are restored into the evaluator.
-    ///
-    /// # Errors
-    ///
-    /// Fails when the snapshot cannot be loaded, or records a different
-    /// technique or budget than this run: stepping a different search
-    /// against those caches would not reproduce the interrupted run.
-    pub fn spec(mut self, spec: &JobSpec) -> Result<Self, String> {
-        self.checkpoint = spec
-            .checkpoint
-            .clone()
-            .map(|path| (path, spec.checkpoint_every.max(1)));
-        let resume_from = self.checkpoint.as_ref().map(|(path, _)| path);
-        let Some(path) = resume_from.filter(|path| spec.resume && path.exists()) else {
-            return Ok(self);
-        };
-        let snapshot = load_baseline(path).map_err(|e| format!("cannot resume baseline: {e}"))?;
-        let name = &self.trace.technique;
-        if &snapshot.technique != name {
-            return Err(format!(
-                "cannot resume baseline: snapshot records technique {:?}, this run is {name:?}",
-                snapshot.technique
-            ));
-        }
-        if snapshot.budget != self.budget {
-            return Err(format!(
-                "cannot resume baseline: snapshot records budget {}, this run has {}",
-                snapshot.budget, self.budget
-            ));
-        }
-        self.evaluator.restore_caches(&snapshot.caches);
-        self.telemetry.log(
-            Level::Info,
-            &format!(
-                "resumed baseline {name} from {} with {} cached evaluations",
-                path.display(),
-                snapshot.caches.unique_evaluations
-            ),
-        );
-        Ok(self)
-    }
-
-    /// Uses `token` as the driver's cancellation token instead of a fresh
-    /// one.
-    pub fn with_cancel_token(mut self, token: CancelToken) -> Self {
-        self.cancel = token;
-        self
-    }
-
-    /// A clone of the driver's cancellation token.
-    pub fn cancel_token(&self) -> CancelToken {
-        self.cancel.clone()
-    }
-
-    /// Advances the exploration by one ask/tell round. Checks the
-    /// [`CancelToken`] first: when it has fired, no round runs, the
-    /// evaluator caches are snapshotted if checkpointing is configured,
-    /// and [`StepOutcome::Cancelled`] is returned. After termination (or a
-    /// cancel) further calls are no-ops returning the same outcome.
-    pub fn step(&mut self) -> StepOutcome {
-        if let Some(outcome) = self.outcome {
-            return outcome;
-        }
-        if self.cancel.is_cancelled() {
-            self.snapshot();
-            self.outcome = Some(StepOutcome::Cancelled);
-            return StepOutcome::Cancelled;
-        }
-        let start = self.trace.samples.len();
-        let done = {
-            let _span = self
-                .telemetry
-                .span(&format!("baseline/{}", self.trace.technique));
-            let problem = Problem {
-                space: self.evaluator.space(),
-                constraints: self.evaluator.constraints(),
-                budget: self.budget,
-            };
-            match self.technique.propose(&problem) {
-                None => true,
-                Some(batch) => {
-                    let evals = self.evaluator.evaluate_batch(&batch);
-                    for (point, eval) in batch.into_iter().zip(evals) {
-                        let feasible = eval.feasible(problem.constraints);
-                        self.trace.samples.push(Sample {
-                            point,
-                            objective: eval.objective,
-                            constraint_values: eval.constraint_values,
-                            feasible,
-                        });
-                    }
-                    self.technique
-                        .observe(&problem, &self.trace.samples[start..]);
-                    false
-                }
-            }
-        };
-        self.trace
-            .emit_iteration_records_from(&self.telemetry, self.budget, start);
-        if let Some((_, every)) = self.checkpoint {
-            self.steps_since_save += 1;
-            if done || self.steps_since_save >= every {
-                self.steps_since_save = 0;
-                self.snapshot();
-            }
-        }
-        if done {
-            self.outcome = Some(StepOutcome::Done);
-            StepOutcome::Done
-        } else {
-            StepOutcome::Pending
-        }
-    }
-
-    /// Steps until the exploration terminates or the token fires, then
-    /// returns the trace.
-    pub fn run_to_completion(mut self) -> Trace {
-        while self.step() == StepOutcome::Pending {}
-        self.finish()
-    }
-
-    /// Writes a baseline snapshot now when checkpointing is configured; a
-    /// no-op otherwise. Returns whether a save was attempted. Failures are
-    /// reported through telemetry (`checkpoint/save_failures` plus a
-    /// warning), never panicked on: losing a checkpoint must not kill the
-    /// run it exists to protect.
-    pub fn snapshot(&mut self) -> bool {
-        let Some((path, _)) = &self.checkpoint else {
-            return false;
-        };
-        let snapshot = BaselineSnapshot {
-            technique: self.trace.technique.clone(),
-            budget: self.budget,
-            caches: self.evaluator.cache_snapshot(),
-        };
-        match save_baseline(path, &snapshot) {
-            Ok(()) => self.telemetry.counter("checkpoint/saves", 1),
-            Err(e) => {
-                self.telemetry.counter("checkpoint/save_failures", 1);
-                self.telemetry
-                    .log(Level::Warn, &format!("checkpoint save failed: {e}"));
-            }
-        }
-        true
-    }
-
-    /// Whether the exploration has terminated or been cancelled.
-    pub fn is_done(&self) -> bool {
-        self.outcome.is_some()
-    }
-
-    /// Samples recorded so far.
-    pub fn evaluations(&self) -> usize {
-        self.trace.evaluations()
-    }
-
-    /// Objective of the best feasible sample so far, if any.
-    pub fn best_objective(&self) -> Option<f64> {
-        self.trace.best_feasible().map(|s| s.objective)
-    }
-
-    /// Best feasible sample so far, if any.
-    pub fn best(&self) -> Option<&Sample> {
-        self.trace.best_feasible()
-    }
-
-    /// The evaluator the driver owns.
-    pub fn evaluator(&self) -> &E {
-        &self.evaluator
-    }
-
-    /// Consumes the driver, yielding the trace explored so far.
-    pub fn finish(mut self) -> Trace {
-        self.trace.wall_seconds = self.started.elapsed().as_secs_f64();
-        self.trace
+            .into_trace()
     }
 }
 
@@ -470,8 +160,10 @@ pub(crate) fn random_point(space: &DesignSpace, rng: &mut rand::rngs::StdRng) ->
 #[cfg(test)]
 mod tests {
     use super::*;
+    use edse_core::cost::Sample;
     use edse_core::evaluate::CodesignEvaluator;
     use edse_core::space::edge_space;
+    use edse_core::StepOutcome;
     use mapper::FixedMapper;
     use workloads::zoo;
 
@@ -508,6 +200,7 @@ mod tests {
     #[test]
     fn registry_builds_every_baseline_by_name() {
         for name in [
+            "explainable",
             "grid",
             "random",
             "annealing",
@@ -519,8 +212,49 @@ mod tests {
             let technique = by_name(name, 3).expect("registered");
             assert_eq!(technique.name(), name);
         }
-        assert!(by_name("explainable", 3).is_none());
         assert!(by_name("nope", 3).is_none());
+    }
+
+    #[test]
+    fn registry_explainable_reports_like_its_session() {
+        use edse_core::SearchSession;
+        use edse_telemetry::{Event, IterationRecord, MemorySink, ProvenanceRecord};
+        type Records = (Vec<IterationRecord>, Vec<ProvenanceRecord>);
+        fn records(events: Vec<Event>) -> Records {
+            let mut records = Records::default();
+            for event in events {
+                match event {
+                    Event::Iteration { record, .. } => records.0.push(record),
+                    Event::Provenance { record, .. } => records.1.push(record),
+                    _ => {}
+                }
+            }
+            records
+        }
+        let budget = 30;
+        let session_sink = MemorySink::new();
+        let ev = evaluator();
+        let result = SearchSession::new(
+            dnn_latency_model(),
+            DseConfig {
+                budget,
+                seed: 2,
+                ..DseConfig::default()
+            },
+        )
+        .evaluator(&ev)
+        .telemetry(Collector::builder().sink(session_sink.clone()).build())
+        .run(ev.space().minimum_point());
+
+        let registry_sink = MemorySink::new();
+        let mut technique = by_name("explainable", 2).expect("registered");
+        let trace = BaselineSession::new(technique.as_mut())
+            .telemetry(Collector::builder().sink(registry_sink.clone()).build())
+            .run(&evaluator(), budget);
+        assert_eq!(trace.samples, result.trace().samples);
+        let session = records(session_sink.events());
+        assert!(!session.0.is_empty() && !session.1.is_empty());
+        assert_eq!(records(registry_sink.events()), session);
     }
 
     #[test]
@@ -622,7 +356,7 @@ mod tests {
         };
         let cached = {
             let mut driver =
-                BaselineDriver::new(Box::new(SimulatedAnnealing::new(9)), evaluator(), budget)
+                SearchDriver::new(Box::new(SimulatedAnnealing::new(9)), evaluator(), budget)
                     .spec(&spec)
                     .unwrap();
             let mut saved = None;
@@ -638,7 +372,7 @@ mod tests {
                     "no snapshot before the first cadence point, one after it"
                 );
                 if let Some(saved) = saved {
-                    let snapshot = load_baseline(&path).unwrap();
+                    let snapshot = edse_core::load_snapshot(&path).unwrap();
                     assert_eq!(
                         (snapshot.technique.as_str(), snapshot.budget),
                         ("annealing", budget)
@@ -681,7 +415,7 @@ mod tests {
         // A mismatched budget must refuse to resume rather than silently
         // run a different search: an error from the driver, a panic from
         // the blocking session.
-        let refused = BaselineDriver::new(
+        let refused = SearchDriver::new(
             Box::new(SimulatedAnnealing::new(9)),
             evaluator(),
             budget + 1,
@@ -690,7 +424,7 @@ mod tests {
         .err()
         .expect("budget drift must be rejected");
         assert!(refused.contains("budget"), "{refused}");
-        let refused = BaselineDriver::new(Box::new(GridSearch::new()), evaluator(), budget)
+        let refused = SearchDriver::new(Box::new(GridSearch::new()), evaluator(), budget)
             .spec(&spec)
             .err()
             .expect("technique drift must be rejected");
@@ -722,8 +456,8 @@ mod tests {
             self.inner.propose(problem)
         }
 
-        fn observe(&mut self, problem: &Problem, samples: &[Sample]) {
-            self.inner.observe(problem, samples)
+        fn observe(&mut self, problem: &Problem, samples: &[Sample], results: Vec<EvalResult>) {
+            self.inner.observe(problem, samples, results)
         }
     }
 
@@ -741,12 +475,12 @@ mod tests {
             calls: 0,
         };
         let ev = evaluator();
-        let mut driver = BaselineDriver::new(Box::new(&mut stepped), &ev, budget);
+        let mut driver = SearchDriver::new(Box::new(&mut stepped), &ev, budget);
         let mut steps = 1;
         while driver.step() == StepOutcome::Pending {
             steps += 1;
         }
-        let stepped_trace = driver.finish();
+        let stepped_trace = driver.finish().into_trace();
         assert_eq!(stepped_trace.samples, blocking_trace.samples);
         // An initial design of 20 points, 80 single-point rounds, and the
         // call that reports the technique done.

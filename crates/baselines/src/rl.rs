@@ -4,7 +4,7 @@
 //! arbitrary number of parameters, per-parameter domain sizes, and an
 //! arbitrary number of constraints.
 
-use crate::{DseTechnique, Problem};
+use crate::{DseTechnique, EvalResult, Problem};
 use edse_core::cost::Sample;
 use edse_core::space::DesignPoint;
 use rand::rngs::StdRng;
@@ -76,7 +76,7 @@ impl DseTechnique for ConfuciuxRl {
         Some(vec![sample(&mut self.rng, &self.logits)])
     }
 
-    fn observe(&mut self, problem: &Problem, samples: &[Sample]) {
+    fn observe(&mut self, problem: &Problem, samples: &[Sample], _: Vec<EvalResult>) {
         let s = &samples[0];
         // Constraint-aware reward shaping (Confuciux penalizes
         // violations; we generalize to the mean over-utilization).

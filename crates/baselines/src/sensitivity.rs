@@ -8,7 +8,7 @@
 //! moves the most promising parameter in its improving direction, and
 //! periodically re-probes a random parameter so stale estimates recover.
 
-use crate::{random_point, DseTechnique, Problem};
+use crate::{random_point, DseTechnique, EvalResult, Problem};
 use edse_core::cost::Sample;
 use edse_core::space::DesignPoint;
 use rand::rngs::StdRng;
@@ -108,7 +108,7 @@ impl DseTechnique for SensitivityGuided {
         }
     }
 
-    fn observe(&mut self, problem: &Problem, samples: &[Sample]) {
+    fn observe(&mut self, problem: &Problem, samples: &[Sample], _: Vec<EvalResult>) {
         let sample = &samples[0];
         let cost = problem.cost(sample);
         self.observed += 1;
@@ -144,6 +144,7 @@ impl DseTechnique for SensitivityGuided {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use edse_core::cost::Evaluation;
     use edse_core::evaluate::CodesignEvaluator;
     use edse_core::space::{edge_space, DesignSpace, ParamDef};
     use mapper::FixedMapper;
@@ -164,20 +165,25 @@ mod tests {
             constraints: &[],
             budget,
         };
+        let flat = Evaluation {
+            objective: 1.0,
+            mappable: true,
+            constraint_values: Vec::new(),
+            layers: Vec::new(),
+            area_mm2: 0.0,
+            power_w: 0.0,
+            energy_mj: 0.0,
+        };
         let mut samples = 0;
         while let Some(batch) = technique.propose(&problem) {
             let evaluated: Vec<Sample> = batch
                 .into_iter()
-                .map(|point| Sample {
-                    point,
-                    objective: 1.0,
-                    constraint_values: Vec::new(),
-                    feasible: true,
-                })
+                .map(|point| Sample::new(point, &flat, &[]))
                 .collect();
             samples += evaluated.len();
             assert!(samples <= 10 * budget, "no termination");
-            technique.observe(&problem, &evaluated);
+            let results = vec![Ok(flat.clone()); evaluated.len()];
+            technique.observe(&problem, &evaluated, results);
         }
         samples
     }

@@ -1,7 +1,7 @@
 //! Non-feedback and classic stochastic baselines: grid search, random
 //! search, simulated annealing, genetic algorithm.
 
-use crate::{random_point, DseTechnique, Problem};
+use crate::{random_point, DseTechnique, EvalResult, Problem};
 use edse_core::cost::Sample;
 use edse_core::space::DesignPoint;
 use rand::rngs::StdRng;
@@ -86,7 +86,7 @@ impl DseTechnique for GridSearch {
         Some(points)
     }
 
-    fn observe(&mut self, _: &Problem, _: &[Sample]) {}
+    fn observe(&mut self, _: &Problem, _: &[Sample], _: Vec<EvalResult>) {}
 }
 
 /// Uniform random search (non-feedback).
@@ -123,7 +123,7 @@ impl DseTechnique for RandomSearch {
         )
     }
 
-    fn observe(&mut self, _: &Problem, _: &[Sample]) {}
+    fn observe(&mut self, _: &Problem, _: &[Sample], _: Vec<EvalResult>) {}
 }
 
 /// Simulated annealing with a linear temperature schedule and single-index
@@ -174,7 +174,7 @@ impl DseTechnique for SimulatedAnnealing {
         Some(vec![current.with_index(p, next)])
     }
 
-    fn observe(&mut self, problem: &Problem, samples: &[Sample]) {
+    fn observe(&mut self, problem: &Problem, samples: &[Sample], _: Vec<EvalResult>) {
         let sample = &samples[0];
         let cost = problem.cost(sample);
         let accept = match &self.current {
@@ -268,7 +268,7 @@ impl DseTechnique for GeneticAlgorithm {
         Some(vec![DesignPoint::new(child)])
     }
 
-    fn observe(&mut self, problem: &Problem, samples: &[Sample]) {
+    fn observe(&mut self, problem: &Problem, samples: &[Sample], _: Vec<EvalResult>) {
         let costs = samples.iter().map(|s| (s.point.clone(), problem.cost(s)));
         if self.observed == 0 {
             self.pop = costs.collect();

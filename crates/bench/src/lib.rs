@@ -107,7 +107,7 @@ impl TechniqueKind {
     }
 
     /// Technique name, as in traces and [`JobSpec::technique`], e.g.
-    /// `"hypermapper"`; [`baselines::by_name`] builds the baselines from it.
+    /// `"hypermapper"`; [`baselines::by_name`] builds the technique from it.
     pub fn name(self) -> &'static str {
         match self {
             TechniqueKind::Grid => "grid",
@@ -172,15 +172,15 @@ pub fn run_explainable_detailed(
 
 /// Runs one technique on one workload set and returns the trace.
 ///
-/// Explainable-DSE emits live iteration records; the black-box baselines
-/// (built by [`baselines::by_name`]) go through a [`BaselineSession`],
-/// which emits comparable records as each batch is observed. Either way
-/// the evaluator reports cache and stage metrics, and the run ends with a
-/// counter/histogram flush. When
-/// `session` enables checkpointing, each technique snapshots to its own
-/// `<base>.<technique><suffix>` file (see [`SessionOpts::path_for`]);
-/// when it carries a disk cache (`--cache-dir`), the evaluator
-/// warm-starts layer mappings from it and persists new ones.
+/// Every technique — built by [`baselines::by_name`] — goes through a
+/// [`BaselineSession`]: Explainable-DSE emits its per-attempt iteration
+/// records, a black-box baseline one comparable record per sample. Either
+/// way the evaluator reports cache and stage metrics, and the run ends
+/// with a counter/histogram flush. When `session` enables checkpointing,
+/// each technique snapshots to its own `<base>.<technique><suffix>` file
+/// (see [`SessionOpts::path_for`]); when it carries a disk cache
+/// (`--cache-dir`), the evaluator warm-starts layer mappings from it and
+/// persists new ones.
 pub fn run_technique(
     kind: TechniqueKind,
     mapper: MapperKind,
@@ -197,45 +197,17 @@ pub fn run_technique(
     } else if let Some(err) = &session.disk_error {
         evaluator = evaluator.with_disk_cache_error(err.clone());
     }
-    let mut trace = match kind {
-        TechniqueKind::Explainable => {
-            let mut search = SearchSession::new(
-                dnn_latency_model(),
-                DseConfig {
-                    budget,
-                    seed,
-                    ..DseConfig::default()
-                },
-            )
-            .evaluator(&evaluator)
-            .telemetry(telemetry.clone());
-            if let Some(path) = session.path_for(&format!("explainable{}", mapper.suffix())) {
-                search = search.spec(&JobSpec {
-                    checkpoint: Some(path),
-                    checkpoint_every: session.every,
-                    resume: session.resume,
-                    ..JobSpec::default()
-                });
-            }
-            let initial = evaluator.space().minimum_point();
-            search.run(initial).into_trace()
-        }
-        baseline => {
-            let mut technique =
-                baselines::by_name(baseline.name(), seed).expect("every other kind is a baseline");
-            let label = format!("{}{}", baseline.name(), mapper.suffix());
-            let mut run = BaselineSession::new(technique.as_mut()).telemetry(telemetry.clone());
-            if let Some(path) = session.path_for(&label) {
-                run = run.spec(&JobSpec {
-                    checkpoint: Some(path),
-                    checkpoint_every: session.every,
-                    resume: session.resume,
-                    ..JobSpec::default()
-                });
-            }
-            run.run(&evaluator, budget)
-        }
-    };
+    let mut technique = baselines::by_name(kind.name(), seed).expect("every kind is registered");
+    let mut run = BaselineSession::new(technique.as_mut()).telemetry(telemetry.clone());
+    if let Some(path) = session.path_for(&format!("{}{}", kind.name(), mapper.suffix())) {
+        run = run.spec(&JobSpec {
+            checkpoint: Some(path),
+            checkpoint_every: session.every,
+            resume: session.resume,
+            ..JobSpec::default()
+        });
+    }
+    let mut trace = run.run(&evaluator, budget);
     telemetry.flush();
     trace.technique = format!("{}{}", trace.technique, mapper.suffix());
     trace

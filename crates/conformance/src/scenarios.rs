@@ -12,12 +12,9 @@
 use baselines::{BaselineSession, DseTechnique, GeneticAlgorithm};
 use bench::toy::{single_layer_model, toy_space};
 use bench::{BenchArgs, BenchReport, TechniqueKind};
-use edse_core::bottleneck::dnn_latency_model;
 use edse_core::cost::Trace;
-use edse_core::dse::DseConfig;
 use edse_core::evaluate::{CodesignEvaluator, EvalEngine, Evaluator};
 use edse_core::space::edge_space;
-use edse_core::SearchSession;
 use edse_telemetry::json::Json;
 use mapper::FixedMapper;
 use workloads::zoo;
@@ -50,17 +47,13 @@ pub fn run_toy(kind: TechniqueKind, budget: usize, seed: u64) -> Trace {
     run_with(kind, &evaluator, budget, seed)
 }
 
-/// The baseline of `kind` as every conformance scenario and oracle builds
+/// The technique of `kind` as every conformance scenario and oracle builds
 /// it: the shared registry's technique, except that the genetic algorithm
 /// gets the toy setting's population of 8.
-///
-/// # Panics
-///
-/// Panics for [`TechniqueKind::Explainable`], which is not a baseline.
 pub fn toy_technique(kind: TechniqueKind, seed: u64) -> Box<dyn DseTechnique> {
     match kind {
         TechniqueKind::Genetic => Box::new(GeneticAlgorithm::new(8, seed)),
-        other => baselines::by_name(other.name(), seed).expect("explainable is not a baseline"),
+        other => baselines::by_name(other.name(), seed).expect("every kind is registered"),
     }
 }
 
@@ -73,22 +66,7 @@ pub fn run_with<E: Evaluator>(
     budget: usize,
     seed: u64,
 ) -> Trace {
-    match kind {
-        TechniqueKind::Explainable => SearchSession::new(
-            dnn_latency_model(),
-            DseConfig {
-                budget,
-                seed,
-                ..DseConfig::default()
-            },
-        )
-        .evaluator(&evaluator)
-        .run(evaluator.space().minimum_point())
-        .into_trace(),
-        baseline => {
-            BaselineSession::new(toy_technique(baseline, seed).as_mut()).run(&evaluator, budget)
-        }
-    }
+    BaselineSession::new(toy_technique(kind, seed).as_mut()).run(&evaluator, budget)
 }
 
 /// What a [`Scenario`] runs.

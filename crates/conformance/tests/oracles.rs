@@ -320,7 +320,7 @@ fn killed_and_resumed_baseline_session_matches_straight_through() {
                     .spec(&spec)
                     .run(&killed_ev, budget)
             }));
-            let saved = edse_core::load_baseline(&path)
+            let saved = edse_core::load_snapshot(&path)
                 .ok()
                 .map(|snapshot| snapshot.caches.unique_evaluations);
             let resumed_ev = edge_evaluator(EvalEngine::serial());
@@ -549,13 +549,13 @@ fn driver_stepping_matches_blocking_run() {
 
                 let stepped_ev = toy_evaluator(engine);
                 let mut driver =
-                    baselines::BaselineDriver::new(toy_technique(kind, seed), &stepped_ev, budget);
+                    edse_core::SearchDriver::new(toy_technique(kind, seed), &stepped_ev, budget);
                 let mut steps = 0usize;
                 while driver.step() == edse_core::StepOutcome::Pending {
                     steps += 1;
                     assert!(steps < 10_000, "baseline driver failed to terminate");
                 }
-                let stepped = driver.finish();
+                let stepped = driver.finish().into_trace();
                 assert_eq!(
                     stepped.samples, blocking.samples,
                     "{kind:?} driver diverged ({engine:?})"

@@ -1,39 +1,28 @@
-//! Checkpoint/resume: serialize search state and evaluator caches to a
-//! versioned snapshot file, atomically, via the workspace's zero-dep JSON
-//! layer.
+//! Checkpoint/resume: serialize evaluator caches to a versioned snapshot
+//! file, atomically, via the workspace's zero-dep JSON layer.
 //!
-//! Two snapshot kinds share one envelope (`format`/`version`/`kind`
-//! header):
-//!
-//! * **`"explainable"`** — the full [`crate::dse::ExplainableDse`] search
-//!   state (trace, attempt log, incumbent, visited set, phase machine) plus
-//!   the evaluator caches. Resuming replays nothing: the search continues
-//!   from the exact attempt it stopped at, bit-for-bit identical to an
-//!   uninterrupted run.
-//! * **`"baseline"`** — evaluator caches only, tagged with the technique
-//!   label and budget. A black-box technique's state is a pure function of
-//!   its seed, its budget and the evaluations it has observed, so a resume
-//!   restores the caches and steps a fresh technique from the start: every
-//!   completed evaluation is a cache hit (and does not count against
-//!   [`crate::Evaluator::unique_evaluations`]), landing on the same
-//!   trajectory.
+//! A snapshot holds the evaluator caches, tagged with the technique label
+//! and budget of the run that wrote it — for every technique, the
+//! explainable search included. A technique's state is a pure function of
+//! its seed, its budget and the outcomes it has observed, so a resume
+//! restores the caches and steps a fresh technique from the start: every
+//! completed evaluation is a cache hit, landing on the same trajectory
+//! (see [`crate::SearchDriver`]).
 //!
 //! Snapshots are written with a write-then-rename so a crash mid-write
 //! never corrupts the previous snapshot. See `DESIGN.md` ("Snapshot
 //! format") for the on-disk layout and the determinism contract.
 
-use crate::cost::{Evaluation, LayerEval, Sample, Trace};
-use crate::dse::{Aggregation, Attempt, DseConfig, PhaseState, SearchState};
+use crate::cost::{Evaluation, LayerEval};
 use crate::evaluate::{CacheSnapshot, LayerEntry};
 use crate::space::DesignPoint;
 use edse_telemetry::json::{self, Json};
-use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 
 /// Magic string identifying a snapshot file.
 pub const SNAPSHOT_FORMAT: &str = "edse-snapshot";
 /// Current snapshot schema version; loaders reject anything else.
-pub const SNAPSHOT_VERSION: u64 = 1;
+pub const SNAPSHOT_VERSION: u64 = 2;
 
 // ---------------------------------------------------------------------------
 // JSON codec helpers
@@ -161,45 +150,6 @@ fn point_from_json(j: &Json) -> Result<DesignPoint, String> {
     Ok(DesignPoint::new(indices))
 }
 
-fn sample_to_json(s: &Sample) -> Json {
-    Json::obj(vec![
-        ("point", point_to_json(&s.point)),
-        ("objective", num(s.objective)),
-        ("constraint_values", nums(&s.constraint_values)),
-        ("feasible", Json::Bool(s.feasible)),
-    ])
-}
-
-fn sample_from_json(j: &Json) -> Result<Sample, String> {
-    Ok(Sample {
-        point: point_from_json(field(j, "point")?)?,
-        objective: f64_field(j, "objective")?,
-        constraint_values: nums_from(field(j, "constraint_values")?)?,
-        feasible: bool_field(j, "feasible")?,
-    })
-}
-
-fn trace_to_json(t: &Trace) -> Json {
-    Json::obj(vec![
-        ("technique", Json::Str(t.technique.clone())),
-        ("wall_seconds", num(t.wall_seconds)),
-        (
-            "samples",
-            Json::Arr(t.samples.iter().map(sample_to_json).collect()),
-        ),
-    ])
-}
-
-fn trace_from_json(j: &Json) -> Result<Trace, String> {
-    let mut trace = Trace::new(str_field(j, "technique")?);
-    trace.wall_seconds = f64_field(j, "wall_seconds")?;
-    trace.samples = arr(field(j, "samples")?)?
-        .iter()
-        .map(sample_from_json)
-        .collect::<Result<_, _>>()?;
-    Ok(trace)
-}
-
 fn layer_eval_to_json(l: &LayerEval) -> Result<Json, String> {
     Ok(Json::obj(vec![
         ("name", Json::Str(l.name.clone())),
@@ -254,203 +204,6 @@ fn evaluation_from_json(j: &Json) -> Result<Evaluation, String> {
         area_mm2: f64_field(j, "area_mm2")?,
         power_w: f64_field(j, "power_w")?,
         energy_mj: f64_field(j, "energy_mj")?,
-    })
-}
-
-fn attempt_to_json(a: &Attempt) -> Json {
-    match a {
-        Attempt::Completed {
-            index,
-            analyses,
-            acquisitions,
-            decision,
-        } => Json::obj(vec![
-            ("kind", Json::Str("completed".into())),
-            ("index", Json::Num(*index as f64)),
-            (
-                "analyses",
-                Json::Arr(analyses.iter().map(|s| Json::Str(s.clone())).collect()),
-            ),
-            (
-                "acquisitions",
-                Json::Arr(
-                    acquisitions
-                        .iter()
-                        .map(|(p, i)| Json::Arr(vec![Json::Num(*p as f64), Json::Num(*i as f64)]))
-                        .collect(),
-                ),
-            ),
-            ("decision", Json::Str(decision.clone())),
-        ]),
-        Attempt::Failed {
-            index,
-            candidate,
-            error,
-            retries,
-        } => Json::obj(vec![
-            ("kind", Json::Str("failed".into())),
-            ("index", Json::Num(*index as f64)),
-            ("candidate", point_to_json(candidate)),
-            ("error", Json::Str(error.clone())),
-            ("retries", Json::Num(*retries as f64)),
-        ]),
-    }
-}
-
-fn attempt_from_json(j: &Json) -> Result<Attempt, String> {
-    match str_field(j, "kind")?.as_str() {
-        "completed" => Ok(Attempt::Completed {
-            index: usize_field(j, "index")?,
-            analyses: arr(field(j, "analyses")?)?
-                .iter()
-                .map(|s| {
-                    s.as_str()
-                        .map(str::to_string)
-                        .ok_or_else(|| "analysis entries must be strings".to_string())
-                })
-                .collect::<Result<_, _>>()?,
-            acquisitions: arr(field(j, "acquisitions")?)?
-                .iter()
-                .map(|pair| {
-                    let pair = arr(pair)?;
-                    if pair.len() != 2 {
-                        return Err("acquisition entries must be [param, index]".to_string());
-                    }
-                    let p = pair[0]
-                        .as_u64()
-                        .ok_or("acquisition param must be a number")?;
-                    let i = pair[1]
-                        .as_u64()
-                        .ok_or("acquisition index must be a number")?;
-                    Ok((p as usize, i as usize))
-                })
-                .collect::<Result<_, _>>()?,
-            decision: str_field(j, "decision")?,
-        }),
-        "failed" => Ok(Attempt::Failed {
-            index: usize_field(j, "index")?,
-            candidate: point_from_json(field(j, "candidate")?)?,
-            error: str_field(j, "error")?,
-            retries: usize_field(j, "retries")? as u32,
-        }),
-        other => Err(format!("unknown attempt kind `{other}`")),
-    }
-}
-
-fn phase_state_to_json(ps: &PhaseState) -> Result<Json, String> {
-    let mut frozen: Vec<usize> = ps.frozen.iter().copied().collect();
-    frozen.sort_unstable();
-    Ok(Json::obj(vec![
-        ("current", point_to_json(&ps.current)),
-        ("current_eval", evaluation_to_json(&ps.current_eval)?),
-        (
-            "frozen",
-            Json::Arr(frozen.into_iter().map(|p| Json::Num(p as f64)).collect()),
-        ),
-        ("stalls", Json::Num(ps.stalls as f64)),
-    ]))
-}
-
-fn phase_state_from_json(j: &Json) -> Result<PhaseState, String> {
-    Ok(PhaseState {
-        current: point_from_json(field(j, "current")?)?,
-        current_eval: evaluation_from_json(field(j, "current_eval")?)?,
-        frozen: arr(field(j, "frozen")?)?
-            .iter()
-            .map(|v| {
-                v.as_u64()
-                    .map(|p| p as usize)
-                    .ok_or_else(|| "frozen params must be numbers".to_string())
-            })
-            .collect::<Result<HashSet<_>, _>>()?,
-        stalls: usize_field(j, "stalls")?,
-    })
-}
-
-fn state_to_json(st: &SearchState) -> Result<Json, String> {
-    let mut seen: Vec<&DesignPoint> = st.seen.iter().collect();
-    seen.sort_by(|a, b| a.indices().cmp(b.indices()));
-    Ok(Json::obj(vec![
-        ("trace", trace_to_json(&st.trace)),
-        (
-            "attempts",
-            Json::Arr(st.attempts.iter().map(attempt_to_json).collect()),
-        ),
-        (
-            "best",
-            match &st.best {
-                None => Json::Null,
-                Some((p, e)) => Json::obj(vec![
-                    ("point", point_to_json(p)),
-                    ("evaluation", evaluation_to_json(e)?),
-                ]),
-            },
-        ),
-        (
-            "seen",
-            Json::Arr(seen.into_iter().map(point_to_json).collect()),
-        ),
-        (
-            "converged_after",
-            Json::Arr(
-                st.converged_after
-                    .iter()
-                    .map(|c| Json::Num(*c as f64))
-                    .collect(),
-            ),
-        ),
-        ("phase", Json::Num(st.phase as f64)),
-        ("phase_start", point_to_json(&st.phase_start)),
-        (
-            "phase_state",
-            opt_to_json(&st.phase_state, phase_state_to_json)?,
-        ),
-        (
-            "final_termination",
-            match &st.final_termination {
-                None => Json::Null,
-                Some(t) => Json::Str(t.clone()),
-            },
-        ),
-        ("wall_seconds", num(st.prior_wall_seconds)),
-    ]))
-}
-
-fn state_from_json(j: &Json) -> Result<SearchState, String> {
-    Ok(SearchState {
-        trace: trace_from_json(field(j, "trace")?)?,
-        attempts: arr(field(j, "attempts")?)?
-            .iter()
-            .map(attempt_from_json)
-            .collect::<Result<_, _>>()?,
-        best: match field(j, "best")? {
-            Json::Null => None,
-            b => Some((
-                point_from_json(field(b, "point")?)?,
-                evaluation_from_json(field(b, "evaluation")?)?,
-            )),
-        },
-        seen: arr(field(j, "seen")?)?
-            .iter()
-            .map(point_from_json)
-            .collect::<Result<HashSet<_>, _>>()?,
-        converged_after: arr(field(j, "converged_after")?)?
-            .iter()
-            .map(|v| {
-                v.as_u64()
-                    .map(|c| c as usize)
-                    .ok_or_else(|| "converged_after entries must be numbers".to_string())
-            })
-            .collect::<Result<_, _>>()?,
-        phase: usize_field(j, "phase")?,
-        phase_start: point_from_json(field(j, "phase_start")?)?,
-        phase_state: opt_from_json(field(j, "phase_state")?, phase_state_from_json)?,
-        final_termination: match field(j, "final_termination")? {
-            Json::Null => None,
-            Json::Str(s) => Some(s.clone()),
-            other => return Err(format!("final_termination must be a string, got {other:?}")),
-        },
-        prior_wall_seconds: f64_field(j, "wall_seconds")?,
     })
 }
 
@@ -553,51 +306,6 @@ fn caches_from_json(j: &Json) -> Result<CacheSnapshot, String> {
     })
 }
 
-fn config_to_json(c: &DseConfig) -> Json {
-    Json::obj(vec![
-        ("budget", Json::Num(c.budget as f64)),
-        ("top_k", Json::Num(c.top_k as f64)),
-        ("threshold_scale", num(c.threshold_scale)),
-        ("max_candidates", Json::Num(c.max_candidates as f64)),
-        ("stall_factors", Json::Num(c.stall_factors as f64)),
-        ("max_stalls", Json::Num(c.max_stalls as f64)),
-        ("seed", Json::Str(c.seed.to_string())),
-        (
-            "aggregation",
-            Json::Str(
-                match c.aggregation {
-                    Aggregation::Min => "min",
-                    Aggregation::Max => "max",
-                }
-                .into(),
-            ),
-        ),
-        ("restarts", Json::Num(c.restarts as f64)),
-        ("budget_aware", Json::Bool(c.budget_aware)),
-    ])
-}
-
-fn config_from_json(j: &Json) -> Result<DseConfig, String> {
-    Ok(DseConfig {
-        budget: usize_field(j, "budget")?,
-        top_k: usize_field(j, "top_k")?,
-        threshold_scale: f64_field(j, "threshold_scale")?,
-        max_candidates: usize_field(j, "max_candidates")?,
-        stall_factors: usize_field(j, "stall_factors")?,
-        max_stalls: usize_field(j, "max_stalls")?,
-        seed: str_field(j, "seed")?
-            .parse::<u64>()
-            .map_err(|e| format!("snapshot seed: {e}"))?,
-        aggregation: match str_field(j, "aggregation")?.as_str() {
-            "min" => Aggregation::Min,
-            "max" => Aggregation::Max,
-            other => return Err(format!("unknown aggregation `{other}`")),
-        },
-        restarts: usize_field(j, "restarts")?,
-        budget_aware: bool_field(j, "budget_aware")?,
-    })
-}
-
 // ---------------------------------------------------------------------------
 // File I/O
 // ---------------------------------------------------------------------------
@@ -652,51 +360,11 @@ fn open_envelope(path: &Path, expect_kind: &str) -> Result<Json, String> {
     Ok(j)
 }
 
-/// Saves an explainable-search snapshot (search state + evaluator caches).
-pub(crate) fn save_search(
-    path: &Path,
-    config: &DseConfig,
-    state: &SearchState,
-    caches: &CacheSnapshot,
-) -> Result<(), String> {
-    let j = envelope(
-        "explainable",
-        vec![
-            ("config", config_to_json(config)),
-            ("state", state_to_json(state)?),
-            ("caches", caches_to_json(caches)?),
-        ],
-    );
-    write_atomic(path, &j.to_line())
-}
-
-/// Loads an explainable-search snapshot, verifying that it was produced by
-/// a search with exactly `config` (any drift would silently break the
-/// determinism contract).
-pub(crate) fn load_search(
-    path: &Path,
-    config: &DseConfig,
-) -> Result<(SearchState, CacheSnapshot), String> {
-    let j = open_envelope(path, "explainable")?;
-    let saved = config_from_json(field(&j, "config")?)?;
-    if &saved != config {
-        return Err(format!(
-            "{}: snapshot was produced under a different configuration\n  snapshot: {saved:?}\n  current:  {config:?}",
-            path.display()
-        ));
-    }
-    let state =
-        state_from_json(field(&j, "state")?).map_err(|e| format!("{}: {e}", path.display()))?;
-    let caches =
-        caches_from_json(field(&j, "caches")?).map_err(|e| format!("{}: {e}", path.display()))?;
-    Ok((state, caches))
-}
-
-/// A baseline-technique snapshot: evaluator caches plus enough identity to
-/// verify the resume matches (technique label and budget). See the module
-/// docs for how a baseline resumes.
+/// A search snapshot: evaluator caches plus enough identity to verify
+/// that a resume matches (technique label and budget). See the module
+/// docs for how a search resumes.
 #[derive(Debug, Clone, PartialEq)]
-pub struct BaselineSnapshot {
+pub struct Snapshot {
     /// The technique's [`name`](crate::Trace::technique) label.
     pub technique: String,
     /// The evaluation budget the interrupted run was given.
@@ -705,14 +373,14 @@ pub struct BaselineSnapshot {
     pub caches: CacheSnapshot,
 }
 
-/// Saves a baseline snapshot atomically.
+/// Saves a snapshot atomically.
 ///
 /// # Errors
 ///
 /// Returns a description of the I/O or serialization failure.
-pub fn save_baseline(path: &Path, snapshot: &BaselineSnapshot) -> Result<(), String> {
+pub fn save_snapshot(path: &Path, snapshot: &Snapshot) -> Result<(), String> {
     let j = envelope(
-        "baseline",
+        "search",
         vec![
             ("technique", Json::Str(snapshot.technique.clone())),
             ("budget", Json::Num(snapshot.budget as f64)),
@@ -722,15 +390,15 @@ pub fn save_baseline(path: &Path, snapshot: &BaselineSnapshot) -> Result<(), Str
     write_atomic(path, &j.to_line())
 }
 
-/// Loads a baseline snapshot.
+/// Loads a snapshot.
 ///
 /// # Errors
 ///
 /// Returns a description of the I/O, parse, or schema failure (including
-/// the path), e.g. an `"explainable"` snapshot passed to a baseline resume.
-pub fn load_baseline(path: &Path) -> Result<BaselineSnapshot, String> {
-    let j = open_envelope(path, "baseline")?;
-    Ok(BaselineSnapshot {
+/// the path), e.g. a snapshot of an older schema version.
+pub fn load_snapshot(path: &Path) -> Result<Snapshot, String> {
+    let j = open_envelope(path, "search")?;
+    Ok(Snapshot {
         technique: str_field(&j, "technique")?,
         budget: usize_field(&j, "budget")?,
         caches: caches_from_json(field(&j, "caches")?)
@@ -789,8 +457,8 @@ mod tests {
     }
 
     #[test]
-    fn baseline_snapshot_round_trips_and_rejects_mismatches() {
-        let snap = BaselineSnapshot {
+    fn snapshot_round_trips_and_rejects_older_versions() {
+        let snap = Snapshot {
             technique: "random-fixdf".into(),
             budget: 250,
             caches: CacheSnapshot {
@@ -811,16 +479,22 @@ mod tests {
                 disk_layers: vec![3, u64::MAX],
             },
         };
-        let path = temp_path("baseline");
-        save_baseline(&path, &snap).unwrap();
-        assert_eq!(load_baseline(&path).unwrap(), snap);
+        let path = temp_path("snapshot");
+        save_snapshot(&path, &snap).unwrap();
+        assert_eq!(load_snapshot(&path).unwrap(), snap);
         // The tmp sibling is gone after the rename.
         let mut tmp = path.as_os_str().to_os_string();
         tmp.push(".tmp");
         assert!(!PathBuf::from(tmp).exists());
-        // An explainable loader must reject a baseline snapshot.
-        let err = load_search(&path, &DseConfig::default()).unwrap_err();
-        assert!(err.contains("kind `baseline`"), "{err}");
+        // A version-1 snapshot (which held the explainable search state)
+        // gets the version error.
+        std::fs::write(
+            &path,
+            r#"{"format":"edse-snapshot","version":1,"kind":"explainable"}"#,
+        )
+        .unwrap();
+        let err = load_snapshot(&path).unwrap_err();
+        assert!(err.contains("unsupported snapshot version 1"), "{err}");
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -828,32 +502,20 @@ mod tests {
     fn corrupt_and_unversioned_snapshots_are_rejected_with_the_path() {
         let path = temp_path("corrupt");
         std::fs::write(&path, "{ not json").unwrap();
-        let err = load_baseline(&path).unwrap_err();
+        let err = load_snapshot(&path).unwrap_err();
         assert!(err.contains(path.to_str().unwrap()), "{err}");
 
         std::fs::write(
             &path,
-            r#"{"format":"edse-snapshot","version":99,"kind":"baseline"}"#,
+            r#"{"format":"edse-snapshot","version":99,"kind":"search"}"#,
         )
         .unwrap();
-        let err = load_baseline(&path).unwrap_err();
+        let err = load_snapshot(&path).unwrap_err();
         assert!(err.contains("unsupported snapshot version 99"), "{err}");
 
-        std::fs::write(&path, r#"{"format":"other","version":1,"kind":"baseline"}"#).unwrap();
-        let err = load_baseline(&path).unwrap_err();
+        std::fs::write(&path, r#"{"format":"other","version":2,"kind":"search"}"#).unwrap();
+        let err = load_snapshot(&path).unwrap_err();
         assert!(err.contains("not a snapshot file"), "{err}");
         std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn config_fingerprint_detects_drift() {
-        let j = config_to_json(&DseConfig::default());
-        let back = config_from_json(&j).unwrap();
-        assert_eq!(back, DseConfig::default());
-        let changed = DseConfig {
-            seed: 7,
-            ..DseConfig::default()
-        };
-        assert_ne!(back, changed);
     }
 }

@@ -90,6 +90,22 @@ pub struct Evaluation {
 }
 
 impl Evaluation {
+    /// The infeasible stand-in for a point whose evaluation failed
+    /// permanently at the fault boundary: infinite objective and
+    /// `constraints` infinite constraint values, no layers — never
+    /// feasible, never an incumbent.
+    pub fn failed(constraints: usize) -> Evaluation {
+        Evaluation {
+            objective: f64::INFINITY,
+            mappable: false,
+            constraint_values: vec![f64::INFINITY; constraints],
+            layers: Vec::new(),
+            area_mm2: f64::INFINITY,
+            power_w: f64::INFINITY,
+            energy_mj: 0.0,
+        }
+    }
+
     /// Whether the design is mappable and every constraint is satisfied.
     pub fn feasible(&self, constraints: &[Constraint]) -> bool {
         self.mappable
@@ -143,6 +159,16 @@ pub struct Sample {
 }
 
 impl Sample {
+    /// The sample of `point`, evaluated as `eval` under `constraints`.
+    pub fn new(point: DesignPoint, eval: &Evaluation, constraints: &[Constraint]) -> Sample {
+        Sample {
+            point,
+            objective: eval.objective,
+            constraint_values: eval.constraint_values.clone(),
+            feasible: eval.feasible(constraints),
+        }
+    }
+
     /// The constraints-budget of §4.6, as
     /// [`Evaluation::constraint_budget`] computes it.
     pub fn constraint_budget(&self, constraints: &[Constraint]) -> f64 {

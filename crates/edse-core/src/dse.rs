@@ -10,20 +10,24 @@
 //! constraints-budget rule (§4.6). Every step is recorded as a
 //! human-readable explanation.
 //!
-//! The search runs as an explicit state machine over the crate-internal
-//! `SearchState`: one `ExplainableDse::step` per acquisition attempt (or
-//! phase start), so
-//! the driver can snapshot the complete state between any two steps and a
-//! resumed run continues bit-for-bit identically (see
-//! [`crate::checkpoint`] and [`crate::SearchSession`]).
+//! [`ExplainableDse`] is an ask/tell [`DseTechnique`]: a proposal is a
+//! phase's start point or one budget-bounded chunk of an attempt's
+//! candidates, and the update rule runs once the attempt's candidates are
+//! used up or the budget is spent. The search counts its own budget — the
+//! distinct points it has seen evaluate successfully — so its path never
+//! depends on what the evaluator cached before, which is what lets a resume
+//! restore the caches and replay the search from the start (see
+//! [`crate::SearchDriver`] and [`crate::checkpoint`]).
 
+use crate::bottleneck::dnn::LayerCtx;
 use crate::bottleneck::model::BottleneckModel;
-use crate::cost::{Evaluation, Sample, Trace};
-use crate::evaluate::Evaluator;
-use crate::space::{DesignPoint, ParamId};
+use crate::cost::{Evaluation, LayerEval, Sample, Trace};
+use crate::space::{decode_edge_point, DesignPoint, DesignSpace, ParamId};
+use crate::technique::{DseTechnique, EvalResult, Problem};
 use edse_telemetry::{Collector, IterationRecord, ProvenanceRecord};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::collections::HashSet;
-use std::path::Path;
 
 /// How multiple per-sub-function predictions for the same parameter are
 /// aggregated (§4.4): the paper argues for the minimum — the maximum
@@ -40,7 +44,9 @@ pub enum Aggregation {
 /// Tunable knobs of the DSE (defaults follow the paper).
 #[derive(Debug, Clone, PartialEq)]
 pub struct DseConfig {
-    /// Evaluation budget (unique cost-model invocations).
+    /// Evaluation budget: how many distinct points the search may see
+    /// evaluate successfully. [`crate::SearchSession`] hands it to the
+    /// driver, whose [`Problem`] carries it to the search.
     pub budget: usize,
     /// Consider predictions from at most this many sub-functions per
     /// attempt (the paper sets K = 5).
@@ -56,7 +62,7 @@ pub struct DseConfig {
     pub stall_factors: usize,
     /// Consecutive non-improving attempts tolerated before terminating.
     pub max_stalls: usize,
-    /// Random seed (used only by the black-box fallback stepping).
+    /// Seed of the §C restart perturbation.
     pub seed: u64,
     /// Aggregation rule for conflicting per-layer predictions (§4.4).
     pub aggregation: Aggregation,
@@ -181,23 +187,50 @@ pub(crate) struct AnalysisSummary {
 /// analysis strings, and the structured summary for telemetry.
 type SubfunctionAnalysis = (Vec<(ParamId, Option<f64>)>, Vec<String>, AnalysisSummary);
 
-/// The result of a DSE run.
+/// What the explainable search says about its run beyond the samples
+/// ([`DseTechnique::explanation`]).
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Explanation {
+    /// Per-attempt explanations.
+    pub attempts: Vec<Attempt>,
+    /// Sample counts at which each exploration phase converged or
+    /// terminated; the first entry is the paper's "iterations to converge".
+    pub converged_after: Vec<usize>,
+    /// Why the exploration ended; `None` while it runs.
+    pub termination: Option<String>,
+}
+
+/// The result of a search run through [`crate::SearchDriver`], for any
+/// technique.
 ///
 /// All state is behind accessors (mirroring [`Attempt`]'s accessor-only
 /// surface): [`DseResult::trace`], [`DseResult::best`],
 /// [`DseResult::best_objective`], [`DseResult::iterations`],
-/// [`DseResult::attempts`], [`DseResult::converged_after`], and
-/// [`DseResult::termination`].
+/// [`DseResult::attempts`], [`DseResult::converged_after`],
+/// [`DseResult::termination`] and [`DseResult::explanation`].
 #[derive(Debug, Clone)]
 pub struct DseResult {
     trace: Trace,
     best: Option<(DesignPoint, Evaluation)>,
-    attempts: Vec<Attempt>,
-    converged_after: Vec<usize>,
+    explanation: Option<Explanation>,
     termination: String,
 }
 
 impl DseResult {
+    pub(crate) fn new(
+        trace: Trace,
+        best: Option<(DesignPoint, Evaluation)>,
+        explanation: Option<Explanation>,
+        termination: String,
+    ) -> DseResult {
+        DseResult {
+            trace,
+            best,
+            explanation,
+            termination,
+        }
+    }
+
     /// Every evaluated sample in order.
     pub fn trace(&self) -> &Trace {
         &self.trace
@@ -218,384 +251,274 @@ impl DseResult {
         self.best.as_ref().map(|(_, eval)| eval.objective)
     }
 
-    /// Number of unique evaluations recorded in the trace.
+    /// Number of evaluations recorded in the trace.
     pub fn iterations(&self) -> usize {
         self.trace.evaluations()
     }
 
-    /// Per-attempt explanations.
+    /// Per-attempt explanations (empty for a black-box technique).
     pub fn attempts(&self) -> &[Attempt] {
-        &self.attempts
+        self.explanation
+            .as_ref()
+            .map_or(&[], |e| e.attempts.as_slice())
     }
 
     /// Evaluation counts at which each exploration phase converged or
-    /// terminated; the first entry is the paper's "iterations to converge".
+    /// terminated; the first entry is the paper's "iterations to converge"
+    /// (empty for a black-box technique).
     pub fn converged_after(&self) -> &[usize] {
-        &self.converged_after
+        self.explanation
+            .as_ref()
+            .map_or(&[], |e| e.converged_after.as_slice())
     }
 
-    /// Why the exploration ended.
+    /// Why the exploration ended: the technique's own reason, `"budget"`
+    /// for a black box that ran its course, or `"cancelled"`.
     pub fn termination(&self) -> &str {
         &self.termination
     }
 
-    /// Overrides the termination label (used by the driver to mark a
-    /// cancelled partial result).
-    pub(crate) fn with_termination(mut self, termination: &str) -> DseResult {
-        self.termination = termination.to_string();
-        self
+    /// The technique's account of its run, or `None` for a black box.
+    pub fn explanation(&self) -> Option<&Explanation> {
+        self.explanation.as_ref()
     }
 }
 
 /// Per-phase exploration state: the incumbent, its evaluation, the frozen
 /// parameter directions, and the stall counter. `None` in
-/// [`SearchState::phase_state`] means the phase has not evaluated its
+/// [`ExplainableDse`]'s phase state means the phase has not evaluated its
 /// start point yet.
 #[derive(Debug, Clone, PartialEq)]
-pub(crate) struct PhaseState {
-    pub(crate) current: DesignPoint,
-    pub(crate) current_eval: Evaluation,
-    pub(crate) frozen: HashSet<ParamId>,
-    pub(crate) stalls: usize,
+struct PhaseState {
+    current: DesignPoint,
+    current_eval: Evaluation,
+    frozen: HashSet<ParamId>,
+    stalls: usize,
 }
 
-/// The complete, serializable state of an explainable search between two
-/// steps. Everything [`DseResult`] reports, plus the in-flight phase
-/// machinery; snapshotting this (plus the evaluator caches) is sufficient
-/// to resume bit-for-bit (see `DESIGN.md`).
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct SearchState {
-    pub(crate) trace: Trace,
-    pub(crate) attempts: Vec<Attempt>,
-    pub(crate) best: Option<(DesignPoint, Evaluation)>,
-    pub(crate) seen: HashSet<DesignPoint>,
-    pub(crate) converged_after: Vec<usize>,
-    /// 0-based index of the phase currently exploring (== the number of
-    /// perturbations applied so far, which is how the perturbation RNG is
-    /// re-derived on resume).
-    pub(crate) phase: usize,
-    pub(crate) phase_start: DesignPoint,
-    pub(crate) phase_state: Option<PhaseState>,
-    /// Set when the search has terminated; [`ExplainableDse::step`] is a
-    /// no-op afterwards.
-    pub(crate) final_termination: Option<String>,
-    /// Wall-clock seconds accumulated by previous (interrupted) runs; the
-    /// final trace reports `prior + this run's elapsed`.
-    pub(crate) prior_wall_seconds: f64,
+/// An acquisition attempt whose candidates are still being handed out and
+/// observed. It lives only in the technique: a resume replays the search,
+/// so it is never serialized.
+struct InFlight {
+    /// The provenance iteration of every candidate the attempt proposes.
+    iteration: u64,
+    /// The incumbent the analysis ran against: the provenance parent.
+    parent: Vec<usize>,
+    analyses: Vec<String>,
+    summary: AnalysisSummary,
+    /// Candidates generated, before the seen-set filter.
+    proposed: usize,
+    /// Candidates to evaluate, with the parameter each one moves, and
+    /// their provenance actions (empty strings when telemetry is off).
+    acquisitions: Vec<(Option<ParamId>, DesignPoint)>,
+    actions: Vec<String>,
+    /// How many acquisitions have been handed out.
+    next: usize,
+    /// Evaluated candidates, and for each its `(action, became-best)`
+    /// provenance (only kept while telemetry is active).
+    candidates: Vec<(DesignPoint, Evaluation, Option<ParamId>)>,
+    evaluated_meta: Vec<(String, bool)>,
+    failed: usize,
 }
 
-impl SearchState {
-    pub(crate) fn new(initial: DesignPoint) -> SearchState {
-        SearchState {
-            trace: Trace::new("explainable"),
+impl InFlight {
+    /// The provenance record of one of this attempt's candidates, as an
+    /// unevaluated one (infinite objective, not feasible, not accepted,
+    /// not a new best); an evaluated candidate's record overrides those.
+    fn provenance(&self, action: String, cand: &DesignPoint, outcome: &str) -> ProvenanceRecord {
+        ProvenanceRecord {
+            technique: "explainable".to_string(),
+            iteration: self.iteration,
+            point: cand.indices().to_vec(),
+            parent: Some(self.parent.clone()),
+            bottleneck: self.summary.bottleneck.clone(),
+            scaling: self.summary.scaling,
+            action,
+            outcome: outcome.to_string(),
+            objective: f64::INFINITY,
+            feasible: false,
+            accepted: false,
+            new_best: false,
+        }
+    }
+
+    /// The ledger entry of acquisition `index`, never evaluated.
+    fn unevaluated(&self, index: usize, outcome: &str) -> ProvenanceRecord {
+        let (_, cand) = &self.acquisitions[index];
+        self.provenance(self.actions[index].clone(), cand, outcome)
+    }
+}
+
+/// The Explainable-DSE search over the DNN-accelerator bottleneck model:
+/// one [`DseTechnique`] that analyzes, acquires, and updates.
+pub struct ExplainableDse {
+    model: BottleneckModel<LayerCtx>,
+    config: DseConfig,
+    telemetry: Collector,
+    /// The §C restart perturbation's draws.
+    rng: StdRng,
+    attempts: Vec<Attempt>,
+    best: Option<(DesignPoint, Evaluation)>,
+    seen: HashSet<DesignPoint>,
+    converged_after: Vec<usize>,
+    /// Successful evaluations observed: the samples the driver recorded.
+    samples: usize,
+    /// Distinct points seen evaluating successfully: the budget count.
+    evaluated: usize,
+    /// 0-based index of the phase currently exploring.
+    phase: usize,
+    /// The current phase's start point; before the first phase, `None`
+    /// stands for the space's minimum point.
+    phase_start: Option<DesignPoint>,
+    phase_state: Option<PhaseState>,
+    attempt: Option<InFlight>,
+    termination: Option<String>,
+}
+
+impl ExplainableDse {
+    /// A fresh search from a DNN-accelerator bottleneck model, starting at
+    /// the space's minimum point.
+    pub fn new(model: BottleneckModel<LayerCtx>, config: DseConfig) -> Self {
+        Self {
+            model,
+            rng: StdRng::seed_from_u64(config.seed),
+            config,
+            telemetry: Collector::noop(),
             attempts: Vec::new(),
             best: None,
             seen: HashSet::new(),
             converged_after: Vec::new(),
+            samples: 0,
+            evaluated: 0,
             phase: 0,
-            phase_start: initial,
+            phase_start: None,
             phase_state: None,
-            final_termination: None,
-            prior_wall_seconds: 0.0,
+            attempt: None,
+            termination: None,
         }
     }
 
-    pub(crate) fn into_result(self, wall_seconds: f64) -> DseResult {
-        let mut trace = self.trace;
-        trace.wall_seconds = wall_seconds;
-        DseResult {
-            trace,
-            best: self.best,
-            attempts: self.attempts,
-            converged_after: self.converged_after,
-            termination: self.final_termination.unwrap_or_default(),
-        }
-    }
-}
-
-/// The context closure for the standard DNN-accelerator models: each
-/// sub-function's context is its execution profile on the decoded hardware
-/// configuration. Returned as a plain `fn` pointer so
-/// [`crate::session::SearchSession::driver`] has a nameable return type.
-pub(crate) fn dnn_ctx<E: Evaluator>() -> crate::session::DnnCtxFn<E> {
-    |ev, point, layer| {
-        layer
-            .profile
-            .map(|profile| crate::bottleneck::dnn::LayerCtx {
-                cfg: ev.decode(point),
-                profile,
-            })
-    }
-}
-
-/// The Explainable-DSE engine, generic over the sub-function context type
-/// consumed by the bottleneck model.
-pub struct ExplainableDse<C> {
-    pub(crate) model: BottleneckModel<C>,
-    pub(crate) config: DseConfig,
-    pub(crate) telemetry: Collector,
-}
-
-impl<C> ExplainableDse<C> {
-    /// Creates the engine from a domain-specific bottleneck model.
-    pub fn new(model: BottleneckModel<C>, config: DseConfig) -> Self {
-        Self {
-            model,
-            config,
-            telemetry: Collector::noop(),
-        }
-    }
-
-    /// Attaches a telemetry collector: the run then emits a `dse/run` span
-    /// plus one structured [`IterationRecord`] per acquisition attempt —
-    /// incumbent objective, dominant bottleneck factor and its required
-    /// scaling, per-layer cost contributions, the
-    /// proposed/deduplicated/evaluated candidate counts, remaining budget,
-    /// and the §4.6 update decision. The default is the no-op collector.
-    pub fn with_telemetry(mut self, telemetry: Collector) -> Self {
-        self.telemetry = telemetry;
+    /// Starts the first phase at `initial` instead of the minimum point.
+    pub fn starting_at(mut self, initial: DesignPoint) -> Self {
+        self.phase_start = Some(initial);
         self
     }
 
-    /// Snapshots `state` + evaluator caches to `path`. Failures are
-    /// reported via telemetry (`checkpoint/save_failures` + warning), never
-    /// panicked on: losing a checkpoint must not kill the run it protects.
-    pub(crate) fn save_checkpoint<E: Evaluator>(
-        &self,
-        path: &Path,
-        state: &mut SearchState,
-        evaluator: &E,
-        wall_seconds: f64,
-    ) {
-        let prior = state.prior_wall_seconds;
-        state.prior_wall_seconds = wall_seconds;
-        let caches = evaluator.cache_snapshot();
-        let saved = crate::checkpoint::save_search(path, &self.config, state, &caches);
-        state.prior_wall_seconds = prior;
-        match saved {
-            Ok(()) => self.telemetry.counter("checkpoint/saves", 1),
-            Err(e) => {
-                self.telemetry.counter("checkpoint/save_failures", 1);
-                self.telemetry.log(
-                    edse_telemetry::Level::Warn,
-                    &format!("checkpoint save failed: {e}"),
-                );
-            }
-        }
-    }
-
-    /// Advances the search by one step — a phase start (evaluate the phase's
-    /// initial point) or one acquisition attempt — and returns whether the
-    /// search has terminated. The state is snapshot-consistent between any
-    /// two calls.
-    pub(crate) fn step<E, F>(&self, evaluator: &E, ctx_fn: &F, st: &mut SearchState) -> bool
-    where
-        E: Evaluator,
-        F: Fn(&E, &DesignPoint, &crate::cost::LayerEval) -> Option<C>,
-    {
-        if st.final_termination.is_some() {
-            return true;
-        }
-        let constraints = evaluator.constraints();
-        if st.phase_state.is_none() {
-            // Phase start: evaluate the phase's initial point. A faulted
-            // evaluation yields the evaluator's infeasible sentinel, which
-            // the update rule then moves away from.
-            let _span = self.telemetry.span("dse/phase_start");
-            let current = st.phase_start.clone();
-            // Provenance: a restart phase's start point was perturbed from
-            // the best-so-far incumbent (§C); the very first point of the
-            // search has no parent. Captured before the best-update below
-            // so the parent is the incumbent this point was derived from.
-            let parent = (st.phase > 0)
-                .then(|| st.best.as_ref().map(|(p, _)| p.indices().to_vec()))
-                .flatten();
-            let current_eval = evaluator.evaluate(&current);
-            st.trace.samples.push(Sample {
-                point: current.clone(),
-                objective: current_eval.objective,
-                constraint_values: current_eval.constraint_values.clone(),
-                feasible: current_eval.feasible(constraints),
-            });
-            let mut new_best = false;
-            if current_eval.feasible(constraints)
-                && st
-                    .best
-                    .as_ref()
-                    .is_none_or(|(_, b)| current_eval.objective < b.objective)
-            {
-                st.best = Some((current.clone(), current_eval.clone()));
-                new_best = true;
-            }
-            if self.telemetry.active() {
-                self.telemetry.provenance(ProvenanceRecord {
-                    technique: st.trace.technique.clone(),
-                    iteration: st.attempts.len() as u64,
-                    point: current.indices().to_vec(),
-                    parent,
-                    bottleneck: None,
-                    scaling: None,
-                    action: if st.phase == 0 {
-                        "initial point".to_string()
-                    } else {
-                        format!("restart perturbation (phase {})", st.phase)
-                    },
-                    outcome: "evaluated".to_string(),
-                    objective: current_eval.objective,
-                    feasible: current_eval.feasible(constraints),
-                    accepted: true,
-                    new_best,
-                });
-            }
-            st.seen.insert(current.clone());
-            st.phase_state = Some(PhaseState {
-                current,
-                current_eval,
-                frozen: HashSet::new(),
-                stalls: 0,
-            });
-            return false;
-        }
-
-        match self.attempt_step(evaluator, ctx_fn, st) {
-            None => false,
-            Some(termination) => {
-                st.converged_after.push(st.trace.evaluations());
-                if evaluator.unique_evaluations() >= self.config.budget
-                    || st.phase == self.config.restarts
-                {
-                    // §C: with restarts, report how many phases ran.
-                    st.final_termination = Some(if self.config.restarts > 0 {
-                        format!("{termination} (after {} phases)", st.converged_after.len())
-                    } else {
-                        termination
-                    });
-                    true
-                } else {
-                    st.phase_start = self.perturb(evaluator.space(), st);
-                    st.phase += 1;
-                    st.phase_state = None;
-                    false
+    /// Observes the current phase's start point: it becomes the phase's
+    /// incumbent. A failed evaluation is not a sample; the phase starts
+    /// from the infeasible stand-in, which the update rule moves away
+    /// from.
+    fn start_phase(&mut self, problem: &Problem, result: EvalResult) {
+        let constraints = problem.constraints;
+        let current = self.phase_start.clone().expect("a proposed phase start");
+        // Provenance: a restart phase's start point was perturbed from
+        // the best-so-far incumbent (§C); the very first point of the
+        // search has no parent. Captured before the best-update below
+        // so the parent is the incumbent this point was derived from.
+        let parent = (self.phase > 0)
+            .then(|| self.best.as_ref().map(|(p, _)| p.indices().to_vec()))
+            .flatten();
+        let succeeded = result.is_ok();
+        let current_eval = match result {
+            Ok(eval) => {
+                self.samples += 1;
+                if !self.seen.contains(&current) {
+                    self.evaluated += 1;
                 }
+                eval
             }
+            Err(_) => Evaluation::failed(constraints.len()),
+        };
+        let mut new_best = false;
+        if current_eval.feasible(constraints)
+            && self
+                .best
+                .as_ref()
+                .is_none_or(|(_, b)| current_eval.objective < b.objective)
+        {
+            self.best = Some((current.clone(), current_eval.clone()));
+            new_best = true;
         }
+        if self.telemetry.active() {
+            self.telemetry.provenance(ProvenanceRecord {
+                technique: "explainable".to_string(),
+                iteration: self.attempts.len() as u64,
+                point: current.indices().to_vec(),
+                parent,
+                bottleneck: None,
+                scaling: None,
+                action: if self.phase == 0 {
+                    "initial point".to_string()
+                } else {
+                    format!("restart perturbation (phase {})", self.phase)
+                },
+                outcome: if succeeded { "evaluated" } else { "failed" }.to_string(),
+                objective: current_eval.objective,
+                feasible: current_eval.feasible(constraints),
+                accepted: true,
+                new_best,
+            });
+        }
+        self.seen.insert(current.clone());
+        self.phase_state = Some(PhaseState {
+            current,
+            current_eval,
+            frozen: HashSet::new(),
+            stalls: 0,
+        });
     }
 
-    /// §C restart perturbation: re-draw 3 random parameters of the best (or
-    /// last phase-start) point. The RNG is re-derived from the seed and
-    /// fast-forwarded by replaying the draws of the `st.phase` perturbations
-    /// that already happened, so a resumed run continues the exact stream an
-    /// uninterrupted run would use.
-    fn perturb(&self, space: &crate::space::DesignSpace, st: &SearchState) -> DesignPoint {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(self.config.seed);
-        for _ in 0..st.phase {
-            for _ in 0..3 {
-                let param = rng.gen_range(0..space.len());
-                let _ = rng.gen_range(0..space.param(param).len());
-            }
+    /// Steps (1)-(3) of a §4 acquisition attempt against the phase's
+    /// incumbent: analysis, aggregation, and acquisition. Leaves the
+    /// attempt in flight, or returns the phase's termination reason when
+    /// there is nothing to evaluate.
+    fn begin_attempt(&mut self, problem: &Problem) -> Option<String> {
+        if self.evaluated >= problem.budget {
+            return Some(format!(
+                "budget of {} evaluations exhausted",
+                problem.budget
+            ));
         }
-        let base = st
-            .best
-            .as_ref()
-            .map(|(p, _)| p.clone())
-            .unwrap_or_else(|| st.phase_start.clone());
-        let mut next = base;
-        for _ in 0..3 {
-            let param = rng.gen_range(0..space.len());
-            let idx = rng.gen_range(0..space.param(param).len());
-            next = next.with_index(param, idx);
-        }
-        next
-    }
-
-    /// One §4 acquisition attempt against the in-flight phase. Returns the
-    /// phase's termination reason when the phase ended, `None` while it
-    /// continues.
-    fn attempt_step<E, F>(&self, evaluator: &E, ctx_fn: &F, st: &mut SearchState) -> Option<String>
-    where
-        E: Evaluator,
-        F: Fn(&E, &DesignPoint, &crate::cost::LayerEval) -> Option<C>,
-    {
-        let _span = self.telemetry.span("dse/attempt");
-        let constraints = evaluator.constraints();
-        let SearchState {
-            trace,
-            attempts,
-            best,
-            seen,
-            phase_state,
-            ..
-        } = st;
-        let iter0 = attempts.len() as u64;
-        let technique = trace.technique.clone();
-        let ps = phase_state.as_mut().expect("attempt_step needs a phase");
+        let space = problem.space;
+        let ps = self.phase_state.as_ref().expect("an attempt needs a phase");
         let PhaseState {
             current,
             current_eval,
             frozen,
             stalls,
         } = ps;
-        // The provenance parent of every candidate this attempt proposes:
-        // the incumbent the bottleneck analysis ran against (captured
-        // before `update_solution` can move it).
-        let parent_point = current.indices().to_vec();
 
-        let record = |trace: &mut Trace, point: &DesignPoint, eval: &Evaluation| {
-            trace.samples.push(Sample {
-                point: point.clone(),
-                objective: eval.objective,
-                constraint_values: eval.constraint_values.clone(),
-                feasible: eval.feasible(constraints),
-            });
-        };
-
-        if evaluator.unique_evaluations() >= self.config.budget {
-            return Some(format!(
-                "budget of {} evaluations exhausted",
-                self.config.budget
-            ));
-        }
-
-        // ---- (1) + (2): per-sub-function analysis and aggregation.
+        // ---- (1) + (2): per-sub-function analysis and aggregation. Each
+        // sub-function's context is its execution profile on the decoded
+        // hardware configuration.
         let factors = if *stalls > 0 {
             self.config.stall_factors
         } else {
             1
         };
+        let cfg = decode_edge_point(space, current);
         let (predictions, analyses, summary) =
-            self.analyze_subfunctions(evaluator, current, current_eval, factors, ctx_fn);
-
-        // Provenance-record factory for this attempt's candidates. All
-        // string building is gated on `active` so the no-op path stays a
-        // single branch per call site.
-        let active = self.telemetry.active();
-        let make_prov = |action: String,
-                         cand: &DesignPoint,
-                         outcome: &str,
-                         objective: f64,
-                         feasible: bool,
-                         accepted: bool,
-                         new_best: bool| ProvenanceRecord {
-            technique: technique.clone(),
-            iteration: iter0,
-            point: cand.indices().to_vec(),
-            parent: Some(parent_point.clone()),
-            bottleneck: summary.bottleneck.clone(),
-            scaling: summary.scaling,
-            action,
-            outcome: outcome.to_string(),
-            objective,
-            feasible,
-            accepted,
-            new_best,
+            analyze_subfunctions(&self.model, &self.config, current_eval, factors, |layer| {
+                layer.profile.map(|profile| LayerCtx { cfg, profile })
+            });
+        let mut attempt = InFlight {
+            iteration: self.attempts.len() as u64,
+            parent: current.indices().to_vec(),
+            analyses,
+            summary,
+            proposed: 0,
+            acquisitions: Vec::new(),
+            actions: Vec::new(),
+            next: 0,
+            candidates: Vec::new(),
+            evaluated_meta: Vec::new(),
+            failed: 0,
         };
 
         // ---- (3): acquisition — one candidate per aggregated value,
         // plus one combined candidate applying every prediction at once
         // (coupled parameters like the per-operand link counts cannot
         // show progress one at a time).
-        let space = evaluator.space().clone();
         let mut moves: Vec<(ParamId, usize)> = Vec::new();
         for (param, target) in predictions {
             if frozen.contains(&param) {
@@ -631,14 +554,19 @@ impl<C> ExplainableDse<C> {
         // `acquisitions.len()` is what deduplication saved. Deduplicated
         // candidates still leave a provenance record — the ledger's
         // "why was this never re-evaluated" answer. `actions` stays
-        // index-aligned with `acquisitions` (empty strings when
-        // telemetry is off).
-        let mut proposed = 0usize;
-        let mut acquisitions: Vec<(Option<ParamId>, DesignPoint)> = Vec::new();
-        let mut actions: Vec<String> = Vec::new();
+        // index-aligned with `acquisitions`.
+        let active = self.telemetry.active();
+        let acquire = |attempt: &mut InFlight, param, cand: DesignPoint, action: String| {
+            attempt.proposed += 1;
+            if !self.seen.contains(&cand) {
+                attempt.acquisitions.push((param, cand));
+                attempt.actions.push(action);
+            } else if active {
+                let record = attempt.provenance(action, &cand, "deduped");
+                self.telemetry.provenance(record);
+            }
+        };
         for (param, idx) in moves.iter().take(self.config.max_candidates) {
-            let cand = current.with_index(*param, *idx);
-            proposed += 1;
             let action = if active {
                 format!(
                     "raise {} to {}",
@@ -648,57 +576,33 @@ impl<C> ExplainableDse<C> {
             } else {
                 String::new()
             };
-            if !seen.contains(&cand) {
-                acquisitions.push((Some(*param), cand));
-                actions.push(action);
-            } else if active {
-                self.telemetry.provenance(make_prov(
-                    action,
-                    &cand,
-                    "deduped",
-                    f64::INFINITY,
-                    false,
-                    false,
-                    false,
-                ));
-            }
+            acquire(
+                &mut attempt,
+                Some(*param),
+                current.with_index(*param, *idx),
+                action,
+            );
         }
         if moves.len() > 1 {
             let mut combo = current.clone();
             for (param, idx) in &moves {
                 combo = combo.with_index(*param, *idx);
             }
-            proposed += 1;
             let action = if active {
                 "apply combined prediction".to_string()
             } else {
                 String::new()
             };
-            if !seen.contains(&combo) {
-                acquisitions.push((None, combo));
-                actions.push(action);
-            } else if active {
-                self.telemetry.provenance(make_prov(
-                    action,
-                    &combo,
-                    "deduped",
-                    f64::INFINITY,
-                    false,
-                    false,
-                    false,
-                ));
-            }
+            acquire(&mut attempt, None, combo, action);
         }
 
         // Unmet-constraint escape hatch (§4.6 footnote): when the
         // incumbent is infeasible and no upward move exists, also probe
         // downward steps to shed constraint pressure.
-        if acquisitions.is_empty() && !current_eval.feasible(constraints) {
+        if attempt.acquisitions.is_empty() && !current_eval.feasible(problem.constraints) {
             for param in 0..space.len() {
                 let cur_idx = current.index(param);
                 if cur_idx > 0 && !frozen.contains(&param) {
-                    let cand = current.with_index(param, cur_idx - 1);
-                    proposed += 1;
                     let action = if active {
                         format!(
                             "lower {} to {} (constraint escape)",
@@ -708,373 +612,237 @@ impl<C> ExplainableDse<C> {
                     } else {
                         String::new()
                     };
-                    if !seen.contains(&cand) {
-                        acquisitions.push((Some(param), cand));
-                        actions.push(action);
-                    } else if active {
-                        self.telemetry.provenance(make_prov(
-                            action,
-                            &cand,
-                            "deduped",
-                            f64::INFINITY,
-                            false,
-                            false,
-                            false,
-                        ));
-                    }
+                    let cand = current.with_index(param, cur_idx - 1);
+                    acquire(&mut attempt, Some(param), cand, action);
                 }
-                if acquisitions.len() >= self.config.max_candidates {
+                if attempt.acquisitions.len() >= self.config.max_candidates {
                     break;
                 }
             }
         }
 
-        if acquisitions.is_empty() {
+        if attempt.acquisitions.is_empty() {
             let decision = "no unexplored candidates";
-            let index = attempts.len();
-            attempts.push(Attempt::Completed {
+            let index = self.attempts.len();
+            self.emit_iteration(
+                problem,
                 index,
-                analyses,
+                &ps.current_eval,
+                &attempt.summary,
+                attempt.proposed,
+                0,
+                0,
+                decision,
+            );
+            self.attempts.push(Attempt::Completed {
+                index,
+                analyses: attempt.analyses,
                 acquisitions: vec![],
                 decision: decision.into(),
             });
-            self.emit_iteration(
-                evaluator,
-                index,
-                current_eval,
-                best,
-                &summary,
-                proposed,
-                0,
-                0,
-                decision,
-            );
             return Some("converged: no bottleneck-mitigating acquisitions remain".into());
         }
-        let acquisition_log: Vec<(ParamId, usize)> = acquisitions
-            .iter()
-            .filter_map(|(p, cand)| p.map(|p| (p, cand.index(p))))
-            .collect();
-
-        // ---- evaluate the candidate set, batched. Chunk size equals
-        // the remaining unique-evaluation budget: every candidate adds
-        // at most one unique evaluation, so each chunk fits, and the
-        // boundary where the budget runs out is identical to checking
-        // before every single evaluation (cache hits consume nothing
-        // and simply roll the slack into the next chunk).
-        //
-        // Candidates are evaluated through the fault boundary: a
-        // permanently failed candidate becomes an `Attempt::Failed`
-        // entry (with its own iteration record) instead of aborting.
-        let mut candidates: Vec<(DesignPoint, Evaluation, Option<ParamId>)> = Vec::new();
-        // `(action, became-best)` per entry of `candidates`, for the
-        // provenance records emitted after the update rule settles
-        // acceptance. Only populated while telemetry is active.
-        let mut evaluated_meta: Vec<(String, bool)> = Vec::new();
-        let mut failed = 0usize;
-        let mut next_idx = 0usize;
-        let mut pending = acquisitions.as_slice();
-        while !pending.is_empty() {
-            let remaining = self
-                .config
-                .budget
-                .saturating_sub(evaluator.unique_evaluations());
-            if remaining == 0 {
-                break;
-            }
-            let (chunk, rest) = pending.split_at(remaining.min(pending.len()));
-            pending = rest;
-            let points: Vec<DesignPoint> = chunk.iter().map(|(_, cand)| cand.clone()).collect();
-            let results = evaluator.try_evaluate_batch(&points);
-            for ((param, cand), result) in chunk.iter().zip(results) {
-                let idx = next_idx;
-                next_idx += 1;
-                seen.insert(cand.clone());
-                match result {
-                    Ok(eval) => {
-                        record(trace, cand, &eval);
-                        let mut new_best = false;
-                        if eval.feasible(constraints)
-                            && best
-                                .as_ref()
-                                .is_none_or(|(_, b)| eval.objective < b.objective)
-                        {
-                            *best = Some((cand.clone(), eval.clone()));
-                            new_best = true;
-                        }
-                        if active {
-                            evaluated_meta.push((actions[idx].clone(), new_best));
-                        }
-                        candidates.push((cand.clone(), eval, *param));
-                    }
-                    Err(fault) => {
-                        failed += 1;
-                        if active {
-                            self.telemetry.provenance(make_prov(
-                                actions[idx].clone(),
-                                cand,
-                                "failed",
-                                f64::INFINITY,
-                                false,
-                                false,
-                                false,
-                            ));
-                        }
-                        let index = attempts.len();
-                        let decision = format!("candidate evaluation failed: {}", fault.error);
-                        self.emit_iteration(
-                            evaluator,
-                            index,
-                            current_eval,
-                            best,
-                            &AnalysisSummary::default(),
-                            1,
-                            1,
-                            0,
-                            &decision,
-                        );
-                        attempts.push(Attempt::Failed {
-                            index,
-                            candidate: cand.clone(),
-                            error: fault.error,
-                            retries: fault.retries,
-                        });
-                    }
-                }
-            }
-        }
-        // Candidates the budget boundary cut off: never evaluated, but
-        // still part of the ledger.
-        if active {
-            for (i, (_, cand)) in pending.iter().enumerate() {
-                self.telemetry.provenance(make_prov(
-                    actions[next_idx + i].clone(),
-                    cand,
-                    "skipped",
-                    f64::INFINITY,
-                    false,
-                    false,
-                    false,
-                ));
-            }
-        }
-        if candidates.is_empty() {
-            let remaining = self
-                .config
-                .budget
-                .saturating_sub(evaluator.unique_evaluations());
-            if failed > 0 && remaining > 0 {
-                // Every candidate failed at the fault boundary; count a
-                // stall so a persistently failing region still terminates.
-                *stalls += 1;
-                let decision = format!("stall: all {failed} candidates failed evaluation");
-                let index = attempts.len();
-                self.emit_iteration(
-                    evaluator,
-                    index,
-                    current_eval,
-                    best,
-                    &summary,
-                    proposed,
-                    acquisitions.len(),
-                    0,
-                    &decision,
-                );
-                attempts.push(Attempt::Completed {
-                    index,
-                    analyses,
-                    acquisitions: acquisition_log,
-                    decision,
-                });
-                if *stalls > self.config.max_stalls {
-                    return Some(format!(
-                        "converged after {} stalled attempts",
-                        self.config.max_stalls
-                    ));
-                }
-                return None;
-            }
-            let decision = "budget exhausted before evaluation";
-            let index = attempts.len();
-            attempts.push(Attempt::Completed {
-                index,
-                analyses,
-                acquisitions: acquisition_log,
-                decision: decision.into(),
-            });
-            self.emit_iteration(
-                evaluator,
-                index,
-                current_eval,
-                best,
-                &summary,
-                proposed,
-                acquisitions.len(),
-                0,
-                decision,
-            );
-            return Some(format!(
-                "budget of {} evaluations exhausted",
-                self.config.budget
-            ));
-        }
-
-        // ---- (4): constraints-budget-aware update (§4.6).
-        let decision = self.update_solution(
-            constraints,
-            current,
-            current_eval,
-            &candidates,
-            frozen,
-            stalls,
-        );
-        // The ledger entry for each evaluated candidate, now that the
-        // update rule has decided which one (if any) became the incumbent.
-        if active {
-            for ((cand, eval, _), (action, new_best)) in candidates.iter().zip(&evaluated_meta) {
-                self.telemetry.provenance(make_prov(
-                    action.clone(),
-                    cand,
-                    "evaluated",
-                    eval.objective,
-                    eval.feasible(constraints),
-                    cand == &*current,
-                    *new_best,
-                ));
-            }
-        }
-        let index = attempts.len();
-        self.emit_iteration(
-            evaluator,
-            index,
-            current_eval,
-            best,
-            &summary,
-            proposed,
-            acquisitions.len(),
-            candidates.len(),
-            &decision,
-        );
-        attempts.push(Attempt::Completed {
-            index,
-            analyses,
-            acquisitions: acquisition_log,
-            decision,
-        });
-
-        if *stalls > self.config.max_stalls {
-            return Some(format!(
-                "converged after {} stalled attempts",
-                self.config.max_stalls
-            ));
-        }
+        self.attempt = Some(attempt);
         None
     }
 
-    /// Steps (1)-(2): bottleneck analysis per execution-critical
-    /// sub-function, then aggregation to `(param, min predicted value)`.
-    pub(crate) fn analyze_subfunctions<E, F>(
-        &self,
-        evaluator: &E,
-        point: &DesignPoint,
-        eval: &Evaluation,
-        factors: usize,
-        ctx_fn: &F,
-    ) -> SubfunctionAnalysis
-    where
-        E: Evaluator,
-        F: Fn(&E, &DesignPoint, &crate::cost::LayerEval) -> Option<C>,
-    {
-        let total: f64 = eval
-            .layers
-            .iter()
-            .map(|l| l.latency_ms)
-            .filter(|v| v.is_finite())
-            .sum();
-        let l = eval.layers.len().max(1);
-        let threshold = self.config.threshold_scale / l as f64;
-
-        // Rank sub-functions by cost contribution. Layers without a
-        // feasible mapping gate feasibility outright, so they are always
-        // analyzed first regardless of their (diagnostic) cost share.
-        let mut ranked: Vec<(usize, f64, bool)> = eval
-            .layers
-            .iter()
-            .enumerate()
-            .map(|(i, layer)| {
-                let contribution = if layer.latency_ms.is_finite() && total > 0.0 {
-                    layer.latency_ms / total
-                } else {
-                    1.0
-                };
-                (i, contribution, layer.mappable)
-            })
-            .collect();
-        ranked.sort_by(|a, b| a.2.cmp(&b.2).then(b.1.partial_cmp(&a.1).unwrap()));
-
-        let mut merged: Vec<(ParamId, Option<f64>)> = Vec::new();
-        let mut analyses = Vec::new();
-        let mut summary = AnalysisSummary::default();
-        for (layer_idx, contribution, mappable) in ranked.into_iter().take(self.config.top_k) {
-            if mappable && contribution < threshold {
-                break;
-            }
-            let Some(ctx) = ctx_fn(evaluator, point, &eval.layers[layer_idx]) else {
-                continue;
-            };
-            let analysis = self.model.analyze(&ctx, factors);
-            // The first analyzed sub-function has the highest contribution:
-            // its factor is the attempt's dominant bottleneck.
-            if summary.bottleneck.is_none() {
-                summary.bottleneck = Some(analysis.bottleneck.clone());
-                summary.scaling = Some(analysis.scaling);
-            }
-            summary
-                .layer_contributions
-                .push((eval.layers[layer_idx].name.clone(), contribution));
-            analyses.push(format!(
-                "{} ({:.1}% of cost): bottleneck {} needs {:.2}x; {}",
-                eval.layers[layer_idx].name,
-                contribution * 100.0,
-                analysis.bottleneck,
-                analysis.scaling,
-                analysis
-                    .predictions
-                    .iter()
-                    .map(|p| p.rationale.clone())
-                    .collect::<Vec<_>>()
-                    .join("; ")
-            ));
-            for p in analysis.predictions {
-                match merged.iter_mut().find(|(id, _)| *id == p.param) {
-                    Some((_, existing)) => {
-                        // §4.4(i): aggregate across sub-function
-                        // predictions (minimum by default, avoiding
-                        // over-aggressive scaling).
-                        *existing = match (*existing, p.value) {
-                            (Some(a), Some(b)) => Some(match self.config.aggregation {
-                                Aggregation::Min => a.min(b),
-                                Aggregation::Max => a.max(b),
-                            }),
-                            (Some(a), None) | (None, Some(a)) => Some(a),
-                            (None, None) => None,
-                        };
+    /// Records one evaluated chunk of the in-flight attempt's candidates,
+    /// in order. A permanently failed candidate becomes an
+    /// [`Attempt::Failed`] entry (with its own iteration record) instead
+    /// of aborting the search.
+    fn observe_candidates(
+        &mut self,
+        problem: &Problem,
+        attempt: &mut InFlight,
+        results: Vec<EvalResult>,
+    ) {
+        let constraints = problem.constraints;
+        let active = self.telemetry.active();
+        // Every successful candidate is a point the search has not seen
+        // before: the whole chunk counts against the budget before any of
+        // its records is emitted.
+        self.evaluated += results.iter().filter(|r| r.is_ok()).count();
+        let chunk = attempt.next..attempt.next + results.len();
+        for (idx, result) in chunk.clone().zip(results) {
+            let (param, cand) = &attempt.acquisitions[idx];
+            self.seen.insert(cand.clone());
+            match result {
+                Ok(eval) => {
+                    self.samples += 1;
+                    let mut new_best = false;
+                    if eval.feasible(constraints)
+                        && self
+                            .best
+                            .as_ref()
+                            .is_none_or(|(_, b)| eval.objective < b.objective)
+                    {
+                        self.best = Some((cand.clone(), eval.clone()));
+                        new_best = true;
                     }
-                    None => merged.push((p.param, p.value)),
+                    if active {
+                        attempt
+                            .evaluated_meta
+                            .push((attempt.actions[idx].clone(), new_best));
+                    }
+                    attempt.candidates.push((cand.clone(), eval, *param));
+                }
+                Err(fault) => {
+                    attempt.failed += 1;
+                    if active {
+                        self.telemetry
+                            .provenance(attempt.unevaluated(idx, "failed"));
+                    }
+                    let index = self.attempts.len();
+                    let decision = format!("candidate evaluation failed: {}", fault.error);
+                    let incumbent = &self.phase_state.as_ref().expect("a phase").current_eval;
+                    self.emit_iteration(
+                        problem,
+                        index,
+                        incumbent,
+                        &AnalysisSummary::default(),
+                        1,
+                        1,
+                        0,
+                        &decision,
+                    );
+                    self.attempts.push(Attempt::Failed {
+                        index,
+                        candidate: cand.clone(),
+                        error: fault.error,
+                        retries: fault.retries,
+                    });
                 }
             }
         }
-        (merged, analyses, summary)
+        attempt.next = chunk.end;
+    }
+
+    /// Step (4) once the attempt's candidates are used up or the budget
+    /// is spent: the §4.6 update, the attempt's record, and its iteration
+    /// record. Returns the phase's termination reason when the phase
+    /// stalled out.
+    fn finish_attempt(&mut self, problem: &Problem, attempt: InFlight) -> Option<String> {
+        let constraints = problem.constraints;
+        let active = self.telemetry.active();
+        // Candidates the budget boundary cut off: never evaluated, but
+        // still part of the ledger.
+        if active {
+            for idx in attempt.next..attempt.acquisitions.len() {
+                self.telemetry
+                    .provenance(attempt.unevaluated(idx, "skipped"));
+            }
+        }
+        let mut ps = self.phase_state.take().expect("an attempt needs a phase");
+        let decision = if attempt.candidates.is_empty() {
+            // Every candidate failed at the fault boundary; count a
+            // stall so a persistently failing region still terminates.
+            ps.stalls += 1;
+            format!("stall: all {} candidates failed evaluation", attempt.failed)
+        } else {
+            let decision = self.update_solution(
+                constraints,
+                &mut ps.current,
+                &mut ps.current_eval,
+                &attempt.candidates,
+                &mut ps.frozen,
+                &mut ps.stalls,
+            );
+            // The ledger entry for each evaluated candidate, now that the
+            // update rule has decided which one (if any) became the
+            // incumbent.
+            if active {
+                for ((cand, eval, _), (action, new_best)) in
+                    attempt.candidates.iter().zip(&attempt.evaluated_meta)
+                {
+                    self.telemetry.provenance(ProvenanceRecord {
+                        objective: eval.objective,
+                        feasible: eval.feasible(constraints),
+                        accepted: cand == &ps.current,
+                        new_best: *new_best,
+                        ..attempt.provenance(action.clone(), cand, "evaluated")
+                    });
+                }
+            }
+            decision
+        };
+        let index = self.attempts.len();
+        self.emit_iteration(
+            problem,
+            index,
+            &ps.current_eval,
+            &attempt.summary,
+            attempt.proposed,
+            attempt.acquisitions.len(),
+            attempt.candidates.len(),
+            &decision,
+        );
+        let acquisitions = attempt
+            .acquisitions
+            .iter()
+            .filter_map(|(p, cand)| p.map(|p| (p, cand.index(p))))
+            .collect();
+        self.attempts.push(Attempt::Completed {
+            index,
+            analyses: attempt.analyses,
+            acquisitions,
+            decision,
+        });
+        let stalled = ps.stalls > self.config.max_stalls;
+        self.phase_state = Some(ps);
+        stalled.then(|| {
+            format!(
+                "converged after {} stalled attempts",
+                self.config.max_stalls
+            )
+        })
+    }
+
+    /// Ends the current phase: the search terminates once the budget is
+    /// spent or every §C restart has run; otherwise the next phase starts
+    /// from a perturbation of the best point.
+    fn end_phase(&mut self, problem: &Problem, termination: String) {
+        self.converged_after.push(self.samples);
+        if self.evaluated >= problem.budget || self.phase == self.config.restarts {
+            // §C: with restarts, report how many phases ran.
+            self.termination = Some(if self.config.restarts > 0 {
+                format!(
+                    "{termination} (after {} phases)",
+                    self.converged_after.len()
+                )
+            } else {
+                termination
+            });
+        } else {
+            self.phase_start = Some(self.perturb(problem.space));
+            self.phase += 1;
+            self.phase_state = None;
+        }
+    }
+
+    /// §C restart perturbation: re-draw 3 random parameters of the best (or
+    /// last phase-start) point.
+    fn perturb(&mut self, space: &DesignSpace) -> DesignPoint {
+        let mut next = self
+            .best
+            .as_ref()
+            .map(|(p, _)| p.clone())
+            .or_else(|| self.phase_start.clone())
+            .expect("a phase has started");
+        for _ in 0..3 {
+            let param = self.rng.gen_range(0..space.len());
+            let idx = self.rng.gen_range(0..space.param(param).len());
+            next = next.with_index(param, idx);
+        }
+        next
     }
 
     /// Emits one telemetry [`IterationRecord`] for an acquisition attempt.
     #[allow(clippy::too_many_arguments)]
-    fn emit_iteration<E: Evaluator>(
+    fn emit_iteration(
         &self,
-        evaluator: &E,
+        problem: &Problem,
         attempt_index: usize,
-        current_eval: &Evaluation,
-        best: &Option<(DesignPoint, Evaluation)>,
+        incumbent: &Evaluation,
         summary: &AnalysisSummary,
         proposed: usize,
         acquired: usize,
@@ -1087,19 +855,15 @@ impl<C> ExplainableDse<C> {
         self.telemetry.iteration(IterationRecord {
             technique: "explainable".to_string(),
             iteration: attempt_index as u64,
-            incumbent_objective: current_eval.objective,
-            best_objective: best.as_ref().map(|(_, e)| e.objective),
+            incumbent_objective: incumbent.objective,
+            best_objective: self.best.as_ref().map(|(_, e)| e.objective),
             bottleneck: summary.bottleneck.clone(),
             scaling: summary.scaling,
             layer_contributions: summary.layer_contributions.clone(),
             proposed: proposed as u64,
             deduped: proposed.saturating_sub(acquired) as u64,
             evaluated: evaluated as u64,
-            budget_remaining: self
-                .config
-                .budget
-                .saturating_sub(evaluator.unique_evaluations())
-                as u64,
+            budget_remaining: problem.budget.saturating_sub(self.evaluated) as u64,
             decision: decision.to_string(),
         });
     }
@@ -1233,20 +997,182 @@ fn describe_move(param: Option<ParamId>) -> String {
     }
 }
 
+impl DseTechnique for ExplainableDse {
+    fn name(&self) -> String {
+        "explainable".into()
+    }
+
+    fn propose(&mut self, problem: &Problem) -> Option<Vec<DesignPoint>> {
+        loop {
+            if self.termination.is_some() {
+                return None;
+            }
+            if self.phase_state.is_none() {
+                let start = self
+                    .phase_start
+                    .get_or_insert_with(|| problem.space.minimum_point());
+                return Some(vec![start.clone()]);
+            }
+            if self.attempt.is_none() {
+                if let Some(termination) = self.begin_attempt(problem) {
+                    self.end_phase(problem, termination);
+                    continue;
+                }
+            }
+            // Every successful candidate adds one to the budget count, so
+            // a chunk the size of the remaining budget always fits, and
+            // the boundary where the budget runs out is the one a check
+            // before every single evaluation would find.
+            let attempt = self.attempt.as_ref().expect("an attempt in flight");
+            let remaining = problem.budget.saturating_sub(self.evaluated);
+            let end = attempt.acquisitions.len().min(attempt.next + remaining);
+            let chunk = &attempt.acquisitions[attempt.next..end];
+            return Some(chunk.iter().map(|(_, cand)| cand.clone()).collect());
+        }
+    }
+
+    fn observe(&mut self, problem: &Problem, _: &[Sample], results: Vec<EvalResult>) {
+        let Some(mut attempt) = self.attempt.take() else {
+            let start = results.into_iter().next().expect("a phase start's result");
+            return self.start_phase(problem, start);
+        };
+        self.observe_candidates(problem, &mut attempt, results);
+        if attempt.next < attempt.acquisitions.len() && self.evaluated < problem.budget {
+            self.attempt = Some(attempt);
+        } else if let Some(termination) = self.finish_attempt(problem, attempt) {
+            self.end_phase(problem, termination);
+        }
+    }
+
+    /// Keeps the collector: the search then emits one structured
+    /// [`IterationRecord`] per acquisition attempt — incumbent objective,
+    /// dominant bottleneck factor and its required scaling, per-layer cost
+    /// contributions, the proposed/deduplicated/evaluated candidate counts,
+    /// remaining budget, and the §4.6 update decision — plus one
+    /// [`ProvenanceRecord`] per candidate.
+    fn attach_telemetry(&mut self, telemetry: &Collector) -> bool {
+        self.telemetry = telemetry.clone();
+        true
+    }
+
+    fn step_span(&self) -> String {
+        if self.phase_state.is_none() {
+            "dse/phase_start"
+        } else {
+            "dse/attempt"
+        }
+        .to_string()
+    }
+
+    fn explanation(&self) -> Option<Explanation> {
+        Some(Explanation {
+            attempts: self.attempts.clone(),
+            converged_after: self.converged_after.clone(),
+            termination: self.termination.clone(),
+        })
+    }
+}
+
+/// Steps (1)-(2): bottleneck analysis per execution-critical
+/// sub-function, then aggregation to `(param, min predicted value)`.
+/// `ctx` builds a sub-function's bottleneck-model context, or `None` when
+/// it cannot be analyzed (no profile).
+pub(crate) fn analyze_subfunctions<C>(
+    model: &BottleneckModel<C>,
+    config: &DseConfig,
+    eval: &Evaluation,
+    factors: usize,
+    ctx: impl Fn(&LayerEval) -> Option<C>,
+) -> SubfunctionAnalysis {
+    let total: f64 = eval
+        .layers
+        .iter()
+        .map(|l| l.latency_ms)
+        .filter(|v| v.is_finite())
+        .sum();
+    let l = eval.layers.len().max(1);
+    let threshold = config.threshold_scale / l as f64;
+
+    // Rank sub-functions by cost contribution. Layers without a
+    // feasible mapping gate feasibility outright, so they are always
+    // analyzed first regardless of their (diagnostic) cost share.
+    let mut ranked: Vec<(usize, f64, bool)> = eval
+        .layers
+        .iter()
+        .enumerate()
+        .map(|(i, layer)| {
+            let contribution = if layer.latency_ms.is_finite() && total > 0.0 {
+                layer.latency_ms / total
+            } else {
+                1.0
+            };
+            (i, contribution, layer.mappable)
+        })
+        .collect();
+    ranked.sort_by(|a, b| a.2.cmp(&b.2).then(b.1.partial_cmp(&a.1).unwrap()));
+
+    let mut merged: Vec<(ParamId, Option<f64>)> = Vec::new();
+    let mut analyses = Vec::new();
+    let mut summary = AnalysisSummary::default();
+    for (layer_idx, contribution, mappable) in ranked.into_iter().take(config.top_k) {
+        if mappable && contribution < threshold {
+            break;
+        }
+        let Some(ctx) = ctx(&eval.layers[layer_idx]) else {
+            continue;
+        };
+        let analysis = model.analyze(&ctx, factors);
+        // The first analyzed sub-function has the highest contribution:
+        // its factor is the attempt's dominant bottleneck.
+        if summary.bottleneck.is_none() {
+            summary.bottleneck = Some(analysis.bottleneck.clone());
+            summary.scaling = Some(analysis.scaling);
+        }
+        summary
+            .layer_contributions
+            .push((eval.layers[layer_idx].name.clone(), contribution));
+        analyses.push(format!(
+            "{} ({:.1}% of cost): bottleneck {} needs {:.2}x; {}",
+            eval.layers[layer_idx].name,
+            contribution * 100.0,
+            analysis.bottleneck,
+            analysis.scaling,
+            analysis
+                .predictions
+                .iter()
+                .map(|p| p.rationale.clone())
+                .collect::<Vec<_>>()
+                .join("; ")
+        ));
+        for p in analysis.predictions {
+            match merged.iter_mut().find(|(id, _)| *id == p.param) {
+                Some((_, existing)) => {
+                    // §4.4(i): aggregate across sub-function
+                    // predictions (minimum by default, avoiding
+                    // over-aggressive scaling).
+                    *existing = match (*existing, p.value) {
+                        (Some(a), Some(b)) => Some(match config.aggregation {
+                            Aggregation::Min => a.min(b),
+                            Aggregation::Max => a.max(b),
+                        }),
+                        (Some(a), None) | (None, Some(a)) => Some(a),
+                        (None, None) => None,
+                    };
+                }
+                None => merged.push((p.param, p.value)),
+            }
+        }
+    }
+    (merged, analyses, summary)
+}
+
 #[cfg(test)]
 mod update_rule_tests {
     use super::*;
     use crate::cost::Constraint;
 
-    fn dse() -> ExplainableDse<()> {
-        ExplainableDse::new(
-            crate::bottleneck::model::BottleneckModel::new(|_: &()| {
-                let mut b = crate::bottleneck::tree::TreeBuilder::new();
-                let l = b.leaf("x", 1.0);
-                b.build(l)
-            }),
-            DseConfig::default(),
-        )
+    fn dse() -> ExplainableDse {
+        ExplainableDse::new(crate::bottleneck::dnn_latency_model(), DseConfig::default())
     }
 
     fn eval(objective: f64, area: f64, mappable: bool) -> Evaluation {
@@ -1308,14 +1234,7 @@ mod update_rule_tests {
             budget_aware: false,
             ..DseConfig::default()
         };
-        let d = ExplainableDse::new(
-            crate::bottleneck::model::BottleneckModel::new(|_: &()| {
-                let mut b = crate::bottleneck::tree::TreeBuilder::new();
-                let l = b.leaf("x", 1.0);
-                b.build(l)
-            }),
-            config,
-        );
+        let d = ExplainableDse::new(crate::bottleneck::dnn_latency_model(), config);
         let cs = constraints();
         let mut current = point(0);
         let mut current_eval = eval(90.0, 5.0, true);
@@ -1452,7 +1371,7 @@ mod update_rule_tests {
 mod tests {
     use super::*;
     use crate::bottleneck::dnn::dnn_latency_model;
-    use crate::evaluate::CodesignEvaluator;
+    use crate::evaluate::{CodesignEvaluator, Evaluator};
     use crate::session::SearchSession;
     use crate::space::edge_space;
     use mapper::FixedMapper;
@@ -1487,7 +1406,7 @@ mod tests {
         // The paper converges in some tens of evaluations: the *first*
         // exploration phase must end well before the budget (later restart
         // phases may use the remainder, §C).
-        let first_phase = *r.converged_after.first().expect("at least one phase");
+        let first_phase = *r.converged_after().first().expect("at least one phase");
         assert!(first_phase < 120, "first phase took {first_phase}");
     }
 
@@ -1509,10 +1428,10 @@ mod tests {
     #[test]
     fn attempts_carry_explanations() {
         let r = run_small();
-        assert!(!r.attempts.is_empty());
-        let explained = r.attempts.iter().any(|a| !a.analyses().is_empty());
+        assert!(!r.attempts().is_empty());
+        let explained = r.attempts().iter().any(|a| !a.analyses().is_empty());
         assert!(explained, "attempts should carry bottleneck explanations");
-        for a in &r.attempts {
+        for a in r.attempts() {
             assert!(!a.decision().is_empty());
         }
     }
@@ -1550,9 +1469,9 @@ mod tests {
             .evaluator(&evaluator)
             .run(initial);
         assert_eq!(cold.trace.samples, warm.trace.samples);
-        assert_eq!(cold.attempts, warm.attempts);
+        assert_eq!(cold.attempts(), warm.attempts());
         assert_eq!(cold.best, warm.best);
-        assert_eq!(cold.converged_after, warm.converged_after);
+        assert_eq!(cold.converged_after(), warm.converged_after());
         assert_eq!(cold.termination, warm.termination);
         let disk_stats = evaluator.cache_stats().disk.unwrap();
         assert_eq!(disk_stats.misses, 0, "every mapping answered from disk");
@@ -1584,7 +1503,8 @@ mod tests {
             .run(initial.clone());
         assert!(path.exists(), "a final snapshot must be written");
         // Resuming a *finished* run re-reports the identical result from a
-        // fresh evaluator without re-running any search step.
+        // fresh evaluator: the replayed search is answered from the
+        // restored caches without a single point evaluation.
         let fresh = CodesignEvaluator::new(edge_space(), vec![zoo::resnet18()], FixedMapper);
         let resumed = SearchSession::new(dnn_latency_model(), config)
             .evaluator(&fresh)
@@ -1599,6 +1519,7 @@ mod tests {
         assert_eq!(first.best(), resumed.best());
         assert_eq!(first.converged_after(), resumed.converged_after());
         assert_eq!(first.termination(), resumed.termination());
+        assert_eq!(fresh.cache_stats().point.misses, 0);
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -1634,7 +1555,7 @@ mod tests {
                 _ => None,
             })
             .collect();
-        assert_eq!(records.len(), r.attempts.len());
+        assert_eq!(records.len(), r.attempts().len());
         assert!(
             records.iter().any(|rec| rec.bottleneck.is_some()),
             "the explainable DSE must name dominant bottlenecks"
@@ -1648,7 +1569,7 @@ mod tests {
             assert!(!rec.decision.is_empty());
         }
         // Records and attempts tell the same story, in the same order.
-        for (rec, attempt) in records.iter().zip(&r.attempts) {
+        for (rec, attempt) in records.iter().zip(r.attempts()) {
             assert_eq!(rec.iteration as usize, attempt.index());
             assert_eq!(rec.decision, attempt.decision());
         }

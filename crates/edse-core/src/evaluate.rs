@@ -154,8 +154,7 @@ pub trait Evaluator {
     /// not count: they consumed no successful cost-model invocation.
     fn unique_evaluations(&self) -> usize;
 
-    /// Decodes a point into the hardware configuration (needed by the
-    /// bottleneck-analysis context).
+    /// Decodes a point into the hardware configuration it describes.
     fn decode(&self, point: &DesignPoint) -> AcceleratorConfig;
 
     /// Captures the evaluator's completed memo entries for checkpointing.
@@ -866,18 +865,9 @@ impl<M: MappingOptimizer> CodesignEvaluator<M> {
     }
 
     /// The infeasible stand-in [`Evaluator::evaluate`] reports for a
-    /// permanently failed point: infinite objective and constraint values,
-    /// no layers — never feasible, never an incumbent.
+    /// permanently failed point (see [`Evaluation::failed`]).
     fn fault_sentinel(&self) -> Evaluation {
-        Evaluation {
-            objective: f64::INFINITY,
-            mappable: false,
-            constraint_values: vec![f64::INFINITY; self.constraints.len()],
-            layers: Vec::new(),
-            area_mm2: f64::INFINITY,
-            power_w: f64::INFINITY,
-            energy_mj: 0.0,
-        }
+        Evaluation::failed(self.constraints.len())
     }
 
     /// The unique `(layer, config)` mapping tasks this batch would need

@@ -181,11 +181,7 @@ mod tests {
     mod aggregation_edges {
         use crate::bottleneck::{BottleneckModel, TreeBuilder};
         use crate::cost::{Evaluation, LayerEval};
-        use crate::dse::{Aggregation, DseConfig, ExplainableDse};
-        use crate::evaluate::{CodesignEvaluator, Evaluator};
-        use crate::space::{edge_space, DesignPoint};
-        use mapper::FixedMapper;
-        use workloads::zoo;
+        use crate::dse::{analyze_subfunctions, Aggregation, DseConfig};
 
         /// A one-leaf model over `f64` contexts (the layer latency). The
         /// mitigation for parameter 0 predicts the context value itself,
@@ -212,15 +208,12 @@ mod tests {
             }
         }
 
-        /// Runs the analysis step over hand-built layers; the evaluator
-        /// and point only carry types (the ctx closure ignores them).
+        /// Runs the analysis step over hand-built layers, each one's
+        /// context being its latency.
         fn analyze(
             config: DseConfig,
             layers: Vec<LayerEval>,
         ) -> (Vec<(usize, Option<f64>)>, Vec<String>) {
-            let evaluator =
-                CodesignEvaluator::new(edge_space(), vec![zoo::resnet18()], FixedMapper);
-            let point = evaluator.space().minimum_point();
             let eval = Evaluation {
                 objective: layers.iter().map(|l| l.latency_ms).sum(),
                 mappable: layers.iter().all(|l| l.mappable),
@@ -230,12 +223,8 @@ mod tests {
                 power_w: 0.0,
                 energy_mj: 0.0,
             };
-            let dse = ExplainableDse::new(latency_model(), config);
-            let ctx_fn = |_: &CodesignEvaluator<FixedMapper>, _: &DesignPoint, l: &LayerEval| {
-                Some(l.latency_ms)
-            };
             let (merged, analyses, _summary) =
-                dse.analyze_subfunctions(&evaluator, &point, &eval, 1, &ctx_fn);
+                analyze_subfunctions(&latency_model(), &config, &eval, 1, |l| Some(l.latency_ms));
             (merged, analyses)
         }
 

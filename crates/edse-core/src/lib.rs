@@ -16,10 +16,14 @@
 //!   latency model;
 //! * [`diskcache`] — the persistent, content-addressed evaluation cache
 //!   that warm-starts repeated runs across processes;
-//! * [`dse`] — the constraints-aware, bottleneck-guided exploration loop;
-//! * [`session`] — the [`SearchSession`] front door (builder-style
-//!   configuration of evaluator, telemetry, and checkpoint/resume) and the
-//!   stepwise, cancellable [`SearchDriver`] behind it;
+//! * [`technique`] — the ask/tell [`DseTechnique`] shape every search
+//!   technique shares, and the [`Problem`] it explores;
+//! * [`dse`] — the constraints-aware, bottleneck-guided exploration loop,
+//!   [`ExplainableDse`], one such technique;
+//! * [`session`] — the one stepwise, cancellable [`SearchDriver`] that
+//!   steps every technique, and the [`SearchSession`] front door of the
+//!   explainable search (builder-style configuration of evaluator,
+//!   telemetry, and checkpoint/resume);
 //! * [`job`] — the [`JobSpec`] declarative job description shared by the
 //!   session builder, the bench harness, and the `edse-serve` service;
 //! * [`fault`] / [`checkpoint`] — the evaluation fault boundary and the
@@ -57,12 +61,13 @@ pub mod fault;
 pub mod job;
 pub mod session;
 pub mod space;
+pub mod technique;
 
 pub use bottleneck::{dnn_latency_model, BottleneckModel, BottleneckTree, LayerCtx, TreeBuilder};
-pub use checkpoint::{load_baseline, save_baseline, BaselineSnapshot};
+pub use checkpoint::{load_snapshot, save_snapshot, Snapshot};
 pub use cost::{Constraint, Evaluation, LayerEval, Sample, Trace};
 pub use diskcache::{DiskCache, DiskCacheStats, StoredLayer};
-pub use dse::{Attempt, DseConfig, DseResult, ExplainableDse};
+pub use dse::{Attempt, DseConfig, DseResult, ExplainableDse, Explanation};
 pub use evaluate::{
     CacheSnapshot, CacheStats, CodesignEvaluator, EvalEngine, Evaluator, LayerEntry, TierStats,
 };
@@ -73,6 +78,7 @@ pub use space::{
     datacenter_space, decode_edge_point, edge, edge_space, space_from_json, DesignPoint,
     DesignSpace, ParamDef, ParamId,
 };
+pub use technique::{DseTechnique, EvalResult, Problem};
 
 /// One-stop import for the public session/driver/job surface:
 /// `use edse_core::prelude::*;` brings in everything needed to configure,

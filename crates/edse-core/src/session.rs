@@ -1,7 +1,15 @@
-//! [`SearchSession`]: the one front door to running an explainable search —
-//! builder-style configuration of the model, evaluator, telemetry, and
-//! checkpoint/resume policy (the older `ExplainableDse::run`/`run_dnn`
-//! entry points have been removed in its favor).
+//! The one search driver and the session front door of the explainable
+//! search.
+//!
+//! [`SearchDriver`] steps any [`DseTechnique`] — the explainable search
+//! and every baseline alike — one ask/tell round at a time: the technique
+//! proposes a batch, the evaluator evaluates it as one batch, and the
+//! technique observes the outcomes. It owns the trace, telemetry,
+//! checkpoints and cancellation, so blocking, stepped, checkpointed and
+//! resumed runs share one code path.
+//!
+//! [`SearchSession`] configures an explainable search — model, evaluator,
+//! telemetry, checkpoint/resume policy — and runs it through that driver:
 //!
 //! ```
 //! use edse_core::bottleneck::dnn_latency_model;
@@ -23,20 +31,12 @@
 //! ```
 //!
 //! Checkpoint/resume policy comes from a [`JobSpec`] applied with
-//! [`SearchSession::spec`]: the session then snapshots the complete search
-//! state (plus evaluator caches) every `checkpoint_every` steps and at
-//! completion, and with `resume` it continues from such a snapshot,
-//! bit-for-bit identically to the uninterrupted run. See `DESIGN.md`
-//! ("Snapshot format") and the README's "Resuming an interrupted run".
-//!
-//! For stepwise control — interleaving several searches on one thread pool,
-//! pausing, or cancelling — turn the session into a [`SearchDriver`] with
-//! [`SearchSession::driver`] instead of calling [`SearchSession::run`]:
-//! the driver exposes one evaluation-batch of progress per
-//! [`SearchDriver::step`] call and honors a [`CancelToken`] between steps.
-//! `run`/`run_with` are thin wrappers over the driver and produce
-//! bit-identical results (enforced by the conformance oracle
-//! `driver_stepping_matches_blocking_run`).
+//! [`SearchSession::spec`] (or [`SearchDriver::spec`]): the driver then
+//! snapshots the evaluator caches every `checkpoint_every` steps, at
+//! completion and on cancel, and with `resume` it restores them and steps
+//! a fresh technique from the start, bit-for-bit identically to the
+//! uninterrupted run. See `DESIGN.md` ("Snapshot format") and the README's
+//! "Resuming an interrupted run".
 //!
 //! For *cross-run* (rather than crash-recovery) reuse, attach a persistent
 //! disk cache to the evaluator before handing it to the session
@@ -47,23 +47,24 @@
 
 use crate::bottleneck::dnn::LayerCtx;
 use crate::bottleneck::model::BottleneckModel;
-use crate::checkpoint;
-use crate::cost::LayerEval;
-use crate::dse::{dnn_ctx, DseConfig, DseResult, ExplainableDse, SearchState};
+use crate::checkpoint::{load_snapshot, save_snapshot, Snapshot};
+use crate::cost::{Evaluation, Sample, Trace};
+use crate::dse::{DseConfig, DseResult, ExplainableDse};
 use crate::evaluate::Evaluator;
 use crate::job::JobSpec;
 use crate::space::DesignPoint;
+use crate::technique::{DseTechnique, Problem};
 use edse_telemetry::{Collector, Level};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Cooperative cancellation flag shared between a driver ([`SearchDriver`]
-/// here, or the baseline driver built on the same protocol) and the code
-/// controlling it. Cloning is cheap (an `Arc` bump); all clones share one
-/// flag. Cancellation is checked at evaluation-batch boundaries — a step
-/// already in flight completes, so a cancel returns within one batch.
+/// Cooperative cancellation flag shared between a [`SearchDriver`] and
+/// the code controlling it. Cloning is cheap (an `Arc` bump); all clones
+/// share one flag. Cancellation is checked at evaluation-batch boundaries
+/// — a step already in flight completes, so a cancel returns within one
+/// batch.
 #[derive(Clone, Debug, Default)]
 pub struct CancelToken {
     flag: Arc<AtomicBool>,
@@ -100,40 +101,134 @@ pub enum StepOutcome {
     Cancelled,
 }
 
-/// An owned, resumable, cancellable explainable search.
+/// An owned, stepwise, cancellable exploration by any [`DseTechnique`].
 ///
-/// Where [`SearchSession::run`] parks the calling thread until
-/// termination, a driver advances the same search one *step* — one phase
-/// start or one acquisition attempt, i.e. at most one evaluation batch —
-/// per [`SearchDriver::step`] call, with identical results (the blocking
-/// entry points are wrappers over this type). Between steps the driver is
-/// an inert value: it can be parked in a job table, moved across threads,
-/// snapshotted, or dropped.
+/// One [`SearchDriver::step`] is one ask/tell round: the technique
+/// proposes a batch, the evaluator evaluates it as one batch, and the
+/// technique observes each point's evaluation or fault. Successful
+/// evaluations become trace samples; a permanently failed one never does.
+/// Between steps the driver is an inert value: it can be parked in a job
+/// table, moved across threads, snapshotted, or dropped.
 ///
-/// Built with [`SearchSession::driver`] / [`SearchSession::driver_with`].
-pub struct SearchDriver<C, E, F> {
-    dse: ExplainableDse<C>,
+/// With a checkpoint path the driver saves a snapshot — the evaluator
+/// caches, tagged with the technique label and budget — every
+/// `checkpoint_every` steps, at termination, and on cancel. A technique's
+/// state is a pure function of its seed, its budget and the outcomes it
+/// has observed, and the caches hold those outcomes, so a resume restores
+/// the caches and steps a fresh technique from the start: every completed
+/// evaluation is a cache hit, and the trace is bit-identical to the
+/// uninterrupted run's.
+pub struct SearchDriver<'t, E> {
+    technique: Box<dyn DseTechnique + 't>,
     evaluator: E,
-    ctx_fn: F,
-    state: SearchState,
+    budget: usize,
+    telemetry: Collector,
+    /// Whether the technique emits its own iteration records.
+    self_reporting: bool,
     checkpoint: Option<(PathBuf, usize)>,
     steps_since_save: usize,
     cancel: CancelToken,
+    trace: Trace,
+    best: Option<(DesignPoint, Evaluation)>,
     started: Instant,
     outcome: Option<StepOutcome>,
 }
 
-impl<C, E, F> SearchDriver<C, E, F>
-where
-    E: Evaluator,
-    F: Fn(&E, &DesignPoint, &LayerEval) -> Option<C>,
-{
-    /// Advances the search by one step (at most one evaluation batch).
+impl<'t, E: Evaluator> SearchDriver<'t, E> {
+    /// Starts a fresh exploration of `evaluator`'s problem with `budget`
+    /// evaluations.
+    pub fn new(technique: Box<dyn DseTechnique + 't>, evaluator: E, budget: usize) -> Self {
+        let trace = Trace::new(technique.name());
+        SearchDriver {
+            technique,
+            evaluator,
+            budget,
+            telemetry: Collector::noop(),
+            self_reporting: false,
+            checkpoint: None,
+            steps_since_save: 0,
+            cancel: CancelToken::new(),
+            trace,
+            best: None,
+            started: Instant::now(),
+            outcome: None,
+        }
+    }
+
+    /// Attaches a telemetry collector and hands it to the technique (see
+    /// [`DseTechnique::attach_telemetry`]). Each step opens the span the
+    /// technique names; a technique that does not report itself gets one
+    /// iteration record per sample, streamed as the samples arrive.
+    pub fn telemetry(mut self, telemetry: Collector) -> Self {
+        self.self_reporting = self.technique.attach_telemetry(&telemetry);
+        self.telemetry = telemetry;
+        self
+    }
+
+    /// Applies the checkpoint path, snapshot cadence (in steps) and resume
+    /// policy of a [`JobSpec`]. With `resume` set and the snapshot file
+    /// present, the snapshot's caches are restored into the evaluator.
     ///
-    /// Checks the [`CancelToken`] first: when it has fired, no step is
-    /// taken, a resumable snapshot is written if checkpointing is
-    /// configured, and [`StepOutcome::Cancelled`] is returned. After the
-    /// search terminates (or is cancelled) further calls are no-ops
+    /// # Errors
+    ///
+    /// Fails when the snapshot cannot be loaded (it is corrupt or has
+    /// another schema version), or records a different technique or budget
+    /// than this run: stepping a different search against those caches
+    /// would not reproduce the interrupted run.
+    pub fn spec(mut self, spec: &JobSpec) -> Result<Self, String> {
+        self.checkpoint = spec
+            .checkpoint
+            .clone()
+            .map(|path| (path, spec.checkpoint_every.max(1)));
+        let resume_from = self.checkpoint.as_ref().map(|(path, _)| path);
+        let Some(path) = resume_from.filter(|path| spec.resume && path.exists()) else {
+            return Ok(self);
+        };
+        let _span = self.telemetry.span("session/load_checkpoint");
+        let snapshot = load_snapshot(path).map_err(|e| format!("cannot resume: {e}"))?;
+        let name = &self.trace.technique;
+        if &snapshot.technique != name {
+            return Err(format!(
+                "cannot resume: snapshot records technique {:?}, this run is {name:?}",
+                snapshot.technique
+            ));
+        }
+        if snapshot.budget != self.budget {
+            return Err(format!(
+                "cannot resume: snapshot records budget {}, this run has {}",
+                snapshot.budget, self.budget
+            ));
+        }
+        self.evaluator.restore_caches(&snapshot.caches);
+        self.telemetry.log(
+            Level::Info,
+            &format!(
+                "resumed {name} from {} with {} cached evaluations",
+                path.display(),
+                snapshot.caches.unique_evaluations
+            ),
+        );
+        Ok(self)
+    }
+
+    /// Uses `token` as the driver's cancellation token instead of a fresh
+    /// one.
+    pub fn with_cancel_token(mut self, token: CancelToken) -> Self {
+        self.cancel = token;
+        self
+    }
+
+    /// A clone of the driver's cancellation token; fire it from any thread
+    /// to stop the search at the next step boundary.
+    pub fn cancel_token(&self) -> CancelToken {
+        self.cancel.clone()
+    }
+
+    /// Advances the exploration by one ask/tell round (at most one
+    /// evaluation batch). Checks the [`CancelToken`] first: when it has
+    /// fired, no round runs, the evaluator caches are snapshotted if
+    /// checkpointing is configured, and [`StepOutcome::Cancelled`] is
+    /// returned. After termination (or a cancel) further calls are no-ops
     /// returning the same outcome.
     pub fn step(&mut self) -> StepOutcome {
         if let Some(outcome) = self.outcome {
@@ -144,13 +239,56 @@ where
             self.outcome = Some(StepOutcome::Cancelled);
             return StepOutcome::Cancelled;
         }
-        let done = self
-            .dse
-            .step(&self.evaluator, &self.ctx_fn, &mut self.state);
-        if self.checkpoint.is_some() {
+        let start = self.trace.samples.len();
+        let done = {
+            let _span = self.telemetry.span(&self.technique.step_span());
+            let problem = Problem {
+                space: self.evaluator.space(),
+                constraints: self.evaluator.constraints(),
+                budget: self.budget,
+            };
+            match self.technique.propose(&problem) {
+                None => true,
+                Some(batch) => {
+                    let results = self.evaluator.try_evaluate_batch(&batch);
+                    let failed = Evaluation::failed(problem.constraints.len());
+                    let samples: Vec<Sample> = batch
+                        .into_iter()
+                        .zip(&results)
+                        .map(|(point, result)| {
+                            Sample::new(
+                                point,
+                                result.as_ref().unwrap_or(&failed),
+                                problem.constraints,
+                            )
+                        })
+                        .collect();
+                    for (sample, result) in samples.iter().zip(&results) {
+                        let Ok(eval) = result else {
+                            continue;
+                        };
+                        if sample.feasible
+                            && self
+                                .best
+                                .as_ref()
+                                .is_none_or(|(_, b)| eval.objective < b.objective)
+                        {
+                            self.best = Some((sample.point.clone(), eval.clone()));
+                        }
+                        self.trace.samples.push(sample.clone());
+                    }
+                    self.technique.observe(&problem, &samples, results);
+                    false
+                }
+            }
+        };
+        if !self.self_reporting {
+            self.trace
+                .emit_iteration_records_from(&self.telemetry, self.budget, start);
+        }
+        if let Some((_, every)) = self.checkpoint {
             self.steps_since_save += 1;
-            let every = self.checkpoint.as_ref().map_or(1, |(_, every)| *every);
-            if done || self.steps_since_save >= every.max(1) {
+            if done || self.steps_since_save >= every {
                 self.steps_since_save = 0;
                 self.snapshot();
             }
@@ -163,11 +301,62 @@ where
         }
     }
 
-    /// Steps until the search terminates or the token fires, then returns
-    /// the result (equivalent to what [`SearchSession::run_with`] does).
+    /// Steps until the exploration terminates or the token fires, then
+    /// returns the result.
     pub fn run_to_completion(mut self) -> DseResult {
         while self.step() == StepOutcome::Pending {}
         self.finish()
+    }
+
+    /// Writes a snapshot now (regardless of cadence) when checkpointing is
+    /// configured; a no-op otherwise. Returns whether a save was attempted.
+    /// Failures are reported through telemetry (`checkpoint/save_failures`
+    /// plus a warning), never panicked on: losing a checkpoint must not
+    /// kill the run it exists to protect.
+    pub fn snapshot(&mut self) -> bool {
+        let Some((path, _)) = &self.checkpoint else {
+            return false;
+        };
+        let snapshot = Snapshot {
+            technique: self.trace.technique.clone(),
+            budget: self.budget,
+            caches: self.evaluator.cache_snapshot(),
+        };
+        match save_snapshot(path, &snapshot) {
+            Ok(()) => self.telemetry.counter("checkpoint/saves", 1),
+            Err(e) => {
+                self.telemetry.counter("checkpoint/save_failures", 1);
+                self.telemetry
+                    .log(Level::Warn, &format!("checkpoint save failed: {e}"));
+            }
+        }
+        true
+    }
+
+    /// Whether the exploration has terminated or been cancelled.
+    pub fn is_done(&self) -> bool {
+        self.outcome.is_some()
+    }
+
+    /// Samples recorded so far.
+    pub fn evaluations(&self) -> usize {
+        self.trace.evaluations()
+    }
+
+    /// The incumbent: best feasible point and evaluation found so far.
+    pub fn best(&self) -> Option<&(DesignPoint, Evaluation)> {
+        self.best.as_ref()
+    }
+
+    /// Objective of the incumbent, if any.
+    pub fn best_objective(&self) -> Option<f64> {
+        self.best.as_ref().map(|(_, eval)| eval.objective)
+    }
+
+    /// The evaluator the driver owns (e.g. to read
+    /// [`Evaluator::cache_stats`] while the search is parked).
+    pub fn evaluator(&self) -> &E {
+        &self.evaluator
     }
 
     /// Consumes the driver and produces the result of the search so far.
@@ -175,58 +364,21 @@ where
     /// a cancel it reports the partial trace with termination
     /// `"cancelled"`.
     pub fn finish(self) -> DseResult {
-        let wall = self.state.prior_wall_seconds + self.started.elapsed().as_secs_f64();
-        let cancelled =
-            self.outcome == Some(StepOutcome::Cancelled) && self.state.final_termination.is_none();
-        let mut result = self.state.into_result(wall);
-        if cancelled {
-            result = result.with_termination("cancelled");
-        }
-        result
-    }
-
-    /// Writes a snapshot now (regardless of cadence) when checkpointing is
-    /// configured; a no-op otherwise. Returns whether a save was attempted.
-    pub fn snapshot(&mut self) -> bool {
-        let Some((path, _)) = self.checkpoint.clone() else {
-            return false;
-        };
-        let wall = self.state.prior_wall_seconds + self.started.elapsed().as_secs_f64();
-        self.dse
-            .save_checkpoint(&path, &mut self.state, &self.evaluator, wall);
-        true
-    }
-
-    /// A clone of the driver's cancellation token; fire it from any thread
-    /// to stop the search at the next step boundary.
-    pub fn cancel_token(&self) -> CancelToken {
-        self.cancel.clone()
-    }
-
-    /// Whether the search has terminated or been cancelled.
-    pub fn is_done(&self) -> bool {
-        self.outcome.is_some()
-    }
-
-    /// Unique evaluations recorded so far.
-    pub fn evaluations(&self) -> usize {
-        self.state.trace.evaluations()
-    }
-
-    /// The incumbent: best feasible point and evaluation found so far.
-    pub fn best(&self) -> Option<&(DesignPoint, crate::cost::Evaluation)> {
-        self.state.best.as_ref()
-    }
-
-    /// Objective of the incumbent, if any.
-    pub fn best_objective(&self) -> Option<f64> {
-        self.state.best.as_ref().map(|(_, eval)| eval.objective)
-    }
-
-    /// The evaluator the driver owns (e.g. to read
-    /// [`Evaluator::cache_stats`] while the search is parked).
-    pub fn evaluator(&self) -> &E {
-        &self.evaluator
+        let mut trace = self.trace;
+        trace.wall_seconds = self.started.elapsed().as_secs_f64();
+        let explanation = self.technique.explanation();
+        let termination = explanation
+            .as_ref()
+            .and_then(|e| e.termination.clone())
+            .unwrap_or_else(|| {
+                match self.outcome {
+                    Some(StepOutcome::Cancelled) => "cancelled",
+                    Some(_) => "budget",
+                    None => "",
+                }
+                .to_string()
+            });
+        DseResult::new(trace, self.best, explanation, termination)
     }
 }
 
@@ -235,53 +387,52 @@ where
 /// Construct with [`SearchSession::new`], attach an evaluator with
 /// [`SearchSession::evaluator`] (which fixes the second type parameter),
 /// optionally configure telemetry and a [`JobSpec`], then either run to
-/// completion with [`SearchSession::run`] / [`SearchSession::run_with`] or
-/// take stepwise control with [`SearchSession::driver`] /
-/// [`SearchSession::driver_with`].
-pub struct SearchSession<C, E = ()> {
-    dse: ExplainableDse<C>,
+/// completion with [`SearchSession::run`] or take stepwise control with
+/// [`SearchSession::driver`].
+pub struct SearchSession<E = ()> {
+    dse: ExplainableDse,
+    budget: usize,
     evaluator: E,
-    checkpoint: Option<PathBuf>,
-    checkpoint_every: usize,
-    resume: bool,
+    telemetry: Collector,
+    spec: JobSpec,
     cancel: CancelToken,
 }
 
-impl<C> SearchSession<C, ()> {
+impl SearchSession<()> {
     /// Starts a session from a bottleneck model and a configuration. No
     /// evaluator is attached yet: call [`SearchSession::evaluator`] next.
-    pub fn new(model: BottleneckModel<C>, config: DseConfig) -> Self {
+    pub fn new(model: BottleneckModel<LayerCtx>, config: DseConfig) -> Self {
         SearchSession {
+            budget: config.budget,
             dse: ExplainableDse::new(model, config),
             evaluator: (),
-            checkpoint: None,
-            checkpoint_every: 10,
-            resume: false,
+            telemetry: Collector::noop(),
+            spec: JobSpec::default(),
             cancel: CancelToken::new(),
         }
     }
 }
 
-impl<C, E> SearchSession<C, E> {
+impl<E> SearchSession<E> {
     /// Attaches the evaluator (any [`Evaluator`], by value or by
     /// reference), fixing the session's evaluator type.
-    pub fn evaluator<E2: Evaluator>(self, evaluator: E2) -> SearchSession<C, E2> {
+    pub fn evaluator<E2: Evaluator>(self, evaluator: E2) -> SearchSession<E2> {
         SearchSession {
             dse: self.dse,
+            budget: self.budget,
             evaluator,
-            checkpoint: self.checkpoint,
-            checkpoint_every: self.checkpoint_every,
-            resume: self.resume,
+            telemetry: self.telemetry,
+            spec: self.spec,
             cancel: self.cancel,
         }
     }
 
-    /// Attaches a telemetry collector (see
-    /// [`ExplainableDse::with_telemetry`] for what the search emits; the
-    /// session additionally emits `checkpoint/saves` counters and
-    /// resume/save log lines).
+    /// Attaches a telemetry collector: the search emits a `dse/run` span
+    /// plus what [`ExplainableDse`] reports through
+    /// [`DseTechnique::attach_telemetry`]; the driver adds
+    /// `checkpoint/saves` counters and resume/save log lines.
     pub fn telemetry(mut self, telemetry: Collector) -> Self {
-        self.dse = self.dse.with_telemetry(telemetry);
+        self.telemetry = telemetry;
         self
     }
 
@@ -290,9 +441,7 @@ impl<C, E> SearchSession<C, E> {
     /// configuration surface shared by the service (`POST /jobs` body),
     /// the bench harness, and library callers.
     pub fn spec(mut self, spec: &JobSpec) -> Self {
-        self.checkpoint = spec.checkpoint.clone();
-        self.checkpoint_every = spec.checkpoint_every.max(1);
-        self.resume = spec.resume;
+        self.spec = spec.clone();
         self
     }
 
@@ -305,96 +454,35 @@ impl<C, E> SearchSession<C, E> {
     }
 }
 
-impl<C, E: Evaluator> SearchSession<C, E> {
-    /// Turns the session into a stepwise [`SearchDriver`] with a custom
-    /// bottleneck-context closure: `ctx_fn` builds the bottleneck-analysis
-    /// context for one sub-function of an evaluated point — it receives
-    /// the evaluator, the point, and the sub-function's [`LayerEval`], and
-    /// returns `None` when the sub-function cannot be analyzed (e.g. no
-    /// feasible mapping).
-    ///
-    /// On a resumed run, `initial` is ignored: the snapshot carries the
-    /// in-flight phase's state. The evaluator's caches are restored from
-    /// the snapshot before the first step, so no completed evaluation is
-    /// ever recomputed.
+impl<E: Evaluator> SearchSession<E> {
+    /// Turns the session into a stepwise [`SearchDriver`] whose first
+    /// phase starts at `initial`.
     ///
     /// # Panics
     ///
     /// Panics when resume is enabled and the snapshot file exists but
-    /// cannot be loaded — it is corrupt, has a different schema version, is
-    /// a baseline snapshot, or was produced under a different
-    /// [`DseConfig`]. Silently falling back to a fresh run would discard
-    /// the interrupted run's work, so the mismatch is surfaced loudly.
-    pub fn driver_with<F>(self, initial: DesignPoint, ctx_fn: F) -> SearchDriver<C, E, F>
-    where
-        F: Fn(&E, &DesignPoint, &LayerEval) -> Option<C>,
-    {
-        let state = match (&self.checkpoint, self.resume) {
-            (Some(path), true) if path.exists() => {
-                let _span = self.dse.telemetry.span("session/load_checkpoint");
-                let (state, caches) = checkpoint::load_search(path, &self.dse.config)
-                    .unwrap_or_else(|e| panic!("cannot resume search: {e}"));
-                self.evaluator.restore_caches(&caches);
-                self.dse.telemetry.log(
-                    Level::Info,
-                    &format!(
-                        "resumed from {} at {} attempts / {} evaluations",
-                        path.display(),
-                        state.attempts.len(),
-                        caches.unique_evaluations
-                    ),
-                );
-                state
-            }
-            _ => SearchState::new(initial),
-        };
-        SearchDriver {
-            dse: self.dse,
-            evaluator: self.evaluator,
-            ctx_fn,
-            state,
-            checkpoint: self
-                .checkpoint
-                .map(|path| (path, self.checkpoint_every.max(1))),
-            steps_since_save: 0,
-            cancel: self.cancel,
-            started: Instant::now(),
-            outcome: None,
-        }
+    /// cannot be loaded, or records another technique or budget (see
+    /// [`SearchDriver::spec`], which returns the same mismatch as an
+    /// error). Silently falling back to a fresh run would discard the
+    /// interrupted run's work, so the mismatch is surfaced loudly.
+    pub fn driver(self, initial: DesignPoint) -> SearchDriver<'static, E> {
+        SearchDriver::new(
+            Box::new(self.dse.starting_at(initial)),
+            self.evaluator,
+            self.budget,
+        )
+        .telemetry(self.telemetry)
+        .with_cancel_token(self.cancel)
+        .spec(&self.spec)
+        .unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Runs the search to completion with a custom bottleneck-context
-    /// closure; a thin wrapper over [`SearchSession::driver_with`] +
-    /// [`SearchDriver::run_to_completion`] (bit-identical to stepping the
-    /// driver by hand). See [`SearchSession::driver_with`] for the resume
-    /// semantics and panics.
-    pub fn run_with<F>(self, initial: DesignPoint, ctx_fn: F) -> DseResult
-    where
-        F: Fn(&E, &DesignPoint, &LayerEval) -> Option<C>,
-    {
-        let telemetry = self.dse.telemetry.clone();
-        let _run_span = telemetry.span("dse/run");
-        self.driver_with(initial, ctx_fn).run_to_completion()
-    }
-}
-
-impl<E: Evaluator> SearchSession<LayerCtx, E> {
-    /// Turns the session into a stepwise [`SearchDriver`] with the
-    /// standard DNN-accelerator context: each sub-function's context is
-    /// its execution profile on the decoded hardware configuration. See
-    /// [`SearchSession::driver_with`] for the resume semantics and panics.
-    pub fn driver(self, initial: DesignPoint) -> SearchDriver<LayerCtx, E, DnnCtxFn<E>> {
-        self.driver_with(initial, dnn_ctx())
-    }
-
-    /// Runs the search to completion with the standard DNN-accelerator
-    /// context; a thin wrapper over [`SearchSession::driver`]. See
-    /// [`SearchSession::driver_with`] for the resume semantics and panics.
+    /// Runs the search to completion inside a `dse/run` span; a thin
+    /// wrapper over [`SearchSession::driver`] (bit-identical to stepping
+    /// the driver by hand), with the same panics.
     pub fn run(self, initial: DesignPoint) -> DseResult {
-        self.run_with(initial, dnn_ctx())
+        let telemetry = self.telemetry.clone();
+        let _run_span = telemetry.span("dse/run");
+        self.driver(initial).run_to_completion()
     }
 }
-
-/// The concrete context-closure type produced by the default DNN-latency
-/// context builder, naming [`SearchSession::driver`]'s return type.
-pub type DnnCtxFn<E> = fn(&E, &DesignPoint, &LayerEval) -> Option<LayerCtx>;

@@ -14,6 +14,13 @@ use std::net::TcpStream;
 /// [`JobSpec`]: edse_core::JobSpec
 const MAX_BODY: usize = 1 << 20;
 
+/// Longest request line or header line the server will buffer, line
+/// terminator included.
+const MAX_LINE: usize = 8 << 10;
+
+/// Most header lines one request may carry.
+const MAX_HEADERS: usize = 64;
+
 /// One parsed request: method, path (query strings are not used by this
 /// API and are kept attached), and body.
 #[derive(Debug)]
@@ -27,21 +34,27 @@ pub struct Request {
 }
 
 /// Reads and parses one request from the stream. Returns `None` on a
-/// malformed or oversized request (the caller answers 400 and closes).
+/// malformed or oversized request — a line longer than `MAX_LINE`, more
+/// than `MAX_HEADERS` headers, or a body over `MAX_BODY` — or when the
+/// stream's read timeout expires first (the caller answers 400 and
+/// closes).
 pub fn read_request(stream: &mut TcpStream) -> Option<Request> {
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    reader.read_line(&mut line).ok()?;
+    let line = read_line(&mut reader)?;
     let mut parts = line.split_whitespace();
     let method = parts.next()?.to_uppercase();
     let path = parts.next()?.to_string();
     let mut content_length = 0usize;
+    let mut headers = 0usize;
     loop {
-        let mut header = String::new();
-        reader.read_line(&mut header).ok()?;
+        let header = read_line(&mut reader)?;
         let header = header.trim();
         if header.is_empty() {
             break;
+        }
+        headers += 1;
+        if headers > MAX_HEADERS {
+            return None;
         }
         if let Some((name, value)) = header.split_once(':') {
             if name.trim().eq_ignore_ascii_case("content-length") {
@@ -57,6 +70,14 @@ pub fn read_request(stream: &mut TcpStream) -> Option<Request> {
         reader.read_exact(&mut body).ok()?;
     }
     Some(Request { method, path, body })
+}
+
+/// Reads one `\n`-terminated line of at most `MAX_LINE` bytes; `None` on
+/// an I/O error, end of stream, or a longer line.
+fn read_line(reader: &mut impl BufRead) -> Option<String> {
+    let mut line = String::new();
+    reader.take(MAX_LINE as u64).read_line(&mut line).ok()?;
+    line.ends_with('\n').then_some(line)
 }
 
 /// Writes a complete fixed-length response and flushes.

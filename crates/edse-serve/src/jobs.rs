@@ -1,6 +1,6 @@
 //! Multi-tenant job registry and fair scheduler.
 //!
-//! Jobs are [`JobDriver`]s parked in a table; a fixed pool of worker
+//! Jobs are [`HostedSearch`]es parked in a table; a fixed pool of worker
 //! threads round-robins over the runnable ones, advancing each by one
 //! `step` (at most one evaluation batch) per turn. That batch boundary is
 //! the service's unit of everything: fairness (no job holds a worker
@@ -15,7 +15,7 @@
 //! `GET /jobs/:id/events` and `/metrics` can merge all tenants without
 //! name collisions.
 
-use crate::driver::{build_driver, JobDriver};
+use crate::driver::{build_driver, HostedSearch};
 use edse_core::evaluate::{CacheStats, EvalEngine};
 use edse_core::{CancelToken, DiskCache, JobSpec, StepOutcome};
 use edse_telemetry::json::Json;
@@ -135,7 +135,7 @@ impl Sink for EventSink {
 struct Job {
     spec: JobSpec,
     state: JobState,
-    driver: Option<Box<dyn JobDriver>>,
+    driver: Option<HostedSearch>,
     queued: bool,
     cancel: CancelToken,
     collector: Collector,

@@ -22,6 +22,7 @@ use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
+use std::time::Duration;
 
 /// A running server: the bound address plus the handles needed to stop
 /// it cleanly (tests and `--self-check` tear the whole thing down; a
@@ -148,9 +149,14 @@ fn error_body(message: &str) -> String {
     Json::obj(vec![("error", Json::Str(message.to_string()))]).to_line()
 }
 
+/// How long a handler waits for a client's next bytes while reading its
+/// request, so a silent client cannot hold a handler.
+const READ_TIMEOUT: Duration = Duration::from_secs(2);
+
 /// Handles one connection: one request, one response, close.
 fn handle(stream: &mut TcpStream, registry: &Registry) {
-    let Some(request) = read_request(stream) else {
+    let timed = stream.set_read_timeout(Some(READ_TIMEOUT));
+    let Some(request) = timed.ok().and_then(|()| read_request(stream)) else {
         respond_json(stream, 400, &error_body("malformed request"));
         return;
     };

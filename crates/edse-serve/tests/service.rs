@@ -76,19 +76,29 @@ fn concurrent_jobs_share_disk_cache_with_private_budgets() {
     let status_a = registry.status(a).expect("status a");
     let status_b = registry.status(b).expect("status b");
     // Budgets are per job even though the disk tier is shared: the random
-    // baseline counts exactly its own trace; the explainable run counts
-    // its own unique evaluations.
+    // baseline counts exactly its own trace; the explainable run's own
+    // unique evaluations stay within its budget. Progress counts samples,
+    // as the result summary does (a restart landing on a point already
+    // seen is sampled again without spending budget).
     assert_eq!(
         status_b.get("evaluations").and_then(Json::as_f64),
         Some(10.0)
     );
-    let evals_a = status_a
-        .get("evaluations")
+    let unique_a = status_a
+        .get("cache")
+        .and_then(|c| c.get("unique_evaluations"))
         .and_then(Json::as_f64)
-        .expect("evals a");
+        .expect("unique evals a");
     assert!(
-        evals_a > 0.0 && evals_a <= 12.0,
-        "explainable evals {evals_a}"
+        unique_a > 0.0 && unique_a <= 12.0,
+        "explainable unique evals {unique_a}"
+    );
+    assert_eq!(
+        status_a.get("evaluations").and_then(Json::as_f64),
+        status_a
+            .get("result")
+            .and_then(|r| r.get("evaluations"))
+            .and_then(Json::as_f64)
     );
     for status in [&status_a, &status_b] {
         assert_eq!(
@@ -450,5 +460,103 @@ fn http_smoke_submit_poll_metrics() {
     let (status, _) = http(addr, "DELETE", "/jobs", "");
     assert_eq!(status, 404);
 
+    server.stop();
+}
+
+#[test]
+fn mismatched_explainable_resume_is_a_400_not_a_dead_handler() {
+    let dir = scratch_dir("explainable-mismatch");
+    let snapshot = dir.join("explainable.snapshot");
+    let recorded = JobSpec {
+        checkpoint: Some(snapshot.clone()),
+        ..toy_spec("explainable", 10, 5)
+    };
+    run_straight(&recorded, EvalEngine::serial());
+    assert!(snapshot.exists(), "the recorded job leaves a snapshot");
+
+    // One handler: a panic on it would leave the next request unanswered.
+    let registry = Registry::new(EvalEngine::serial(), None, None, Collector::noop());
+    let workers = registry.spawn_workers(1);
+    let server = Server::start("127.0.0.1:0", 1, Arc::clone(&registry), workers).expect("start");
+    let addr = server.addr();
+    let resume = |budget: usize| {
+        JobSpec {
+            budget,
+            resume: true,
+            ..recorded.clone()
+        }
+        .to_json_string()
+    };
+    let (status, body) = http(addr, "POST", "/jobs", &resume(11));
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("budget"), "{body}");
+    let (status, body) = http(addr, "POST", "/jobs", &resume(10));
+    assert_eq!(status, 202, "{body}");
+    server.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Sends `request` raw and returns the response status, or `None` when the
+/// server closed the connection without one.
+fn raw_status(addr: std::net::SocketAddr, request: &[u8]) -> Option<u16> {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(30)))
+        .expect("client timeout");
+    // The server may stop reading (and close) before the whole request
+    // is sent; a refused write or read is the "closed" answer.
+    stream.write_all(request).ok()?;
+    let mut raw = Vec::new();
+    stream.read_to_end(&mut raw).ok()?;
+    let text = String::from_utf8_lossy(&raw);
+    text.split_whitespace().nth(1)?.parse().ok()
+}
+
+#[test]
+fn oversize_header_lines_and_header_floods_are_rejected() {
+    let registry = Registry::new(EvalEngine::serial(), None, None, Collector::noop());
+    let server = Server::start("127.0.0.1:0", 1, Arc::clone(&registry), Vec::new()).expect("start");
+    let addr = server.addr();
+    let ok = b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n";
+    assert_eq!(raw_status(addr, ok), Some(200));
+
+    let long = format!(
+        "GET /healthz HTTP/1.1\r\nX-Long: {}\r\n\r\n",
+        "a".repeat(64 << 10)
+    );
+    let answer = raw_status(addr, long.as_bytes());
+    assert!(
+        matches!(answer, None | Some(400)),
+        "oversize line: {answer:?}"
+    );
+
+    let flood: String = (0..10_000).map(|i| format!("X-{i}: v\r\n")).collect();
+    let flood = format!("GET /healthz HTTP/1.1\r\n{flood}\r\n");
+    let answer = raw_status(addr, flood.as_bytes());
+    assert!(
+        matches!(answer, None | Some(400)),
+        "header flood: {answer:?}"
+    );
+
+    // The handler survived both.
+    assert_eq!(raw_status(addr, ok), Some(200));
+    server.stop();
+}
+
+#[test]
+fn idle_connection_does_not_stop_the_next_request() {
+    let registry = Registry::new(EvalEngine::serial(), None, None, Collector::noop());
+    let server = Server::start("127.0.0.1:0", 1, Arc::clone(&registry), Vec::new()).expect("start");
+    let addr = server.addr();
+    // A client that connects and never sends a byte holds the only
+    // handler until the read timeout frees it.
+    let idle = TcpStream::connect(addr).expect("connect idle");
+    let started = std::time::Instant::now();
+    assert_eq!(
+        raw_status(addr, b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n"),
+        Some(200)
+    );
+    assert!(started.elapsed() < std::time::Duration::from_secs(20));
+    drop(idle);
     server.stop();
 }

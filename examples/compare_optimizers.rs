@@ -3,10 +3,7 @@
 //!
 //! Run with: `cargo run --release --example compare_optimizers [budget]`
 
-use explainable_dse::opt::{
-    BayesianOpt, ConfuciuxRl, DseTechnique, GeneticAlgorithm, GridSearch, HyperMapperLike,
-    RandomSearch, SimulatedAnnealing,
-};
+use explainable_dse::opt::by_name;
 use explainable_dse::prelude::*;
 
 fn main() {
@@ -39,32 +36,21 @@ fn main() {
         );
     };
 
-    // Baselines (each on a fresh evaluator so caching is fair).
-    let mut baselines: Vec<Box<dyn DseTechnique>> = vec![
-        Box::new(GridSearch::new()),
-        Box::new(RandomSearch::new(1)),
-        Box::new(SimulatedAnnealing::new(1)),
-        Box::new(GeneticAlgorithm::new(16, 1)),
-        Box::new(BayesianOpt::new(1)),
-        Box::new(HyperMapperLike::new(1)),
-        Box::new(ConfuciuxRl::new(1)),
-    ];
-    for technique in &mut baselines {
+    // Every technique of the registry, each on a fresh evaluator so
+    // caching is fair: the baselines with seed 1, then Explainable-DSE
+    // with the default seed.
+    for (name, seed) in [
+        ("grid", 1),
+        ("random", 1),
+        ("annealing", 1),
+        ("genetic", 1),
+        ("bayesian", 1),
+        ("hypermapper", 1),
+        ("rl", 1),
+        ("explainable", DseConfig::default().seed),
+    ] {
+        let mut technique = by_name(name, seed).expect("registered");
         let evaluator = CodesignEvaluator::new(edge_space(), vec![model.clone()], FixedMapper);
         run(technique.run(&evaluator, budget));
     }
-
-    // Explainable-DSE.
-    let evaluator = CodesignEvaluator::new(edge_space(), vec![model.clone()], FixedMapper);
-    let session = SearchSession::new(
-        dnn_latency_model(),
-        DseConfig {
-            budget,
-            ..DseConfig::default()
-        },
-    )
-    .evaluator(&evaluator);
-    let initial = evaluator.space().minimum_point();
-    let result = session.run(initial);
-    run(result.into_trace());
 }

@@ -126,12 +126,15 @@ fig04=target/release/fig04_toy_trace
 ck="$trace_tmp/fig04.ckpt"
 # Uninterrupted reference run.
 "$fig04" --iters 25 --out "$trace_tmp/a.json" > /dev/null
-# Checkpointed run, killed as soon as the first snapshot lands (the two
-# searches snapshot to $ck.hypermapper and $ck.explainable).
+# Checkpointed run, killed as soon as the explainable search's first
+# snapshot lands. The two searches snapshot to $ck.hypermapper and
+# $ck.explainable; HyperMapper runs first, so the kill lands mid-way
+# through the explainable search and the resume replays HyperMapper from
+# its completed snapshot and the explainable search from its partial one.
 "$fig04" --iters 25 --checkpoint "$ck" --checkpoint-every 1 \
     --out "$trace_tmp/b.json" > /dev/null &
 fig04_pid=$!
-while [ ! -f "$ck.hypermapper" ] && kill -0 "$fig04_pid" 2>/dev/null; do
+while [ ! -f "$ck.explainable" ] && kill -0 "$fig04_pid" 2>/dev/null; do
     sleep 0.01
 done
 kill -9 "$fig04_pid" 2>/dev/null || true

@@ -13,7 +13,8 @@
 //! * [`tech`] (`energy-area`) — area/energy/power technology models;
 //! * [`mapping`] (`mapper`) — mapping-space construction and optimizers;
 //! * [`nets`] (`workloads`) — the eleven evaluated DNN workloads;
-//! * [`opt`] (`baselines`) — non-explainable baseline optimizers.
+//! * [`opt`] (`baselines`) — non-explainable baseline optimizers and the
+//!   registry of every technique (`opt::by_name`).
 //!
 //! See `examples/quickstart.rs` for an end-to-end run and DESIGN.md /
 //! EXPERIMENTS.md for the experiment inventory.
