@@ -378,7 +378,8 @@ mod tests {
                         ("annealing", budget)
                     );
                     assert_eq!(
-                        snapshot.caches.unique_evaluations, saved,
+                        snapshot.caches.points.len(),
+                        saved,
                         "step {step}: the snapshot holds the last cadence point's caches"
                     );
                 }

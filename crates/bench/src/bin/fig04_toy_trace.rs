@@ -178,7 +178,7 @@ fn main() {
     }
 
     if let Some(out) = &args.out {
-        let unique = ev.cache_snapshot().unique_evaluations;
+        let unique = ev.unique_evaluations();
         let line = result_json(&hm, &result, unique).to_line();
         if let Err(e) = std::fs::write(out, line + "\n") {
             eprintln!("cannot write result file {out}: {e}");

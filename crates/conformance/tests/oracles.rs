@@ -322,7 +322,7 @@ fn killed_and_resumed_baseline_session_matches_straight_through() {
             }));
             let saved = edse_core::load_snapshot(&path)
                 .ok()
-                .map(|snapshot| snapshot.caches.unique_evaluations);
+                .map(|snapshot| snapshot.caches.points.len());
             let resumed_ev = edge_evaluator(EvalEngine::serial());
             let resumed = BaselineSession::new(technique().as_mut())
                 .spec(&JobSpec {

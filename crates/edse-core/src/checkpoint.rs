@@ -3,65 +3,33 @@
 //!
 //! A snapshot holds the evaluator caches, tagged with the technique label
 //! and budget of the run that wrote it — for every technique, the
-//! explainable search included. A technique's state is a pure function of
-//! its seed, its budget and the outcomes it has observed, so a resume
-//! restores the caches and steps a fresh technique from the start: every
-//! completed evaluation is a cache hit, landing on the same trajectory
-//! (see [`crate::SearchDriver`]).
+//! explainable search included. The caches hold only what cannot be
+//! re-derived: the evaluated design points, and the layer outcomes they
+//! were assembled from, each a disk-cache record keyed by the mapper that
+//! produced it (see [`CacheSnapshot`]). A technique's state is a pure
+//! function of its seed, its budget and the outcomes it has observed, so a
+//! resume restores the caches and steps a fresh technique from the start:
+//! every completed evaluation is a cache hit, landing on the same
+//! trajectory (see [`crate::SearchDriver`]).
 //!
 //! Snapshots are written with a write-then-rename so a crash mid-write
 //! never corrupts the previous snapshot. See `DESIGN.md` ("Snapshot
 //! format") for the on-disk layout and the determinism contract.
 
-use crate::cost::{Evaluation, LayerEval};
-use crate::evaluate::{CacheSnapshot, LayerEntry};
+use crate::diskcache::{write_atomic, LayerEntry};
+use crate::evaluate::CacheSnapshot;
 use crate::space::DesignPoint;
 use edse_telemetry::json::{self, Json};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// Magic string identifying a snapshot file.
 pub const SNAPSHOT_FORMAT: &str = "edse-snapshot";
 /// Current snapshot schema version; loaders reject anything else.
-pub const SNAPSHOT_VERSION: u64 = 2;
+pub const SNAPSHOT_VERSION: u64 = 3;
 
 // ---------------------------------------------------------------------------
 // JSON codec helpers
 // ---------------------------------------------------------------------------
-
-/// Infinity-safe `f64` codec: the JSON layer has no literal for non-finite
-/// values, so they round-trip as the strings `"inf"` / `"-inf"` / `"nan"`.
-fn num(v: f64) -> Json {
-    if v.is_finite() {
-        Json::Num(v)
-    } else if v.is_nan() {
-        Json::Str("nan".into())
-    } else if v > 0.0 {
-        Json::Str("inf".into())
-    } else {
-        Json::Str("-inf".into())
-    }
-}
-
-fn num_from(j: &Json) -> Result<f64, String> {
-    match j {
-        Json::Num(n) => Ok(*n),
-        Json::Str(s) => match s.as_str() {
-            "inf" => Ok(f64::INFINITY),
-            "-inf" => Ok(f64::NEG_INFINITY),
-            "nan" => Ok(f64::NAN),
-            other => Err(format!("expected a number, got string `{other}`")),
-        },
-        other => Err(format!("expected a number, got {other:?}")),
-    }
-}
-
-fn nums(values: &[f64]) -> Json {
-    Json::Arr(values.iter().map(|v| num(*v)).collect())
-}
-
-fn nums_from(j: &Json) -> Result<Vec<f64>, String> {
-    arr(j)?.iter().map(num_from).collect()
-}
 
 fn field<'j>(j: &'j Json, key: &str) -> Result<&'j Json, String> {
     j.get(key)
@@ -81,52 +49,10 @@ fn str_field(j: &Json, key: &str) -> Result<String, String> {
 }
 
 fn usize_field(j: &Json, key: &str) -> Result<usize, String> {
-    match field(j, key)? {
-        Json::Num(n) if *n >= 0.0 => Ok(*n as usize),
-        other => Err(format!(
-            "snapshot field `{key}` must be a non-negative number, got {other:?}"
-        )),
-    }
-}
-
-fn f64_field(j: &Json, key: &str) -> Result<f64, String> {
-    num_from(field(j, key)?).map_err(|e| format!("snapshot field `{key}`: {e}"))
-}
-
-fn bool_field(j: &Json, key: &str) -> Result<bool, String> {
-    match field(j, key)? {
-        Json::Bool(b) => Ok(*b),
-        other => Err(format!(
-            "snapshot field `{key}` must be a boolean, got {other:?}"
-        )),
-    }
-}
-
-/// Serializes a serde-capable value through the vendored `serde_json` and
-/// re-parses it into the telemetry [`Json`] tree. Used for the deep
-/// always-finite types (profiles, mappings, configs, shapes) whose field
-/// lists the snapshot layer should not hand-maintain.
-fn bridge_to<T: serde::Serialize>(v: &T) -> Result<Json, String> {
-    let s = serde_json::to_string(v).map_err(|e| format!("serialize: {e}"))?;
-    json::parse(&s).map_err(|e| format!("re-parse serialized value: {e}"))
-}
-
-fn bridge_from<T: serde::Deserialize>(j: &Json) -> Result<T, String> {
-    serde_json::from_str(&j.to_line()).map_err(|e| format!("deserialize: {e}"))
-}
-
-fn opt_to_json<T>(v: &Option<T>, f: impl Fn(&T) -> Result<Json, String>) -> Result<Json, String> {
-    match v {
-        None => Ok(Json::Null),
-        Some(v) => f(v),
-    }
-}
-
-fn opt_from_json<T>(j: &Json, f: impl Fn(&Json) -> Result<T, String>) -> Result<Option<T>, String> {
-    match j {
-        Json::Null => Ok(None),
-        other => f(other).map(Some),
-    }
+    let v = field(j, key)?;
+    v.as_u64()
+        .and_then(|n| usize::try_from(n).ok())
+        .ok_or_else(|| format!("snapshot field `{key}` must be a non-negative integer, got {v:?}"))
 }
 
 // ---------------------------------------------------------------------------
@@ -140,116 +66,55 @@ fn point_to_json(p: &DesignPoint) -> Json {
 fn point_from_json(j: &Json) -> Result<DesignPoint, String> {
     let indices = arr(j)?
         .iter()
-        .map(|v| match v {
-            Json::Num(n) if *n >= 0.0 => Ok(*n as usize),
-            other => Err(format!(
-                "design-point index must be a number, got {other:?}"
-            )),
+        .map(|v| {
+            v.as_u64()
+                .and_then(|n| usize::try_from(n).ok())
+                .ok_or_else(|| {
+                    format!("design-point index must be a non-negative integer, got {v:?}")
+                })
         })
         .collect::<Result<Vec<usize>, String>>()?;
     Ok(DesignPoint::new(indices))
 }
 
-fn layer_eval_to_json(l: &LayerEval) -> Result<Json, String> {
-    Ok(Json::obj(vec![
-        ("name", Json::Str(l.name.clone())),
-        ("model", Json::Str(l.model.clone())),
-        ("count", Json::Num(l.count as f64)),
-        ("profile", opt_to_json(&l.profile, bridge_to)?),
-        ("mappable", Json::Bool(l.mappable)),
-        ("latency_ms", num(l.latency_ms)),
-    ]))
+/// One layer entry as `{"key": .., "value": ..}`, exactly the disk tier's
+/// record, plus the key string it sorts by.
+fn layer_to_json(e: &LayerEntry) -> Result<(String, Json), String> {
+    let (key, value) = e.to_record()?;
+    let entry = Json::obj(vec![
+        ("key", json::parse(&key)?),
+        ("value", json::parse(&value)?),
+    ]);
+    Ok((key, entry))
 }
 
-fn layer_eval_from_json(j: &Json) -> Result<LayerEval, String> {
-    Ok(LayerEval {
-        name: str_field(j, "name")?,
-        model: str_field(j, "model")?,
-        count: usize_field(j, "count")? as u64,
-        profile: opt_from_json(field(j, "profile")?, bridge_from)?,
-        mappable: bool_field(j, "mappable")?,
-        latency_ms: f64_field(j, "latency_ms")?,
-    })
-}
-
-fn evaluation_to_json(e: &Evaluation) -> Result<Json, String> {
-    Ok(Json::obj(vec![
-        ("objective", num(e.objective)),
-        ("mappable", Json::Bool(e.mappable)),
-        ("constraint_values", nums(&e.constraint_values)),
-        (
-            "layers",
-            Json::Arr(
-                e.layers
-                    .iter()
-                    .map(layer_eval_to_json)
-                    .collect::<Result<_, _>>()?,
-            ),
-        ),
-        ("area_mm2", num(e.area_mm2)),
-        ("power_w", num(e.power_w)),
-        ("energy_mj", num(e.energy_mj)),
-    ]))
-}
-
-fn evaluation_from_json(j: &Json) -> Result<Evaluation, String> {
-    Ok(Evaluation {
-        objective: f64_field(j, "objective")?,
-        mappable: bool_field(j, "mappable")?,
-        constraint_values: nums_from(field(j, "constraint_values")?)?,
-        layers: arr(field(j, "layers")?)?
-            .iter()
-            .map(layer_eval_from_json)
-            .collect::<Result<_, _>>()?,
-        area_mm2: f64_field(j, "area_mm2")?,
-        power_w: f64_field(j, "power_w")?,
-        energy_mj: f64_field(j, "energy_mj")?,
-    })
+fn layer_from_json(j: &Json) -> Result<LayerEntry, String> {
+    LayerEntry::from_record(
+        field(j, "key")?.to_line().as_bytes(),
+        field(j, "value")?.to_line().as_bytes(),
+    )
 }
 
 fn caches_to_json(c: &CacheSnapshot) -> Result<Json, String> {
     // Deterministic entry order regardless of hash-map iteration: points by
-    // their index vectors, layers by (shape, serialized config).
-    let mut points: Vec<&(DesignPoint, Evaluation)> = c.points.iter().collect();
-    points.sort_by(|(a, _), (b, _)| a.indices().cmp(b.indices()));
-    let mut layers: Vec<(&LayerEntry, String)> = c
+    // their index vectors, layers by their record key.
+    let mut points: Vec<&DesignPoint> = c.points.iter().collect();
+    points.sort_by(|a, b| a.indices().cmp(b.indices()));
+    let mut layers = c
         .layers
         .iter()
-        .map(|e| Ok((e, bridge_to(&e.cfg)?.to_line())))
-        .collect::<Result<_, String>>()?;
-    layers.sort_by(|(a, acfg), (b, bcfg)| a.shape.cmp(&b.shape).then_with(|| acfg.cmp(bcfg)));
+        .map(layer_to_json)
+        .collect::<Result<Vec<_>, String>>()?;
+    layers.sort_by(|(a, _), (b, _)| a.cmp(b));
 
     Ok(Json::obj(vec![
-        ("unique_evaluations", Json::Num(c.unique_evaluations as f64)),
         (
             "points",
-            Json::Arr(
-                points
-                    .into_iter()
-                    .map(|(p, e)| {
-                        Ok(Json::obj(vec![
-                            ("point", point_to_json(p)),
-                            ("evaluation", evaluation_to_json(e)?),
-                        ]))
-                    })
-                    .collect::<Result<_, String>>()?,
-            ),
+            Json::Arr(points.into_iter().map(point_to_json).collect()),
         ),
         (
             "layers",
-            Json::Arr(
-                layers
-                    .into_iter()
-                    .map(|(e, _)| {
-                        Ok(Json::obj(vec![
-                            ("shape", bridge_to(&e.shape)?),
-                            ("cfg", bridge_to(&e.cfg)?),
-                            ("mapped", opt_to_json(&e.mapped, bridge_to)?),
-                            ("diagnostic", opt_to_json(&e.diagnostic, bridge_to)?),
-                        ]))
-                    })
-                    .collect::<Result<_, String>>()?,
-            ),
+            Json::Arr(layers.into_iter().map(|(_, entry)| entry).collect()),
         ),
         (
             // References into the persistent disk cache (already sorted by
@@ -267,11 +132,16 @@ fn caches_to_json(c: &CacheSnapshot) -> Result<Json, String> {
 }
 
 fn caches_from_json(j: &Json) -> Result<CacheSnapshot, String> {
-    // Absent in snapshots written before the disk tier existed; same
-    // format version — old snapshots load with no references.
-    let disk_layers = match j.get("disk_layers") {
-        None | Some(Json::Null) => Vec::new(),
-        Some(v) => arr(v)?
+    Ok(CacheSnapshot {
+        points: arr(field(j, "points")?)?
+            .iter()
+            .map(point_from_json)
+            .collect::<Result<_, String>>()?,
+        layers: arr(field(j, "layers")?)?
+            .iter()
+            .map(layer_from_json)
+            .collect::<Result<_, String>>()?,
+        disk_layers: arr(field(j, "disk_layers")?)?
             .iter()
             .map(|h| {
                 h.as_str()
@@ -279,85 +149,7 @@ fn caches_from_json(j: &Json) -> Result<CacheSnapshot, String> {
                     .ok_or_else(|| "disk_layers entries must be hex strings".to_string())
             })
             .collect::<Result<_, String>>()?,
-    };
-    Ok(CacheSnapshot {
-        disk_layers,
-        unique_evaluations: usize_field(j, "unique_evaluations")?,
-        points: arr(field(j, "points")?)?
-            .iter()
-            .map(|entry| {
-                Ok((
-                    point_from_json(field(entry, "point")?)?,
-                    evaluation_from_json(field(entry, "evaluation")?)?,
-                ))
-            })
-            .collect::<Result<_, String>>()?,
-        layers: arr(field(j, "layers")?)?
-            .iter()
-            .map(|entry| {
-                Ok(LayerEntry {
-                    shape: bridge_from(field(entry, "shape")?)?,
-                    cfg: bridge_from(field(entry, "cfg")?)?,
-                    mapped: opt_from_json(field(entry, "mapped")?, bridge_from)?,
-                    diagnostic: opt_from_json(field(entry, "diagnostic")?, bridge_from)?,
-                })
-            })
-            .collect::<Result<_, String>>()?,
     })
-}
-
-// ---------------------------------------------------------------------------
-// File I/O
-// ---------------------------------------------------------------------------
-
-/// Writes `contents` to `path` atomically: to a `.tmp` sibling first, then
-/// renamed over the target, so a crash mid-write never corrupts the
-/// previous snapshot.
-fn write_atomic(path: &Path, contents: &str) -> Result<(), String> {
-    let mut tmp_name = path.as_os_str().to_os_string();
-    tmp_name.push(".tmp");
-    let tmp = PathBuf::from(tmp_name);
-    std::fs::write(&tmp, contents).map_err(|e| format!("write {}: {e}", tmp.display()))?;
-    std::fs::rename(&tmp, path)
-        .map_err(|e| format!("rename {} -> {}: {e}", tmp.display(), path.display()))
-}
-
-fn envelope(kind: &str, body: Vec<(&str, Json)>) -> Json {
-    let mut entries = vec![
-        ("format", Json::Str(SNAPSHOT_FORMAT.into())),
-        ("version", Json::Num(SNAPSHOT_VERSION as f64)),
-        ("kind", Json::Str(kind.into())),
-    ];
-    entries.extend(body);
-    Json::obj(entries)
-}
-
-fn open_envelope(path: &Path, expect_kind: &str) -> Result<Json, String> {
-    let text =
-        std::fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))?;
-    let j = json::parse(text.trim()).map_err(|e| format!("{}: {e}", path.display()))?;
-    let format = str_field(&j, "format")?;
-    if format != SNAPSHOT_FORMAT {
-        return Err(format!(
-            "{}: not a snapshot file (format `{format}`)",
-            path.display()
-        ));
-    }
-    let version = usize_field(&j, "version")? as u64;
-    if version != SNAPSHOT_VERSION {
-        return Err(format!(
-            "{}: unsupported snapshot version {version} (this build reads version {SNAPSHOT_VERSION})",
-            path.display()
-        ));
-    }
-    let kind = str_field(&j, "kind")?;
-    if kind != expect_kind {
-        return Err(format!(
-            "{}: snapshot kind `{kind}` where `{expect_kind}` was expected",
-            path.display()
-        ));
-    }
-    Ok(j)
 }
 
 /// A search snapshot: evaluator caches plus enough identity to verify
@@ -379,14 +171,13 @@ pub struct Snapshot {
 ///
 /// Returns a description of the I/O or serialization failure.
 pub fn save_snapshot(path: &Path, snapshot: &Snapshot) -> Result<(), String> {
-    let j = envelope(
-        "search",
-        vec![
-            ("technique", Json::Str(snapshot.technique.clone())),
-            ("budget", Json::Num(snapshot.budget as f64)),
-            ("caches", caches_to_json(&snapshot.caches)?),
-        ],
-    );
+    let j = Json::obj(vec![
+        ("format", Json::Str(SNAPSHOT_FORMAT.into())),
+        ("version", Json::Num(SNAPSHOT_VERSION as f64)),
+        ("technique", Json::Str(snapshot.technique.clone())),
+        ("budget", Json::Num(snapshot.budget as f64)),
+        ("caches", caches_to_json(&snapshot.caches)?),
+    ]);
     write_atomic(path, &j.to_line())
 }
 
@@ -397,19 +188,39 @@ pub fn save_snapshot(path: &Path, snapshot: &Snapshot) -> Result<(), String> {
 /// Returns a description of the I/O, parse, or schema failure (including
 /// the path), e.g. a snapshot of an older schema version.
 pub fn load_snapshot(path: &Path) -> Result<Snapshot, String> {
-    let j = open_envelope(path, "search")?;
+    let text =
+        std::fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))?;
+    snapshot_from_str(&text).map_err(|e| format!("{}: {e}", path.display()))
+}
+
+fn snapshot_from_str(text: &str) -> Result<Snapshot, String> {
+    let j = json::parse(text.trim())?;
+    let format = str_field(&j, "format")?;
+    if format != SNAPSHOT_FORMAT {
+        return Err(format!("not a snapshot file (format `{format}`)"));
+    }
+    let version = usize_field(&j, "version")? as u64;
+    if version != SNAPSHOT_VERSION {
+        return Err(format!(
+            "unsupported snapshot version {version} (this build reads version {SNAPSHOT_VERSION})"
+        ));
+    }
     Ok(Snapshot {
         technique: str_field(&j, "technique")?,
         budget: usize_field(&j, "budget")?,
-        caches: caches_from_json(field(&j, "caches")?)
-            .map_err(|e| format!("{}: {e}", path.display()))?,
+        caches: caches_from_json(field(&j, "caches")?)?,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::diskcache::LayerOutcome;
+    use accel_model::AcceleratorConfig;
+    use mapper::{FixedMapper, MappingOptimizer};
+    use std::path::PathBuf;
     use std::sync::atomic::{AtomicU64, Ordering};
+    use workloads::LayerShape;
 
     fn temp_path(tag: &str) -> PathBuf {
         static SEQ: AtomicU64 = AtomicU64::new(0);
@@ -420,81 +231,58 @@ mod tests {
         ))
     }
 
-    #[test]
-    fn num_codec_round_trips_non_finite_values() {
-        for v in [0.0, -1.5, 1e300, f64::INFINITY, f64::NEG_INFINITY] {
-            assert_eq!(num_from(&num(v)).unwrap(), v);
+    fn layer(c: u64) -> LayerEntry {
+        let shape = LayerShape::conv(1, c, 8, 7, 7, 3, 3, 1);
+        let cfg = AcceleratorConfig::edge_baseline();
+        LayerEntry {
+            mapper: FixedMapper.fingerprint(),
+            shape,
+            cfg,
+            outcome: LayerOutcome {
+                mapped: FixedMapper.optimize(&shape, &cfg),
+                diagnostic: None,
+            },
         }
-        assert!(num_from(&num(f64::NAN)).unwrap().is_nan());
-        // And through a full serialize/parse cycle.
-        let line = Json::Arr(vec![num(f64::INFINITY), num(2.5)]).to_line();
-        let back = json::parse(&line).unwrap();
-        assert_eq!(num_from(&back.as_arr().unwrap()[0]).unwrap(), f64::INFINITY);
-    }
-
-    #[test]
-    fn evaluation_round_trips_with_unmappable_layers() {
-        let e = Evaluation {
-            objective: f64::INFINITY,
-            mappable: false,
-            constraint_values: vec![12.5, f64::INFINITY],
-            layers: vec![LayerEval {
-                name: "conv1".into(),
-                model: "toy".into(),
-                count: 3,
-                profile: None,
-                mappable: false,
-                latency_ms: f64::INFINITY,
-            }],
-            area_mm2: 12.5,
-            power_w: 1.0,
-            energy_mj: 0.0,
-        };
-        let j = evaluation_to_json(&e).unwrap();
-        let line = j.to_line();
-        let back = evaluation_from_json(&json::parse(&line).unwrap()).unwrap();
-        assert_eq!(e, back);
     }
 
     #[test]
     fn snapshot_round_trips_and_rejects_older_versions() {
-        let snap = Snapshot {
+        let mut snap = Snapshot {
             technique: "random-fixdf".into(),
             budget: 250,
             caches: CacheSnapshot {
-                unique_evaluations: 1,
-                points: vec![(
+                points: vec![
                     DesignPoint::new(vec![0, 2, 1]),
-                    Evaluation {
-                        objective: 4.0,
-                        mappable: true,
-                        constraint_values: vec![1.0],
-                        layers: vec![],
-                        area_mm2: 1.0,
-                        power_w: 0.5,
-                        energy_mj: 0.1,
-                    },
-                )],
-                layers: vec![],
+                    DesignPoint::new(vec![1, 0, 0]),
+                ],
+                layers: vec![layer(8), layer(16)],
                 disk_layers: vec![3, u64::MAX],
             },
         };
+        // Entries sort by their record key, so the order they were captured
+        // in never shows in the file.
+        snap.caches.layers.sort_by_key(|e| e.to_record().unwrap().0);
         let path = temp_path("snapshot");
         save_snapshot(&path, &snap).unwrap();
         assert_eq!(load_snapshot(&path).unwrap(), snap);
+        let bytes = std::fs::read(&path).unwrap();
+        snap.caches.points.reverse();
+        snap.caches.layers.reverse();
+        save_snapshot(&path, &snap).unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), bytes);
         // The tmp sibling is gone after the rename.
         let mut tmp = path.as_os_str().to_os_string();
         tmp.push(".tmp");
         assert!(!PathBuf::from(tmp).exists());
-        // A version-1 snapshot (which held the explainable search state)
+        // A version-2 snapshot (which stored every point's evaluation)
         // gets the version error.
         std::fs::write(
             &path,
-            r#"{"format":"edse-snapshot","version":1,"kind":"explainable"}"#,
+            r#"{"format":"edse-snapshot","version":2,"kind":"search"}"#,
         )
         .unwrap();
         let err = load_snapshot(&path).unwrap_err();
-        assert!(err.contains("unsupported snapshot version 1"), "{err}");
+        assert!(err.contains("unsupported snapshot version 2"), "{err}");
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -505,15 +293,11 @@ mod tests {
         let err = load_snapshot(&path).unwrap_err();
         assert!(err.contains(path.to_str().unwrap()), "{err}");
 
-        std::fs::write(
-            &path,
-            r#"{"format":"edse-snapshot","version":99,"kind":"search"}"#,
-        )
-        .unwrap();
+        std::fs::write(&path, r#"{"format":"edse-snapshot","version":99}"#).unwrap();
         let err = load_snapshot(&path).unwrap_err();
         assert!(err.contains("unsupported snapshot version 99"), "{err}");
 
-        std::fs::write(&path, r#"{"format":"other","version":2,"kind":"search"}"#).unwrap();
+        std::fs::write(&path, r#"{"format":"other","version":3}"#).unwrap();
         let err = load_snapshot(&path).unwrap_err();
         assert!(err.contains("not a snapshot file"), "{err}");
         std::fs::remove_file(&path).unwrap();

@@ -29,15 +29,13 @@
 //! skipped whole. Every recovery action is counted in
 //! [`DiskCacheStats`] and emitted as `disk_cache/*` telemetry counters.
 //!
-//! # Trusting vs. checked reads
+//! # Checked reads
 //!
-//! By default, lookups trust the index and only compare the stored key
-//! string against the requested key (which makes hash collisions
-//! harmless). With the `validation` cargo feature — the CI configuration —
-//! every read additionally re-verifies the record checksum and key hash
-//! before deserializing. Either way, a record that fails any check is
-//! evicted and treated as a miss: the evaluator recomputes and re-appends,
-//! so corruption can cost time but never changes results.
+//! Every read re-verifies the record checksum and key hash, and compares
+//! the stored key string against the requested key (which makes hash
+//! collisions harmless), before deserializing. A record that fails any
+//! check is evicted and treated as a miss: the evaluator recomputes and
+//! re-appends, so corruption can cost time but never changes results.
 
 use accel_model::{AcceleratorConfig, ExecutionProfile};
 use edse_telemetry::json::{self, Json};
@@ -67,26 +65,6 @@ const INDEX_FILE: &str = "index.json";
 /// Index schema identifier.
 const INDEX_FORMAT: &str = "edse-diskcache-index";
 
-pub use integrity::READ_CHECKS;
-
-#[cfg(feature = "validation")]
-mod integrity {
-    /// Whether lookups re-verify record checksums and key hashes before
-    /// deserializing (`true` under the `validation` feature — the CI
-    /// configuration; default builds trust the index and only compare the
-    /// stored key string).
-    pub const READ_CHECKS: bool = true;
-}
-
-#[cfg(not(feature = "validation"))]
-mod integrity {
-    /// Whether lookups re-verify record checksums and key hashes before
-    /// deserializing (`true` under the `validation` feature — the CI
-    /// configuration; default builds trust the index and only compare the
-    /// stored key string).
-    pub const READ_CHECKS: bool = false;
-}
-
 /// 64-bit FNV-1a. [`std::hash::DefaultHasher`] is explicitly not stable
 /// across Rust releases, so content-addressed keys that live on disk get a
 /// hand-rolled hash that never changes.
@@ -105,17 +83,60 @@ fn checksum(body: &[u8]) -> u32 {
     (h ^ (h >> 32)) as u32
 }
 
-/// The persisted outcome of mapping one layer onto one configuration —
-/// the disk-resident form of the evaluator's layer-cache values. Both
-/// fields `None` records a pair that was searched and found unmappable
-/// with no diagnostic available (just as expensive to rediscover as a
-/// feasible mapping).
+/// The outcome of mapping one layer onto one configuration: the value of
+/// the evaluator's layer cache, of a disk record and of a snapshot's layer
+/// entry. Both fields `None` records a pair that was searched and found
+/// unmappable with no diagnostic available (just as expensive to
+/// rediscover as a feasible mapping).
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct StoredLayer {
+pub struct LayerOutcome {
     /// The optimized mapping, when one was feasible.
     pub mapped: Option<MappedLayer>,
     /// The diagnostic relaxed-NoC profile for infeasible pairs.
     pub diagnostic: Option<ExecutionProfile>,
+}
+
+/// One decoded record: the outcome together with the key it is stored
+/// under. A snapshot carries these for layer outcomes the disk tier does
+/// not hold, in the same key/value encoding as the disk.
+#[derive(Debug, Clone, PartialEq)]
+pub struct LayerEntry {
+    /// The [`mapper::MappingOptimizer::fingerprint`] of the mapper that
+    /// produced the outcome.
+    pub mapper: String,
+    /// The layer shape that was mapped.
+    pub shape: LayerShape,
+    /// The hardware configuration it was mapped onto.
+    pub cfg: AcceleratorConfig,
+    /// What the mapper found.
+    pub outcome: LayerOutcome,
+}
+
+impl LayerEntry {
+    /// The record's canonical key (see [`layer_key`]) and its serialized
+    /// value.
+    pub(crate) fn to_record(&self) -> Result<(String, String), String> {
+        let key = layer_key(&self.mapper, &self.shape, &self.cfg)?;
+        let value =
+            serde_json::to_string(&self.outcome).map_err(|e| format!("serialize record: {e}"))?;
+        Ok((key, value))
+    }
+
+    /// Decodes a record's key and value.
+    pub(crate) fn from_record(key: &[u8], value: &[u8]) -> Result<LayerEntry, String> {
+        let key: KeyRepr = decode_json(key)?;
+        Ok(LayerEntry {
+            mapper: key.mapper,
+            shape: key.shape,
+            cfg: key.cfg,
+            outcome: decode_json(value)?,
+        })
+    }
+}
+
+fn decode_json<T: serde::Deserialize>(bytes: &[u8]) -> Result<T, String> {
+    let text = std::str::from_utf8(bytes).map_err(|e| e.to_string())?;
+    serde_json::from_str(text).map_err(|e| e.to_string())
 }
 
 /// The canonical key representation: mapper fingerprint + evaluation
@@ -217,9 +238,8 @@ struct Inner {
     next_id: u64,
 }
 
-/// The disk-backed, content-addressed store. Cheap trusting reads by
-/// default, checked reads under the `validation` feature; see the module
-/// docs for the on-disk layout and crash-safety contract.
+/// The disk-backed, content-addressed store; see the module docs for the
+/// on-disk layout, the read checks and the crash-safety contract.
 ///
 /// One process per cache directory at a time for writers (appends from two
 /// processes would interleave into the same namespace without
@@ -403,26 +423,35 @@ impl DiskCache {
                 .and_then(|(covers, _)| covers.get(&name).copied())
                 .unwrap_or(HEADER_LEN)
                 .max(HEADER_LEN);
-            let mut trusted = 0usize;
-            if covered > file_len {
-                // The index claims more bytes than exist: stale for this
-                // segment. Fall back to a full scan.
+            // Trust the index's entries for this segment only if the
+            // segment is as long as the index claims and every entry lies
+            // within the bytes it covers.
+            let locs = saved.as_ref().map_or(&[][..], |(_, locs)| locs.as_slice());
+            let trusted = locs
+                .iter()
+                .filter(|(_, file_name, _, _)| *file_name == name)
+                .map(|&(hash, _, offset, len)| {
+                    offset.checked_add(len).filter(|&end| end <= covered)?;
+                    let len = u32::try_from(len).ok()?;
+                    Some((hash, Loc { seg, offset, len }))
+                })
+                .collect::<Option<Vec<_>>>()
+                .filter(|_| covered <= file_len);
+            if let Some(entries) = trusted {
+                for (hash, loc) in entries {
+                    inner.index.entry(hash).or_insert(loc);
+                }
+            } else {
+                // The index misdescribes this segment: stale or corrupt.
+                // Fall back to a full scan.
                 self.event(
                     "index_rebuilds",
                     &self.index_rebuilds,
                     1,
-                    &format!("{name}: index covers {covered} of {file_len} bytes, rescanning"),
+                    &format!("{name}: index does not fit its {file_len} bytes, rescanning"),
                 );
                 covered = HEADER_LEN;
-            } else if let Some((_, locs)) = &saved {
-                for &(hash, ref file_name, offset, len) in locs {
-                    if *file_name == name && offset + len as u64 <= covered {
-                        inner.index.entry(hash).or_insert(Loc { seg, offset, len });
-                        trusted += 1;
-                    }
-                }
             }
-            let _ = trusted;
             // Scan whatever the index does not vouch for (everything on a
             // rebuild; the post-crash tail otherwise).
             let (records, end, torn) = scan_records(&mut file, covered, file_len);
@@ -461,7 +490,7 @@ impl DiskCache {
     fn load_index(
         &self,
         have_segments: bool,
-    ) -> Option<(HashMap<String, u64>, Vec<(u64, String, u64, u32)>)> {
+    ) -> Option<(HashMap<String, u64>, Vec<(u64, String, u64, u64)>)> {
         let path = self.dir.join(INDEX_FILE);
         let rebuild = |detail: String| {
             if have_segments {
@@ -489,11 +518,10 @@ impl DiskCache {
     // ------------------------------------------------------------------
 
     /// Looks up the stored outcome for a canonical key built by
-    /// [`layer_key`]. The stored key string is always compared against
-    /// `key` (hash collisions are harmless); under the `validation`
-    /// feature the record checksum is re-verified too. Unreadable records
-    /// are evicted and reported as misses.
-    pub fn get_outcome(&self, key: &str) -> Option<StoredLayer> {
+    /// [`layer_key`]. The record is checked (see the module docs) and its
+    /// stored key string compared against `key`, so hash collisions are
+    /// harmless. Unreadable records are evicted and reported as misses.
+    pub fn get_outcome(&self, key: &str) -> Option<LayerOutcome> {
         let hash = key_hash(key.as_bytes());
         let mut inner = self.inner.lock().expect("disk cache poisoned");
         let Some(loc) = inner.index.get(&hash).copied() else {
@@ -505,9 +533,7 @@ impl DiskCache {
             if stored_hash != hash || stored_key != key.as_bytes() {
                 return Err("stored key does not match".into());
             }
-            std::str::from_utf8(&value)
-                .map_err(|e| e.to_string())
-                .and_then(|s| serde_json::from_str::<StoredLayer>(s).map_err(|e| e.to_string()))
+            decode_json(&value)
         });
         match outcome {
             Ok(v) => {
@@ -545,7 +571,7 @@ impl DiskCache {
     /// failures degrade the cache to pass-through — counted and logged,
     /// never surfaced — because persistence must not be able to fail a
     /// run.
-    pub fn put_outcome(&self, key: &str, value: &StoredLayer) {
+    pub fn put_outcome(&self, key: &str, value: &LayerOutcome) {
         let val = match serde_json::to_string(value) {
             Ok(v) => v,
             Err(e) => {
@@ -579,27 +605,18 @@ impl DiskCache {
         }
     }
 
-    /// Resolves a checkpoint reference: the full `(mapper fingerprint,
-    /// shape, config, outcome)` for a record hash. Does not count toward
-    /// hit/miss traffic (references come from snapshots, not lookups);
-    /// unreadable records are evicted exactly like [`DiskCache::get_outcome`].
-    pub fn resolve_hash(
-        &self,
-        hash: u64,
-    ) -> Option<(String, LayerShape, AcceleratorConfig, StoredLayer)> {
+    /// Resolves a checkpoint reference: the decoded record for a record
+    /// hash. Does not count toward hit/miss traffic (references come from
+    /// snapshots, not lookups); unreadable records are evicted exactly like
+    /// [`DiskCache::get_outcome`].
+    pub fn resolve_hash(&self, hash: u64) -> Option<LayerEntry> {
         let mut inner = self.inner.lock().expect("disk cache poisoned");
         let loc = inner.index.get(&hash).copied()?;
         let resolved = read_record(&mut inner, loc).and_then(|(stored_hash, key, value)| {
             if stored_hash != hash {
                 return Err("stored hash does not match".into());
             }
-            let key: KeyRepr = std::str::from_utf8(&key)
-                .map_err(|e| e.to_string())
-                .and_then(|s| serde_json::from_str(s).map_err(|e| e.to_string()))?;
-            let value: StoredLayer = std::str::from_utf8(&value)
-                .map_err(|e| e.to_string())
-                .and_then(|s| serde_json::from_str(s).map_err(|e| e.to_string()))?;
-            Ok((key.mapper, key.shape, key.cfg, value))
+            LayerEntry::from_record(&key, &value)
         });
         match resolved {
             Ok(v) => Some(v),
@@ -708,6 +725,12 @@ impl DiskCache {
 
 impl Drop for DiskCache {
     fn drop(&mut self) {
+        // A panic while `inner` was held may have left it half-updated,
+        // and panicking again here would abort the process: skip the
+        // flush, and the next open rebuilds what the index misses by scan.
+        if self.inner.is_poisoned() {
+            return;
+        }
         if let Err(e) = self.flush_index() {
             self.telemetry
                 .log(Level::Warn, &format!("disk cache: index flush failed: {e}"));
@@ -807,9 +830,8 @@ fn scan_records(file: &mut File, from: u64, file_len: u64) -> (Vec<(u64, u64, u3
     (records, offset, false)
 }
 
-/// Reads one record at `loc`, returning `(hash, key, value)`. Trusting
-/// reads validate framing and (implicitly) the key; checked reads
-/// ([`READ_CHECKS`]) also re-verify the checksum and hash/key agreement.
+/// Reads one record at `loc`, returning `(hash, key, value)` once its
+/// framing, checksum and hash/key agreement check out.
 fn read_record(inner: &mut Inner, loc: Loc) -> Result<(u64, Vec<u8>, Vec<u8>), String> {
     let seg = inner
         .segments
@@ -833,14 +855,12 @@ fn read_record(inner: &mut Inner, loc: Loc) -> Result<(u64, Vec<u8>, Vec<u8>), S
         return Err("record length disagrees with the index".into());
     }
     let body = &raw[4..4 + body_len];
-    if READ_CHECKS {
-        let stored_sum = u32::from_le_bytes(raw[4 + body_len..].try_into().expect("4 bytes"));
-        if checksum(body) != stored_sum {
-            return Err("checksum mismatch".into());
-        }
+    let stored_sum = u32::from_le_bytes(raw[4 + body_len..].try_into().expect("4 bytes"));
+    if checksum(body) != stored_sum {
+        return Err("checksum mismatch".into());
     }
     let (hash, key, value) = decode_body(body)?;
-    if READ_CHECKS && key_hash(&key) != hash {
+    if key_hash(&key) != hash {
         return Err("stored hash disagrees with stored key".into());
     }
     Ok((hash, key, value))
@@ -947,7 +967,7 @@ fn index_to_json(inner: &Inner) -> Json {
 }
 
 #[allow(clippy::type_complexity)]
-fn parse_index(text: &str) -> Result<(HashMap<String, u64>, Vec<(u64, String, u64, u32)>), String> {
+fn parse_index(text: &str) -> Result<(HashMap<String, u64>, Vec<(u64, String, u64, u64)>), String> {
     let j = json::parse(text.trim()).map_err(|e| format!("parse: {e}"))?;
     let format = j
         .get("format")
@@ -994,16 +1014,17 @@ fn parse_index(text: &str) -> Result<(HashMap<String, u64>, Vec<(u64, String, u6
             .and_then(|s| u64::from_str_radix(s, 16).ok())
             .ok_or("entry hash is not a hex string")?;
         let file = entry[1].as_str().ok_or("entry file is not a string")?;
-        let offset = entry[2].as_u64().ok_or("entry offset is not a number")?;
-        let len = entry[3].as_u64().ok_or("entry len is not a number")?;
-        locs.push((hash, file.to_string(), offset, len as u32));
+        let offset = entry[2].as_u64().ok_or("entry offset is not an integer")?;
+        let len = entry[3].as_u64().ok_or("entry len is not an integer")?;
+        locs.push((hash, file.to_string(), offset, len));
     }
     Ok((covers, locs))
 }
 
-/// Write-then-rename, as everywhere else in the workspace: a crash
-/// mid-write never corrupts the previous file.
-fn write_atomic(path: &Path, contents: &str) -> Result<(), String> {
+/// Writes `contents` to a `.tmp` sibling of `path`, then renames it over
+/// `path`, so a crash mid-write never corrupts the previous file. Shared
+/// by the index and the checkpoint snapshots.
+pub(crate) fn write_atomic(path: &Path, contents: &str) -> Result<(), String> {
     let mut tmp_name = path.as_os_str().to_os_string();
     tmp_name.push(".tmp");
     let tmp = PathBuf::from(tmp_name);
@@ -1024,14 +1045,14 @@ mod tests {
         std::env::temp_dir().join(format!("edse-diskcache-{}-{tag}-{n}", std::process::id()))
     }
 
-    fn sample_entries(n: usize) -> Vec<(String, StoredLayer)> {
+    fn sample_entries(n: usize) -> Vec<(String, LayerOutcome)> {
         let cfg = AcceleratorConfig::edge_baseline();
         (0..n)
             .map(|i| {
                 let shape = LayerShape::conv(1, 16 + i as u64, 16, 14, 14, 3, 3, 1);
                 let mapped = FixedMapper.optimize(&shape, &cfg);
                 let key = layer_key("fixed-os", &shape, &cfg).unwrap();
-                let value = StoredLayer {
+                let value = LayerOutcome {
                     mapped,
                     diagnostic: None,
                 };
@@ -1224,6 +1245,60 @@ mod tests {
     }
 
     #[test]
+    fn out_of_range_index_entries_are_rescanned_not_trusted() {
+        let entries = sample_entries(3);
+        // One entry's offset past u64 (read back as no integer at all),
+        // then one whose length does not fit the record format's u32.
+        for (tag, field, bogus) in [
+            ("offset", 2, "18446744073709551616"),
+            ("len", 3, "4294967296"),
+        ] {
+            let dir = temp_dir(tag);
+            {
+                let cache = DiskCache::open(&dir).unwrap();
+                for (key, value) in &entries {
+                    cache.put_outcome(key, value);
+                }
+            }
+            let index = std::fs::read_to_string(dir.join(INDEX_FILE)).unwrap();
+            let doc = json::parse(&index).unwrap();
+            let entry = &doc.get("entries").and_then(Json::as_arr).unwrap()[1];
+            let mut items: Vec<String> =
+                entry.as_arr().unwrap().iter().map(Json::to_line).collect();
+            items[field] = bogus.to_string();
+            let corrupt = index.replacen(&entry.to_line(), &format!("[{}]", items.join(",")), 1);
+            assert_ne!(corrupt, index);
+            std::fs::write(dir.join(INDEX_FILE), corrupt).unwrap();
+
+            let cache = DiskCache::open(&dir).unwrap();
+            assert_eq!(cache.stats().index_rebuilds, 1, "{tag}");
+            for (key, value) in &entries {
+                assert_eq!(cache.get_outcome(key).as_ref(), Some(value), "{tag}");
+            }
+            assert_eq!(cache.stats().read_errors, 0, "{tag}");
+            drop(cache);
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+
+    #[test]
+    fn drop_skips_the_index_flush_after_a_panic_poisoned_the_cache() {
+        let dir = temp_dir("poison");
+        let cache = std::sync::Arc::new(DiskCache::open(&dir).unwrap());
+        let holder = std::sync::Arc::clone(&cache);
+        let panicked = std::thread::spawn(move || {
+            let _inner = holder.inner.lock().unwrap();
+            panic!("poisoning the disk cache");
+        })
+        .join();
+        assert!(panicked.is_err());
+        // Flushing here would panic on the poisoned lock during drop.
+        drop(cache);
+        assert!(!dir.join(INDEX_FILE).exists());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn compaction_merges_segments_and_survives_reopen() {
         let dir = temp_dir("compact");
         let entries = sample_entries(4);
@@ -1262,19 +1337,28 @@ mod tests {
         let cfg = AcceleratorConfig::edge_baseline();
         let shape = LayerShape::conv(1, 8, 8, 7, 7, 3, 3, 1);
         let key = layer_key("fixed-os", &shape, &cfg).unwrap();
-        let value = StoredLayer {
+        let value = LayerOutcome {
             mapped: FixedMapper.optimize(&shape, &cfg),
             diagnostic: None,
         };
         cache.put_outcome(&key, &value);
         let hash = key_hash(key.as_bytes());
         assert!(cache.contains_hash(hash));
-        let (mapper, got_shape, got_cfg, got_value) = cache.resolve_hash(hash).unwrap();
-        assert_eq!(mapper, "fixed-os");
-        assert_eq!(got_shape, shape);
-        assert_eq!(got_cfg, cfg);
-        assert_eq!(got_value, value);
+        let entry = LayerEntry {
+            mapper: "fixed-os".into(),
+            shape,
+            cfg,
+            outcome: value,
+        };
+        assert_eq!(cache.resolve_hash(hash), Some(entry.clone()));
         assert!(cache.resolve_hash(hash ^ 1).is_none());
+        // A record's key and value decode back to the same entry.
+        let (k, v) = entry.to_record().unwrap();
+        assert_eq!(k, key);
+        assert_eq!(
+            LayerEntry::from_record(k.as_bytes(), v.as_bytes()),
+            Ok(entry)
+        );
         drop(cache);
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -17,13 +17,13 @@
 //! [`Evaluator::try_evaluate_batch`] — instead of tearing down the search.
 
 use crate::cost::{Constraint, Evaluation, LayerEval};
-use crate::diskcache::{self, DiskCache, DiskCacheStats, StoredLayer};
+use crate::diskcache::{self, DiskCache, DiskCacheStats, LayerEntry, LayerOutcome};
 use crate::fault::{self, EvalFault, FaultPolicy};
 use crate::space::{decode_edge_point, DesignPoint, DesignSpace};
-use accel_model::{AcceleratorConfig, ExecutionProfile};
+use accel_model::AcceleratorConfig;
 use edse_telemetry::{BatchRecord, Collector, Level};
 use energy_area::Tech;
-use mapper::{MappedLayer, MappingOptimizer};
+use mapper::MappingOptimizer;
 use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -33,38 +33,27 @@ use workloads::{DnnModel, LayerShape};
 
 /// A snapshot of an evaluator's memo tables, as captured by
 /// [`Evaluator::cache_snapshot`] and replayed by
-/// [`Evaluator::restore_caches`]. Only *successful* entries are captured:
-/// failed evaluations are re-attempted after a resume (the fault may have
-/// been environmental).
+/// [`Evaluator::restore_caches`]. It holds only what cannot be re-derived:
+/// the evaluated points and the layer outcomes, each tagged with the
+/// mapper that produced it. Evaluations are not stored; the restoring
+/// evaluator re-assembles them from the layer outcomes, so a restore under
+/// other models, space, objective, tech or mapper yields that evaluator's
+/// own evaluations. Only *successful* entries are captured: failed
+/// evaluations are re-attempted after a resume (the fault may have been
+/// environmental).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CacheSnapshot {
-    /// The unique-evaluation counter at capture time (== the number of
-    /// point entries for [`CodesignEvaluator`]).
-    pub unique_evaluations: usize,
-    /// Completed point evaluations.
-    pub points: Vec<(DesignPoint, Evaluation)>,
-    /// Completed per-layer mapping outcomes.
+    /// The points that were evaluated successfully.
+    pub points: Vec<DesignPoint>,
+    /// Layer outcomes the attached persistent cache does not hold (all of
+    /// them without a disk tier).
     pub layers: Vec<LayerEntry>,
     /// Layer outcomes resident in the attached persistent cache,
     /// referenced by record hash instead of duplicated into the snapshot
     /// (see [`crate::diskcache::key_hash`]). Empty without a disk tier.
-    /// A reference that no longer resolves at restore time is silently
-    /// recomputed — results never depend on it (point evaluations are
-    /// always captured in full).
+    /// A reference that no longer resolves at restore time is recomputed
+    /// on demand, like any outcome the snapshot lacks.
     pub disk_layers: Vec<u64>,
-}
-
-/// One `(layer, config)` mapping-cache entry of a [`CacheSnapshot`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct LayerEntry {
-    /// The layer shape that was mapped.
-    pub shape: LayerShape,
-    /// The hardware configuration it was mapped onto.
-    pub cfg: AcceleratorConfig,
-    /// The optimized mapping, when one was feasible.
-    pub mapped: Option<MappedLayer>,
-    /// The diagnostic relaxed-NoC profile for infeasible pairs.
-    pub diagnostic: Option<ExecutionProfile>,
 }
 
 /// Traffic counters for one in-memory cache tier, as reported by
@@ -379,10 +368,10 @@ impl<K: Eq + Hash + Clone, V: Clone> ShardedCache<K, V> {
     }
 
     /// Pre-fills `key` with a completed `value` (the snapshot-restore
-    /// path). A no-op when the key already has a completed entry.
-    fn insert(&self, key: K, value: V) {
-        let slot = self.slot(&key);
-        let _ = slot.set(value);
+    /// path) without counting traffic. A no-op returning `false` when the
+    /// key already has a completed entry.
+    fn insert(&self, key: K, value: V) -> bool {
+        self.slot(&key).set(value).is_ok()
     }
 
     /// Records one access's classification (see
@@ -457,18 +446,10 @@ pub struct CodesignEvaluator<M> {
     engine: EvalEngine,
     telemetry: Collector,
     point_cache: ShardedCache<DesignPoint, Result<Evaluation, EvalFault>>,
-    layer_cache: ShardedCache<(LayerShape, AcceleratorConfig), Result<MapOutcome, EvalFault>>,
+    layer_cache: ShardedCache<(LayerShape, AcceleratorConfig), Result<LayerOutcome, EvalFault>>,
     disk_cache: Option<Arc<DiskCache>>,
     disk_error: Option<String>,
     unique_evals: AtomicUsize,
-}
-
-/// Outcome of mapping one layer: the optimized mapping when one is
-/// feasible, otherwise (when available) a diagnostic relaxed-NoC profile.
-#[derive(Debug, Clone, Copy)]
-struct MapOutcome {
-    mapped: Option<MappedLayer>,
-    diagnostic: Option<ExecutionProfile>,
 }
 
 impl<M: MappingOptimizer> CodesignEvaluator<M> {
@@ -697,7 +678,7 @@ impl<M: MappingOptimizer> CodesignEvaluator<M> {
         shape: &LayerShape,
         cfg: &AcceleratorConfig,
         intra: usize,
-    ) -> Result<MapOutcome, EvalFault> {
+    ) -> Result<LayerOutcome, EvalFault> {
         let key = (*shape, *cfg);
         let slot = self.layer_cache.slot(&key);
         let already = slot.get().is_some();
@@ -715,10 +696,7 @@ impl<M: MappingOptimizer> CodesignEvaluator<M> {
             });
             if let Some((disk, k)) = &disk_key {
                 if let Some(stored) = disk.get_outcome(k) {
-                    return Ok(MapOutcome {
-                        mapped: stored.mapped,
-                        diagnostic: stored.diagnostic,
-                    });
+                    return Ok(stored);
                 }
             }
             let result = {
@@ -734,7 +712,7 @@ impl<M: MappingOptimizer> CodesignEvaluator<M> {
                         } else {
                             None
                         };
-                        MapOutcome { mapped, diagnostic }
+                        LayerOutcome { mapped, diagnostic }
                     })
                     .and_then(|outcome| match policy.timeout {
                         Some(limit) if started.elapsed() > limit => Err(format!(
@@ -771,13 +749,7 @@ impl<M: MappingOptimizer> CodesignEvaluator<M> {
                 }
             };
             if let (Some((disk, k)), Ok(outcome)) = (&disk_key, &result) {
-                disk.put_outcome(
-                    k,
-                    &StoredLayer {
-                        mapped: outcome.mapped,
-                        diagnostic: outcome.diagnostic,
-                    },
-                );
+                disk.put_outcome(k, outcome);
             }
             result
         });
@@ -862,6 +834,28 @@ impl<M: MappingOptimizer> CodesignEvaluator<M> {
             power_w: power,
             energy_mj,
         })
+    }
+
+    /// Whether `point` can be re-assembled from the layer cache alone: it
+    /// fits this evaluator's space (decoding indexes it unchecked) and
+    /// every layer it needs has a completed entry.
+    fn restorable(&self, point: &DesignPoint) -> bool {
+        let params = self.space.params();
+        let fits = point.indices().len() == params.len()
+            && point
+                .indices()
+                .iter()
+                .zip(params)
+                .all(|(&i, p)| i < p.len());
+        fits && {
+            let cfg = decode_edge_point(&self.space, point);
+            self.models.iter().all(|model| {
+                model
+                    .unique_shapes()
+                    .iter()
+                    .all(|u| self.layer_cache.is_cached(&(u.shape, cfg)))
+            })
+        }
     }
 
     /// The infeasible stand-in [`Evaluator::evaluate`] reports for a
@@ -1099,7 +1093,7 @@ impl<M: MappingOptimizer> Evaluator for CodesignEvaluator<M> {
             .point_cache
             .completed()
             .into_iter()
-            .filter_map(|(k, v)| v.ok().map(|e| (k, e)))
+            .filter_map(|(k, v)| v.is_ok().then_some(k))
             .collect();
         // With a disk tier attached, layer entries that are resident on
         // disk are referenced by record hash instead of duplicated into
@@ -1118,58 +1112,58 @@ impl<M: MappingOptimizer> Evaluator for CodesignEvaluator<M> {
             match hash {
                 Some(h) => disk_layers.push(h),
                 None => layers.push(LayerEntry {
+                    mapper: self.mapper_fingerprint.clone(),
                     shape,
                     cfg,
-                    mapped: o.mapped,
-                    diagnostic: o.diagnostic,
+                    outcome: o,
                 }),
             }
         }
         disk_layers.sort_unstable();
         CacheSnapshot {
-            unique_evaluations: self.unique_evaluations(),
             points,
             layers,
             disk_layers,
         }
     }
 
+    /// Restores in two steps, neither of which calls the mapper:
+    ///
+    /// 1. The layer outcomes this evaluator's mapper produced fill the
+    ///    layer cache: inline entries and the disk references that resolve
+    ///    alike. References that do not resolve (cache compacted away, no
+    ///    disk attached) and other mappers' outcomes are left out.
+    /// 2. Every snapshotted point that fits this evaluator's space and has
+    ///    all its layers cached is re-assembled from them and filled in as
+    ///    a completed entry, counted as a unique evaluation but not as
+    ///    point-cache traffic.
+    ///
+    /// Everything else is computed on demand, so what a restored evaluator
+    /// returns never depends on the snapshot's writer.
     fn restore_caches(&self, snapshot: &CacheSnapshot) {
-        for (point, eval) in &snapshot.points {
-            self.point_cache.insert(point.clone(), Ok(eval.clone()));
+        let resolved: Vec<LayerEntry> = match &self.disk_cache {
+            Some(disk) => snapshot
+                .disk_layers
+                .iter()
+                .filter_map(|&hash| disk.resolve_hash(hash))
+                .collect(),
+            None => Vec::new(),
+        };
+        for e in snapshot.layers.iter().chain(&resolved) {
+            if e.mapper == self.mapper_fingerprint {
+                self.layer_cache.insert((e.shape, e.cfg), Ok(e.outcome));
+            }
         }
-        for e in &snapshot.layers {
-            self.layer_cache.insert(
-                (e.shape, e.cfg),
-                Ok(MapOutcome {
-                    mapped: e.mapped,
-                    diagnostic: e.diagnostic,
-                }),
-            );
-        }
-        // Disk references: resolve against the attached cache, accepting
-        // only records our own mapper would have produced. Unresolvable
-        // references (cache compacted away, different mapper, no disk
-        // attached) are recomputed on demand — results are unaffected
-        // because point evaluations are restored in full above.
-        if let Some(disk) = &self.disk_cache {
-            for &hash in &snapshot.disk_layers {
-                let Some((mapper, shape, cfg, stored)) = disk.resolve_hash(hash) else {
-                    continue;
-                };
-                if mapper == self.mapper_fingerprint {
-                    self.layer_cache.insert(
-                        (shape, cfg),
-                        Ok(MapOutcome {
-                            mapped: stored.mapped,
-                            diagnostic: stored.diagnostic,
-                        }),
-                    );
+        for point in &snapshot.points {
+            if !self.restorable(point) {
+                continue;
+            }
+            if let Ok(eval) = self.try_compute(point) {
+                if self.point_cache.insert(point.clone(), Ok(eval)) {
+                    self.unique_evals.fetch_add(1, Ordering::Relaxed);
                 }
             }
         }
-        self.unique_evals
-            .store(snapshot.unique_evaluations, Ordering::Relaxed);
     }
 
     fn cache_stats(&self) -> CacheStats {
@@ -1187,7 +1181,7 @@ impl<M: MappingOptimizer> Evaluator for CodesignEvaluator<M> {
 mod tests {
     use super::*;
     use crate::space::edge_space;
-    use mapper::{FaultInjector, FixedMapper, LinearMapper};
+    use mapper::{FaultInjector, FixedMapper, LinearMapper, MappedLayer};
     use workloads::zoo;
 
     fn evaluator() -> CodesignEvaluator<FixedMapper> {
@@ -1621,7 +1615,6 @@ mod tests {
         assert!(!e.feasible(ev.constraints()));
         // Failures are excluded from cache snapshots.
         let snap = ev.cache_snapshot();
-        assert_eq!(snap.unique_evaluations, 0);
         assert!(snap.points.is_empty());
         assert!(snap.layers.is_empty());
     }
@@ -1812,11 +1805,11 @@ mod tests {
         let a = ev.evaluate(&p);
         let b = ev.evaluate(&q);
         let snap = ev.cache_snapshot();
-        assert_eq!(snap.unique_evaluations, 2);
         assert_eq!(snap.points.len(), 2);
 
-        /// A mapper that panics when called: restored entries must make
-        /// evaluation pure cache hits.
+        /// A mapper that panics when called, posing as the fixed-dataflow
+        /// mapper so the snapshot's outcomes are its own: neither the
+        /// restore nor evaluating the restored points may re-map.
         struct NeverMapper;
         impl MappingOptimizer for NeverMapper {
             fn optimize(&self, _: &LayerShape, _: &AcceleratorConfig) -> Option<MappedLayer> {
@@ -1825,13 +1818,47 @@ mod tests {
             fn name(&self) -> String {
                 "never".into()
             }
+            fn fingerprint(&self) -> String {
+                FixedMapper.fingerprint()
+            }
         }
 
         let fresh = CodesignEvaluator::new(edge_space(), vec![zoo::resnet18()], NeverMapper);
         fresh.restore_caches(&snap);
         assert_eq!(fresh.unique_evaluations(), 2);
+        let restored = fresh.cache_stats().point;
+        assert_eq!(
+            (restored.entries, restored.hits, restored.misses),
+            (2, 0, 0)
+        );
         assert_eq!(fresh.evaluate(&p), a);
         assert_eq!(fresh.evaluate(&q), b);
         assert_eq!(fresh.unique_evaluations(), 2);
+        assert_eq!(fresh.cache_stats().point.misses, 0);
+    }
+
+    #[test]
+    fn restore_skips_points_it_cannot_reassemble() {
+        let ev = evaluator();
+        let p = ev.space().minimum_point();
+        let a = ev.evaluate(&p);
+        let mut snap = ev.cache_snapshot();
+        let mut wide = p.indices().to_vec();
+        wide.push(0);
+        snap.points.extend([
+            // Wrong arity and an index past its parameter's range: decoding
+            // either would index out of bounds.
+            DesignPoint::new(Vec::new()),
+            DesignPoint::new(wide),
+            p.with_index(crate::space::edge::PES, 10_000),
+            // Fits the space, but its layers were never mapped.
+            p.with_index(crate::space::edge::PES, 1),
+        ]);
+        let fresh = evaluator();
+        fresh.restore_caches(&snap);
+        assert_eq!(fresh.unique_evaluations(), 1);
+        assert_eq!(fresh.cache_stats().point.entries, 1);
+        assert_eq!(fresh.evaluate(&p), a);
+        assert_eq!(fresh.cache_stats().point.misses, 0);
     }
 }

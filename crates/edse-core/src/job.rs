@@ -129,7 +129,9 @@ impl JobSpec {
             spec.map_trials = req_usize(v, "map_trials")?;
         }
         if let Some(v) = get("seed") {
-            spec.seed = v.as_u64().ok_or("`seed` must be a number")?;
+            spec.seed = v
+                .as_u64()
+                .ok_or("`seed` must be a non-negative integer below 2^53")?;
         }
         if let Some(v) = get("models") {
             let items = v.as_arr().ok_or("`models` must be an array")?;
@@ -179,9 +181,8 @@ fn req_str(value: &Json, key: &str) -> Result<String, String> {
 fn req_usize(value: &Json, key: &str) -> Result<usize, String> {
     value
         .as_u64()
-        .map(|n| n as usize)
-        .filter(|_| value.as_f64().is_some_and(|f| f >= 0.0))
-        .ok_or_else(|| format!("`{key}` must be a non-negative integer"))
+        .and_then(|n| usize::try_from(n).ok())
+        .ok_or_else(|| format!("`{key}` must be a non-negative integer below 2^53"))
 }
 
 #[cfg(test)]
@@ -229,5 +230,21 @@ mod tests {
         assert!(JobSpec::from_json_str(r#"{"budget":"lots"}"#).is_err());
         assert!(JobSpec::from_json_str(r#"{"models":3}"#).is_err());
         assert!(JobSpec::from_json_str(r#"[1,2]"#).is_err());
+    }
+
+    #[test]
+    fn integers_that_would_change_the_search_are_errors() {
+        // Each was once read as another number: seed 0, budget 2, seed
+        // ...992 and budget u64::MAX.
+        for body in [
+            r#"{"seed":-5}"#,
+            r#"{"budget":2.5}"#,
+            r#"{"seed":9007199254740993}"#,
+            r#"{"budget":1e300}"#,
+        ] {
+            let err = JobSpec::from_json_str(body).unwrap_err();
+            assert!(err.contains("non-negative integer"), "{body}: {err}");
+        }
+        assert_eq!(JobSpec::from_json_str(r#"{"seed":5}"#).unwrap().seed, 5);
     }
 }

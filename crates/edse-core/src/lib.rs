@@ -66,10 +66,10 @@ pub mod technique;
 pub use bottleneck::{dnn_latency_model, BottleneckModel, BottleneckTree, LayerCtx, TreeBuilder};
 pub use checkpoint::{load_snapshot, save_snapshot, Snapshot};
 pub use cost::{Constraint, Evaluation, LayerEval, Sample, Trace};
-pub use diskcache::{DiskCache, DiskCacheStats, StoredLayer};
+pub use diskcache::{DiskCache, DiskCacheStats, LayerEntry, LayerOutcome};
 pub use dse::{Attempt, DseConfig, DseResult, ExplainableDse, Explanation};
 pub use evaluate::{
-    CacheSnapshot, CacheStats, CodesignEvaluator, EvalEngine, Evaluator, LayerEntry, TierStats,
+    CacheSnapshot, CacheStats, CodesignEvaluator, EvalEngine, Evaluator, TierStats,
 };
 pub use fault::{EvalFault, FaultPolicy};
 pub use job::JobSpec;

@@ -199,13 +199,15 @@ impl<'t, E: Evaluator> SearchDriver<'t, E> {
                 snapshot.budget, self.budget
             ));
         }
+        let before = self.evaluator.unique_evaluations();
         self.evaluator.restore_caches(&snapshot.caches);
+        let restored = self.evaluator.unique_evaluations().saturating_sub(before);
         self.telemetry.log(
             Level::Info,
             &format!(
-                "resumed {name} from {} with {} cached evaluations",
+                "resumed {name} from {}: re-derived {restored} of {} snapshotted evaluations",
                 path.display(),
-                snapshot.caches.unique_evaluations
+                snapshot.caches.points.len()
             ),
         );
         Ok(self)

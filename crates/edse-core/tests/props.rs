@@ -1,7 +1,8 @@
 //! Property-based tests for the bottleneck trees, the design space, the
-//! trace/constraint utilities, and the checkpoint/resume + fault-tolerance
+//! trace/constraint utilities, the checkpoint/resume + fault-tolerance
 //! acceptance criteria (determinism under interruption, graceful
-//! degradation under injected faults).
+//! degradation under injected faults), and the decoders of the disk cache
+//! and snapshot files under damaged bytes.
 
 use accel_model::AcceleratorConfig;
 use edse_core::bottleneck::dnn_latency_model;
@@ -11,7 +12,7 @@ use edse_core::dse::{Attempt, DseConfig, DseResult};
 use edse_core::evaluate::{CacheSnapshot, CodesignEvaluator, EvalEngine, Evaluator};
 use edse_core::fault::{EvalFault, FaultPolicy};
 use edse_core::space::{edge_space, DesignPoint, DesignSpace, ParamDef};
-use edse_core::{DiskCache, DiskCacheStats, JobSpec, SearchSession};
+use edse_core::{load_snapshot, DiskCache, DiskCacheStats, JobSpec, SearchSession};
 use edse_telemetry::{Collector, MemorySink};
 use mapper::{FaultInjector, FixedMapper};
 use proptest::prelude::*;
@@ -587,5 +588,115 @@ proptest! {
         assert_results_identical(&warm, &cold);
         prop_assert!(warm_disk.skipped_segments > 0, "the alien segment must be skipped");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// One way of damaging a saved snapshot's bytes. Positions are taken
+/// modulo the length, so every mutation applies to any file.
+#[derive(Debug, Clone)]
+enum Mutation {
+    /// XOR the byte at `at` with a non-zero `mask`.
+    Flip { at: usize, mask: u8 },
+    /// Overwrite the `nth` ASCII digit with `digit`: the document still
+    /// parses, but design-point indices and layer records change.
+    Digit { nth: usize, digit: u8 },
+    /// Cut the file at `at`.
+    Truncate { at: usize },
+    /// Copy `len` bytes starting at `from` in front of `at`.
+    Splice { from: usize, len: usize, at: usize },
+    /// Insert `depth` opening brackets in front of `at`.
+    Nest { at: usize, depth: usize },
+}
+
+impl Mutation {
+    fn apply(&self, bytes: &mut Vec<u8>) {
+        let n = bytes.len();
+        if n == 0 {
+            return;
+        }
+        match *self {
+            Mutation::Flip { at, mask } => bytes[at % n] ^= mask,
+            Mutation::Digit { nth, digit } => {
+                let digits: Vec<usize> = (0..n).filter(|&i| bytes[i].is_ascii_digit()).collect();
+                if !digits.is_empty() {
+                    bytes[digits[nth % digits.len()]] = b'0' + digit;
+                }
+            }
+            Mutation::Truncate { at } => bytes.truncate(at % n),
+            Mutation::Splice { from, len, at } => {
+                let from = from % n;
+                let piece = bytes[from..(from + len).min(n)].to_vec();
+                bytes.splice(at % n..at % n, piece);
+            }
+            Mutation::Nest { at, depth } => {
+                bytes.splice(at % n..at % n, std::iter::repeat_n(b'[', depth));
+            }
+        }
+    }
+}
+
+fn arb_mutation() -> impl Strategy<Value = Mutation> {
+    // The first few dozen digits are the envelope's and the points'; the
+    // rest belong to the layer records.
+    let nth = prop_oneof![0usize..48, 0usize..1 << 20];
+    prop_oneof![
+        (0usize..1 << 20, 1u8..=255).prop_map(|(at, mask)| Mutation::Flip { at, mask }),
+        (nth, 0u8..10).prop_map(|(nth, digit)| Mutation::Digit { nth, digit }),
+        (0usize..1 << 20).prop_map(|at| Mutation::Truncate { at }),
+        (0usize..1 << 20, 1usize..256, 0usize..1 << 20)
+            .prop_map(|(from, len, at)| Mutation::Splice { from, len, at }),
+        (0usize..1 << 20, 1usize..20_000).prop_map(|(at, depth)| Mutation::Nest { at, depth }),
+    ]
+}
+
+/// A saved snapshot of a three-point ResNet-18 search, written once.
+fn saved_snapshot() -> &'static [u8] {
+    static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
+    BYTES.get_or_init(|| {
+        let path = temp_snapshot_path("mutation-source");
+        let ev = fresh_evaluator(false);
+        SearchSession::new(
+            dnn_latency_model(),
+            DseConfig {
+                budget: 3,
+                ..DseConfig::default()
+            },
+        )
+        .evaluator(&ev)
+        .spec(&JobSpec {
+            checkpoint: Some(path.clone()),
+            ..JobSpec::default()
+        })
+        .run(ev.space().minimum_point());
+        let bytes = std::fs::read(&path).expect("the search leaves a snapshot");
+        let _ = std::fs::remove_file(&path);
+        bytes
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The snapshot decoder under damaged bytes: flipped, overwritten,
+    /// truncated, spliced and deeply nested files either load or fail with
+    /// an error, and restoring whatever loads into a fresh evaluator
+    /// never panics, whatever points or layer records it carries.
+    #[test]
+    fn damaged_snapshots_load_or_fail_and_restore_without_panicking(
+        mutations in collection::vec(arb_mutation(), 1..4),
+    ) {
+        let mut bytes = saved_snapshot().to_vec();
+        for m in &mutations {
+            m.apply(&mut bytes);
+        }
+        let path = temp_snapshot_path("mutated");
+        std::fs::write(&path, &bytes).unwrap();
+        let loaded = load_snapshot(&path);
+        let _ = std::fs::remove_file(&path);
+        if let Ok(snapshot) = loaded {
+            let ev = fresh_evaluator(false);
+            ev.restore_caches(&snapshot.caches);
+            prop_assert!(ev.unique_evaluations() <= snapshot.caches.points.len());
+        }
     }
 }

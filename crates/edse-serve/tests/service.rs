@@ -544,6 +544,27 @@ fn oversize_header_lines_and_header_floods_are_rejected() {
 }
 
 #[test]
+fn hostile_job_bodies_get_400_and_the_handler_survives() {
+    // One handler: a stack overflow or panic on it would leave the next
+    // request unanswered (an overflow aborts the whole process).
+    let registry = Registry::new(EvalEngine::serial(), None, None, Collector::noop());
+    let server = Server::start("127.0.0.1:0", 1, Arc::clone(&registry), Vec::new()).expect("start");
+    let addr = server.addr();
+    // About 20 KB of nesting, well under the body limit.
+    let nested = format!("{{\"models\":{}", "[".repeat(20_000));
+    let (status, body) = http(addr, "POST", "/jobs", &nested);
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("nesting"), "{body}");
+    // A seed that is not an exact integer would run another search.
+    let (status, body) = http(addr, "POST", "/jobs", r#"{"space":"toy","seed":-5}"#);
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("seed"), "{body}");
+    let (status, _) = http(addr, "GET", "/healthz", "");
+    assert_eq!(status, 200);
+    server.stop();
+}
+
+#[test]
 fn idle_connection_does_not_stop_the_next_request() {
     let registry = Registry::new(EvalEngine::serial(), None, None, Collector::noop());
     let server = Server::start("127.0.0.1:0", 1, Arc::clone(&registry), Vec::new()).expect("start");

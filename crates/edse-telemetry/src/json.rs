@@ -54,9 +54,14 @@ impl Json {
         }
     }
 
-    /// The numeric value as a `u64` (floor), if this is a number.
+    /// The numeric value as a `u64`, if this is a non-negative integral
+    /// number below 2^53: above that, `f64` no longer holds every integer,
+    /// so the value read may not be the one written.
     pub fn as_u64(&self) -> Option<u64> {
-        self.as_f64().map(|f| f as u64)
+        const EXACT: f64 = (1u64 << 53) as f64;
+        self.as_f64()
+            .filter(|f| f.fract() == 0.0 && (0.0..EXACT).contains(f))
+            .map(|f| f as u64)
     }
 
     /// The boolean value, if this is a boolean.
@@ -190,7 +195,13 @@ impl From<ParseError> for String {
     }
 }
 
-/// Parses one JSON document (e.g. one JSONL line). Rejects trailing junk.
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level, so without a bound a small hostile document (a few KB of
+/// `[`) overflows the thread's stack and aborts the process.
+pub const MAX_DEPTH: usize = 128;
+
+/// Parses one JSON document (e.g. one JSONL line). Rejects trailing junk
+/// and nesting deeper than [`MAX_DEPTH`].
 ///
 /// # Errors
 ///
@@ -199,6 +210,7 @@ pub fn parse(s: &str) -> Result<Json, ParseError> {
     let mut p = Parser {
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -212,6 +224,7 @@ pub fn parse(s: &str) -> Result<Json, ParseError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -240,8 +253,8 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             Some(c) => Err(ParseError::at(
                 self.pos,
@@ -249,6 +262,24 @@ impl Parser<'_> {
             )),
             None => Err(ParseError::at(self.pos, "unexpected end of input")),
         }
+    }
+
+    /// Parses one array or object one nesting level down, failing at the
+    /// opening byte past [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, ParseError>,
+    ) -> Result<Json, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(ParseError::at(
+                self.pos,
+                format!("nesting deeper than {MAX_DEPTH}"),
+            ));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn array(&mut self) -> Result<Json, ParseError> {
@@ -421,6 +452,37 @@ mod tests {
         assert!(parse("1 2").is_err());
         assert!(parse("{\"a\"}").is_err());
         assert!(parse("").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded_at_the_offending_byte() {
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert_eq!(parse(&ok).unwrap().to_line(), ok);
+        // 10,000 levels abort a default 2 MiB thread without the bound.
+        let err = parse(&"[".repeat(10_000)).unwrap_err();
+        assert_eq!(err.byte, MAX_DEPTH);
+        assert!(err.message.contains("nesting"), "{err}");
+        let err = parse(&"{\"a\":".repeat(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.byte, MAX_DEPTH * 5);
+    }
+
+    #[test]
+    fn as_u64_reads_only_exact_non_negative_integers() {
+        let u = |text: &str| parse(text).unwrap().as_u64();
+        assert_eq!(u("0"), Some(0));
+        assert_eq!(u("42"), Some(42));
+        assert_eq!(u("1e3"), Some(1000));
+        assert_eq!(u("9007199254740991"), Some((1 << 53) - 1));
+        for rejected in [
+            "-5",
+            "2.5",
+            "9007199254740992",
+            "9007199254740993",
+            "1e300",
+            "\"7\"",
+        ] {
+            assert_eq!(u(rejected), None, "{rejected}");
+        }
     }
 
     #[test]

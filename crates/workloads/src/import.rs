@@ -275,4 +275,14 @@ mod tests {
     fn malformed_json_reports_parse_error() {
         assert!(matches!(from_json_str("{"), Err(ImportError::Parse(_))));
     }
+
+    #[test]
+    fn deep_nesting_is_a_parse_error_not_a_stack_overflow() {
+        // 10,000 levels overflow a default 2 MiB thread stack unbounded.
+        let layers = format!("{}{}", "[".repeat(10_000), "]".repeat(10_000));
+        let doc = format!(r#"{{"name":"x","target":{{"fps":1.0}},"layers":{layers}}}"#);
+        let e = from_json_str(&doc).unwrap_err();
+        assert!(matches!(e, ImportError::Parse(_)), "{e}");
+        assert!(e.to_string().contains("nesting"), "{e}");
+    }
 }

@@ -25,11 +25,6 @@ echo "==> cargo check perfbench (the benchmark builds against these crates)"
 cargo check --offline --locked --manifest-path perfbench/Cargo.toml \
     --target-dir target/perfbench
 
-echo "==> cargo test -q -p edse-core --features validation (checked disk-cache reads)"
-# The CheckedArchive idiom: reads are trusting by default; CI exercises
-# the checksum/key-verifying read path behind the validation feature.
-cargo test -q -p edse-core --features validation
-
 echo "==> conformance: golden fixtures, differential oracles, paper bounds"
 # The harness must stay fast enough to gate every change; the timeout is
 # the budget, not an estimate (the suite runs in well under a minute).
