@@ -107,8 +107,9 @@ impl BenchArgs {
     /// is the default; pass `--full` for paper-scale budgets.
     ///
     /// Parsing never fails: unknown flags, value-taking flags missing
-    /// their value, `--resume` without `--checkpoint`, and `--json`
-    /// colliding with `--out`/`--trace-out` all land in
+    /// their value, numeric flags whose value does not parse, `--resume`
+    /// without `--checkpoint`, and `--json` colliding with
+    /// `--out`/`--trace-out` all land in
     /// [`BenchArgs::warnings`] (logged at `Warn` by
     /// [`BenchArgs::telemetry`]) while the run proceeds on defaults.
     pub fn parse_from<S: AsRef<str>>(argv: &[S], default_iters: usize) -> Self {
@@ -140,24 +141,38 @@ impl BenchArgs {
             }
             v
         }
+        // `take` for a numeric flag; also warns when the value does not
+        // parse.
+        fn take_num<S: AsRef<str>, T: std::str::FromStr>(
+            argv: &[S],
+            i: usize,
+            warnings: &mut Vec<String>,
+        ) -> Option<T> {
+            let v = take(argv, i, warnings)?;
+            let n = v.parse().ok();
+            if n.is_none() {
+                warnings.push(format!(
+                    "flag {} cannot use the value `{v}`, using the default",
+                    argv[i].as_ref()
+                ));
+            }
+            n
+        }
         let mut explicit_iters = None;
         let mut explicit_trials = None;
         let mut i = 0;
         while i < argv.len() {
             match argv[i].as_ref() {
                 "--iters" => {
-                    explicit_iters = take(argv, i, &mut args.warnings).and_then(|v| v.parse().ok());
+                    explicit_iters = take_num(argv, i, &mut args.warnings);
                     i += 1;
                 }
                 "--trials" => {
-                    explicit_trials =
-                        take(argv, i, &mut args.warnings).and_then(|v| v.parse().ok());
+                    explicit_trials = take_num(argv, i, &mut args.warnings);
                     i += 1;
                 }
                 "--seed" => {
-                    args.spec.seed = take(argv, i, &mut args.warnings)
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or(1);
+                    args.spec.seed = take_num(argv, i, &mut args.warnings).unwrap_or(1);
                     i += 1;
                 }
                 "--models" => {
@@ -179,9 +194,8 @@ impl BenchArgs {
                     i += 1;
                 }
                 "--checkpoint-every" => {
-                    args.spec.checkpoint_every = take(argv, i, &mut args.warnings)
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or(10);
+                    args.spec.checkpoint_every =
+                        take_num(argv, i, &mut args.warnings).unwrap_or(10);
                     i += 1;
                 }
                 "--out" => {
@@ -487,6 +501,28 @@ mod tests {
                 "{flag} with no value must warn, got {:?}",
                 a.warnings
             );
+        }
+    }
+
+    #[test]
+    fn unparseable_numbers_fall_back_to_defaults_with_a_warning() {
+        for (argv, default) in [
+            (["--iters", "25OO"], 250),
+            (["--trials", "x"], 300),
+            (["--seed", "-1"], 1),
+            (["--checkpoint-every", "k"], 10),
+        ] {
+            let a = BenchArgs::parse_from(&argv, 2500);
+            let got = match argv[0] {
+                "--iters" => a.spec.budget,
+                "--trials" => a.spec.map_trials,
+                "--seed" => a.spec.seed as usize,
+                _ => a.spec.checkpoint_every,
+            };
+            assert_eq!(got, default, "{argv:?}");
+            assert_eq!(a.warnings.len(), 1, "{argv:?}: {:?}", a.warnings);
+            let expected = format!("flag {} cannot use the value `{}`", argv[0], argv[1]);
+            assert!(a.warnings[0].contains(&expected), "{:?}", a.warnings);
         }
     }
 

@@ -16,11 +16,11 @@
 //! never corrupts the previous snapshot. See `DESIGN.md` ("Snapshot
 //! format") for the on-disk layout and the determinism contract.
 
-use crate::diskcache::{write_atomic, LayerEntry};
+use crate::diskcache::LayerEntry;
 use crate::evaluate::CacheSnapshot;
 use crate::space::DesignPoint;
 use edse_telemetry::json::{self, Json};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 /// Magic string identifying a snapshot file.
 pub const SNAPSHOT_FORMAT: &str = "edse-snapshot";
@@ -179,6 +179,17 @@ pub fn save_snapshot(path: &Path, snapshot: &Snapshot) -> Result<(), String> {
         ("caches", caches_to_json(&snapshot.caches)?),
     ]);
     write_atomic(path, &j.to_line())
+}
+
+/// Writes `contents` to a `.tmp` sibling of `path`, then renames it over
+/// `path`, so a crash mid-write never corrupts the previous file.
+fn write_atomic(path: &Path, contents: &str) -> Result<(), String> {
+    let mut tmp_name = path.as_os_str().to_os_string();
+    tmp_name.push(".tmp");
+    let tmp = PathBuf::from(tmp_name);
+    std::fs::write(&tmp, contents).map_err(|e| format!("write {}: {e}", tmp.display()))?;
+    std::fs::rename(&tmp, path)
+        .map_err(|e| format!("rename {} -> {}: {e}", tmp.display(), path.display()))
 }
 
 /// Loads a snapshot.

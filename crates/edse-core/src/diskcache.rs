@@ -4,30 +4,29 @@
 //!
 //! # Layout
 //!
-//! A cache directory holds:
-//!
-//! * **Record segments** (`seg-<id>.edc`) — append-only files of
-//!   length-prefixed records behind a 16-byte header (magic + format
-//!   version). Each record stores the canonical key string, its 64-bit
-//!   FNV-1a hash, the serialized value, and a checksum over the whole
-//!   body. Appends never rewrite existing bytes; every run that writes
-//!   opens a fresh segment, so concurrent *readers* of old segments are
-//!   never invalidated.
-//! * **An index** (`index.json`) — hash → record location, plus the byte
-//!   length of each segment it covers. Written atomically
-//!   (write-then-rename) on [`DiskCache::flush_index`], compaction, and
-//!   drop. The index is an accelerator, not a source of truth: a missing,
-//!   stale, or corrupt index is rebuilt by scanning the segments.
+//! A cache directory holds **record segments** (`seg-<id>.edc`) and
+//! nothing else the cache reads: append-only files of length-prefixed
+//! records behind a 16-byte header (magic + format version). Each record
+//! stores the canonical key string, its 64-bit FNV-1a hash, the serialized
+//! value, and a checksum over the whole body. Appends never rewrite
+//! existing bytes; every run that writes opens a fresh segment, so
+//! concurrent *readers* of old segments are never invalidated. The
+//! segments are the only source of truth: the hash → record location map
+//! lives in memory and is rebuilt on every open. Other files in the
+//! directory are ignored.
 //!
 //! # Crash safety
 //!
 //! Appends are not flushed per record, so a crash can tear the tail of the
-//! active segment. Recovery on open scans any bytes the index does not
-//! cover, verifying each record's checksum, and **truncates to the
-//! surviving prefix** (logically — the file is never modified) instead of
-//! failing. A segment whose header carries an unknown format version is
-//! skipped whole. Every recovery action is counted in
-//! [`DiskCacheStats`] and emitted as `disk_cache/*` telemetry counters.
+//! active segment. Every open scans every segment from its header,
+//! verifying each record's checksum, and **keeps the surviving prefix**:
+//! the scan stops at the first torn or corrupt record (logically — the
+//! file is never modified) instead of failing. A segment whose header
+//! carries an unknown format version is skipped whole. A clean exit and a
+//! killed process therefore leave the same kind of directory, and both
+//! reopen through the same scan. Every fault is counted in
+//! [`DiskCacheStats`] and emitted as a `disk_cache/*` telemetry counter
+//! (see [`DiskCache::open_with`]); a healthy open counts nothing.
 //!
 //! # Checked reads
 //!
@@ -38,7 +37,6 @@
 //! re-appends, so corruption can cost time but never changes results.
 
 use accel_model::{AcceleratorConfig, ExecutionProfile};
-use edse_telemetry::json::{self, Json};
 use edse_telemetry::{Collector, Level};
 use mapper::MappedLayer;
 use std::collections::HashMap;
@@ -60,10 +58,6 @@ const HEADER_LEN: u64 = 16;
 const FRAME_LEN: u64 = 8;
 /// Minimum body: key hash (8) + key length (4).
 const MIN_BODY: u32 = 12;
-/// Index file name inside the cache directory.
-const INDEX_FILE: &str = "index.json";
-/// Index schema identifier.
-const INDEX_FORMAT: &str = "edse-diskcache-index";
 
 /// 64-bit FNV-1a. [`std::hash::DefaultHasher`] is explicitly not stable
 /// across Rust releases, so content-addressed keys that live on disk get a
@@ -171,13 +165,13 @@ pub fn layer_key(
     .map_err(|e| format!("serialize cache key: {e}"))
 }
 
-/// Counters describing one [`DiskCache`]'s traffic and recovery history,
-/// as reported by [`DiskCache::stats`] and folded into
+/// Counters describing one [`DiskCache`]'s traffic and faults, as
+/// reported by [`DiskCache::stats`] and folded into
 /// [`crate::evaluate::CacheStats`]. All counts are since open (the cache
 /// does not persist its own statistics).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DiskCacheStats {
-    /// Live index entries (readable records).
+    /// Readable records.
     pub entries: usize,
     /// Lookups answered from disk.
     pub hits: u64,
@@ -185,19 +179,15 @@ pub struct DiskCacheStats {
     pub misses: u64,
     /// Records appended by this process.
     pub appends: u64,
-    /// Records recovered by scanning bytes the index did not cover.
-    pub recovered_records: u64,
-    /// Torn or corrupt segment tails truncated during recovery.
+    /// Segments whose scan stopped at a torn or corrupt record, keeping
+    /// only the prefix before it.
     pub torn_tails: u64,
-    /// Index files discarded (missing with data present, corrupt, or
-    /// wrong version) and rebuilt by scanning.
-    pub index_rebuilds: u64,
     /// Segments skipped whole for carrying an unknown format version.
     pub skipped_segments: u64,
     /// Records evicted after failing a read-time check.
     pub read_errors: u64,
-    /// Appends or index writes lost to I/O errors (the cache degrades to
-    /// pass-through; results are unaffected).
+    /// Appends lost to I/O errors (the cache degrades to pass-through;
+    /// results are unaffected).
     pub write_failures: u64,
 }
 
@@ -226,11 +216,13 @@ struct Loc {
 struct Segment {
     path: PathBuf,
     file: File,
-    /// Readable byte length (recovery may logically truncate past this).
+    /// Readable byte length: where the open-time scan stopped, plus this
+    /// process's appends.
     len: u64,
 }
 
 struct Inner {
+    /// Record hash → location, rebuilt from the segments on every open.
     index: HashMap<u64, Loc>,
     segments: Vec<Segment>,
     /// Slot in `segments` this process appends to, once created.
@@ -252,9 +244,7 @@ pub struct DiskCache {
     hits: AtomicU64,
     misses: AtomicU64,
     appends: AtomicU64,
-    recovered_records: AtomicU64,
     torn_tails: AtomicU64,
-    index_rebuilds: AtomicU64,
     skipped_segments: AtomicU64,
     read_errors: AtomicU64,
     write_failures: AtomicU64,
@@ -284,8 +274,9 @@ impl DiskCache {
 
     /// [`DiskCache::open`] with a telemetry collector: the cache then
     /// emits `disk_cache/{hit,miss,append}` traffic counters and
-    /// `disk_cache/{recovered_records,torn_tails,index_rebuilds,skipped_segments,read_errors,write_failures}`
-    /// recovery counters, plus one warning log per recovery or I/O event.
+    /// `disk_cache/{torn_tails,skipped_segments,read_errors,write_failures}`
+    /// fault counters, plus one warning log per fault. Opening a healthy
+    /// directory counts and logs nothing.
     ///
     /// # Errors
     ///
@@ -306,14 +297,12 @@ impl DiskCache {
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             appends: AtomicU64::new(0),
-            recovered_records: AtomicU64::new(0),
             torn_tails: AtomicU64::new(0),
-            index_rebuilds: AtomicU64::new(0),
             skipped_segments: AtomicU64::new(0),
             read_errors: AtomicU64::new(0),
             write_failures: AtomicU64::new(0),
         };
-        cache.recover()?;
+        cache.scan_segments()?;
         Ok(cache)
     }
 
@@ -350,31 +339,30 @@ impl DiskCache {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             appends: self.appends.load(Ordering::Relaxed),
-            recovered_records: self.recovered_records.load(Ordering::Relaxed),
             torn_tails: self.torn_tails.load(Ordering::Relaxed),
-            index_rebuilds: self.index_rebuilds.load(Ordering::Relaxed),
             skipped_segments: self.skipped_segments.load(Ordering::Relaxed),
             read_errors: self.read_errors.load(Ordering::Relaxed),
             write_failures: self.write_failures.load(Ordering::Relaxed),
         }
     }
 
-    fn event(&self, counter: &'static str, stat: &AtomicU64, n: u64, detail: &str) {
-        stat.fetch_add(n, Ordering::Relaxed);
-        if self.telemetry.active() && n > 0 {
-            self.telemetry.counter(&format!("disk_cache/{counter}"), n);
-            if !detail.is_empty() {
-                self.telemetry
-                    .log(Level::Warn, &format!("disk cache: {detail}"));
-            }
+    /// Counts one fault in `stat` and, with telemetry, in the
+    /// `disk_cache/<counter>` counter plus a warning log.
+    fn fault(&self, counter: &'static str, stat: &AtomicU64, detail: &str) {
+        stat.fetch_add(1, Ordering::Relaxed);
+        if self.telemetry.active() {
+            self.telemetry.counter(&format!("disk_cache/{counter}"), 1);
+            self.telemetry
+                .log(Level::Warn, &format!("disk cache: {detail}"));
         }
     }
 
     // ------------------------------------------------------------------
-    // Recovery
+    // Open-time scan
     // ------------------------------------------------------------------
 
-    fn recover(&self) -> Result<(), String> {
+    /// Scans every segment from its header into the in-memory index.
+    fn scan_segments(&self) -> Result<(), String> {
         let mut seg_paths: Vec<(u64, PathBuf)> = Vec::new();
         let entries = std::fs::read_dir(&self.dir)
             .map_err(|e| format!("read cache dir {}: {e}", self.dir.display()))?;
@@ -392,16 +380,9 @@ impl DiskCache {
         }
         seg_paths.sort();
 
-        let saved = self.load_index(!seg_paths.is_empty());
         let mut inner = self.inner.lock().expect("disk cache poisoned");
         inner.next_id = seg_paths.last().map_or(0, |(id, _)| id + 1);
-
         for (_, path) in seg_paths {
-            let name = path
-                .file_name()
-                .and_then(|n| n.to_str())
-                .unwrap_or_default()
-                .to_string();
             let mut file =
                 File::open(&path).map_err(|e| format!("open {}: {e}", path.display()))?;
             let file_len = file
@@ -409,69 +390,23 @@ impl DiskCache {
                 .map_err(|e| format!("stat {}: {e}", path.display()))?
                 .len();
             if !header_ok(&mut file, file_len) {
-                self.event(
+                self.fault(
                     "skipped_segments",
                     &self.skipped_segments,
-                    1,
-                    &format!("{name}: unknown segment format, skipping"),
+                    &format!("{}: unknown segment format, skipping", path.display()),
                 );
                 continue;
             }
             let seg = inner.segments.len();
-            let mut covered = saved
-                .as_ref()
-                .and_then(|(covers, _)| covers.get(&name).copied())
-                .unwrap_or(HEADER_LEN)
-                .max(HEADER_LEN);
-            // Trust the index's entries for this segment only if the
-            // segment is as long as the index claims and every entry lies
-            // within the bytes it covers.
-            let locs = saved.as_ref().map_or(&[][..], |(_, locs)| locs.as_slice());
-            let trusted = locs
-                .iter()
-                .filter(|(_, file_name, _, _)| *file_name == name)
-                .map(|&(hash, _, offset, len)| {
-                    offset.checked_add(len).filter(|&end| end <= covered)?;
-                    let len = u32::try_from(len).ok()?;
-                    Some((hash, Loc { seg, offset, len }))
-                })
-                .collect::<Option<Vec<_>>>()
-                .filter(|_| covered <= file_len);
-            if let Some(entries) = trusted {
-                for (hash, loc) in entries {
-                    inner.index.entry(hash).or_insert(loc);
-                }
-            } else {
-                // The index misdescribes this segment: stale or corrupt.
-                // Fall back to a full scan.
-                self.event(
-                    "index_rebuilds",
-                    &self.index_rebuilds,
-                    1,
-                    &format!("{name}: index does not fit its {file_len} bytes, rescanning"),
-                );
-                covered = HEADER_LEN;
-            }
-            // Scan whatever the index does not vouch for (everything on a
-            // rebuild; the post-crash tail otherwise).
-            let (records, end, torn) = scan_records(&mut file, covered, file_len);
-            if !records.is_empty() {
-                self.event(
-                    "recovered_records",
-                    &self.recovered_records,
-                    records.len() as u64,
-                    &format!("{name}: recovered {} record(s) by scan", records.len()),
-                );
-            }
+            let (records, end, torn) = scan_records(&mut file, HEADER_LEN, file_len);
             for (hash, offset, len) in records {
                 inner.index.entry(hash).or_insert(Loc { seg, offset, len });
             }
             if torn {
-                self.event(
+                self.fault(
                     "torn_tails",
                     &self.torn_tails,
-                    1,
-                    &format!("{name}: truncated torn tail at byte {end}"),
+                    &format!("{}: truncated torn tail at byte {end}", path.display()),
                 );
             }
             inner.segments.push(Segment {
@@ -481,36 +416,6 @@ impl DiskCache {
             });
         }
         Ok(())
-    }
-
-    /// Parses `index.json`; `None` (plus a rebuild count when segment data
-    /// exists) on any failure. Returns per-segment covered lengths and raw
-    /// locations.
-    #[allow(clippy::type_complexity)]
-    fn load_index(
-        &self,
-        have_segments: bool,
-    ) -> Option<(HashMap<String, u64>, Vec<(u64, String, u64, u64)>)> {
-        let path = self.dir.join(INDEX_FILE);
-        let rebuild = |detail: String| {
-            if have_segments {
-                self.event("index_rebuilds", &self.index_rebuilds, 1, &detail);
-            }
-        };
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(_) => {
-                rebuild("index missing, rebuilding by scan".into());
-                return None;
-            }
-        };
-        match parse_index(&text) {
-            Ok(parsed) => Some(parsed),
-            Err(e) => {
-                rebuild(format!("index unreadable ({e}), rebuilding by scan"));
-                None
-            }
-        }
     }
 
     // ------------------------------------------------------------------
@@ -523,47 +428,21 @@ impl DiskCache {
     /// harmless. Unreadable records are evicted and reported as misses.
     pub fn get_outcome(&self, key: &str) -> Option<LayerOutcome> {
         let hash = key_hash(key.as_bytes());
-        let mut inner = self.inner.lock().expect("disk cache poisoned");
-        let Some(loc) = inner.index.get(&hash).copied() else {
-            drop(inner);
-            self.miss();
-            return None;
-        };
-        let outcome = read_record(&mut inner, loc).and_then(|(stored_hash, stored_key, value)| {
+        let outcome = self.read_checked(hash, |(stored_hash, stored_key, value)| {
             if stored_hash != hash || stored_key != key.as_bytes() {
                 return Err("stored key does not match".into());
             }
             decode_json(&value)
         });
-        match outcome {
-            Ok(v) => {
-                drop(inner);
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                if self.telemetry.active() {
-                    self.telemetry.counter("disk_cache/hit", 1);
-                }
-                Some(v)
-            }
-            Err(e) => {
-                inner.index.remove(&hash);
-                drop(inner);
-                self.event(
-                    "read_errors",
-                    &self.read_errors,
-                    1,
-                    &format!("evicted unreadable record {hash:016x}: {e}"),
-                );
-                self.miss();
-                None
-            }
-        }
-    }
-
-    fn miss(&self) {
-        self.misses.fetch_add(1, Ordering::Relaxed);
+        let (stat, counter) = match outcome {
+            Some(_) => (&self.hits, "disk_cache/hit"),
+            None => (&self.misses, "disk_cache/miss"),
+        };
+        stat.fetch_add(1, Ordering::Relaxed);
         if self.telemetry.active() {
-            self.telemetry.counter("disk_cache/miss", 1);
+            self.telemetry.counter(counter, 1);
         }
+        outcome
     }
 
     /// Appends one outcome under its canonical key. A no-op when the key
@@ -575,10 +454,9 @@ impl DiskCache {
         let val = match serde_json::to_string(value) {
             Ok(v) => v,
             Err(e) => {
-                self.event(
+                self.fault(
                     "write_failures",
                     &self.write_failures,
-                    1,
                     &format!("serialize record: {e}"),
                 );
                 return;
@@ -600,7 +478,7 @@ impl DiskCache {
             }
             Err(e) => {
                 drop(inner);
-                self.event("write_failures", &self.write_failures, 1, &e);
+                self.fault("write_failures", &self.write_failures, &e);
             }
         }
     }
@@ -610,130 +488,37 @@ impl DiskCache {
     /// snapshots, not lookups); unreadable records are evicted exactly like
     /// [`DiskCache::get_outcome`].
     pub fn resolve_hash(&self, hash: u64) -> Option<LayerEntry> {
-        let mut inner = self.inner.lock().expect("disk cache poisoned");
-        let loc = inner.index.get(&hash).copied()?;
-        let resolved = read_record(&mut inner, loc).and_then(|(stored_hash, key, value)| {
+        self.read_checked(hash, |(stored_hash, key, value)| {
             if stored_hash != hash {
                 return Err("stored hash does not match".into());
             }
             LayerEntry::from_record(&key, &value)
-        });
-        match resolved {
+        })
+    }
+
+    /// Reads the record stored under `hash` and decodes its `(hash, key,
+    /// value)` with `decode`. A record that fails the read checks or
+    /// `decode` is evicted and counted as a read error. `None` when the
+    /// hash is absent or its record was evicted.
+    fn read_checked<T>(
+        &self,
+        hash: u64,
+        decode: impl FnOnce((u64, Vec<u8>, Vec<u8>)) -> Result<T, String>,
+    ) -> Option<T> {
+        let mut inner = self.inner.lock().expect("disk cache poisoned");
+        let loc = inner.index.get(&hash).copied()?;
+        match read_record(&mut inner, loc).and_then(decode) {
             Ok(v) => Some(v),
             Err(e) => {
                 inner.index.remove(&hash);
                 drop(inner);
-                self.event(
+                self.fault(
                     "read_errors",
                     &self.read_errors,
-                    1,
                     &format!("evicted unreadable record {hash:016x}: {e}"),
                 );
                 None
             }
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Index persistence and compaction
-    // ------------------------------------------------------------------
-
-    /// Writes the index atomically (write-then-rename). Also runs on drop;
-    /// call explicitly to bound what a crash would have to re-scan.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the I/O failure.
-    pub fn flush_index(&self) -> Result<(), String> {
-        let inner = self.inner.lock().expect("disk cache poisoned");
-        let json = index_to_json(&inner);
-        drop(inner);
-        write_atomic(&self.dir.join(INDEX_FILE), &json.to_line())
-    }
-
-    /// Rewrites every live record into one fresh segment (atomically:
-    /// records are staged to a temp file, then renamed in), replaces the
-    /// index, and deletes the old segments. Records are written in key-hash
-    /// order, so equal contents always compact to byte-equal segments.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the I/O failure; the cache stays usable on
-    /// its old segments when compaction fails.
-    pub fn compact(&self) -> Result<(), String> {
-        let mut inner = self.inner.lock().expect("disk cache poisoned");
-        let mut hashes: Vec<u64> = inner.index.keys().copied().collect();
-        hashes.sort_unstable();
-        let mut records: Vec<(u64, Vec<u8>, Vec<u8>)> = Vec::with_capacity(hashes.len());
-        for hash in hashes {
-            let loc = inner.index[&hash];
-            let (stored_hash, key, value) =
-                read_record(&mut inner, loc).map_err(|e| format!("compact read: {e}"))?;
-            records.push((stored_hash, key, value));
-        }
-
-        let id = inner.next_id;
-        inner.next_id += 1;
-        let final_path = self.dir.join(segment_name(id));
-        let tmp_path = self.dir.join(format!("{}.tmp", segment_name(id)));
-        let mut buf = Vec::new();
-        buf.extend_from_slice(SEGMENT_MAGIC);
-        buf.extend_from_slice(&DISKCACHE_VERSION.to_le_bytes());
-        buf.extend_from_slice(&0u32.to_le_bytes());
-        let mut locs = Vec::with_capacity(records.len());
-        for (hash, key, value) in &records {
-            let offset = buf.len() as u64;
-            let len = encode_record(&mut buf, *hash, key, value);
-            locs.push((*hash, offset, len));
-        }
-        std::fs::write(&tmp_path, &buf)
-            .map_err(|e| format!("write {}: {e}", tmp_path.display()))?;
-        std::fs::rename(&tmp_path, &final_path)
-            .map_err(|e| format!("rename {}: {e}", final_path.display()))?;
-        let file =
-            File::open(&final_path).map_err(|e| format!("reopen {}: {e}", final_path.display()))?;
-
-        let old: Vec<PathBuf> = inner.segments.iter().map(|s| s.path.clone()).collect();
-        inner.segments = vec![Segment {
-            path: final_path,
-            file,
-            len: buf.len() as u64,
-        }];
-        inner.active = None;
-        inner.index = locs
-            .into_iter()
-            .map(|(hash, offset, len)| {
-                (
-                    hash,
-                    Loc {
-                        seg: 0,
-                        offset,
-                        len,
-                    },
-                )
-            })
-            .collect();
-        let json = index_to_json(&inner);
-        drop(inner);
-        write_atomic(&self.dir.join(INDEX_FILE), &json.to_line())?;
-        for path in old {
-            let _ = std::fs::remove_file(path);
-        }
-        Ok(())
-    }
-}
-
-impl Drop for DiskCache {
-    fn drop(&mut self) {
-        // A panic while `inner` was held may have left it half-updated,
-        // and panicking again here would abort the process: skip the
-        // flush, and the next open rebuilds what the index misses by scan.
-        if self.inner.is_poisoned() {
-            return;
-        }
-        if let Err(e) = self.flush_index() {
-            self.telemetry
-                .log(Level::Warn, &format!("disk cache: index flush failed: {e}"));
         }
     }
 }
@@ -915,124 +700,6 @@ fn append_record(
     Ok(Loc { seg, offset, len })
 }
 
-fn index_to_json(inner: &Inner) -> Json {
-    let segments = Json::Arr(
-        inner
-            .segments
-            .iter()
-            .map(|s| {
-                Json::obj(vec![
-                    (
-                        "file",
-                        Json::Str(
-                            s.path
-                                .file_name()
-                                .and_then(|n| n.to_str())
-                                .unwrap_or_default()
-                                .to_string(),
-                        ),
-                    ),
-                    ("covered", Json::Num(s.len as f64)),
-                ])
-            })
-            .collect(),
-    );
-    let mut entries: Vec<(u64, &Loc)> = inner.index.iter().map(|(h, l)| (*h, l)).collect();
-    entries.sort_by_key(|(h, _)| *h);
-    let entries = Json::Arr(
-        entries
-            .into_iter()
-            .map(|(hash, loc)| {
-                let file = inner.segments[loc.seg]
-                    .path
-                    .file_name()
-                    .and_then(|n| n.to_str())
-                    .unwrap_or_default()
-                    .to_string();
-                Json::Arr(vec![
-                    Json::Str(format!("{hash:016x}")),
-                    Json::Str(file),
-                    Json::Num(loc.offset as f64),
-                    Json::Num(loc.len as f64),
-                ])
-            })
-            .collect(),
-    );
-    Json::obj(vec![
-        ("format", Json::Str(INDEX_FORMAT.into())),
-        ("version", Json::Num(DISKCACHE_VERSION as f64)),
-        ("segments", segments),
-        ("entries", entries),
-    ])
-}
-
-#[allow(clippy::type_complexity)]
-fn parse_index(text: &str) -> Result<(HashMap<String, u64>, Vec<(u64, String, u64, u64)>), String> {
-    let j = json::parse(text.trim()).map_err(|e| format!("parse: {e}"))?;
-    let format = j
-        .get("format")
-        .and_then(Json::as_str)
-        .ok_or("missing format")?;
-    if format != INDEX_FORMAT {
-        return Err(format!("unexpected format `{format}`"));
-    }
-    let version = j
-        .get("version")
-        .and_then(Json::as_u64)
-        .ok_or("missing version")?;
-    if version != DISKCACHE_VERSION as u64 {
-        return Err(format!("unsupported index version {version}"));
-    }
-    let mut covers = HashMap::new();
-    for seg in j
-        .get("segments")
-        .and_then(Json::as_arr)
-        .ok_or("missing segments")?
-    {
-        let file = seg
-            .get("file")
-            .and_then(Json::as_str)
-            .ok_or("segment without file")?;
-        let covered = seg
-            .get("covered")
-            .and_then(Json::as_u64)
-            .ok_or("segment without covered length")?;
-        covers.insert(file.to_string(), covered);
-    }
-    let mut locs = Vec::new();
-    for entry in j
-        .get("entries")
-        .and_then(Json::as_arr)
-        .ok_or("missing entries")?
-    {
-        let entry = entry.as_arr().ok_or("entry is not an array")?;
-        if entry.len() != 4 {
-            return Err("entry is not [hash, file, offset, len]".into());
-        }
-        let hash = entry[0]
-            .as_str()
-            .and_then(|s| u64::from_str_radix(s, 16).ok())
-            .ok_or("entry hash is not a hex string")?;
-        let file = entry[1].as_str().ok_or("entry file is not a string")?;
-        let offset = entry[2].as_u64().ok_or("entry offset is not an integer")?;
-        let len = entry[3].as_u64().ok_or("entry len is not an integer")?;
-        locs.push((hash, file.to_string(), offset, len));
-    }
-    Ok((covers, locs))
-}
-
-/// Writes `contents` to a `.tmp` sibling of `path`, then renames it over
-/// `path`, so a crash mid-write never corrupts the previous file. Shared
-/// by the index and the checkpoint snapshots.
-pub(crate) fn write_atomic(path: &Path, contents: &str) -> Result<(), String> {
-    let mut tmp_name = path.as_os_str().to_os_string();
-    tmp_name.push(".tmp");
-    let tmp = PathBuf::from(tmp_name);
-    std::fs::write(&tmp, contents).map_err(|e| format!("write {}: {e}", tmp.display()))?;
-    std::fs::rename(&tmp, path)
-        .map_err(|e| format!("rename {} -> {}: {e}", tmp.display(), path.display()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1096,30 +763,6 @@ mod tests {
     }
 
     #[test]
-    fn reopen_reads_back_through_the_index_without_recovery() {
-        let dir = temp_dir("reopen");
-        let entries = sample_entries(4);
-        {
-            let cache = DiskCache::open(&dir).unwrap();
-            for (key, value) in &entries {
-                cache.put_outcome(key, value);
-            }
-            // Drop writes the index.
-        }
-        let cache = DiskCache::open(&dir).unwrap();
-        let stats = cache.stats();
-        assert_eq!(stats.entries, 4);
-        assert_eq!(stats.recovered_records, 0, "index covered everything");
-        assert_eq!(stats.index_rebuilds, 0);
-        for (key, value) in &entries {
-            assert_eq!(cache.get_outcome(key).as_ref(), Some(value));
-        }
-        assert_eq!(cache.stats().hit_rate(), 1.0);
-        drop(cache);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn crash_without_index_recovers_all_records_by_scan() {
         let dir = temp_dir("noindex");
         let entries = sample_entries(3);
@@ -1128,17 +771,50 @@ mod tests {
             for (key, value) in &entries {
                 cache.put_outcome(key, value);
             }
-            std::mem::forget(cache); // crash: no index flush
+            std::mem::forget(cache); // crash: nothing runs on the way out
         }
-        std::fs::remove_file(dir.join(INDEX_FILE)).ok();
         let cache = DiskCache::open(&dir).unwrap();
         let stats = cache.stats();
         assert_eq!(stats.entries, 3);
-        assert_eq!(stats.recovered_records, 3);
-        assert_eq!(stats.index_rebuilds, 1);
         for (key, value) in &entries {
             assert_eq!(cache.get_outcome(key).as_ref(), Some(value));
         }
+        drop(cache);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_signalled_servers_directory_reopens_whole_from_its_segments() {
+        let dir = temp_dir("restart");
+        let entries = sample_entries(4);
+        // Two write sessions whose caches are never dropped, as a server
+        // stopped by a signal leaves them: one segment each.
+        for session in entries.chunks(2) {
+            let cache = DiskCache::open(&dir).unwrap();
+            for (key, value) in session {
+                cache.put_outcome(key, value);
+            }
+            std::mem::forget(cache);
+        }
+        // The index file older builds wrote on drop is ignored.
+        std::fs::write(dir.join("index").with_extension("json"), "{ junk").unwrap();
+
+        let cache = DiskCache::open(&dir).unwrap();
+        assert_eq!(cache.inner.lock().unwrap().segments.len(), 2);
+        let stats = cache.stats();
+        assert_eq!(stats.entries, 4);
+        assert_eq!(
+            (stats.torn_tails, stats.skipped_segments, stats.read_errors),
+            (0, 0, 0)
+        );
+        for (key, value) in &entries {
+            // The stored key and value bytes are the ones written.
+            let entry = cache.resolve_hash(key_hash(key.as_bytes())).unwrap();
+            let record = (key.clone(), serde_json::to_string(value).unwrap());
+            assert_eq!(entry.to_record(), Ok(record));
+            assert_eq!(cache.get_outcome(key).as_ref(), Some(value));
+        }
+        assert_eq!(cache.stats().read_errors, 0);
         drop(cache);
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -1158,7 +834,6 @@ mod tests {
             std::mem::forget(cache);
             path
         };
-        std::fs::remove_file(dir.join(INDEX_FILE)).ok();
         // Kill the append mid-record: chop 5 bytes off the tail.
         let len = std::fs::metadata(&seg_path).unwrap().len();
         let file = OpenOptions::new().write(true).open(&seg_path).unwrap();
@@ -1222,115 +897,6 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_index_is_rebuilt_from_segments() {
-        let dir = temp_dir("badindex");
-        let entries = sample_entries(3);
-        {
-            let cache = DiskCache::open(&dir).unwrap();
-            for (key, value) in &entries {
-                cache.put_outcome(key, value);
-            }
-        }
-        std::fs::write(dir.join(INDEX_FILE), "{ definitely not json").unwrap();
-        let cache = DiskCache::open(&dir).unwrap();
-        let stats = cache.stats();
-        assert_eq!(stats.entries, 3);
-        assert_eq!(stats.index_rebuilds, 1);
-        assert_eq!(stats.recovered_records, 3);
-        for (key, value) in &entries {
-            assert_eq!(cache.get_outcome(key).as_ref(), Some(value));
-        }
-        drop(cache);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn out_of_range_index_entries_are_rescanned_not_trusted() {
-        let entries = sample_entries(3);
-        // One entry's offset past u64 (read back as no integer at all),
-        // then one whose length does not fit the record format's u32.
-        for (tag, field, bogus) in [
-            ("offset", 2, "18446744073709551616"),
-            ("len", 3, "4294967296"),
-        ] {
-            let dir = temp_dir(tag);
-            {
-                let cache = DiskCache::open(&dir).unwrap();
-                for (key, value) in &entries {
-                    cache.put_outcome(key, value);
-                }
-            }
-            let index = std::fs::read_to_string(dir.join(INDEX_FILE)).unwrap();
-            let doc = json::parse(&index).unwrap();
-            let entry = &doc.get("entries").and_then(Json::as_arr).unwrap()[1];
-            let mut items: Vec<String> =
-                entry.as_arr().unwrap().iter().map(Json::to_line).collect();
-            items[field] = bogus.to_string();
-            let corrupt = index.replacen(&entry.to_line(), &format!("[{}]", items.join(",")), 1);
-            assert_ne!(corrupt, index);
-            std::fs::write(dir.join(INDEX_FILE), corrupt).unwrap();
-
-            let cache = DiskCache::open(&dir).unwrap();
-            assert_eq!(cache.stats().index_rebuilds, 1, "{tag}");
-            for (key, value) in &entries {
-                assert_eq!(cache.get_outcome(key).as_ref(), Some(value), "{tag}");
-            }
-            assert_eq!(cache.stats().read_errors, 0, "{tag}");
-            drop(cache);
-            std::fs::remove_dir_all(&dir).unwrap();
-        }
-    }
-
-    #[test]
-    fn drop_skips_the_index_flush_after_a_panic_poisoned_the_cache() {
-        let dir = temp_dir("poison");
-        let cache = std::sync::Arc::new(DiskCache::open(&dir).unwrap());
-        let holder = std::sync::Arc::clone(&cache);
-        let panicked = std::thread::spawn(move || {
-            let _inner = holder.inner.lock().unwrap();
-            panic!("poisoning the disk cache");
-        })
-        .join();
-        assert!(panicked.is_err());
-        // Flushing here would panic on the poisoned lock during drop.
-        drop(cache);
-        assert!(!dir.join(INDEX_FILE).exists());
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn compaction_merges_segments_and_survives_reopen() {
-        let dir = temp_dir("compact");
-        let entries = sample_entries(4);
-        // Two write sessions → two segments.
-        {
-            let cache = DiskCache::open(&dir).unwrap();
-            for (key, value) in &entries[..2] {
-                cache.put_outcome(key, value);
-            }
-        }
-        {
-            let cache = DiskCache::open(&dir).unwrap();
-            for (key, value) in &entries[2..] {
-                cache.put_outcome(key, value);
-            }
-            assert_eq!(cache.inner.lock().unwrap().segments.len(), 2);
-            cache.compact().unwrap();
-            assert_eq!(cache.inner.lock().unwrap().segments.len(), 1);
-            for (key, value) in &entries {
-                assert_eq!(cache.get_outcome(key).as_ref(), Some(value));
-            }
-        }
-        let cache = DiskCache::open(&dir).unwrap();
-        assert_eq!(cache.stats().entries, 4);
-        for (key, value) in &entries {
-            assert_eq!(cache.get_outcome(key).as_ref(), Some(value));
-        }
-        drop(cache);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn resolve_hash_returns_the_typed_key_and_value() {
         let dir = temp_dir("resolve");
         let cache = DiskCache::open(&dir).unwrap();
@@ -1375,11 +941,12 @@ mod tests {
             }
             std::mem::forget(cache);
         }
-        std::fs::remove_file(dir.join(INDEX_FILE)).ok();
-        let collector = Collector::builder().sink(MemorySink::new()).build();
+        let sink = MemorySink::new();
+        let collector = Collector::builder().sink(sink.clone()).build();
         let cache = DiskCache::open_with(&dir, collector.clone()).unwrap();
-        assert_eq!(collector.counter_value("disk_cache/index_rebuilds"), 1);
-        assert_eq!(collector.counter_value("disk_cache/recovered_records"), 2);
+        // Reopening a healthy directory is no recovery: nothing is counted
+        // and nothing is logged.
+        assert!(sink.is_empty(), "{:?}", sink.events());
         let _ = cache.get_outcome(&entries[0].0);
         let _ = cache.get_outcome("no such key");
         cache.put_outcome(&entries[0].0, &entries[0].1); // dedup: no append

@@ -1131,7 +1131,7 @@ impl<M: MappingOptimizer> Evaluator for CodesignEvaluator<M> {
     ///
     /// 1. The layer outcomes this evaluator's mapper produced fill the
     ///    layer cache: inline entries and the disk references that resolve
-    ///    alike. References that do not resolve (cache compacted away, no
+    ///    alike. References that do not resolve (record lost to damage, no
     ///    disk attached) and other mappers' outcomes are left out.
     /// 2. Every snapshotted point that fits this evaluator's space and has
     ///    all its layers cached is re-assembled from them and filled in as

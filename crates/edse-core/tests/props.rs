@@ -8,11 +8,12 @@ use accel_model::AcceleratorConfig;
 use edse_core::bottleneck::dnn_latency_model;
 use edse_core::bottleneck::tree::{NodeKind, TreeBuilder};
 use edse_core::cost::{Constraint, Evaluation, Sample, Trace};
+use edse_core::diskcache::layer_key;
 use edse_core::dse::{Attempt, DseConfig, DseResult};
 use edse_core::evaluate::{CacheSnapshot, CodesignEvaluator, EvalEngine, Evaluator};
 use edse_core::fault::{EvalFault, FaultPolicy};
 use edse_core::space::{edge_space, DesignPoint, DesignSpace, ParamDef};
-use edse_core::{load_snapshot, DiskCache, DiskCacheStats, JobSpec, SearchSession};
+use edse_core::{load_snapshot, DiskCache, DiskCacheStats, JobSpec, LayerEntry, SearchSession};
 use edse_telemetry::{Collector, MemorySink};
 use mapper::{FaultInjector, FixedMapper};
 use proptest::prelude::*;
@@ -462,6 +463,18 @@ fn temp_cache_dir(tag: &str) -> PathBuf {
 /// One serial search over the given cache directory; returns the result
 /// and the disk tier's statistics at the end of the run.
 fn disk_cached_search(dir: &std::path::Path, seed: u64) -> (DseResult, DiskCacheStats) {
+    let (result, ev) = disk_cached_run(dir, 20, seed);
+    let disk = ev.cache_stats().disk.expect("disk tier attached");
+    (result, disk)
+}
+
+/// [`disk_cached_search`] at any budget, returning the evaluator the
+/// search ran on.
+fn disk_cached_run(
+    dir: &std::path::Path,
+    budget: usize,
+    seed: u64,
+) -> (DseResult, CodesignEvaluator<FixedMapper>) {
     let ev = CodesignEvaluator::new(edge_space(), vec![zoo::resnet18()], FixedMapper)
         .with_engine(EvalEngine::serial())
         .with_disk_cache(Arc::new(DiskCache::open(dir).expect("open cache dir")));
@@ -469,15 +482,14 @@ fn disk_cached_search(dir: &std::path::Path, seed: u64) -> (DseResult, DiskCache
     let result = SearchSession::new(
         dnn_latency_model(),
         DseConfig {
-            budget: 20,
+            budget,
             seed,
             ..DseConfig::default()
         },
     )
     .evaluator(&ev)
     .run(initial);
-    let disk = ev.cache_stats().disk.expect("disk tier attached");
-    (result, disk)
+    (result, ev)
 }
 
 /// The cache's segment files, sorted by name (creation order).
@@ -524,44 +536,6 @@ proptest! {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// A corrupt (or truncated, or garbage) index file is only ever an
-    /// accelerator: the reopened cache rebuilds it by scanning the
-    /// segments, recovers every record, and the warm run is bit-identical
-    /// with a fully hot disk tier.
-    #[test]
-    fn corrupt_index_is_rebuilt_by_scan(
-        junk_seed in any::<u64>(),
-        junk_len in 0usize..96,
-        seed in 0u64..3,
-    ) {
-        // A splitmix walk stands in for arbitrary bytes (the vendored
-        // proptest shim has no u8 strategy).
-        let mut state = junk_seed;
-        let junk: Vec<u8> = (0..junk_len)
-            .map(|_| {
-                state = state
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                (state >> 56) as u8
-            })
-            .collect();
-        let dir = temp_cache_dir("badindex");
-        let (cold, cold_disk) = disk_cached_search(&dir, seed);
-        std::fs::write(dir.join("index.json"), &junk).unwrap();
-
-        let (warm, warm_disk) = disk_cached_search(&dir, seed);
-        assert_results_identical(&warm, &cold);
-        prop_assert!(warm_disk.index_rebuilds > 0, "the junk index must be discarded");
-        prop_assert!(
-            warm_disk.recovered_records as usize >= cold_disk.entries,
-            "every record must be recovered by scan: {} < {}",
-            warm_disk.recovered_records,
-            cold_disk.entries
-        );
-        prop_assert_eq!(warm_disk.misses, 0, "a rebuilt index must serve every lookup");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
     /// A segment stamped with an unknown format version (a future writer,
     /// or header rot) is skipped whole — never misread — and the warm run
     /// recomputes its contents, bit-identically.
@@ -579,10 +553,6 @@ proptest! {
         let mut bytes = std::fs::read(&seg).unwrap();
         bytes[8..12].copy_from_slice(&version.to_le_bytes());
         std::fs::write(&seg, &bytes).unwrap();
-        // The stale index would mask the bad header; drop it so open has
-        // to look at the segment itself (rot plus a lost index is also
-        // exactly what a half-synced copy of the directory looks like).
-        let _ = std::fs::remove_file(dir.join("index.json"));
 
         let (warm, warm_disk) = disk_cached_search(&dir, seed);
         assert_results_identical(&warm, &cold);
@@ -591,8 +561,9 @@ proptest! {
     }
 }
 
-/// One way of damaging a saved snapshot's bytes. Positions are taken
-/// modulo the length, so every mutation applies to any file.
+/// One way of damaging a file's bytes (a snapshot or a cache segment).
+/// Positions are taken modulo the length, so every mutation applies to any
+/// file.
 #[derive(Debug, Clone)]
 enum Mutation {
     /// XOR the byte at `at` with a non-zero `mask`.
@@ -604,6 +575,11 @@ enum Mutation {
     Truncate { at: usize },
     /// Copy `len` bytes starting at `from` in front of `at`.
     Splice { from: usize, len: usize, at: usize },
+    /// Copy up to `len` bytes starting at `from` over the bytes at `at`.
+    Overlay { from: usize, len: usize, at: usize },
+    /// Overwrite up to `len` bytes from `at` on with splitmix bytes drawn
+    /// from `seed`.
+    Overwrite { at: usize, len: usize, seed: u64 },
     /// Insert `depth` opening brackets in front of `at`.
     Nest { at: usize, depth: usize },
 }
@@ -627,6 +603,18 @@ impl Mutation {
                 let from = from % n;
                 let piece = bytes[from..(from + len).min(n)].to_vec();
                 bytes.splice(at % n..at % n, piece);
+            }
+            Mutation::Overlay { from, len, at } => {
+                let from = from % n;
+                let piece = bytes[from..(from + len).min(n)].to_vec();
+                let at = at % n;
+                let end = (at + piece.len()).min(n);
+                bytes[at..end].copy_from_slice(&piece[..end - at]);
+            }
+            Mutation::Overwrite { at, len, seed } => {
+                let at = at % n;
+                let end = (at + len).min(n);
+                bytes[at..end].copy_from_slice(&splitmix_bytes(seed, end - at));
             }
             Mutation::Nest { at, depth } => {
                 bytes.splice(at % n..at % n, std::iter::repeat_n(b'[', depth));
@@ -698,5 +686,137 @@ proptest! {
             ev.restore_caches(&snapshot.caches);
             prop_assert!(ev.unique_evaluations() <= snapshot.caches.points.len());
         }
+    }
+}
+
+/// Bytes from a splitmix64 walk seeded with `seed` (the vendored proptest
+/// shim has no byte-vector strategy).
+fn splitmix_bytes(mut seed: u64, n: usize) -> Vec<u8> {
+    (0..n)
+        .map(|_| {
+            seed = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = seed;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) as u8
+        })
+        .collect()
+}
+
+/// Damage to one of a cache directory's two segments: bytes flipped,
+/// truncated or copied over other bytes, or the 16-byte header rewritten.
+fn arb_segment_mutation() -> impl Strategy<Value = (usize, Mutation)> {
+    let pos = || 0usize..1 << 20;
+    let overlay = (pos(), 1usize..4096, pos());
+    let header = (0usize..16, 1usize..=16, any::<u64>());
+    let mutation = prop_oneof![
+        (pos(), 1u8..=255).prop_map(|(at, mask)| Mutation::Flip { at, mask }),
+        pos().prop_map(|at| Mutation::Truncate { at }),
+        overlay.prop_map(|(from, len, at)| Mutation::Overlay { from, len, at }),
+        header.prop_map(|(at, len, seed)| Mutation::Overwrite { at, len, seed }),
+    ];
+    (0usize..2, mutation)
+}
+
+/// A cache directory's segments after two write sessions (the seed-0
+/// search at budgets 10 and 20), with every record they hold and the cold
+/// result of [`disk_cached_search`] at seed 0.
+struct SegmentSource {
+    /// `(file name, bytes)` per segment, in creation order.
+    segments: Vec<(std::ffi::OsString, Vec<u8>)>,
+    /// `(record hash, canonical key, decoded entry)` per record.
+    records: Vec<(u64, String, LayerEntry)>,
+    cold: DseResult,
+}
+
+fn segment_source() -> &'static SegmentSource {
+    static SOURCE: OnceLock<SegmentSource> = OnceLock::new();
+    SOURCE.get_or_init(|| {
+        let cold_dir = temp_cache_dir("mutation-cold");
+        let (cold, _) = disk_cached_search(&cold_dir, 0);
+        let _ = std::fs::remove_dir_all(&cold_dir);
+
+        let dir = temp_cache_dir("mutation-source");
+        let mut hashes = Vec::new();
+        for budget in [10, 20] {
+            let (_, ev) = disk_cached_run(&dir, budget, 0);
+            hashes.extend(ev.cache_snapshot().disk_layers);
+        }
+        hashes.sort_unstable();
+        hashes.dedup();
+        let disk = DiskCache::open(&dir).expect("reopen the source directory");
+        assert_eq!(hashes.len(), disk.stats().entries, "every record is listed");
+        let records = hashes
+            .into_iter()
+            .map(|hash| {
+                let entry = disk.resolve_hash(hash).expect("an intact record resolves");
+                let key = layer_key(&entry.mapper, &entry.shape, &entry.cfg).unwrap();
+                (hash, key, entry)
+            })
+            .collect();
+        let segments: Vec<_> = segment_files(&dir)
+            .into_iter()
+            .map(|path| {
+                (
+                    path.file_name().unwrap().to_owned(),
+                    std::fs::read(&path).unwrap(),
+                )
+            })
+            .collect();
+        assert_eq!(segments.len(), 2, "two write sessions, two segments");
+        drop(disk);
+        let _ = std::fs::remove_dir_all(&dir);
+        SegmentSource {
+            segments,
+            records,
+            cold,
+        }
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// The segment decoder, the cache directory's only one, under damaged
+    /// bytes: flipped, truncated, spliced over each other, or with a
+    /// rewritten header, two segments still open without an error or a
+    /// panic. Every written record then reads back exactly or not at all,
+    /// through both lookups, and a warm search equals the cold run.
+    #[test]
+    fn damaged_segments_read_back_exactly_or_miss(
+        damage in collection::vec(arb_segment_mutation(), 1..4),
+    ) {
+        let source = segment_source();
+        let mut segments: Vec<Vec<u8>> =
+            source.segments.iter().map(|(_, bytes)| bytes.clone()).collect();
+        for (seg, m) in &damage {
+            m.apply(&mut segments[*seg]);
+        }
+        let dir = temp_cache_dir("damaged");
+        std::fs::create_dir_all(&dir).unwrap();
+        for ((name, _), bytes) in source.segments.iter().zip(&segments) {
+            std::fs::write(dir.join(name), bytes).unwrap();
+        }
+
+        // Separate opens, so one lookup's evictions cannot hide a record
+        // from the other.
+        let disk = DiskCache::open(&dir).expect("a damaged directory opens");
+        for (hash, _, entry) in &source.records {
+            if let Some(got) = disk.resolve_hash(*hash) {
+                prop_assert_eq!(&got, entry);
+            }
+        }
+        drop(disk);
+        let disk = DiskCache::open(&dir).expect("a damaged directory opens");
+        for (_, key, entry) in &source.records {
+            if let Some(got) = disk.get_outcome(key) {
+                prop_assert_eq!(got, entry.outcome);
+            }
+        }
+        drop(disk);
+
+        let (warm, _) = disk_cached_search(&dir, 0);
+        assert_results_identical(&warm, &source.cold);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -181,6 +181,22 @@ struct PullLedger {
     workers: Vec<(ThreadId, u64)>,
 }
 
+impl PullLedger {
+    /// Pulls per participant slot (see [`RunStats::per_worker`]). A worker
+    /// slot frees between tasks, so over one scope more distinct workers
+    /// can take turns than there are slots; the extra workers' pulls go to
+    /// the last slot, so the slots still sum to every task. `slots` is at
+    /// least 1: the submitter's.
+    fn per_slot(&self, slots: usize) -> Vec<u64> {
+        let mut per_slot = vec![0; slots];
+        per_slot[0] = self.submitter;
+        for (i, (_, pulls)) in self.workers.iter().enumerate() {
+            per_slot[(i + 1).min(slots - 1)] += pulls;
+        }
+        per_slot
+    }
+}
+
 struct ScopeState {
     /// Borrowed task closure, lifetime-erased. SAFETY: `run` does not
     /// return until every claimed task has finished and no further claim
@@ -485,10 +501,7 @@ impl Executor {
         // Defensive: the completing participant already removed the scope.
         self.shared.remove(&scope);
         let ledger = scope.ledger.lock().unwrap();
-        let mut per_worker = Vec::with_capacity(would_spawn);
-        per_worker.push(ledger.submitter);
-        per_worker.extend(ledger.workers.iter().map(|(_, pulls)| *pulls));
-        per_worker.resize(would_spawn, 0);
+        let per_worker = ledger.per_slot(would_spawn);
         let steals: u64 = ledger.workers.iter().map(|(_, pulls)| *pulls).sum();
         drop(ledger);
         let panicked = scope.panic.lock().unwrap().take();
@@ -577,6 +590,23 @@ mod tests {
         // The pool survives a panicked scope.
         let stats = pool.run(4, 2, &|_| {});
         assert_eq!(stats.per_worker.iter().sum::<u64>(), 4);
+    }
+
+    #[test]
+    fn per_worker_counts_every_pull_when_workers_take_turns() {
+        // Three pool workers took turns in the one worker slot of a
+        // budget-2 scope.
+        let ids: Vec<ThreadId> = (0..3)
+            .map(|_| std::thread::spawn(|| std::thread::current().id()))
+            .map(|h| h.join().unwrap())
+            .collect();
+        let ledger = PullLedger {
+            submitter: 0,
+            workers: ids.into_iter().zip([1, 2, 3]).collect(),
+        };
+        assert_eq!(ledger.per_slot(2), vec![0, 6]);
+        assert_eq!(ledger.per_slot(4), vec![0, 1, 2, 3]);
+        assert_eq!(ledger.per_slot(6), vec![0, 1, 2, 3, 0, 0]);
     }
 
     #[test]

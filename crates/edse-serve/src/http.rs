@@ -6,6 +6,7 @@
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
+use std::time::{Duration, Instant};
 
 /// Largest request body the server will buffer (a [`JobSpec`] is a few
 /// hundred bytes; this bound exists so a stray client cannot balloon
@@ -33,13 +34,18 @@ pub struct Request {
     pub body: Vec<u8>,
 }
 
-/// Reads and parses one request from the stream. Returns `None` on a
-/// malformed or oversized request — a line longer than `MAX_LINE`, more
-/// than `MAX_HEADERS` headers, or a body over `MAX_BODY` — or when the
-/// stream's read timeout expires first (the caller answers 400 and
+/// Reads and parses one request from the stream, waiting at most
+/// `per_read` for each read and reading nothing after `deadline`. Returns
+/// `None` on a malformed or oversized request — a line longer than
+/// `MAX_LINE`, more than `MAX_HEADERS` headers, or a body over `MAX_BODY`
+/// — or when either bound expires first (the caller answers 400 and
 /// closes).
-pub fn read_request(stream: &mut TcpStream) -> Option<Request> {
-    let mut reader = BufReader::new(stream);
+pub fn read_request(stream: &TcpStream, per_read: Duration, deadline: Instant) -> Option<Request> {
+    let mut reader = BufReader::new(Deadline {
+        stream,
+        per_read,
+        deadline,
+    });
     let line = read_line(&mut reader)?;
     let mut parts = line.split_whitespace();
     let method = parts.next()?.to_uppercase();
@@ -70,6 +76,27 @@ pub fn read_request(stream: &mut TcpStream) -> Option<Request> {
         reader.read_exact(&mut body).ok()?;
     }
     Some(Request { method, path, body })
+}
+
+/// A stream reader whose every read waits at most `per_read` and at most
+/// until `deadline`, so a client trickling bytes cannot hold a handler
+/// past the deadline.
+struct Deadline<'a> {
+    stream: &'a TcpStream,
+    per_read: Duration,
+    deadline: Instant,
+}
+
+impl Read for Deadline<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let left = self.deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(std::io::ErrorKind::TimedOut.into());
+        }
+        self.stream
+            .set_read_timeout(Some(left.min(self.per_read)))?;
+        self.stream.read(buf)
+    }
 }
 
 /// Reads one `\n`-terminated line of at most `MAX_LINE` bytes; `None` on

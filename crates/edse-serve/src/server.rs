@@ -22,7 +22,7 @@ use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A running server: the bound address plus the handles needed to stop
 /// it cleanly (tests and `--self-check` tear the whole thing down; a
@@ -153,10 +153,15 @@ fn error_body(message: &str) -> String {
 /// request, so a silent client cannot hold a handler.
 const READ_TIMEOUT: Duration = Duration::from_secs(2);
 
+/// How long a handler spends reading one whole request, so a client that
+/// trickles bytes just inside [`READ_TIMEOUT`] cannot hold a handler
+/// either. Past it the request is malformed.
+const REQUEST_DEADLINE: Duration = Duration::from_secs(10);
+
 /// Handles one connection: one request, one response, close.
 fn handle(stream: &mut TcpStream, registry: &Registry) {
-    let timed = stream.set_read_timeout(Some(READ_TIMEOUT));
-    let Some(request) = timed.ok().and_then(|()| read_request(stream)) else {
+    let deadline = Instant::now() + REQUEST_DEADLINE;
+    let Some(request) = read_request(stream, READ_TIMEOUT, deadline) else {
         respond_json(stream, 400, &error_body("malformed request"));
         return;
     };

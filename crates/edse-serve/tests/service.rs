@@ -581,3 +581,58 @@ fn idle_connection_does_not_stop_the_next_request() {
     drop(idle);
     server.stop();
 }
+
+#[test]
+fn a_trickling_client_is_cut_off_at_the_request_deadline() {
+    use std::time::{Duration, Instant};
+    // One handler, taken by a client that sends its body one byte per
+    // 0.5 s: every read lands inside the 2 s read timeout, so only the
+    // 10 s whole-request deadline frees the handler.
+    let registry = Registry::new(EvalEngine::serial(), None, None, Collector::noop());
+    let server = Server::start("127.0.0.1:0", 1, Arc::clone(&registry), Vec::new()).expect("start");
+    let addr = server.addr();
+    let mut trickler = TcpStream::connect(addr).expect("connect trickler");
+    trickler
+        .write_all(b"POST /jobs HTTP/1.1\r\nHost: t\r\nContent-Length: 100\r\n\r\n")
+        .expect("send head");
+    trickler
+        .set_read_timeout(Some(Duration::from_millis(500)))
+        .expect("client timeout");
+    let trickle = std::thread::spawn(move || {
+        // Waiting for an answer paces the bytes; the server's answer (or
+        // its hang-up) ends the trickle.
+        let mut raw = Vec::new();
+        for _ in 0..100 {
+            if trickler.write_all(b" ").is_err() {
+                break;
+            }
+            match trickler.read_to_end(&mut raw) {
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
+                Err(e) if e.kind() == std::io::ErrorKind::TimedOut => {}
+                _ => break,
+            }
+        }
+        let text = String::from_utf8_lossy(&raw).into_owned();
+        text.split_whitespace()
+            .nth(1)
+            .and_then(|s| s.parse::<u16>().ok())
+    });
+    // Connections are accepted and handed to the handler in connect
+    // order, so the trickler holds the handler before this request.
+    let started = Instant::now();
+    assert_eq!(
+        raw_status(addr, b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n"),
+        Some(200)
+    );
+    let waited = started.elapsed();
+    assert!(
+        waited < Duration::from_secs(12),
+        "the trickler held the only handler for {waited:?}"
+    );
+    let answer = trickle.join().expect("trickler thread");
+    assert!(
+        matches!(answer, None | Some(400)),
+        "trickler got {answer:?}"
+    );
+    server.stop();
+}

@@ -16,8 +16,11 @@ export EDSE_TEST_THREADS=2
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> cargo test -q"
-cargo test -q
+echo "==> cargo test -q --workspace --exclude conformance"
+# The root manifest is also a package, so a bare `cargo test` would run
+# only its tests; --workspace runs every crate's. Conformance has its own
+# timed step below.
+cargo test -q --workspace --exclude conformance
 
 echo "==> cargo check perfbench (the benchmark builds against these crates)"
 # perfbench/ is a workspace of its own, so nothing above compiles it;
