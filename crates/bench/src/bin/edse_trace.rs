@@ -2,9 +2,11 @@
 //!
 //! Subcommands:
 //!
-//! - `summary <trace>` — per-phase self-time table (from the causal span
-//!   tree) and the candidate funnel (proposed → deduped → evaluated,
-//!   cache hit rates);
+//! - `summary <trace>` — the human-readable report: per-phase self-time
+//!   table (from the causal span tree), one narrative line per search
+//!   iteration (incumbent, dominant bottleneck and its scaling, candidate
+//!   funnel, decision), the provenance funnel, cache hit rates, the other
+//!   counters, batch-engine utilization, stage timings and logs;
 //! - `why <trace> [best|i,j,...]` — the provenance chain for a candidate
 //!   as the paper's bottleneck narrative: which incumbent it was derived
 //!   from, which dominant bottleneck factor and scaling action proposed
@@ -21,13 +23,13 @@
 //! when the requested analysis is impossible (e.g. `why` on a trace with
 //! no provenance ledger).
 
-use edse_telemetry::{export, json, trace, Event};
-use std::collections::BTreeMap;
+use edse_telemetry::{export, json, trace, Event, IterationRecord};
+use std::collections::{BTreeMap, BTreeSet};
 
 const USAGE: &str = "usage: edse-trace <command> <trace.jsonl> [...]
 
 commands:
-  summary    <trace>              per-phase self-time table and candidate funnel
+  summary    <trace>              spans, search narrative, funnel, counters, timings, logs
   why        <trace> [best|i,j,…] provenance chain for a candidate (default: best)
   flamegraph <trace>              collapsed-stack text for flamegraph tools
   chrome     <trace>              Chrome trace-event JSON (self-validated)
@@ -74,9 +76,80 @@ fn fmt_ms(us: u64) -> String {
     format!("{:.3}", us as f64 / 1e3)
 }
 
-/// The `summary` report: schema line, per-span-name table sorted by
-/// self-time (descending; name-tiebreak keeps it deterministic), then
-/// the candidate funnel from the provenance ledger and cache counters.
+/// An iteration record's objective in milliseconds; an infinite one means
+/// no mapping was found.
+fn fmt_objective(objective: f64) -> String {
+    if objective.is_finite() {
+        format!("{objective:.3} ms")
+    } else {
+        "unmappable".into()
+    }
+}
+
+/// The caches whose `hit`/`miss`/`inflight_wait` counters fold into one
+/// hit rate each, summed over shards.
+const CACHES: [&str; 3] = ["point_cache/", "layer_cache/", "disk_cache/"];
+const ACCESS_KINDS: [&str; 3] = ["/hit", "/miss", "/inflight_wait"];
+
+/// Whether `name` counts accesses of one of the [`CACHES`].
+fn is_cache_access(name: &str) -> bool {
+    CACHES.iter().any(|c| name.starts_with(c)) && ACCESS_KINDS.iter().any(|k| name.ends_with(k))
+}
+
+/// Every counter's total over the trace (`counters` events carry deltas).
+fn counter_totals(events: &[Event]) -> BTreeMap<&str, u64> {
+    let mut totals = BTreeMap::new();
+    for e in events {
+        if let Event::Counters { deltas, .. } = e {
+            for (name, v) in deltas {
+                *totals.entry(name.as_str()).or_insert(0) += v;
+            }
+        }
+    }
+    totals
+}
+
+/// An iteration record's narrative: one line with the incumbent, the
+/// dominant bottleneck and its scaling, the top layers and the candidate
+/// funnel, and the update rule's decision on the line below.
+fn narrative_lines(rec: &IterationRecord) -> String {
+    let mut line = format!(
+        "iter {:>3} [{}] incumbent {}",
+        rec.iteration,
+        rec.technique,
+        fmt_objective(rec.incumbent_objective)
+    );
+    if let Some(best) = rec.best_objective {
+        line.push_str(&format!(", best {}", fmt_objective(best)));
+    }
+    match (&rec.bottleneck, rec.scaling) {
+        (Some(b), Some(s)) => line.push_str(&format!(" | bottleneck {b} (needs s={s:.2})")),
+        (Some(b), None) => line.push_str(&format!(" | bottleneck {b}")),
+        (None, _) => line.push_str(" | no bottleneck analysis (black box)"),
+    }
+    if !rec.layer_contributions.is_empty() {
+        let top: Vec<String> = rec
+            .layer_contributions
+            .iter()
+            .take(3)
+            .map(|(name, c)| format!("{name} {:.1}%", c * 100.0))
+            .collect();
+        line.push_str(&format!(" | top layers: {}", top.join(", ")));
+    }
+    line.push_str(&format!(
+        " | proposed {} -> deduped {} -> evaluated {} (budget left {})\n",
+        rec.proposed, rec.deduped, rec.evaluated, rec.budget_remaining
+    ));
+    line.push_str(&format!("         decision: {}\n", rec.decision));
+    line
+}
+
+/// The `summary` report, one section per kind of record the trace holds:
+/// schema line; per-span-name table sorted by self-time (descending;
+/// name-tiebreak keeps it deterministic); the per-iteration search
+/// narrative; the candidate funnel from the provenance ledger; cache hit
+/// rates; every other counter; batch-engine utilization per stage; stage
+/// timings from the last histogram snapshot; and the logs.
 fn summary_text(events: &[Event]) -> String {
     let mut out = String::new();
     let schema = events.iter().find_map(|e| match e {
@@ -110,6 +183,24 @@ fn summary_text(events: &[Event]) -> String {
         out.push('\n');
     }
 
+    let iterations: Vec<&IterationRecord> = events
+        .iter()
+        .filter_map(|e| match e {
+            Event::Iteration { record, .. } => Some(record),
+            _ => None,
+        })
+        .collect();
+    if !iterations.is_empty() {
+        out.push_str(&format!(
+            "# Search narrative ({} iterations)\n",
+            iterations.len()
+        ));
+        for rec in iterations {
+            out.push_str(&narrative_lines(rec));
+        }
+        out.push('\n');
+    }
+
     let records = trace::provenance_records(events);
     if !records.is_empty() {
         let count = |outcome: &str| records.iter().filter(|r| r.outcome == outcome).count();
@@ -127,15 +218,8 @@ fn summary_text(events: &[Event]) -> String {
         ));
     }
 
-    let mut totals: BTreeMap<&str, u64> = BTreeMap::new();
-    for e in events {
-        if let Event::Counters { deltas, .. } = e {
-            for (name, v) in deltas {
-                *totals.entry(name).or_insert(0) += v;
-            }
-        }
-    }
-    let caches: Vec<String> = ["point_cache/", "layer_cache/", "disk_cache/"]
+    let totals = counter_totals(events);
+    let caches: Vec<String> = CACHES
         .iter()
         .filter_map(|cache| {
             let sum = |kind: &str| -> u64 {
@@ -146,7 +230,7 @@ fn summary_text(events: &[Event]) -> String {
                     .sum()
             };
             let hits = sum("/hit");
-            let total = hits + sum("/miss") + sum("/inflight_wait");
+            let total: u64 = ACCESS_KINDS.iter().map(|kind| sum(kind)).sum();
             (total > 0).then(|| {
                 format!(
                     "{} {:.1}% of {total}",
@@ -159,7 +243,73 @@ fn summary_text(events: &[Event]) -> String {
     if !caches.is_empty() {
         out.push_str("# Cache hit rates\n");
         out.push_str(&caches.join("; "));
+        out.push_str("\n\n");
+    }
+    let others: Vec<_> = totals
+        .iter()
+        .filter(|(name, _)| !is_cache_access(name))
+        .collect();
+    if !others.is_empty() {
+        out.push_str("# Counters\n");
+        for (name, v) in others {
+            out.push_str(&format!("{name}: {v}\n"));
+        }
         out.push('\n');
+    }
+
+    // Per stage: batches, tasks, widest fan-out, utilization sum.
+    let mut stages: BTreeMap<&str, (u64, u64, u64, f64)> = BTreeMap::new();
+    for e in events {
+        if let Event::Batch { record, .. } = e {
+            let entry = stages.entry(record.stage.as_str()).or_default();
+            entry.0 += 1;
+            entry.1 += record.items;
+            entry.2 = entry.2.max(record.threads);
+            entry.3 += record.balance();
+        }
+    }
+    if !stages.is_empty() {
+        out.push_str("# Batch engine\n");
+        for (stage, (count, items, threads, balance_sum)) in stages {
+            out.push_str(&format!(
+                "{stage}: {count} batches, {items} tasks, up to {threads} threads, \
+                 mean utilization {:.0}%\n",
+                100.0 * balance_sum / count as f64
+            ));
+        }
+        out.push('\n');
+    }
+
+    // Histograms are cumulative, so the last snapshot wins.
+    let last_histograms = events.iter().rev().find_map(|e| match e {
+        Event::Histograms { summaries, .. } => Some(summaries),
+        _ => None,
+    });
+    if let Some(summaries) = last_histograms.filter(|s| !s.is_empty()) {
+        out.push_str("# Stage timings\n");
+        for h in summaries {
+            out.push_str(&format!(
+                "{}: {} samples, mean {:.0} us (min {:.0}, max {:.0})\n",
+                h.name,
+                h.count,
+                h.mean(),
+                h.min,
+                h.max
+            ));
+        }
+        out.push('\n');
+    }
+
+    let logs: Vec<String> = events
+        .iter()
+        .filter_map(|e| match e {
+            Event::Log { level, message, .. } => Some(format!("[{level}] {message}\n")),
+            _ => None,
+        })
+        .collect();
+    if !logs.is_empty() {
+        out.push_str(&format!("# Logs ({})\n", logs.len()));
+        out.push_str(&logs.concat());
     }
     out
 }
@@ -176,7 +326,7 @@ fn diff_text(a: &[Event], b: &[Event]) -> String {
             .collect()
     };
     let (sa, sb) = (agg(a), agg(b));
-    let names: std::collections::BTreeSet<&String> = sa.keys().chain(sb.keys()).collect();
+    let names: BTreeSet<&String> = sa.keys().chain(sb.keys()).collect();
     if !names.is_empty() {
         out.push_str("# Span self-time (ms)\n");
         out.push_str(&format!(
@@ -198,22 +348,11 @@ fn diff_text(a: &[Event], b: &[Event]) -> String {
         }
         out.push('\n');
     }
-    let counters = |events: &[Event]| -> BTreeMap<String, u64> {
-        let mut totals = BTreeMap::new();
-        for e in events {
-            if let Event::Counters { deltas, .. } = e {
-                for (name, v) in deltas {
-                    *totals.entry(name.clone()).or_insert(0) += v;
-                }
-            }
-        }
-        totals
-    };
-    let (ca, cb) = (counters(a), counters(b));
+    let (ca, cb) = (counter_totals(a), counter_totals(b));
     let changed: Vec<String> = ca
         .keys()
         .chain(cb.keys())
-        .collect::<std::collections::BTreeSet<_>>()
+        .collect::<BTreeSet<_>>()
         .into_iter()
         .filter_map(|name| {
             let (va, vb) = (
@@ -295,7 +434,7 @@ fn main() {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use edse_telemetry::ProvenanceRecord;
+    use edse_telemetry::{BatchRecord, HistogramSummary, Level, ProvenanceRecord};
 
     #[test]
     fn targets_parse_as_best_or_points() {
@@ -360,6 +499,65 @@ mod tests {
         ]
     }
 
+    /// A trace that also holds an iteration record, non-cache and
+    /// per-shard cache counters, a batch, a histogram snapshot and a log.
+    fn full_events() -> Vec<Event> {
+        let mut events = sample_events();
+        events.extend([
+            Event::Iteration {
+                t_us: 60,
+                record: IterationRecord {
+                    technique: "explainable".into(),
+                    iteration: 3,
+                    incumbent_objective: 4.5,
+                    best_objective: Some(4.5),
+                    bottleneck: Some("dram_accesses".into()),
+                    scaling: Some(2.0),
+                    layer_contributions: vec![("conv1".into(), 0.625)],
+                    proposed: 5,
+                    deduped: 1,
+                    evaluated: 4,
+                    budget_remaining: 20,
+                    decision: "accepted: lower latency".into(),
+                },
+            },
+            Event::Counters {
+                t_us: 70,
+                deltas: vec![
+                    ("layer_cache/shard07/inflight_wait".into(), 2),
+                    ("layer_cache/shard07/miss".into(), 2),
+                    ("disk_cache/append".into(), 9),
+                ],
+            },
+            Event::Batch {
+                t_us: 80,
+                record: BatchRecord {
+                    stage: "engine/mapping".into(),
+                    items: 4,
+                    threads: 2,
+                    per_thread: vec![2, 2],
+                },
+            },
+            Event::Histograms {
+                t_us: 90,
+                summaries: vec![HistogramSummary {
+                    name: "stage/mapper_us".into(),
+                    count: 2,
+                    sum: 30.0,
+                    min: 10.0,
+                    max: 20.0,
+                    ..HistogramSummary::default()
+                }],
+            },
+            Event::Log {
+                t_us: 95,
+                level: Level::Warn,
+                message: "cache dir degraded".into(),
+            },
+        ]);
+        events
+    }
+
     #[test]
     fn summary_reports_spans_funnel_and_caches() {
         let text = summary_text(&sample_events());
@@ -368,6 +566,52 @@ mod tests {
         assert!(text.contains("1 proposals: 1 evaluated"), "{text}");
         assert!(text.contains("1 became the incumbent"), "{text}");
         assert!(text.contains("point_cache 75.0% of 4"), "{text}");
+    }
+
+    #[test]
+    fn summary_narrates_iterations_and_lists_the_other_counters() {
+        let text = summary_text(&full_events());
+        for heading in [
+            "# Spans",
+            "# Search narrative (1 iterations)",
+            "# Candidate funnel",
+            "# Cache hit rates",
+            "# Counters",
+            "# Batch engine",
+            "# Stage timings",
+            "# Logs (1)",
+        ] {
+            assert!(text.contains(heading), "missing {heading}:\n{text}");
+        }
+        assert!(
+            text.contains(
+                "iter   3 [explainable] incumbent 4.500 ms, best 4.500 ms \
+                 | bottleneck dram_accesses (needs s=2.00) | top layers: conv1 62.5% \
+                 | proposed 5 -> deduped 1 -> evaluated 4 (budget left 20)\n\
+                 \x20        decision: accepted: lower latency\n"
+            ),
+            "{text}"
+        );
+        assert!(text.contains("disk_cache/append: 9\n"), "{text}");
+        // Per-shard access counters fold into the hit rates (a wait is
+        // an access that did not hit) and are not listed again.
+        assert!(
+            text.contains("point_cache 75.0% of 4; layer_cache 0.0% of 4\n"),
+            "{text}"
+        );
+        assert!(!text.contains("shard07"), "{text}");
+        assert!(!text.contains("point_cache/s0"), "{text}");
+        assert!(
+            text.contains(
+                "engine/mapping: 1 batches, 4 tasks, up to 2 threads, mean utilization 100%"
+            ),
+            "{text}"
+        );
+        assert!(
+            text.contains("stage/mapper_us: 2 samples, mean 15 us (min 10, max 20)"),
+            "{text}"
+        );
+        assert!(text.contains("[warn] cache dir degraded"), "{text}");
     }
 
     #[test]

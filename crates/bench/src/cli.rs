@@ -16,16 +16,18 @@ use workloads::{zoo, DnnModel};
 /// Common experiment options parsed from the command line.
 ///
 /// The job-shaped options — budget (`--iters`), mapping trials, seed,
-/// models, checkpoint/resume policy, and cache directory — live in the
-/// embedded [`JobSpec`] (the same struct the `edse-serve` `POST /jobs`
-/// body deserializes into); the remaining fields are harness concerns
-/// (output destinations, verbosity, presets).
+/// models, and checkpoint/resume policy — live in the embedded
+/// [`JobSpec`] (the same struct the `edse-serve` `POST /jobs` body
+/// deserializes into); the remaining fields are harness concerns (cache
+/// directory, output destinations, verbosity, presets).
 #[derive(Debug, Clone)]
 pub struct BenchArgs {
     /// The consolidated job description: evaluation budget, mapping
-    /// trials, seed, model names, checkpoint/resume policy, and cache
-    /// directory.
+    /// trials, seed, model names, and checkpoint/resume policy.
     pub spec: JobSpec,
+    /// Persistent disk-cache directory (`--cache-dir <path>`); `None`
+    /// runs without a disk tier.
+    pub cache_dir: Option<PathBuf>,
     /// Whether the `--quick` preset was chosen.
     pub quick: bool,
     /// JSONL trace destination (`--trace-out <path>`); `None` keeps
@@ -120,6 +122,7 @@ impl BenchArgs {
                 seed: 1,
                 ..JobSpec::default()
             },
+            cache_dir: None,
             quick: true,
             trace_out: None,
             metrics_out: None,
@@ -207,7 +210,7 @@ impl BenchArgs {
                     i += 1;
                 }
                 "--cache-dir" => {
-                    args.spec.cache_dir = take(argv, i, &mut args.warnings).map(PathBuf::from);
+                    args.cache_dir = take(argv, i, &mut args.warnings).map(PathBuf::from);
                     i += 1;
                 }
                 "--no-disk-cache" => args.no_disk_cache = true,
@@ -235,7 +238,7 @@ impl BenchArgs {
             args.warnings
                 .push("--resume has no effect without --checkpoint".into());
         }
-        if args.no_disk_cache && args.spec.cache_dir.is_none() {
+        if args.no_disk_cache && args.cache_dir.is_none() {
             args.warnings
                 .push("--no-disk-cache has no effect without --cache-dir".into());
         }
@@ -262,7 +265,7 @@ impl BenchArgs {
     /// that cannot be opened degrades to no disk tier with a `Warn` log
     /// rather than failing the run.
     pub fn session_opts(&self, telemetry: &Collector) -> SessionOpts {
-        let (disk, disk_error) = match (&self.spec.cache_dir, self.no_disk_cache) {
+        let (disk, disk_error) = match (&self.cache_dir, self.no_disk_cache) {
             (Some(dir), false) => match DiskCache::open_with(dir, telemetry.clone()) {
                 Ok(cache) => (Some(Arc::new(cache)), None),
                 Err(e) => {
@@ -422,7 +425,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("edse-cli-cache-{}", std::process::id()));
         let dir_s = dir.to_str().unwrap().to_string();
         let a = BenchArgs::parse_from(&["--cache-dir", &dir_s], 100);
-        assert_eq!(a.spec.cache_dir.as_deref(), Some(Path::new(&dir_s)));
+        assert_eq!(a.cache_dir.as_deref(), Some(Path::new(&dir_s)));
         assert!(a.warnings.is_empty(), "{:?}", a.warnings);
         let opts = a.session_opts(&Collector::noop());
         assert!(opts.disk.is_some());

@@ -1,15 +1,14 @@
-//! Shared trace-file loading for the trace analysis binaries
-//! (`trace_report`, `edse-trace`): reads a `--trace-out` JSONL trace
-//! into [`Event`]s with precise `path:line:col` diagnostics on any
-//! malformed line, and rejects empty traces — a truncated or clobbered
-//! file must fail loudly, not report "nothing happened".
+//! Trace-file loading for the `edse-trace` binary: reads a `--trace-out`
+//! JSONL trace into [`Event`]s with precise `path:line:col` diagnostics
+//! on any malformed line, and rejects empty traces — a truncated or
+//! clobbered file must fail loudly, not report "nothing happened".
 
 use edse_telemetry::{json, Event};
 use std::fmt;
 use std::path::Path;
 
 /// Why a trace file could not be loaded. Rendered via [`fmt::Display`]
-/// in the exact shape the analysis binaries print before exiting 1.
+/// in the exact shape `edse-trace` prints before exiting 1.
 #[derive(Debug)]
 pub enum TraceError {
     /// The file could not be read at all.

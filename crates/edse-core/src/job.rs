@@ -14,11 +14,12 @@ use std::path::PathBuf;
 
 /// A complete, serializable description of one DSE job: which technique to
 /// run, over which models and space, with which budget and knobs, and how
-/// to checkpoint and cache it.
+/// to checkpoint it.
 ///
 /// JSON (de)serialization goes through the telemetry crate's zero-dep JSON
 /// layer ([`JobSpec::to_json`] / [`JobSpec::from_json`]); every field is
-/// optional in the JSON form and falls back to [`JobSpec::default`].
+/// optional in the JSON form and falls back to [`JobSpec::default`], and
+/// a member that names no field is an error.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobSpec {
     /// Technique label: `"explainable"` or one of the baseline labels
@@ -45,10 +46,6 @@ pub struct JobSpec {
     pub checkpoint_every: usize,
     /// Resume from `checkpoint` when the snapshot file exists.
     pub resume: bool,
-    /// Persistent disk-cache directory; `None` runs without a disk tier.
-    pub cache_dir: Option<PathBuf>,
-    /// Evaluation threads: `None` = serial engine, `Some(0)` = all cores.
-    pub threads: Option<usize>,
 }
 
 impl Default for JobSpec {
@@ -64,21 +61,15 @@ impl Default for JobSpec {
             checkpoint: None,
             checkpoint_every: 10,
             resume: false,
-            cache_dir: None,
-            threads: None,
         }
     }
 }
 
 impl JobSpec {
     /// Serializes the spec as a JSON object (the `POST /jobs` body shape).
-    /// `None` fields are emitted as `null` so the output round-trips
+    /// A `None` checkpoint is emitted as `null` so the output round-trips
     /// through [`JobSpec::from_json`] unchanged.
     pub fn to_json(&self) -> Json {
-        let opt_path = |p: &Option<PathBuf>| match p {
-            Some(path) => Json::Str(path.display().to_string()),
-            None => Json::Null,
-        };
         Json::obj(vec![
             ("technique", Json::Str(self.technique.clone())),
             ("budget", Json::Num(self.budget as f64)),
@@ -90,17 +81,15 @@ impl JobSpec {
             ),
             ("space", Json::Str(self.space.clone())),
             ("mapper", Json::Str(self.mapper.clone())),
-            ("checkpoint", opt_path(&self.checkpoint)),
-            ("checkpoint_every", Json::Num(self.checkpoint_every as f64)),
-            ("resume", Json::Bool(self.resume)),
-            ("cache_dir", opt_path(&self.cache_dir)),
             (
-                "threads",
-                match self.threads {
-                    Some(n) => Json::Num(n as f64),
+                "checkpoint",
+                match &self.checkpoint {
+                    Some(path) => Json::Str(path.display().to_string()),
                     None => Json::Null,
                 },
             ),
+            ("checkpoint_every", Json::Num(self.checkpoint_every as f64)),
+            ("resume", Json::Bool(self.resume)),
         ])
     }
 
@@ -110,12 +99,18 @@ impl JobSpec {
     }
 
     /// Builds a spec from a parsed JSON object. Missing or `null` members
-    /// fall back to [`JobSpec::default`]; present members of the wrong
-    /// type are an error (a silently ignored typo in a job submission
-    /// would run the wrong search).
+    /// fall back to [`JobSpec::default`]; a member that names no field,
+    /// or a present member of the wrong type, is an error (a silently
+    /// ignored typo in a job submission would run the wrong search).
     pub fn from_json(value: &Json) -> Result<JobSpec, String> {
-        if !matches!(value, Json::Obj(_)) {
+        let Json::Obj(members) = value else {
             return Err("job spec must be a JSON object".to_string());
+        };
+        if let Some((key, _)) = members.iter().find(|(k, _)| !FIELDS.contains(&k.as_str())) {
+            return Err(format!(
+                "unknown job spec member `{key}` (expected one of {})",
+                FIELDS.join(", ")
+            ));
         }
         let mut spec = JobSpec::default();
         let get = |key: &str| value.get(key).filter(|v| !matches!(v, Json::Null));
@@ -155,12 +150,6 @@ impl JobSpec {
         if let Some(v) = get("resume") {
             spec.resume = v.as_bool().ok_or("`resume` must be a boolean")?;
         }
-        if let Some(v) = get("cache_dir") {
-            spec.cache_dir = Some(PathBuf::from(req_str(v, "cache_dir")?));
-        }
-        if let Some(v) = get("threads") {
-            spec.threads = Some(req_usize(v, "threads")?);
-        }
         Ok(spec)
     }
 
@@ -170,6 +159,20 @@ impl JobSpec {
         JobSpec::from_json(&value)
     }
 }
+
+/// The JSON members [`JobSpec::from_json`] reads, one per field.
+const FIELDS: [&str; 10] = [
+    "technique",
+    "budget",
+    "map_trials",
+    "seed",
+    "models",
+    "space",
+    "mapper",
+    "checkpoint",
+    "checkpoint_every",
+    "resume",
+];
 
 fn req_str(value: &Json, key: &str) -> Result<String, String> {
     value
@@ -209,8 +212,6 @@ mod tests {
             checkpoint: Some(PathBuf::from("/tmp/ck")),
             checkpoint_every: 3,
             resume: true,
-            cache_dir: Some(PathBuf::from("/tmp/cache")),
-            threads: Some(4),
         };
         let back = JobSpec::from_json_str(&spec.to_json_string()).unwrap();
         assert_eq!(spec, back);
@@ -230,6 +231,21 @@ mod tests {
         assert!(JobSpec::from_json_str(r#"{"budget":"lots"}"#).is_err());
         assert!(JobSpec::from_json_str(r#"{"models":3}"#).is_err());
         assert!(JobSpec::from_json_str(r#"[1,2]"#).is_err());
+    }
+
+    #[test]
+    fn unknown_members_are_errors_that_name_the_member() {
+        // A typo, and the two members that were once fields but that
+        // nothing read.
+        for (body, member) in [
+            (r#"{"budjet":5}"#, "budjet"),
+            (r#"{"threads":4}"#, "threads"),
+            (r#"{"cache_dir":"/x"}"#, "cache_dir"),
+            (r#"{"budget":5,"budjet":5}"#, "budjet"),
+        ] {
+            let err = JobSpec::from_json_str(body).unwrap_err();
+            assert!(err.contains(&format!("`{member}`")), "{body}: {err}");
+        }
     }
 
     #[test]

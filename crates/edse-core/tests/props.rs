@@ -1,8 +1,8 @@
 //! Property-based tests for the bottleneck trees, the design space, the
 //! trace/constraint utilities, the checkpoint/resume + fault-tolerance
 //! acceptance criteria (determinism under interruption, graceful
-//! degradation under injected faults), and the decoders of the disk cache
-//! and snapshot files under damaged bytes.
+//! degradation under injected faults), and the decoders of the disk cache,
+//! snapshot files and job specs under damaged bytes.
 
 use accel_model::AcceleratorConfig;
 use edse_core::bottleneck::dnn_latency_model;
@@ -685,6 +685,35 @@ proptest! {
             let ev = fresh_evaluator(false);
             ev.restore_caches(&snapshot.caches);
             prop_assert!(ev.unique_evaluations() <= snapshot.caches.points.len());
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The job-spec decoder under damaged bodies: a flipped, truncated,
+    /// spliced, renumbered or deeply nested `POST /jobs` body parses or
+    /// fails with an error, and whatever parses round-trips.
+    #[test]
+    fn damaged_job_specs_parse_or_fail_without_panicking(
+        mutations in collection::vec(arb_mutation(), 1..4),
+    ) {
+        let spec = JobSpec {
+            technique: "random".to_string(),
+            budget: 42,
+            models: vec!["resnet18".to_string()],
+            space: "toy".to_string(),
+            checkpoint: Some(PathBuf::from("job1.snapshot")),
+            resume: true,
+            ..JobSpec::default()
+        };
+        let mut bytes = spec.to_json_string().into_bytes();
+        for m in &mutations {
+            m.apply(&mut bytes);
+        }
+        if let Ok(parsed) = JobSpec::from_json_str(&String::from_utf8_lossy(&bytes)) {
+            prop_assert_eq!(JobSpec::from_json_str(&parsed.to_json_string()), Ok(parsed));
         }
     }
 }

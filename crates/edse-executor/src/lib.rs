@@ -61,7 +61,7 @@ pub fn default_parallelism() -> usize {
 }
 
 /// The `EDSE_TEST_THREADS` override, if set to a positive integer.
-pub fn env_thread_override() -> Option<usize> {
+fn env_thread_override() -> Option<usize> {
     std::env::var("EDSE_TEST_THREADS")
         .ok()
         .and_then(|v| v.parse::<usize>().ok())

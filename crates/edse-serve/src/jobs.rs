@@ -22,6 +22,7 @@ use edse_telemetry::json::Json;
 use edse_telemetry::{export, Collector, Event, HistogramSummary, Sink};
 use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::path::{Component, Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
@@ -192,7 +193,14 @@ impl Registry {
 
     /// Validates `spec`, builds its driver, and enqueues it. Returns the
     /// job id; `Err` is a client error (HTTP 400).
-    pub fn submit(&self, spec: JobSpec) -> Result<u64, String> {
+    ///
+    /// A served `checkpoint` names a snapshot, never a place on the
+    /// server's disk: it must be a bare file name, and it resolves to
+    /// `<cache dir>/checkpoints/<name>`.
+    pub fn submit(&self, mut spec: JobSpec) -> Result<u64, String> {
+        if let Some(name) = &spec.checkpoint {
+            spec.checkpoint = Some(self.checkpoint_path(name)?);
+        }
         // Build outside the registry lock: constructing an evaluator
         // (resume loads, model setup) must not stall the scheduler.
         let id = {
@@ -238,6 +246,32 @@ impl Registry {
         self.work.notify_one();
         self.server_telemetry.counter("serve/jobs_submitted", 1);
         Ok(id)
+    }
+
+    /// Where the snapshot a job names `name` lives: in the `checkpoints`
+    /// directory of the open disk cache, created on first use. A name
+    /// with a separator, a `..`, a root or no characters is refused, and
+    /// so is any name on a server without an open disk cache.
+    fn checkpoint_path(&self, name: &Path) -> Result<PathBuf, String> {
+        let text = name.to_string_lossy();
+        let mut parts = name.components();
+        let bare = !text.contains(['/', '\\'])
+            && matches!(
+                (parts.next(), parts.next()),
+                (Some(Component::Normal(_)), None)
+            );
+        if !bare {
+            return Err(format!(
+                "`checkpoint` must be a bare file name (no directory, `..` or root), got {text:?}"
+            ));
+        }
+        let disk = self.disk.as_ref().ok_or(
+            "`checkpoint` needs a disk cache: start edse-serve with a working --cache-dir",
+        )?;
+        let dir = disk.dir().join("checkpoints");
+        std::fs::create_dir_all(&dir)
+            .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
+        Ok(dir.join(name))
     }
 
     /// Pauses a running job: it finishes its in-flight step (if a worker
@@ -400,15 +434,15 @@ impl Registry {
     }
 
     /// Asks the worker pool to exit once the queue drains of leases; used
-    /// by tests and `--self-check` teardown.
+    /// by tests and [`crate::server::Server::stop`].
     pub fn shutdown(&self) {
         let mut inner = self.inner.lock().expect("registry poisoned");
         inner.shutdown = true;
         self.work.notify_all();
     }
 
-    /// Blocks until job `id` reaches a terminal state (test/self-check
-    /// helper; polls on the event buffer's close signal).
+    /// Blocks until job `id` reaches a terminal state (a test helper;
+    /// polls on the event buffer's close signal).
     pub fn wait_terminal(&self, id: u64) -> Option<JobState> {
         let events = self.events(id)?;
         loop {

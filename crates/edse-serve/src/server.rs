@@ -25,8 +25,8 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// A running server: the bound address plus the handles needed to stop
-/// it cleanly (tests and `--self-check` tear the whole thing down; a
-/// production run just blocks forever).
+/// it cleanly (tests tear the whole thing down; a production run just
+/// blocks forever).
 pub struct Server {
     addr: std::net::SocketAddr,
     stop: Arc<AtomicBool>,

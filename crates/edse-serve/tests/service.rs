@@ -1,8 +1,9 @@
 //! Service-level tests: shared-cache multi-tenancy, per-job budgets,
 //! cancellation within one batch with resumable snapshots, scheduler
 //! robustness under a random pause/resume/cancel storm, determinism of a
-//! paused-and-resumed job against a straight-through run, and an HTTP
-//! smoke over a real socket.
+//! paused-and-resumed job against a straight-through run, served
+//! checkpoints confined to the cache directory, an HTTP smoke over a real
+//! socket, and the `edse-serve` binary driven end to end.
 
 use edse_core::evaluate::EvalEngine;
 use edse_core::{CancelToken, DiskCache, JobSpec, StepOutcome};
@@ -12,9 +13,10 @@ use edse_serve::server::Server;
 use edse_telemetry::json::{self, Json};
 use edse_telemetry::Collector;
 use proptest::prelude::*;
-use std::io::{Read, Write};
-use std::net::TcpStream;
-use std::path::PathBuf;
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{SocketAddr, TcpStream};
+use std::path::{Path, PathBuf};
+use std::process::{Child, Command, Stdio};
 use std::sync::Arc;
 
 fn scratch_dir(tag: &str) -> PathBuf {
@@ -22,6 +24,13 @@ fn scratch_dir(tag: &str) -> PathBuf {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("scratch dir");
     dir
+}
+
+/// A registry whose jobs share a disk cache in `dir/cache`, the store
+/// served checkpoints resolve into.
+fn disk_registry(dir: &Path) -> Arc<Registry> {
+    let disk = Arc::new(DiskCache::open_with(dir.join("cache"), Collector::noop()).expect("disk"));
+    Registry::new(EvalEngine::serial(), Some(disk), None, Collector::noop())
 }
 
 fn toy_spec(technique: &str, budget: usize, seed: u64) -> JobSpec {
@@ -60,8 +69,7 @@ fn run_straight(spec: &JobSpec, engine: EvalEngine) -> Json {
 #[test]
 fn concurrent_jobs_share_disk_cache_with_private_budgets() {
     let dir = scratch_dir("shared");
-    let disk = Arc::new(DiskCache::open_with(dir.join("cache"), Collector::noop()).expect("disk"));
-    let registry = Registry::new(EvalEngine::serial(), Some(disk), None, Collector::noop());
+    let registry = disk_registry(&dir);
     let workers = registry.spawn_workers(3);
 
     let a = registry
@@ -203,14 +211,15 @@ fn grid_job_over_single_valued_parameters_completes() {
 #[test]
 fn mismatched_baseline_resume_is_rejected_at_submit() {
     let dir = scratch_dir("mismatch");
+    let registry = disk_registry(&dir);
+    let workers = registry.spawn_workers(1);
     let recorded = JobSpec {
-        checkpoint: Some(dir.join("random.snapshot")),
+        checkpoint: Some(PathBuf::from("random.snapshot")),
         ..toy_spec("random", 10, 5)
     };
-    run_straight(&recorded, EvalEngine::serial());
+    let id = registry.submit(recorded.clone()).expect("record");
+    assert_eq!(registry.wait_terminal(id), Some(JobState::Completed));
 
-    let registry = Registry::new(EvalEngine::serial(), None, None, Collector::noop());
-    let workers = registry.spawn_workers(1);
     let drifted = JobSpec {
         budget: 11,
         resume: true,
@@ -466,17 +475,20 @@ fn http_smoke_submit_poll_metrics() {
 #[test]
 fn mismatched_explainable_resume_is_a_400_not_a_dead_handler() {
     let dir = scratch_dir("explainable-mismatch");
-    let snapshot = dir.join("explainable.snapshot");
+    let registry = disk_registry(&dir);
+    let workers = registry.spawn_workers(1);
     let recorded = JobSpec {
-        checkpoint: Some(snapshot.clone()),
+        checkpoint: Some(PathBuf::from("explainable.snapshot")),
         ..toy_spec("explainable", 10, 5)
     };
-    run_straight(&recorded, EvalEngine::serial());
-    assert!(snapshot.exists(), "the recorded job leaves a snapshot");
+    let id = registry.submit(recorded.clone()).expect("record");
+    assert_eq!(registry.wait_terminal(id), Some(JobState::Completed));
+    assert!(
+        dir.join("cache/checkpoints/explainable.snapshot").exists(),
+        "the recorded job leaves a snapshot"
+    );
 
     // One handler: a panic on it would leave the next request unanswered.
-    let registry = Registry::new(EvalEngine::serial(), None, None, Collector::noop());
-    let workers = registry.spawn_workers(1);
     let server = Server::start("127.0.0.1:0", 1, Arc::clone(&registry), workers).expect("start");
     let addr = server.addr();
     let resume = |budget: usize| {
@@ -559,6 +571,10 @@ fn hostile_job_bodies_get_400_and_the_handler_survives() {
     let (status, body) = http(addr, "POST", "/jobs", r#"{"space":"toy","seed":-5}"#);
     assert_eq!(status, 400, "{body}");
     assert!(body.contains("seed"), "{body}");
+    // So would a misspelt member, ignored.
+    let (status, body) = http(addr, "POST", "/jobs", r#"{"space":"toy","budjet":5}"#);
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("budjet"), "{body}");
     let (status, _) = http(addr, "GET", "/healthz", "");
     assert_eq!(status, 200);
     server.stop();
@@ -635,4 +651,168 @@ fn a_trickling_client_is_cut_off_at_the_request_deadline() {
         "trickler got {answer:?}"
     );
     server.stop();
+}
+
+#[test]
+fn served_checkpoints_stay_under_the_cache_dir() {
+    let dir = scratch_dir("confined");
+    let precious = dir.join("precious.txt");
+    std::fs::write(&precious, b"not a snapshot").expect("write");
+    let registry = disk_registry(&dir);
+    let server = Server::start("127.0.0.1:0", 1, Arc::clone(&registry), Vec::new()).expect("start");
+    let addr = server.addr();
+    let job = |checkpoint: &str| {
+        JobSpec {
+            checkpoint: Some(PathBuf::from(checkpoint)),
+            checkpoint_every: 1,
+            ..toy_spec("random", 5, 1)
+        }
+        .to_json_string()
+    };
+    let absolute = precious.display().to_string();
+    for checkpoint in [absolute.as_str(), "../x", "a/b", "..", ".", ""] {
+        let (status, body) = http(addr, "POST", "/jobs", &job(checkpoint));
+        assert_eq!(status, 400, "{checkpoint:?}: {body}");
+        assert!(body.contains("bare file name"), "{body}");
+    }
+    assert_eq!(std::fs::read(&precious).expect("read"), b"not a snapshot");
+    server.stop();
+
+    // Without a disk cache even a bare name has nowhere to go.
+    let cacheless = Registry::new(EvalEngine::serial(), None, None, Collector::noop());
+    let err = cacheless
+        .submit(JobSpec {
+            checkpoint: Some(PathBuf::from("job.snapshot")),
+            ..toy_spec("random", 5, 1)
+        })
+        .expect_err("a checkpoint needs a cache directory");
+    assert!(err.contains("--cache-dir"), "{err}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The `edse-serve` binary listening on an ephemeral port. Killed on
+/// drop, so a failed assertion does not leave it running.
+struct ServeProcess {
+    child: Child,
+    addr: SocketAddr,
+}
+
+impl ServeProcess {
+    /// Starts the binary with `--cache-dir cache` and waits for its
+    /// startup line.
+    fn spawn(cache: &Path) -> ServeProcess {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_edse-serve"))
+            .args(["--port", "0", "--cache-dir"])
+            .arg(cache)
+            .stdout(Stdio::piped())
+            .spawn()
+            .expect("spawn edse-serve");
+        let mut line = String::new();
+        let stdout = child.stdout.take().expect("piped stdout");
+        let read = BufReader::new(stdout).read_line(&mut line);
+        let port = line
+            .trim()
+            .strip_prefix("edse-serve listening on ")
+            .and_then(|addr| addr.rsplit(':').next())
+            .and_then(|port| port.parse().ok());
+        let server = ServeProcess {
+            child,
+            addr: SocketAddr::from(([127, 0, 0, 1], port.unwrap_or(0))),
+        };
+        assert!(
+            read.is_ok() && port.is_some(),
+            "startup line {line:?} ({read:?})"
+        );
+        server
+    }
+}
+
+impl Drop for ServeProcess {
+    fn drop(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+    }
+}
+
+/// Polls `GET /jobs/:id` until its state is one of `want` (for at most
+/// 30 s) and returns that state.
+fn wait_state(addr: SocketAddr, id: u64, want: &[&str]) -> String {
+    for _ in 0..1200 {
+        let (status, body) = http(addr, "GET", &format!("/jobs/{id}"), "");
+        assert_eq!(status, 200, "{body}");
+        let doc = json::parse(&body).expect("status JSON");
+        let state = doc.get("state").and_then(Json::as_str).expect("state");
+        if want.contains(&state) {
+            return state.to_string();
+        }
+        std::thread::sleep(std::time::Duration::from_millis(25));
+    }
+    panic!("job {id} never reached {want:?}");
+}
+
+#[test]
+fn the_binary_runs_controls_and_reports_jobs_end_to_end() {
+    let dir = scratch_dir("binary");
+    let server = ServeProcess::spawn(&dir.join("cache"));
+    let addr = server.addr;
+
+    // Two concurrent toy jobs: different techniques, one shared cache.
+    for technique in ["explainable", "grid"] {
+        let body = toy_spec(technique, 12, 7).to_json_string();
+        let (status, body) = http(addr, "POST", "/jobs", &body);
+        assert_eq!(status, 202, "{technique}: {body}");
+    }
+    for id in [1, 2] {
+        let state = wait_state(addr, id, &["completed", "failed", "cancelled"]);
+        assert_eq!(state, "completed", "job {id}");
+    }
+    let (status, events) = http(addr, "GET", "/jobs/1/events", "");
+    assert_eq!(status, 200);
+    assert!(events.contains("\"iteration\""), "{events}");
+
+    // Job 3 is still running when the control requests land, and its
+    // checkpoint makes the cancel leave a snapshot.
+    let job3 = JobSpec {
+        space: "edge".to_string(),
+        checkpoint: Some(PathBuf::from("job3.snapshot")),
+        checkpoint_every: 1,
+        ..toy_spec("explainable", 5000, 3)
+    };
+    let (status, body) = http(addr, "POST", "/jobs", &job3.to_json_string());
+    assert_eq!(status, 202, "{body}");
+    let (status, body) = http(addr, "POST", "/jobs/3/pause", "");
+    assert_eq!(status, 200, "pause: {body}");
+    assert_eq!(wait_state(addr, 3, &["paused"]), "paused");
+    let (status, body) = http(addr, "POST", "/jobs/3/resume", "");
+    assert_eq!(status, 200, "resume: {body}");
+    let (status, body) = http(addr, "POST", "/jobs/3/cancel", "");
+    assert_eq!(status, 200, "cancel: {body}");
+    let state = wait_state(addr, 3, &["cancelled", "completed", "failed"]);
+    assert_eq!(state, "cancelled");
+    assert!(
+        dir.join("cache/checkpoints/job3.snapshot").exists(),
+        "cancel left no snapshot"
+    );
+
+    // A terminal job cannot be paused; unknown ids and techniques are
+    // client errors.
+    assert_eq!(http(addr, "POST", "/jobs/3/pause", "").0, 409);
+    assert_eq!(http(addr, "GET", "/jobs/99", "").0, 404);
+    let (status, body) = http(addr, "POST", "/jobs", r#"{"technique":"nope"}"#);
+    assert_eq!(status, 400, "{body}");
+
+    // Server counters and every tenant's series, merged; names reach
+    // Prometheus with `/` as `_` and an `edse_` prefix.
+    let (status, metrics) = http(addr, "GET", "/metrics", "");
+    assert_eq!(status, 200);
+    for needle in [
+        "edse_serve_jobs_submitted",
+        "edse_job1_",
+        "edse_job2_",
+        "edse_space_memo_hits",
+    ] {
+        assert!(metrics.contains(needle), "missing {needle}:\n{metrics}");
+    }
+    drop(server);
+    let _ = std::fs::remove_dir_all(&dir);
 }

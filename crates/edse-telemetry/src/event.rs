@@ -3,7 +3,7 @@
 //! Every event serializes to one single-line JSON object whose `"ev"`
 //! member names the variant; [`Event::to_json_line`] and
 //! [`Event::parse_json_line`] round-trip exactly, so a JSONL trace written
-//! by one process can be replayed by another (see the `trace_report`
+//! by one process can be replayed by another (see the `edse-trace`
 //! binary in `crates/bench`).
 
 use crate::json::{parse, Json};

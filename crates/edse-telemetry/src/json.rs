@@ -5,7 +5,7 @@
 //! instead (de)serialize through this module. The emitted text is plain
 //! RFC-8259 JSON — one object per line in the JSONL sink — so any external
 //! tool can consume traces, and [`parse`] reads back exactly what
-//! [`Json::write`] produced (used by `trace_report` and round-trip tests).
+//! [`Json::write`] produced (used by `edse-trace` and round-trip tests).
 
 use std::fmt::Write as _;
 
@@ -158,7 +158,7 @@ fn write_str(s: &str, out: &mut String) {
 
 /// A parse failure with the byte offset where the parser gave up.
 ///
-/// The offset lets consumers (e.g. `trace_report`) turn a failure into an
+/// The offset lets consumers (e.g. `edse-trace`) turn a failure into an
 /// actionable `line:col` location instead of a bare message. [`Display`]
 /// renders `"{message} at byte {byte}"`, and `From<ParseError> for String`
 /// keeps `?`-style callers that only want text working unchanged.

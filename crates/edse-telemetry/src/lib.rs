@@ -9,7 +9,7 @@
 //!
 //! - [`MemorySink`] — accumulates events in memory for test assertions;
 //! - [`JsonlSink`] — one JSON object per line, the `--trace-out` format
-//!   rendered by the `trace_report` bench binary;
+//!   rendered by the `edse-trace` bench binary;
 //! - [`StderrSink`] — prints log messages at/above a level, making the
 //!   bench binaries' stderr chatter opt-in.
 //!

@@ -68,7 +68,7 @@ impl Sink for MemorySink {
 }
 
 /// Streams one JSON object per event to a file — the `--trace-out` format
-/// consumed by `trace_report` and `edse-trace`.
+/// consumed by `edse-trace`.
 #[derive(Debug)]
 pub struct JsonlSink {
     writer: Mutex<BufWriter<File>>,

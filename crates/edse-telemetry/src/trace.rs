@@ -3,8 +3,7 @@
 //!
 //! The collector streams flat [`Event`]s; this module turns a recorded
 //! event sequence back into the structures the forensics tooling
-//! (`edse-trace`, `trace_report`, the exporters in [`crate::export`])
-//! reasons about:
+//! (`edse-trace`, the exporters in [`crate::export`]) reasons about:
 //!
 //! - [`SpanTree`] — the parent/child causality of every span, with
 //!   self-time (span elapsed minus its children's elapsed) so a
@@ -73,6 +72,10 @@ impl SpanTree {
     /// fall back to positional nesting — an exit closes the innermost
     /// open id-0 span with the same name, and its parent is whichever
     /// id-0 span was open at enter time.
+    ///
+    /// A parent always enters before its child, so every node's parent
+    /// index is below its own and the tree has no cycle, whatever the
+    /// trace holds (a reused id resolves to its latest enter).
     pub fn build(events: &[Event]) -> SpanTree {
         let mut nodes: Vec<SpanNode> = Vec::new();
         let mut by_id: HashMap<u64, usize> = HashMap::new();
@@ -87,8 +90,12 @@ impl SpanTree {
                 } => {
                     let idx = nodes.len();
                     let parent_idx = if *id != 0 {
+                        // Look the parent up before registering this id: a
+                        // span naming itself (or a later span) as parent
+                        // must not become its own ancestor.
+                        let p = (*parent != 0).then(|| by_id.get(parent).copied()).flatten();
                         by_id.insert(*id, idx);
-                        (*parent != 0).then(|| by_id.get(parent).copied()).flatten()
+                        p
                     } else {
                         let p = open_v1.last().copied();
                         open_v1.push(idx);
@@ -360,6 +367,25 @@ mod tests {
         assert_eq!(tree.roots, vec![0]);
         assert_eq!(tree.nodes[1].parent, Some(0));
         assert!(tree.nodes[1].closed);
+    }
+
+    #[test]
+    fn a_span_naming_itself_as_parent_is_a_root() {
+        // Once became its own parent, so `path` on its child never ended.
+        let events: Vec<Event> = [
+            r#"{"ev":"span_enter","t_us":0,"name":"a","id":5,"parent":5}"#,
+            r#"{"ev":"span_enter","t_us":1,"name":"b","id":6,"parent":5}"#,
+            r#"{"ev":"span_exit","t_us":2,"name":"b","id":6,"elapsed_us":1}"#,
+        ]
+        .iter()
+        .map(|line| Event::parse_json_line(line).unwrap())
+        .collect();
+        let tree = SpanTree::build(&events);
+        for (idx, node) in tree.nodes.iter().enumerate() {
+            assert!(node.parent.is_none_or(|p| p < idx), "node {idx}: {node:?}");
+        }
+        assert_eq!(tree.roots, vec![0]);
+        assert_eq!(crate::export::flamegraph(&events), "a;b 1\n");
     }
 
     #[test]

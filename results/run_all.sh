@@ -4,7 +4,7 @@ R=results
 mkdir -p $R/json
 # One persistent evaluation cache shared by every binary: later runs
 # warm-start from layer mappings the earlier ones already computed (see
-# DESIGN.md "Persistent evaluation cache"). Delete the directory, or pass
+# the `edse_core::diskcache` module docs). Delete the directory, or pass
 # --no-disk-cache, for fully cold runs.
 CACHE=$R/cache
 mkdir -p $CACHE

@@ -68,7 +68,7 @@ echo "==> micro-bench smoke: every bench body runs once (--test mode)"
 # of surfacing at the next perf run.
 timeout 300 cargo bench -q -p bench -- --test > /dev/null
 
-echo "==> telemetry smoke: fig04_toy_trace --trace-out + trace_report"
+echo "==> telemetry smoke: fig04_toy_trace --trace-out, edse-trace summary / why / flamegraph / chrome"
 trace_tmp="$(mktemp -d)"
 trap 'rm -rf "$trace_tmp"' EXIT
 cargo run --release -q -p bench --bin fig04_toy_trace -- \
@@ -77,24 +77,18 @@ test -s "$trace_tmp/toy.jsonl" || {
     echo "trace file is empty" >&2
     exit 1
 }
-# trace_report exits non-zero on any unparseable JSONL line. Capture to a
+edse_trace=target/release/edse-trace
+# edse-trace exits non-zero on any unparseable JSONL line. Capture to a
 # file rather than piping into grep -q: grep closing the pipe early would
 # turn the report's remaining output into a broken-pipe failure under
 # pipefail.
-cargo run --release -q -p bench --bin trace_report -- "$trace_tmp/toy.jsonl" \
-    > "$trace_tmp/toy.report"
-grep -q "Search narrative" "$trace_tmp/toy.report" || {
-    echo "trace report missing the search narrative" >&2
-    exit 1
-}
-
-echo "==> forensics smoke: edse-trace summary / why / flamegraph / chrome"
-edse_trace=target/release/edse-trace
 "$edse_trace" summary "$trace_tmp/toy.jsonl" > "$trace_tmp/toy.summary"
-grep -q "Candidate funnel" "$trace_tmp/toy.summary" || {
-    echo "edse-trace summary missing the candidate funnel" >&2
-    exit 1
-}
+for section in "Search narrative" "Candidate funnel"; do
+    grep -q "# $section" "$trace_tmp/toy.summary" || {
+        echo "edse-trace summary missing the $section section" >&2
+        exit 1
+    }
+done
 "$edse_trace" why "$trace_tmp/toy.jsonl" best > "$trace_tmp/toy.why"
 grep -q "new incumbent" "$trace_tmp/toy.why" || {
     echo "edse-trace why best missing the incumbent chain" >&2
@@ -161,15 +155,5 @@ grep -q '"disk_cache/hit"' "$trace_tmp/warm.jsonl" || {
     echo "warm run recorded no disk-cache hits" >&2
     exit 1
 }
-
-echo "==> service smoke: edse-serve --self-check (in-process e2e over HTTP)"
-# Boots the full server on an ephemeral port, runs two concurrent toy
-# jobs over the shared disk cache, streams events, pauses/resumes/
-# cancels a third job (asserting the resumable snapshot), and scrapes
-# the merged /metrics — all in one process, no curl needed.
-# (`cargo build --release` above builds the root package only; the
-# server binary needs its own build invocation.)
-cargo build --release -q -p edse-serve
-timeout 60 target/release/edse-serve --self-check
 
 echo "All checks passed."
