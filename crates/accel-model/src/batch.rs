@@ -1,13 +1,13 @@
 //! Struct-of-arrays batch evaluation of many tilings of one layer.
 //!
 //! [`TilingBatch`] is the data-oriented counterpart of the one-at-a-time
-//! [`TilingEval`] path: [`TilingBatch::prepare`] runs the ordering-invariant
-//! precomputation for a whole slice of tilings and scatters the
-//! latency-relevant quantities into plain parallel arrays (tile volumes,
-//! steps, reuse tables, NoC cycles-per-delivery, DMA run lengths,
-//! per-operand shortfalls); [`TilingBatch::complete_batch`] then finishes
-//! one `(spm_order, dram_order)` pair for *every* prepared tiling with
-//! flat, branch-light loops the autovectorizer can chew on.
+//! [`TilingEval`](crate::TilingEval) path: [`TilingBatch::prepare`] runs
+//! the ordering-invariant precomputation for a whole slice of tilings and
+//! scatters the latency-relevant quantities into plain parallel arrays
+//! (tile volumes, steps, reuse tables, NoC cycles-per-delivery, DMA run
+//! lengths, per-operand shortfalls); [`TilingBatch::complete_batch`] then
+//! finishes one `(spm_order, dram_order)` pair for *every* prepared tiling
+//! with flat, branch-light loops the autovectorizer can chew on.
 //!
 //! The key factoring on top of PR 5's per-tiling `prepare` + 9×`complete`:
 //! for an ordering pair `(spm, dram)`, every off-chip/DMA term depends only
@@ -21,14 +21,15 @@
 //! # Bit-identity contract
 //!
 //! Every floating-point expression here evaluates in exactly the order of
-//! [`TilingEval::complete`] (itself pinned to
-//! [`AcceleratorConfig::execute_reference`]); the batch only hoists whole
-//! sub-expressions. `complete_batch` thus reports, for each prepared
-//! tiling, latency and NoC admission bit-identical to the serial path —
-//! property tests in `mapper/tests/props.rs` enforce this against the
-//! straight-line reference. Full [`ExecutionProfile`]s (energy, per-operand
-//! stats) are *not* materialized in the sweep; call
-//! [`TilingBatch::complete_one`] for the winning slot.
+//! [`TilingEval::complete`](crate::TilingEval::complete), itself pinned to
+//! the straight-line reference cost model kept in this crate's tests; the
+//! batch only hoists whole sub-expressions. `complete_batch` thus reports,
+//! for each prepared tiling, latency and NoC admission bit-identical to
+//! the serial path, which property tests enforce against both. Full
+//! [`ExecutionProfile`](crate::ExecutionProfile)s (energy, per-operand
+//! stats) are *not* materialized in the sweep: the batch keeps only the
+//! latency terms, and the winner's profile comes from
+//! [`AcceleratorConfig::prepare_tiling`] and `TilingEval::complete`.
 //!
 //! # Scratch-arena lifetime
 //!
@@ -39,9 +40,8 @@
 //! it never shrinks capacity.
 
 use crate::arch::AcceleratorConfig;
-use crate::exec::{st_index, ExecError, TilingEval};
+use crate::exec::st_index;
 use crate::mapping::{Stationarity, Tiling};
-use crate::profile::ExecutionProfile;
 use energy_area::Tech;
 use workloads::{LayerShape, Tensor};
 
@@ -98,8 +98,14 @@ struct SpmPass {
 pub struct TilingBatch {
     /// Input indices of the tilings that survived `prepare` (slot → index).
     kept: Vec<usize>,
-    /// Full per-slot evaluators, retained for `complete_one` / `validity`.
-    evals: Vec<TilingEval>,
+
+    // ---- config scalars of the last `prepare`, shared by every slot.
+    /// Element width in bytes.
+    elem: f64,
+    /// Off-chip bytes per cycle.
+    bw_bpc: f64,
+    /// Fixed DMA cycles per burst.
+    dma_burst_cycles: f64,
 
     // ---- ordering-invariant SoA scratch, one entry per kept slot.
     t_comp: Vec<f64>,
@@ -159,12 +165,6 @@ impl TilingBatch {
         &self.kept
     }
 
-    /// The full per-slot evaluator (for validity summaries or manual
-    /// completions).
-    pub fn eval(&self, slot: usize) -> &TilingEval {
-        &self.evals[slot]
-    }
-
     /// Runs the ordering-invariant precomputation for every tiling in
     /// `tilings`, compacting the survivors into slots and scattering the
     /// latency-relevant quantities into the batch's parallel arrays.
@@ -178,7 +178,10 @@ impl TilingBatch {
         relax_noc: bool,
     ) {
         self.kept.clear();
-        self.evals.clear();
+        // The expressions `prepare_tiling_with` stores per tiling.
+        self.elem = cfg.elem_bytes as f64;
+        self.bw_bpc = cfg.offchip_bytes_per_cycle();
+        self.dma_burst_cycles = cfg.dma_burst_overhead_cycles as f64;
         self.t_comp.clear();
         self.dram_steps.clear();
         self.l2_steps.clear();
@@ -226,14 +229,14 @@ impl TilingBatch {
             self.hard_fail
                 .push((0..4).any(|op| op != outr && eval.noc_fail[op].is_some()));
             self.or_fail.push(eval.noc_fail[outr].is_some());
-            self.evals.push(eval);
         }
     }
 
     /// Fills the DRAM-side pass for ordering class `di` if not yet done:
     /// output visit counts and total DMA time, which depend only on the
     /// DRAM-level loop order.
-    fn ensure_dram_pass(&mut self, di: usize, cfg_elem: f64, bw_bpc: f64, burst: f64) {
+    fn ensure_dram_pass(&mut self, di: usize) {
+        let (cfg_elem, bw_bpc, burst) = (self.elem, self.bw_bpc, self.dma_burst_cycles);
         let pass = &mut self.dram_pass[di];
         if pass.ready {
             return;
@@ -319,10 +322,12 @@ impl TilingBatch {
     /// Finishes one `(spm_order, dram_order)` pair for every prepared
     /// tiling: returns per-slot latency (cycles) and NoC admission,
     /// position-aligned with [`Self::kept`]. `ok[slot] == false` exactly
-    /// when the serial [`TilingEval::complete`] would return
-    /// [`ExecError::NocInfeasible`] for that slot (latency is still the
-    /// relaxed-model value in that case and must be ignored); `ok` slots
-    /// carry latency bit-identical to the serial path.
+    /// when the serial [`TilingEval::complete`](crate::TilingEval::complete)
+    /// would return
+    /// [`ExecError::NocInfeasible`](crate::ExecError::NocInfeasible) for
+    /// that slot (latency is still the relaxed-model value in that case and
+    /// must be ignored); `ok` slots carry latency bit-identical to the
+    /// serial path.
     ///
     /// The borrows are valid until the next `&mut self` call; a nine-way
     /// ordering sweep should fold each pair's result into its running
@@ -335,16 +340,8 @@ impl TilingBatch {
         let si = st_index(spm_order);
         let di = st_index(dram_order);
         let n = self.kept.len();
-        // The config scalars are identical across slots by construction
-        // (one `prepare` call, one config); lift them from any slot.
-        if n > 0 {
-            let (elem, bw, burst) = {
-                let e = &self.evals[0];
-                (e.elem, e.bw_bpc, e.dma_burst_cycles)
-            };
-            self.ensure_dram_pass(di, elem, bw, burst);
-            self.ensure_spm_pass(si);
-        }
+        self.ensure_dram_pass(di);
+        self.ensure_spm_pass(si);
         self.lat.clear();
         self.lat.resize(n, 0.0);
         self.ok.clear();
@@ -371,29 +368,12 @@ impl TilingBatch {
         }
         (&self.lat, &self.ok)
     }
-
-    /// Materializes the full [`ExecutionProfile`] for one slot and ordering
-    /// pair — identical to the serial `prepare_tiling(..)?.complete(..)`.
-    /// Use this for the sweep winner (and for differential tests); the
-    /// batch pair passes deliberately skip energy and per-operand stats.
-    ///
-    /// # Errors
-    ///
-    /// [`ExecError::NocInfeasible`] exactly when
-    /// [`Self::complete_batch`] reported `ok[slot] == false` for the pair.
-    pub fn complete_one(
-        &self,
-        slot: usize,
-        spm_order: Stationarity,
-        dram_order: Stationarity,
-    ) -> Result<ExecutionProfile, ExecError> {
-        self.evals[slot].complete(spm_order, dram_order)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::ExecError;
     use crate::mapping::Mapping;
     use workloads::layer::Dim;
 
@@ -441,7 +421,10 @@ mod tests {
                         Ok(p) => {
                             assert!(ok[slot]);
                             assert_eq!(lat[slot].to_bits(), p.latency_cycles.to_bits());
-                            assert_eq!(batch.complete_one(slot, spm, dram), Ok(p));
+                            let serial = cfg
+                                .prepare_tiling(&l, t, &Tech::n45())
+                                .and_then(|eval| eval.complete(spm, dram));
+                            assert_eq!(serial, Ok(p));
                         }
                         Err(ExecError::NocInfeasible { .. }) => assert!(!ok[slot]),
                         Err(e) => panic!("prepare should have rejected: {e}"),
@@ -540,6 +523,65 @@ mod tests {
             lat.iter().map(|v| v.to_bits()).collect()
         };
         assert_eq!(first, again);
+    }
+
+    #[test]
+    fn reprepare_under_another_config_takes_its_scalars() {
+        // Off-chip bandwidth and DMA burst overhead are batch-wide scalars
+        // set by `prepare`; a re-used arena must not keep the first
+        // config's values.
+        let l = layer();
+        let base = AcceleratorConfig::edge_baseline();
+        let other = AcceleratorConfig {
+            offchip_bw_mbps: base.offchip_bw_mbps / 4,
+            dma_burst_overhead_cycles: base.dma_burst_overhead_cycles * 3 + 7,
+            ..base
+        };
+        let tilings = sample_tilings(&l, &base);
+        let mut reused = TilingBatch::new();
+        reused.prepare(&base, &l, &tilings, &Tech::n45(), false);
+        for (spm, dram) in [
+            (
+                Stationarity::InputStationary,
+                Stationarity::WeightStationary,
+            ),
+            (
+                Stationarity::OutputStationary,
+                Stationarity::InputStationary,
+            ),
+        ] {
+            let _ = reused.complete_batch(spm, dram);
+        }
+        reused.prepare(&other, &l, &tilings, &Tech::n45(), false);
+        let mut fresh = TilingBatch::new();
+        fresh.prepare(&other, &l, &tilings, &Tech::n45(), false);
+        assert_eq!(reused.kept(), fresh.kept());
+        let mut moved = false;
+        for spm in Stationarity::ALL {
+            for dram in Stationarity::ALL {
+                let (lat, ok) = reused.complete_batch(spm, dram);
+                let (lat, ok) = (lat.to_vec(), ok.to_vec());
+                let (fresh_lat, fresh_ok) = fresh.complete_batch(spm, dram);
+                assert_eq!(ok, fresh_ok);
+                for slot in 0..reused.len() {
+                    assert_eq!(lat[slot].to_bits(), fresh_lat[slot].to_bits());
+                    let t = &tilings[reused.kept()[slot]];
+                    let serial = other
+                        .prepare_tiling(&l, t, &Tech::n45())
+                        .and_then(|eval| eval.complete(spm, dram));
+                    if let Ok(p) = serial {
+                        assert!(ok[slot]);
+                        assert_eq!(lat[slot].to_bits(), p.latency_cycles.to_bits());
+                        let before = base
+                            .prepare_tiling(&l, t, &Tech::n45())
+                            .and_then(|eval| eval.complete(spm, dram))
+                            .expect("same tiling, same NoC");
+                        moved |= before.latency_cycles != p.latency_cycles;
+                    }
+                }
+            }
+        }
+        assert!(moved, "the second config must change some latency");
     }
 
     #[test]

@@ -108,21 +108,6 @@ impl Validity {
         layer: &LayerShape,
         mapping: &Mapping,
     ) -> Result<Self, ExecError> {
-        Self::check_with(cfg, layer, mapping, false)
-    }
-
-    /// [`Self::check`] with the NoC-capacity requirement optionally
-    /// relaxed. Relaxed checks are used to build *diagnostic* execution
-    /// profiles for hardware/dataflow-incompatible designs: the profile
-    /// models the (physically unexpressible) time-shared serialization so
-    /// bottleneck analysis can attribute the incompatibility to the
-    /// starved NoC and predict the link counts that would fix it.
-    pub fn check_with(
-        cfg: &AcceleratorConfig,
-        layer: &LayerShape,
-        mapping: &Mapping,
-        relax_noc: bool,
-    ) -> Result<Self, ExecError> {
         let t = &mapping.tiling;
         Tiling::from_factors(layer, *t.factors()).map_err(ExecError::InvalidTiling)?;
 
@@ -147,23 +132,21 @@ impl Validity {
                 available: cfg.l2_bytes,
             });
         }
-        if !relax_noc {
-            for op in Tensor::ALL {
-                // The psum-read NoC needs links only when partial sums are
-                // ever evicted and re-read (output-stationary mappings
-                // complete reductions in place and never use it).
-                if op == Tensor::OutputRead && !output_reads_back(layer, mapping) {
-                    continue;
-                }
-                let groups = noc_groups(layer, t, op);
-                let capacity = cfg.noc_phys_links[op.index()] * cfg.noc_virt_links[op.index()];
-                if groups > capacity {
-                    return Err(ExecError::NocInfeasible {
-                        operand: op,
-                        groups,
-                        capacity,
-                    });
-                }
+        for op in Tensor::ALL {
+            // The psum-read NoC needs links only when partial sums are
+            // ever evicted and re-read (output-stationary mappings
+            // complete reductions in place and never use it).
+            if op == Tensor::OutputRead && !output_reads_back(layer, mapping) {
+                continue;
+            }
+            let groups = noc_groups(layer, t, op);
+            let capacity = cfg.noc_phys_links[op.index()] * cfg.noc_virt_links[op.index()];
+            if groups > capacity {
+                return Err(ExecError::NocInfeasible {
+                    operand: op,
+                    groups,
+                    capacity,
+                });
             }
         }
         Ok(Self {
@@ -289,7 +272,7 @@ pub(crate) struct OperandPre {
 /// nine cheap completions instead of nine full evaluations.
 ///
 /// Every arithmetic expression is evaluated in exactly the order of the
-/// straight-line reference ([`AcceleratorConfig::execute_reference`]);
+/// straight-line reference cost model retained in this crate's tests;
 /// precomputation only hoists whole sub-expressions, so the factored
 /// result is bit-identical, which property tests enforce.
 #[derive(Debug, Clone)]
@@ -298,11 +281,11 @@ pub struct TilingEval {
     pes_used: u64,
     macs: f64,
     pub(crate) t_comp: f64,
-    pub(crate) elem: f64,
+    elem: f64,
     pub(crate) dram_steps: f64,
     pub(crate) l2_steps: f64,
-    pub(crate) bw_bpc: f64,
-    pub(crate) dma_burst_cycles: f64,
+    bw_bpc: f64,
+    dma_burst_cycles: f64,
     /// `reuse_at(Dram, order, op)` indexed `[st_index(order)][op.index()]`.
     pub(crate) reuse_dram: [[f64; 4]; 3],
     /// `reuse_at(Spm, order, op)` indexed `[st_index(order)][op.index()]`.
@@ -318,11 +301,6 @@ pub struct TilingEval {
 }
 
 impl TilingEval {
-    /// Utilization summary from the ordering-invariant validity checks.
-    pub fn validity(&self) -> Validity {
-        self.validity
-    }
-
     /// Finishes the evaluation for one loop ordering.
     ///
     /// # Errors
@@ -460,39 +438,31 @@ impl AcceleratorConfig {
         layer: &LayerShape,
         mapping: &Mapping,
     ) -> Result<ExecutionProfile, ExecError> {
-        self.execute_with_tech(layer, mapping, &Tech::n45())
+        self.execute_inner(layer, mapping, false)
     }
 
-    /// [`Self::execute`] with an explicit technology model (for energy).
-    pub fn execute_with_tech(
-        &self,
-        layer: &LayerShape,
-        mapping: &Mapping,
-        tech: &Tech,
-    ) -> Result<ExecutionProfile, ExecError> {
-        self.execute_inner(layer, mapping, tech, false)
-    }
-
-    /// Diagnostic execution with the NoC-capacity check relaxed (see
-    /// [`Validity::check_with`]): the returned profile reflects the
-    /// serialization the mapping *would* need, which the bottleneck model
-    /// turns into link-count mitigation for incompatible designs.
+    /// Diagnostic execution with the NoC-capacity check relaxed: for a
+    /// hardware/dataflow-incompatible design the returned profile models
+    /// the (physically unexpressible) time-shared serialization the
+    /// mapping *would* need, so bottleneck analysis can attribute the
+    /// incompatibility to the starved NoC and predict the link counts that
+    /// would fix it. Relaxed evaluations never report
+    /// [`ExecError::NocInfeasible`].
     pub fn execute_relaxed(
         &self,
         layer: &LayerShape,
         mapping: &Mapping,
     ) -> Result<ExecutionProfile, ExecError> {
-        self.execute_inner(layer, mapping, &Tech::n45(), true)
+        self.execute_inner(layer, mapping, true)
     }
 
     fn execute_inner(
         &self,
         layer: &LayerShape,
         mapping: &Mapping,
-        tech: &Tech,
         relax_noc: bool,
     ) -> Result<ExecutionProfile, ExecError> {
-        self.prepare_tiling_with(layer, &mapping.tiling, tech, relax_noc)?
+        self.prepare_tiling_with(layer, &mapping.tiling, &Tech::n45(), relax_noc)?
             .complete(mapping.spm_order, mapping.dram_order)
     }
 
@@ -517,7 +487,7 @@ impl AcceleratorConfig {
     }
 
     /// [`Self::prepare_tiling`] with the NoC-capacity check optionally
-    /// relaxed (see [`Validity::check_with`]); relaxed evaluations never
+    /// relaxed (see [`Self::execute_relaxed`]); relaxed evaluations never
     /// report [`ExecError::NocInfeasible`].
     ///
     /// # Errors
@@ -627,172 +597,10 @@ impl AcceleratorConfig {
             rf_mac_bytes: macs * tech.rf_accesses_per_mac * elem,
         })
     }
-
-    /// Straight-line reference implementation of [`Self::execute`],
-    /// retained verbatim as the oracle for the factored fast path
-    /// ([`Self::prepare_tiling`] + [`TilingEval::complete`]). Property
-    /// tests assert the two agree bit-for-bit; production code should call
-    /// [`Self::execute`].
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::execute`].
-    pub fn execute_reference(
-        &self,
-        layer: &LayerShape,
-        mapping: &Mapping,
-    ) -> Result<ExecutionProfile, ExecError> {
-        self.execute_reference_inner(layer, mapping, &Tech::n45(), false)
-    }
-
-    /// [`Self::execute_reference`] with explicit technology and
-    /// NoC-relaxation controls (mirrors [`Self::execute_with_tech`] and
-    /// [`Self::execute_relaxed`]).
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::execute`].
-    pub fn execute_reference_with(
-        &self,
-        layer: &LayerShape,
-        mapping: &Mapping,
-        tech: &Tech,
-        relax_noc: bool,
-    ) -> Result<ExecutionProfile, ExecError> {
-        self.execute_reference_inner(layer, mapping, tech, relax_noc)
-    }
-
-    fn execute_reference_inner(
-        &self,
-        layer: &LayerShape,
-        mapping: &Mapping,
-        tech: &Tech,
-        relax_noc: bool,
-    ) -> Result<ExecutionProfile, ExecError> {
-        let validity = Validity::check_with(self, layer, mapping, relax_noc)?;
-        let t = &mapping.tiling;
-        let elem = self.elem_bytes as f64;
-
-        let dram_steps = t.steps(Level::Dram) as f64;
-        let l2_steps = t.steps(Level::Spm) as f64;
-        let pes_used = t.pes_used();
-
-        // ------------------------------------------------ computation time
-        let macs = layer.macs() as f64;
-        let t_comp = macs / pes_used as f64;
-
-        // ------------------------------------- per-operand movement + time
-        let mut operands = [OperandStats::default(); 4];
-        let noc_bpc = self.noc_bytes_per_cycle();
-
-        // Output visit counts (how often an output tile is revisited after
-        // being evicted, forcing partial-sum read-back).
-        let out = Tensor::OutputWrite;
-        let visits_dram = (irrelevant_iters(layer, t, Level::Dram, out)
-            / reuse_at(layer, t, Level::Dram, mapping.dram_order, out))
-        .max(1.0);
-        let visits_l2 = (irrelevant_iters(layer, t, Level::Spm, out)
-            / reuse_at(layer, t, Level::Spm, mapping.spm_order, out))
-        .max(1.0);
-        let total_out_visits = (visits_dram * visits_l2).max(1.0);
-
-        for op in Tensor::ALL {
-            let stats = &mut operands[op.index()];
-
-            // Tile volumes at each level.
-            let rf_tile = tile_volume(layer, |d| t.tile_extent(d, Level::Rf), op) as f64;
-            let spatial_tile = tile_volume(layer, |d| t.tile_extent(d, Level::Spatial), op) as f64;
-            let spm_tile = tile_volume(layer, |d| t.tile_extent(d, Level::Spm), op) as f64;
-            stats.rf_tile_bytes = rf_tile * elem;
-            stats.spm_tile_bytes = spm_tile * elem;
-
-            // --- off-chip traffic.
-            let reuse_dram = reuse_at(layer, t, Level::Dram, mapping.dram_order, op);
-            let base_offchip = spm_tile * dram_steps / reuse_dram;
-            stats.offchip_bytes = match op {
-                Tensor::OutputWrite => base_offchip * elem,
-                Tensor::OutputRead => {
-                    // First visit of each tile needs no partial-sum fetch.
-                    base_offchip * elem * (visits_dram - 1.0) / visits_dram
-                }
-                _ => base_offchip * elem,
-            };
-
-            // --- NoC traffic and time.
-            let groups = noc_groups(layer, t, op);
-            stats.noc_groups = groups;
-            stats.bytes_per_group = rf_tile * elem;
-            let links = self.noc_phys_links[op.index()].max(1);
-            stats.noc_rounds = groups.div_ceil(links);
-
-            let reuse_l2 = reuse_at(layer, t, Level::Spm, mapping.spm_order, op);
-            let deliveries_per_step = l2_steps / reuse_l2;
-            let mut deliveries = deliveries_per_step * dram_steps;
-            if op == Tensor::OutputRead {
-                // The very first visit of every output element skips the
-                // read-back of partial sums.
-                deliveries *= (total_out_visits - 1.0) / total_out_visits;
-            }
-            // Unique data per delivery is the spatial tile; transmission
-            // serializes over groups (halo overlap between input groups is
-            // re-sent, matching a unicast NoC).
-            let transmitted_per_delivery = (groups as f64) * rf_tile * elem;
-            let _ = spatial_tile; // spatial tile = unique bytes; kept for clarity
-            stats.noc_bytes = deliveries * transmitted_per_delivery;
-            let cycles_per_delivery = stats.noc_rounds as f64 * (rf_tile * elem / noc_bpc).ceil();
-            stats.t_noc = deliveries * cycles_per_delivery;
-
-            // --- remaining (unexploited) reuse, for bottleneck mitigation.
-            let irr_l2 = irrelevant_iters(layer, t, Level::Spm, op);
-            let irr_dram = irrelevant_iters(layer, t, Level::Dram, op);
-            stats.reuse_remaining_spm = (irr_dram / reuse_dram).max(1.0);
-            stats.reuse_remaining_rf = ((irr_l2 / reuse_l2) * stats.reuse_remaining_spm).max(1.0);
-        }
-
-        // ----------------------------------------------------- DMA time
-        let bw_bpc = self.offchip_bytes_per_cycle();
-        let mut t_dma = 0.0;
-        for op in Tensor::ALL {
-            let bytes = operands[op.index()].offchip_bytes;
-            if bytes <= 0.0 {
-                continue;
-            }
-            let run_bytes = contiguous_run_elems(layer, t, op) * elem;
-            let bursts = (bytes / run_bytes).ceil();
-            t_dma += bytes / bw_bpc + bursts * self.dma_burst_overhead_cycles as f64;
-        }
-
-        let t_noc_max = operands.iter().map(|o| o.t_noc).fold(0.0, f64::max);
-        let latency_cycles = t_comp.max(t_noc_max).max(t_dma);
-
-        // ------------------------------------------------------- energy
-        let e = tech.energy_table(&self.resources());
-        let rf_traffic_bytes = macs * tech.rf_accesses_per_mac * elem
-            + operands.iter().map(|o| o.noc_bytes).sum::<f64>();
-        let noc_total: f64 = operands.iter().map(|o| o.noc_bytes).sum();
-        let offchip_total: f64 = operands.iter().map(|o| o.offchip_bytes).sum();
-        let spm_traffic = noc_total + offchip_total;
-        let energy_pj = macs * e.mac_pj
-            + rf_traffic_bytes * e.rf_pj_per_byte
-            + noc_total * e.noc_pj_per_byte
-            + spm_traffic * e.spm_pj_per_byte
-            + offchip_total * e.dram_pj_per_byte;
-
-        Ok(ExecutionProfile {
-            t_comp,
-            t_dma,
-            t_noc_max,
-            latency_cycles,
-            energy_pj,
-            macs,
-            pes_used,
-            pe_utilization: validity.pe_utilization,
-            rf_utilization: validity.rf_utilization,
-            spm_utilization: validity.spm_utilization,
-            operands,
-        })
-    }
 }
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {

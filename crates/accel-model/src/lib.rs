@@ -48,3 +48,6 @@ pub use exec::{ExecError, TilingEval, Validity};
 pub use mapping::{Level, Mapping, Stationarity, Tiling};
 pub use profile::{ExecutionProfile, OperandStats};
 pub use sim::{simulate, SimError, SimReport};
+
+#[cfg(test)]
+mod props;

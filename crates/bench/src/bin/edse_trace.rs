@@ -96,13 +96,15 @@ fn is_cache_access(name: &str) -> bool {
     CACHES.iter().any(|c| name.starts_with(c)) && ACCESS_KINDS.iter().any(|k| name.ends_with(k))
 }
 
-/// Every counter's total over the trace (`counters` events carry deltas).
+/// Every counter's total over the trace (`counters` events carry deltas),
+/// saturating at `u64::MAX`: a trace file may carry any decodable delta.
 fn counter_totals(events: &[Event]) -> BTreeMap<&str, u64> {
     let mut totals = BTreeMap::new();
     for e in events {
         if let Event::Counters { deltas, .. } = e {
             for (name, v) in deltas {
-                *totals.entry(name.as_str()).or_insert(0) += v;
+                let total = totals.entry(name.as_str()).or_insert(0u64);
+                *total = total.saturating_add(*v);
             }
         }
     }
@@ -226,11 +228,12 @@ fn summary_text(events: &[Event]) -> String {
                 totals
                     .iter()
                     .filter(|(k, _)| k.starts_with(cache) && k.ends_with(kind))
-                    .map(|(_, v)| *v)
-                    .sum()
+                    .fold(0, |acc, (_, v)| acc.saturating_add(*v))
             };
             let hits = sum("/hit");
-            let total: u64 = ACCESS_KINDS.iter().map(|kind| sum(kind)).sum();
+            let total = ACCESS_KINDS
+                .iter()
+                .fold(0u64, |acc, kind| acc.saturating_add(sum(kind)));
             (total > 0).then(|| {
                 format!(
                     "{} {:.1}% of {total}",
@@ -263,7 +266,7 @@ fn summary_text(events: &[Event]) -> String {
         if let Event::Batch { record, .. } = e {
             let entry = stages.entry(record.stage.as_str()).or_default();
             entry.0 += 1;
-            entry.1 += record.items;
+            entry.1 = entry.1.saturating_add(record.items);
             entry.2 = entry.2.max(record.threads);
             entry.3 += record.balance();
         }
@@ -626,5 +629,38 @@ mod tests {
         assert!(text.contains("dse/run"), "{text}");
         // Identical traces diff to no counter section.
         assert!(!diff_text(&a, &a).contains("Counters that differ"));
+    }
+
+    #[test]
+    fn counter_totals_saturate_instead_of_overflowing() {
+        // The decoder accepts integers up to 2^53 - 1, so 2,048 such
+        // deltas already exceed u64.
+        let max = (1u64 << 53) - 1;
+        let line = Event::Counters {
+            t_us: 1,
+            deltas: vec![
+                ("executor/steals".into(), max),
+                ("point_cache/shard00/hit".into(), max),
+                ("point_cache/shard01/miss".into(), max),
+            ],
+        }
+        .to_json_line();
+        let events: Vec<Event> = (0..2_100)
+            .map(|_| Event::parse_json_line(&line).expect("decodable counters line"))
+            .collect();
+        let text = summary_text(&events);
+        assert!(
+            text.contains("executor/steals: 18446744073709551615\n"),
+            "{text}"
+        );
+        assert!(
+            text.contains("point_cache 100.0% of 18446744073709551615\n"),
+            "{text}"
+        );
+        let diff = diff_text(&events, &events[..1]);
+        assert!(
+            diff.contains("executor/steals: 18446744073709551615 -> 9007199254740991"),
+            "{diff}"
+        );
     }
 }

@@ -970,9 +970,10 @@ impl<M: MappingOptimizer> Evaluator for CodesignEvaluator<M> {
     ///
     /// The fan-out unit is a *layer mapping*, not a point: a batch with a
     /// single candidate but many uncached layers still spreads its mapping
-    /// work across all workers. The serial path is taken only when there
-    /// is genuinely nothing to distribute — one worker thread, or at most
-    /// one point needing at most one mapping.
+    /// work across all workers, and a batch with one uncached layer hands
+    /// that mapping the whole budget for its tiling sweep (intra-layer
+    /// parallelism); a phase with at most one item runs inline on the
+    /// caller. The serial path is taken only by a one-thread engine.
     ///
     /// Worker panics cannot escape: every mapper call runs under the fault
     /// boundary's panic guard, so a faulted candidate yields `Err` in its
@@ -980,27 +981,24 @@ impl<M: MappingOptimizer> Evaluator for CodesignEvaluator<M> {
     ///
     /// With telemetry attached, each phase emits a [`BatchRecord`] with
     /// per-worker pull counts (stages `engine/mapping` and
-    /// `engine/points`; the single-threaded path emits `engine/serial`),
+    /// `engine/points`; a one-thread engine emits `engine/serial`),
     /// plus `engine/layer_jobs` and `engine/point_jobs` counters totalling
     /// the work items the engine distributed.
     fn try_evaluate_batch(&self, points: &[DesignPoint]) -> Vec<Result<Evaluation, EvalFault>> {
         let _batch_span = self.telemetry.span("eval/batch");
         let threads = self.engine.resolved_threads();
         if threads <= 1 {
+            // Kept on purpose: at one thread the two-phase path below does
+            // the same evaluations plus work this path skips: a
+            // `pending_layer_tasks` pass (every model's unique shapes
+            // re-derived per point), a second layer-cache access per layer
+            // and two executor scopes. Sending one-thread batches through
+            // it measured `fixdf_zoo` cpu_s 1.22-1.29 s -> 1.71-1.78 s and
+            // peak RSS 398 -> 417 MiB (perfbench, `EDSE_TEST_THREADS=1`,
+            // three alternating pairs, 2-vCPU host).
             return self.serial_batch(points);
         }
         let tasks = self.pending_layer_tasks(points);
-        if points.len() <= 1 && tasks.len() <= 1 {
-            // Batch-1 interactive query: there is nothing to fan out
-            // *across*, so spend the whole worker budget *inside* the one
-            // mapping sweep instead (intra-layer parallelism), then let
-            // the serial path assemble the point from the warm cache.
-            if let Some((shape, cfg)) = tasks.first() {
-                let _mapping_span = self.telemetry.span("eval/mapping");
-                let _ = self.map_layer(shape, cfg, threads);
-            }
-            return self.serial_batch(points);
-        }
         if self.telemetry.active() {
             self.telemetry
                 .counter("engine/layer_jobs", tasks.len() as u64);
@@ -1040,7 +1038,7 @@ impl<M: MappingOptimizer> Evaluator for CodesignEvaluator<M> {
                     .expect("each index visited once");
             })
         };
-        if self.telemetry.active() {
+        if self.telemetry.active() && !points.is_empty() {
             self.telemetry.batch(BatchRecord {
                 stage: "engine/points".to_string(),
                 items: points.len() as u64,
@@ -1553,17 +1551,19 @@ mod tests {
         assert_eq!(records[0].per_thread.iter().sum::<u64>(), layers);
         assert_eq!(records[1].items, 1);
 
-        // A fully cached repeat has nothing to distribute: serial path.
+        // A fully cached repeat has no mapping to distribute: one points
+        // record and no mapping record.
         ev.evaluate_batch(std::slice::from_ref(&p));
-        let last_stage = sink
+        let repeat_stages: Vec<String> = sink
             .events()
             .into_iter()
             .filter_map(|e| match e {
                 Event::Batch { record, .. } => Some(record.stage),
                 _ => None,
             })
-            .next_back();
-        assert_eq!(last_stage.as_deref(), Some("engine/serial"));
+            .skip(records.len())
+            .collect();
+        assert_eq!(repeat_stages, vec!["engine/points"]);
     }
 
     #[test]

@@ -68,14 +68,16 @@ pub fn chrome_trace(events: &[Event]) -> String {
 
 /// Renders collapsed-stack flamegraph text from a recorded event
 /// sequence: one `root;child;leaf self_µs` line per distinct span path,
-/// sorted by path. Feed to `flamegraph.pl` / speedscope / inferno.
+/// sorted by path, with per-path sums saturating at `u64::MAX`. Feed to
+/// `flamegraph.pl` / speedscope / inferno.
 pub fn flamegraph(events: &[Event]) -> String {
     let tree = SpanTree::build(events);
     let mut by_path: BTreeMap<String, u64> = BTreeMap::new();
     for idx in 0..tree.nodes.len() {
         let self_us = tree.self_us(idx);
         if self_us > 0 {
-            *by_path.entry(tree.path(idx)).or_insert(0) += self_us;
+            let sum = by_path.entry(tree.path(idx)).or_insert(0);
+            *sum = sum.saturating_add(self_us);
         }
     }
     let mut out = String::new();

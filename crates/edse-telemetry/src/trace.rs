@@ -144,19 +144,19 @@ impl SpanTree {
 
     /// Self-time of one node: its elapsed minus its children's elapsed,
     /// clamped at zero (clock skew between parent and child reads can
-    /// make the children sum marginally larger).
+    /// make the children sum marginally larger). Sums saturate: a trace
+    /// file may carry any decodable duration.
     pub fn self_us(&self, idx: usize) -> u64 {
         let node = &self.nodes[idx];
-        let children: u64 = node
+        let children = node
             .children
             .iter()
-            .map(|&c| self.nodes[c].elapsed_us)
-            .sum();
+            .fold(0u64, |sum, &c| sum.saturating_add(self.nodes[c].elapsed_us));
         node.elapsed_us.saturating_sub(children)
     }
 
     /// Per-name aggregate (count, total, self), sorted by name for
-    /// deterministic output.
+    /// deterministic output. Totals saturate at `u64::MAX`.
     pub fn aggregate(&self) -> Vec<SpanStats> {
         let mut by_name: std::collections::BTreeMap<&str, SpanStats> =
             std::collections::BTreeMap::new();
@@ -168,8 +168,8 @@ impl SpanTree {
                 self_us: 0,
             });
             stats.count += 1;
-            stats.total_us += node.elapsed_us;
-            stats.self_us += self.self_us(idx);
+            stats.total_us = stats.total_us.saturating_add(node.elapsed_us);
+            stats.self_us = stats.self_us.saturating_add(self.self_us(idx));
         }
         by_name.into_values().collect()
     }

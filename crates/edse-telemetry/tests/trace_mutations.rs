@@ -173,3 +173,36 @@ proptest! {
         }
     }
 }
+
+/// Span durations the decoder accepts (up to 2^53 - 1) sum past `u64` in
+/// 2,048 spans; the per-name and per-path totals saturate instead.
+#[test]
+fn huge_span_durations_saturate_in_aggregates_and_flamegraphs() {
+    let max = (1u64 << 53) - 1;
+    let mut text = String::new();
+    for id in 1..=2_100u64 {
+        let enter = Event::SpanEnter {
+            name: "a".into(),
+            t_us: 0,
+            id,
+            parent: 0,
+        };
+        let exit = Event::SpanExit {
+            name: "a".into(),
+            t_us: max,
+            id,
+            elapsed_us: max,
+        };
+        text.push_str(&(enter.to_json_line() + "\n" + &exit.to_json_line() + "\n"));
+    }
+    let events: Vec<Event> = text
+        .lines()
+        .map(|line| Event::parse_json_line(line).expect("decodable span line"))
+        .collect();
+    let stats = trace::SpanTree::build(&events).aggregate();
+    assert_eq!(stats.len(), 1);
+    assert_eq!(stats[0].count, 2_100);
+    assert_eq!(stats[0].total_us, u64::MAX);
+    assert_eq!(stats[0].self_us, u64::MAX);
+    assert_eq!(export::flamegraph(&events), "a 18446744073709551615\n");
+}

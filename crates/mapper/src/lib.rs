@@ -42,3 +42,8 @@ pub use optimize::{
 pub use size::{layer_space_size, SpaceSize};
 pub use space::{space_cache_stats, MappingSpace, SpaceBudget, SpaceCacheStats, Thresholds};
 pub use sweep::SweepConf;
+
+#[cfg(test)]
+mod props;
+#[cfg(test)]
+mod space_edges;

@@ -468,10 +468,7 @@ impl LinearMapper {
 
 impl MappingOptimizer for LinearMapper {
     fn optimize(&self, layer: &LayerShape, cfg: &AcceleratorConfig) -> Option<MappedLayer> {
-        // The shared memo is safe here because construction is a pure
-        // function of the key; a hit returns exactly what `build` would.
-        let space = MappingSpace::build_shared(layer, cfg, self.budget);
-        sweep::sweep_best(layer, cfg, space.tilings(), &ALL_ORDERINGS, self.sweep)
+        self.optimize_threaded(layer, cfg, self.sweep.threads)
     }
 
     fn optimize_threaded(
@@ -480,6 +477,8 @@ impl MappingOptimizer for LinearMapper {
         cfg: &AcceleratorConfig,
         threads: usize,
     ) -> Option<MappedLayer> {
+        // The shared memo is safe here because construction is a pure
+        // function of the key; a hit returns exactly what `build` would.
         let space = MappingSpace::build_shared(layer, cfg, self.budget);
         sweep::sweep_best(
             layer,

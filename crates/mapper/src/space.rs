@@ -103,8 +103,8 @@ impl MappingSpace {
     /// threshold auto-adjustment re-runs only the cheap filter/assembly
     /// over memoized per-stage choice lists (`StagedEnumerator`),
     /// settling on exactly the tilings and thresholds the original
-    /// relax-and-re-enumerate loop would ([`Self::build_reference`], the
-    /// retained oracle a property test compares against).
+    /// relax-and-re-enumerate loop would (kept in this crate's tests as
+    /// the oracle a property test compares against).
     pub fn build(layer: &LayerShape, cfg: &AcceleratorConfig, budget: SpaceBudget) -> Self {
         let hw = SpaceInputs::of(cfg);
         let mut enumerator = StagedEnumerator::new(layer, &hw, budget);
@@ -155,35 +155,6 @@ impl MappingSpace {
         budget: SpaceBudget,
     ) -> Arc<Self> {
         shared_space_cache().get_or_build(layer, cfg, budget)
-    }
-
-    /// The original relax-and-re-enumerate construction, which re-runs the
-    /// full staged DFS on every threshold adjustment. Retained verbatim as
-    /// the differential oracle for the single-pass [`Self::build`]; the two
-    /// must agree exactly (same tilings, same order, same settled
-    /// thresholds) on every input. It prunes on the unclamped NoC caps, so
-    /// the comparison also checks the clamp `build` goes through.
-    pub fn build_reference(
-        layer: &LayerShape,
-        cfg: &AcceleratorConfig,
-        budget: SpaceBudget,
-    ) -> Self {
-        let mut thresholds = Thresholds::aggressive();
-        let mut tilings = enumerate(layer, cfg, thresholds, budget);
-        let mut rounds = 0;
-        while tilings.len() < budget.n_min && rounds < 5 {
-            thresholds = thresholds.relaxed();
-            tilings = enumerate(layer, cfg, thresholds, budget);
-            rounds += 1;
-        }
-        if tilings.is_empty() {
-            let t = fallback_serial(layer, &SpaceInputs::unclamped(cfg));
-            tilings.extend(t);
-        }
-        Self {
-            tilings,
-            thresholds,
-        }
     }
 
     /// The pruned tilings, highest utilization score first.
@@ -257,8 +228,8 @@ impl SpaceInputs {
         }
     }
 
-    /// The raw caps, for the reference construction to check the clamp
-    /// against.
+    /// The raw caps, which [`Self::of`] clamps (the test-only reference
+    /// construction prunes on them directly, so it checks the clamp).
     fn unclamped(cfg: &AcceleratorConfig) -> Self {
         Self {
             pes: cfg.pes,
@@ -448,160 +419,6 @@ fn stage_caps(budget: SpaceBudget) -> (usize, usize, usize) {
     let rf = (n / 64).clamp(4, 32);
     let l2 = (n / 128).clamp(4, 24);
     (spatial, rf, l2)
-}
-
-fn enumerate(
-    layer: &LayerShape,
-    cfg: &AcceleratorConfig,
-    th: Thresholds,
-    budget: SpaceBudget,
-) -> Vec<Tiling> {
-    let (spatial_cap, rf_cap, l2_cap) = stage_caps(budget);
-    let elem = cfg.elem_bytes;
-
-    // ---------------------------------------------------- spatial stage
-    // Candidate spatial dims: channels and output pixels (classic spatial
-    // unrolling targets); depthwise layers spatialize M/Oy/Ox.
-    let spatial_dims = [Dim::M, Dim::C, Dim::Oy, Dim::Ox];
-    let mut spatial_choices: Vec<(Extents, f64)> = Vec::new();
-    let mut sp = [1u64; 7];
-    let spatial_divs = quota_divisors(|d| layer.dim(d));
-    dfs_spatial(
-        layer,
-        &SpaceInputs::unclamped(cfg),
-        &spatial_dims,
-        &spatial_divs,
-        0,
-        &mut sp,
-        1,
-        [1; 4],
-        &mut spatial_choices,
-        4096,
-    );
-    // Highest PE utilization first; keep the cap.
-    spatial_choices.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap());
-    let min_util = th.pe;
-    let mut kept_spatial: Vec<Extents> = spatial_choices
-        .iter()
-        .filter(|(_, u)| *u >= min_util)
-        .map(|(e, _)| *e)
-        .take(spatial_cap)
-        .collect();
-    if kept_spatial.is_empty() {
-        // Keep the best few even when the threshold is unreachable.
-        kept_spatial = spatial_choices
-            .iter()
-            .map(|(e, _)| *e)
-            .take(4.min(spatial_cap))
-            .collect();
-    }
-
-    let mut result: Vec<(Tiling, f64)> = Vec::new();
-
-    for sp in &kept_spatial {
-        // ------------------------------------------------ register-file stage
-        // RF loops draw from reduction dims plus output columns (enough to
-        // express the classic stationarities).
-        let rf_dims = [Dim::C, Dim::Fy, Dim::Fx, Dim::Ox];
-        let mut rf_choices: Vec<(Extents, f64)> = Vec::new();
-        let mut rf = [1u64; 7];
-        let rf_divs = quota_divisors(|d| layer.dim(d) / sp[d.index()]);
-        dfs_fill(
-            layer,
-            &rf_dims,
-            &rf_divs,
-            0,
-            &mut rf,
-            &|ext: &Extents| working_set_bytes(layer, ext, elem),
-            cfg.l1_bytes,
-            &mut rf_choices,
-            1024,
-        );
-        rf_choices.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap());
-        let mut kept_rf: Vec<Extents> = rf_choices
-            .iter()
-            .filter(|(_, u)| *u >= th.rf)
-            .map(|(e, _)| *e)
-            .take(rf_cap)
-            .collect();
-        if kept_rf.is_empty() {
-            kept_rf = rf_choices
-                .iter()
-                .map(|(e, _)| *e)
-                .take(2.min(rf_cap))
-                .collect();
-        }
-
-        for rf in &kept_rf {
-            // ------------------------------------------------ scratchpad stage
-            let l2_dims = Dim::ALL;
-            let mut l2_choices: Vec<(Extents, f64)> = Vec::new();
-            let mut l2 = [1u64; 7];
-            // SPM tile extents include RF and spatial factors.
-            let spm_ext = |l2e: &Extents| {
-                let mut e = [1u64; 7];
-                for d in Dim::ALL {
-                    let i = d.index();
-                    e[i] = rf[i] * sp[i] * l2e[i];
-                }
-                e
-            };
-            let l2_divs = quota_divisors(|d| layer.dim(d) / (sp[d.index()] * rf[d.index()]));
-            dfs_fill(
-                layer,
-                &l2_dims,
-                &l2_divs,
-                0,
-                &mut l2,
-                &|ext: &Extents| working_set_bytes(layer, &spm_ext(ext), elem),
-                cfg.l2_bytes,
-                &mut l2_choices,
-                512,
-            );
-            l2_choices.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap());
-            let mut kept_l2: Vec<(Extents, f64)> = l2_choices
-                .iter()
-                .filter(|(_, u)| *u >= th.spm)
-                .take(l2_cap)
-                .cloned()
-                .collect();
-            if kept_l2.is_empty() {
-                kept_l2 = l2_choices.into_iter().take(2.min(l2_cap)).collect();
-            }
-
-            let pe_util = sp.iter().product::<u64>() as f64 / cfg.pes as f64;
-            for (l2, spm_util) in kept_l2 {
-                let mut factors = [[1u64; 4]; 7];
-                let mut ok = true;
-                for d in Dim::ALL {
-                    let i = d.index();
-                    let product = rf[i] * sp[i] * l2[i];
-                    if !layer.dim(d).is_multiple_of(product) {
-                        ok = false;
-                        break;
-                    }
-                    factors[i][Level::Rf.index()] = rf[i];
-                    factors[i][Level::Spatial.index()] = sp[i];
-                    factors[i][Level::Spm.index()] = l2[i];
-                    factors[i][Level::Dram.index()] = layer.dim(d) / product;
-                }
-                if !ok {
-                    continue;
-                }
-                if let Ok(t) = Tiling::from_factors(layer, factors) {
-                    result.push((t, pe_util * (1.0 + spm_util)));
-                }
-            }
-        }
-        if result.len() >= budget.n_max * 2 {
-            break;
-        }
-    }
-
-    result.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap());
-    result.dedup_by(|a, b| a.0 == b.0);
-    result.truncate(budget.n_max);
-    result.into_iter().map(|(t, _)| t).collect()
 }
 
 /// Single-pass space enumeration: each DFS stage (spatial, per-spatial
@@ -892,17 +709,16 @@ fn active_dims(dims: &[Dim], divs: &DimDivisors) -> Vec<Dim> {
         .collect()
 }
 
-/// The autovectorizer-era rewrite of [`dfs_fill`] used by the staged
-/// enumerator's hot path: same tree, same pruning decisions, same leaves in
-/// the same order, but the working set is maintained incrementally in
-/// [`WsState`] (a couple of `u64` multiplies per node instead of three
-/// from-scratch volume computations) and quota-1 dims are skipped via
-/// [`active_dims`]. `base[i]` is the fixed multiplier the outer stages
-/// contribute to dim `i`'s full extent (all ones for the register-file
-/// stage, `spatial * rf` for the scratchpad stage), replacing the
-/// `working_set(spm_ext(ext))` closure composition. A property test pins
-/// this path to the closure-based oracle retained in
-/// [`MappingSpace::build_reference`].
+/// The autovectorizer-era rewrite of the reference `dfs_fill` used by the
+/// staged enumerator's hot path: same tree, same pruning decisions, same
+/// leaves in the same order, but the working set is maintained
+/// incrementally in [`WsState`] (a couple of `u64` multiplies per node
+/// instead of three from-scratch volume computations) and quota-1 dims are
+/// skipped via [`active_dims`]. `base[i]` is the fixed multiplier the
+/// outer stages contribute to dim `i`'s full extent (all ones for the
+/// register-file stage, `spatial * rf` for the scratchpad stage), replacing
+/// the `working_set(spm_ext(ext))` closure composition. A property test
+/// pins this path to that closure-based oracle.
 #[allow(clippy::too_many_arguments)]
 fn dfs_fill_fast(
     dims: &[Dim],
@@ -1012,9 +828,9 @@ fn dfs_topk(
 /// Runs the incremental DFS over `dims` with outer-stage multipliers
 /// `base` and returns the choice list sorted highest-utilization-first,
 /// truncated to the top `k` — exactly the prefix the closure-based stages
-/// in [`enumerate`] would go on to consume: every use filters to a
-/// threshold (which keeps a *prefix* of the descending-sorted list) and
-/// then takes at most `k`, so entries past the `k`-th can never be
+/// of the reference `enumerate` would go on to consume: every use filters
+/// to a threshold (which keeps a *prefix* of the descending-sorted list)
+/// and then takes at most `k`, so entries past the `k`-th can never be
 /// observed, at this or any relaxed threshold.
 ///
 /// When the full leaf count provably fits under `max_leaves` (product of
@@ -1145,54 +961,6 @@ fn dfs_spatial(
     sp[d.index()] = 1;
 }
 
-/// Generic DFS over per-dimension divisor choices pruned by a monotone
-/// working-set capacity: a node is cut when `working_set(ext) > cap_bytes`,
-/// and every surviving leaf is recorded with its utilization score
-/// `working_set / cap_bytes` — one working-set evaluation per node serves
-/// both the feasibility check and the score.
-#[allow(clippy::only_used_in_recursion, clippy::too_many_arguments)]
-fn dfs_fill<W>(
-    layer: &LayerShape,
-    dims: &[Dim],
-    divs: &DimDivisors,
-    i: usize,
-    ext: &mut Extents,
-    working_set: &W,
-    cap_bytes: u64,
-    out: &mut Vec<(Extents, f64)>,
-    max_leaves: usize,
-) where
-    W: Fn(&Extents) -> u64,
-{
-    if out.len() >= max_leaves {
-        return;
-    }
-    let ws = working_set(ext);
-    if ws > cap_bytes {
-        return;
-    }
-    if i == dims.len() {
-        out.push((*ext, ws as f64 / cap_bytes as f64));
-        return;
-    }
-    let d = dims[i];
-    for &f in divs[d.index()].iter().rev() {
-        ext[d.index()] = f;
-        dfs_fill(
-            layer,
-            dims,
-            divs,
-            i + 1,
-            ext,
-            working_set,
-            cap_bytes,
-            out,
-            max_leaves,
-        );
-    }
-    ext[d.index()] = 1;
-}
-
 /// Serial single-PE execution, valid whenever a unit working set fits L1.
 fn fallback_serial(layer: &LayerShape, hw: &SpaceInputs) -> Option<Tiling> {
     let mut factors = [[1u64; 4]; 7];
@@ -1203,6 +971,9 @@ fn fallback_serial(layer: &LayerShape, hw: &SpaceInputs) -> Option<Tiling> {
     let unit = working_set_bytes(layer, &[1; 7], hw.elem_bytes);
     (unit <= hw.l1_bytes).then_some(t)
 }
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {

@@ -2,10 +2,11 @@
 //!
 //! One layer's mapping search evaluates an `orderings × tilings` grid
 //! (~10,000 candidates for a top-1000 space). [`sweep_best`] runs that grid
-//! through [`accel_model::TilingBatch`] in fixed-size chunks and — when
-//! given a thread budget — submits the chunks to the shared
-//! [`edse_executor`] pool, so a *single* interactive "map this layer now"
-//! query uses all cores without spawning threads per sweep.
+//! through [`accel_model::TilingBatch`] in fixed-size chunks submitted to
+//! the shared [`edse_executor`] pool: with a thread budget above one, a
+//! *single* interactive "map this layer now" query uses all cores without
+//! spawning threads per sweep; with a budget of one, every chunk runs
+//! inline on the caller.
 //!
 //! # Determinism
 //!
@@ -16,7 +17,7 @@
 //! with the same strict-less rule — so the selected `(tiling, ordering)`
 //! is the lexicographic argmin of `(latency, tiling index, ordering
 //! index)` for **every** thread count and chunk size, bit-identical to the
-//! serial path. Conformance's thread-count × chunk-size matrix pins this.
+//! serial scan. Conformance's thread-count × chunk-size matrix pins this.
 //!
 //! # Scratch arena
 //!
@@ -81,7 +82,8 @@ impl SweepConf {
         }
     }
 
-    /// A sweep over up to `threads` scoped worker threads (0 acts as 1).
+    /// A sweep over up to `threads` participants on the shared executor
+    /// pool, the calling thread included (0 acts as 1).
     pub fn with_threads(threads: usize) -> Self {
         SweepConf {
             threads: threads.max(1),
@@ -200,8 +202,8 @@ fn scan_chunk(
     ChunkOut { best, costs }
 }
 
-/// Runs the full chunked scan, serial or across scoped workers, and merges
-/// chunk results in chunk-index order.
+/// Runs the full chunked scan on the shared executor pool and merges chunk
+/// results in chunk-index order.
 fn scan_all(
     layer: &LayerShape,
     cfg: &AcceleratorConfig,
@@ -212,59 +214,37 @@ fn scan_all(
 ) -> (Option<Candidate>, Option<Vec<f64>>) {
     let chunk = conf.chunk.max(1);
     let n_chunks = tilings.len().div_ceil(chunk);
-    let workers = conf.threads.max(1).min(n_chunks);
-    let chunk_outs: Vec<ChunkOut> = if workers <= 1 {
+    // Chunk indices become tasks on the shared executor pool; each
+    // participant fills its chunk's dedicated slot, so the merge below
+    // sees results in chunk order regardless of which worker computed
+    // which chunk — and an idle pool worker finishing another tenant's
+    // layer job can steal chunks from this sweep. A budget of one runs
+    // every chunk inline on the calling thread.
+    let slots: Vec<OnceLock<ChunkOut>> = (0..n_chunks).map(|_| OnceLock::new()).collect();
+    edse_executor::Executor::global().run(n_chunks, conf.threads, &|c| {
         SCRATCH.with(|sc| {
             let mut sc = sc.borrow_mut();
-            (0..n_chunks)
-                .map(|c| {
-                    let lo = c * chunk;
-                    let hi = (lo + chunk).min(tilings.len());
-                    scan_chunk(
-                        &mut sc,
-                        layer,
-                        cfg,
-                        &tilings[lo..hi],
-                        lo,
-                        orderings,
-                        want_costs,
-                    )
-                })
-                .collect()
-        })
-    } else {
-        // Chunk indices become tasks on the shared executor pool; each
-        // participant fills its chunk's dedicated slot, so the merge below
-        // sees results in chunk order regardless of which worker computed
-        // which chunk — and an idle pool worker finishing another tenant's
-        // layer job can steal chunks from this sweep.
-        let slots: Vec<OnceLock<ChunkOut>> = (0..n_chunks).map(|_| OnceLock::new()).collect();
-        edse_executor::Executor::global().run(n_chunks, workers, &|c| {
-            SCRATCH.with(|sc| {
-                let mut sc = sc.borrow_mut();
-                let lo = c * chunk;
-                let hi = (lo + chunk).min(tilings.len());
-                let out = scan_chunk(
-                    &mut sc,
-                    layer,
-                    cfg,
-                    &tilings[lo..hi],
-                    lo,
-                    orderings,
-                    want_costs,
-                );
-                slots[c].set(out).ok().expect("each chunk scanned once");
-            });
+            let lo = c * chunk;
+            let hi = (lo + chunk).min(tilings.len());
+            let out = scan_chunk(
+                &mut sc,
+                layer,
+                cfg,
+                &tilings[lo..hi],
+                lo,
+                orderings,
+                want_costs,
+            );
+            slots[c].set(out).ok().expect("each chunk scanned once");
         });
-        slots
-            .into_iter()
-            .map(|s| s.into_inner().expect("all chunks scanned"))
-            .collect()
-    };
+    });
 
     let mut best: Option<Candidate> = None;
     let mut costs = want_costs.then(|| Vec::with_capacity(tilings.len()));
-    for out in chunk_outs {
+    for out in slots
+        .into_iter()
+        .map(|s| s.into_inner().expect("all chunks scanned"))
+    {
         if let Some(cand) = out.best {
             fold_best(&mut best, cand);
         }

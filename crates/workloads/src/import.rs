@@ -120,8 +120,10 @@ fn one() -> u64 {
 /// # Errors
 ///
 /// Returns [`ImportError`] with the offending layer and reason on any
-/// structural problem; extents of zero, unknown `op` tags, and missing
-/// throughput targets are all rejected.
+/// structural problem; extents of zero, unknown `op` tags, missing
+/// throughput targets, and sizes that overflow `u64` (a layer's MAC count
+/// or an operand volume, or the model's total MAC count, which bounds its
+/// layer count) are all rejected.
 pub fn from_json_str(json: &str) -> Result<DnnModel, ImportError> {
     let doc: ModelDoc = serde_json::from_str(json).map_err(ImportError::Parse)?;
     if doc.name.trim().is_empty() {
@@ -189,7 +191,25 @@ pub fn from_json_str(json: &str) -> Result<DnnModel, ImportError> {
             }
             other => return Err(err(&format!("unknown op `{other}` (conv/dwconv/gemm)"))),
         };
+        if !shape.sizes_fit_u64() {
+            return Err(err(
+                "the MAC count or an operand volume does not fit 64 bits",
+            ));
+        }
         layers.push(Layer::new(name, shape, l.repeat));
+    }
+    // Every layer has at least one MAC, so a total MAC count that fits
+    // also bounds the layer count (the sum of the repeats).
+    if layers
+        .iter()
+        .try_fold(0u64, |total, l| {
+            total.checked_add(l.shape.macs().checked_mul(l.repeat)?)
+        })
+        .is_none()
+    {
+        return Err(ImportError::Model(
+            "the model's total MAC count does not fit 64 bits".into(),
+        ));
     }
     Ok(DnnModel::new(doc.name, layers, target))
 }
@@ -269,6 +289,56 @@ mod tests {
         )
         .unwrap();
         assert!((m.target().inferences_per_second() - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn oversized_layers_are_rejected_not_wrapped() {
+        let e = from_json_str(
+            r#"{"name":"x","target":{"fps":1.0},
+                "layers":[{"op":"gemm","m":4294967296,"n":4294967296,"k":2}]}"#,
+        )
+        .unwrap_err();
+        assert!(
+            matches!(&e, ImportError::Layer { layer, .. } if layer == "layer0"),
+            "{e}"
+        );
+        // 2^20 MACs fit, but the input halo `(oy - 1) * stride + fy` does not.
+        let e = from_json_str(
+            r#"{"name":"x","target":{"fps":1.0},
+                "layers":[{"name":"wide","op":"conv","oy":1048576,
+                           "stride":1125899906842624}]}"#,
+        )
+        .unwrap_err();
+        assert!(
+            matches!(&e, ImportError::Layer { layer, .. } if layer == "wide"),
+            "{e}"
+        );
+        // The repeat total, 2^64 + 1, does not fit.
+        let e = from_json_str(
+            r#"{"name":"x","target":{"fps":1.0},
+                "layers":[{"op":"gemm","m":2,"n":2,"k":2,"repeat":18446744073709551615},
+                          {"op":"gemm","m":4,"n":2,"k":2,"repeat":2}]}"#,
+        )
+        .unwrap_err();
+        assert!(matches!(e, ImportError::Model(_)), "{e}");
+        // Each layer's MACs fit, but `macs * repeat` summed over the model
+        // does not.
+        let e = from_json_str(
+            r#"{"name":"x","target":{"fps":1.0},
+                "layers":[{"op":"gemm","m":4294967296,"n":1,"k":4294967295,"repeat":2}]}"#,
+        )
+        .unwrap_err();
+        assert!(matches!(e, ImportError::Model(_)), "{e}");
+        // The largest totals that fit still import: single-MAC layers
+        // repeated 2^64 - 1 times in all.
+        let m = from_json_str(
+            r#"{"name":"x","target":{"fps":1.0},
+                "layers":[{"op":"gemm","m":1,"n":1,"k":1,"repeat":18446744073709551614},
+                          {"op":"gemm","m":1,"n":1,"k":1}]}"#,
+        )
+        .unwrap();
+        assert_eq!(m.layer_count(), u64::MAX);
+        assert_eq!(m.total_macs(), u64::MAX);
     }
 
     #[test]

@@ -286,6 +286,20 @@ impl LayerShape {
         (iy, ix)
     }
 
+    /// Whether [`Self::macs`] and every [`Self::tensor_elems`] (the input
+    /// halo included) fit `u64`. The weight and output volumes divide the
+    /// MAC count, so checking the MACs and the input volume covers all.
+    pub(crate) fn sizes_fit_u64(&self) -> bool {
+        let product = |xs: [u64; 4]| xs.iter().try_fold(1u64, |acc, &x| acc.checked_mul(x));
+        let halo = |o: u64, f: u64| (o - 1).checked_mul(self.stride)?.checked_add(f);
+        let macs = product([self.n, self.m, self.c, self.oy])
+            .and_then(|head| product([head, self.ox, self.fy, self.fx]));
+        let input = halo(self.oy, self.fy)
+            .zip(halo(self.ox, self.fx))
+            .and_then(|(iy, ix)| product([self.n, self.input_channels(), iy, ix]));
+        macs.is_some() && input.is_some()
+    }
+
     /// Multiply-accumulate operations performed by the layer.
     pub fn macs(&self) -> u64 {
         self.n * self.m * self.c * self.oy * self.ox * self.fy * self.fx

@@ -1,5 +1,5 @@
 #!/bin/bash
-cd /root/repo
+cd "$(dirname "$0")/.." || exit 1
 R=results
 mkdir -p $R/json
 # One persistent evaluation cache shared by every binary: later runs
