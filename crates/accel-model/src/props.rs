@@ -5,7 +5,8 @@
 
 use crate::mapping::prime_factors;
 use crate::{
-    AcceleratorConfig, ExecError, Level, Mapping, Stationarity, Tiling, TilingBatch, Validity,
+    AcceleratorConfig, ExecError, ExecutionProfile, Level, Mapping, Stationarity, Tiling,
+    TilingBatch, Validity,
 };
 use energy_area::Tech;
 use proptest::prelude::*;
@@ -93,6 +94,112 @@ fn psum_starved_config() -> AcceleratorConfig {
     }
 }
 
+/// Latency is the max of its three factors, all non-negative.
+fn check_latency_is_max_of_factors(p: &ExecutionProfile) {
+    assert!(p.t_comp >= 0.0 && p.t_dma >= 0.0 && p.t_noc_max >= 0.0);
+    let expected = p.t_comp.max(p.t_dma).max(p.t_noc_max);
+    assert!((p.latency_cycles - expected).abs() < 1e-6);
+}
+
+/// Weights are always fetched at least once; the same holds for inputs
+/// when the filter covers the stride (with stride > f the dense halo-box
+/// formula counts rows the layer never touches, and tiling legitimately
+/// skips them). Outputs are written at least once, and partial-sum reads
+/// never exceed writes.
+fn check_offchip_traffic_bounds(cfg: &AcceleratorConfig, layer: &LayerShape, p: &ExecutionProfile) {
+    let wt = (layer.tensor_elems(Tensor::Weight) * cfg.elem_bytes) as f64;
+    assert!(p.operand(Tensor::Weight).offchip_bytes >= wt * 0.999);
+    let fmin = layer.dim(Dim::Fy).min(layer.dim(Dim::Fx));
+    if layer.stride() <= fmin {
+        let inp = (layer.tensor_elems(Tensor::Input) * cfg.elem_bytes) as f64;
+        assert!(
+            p.operand(Tensor::Input).offchip_bytes >= inp * 0.999,
+            "input {} < {inp}",
+            p.operand(Tensor::Input).offchip_bytes
+        );
+    }
+    let wr = p.operand(Tensor::OutputWrite).offchip_bytes;
+    let rd = p.operand(Tensor::OutputRead).offchip_bytes;
+    assert!(rd <= wr + 1e-6, "psum reads {rd} exceed writes {wr}");
+    let out = (layer.tensor_elems(Tensor::OutputWrite) * cfg.elem_bytes) as f64;
+    assert!(wr >= out * 0.999);
+}
+
+/// Energy is at least one pJ per MAC.
+fn check_energy_bound(p: &ExecutionProfile) {
+    assert!(p.energy_pj >= p.macs, "energy below 1 pJ/MAC");
+}
+
+/// Execution succeeds exactly when the validity check passes.
+fn check_execute_iff_valid(cfg: &AcceleratorConfig, layer: &LayerShape, mapping: &Mapping) {
+    let valid = Validity::check(cfg, layer, mapping).is_ok();
+    assert_eq!(cfg.execute(layer, mapping).is_ok(), valid);
+}
+
+/// The factored fast path (`prepare_tiling` once + `complete` per
+/// ordering) and the public entry points equal the straight-line
+/// reference, values and errors, for all nine orderings, strict and
+/// NoC-relaxed.
+fn check_factored_matches_reference(cfg: &AcceleratorConfig, layer: &LayerShape, tiling: &Tiling) {
+    for relax in [false, true] {
+        let prepared = cfg.prepare_tiling_with(layer, tiling, &Tech::n45(), relax);
+        for spm in Stationarity::ALL {
+            for dram in Stationarity::ALL {
+                let mapping = Mapping::new(*tiling, spm, dram);
+                let reference = cfg.execute_reference_with(layer, &mapping, &Tech::n45(), relax);
+                let factored = match &prepared {
+                    Ok(eval) => eval.complete(spm, dram),
+                    Err(e) => Err(e.clone()),
+                };
+                assert_eq!(&factored, &reference);
+                let public = if relax {
+                    cfg.execute_relaxed(layer, &mapping)
+                } else {
+                    cfg.execute(layer, &mapping)
+                };
+                assert_eq!(&public, &reference);
+            }
+        }
+    }
+}
+
+/// A counterexample an earlier property run found: a stride-2 pointwise
+/// conv (the filter does not cover the stride) mapped input-stationary at
+/// both levels. It runs through every check the `(layer, mapping)`
+/// properties make, on the roomy, baseline and link-starved configs.
+#[test]
+fn stride_two_pointwise_input_stationary_case() {
+    let layer = LayerShape::conv(1, 8, 4, 4, 4, 1, 1, 2);
+    let factors = [
+        [1, 1, 1, 1],
+        [8, 1, 1, 1],
+        [4, 1, 1, 1],
+        [4, 1, 1, 1],
+        [2, 1, 1, 2],
+        [1, 1, 1, 1],
+        [1, 1, 1, 1],
+    ];
+    let tiling = Tiling::from_factors(&layer, factors).expect("a valid tiling");
+    let mapping = Mapping::new(
+        tiling,
+        Stationarity::InputStationary,
+        Stationarity::InputStationary,
+    );
+    for cfg in [
+        roomy_config(),
+        AcceleratorConfig::edge_baseline(),
+        starved_config(),
+    ] {
+        check_factored_matches_reference(&cfg, &layer, &tiling);
+        check_execute_iff_valid(&cfg, &layer, &mapping);
+        if let Ok(p) = cfg.execute(&layer, &mapping) {
+            check_latency_is_max_of_factors(&p);
+            check_offchip_traffic_bounds(&cfg, &layer, &p);
+            check_energy_bound(&p);
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -100,11 +207,8 @@ proptest! {
     /// non-negative.
     #[test]
     fn latency_is_max_of_nonnegative_factors((layer, mapping) in arb_mapping()) {
-        let cfg = roomy_config();
-        if let Ok(p) = cfg.execute(&layer, &mapping) {
-            prop_assert!(p.t_comp >= 0.0 && p.t_dma >= 0.0 && p.t_noc_max >= 0.0);
-            let expected = p.t_comp.max(p.t_dma).max(p.t_noc_max);
-            prop_assert!((p.latency_cycles - expected).abs() < 1e-6);
+        if let Ok(p) = roomy_config().execute(&layer, &mapping) {
+            check_latency_is_max_of_factors(&p);
         }
     }
 
@@ -125,35 +229,14 @@ proptest! {
     fn offchip_traffic_bounds((layer, mapping) in arb_mapping()) {
         let cfg = roomy_config();
         if let Ok(p) = cfg.execute(&layer, &mapping) {
-            // Weights are always fetched at least once; the same holds for
-            // inputs when the filter covers the stride (with stride > f the
-            // dense halo-box formula counts rows the layer never touches,
-            // and tiling legitimately skips them).
-            let wt = (layer.tensor_elems(Tensor::Weight) * cfg.elem_bytes) as f64;
-            prop_assert!(p.operand(Tensor::Weight).offchip_bytes >= wt * 0.999);
-            let fmin = layer.dim(Dim::Fy).min(layer.dim(Dim::Fx));
-            if layer.stride() <= fmin {
-                let inp = (layer.tensor_elems(Tensor::Input) * cfg.elem_bytes) as f64;
-                prop_assert!(
-                    p.operand(Tensor::Input).offchip_bytes >= inp * 0.999,
-                    "input {} < {inp}", p.operand(Tensor::Input).offchip_bytes
-                );
-            }
-            let wr = p.operand(Tensor::OutputWrite).offchip_bytes;
-            let rd = p.operand(Tensor::OutputRead).offchip_bytes;
-            prop_assert!(rd <= wr + 1e-6, "psum reads {rd} exceed writes {wr}");
-            // Outputs are written at least once.
-            let out = (layer.tensor_elems(Tensor::OutputWrite) * cfg.elem_bytes) as f64;
-            prop_assert!(wr >= out * 0.999);
+            check_offchip_traffic_bounds(&cfg, &layer, &p);
         }
     }
 
     /// Execution succeeds exactly when the validity check passes.
     #[test]
     fn execute_iff_valid((layer, mapping) in arb_mapping()) {
-        let cfg = AcceleratorConfig::edge_baseline();
-        let valid = Validity::check(&cfg, &layer, &mapping).is_ok();
-        prop_assert_eq!(cfg.execute(&layer, &mapping).is_ok(), valid);
+        check_execute_iff_valid(&AcceleratorConfig::edge_baseline(), &layer, &mapping);
     }
 
     /// More off-chip bandwidth never increases DMA time.
@@ -182,9 +265,8 @@ proptest! {
     /// Energy is positive and at least one MAC's worth per MAC.
     #[test]
     fn energy_lower_bound((layer, mapping) in arb_mapping()) {
-        let cfg = roomy_config();
-        if let Ok(p) = cfg.execute(&layer, &mapping) {
-            prop_assert!(p.energy_pj >= p.macs, "energy below 1 pJ/MAC");
+        if let Ok(p) = roomy_config().execute(&layer, &mapping) {
+            check_energy_bound(&p);
         }
     }
 
@@ -254,29 +336,7 @@ proptest! {
             starved_config(),
             psum_starved_config(),
         ] {
-            for relax in [false, true] {
-                let prepared = cfg.prepare_tiling_with(&layer, &tiling, &Tech::n45(), relax);
-                for spm in Stationarity::ALL {
-                    for dram in Stationarity::ALL {
-                        let mapping = Mapping::new(tiling, spm, dram);
-                        let reference =
-                            cfg.execute_reference_with(&layer, &mapping, &Tech::n45(), relax);
-                        let factored = match &prepared {
-                            Ok(eval) => eval.complete(spm, dram),
-                            Err(e) => Err(e.clone()),
-                        };
-                        prop_assert_eq!(&factored, &reference);
-                        // The public entry points route through the same
-                        // factored path.
-                        let public = if relax {
-                            cfg.execute_relaxed(&layer, &mapping)
-                        } else {
-                            cfg.execute(&layer, &mapping)
-                        };
-                        prop_assert_eq!(&public, &reference);
-                    }
-                }
-            }
+            check_factored_matches_reference(&cfg, &layer, &tiling);
         }
     }
 

@@ -341,6 +341,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("annealing.ckpt.json");
         let budget = 14;
+        let layers = zoo::resnet18().unique_shape_count();
 
         let full_ev = evaluator();
         let mut technique = SimulatedAnnealing::new(9);
@@ -378,9 +379,9 @@ mod tests {
                         ("annealing", budget)
                     );
                     assert_eq!(
-                        snapshot.caches.points.len(),
-                        saved,
-                        "step {step}: the snapshot holds the last cadence point's caches"
+                        snapshot.caches.layers.len(),
+                        saved * layers,
+                        "step {step}: the snapshot holds the last cadence point's layer outcomes"
                     );
                 }
             }
@@ -391,8 +392,8 @@ mod tests {
             saved.unwrap()
         };
 
-        // Resume: restore caches and step a fresh technique from the
-        // start; the saved steps are answered from the cache.
+        // Resume: restore the layer outcomes and step a fresh technique
+        // from the start; the saved steps are assembled without mapping.
         let spec = JobSpec {
             resume: true,
             ..spec
@@ -408,9 +409,9 @@ mod tests {
         );
         assert_eq!(ev.unique_evaluations(), full_ev.unique_evaluations());
         assert_eq!(
-            ev.cache_stats().point.misses as usize,
-            full_ev.unique_evaluations() - cached,
-            "a resume must not recompute the saved steps"
+            ev.cache_stats().layer.misses,
+            full_ev.cache_stats().layer.misses - (cached * layers) as u64,
+            "a resume must not remap the saved steps"
         );
 
         // A mismatched budget must refuse to resume rather than silently

@@ -304,8 +304,8 @@ fn killed_and_resumed_baseline_session_matches_straight_through() {
     // `kill_after` to resume from.
     for name in ["random", "annealing"] {
         let technique = || baselines::by_name(name, 13).expect("registered");
-        let reference = BaselineSession::new(technique().as_mut())
-            .run(&edge_evaluator(EvalEngine::serial()), budget);
+        let reference_ev = edge_evaluator(EvalEngine::serial());
+        let reference = BaselineSession::new(technique().as_mut()).run(&reference_ev, budget);
 
         for kill_after in [3usize, 12, 10_000] {
             let path = temp_snapshot_path("baseline-kill");
@@ -322,7 +322,7 @@ fn killed_and_resumed_baseline_session_matches_straight_through() {
             }));
             let saved = edse_core::load_snapshot(&path)
                 .ok()
-                .map(|snapshot| snapshot.caches.points.len());
+                .map(|snapshot| snapshot.caches.layers.len());
             let resumed_ev = edge_evaluator(EvalEngine::serial());
             let resumed = BaselineSession::new(technique().as_mut())
                 .spec(&JobSpec {
@@ -339,19 +339,22 @@ fn killed_and_resumed_baseline_session_matches_straight_through() {
                 Ok(completed) => assert_eq!(completed.samples, reference.samples),
                 Err(_) if name == "random" => assert_eq!(saved, None, "kill_after={kill_after}"),
                 Err(_) => {
+                    // The snapshot of the last step: the layer outcomes of
+                    // its distinct points, which the resume does not remap.
                     let distinct: std::collections::HashSet<_> = reference.samples[..kill_after]
                         .iter()
                         .map(|s| &s.point)
                         .collect();
+                    let saved_layers = distinct.len() * zoo::resnet18().unique_shape_count();
                     assert_eq!(
                         saved,
-                        Some(distinct.len()),
+                        Some(saved_layers),
                         "{name} kill_after={kill_after}: the snapshot of the last step"
                     );
                     assert_eq!(
-                        resumed_ev.cache_stats().point.misses as usize,
-                        resumed_ev.unique_evaluations() - distinct.len(),
-                        "{name} kill_after={kill_after}: the resume recomputed saved work"
+                        resumed_ev.cache_stats().layer.misses,
+                        reference_ev.cache_stats().layer.misses - saved_layers as u64,
+                        "{name} kill_after={kill_after}: the resume remapped saved work"
                     );
                 }
             }

@@ -1,16 +1,16 @@
 //! Checkpoint/resume: serialize evaluator caches to a versioned snapshot
 //! file, atomically, via the workspace's zero-dep JSON layer.
 //!
-//! A snapshot holds the evaluator caches, tagged with the technique label
-//! and budget of the run that wrote it — for every technique, the
-//! explainable search included. The caches hold only what cannot be
-//! re-derived: the evaluated design points, and the layer outcomes they
-//! were assembled from, each a disk-cache record keyed by the mapper that
-//! produced it (see [`CacheSnapshot`]). A technique's state is a pure
-//! function of its seed, its budget and the outcomes it has observed, so a
-//! resume restores the caches and steps a fresh technique from the start:
-//! every completed evaluation is a cache hit, landing on the same
-//! trajectory (see [`crate::SearchDriver`]).
+//! A snapshot holds the layer outcomes of the evaluator's cache that its
+//! disk tier lacks, tagged with the technique label and budget of the run
+//! that wrote it — for every technique, the explainable search included.
+//! Each outcome is a disk-cache record keyed by the mapper that produced
+//! it (see [`CacheSnapshot`]). A technique's state is a pure function of
+//! its seed, its budget and the outcomes it has observed, so a resume
+//! warms the layer cache and steps a fresh technique from the start: each
+//! point it repeats is assembled from layer outcomes the snapshot or the
+//! disk tier holds, without a mapper call, landing on the same trajectory
+//! (see [`crate::SearchDriver`]).
 //!
 //! Snapshots are written with a write-then-rename so a crash mid-write
 //! never corrupts the previous snapshot. See `DESIGN.md` ("Snapshot
@@ -18,14 +18,13 @@
 
 use crate::diskcache::LayerEntry;
 use crate::evaluate::CacheSnapshot;
-use crate::space::DesignPoint;
 use edse_telemetry::json::{self, Json};
 use std::path::{Path, PathBuf};
 
 /// Magic string identifying a snapshot file.
 pub const SNAPSHOT_FORMAT: &str = "edse-snapshot";
 /// Current snapshot schema version; loaders reject anything else.
-pub const SNAPSHOT_VERSION: u64 = 3;
+pub const SNAPSHOT_VERSION: u64 = 4;
 
 // ---------------------------------------------------------------------------
 // JSON codec helpers
@@ -59,24 +58,6 @@ fn usize_field(j: &Json, key: &str) -> Result<usize, String> {
 // Domain converters
 // ---------------------------------------------------------------------------
 
-fn point_to_json(p: &DesignPoint) -> Json {
-    Json::Arr(p.indices().iter().map(|i| Json::Num(*i as f64)).collect())
-}
-
-fn point_from_json(j: &Json) -> Result<DesignPoint, String> {
-    let indices = arr(j)?
-        .iter()
-        .map(|v| {
-            v.as_u64()
-                .and_then(|n| usize::try_from(n).ok())
-                .ok_or_else(|| {
-                    format!("design-point index must be a non-negative integer, got {v:?}")
-                })
-        })
-        .collect::<Result<Vec<usize>, String>>()?;
-    Ok(DesignPoint::new(indices))
-}
-
 /// One layer entry as `{"key": .., "value": ..}`, exactly the disk tier's
 /// record, plus the key string it sorts by.
 fn layer_to_json(e: &LayerEntry) -> Result<(String, Json), String> {
@@ -96,58 +77,25 @@ fn layer_from_json(j: &Json) -> Result<LayerEntry, String> {
 }
 
 fn caches_to_json(c: &CacheSnapshot) -> Result<Json, String> {
-    // Deterministic entry order regardless of hash-map iteration: points by
-    // their index vectors, layers by their record key.
-    let mut points: Vec<&DesignPoint> = c.points.iter().collect();
-    points.sort_by(|a, b| a.indices().cmp(b.indices()));
+    // Entries sort by their record key, so hash-map iteration order never
+    // shows in the file.
     let mut layers = c
         .layers
         .iter()
         .map(layer_to_json)
         .collect::<Result<Vec<_>, String>>()?;
     layers.sort_by(|(a, _), (b, _)| a.cmp(b));
-
-    Ok(Json::obj(vec![
-        (
-            "points",
-            Json::Arr(points.into_iter().map(point_to_json).collect()),
-        ),
-        (
-            "layers",
-            Json::Arr(layers.into_iter().map(|(_, entry)| entry).collect()),
-        ),
-        (
-            // References into the persistent disk cache (already sorted by
-            // the snapshot capture). Hex strings: record hashes are u64
-            // and must round-trip exactly, which f64 JSON numbers cannot.
-            "disk_layers",
-            Json::Arr(
-                c.disk_layers
-                    .iter()
-                    .map(|h| Json::Str(format!("{h:016x}")))
-                    .collect(),
-            ),
-        ),
-    ]))
+    Ok(Json::obj(vec![(
+        "layers",
+        Json::Arr(layers.into_iter().map(|(_, entry)| entry).collect()),
+    )]))
 }
 
 fn caches_from_json(j: &Json) -> Result<CacheSnapshot, String> {
     Ok(CacheSnapshot {
-        points: arr(field(j, "points")?)?
-            .iter()
-            .map(point_from_json)
-            .collect::<Result<_, String>>()?,
         layers: arr(field(j, "layers")?)?
             .iter()
             .map(layer_from_json)
-            .collect::<Result<_, String>>()?,
-        disk_layers: arr(field(j, "disk_layers")?)?
-            .iter()
-            .map(|h| {
-                h.as_str()
-                    .and_then(|s| u64::from_str_radix(s, 16).ok())
-                    .ok_or_else(|| "disk_layers entries must be hex strings".to_string())
-            })
             .collect::<Result<_, String>>()?,
     })
 }
@@ -161,7 +109,8 @@ pub struct Snapshot {
     pub technique: String,
     /// The evaluation budget the interrupted run was given.
     pub budget: usize,
-    /// The evaluator caches at checkpoint time.
+    /// The layer outcomes the evaluator held and its disk tier lacked at
+    /// checkpoint time.
     pub caches: CacheSnapshot,
 }
 
@@ -262,12 +211,7 @@ mod tests {
             technique: "random-fixdf".into(),
             budget: 250,
             caches: CacheSnapshot {
-                points: vec![
-                    DesignPoint::new(vec![0, 2, 1]),
-                    DesignPoint::new(vec![1, 0, 0]),
-                ],
                 layers: vec![layer(8), layer(16)],
-                disk_layers: vec![3, u64::MAX],
             },
         };
         // Entries sort by their record key, so the order they were captured
@@ -277,7 +221,6 @@ mod tests {
         save_snapshot(&path, &snap).unwrap();
         assert_eq!(load_snapshot(&path).unwrap(), snap);
         let bytes = std::fs::read(&path).unwrap();
-        snap.caches.points.reverse();
         snap.caches.layers.reverse();
         save_snapshot(&path, &snap).unwrap();
         assert_eq!(std::fs::read(&path).unwrap(), bytes);
@@ -285,15 +228,17 @@ mod tests {
         let mut tmp = path.as_os_str().to_os_string();
         tmp.push(".tmp");
         assert!(!PathBuf::from(tmp).exists());
-        // A version-2 snapshot (which stored every point's evaluation)
-        // gets the version error.
+        // A version-3 snapshot (which also stored the evaluated points and
+        // referenced disk records by hash) gets the version error, naming
+        // the file.
         std::fs::write(
             &path,
-            r#"{"format":"edse-snapshot","version":2,"kind":"search"}"#,
+            r#"{"format":"edse-snapshot","version":3,"technique":"random-fixdf","budget":250,"caches":{"points":[],"layers":[],"disk_layers":[]}}"#,
         )
         .unwrap();
         let err = load_snapshot(&path).unwrap_err();
-        assert!(err.contains("unsupported snapshot version 2"), "{err}");
+        assert!(err.contains("unsupported snapshot version 3"), "{err}");
+        assert!(err.contains(path.to_str().unwrap()), "{err}");
         std::fs::remove_file(&path).unwrap();
     }
 

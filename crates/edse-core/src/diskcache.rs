@@ -321,15 +321,16 @@ impl DiskCache {
         self.len() == 0
     }
 
-    /// Whether a record with this content hash is present (used by the
-    /// checkpoint layer to reference, not duplicate, disk-resident
-    /// entries).
-    pub fn contains_hash(&self, hash: u64) -> bool {
+    /// Whether a record is indexed under this canonical key's hash (a
+    /// snapshot leaves such outcomes out). Reads nothing: a record that
+    /// later fails its read checks, or belongs to a colliding key, is a
+    /// miss at lookup time and gets recomputed.
+    pub fn contains(&self, key: &str) -> bool {
         self.inner
             .lock()
             .expect("disk cache poisoned")
             .index
-            .contains_key(&hash)
+            .contains_key(&key_hash(key.as_bytes()))
     }
 
     /// A point-in-time snapshot of this cache's counters.
@@ -428,12 +429,31 @@ impl DiskCache {
     /// harmless. Unreadable records are evicted and reported as misses.
     pub fn get_outcome(&self, key: &str) -> Option<LayerOutcome> {
         let hash = key_hash(key.as_bytes());
-        let outcome = self.read_checked(hash, |(stored_hash, stored_key, value)| {
-            if stored_hash != hash || stored_key != key.as_bytes() {
-                return Err("stored key does not match".into());
-            }
-            decode_json(&value)
+        let mut inner = self.inner.lock().expect("disk cache poisoned");
+        let read = inner.index.get(&hash).copied().map(|loc| {
+            read_record(&mut inner, loc).and_then(|(stored_hash, stored_key, value)| {
+                if stored_hash != hash || stored_key != key.as_bytes() {
+                    return Err("stored key does not match".into());
+                }
+                decode_json(&value)
+            })
         });
+        if let Some(Err(_)) = read {
+            inner.index.remove(&hash);
+        }
+        drop(inner);
+        let outcome = match read {
+            Some(Ok(outcome)) => Some(outcome),
+            Some(Err(e)) => {
+                self.fault(
+                    "read_errors",
+                    &self.read_errors,
+                    &format!("evicted unreadable record {hash:016x}: {e}"),
+                );
+                None
+            }
+            None => None,
+        };
         let (stat, counter) = match outcome {
             Some(_) => (&self.hits, "disk_cache/hit"),
             None => (&self.misses, "disk_cache/miss"),
@@ -479,45 +499,6 @@ impl DiskCache {
             Err(e) => {
                 drop(inner);
                 self.fault("write_failures", &self.write_failures, &e);
-            }
-        }
-    }
-
-    /// Resolves a checkpoint reference: the decoded record for a record
-    /// hash. Does not count toward hit/miss traffic (references come from
-    /// snapshots, not lookups); unreadable records are evicted exactly like
-    /// [`DiskCache::get_outcome`].
-    pub fn resolve_hash(&self, hash: u64) -> Option<LayerEntry> {
-        self.read_checked(hash, |(stored_hash, key, value)| {
-            if stored_hash != hash {
-                return Err("stored hash does not match".into());
-            }
-            LayerEntry::from_record(&key, &value)
-        })
-    }
-
-    /// Reads the record stored under `hash` and decodes its `(hash, key,
-    /// value)` with `decode`. A record that fails the read checks or
-    /// `decode` is evicted and counted as a read error. `None` when the
-    /// hash is absent or its record was evicted.
-    fn read_checked<T>(
-        &self,
-        hash: u64,
-        decode: impl FnOnce((u64, Vec<u8>, Vec<u8>)) -> Result<T, String>,
-    ) -> Option<T> {
-        let mut inner = self.inner.lock().expect("disk cache poisoned");
-        let loc = inner.index.get(&hash).copied()?;
-        match read_record(&mut inner, loc).and_then(decode) {
-            Ok(v) => Some(v),
-            Err(e) => {
-                inner.index.remove(&hash);
-                drop(inner);
-                self.fault(
-                    "read_errors",
-                    &self.read_errors,
-                    &format!("evicted unreadable record {hash:016x}: {e}"),
-                );
-                None
             }
         }
     }
@@ -808,10 +789,7 @@ mod tests {
             (0, 0, 0)
         );
         for (key, value) in &entries {
-            // The stored key and value bytes are the ones written.
-            let entry = cache.resolve_hash(key_hash(key.as_bytes())).unwrap();
-            let record = (key.clone(), serde_json::to_string(value).unwrap());
-            assert_eq!(entry.to_record(), Ok(record));
+            // Every record reads back under its key, with the value written.
             assert_eq!(cache.get_outcome(key).as_ref(), Some(value));
         }
         assert_eq!(cache.stats().read_errors, 0);
@@ -897,8 +875,8 @@ mod tests {
     }
 
     #[test]
-    fn resolve_hash_returns_the_typed_key_and_value() {
-        let dir = temp_dir("resolve");
+    fn contains_reports_stored_keys_without_reading_them() {
+        let dir = temp_dir("contains");
         let cache = DiskCache::open(&dir).unwrap();
         let cfg = AcceleratorConfig::edge_baseline();
         let shape = LayerShape::conv(1, 8, 8, 7, 7, 3, 3, 1);
@@ -907,17 +885,18 @@ mod tests {
             mapped: FixedMapper.optimize(&shape, &cfg),
             diagnostic: None,
         };
+        assert!(!cache.contains(&key));
         cache.put_outcome(&key, &value);
-        let hash = key_hash(key.as_bytes());
-        assert!(cache.contains_hash(hash));
+        assert!(cache.contains(&key));
+        assert!(!cache.contains(&layer_key("other", &shape, &cfg).unwrap()));
+        // Neither check is lookup traffic.
+        assert_eq!((cache.stats().hits, cache.stats().misses), (0, 0));
         let entry = LayerEntry {
             mapper: "fixed-os".into(),
             shape,
             cfg,
             outcome: value,
         };
-        assert_eq!(cache.resolve_hash(hash), Some(entry.clone()));
-        assert!(cache.resolve_hash(hash ^ 1).is_none());
         // A record's key and value decode back to the same entry.
         let (k, v) = entry.to_record().unwrap();
         assert_eq!(k, key);

@@ -1503,8 +1503,8 @@ mod tests {
             .run(initial.clone());
         assert!(path.exists(), "a final snapshot must be written");
         // Resuming a *finished* run re-reports the identical result from a
-        // fresh evaluator: the replayed search is answered from the
-        // restored caches without a single point evaluation.
+        // fresh evaluator: the replayed search is assembled from the
+        // restored layer outcomes without a single mapper call.
         let fresh = CodesignEvaluator::new(edge_space(), vec![zoo::resnet18()], FixedMapper);
         let resumed = SearchSession::new(dnn_latency_model(), config)
             .evaluator(&fresh)
@@ -1519,7 +1519,7 @@ mod tests {
         assert_eq!(first.best(), resumed.best());
         assert_eq!(first.converged_after(), resumed.converged_after());
         assert_eq!(first.termination(), resumed.termination());
-        assert_eq!(fresh.cache_stats().point.misses, 0);
+        assert_eq!(fresh.cache_stats().layer.misses, 0);
         std::fs::remove_file(&path).unwrap();
     }
 

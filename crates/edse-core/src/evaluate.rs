@@ -28,32 +28,24 @@ use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-use std::time::Instant;
 use workloads::{DnnModel, LayerShape};
 
 /// A snapshot of an evaluator's memo tables, as captured by
-/// [`Evaluator::cache_snapshot`] and replayed by
-/// [`Evaluator::restore_caches`]. It holds only what cannot be re-derived:
-/// the evaluated points and the layer outcomes, each tagged with the
-/// mapper that produced it. Evaluations are not stored; the restoring
-/// evaluator re-assembles them from the layer outcomes, so a restore under
-/// other models, space, objective, tech or mapper yields that evaluator's
-/// own evaluations. Only *successful* entries are captured: failed
-/// evaluations are re-attempted after a resume (the fault may have been
-/// environmental).
+/// [`Evaluator::cache_snapshot`] and restored by
+/// [`Evaluator::restore_caches`]. It holds only what neither the disk tier
+/// nor a replay can supply: the layer outcomes the attached persistent
+/// cache lacks, each tagged with the mapper that produced it. Points and
+/// evaluations are not stored; a resumed search repeats its points and
+/// the evaluator assembles them from the warmed layer cache, so a restore
+/// under other models, space, objective, tech or mapper yields that
+/// evaluator's own evaluations. Only *successful* outcomes are captured:
+/// failed mappings are re-attempted after a resume (the fault may have
+/// been environmental).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CacheSnapshot {
-    /// The points that were evaluated successfully.
-    pub points: Vec<DesignPoint>,
     /// Layer outcomes the attached persistent cache does not hold (all of
     /// them without a disk tier).
     pub layers: Vec<LayerEntry>,
-    /// Layer outcomes resident in the attached persistent cache,
-    /// referenced by record hash instead of duplicated into the snapshot
-    /// (see [`crate::diskcache::key_hash`]). Empty without a disk tier.
-    /// A reference that no longer resolves at restore time is recomputed
-    /// on demand, like any outcome the snapshot lacks.
-    pub disk_layers: Vec<u64>,
 }
 
 /// Traffic counters for one in-memory cache tier, as reported by
@@ -146,14 +138,15 @@ pub trait Evaluator {
     /// Decodes a point into the hardware configuration it describes.
     fn decode(&self, point: &DesignPoint) -> AcceleratorConfig;
 
-    /// Captures the evaluator's completed memo entries for checkpointing.
-    /// The default (for cacheless evaluators) captures nothing.
+    /// Captures the completed layer outcomes a resume could not otherwise
+    /// recover, for checkpointing. The default (for cacheless evaluators)
+    /// captures nothing.
     fn cache_snapshot(&self) -> CacheSnapshot {
         CacheSnapshot::default()
     }
 
-    /// Pre-fills the evaluator's memo tables from a snapshot (the resume
-    /// path — call on a freshly built evaluator). The default is a no-op.
+    /// Warms the evaluator's layer cache from a snapshot (the resume path
+    /// — call on a freshly built evaluator). The default is a no-op.
     fn restore_caches(&self, snapshot: &CacheSnapshot) {
         let _ = snapshot;
     }
@@ -248,7 +241,7 @@ impl<T: Evaluator + ?Sized> Evaluator for &T {
 pub struct EvalEngine {
     /// Worker threads per batch; `None` = available parallelism.
     pub threads: Option<usize>,
-    /// Retry/deadline policy of the per-layer-mapping fault boundary.
+    /// Retry policy of the per-layer-mapping fault boundary.
     pub fault: FaultPolicy,
 }
 
@@ -269,7 +262,7 @@ impl EvalEngine {
         }
     }
 
-    /// Replaces the fault boundary's retry/deadline policy.
+    /// Replaces the fault boundary's retry policy.
     pub fn with_fault(mut self, fault: FaultPolicy) -> Self {
         self.fault = fault;
         self
@@ -368,10 +361,10 @@ impl<K: Eq + Hash + Clone, V: Clone> ShardedCache<K, V> {
     }
 
     /// Pre-fills `key` with a completed `value` (the snapshot-restore
-    /// path) without counting traffic. A no-op returning `false` when the
-    /// key already has a completed entry.
-    fn insert(&self, key: K, value: V) -> bool {
-        self.slot(&key).set(value).is_ok()
+    /// path) without counting traffic. A no-op when the key already has a
+    /// completed entry.
+    fn insert(&self, key: K, value: V) {
+        let _ = self.slot(&key).set(value);
     }
 
     /// Records one access's classification (see
@@ -664,9 +657,9 @@ impl<M: MappingOptimizer> CodesignEvaluator<M> {
     }
 
     /// Maps one layer through the fault boundary: the mapper call runs
-    /// under a panic guard (plus the optional post-hoc deadline) and is
-    /// retried per [`EvalEngine::fault`] with exponential backoff before
-    /// the failure is cached as a permanent [`EvalFault`].
+    /// under a panic guard and is retried per [`EvalEngine::fault`] with
+    /// exponential backoff before the failure is cached as a permanent
+    /// [`EvalFault`].
     ///
     /// `intra` is the worker budget the mapper may spend *inside* this one
     /// layer's tiling sweep ([`MappingOptimizer::optimize_threaded`]).
@@ -704,7 +697,6 @@ impl<M: MappingOptimizer> CodesignEvaluator<M> {
                 let policy = self.engine.fault;
                 let mut retries = 0u32;
                 loop {
-                    let started = Instant::now();
                     let attempt = fault::guard(|| {
                         let mapped = self.mapper.optimize_threaded(shape, cfg, intra);
                         let diagnostic = if mapped.is_none() {
@@ -713,13 +705,6 @@ impl<M: MappingOptimizer> CodesignEvaluator<M> {
                             None
                         };
                         LayerOutcome { mapped, diagnostic }
-                    })
-                    .and_then(|outcome| match policy.timeout {
-                        Some(limit) if started.elapsed() > limit => Err(format!(
-                            "mapping exceeded its {limit:?} deadline ({:?} elapsed)",
-                            started.elapsed()
-                        )),
-                        _ => Ok(outcome),
                     });
                     match attempt {
                         Ok(outcome) => break Ok(outcome),
@@ -834,28 +819,6 @@ impl<M: MappingOptimizer> CodesignEvaluator<M> {
             power_w: power,
             energy_mj,
         })
-    }
-
-    /// Whether `point` can be re-assembled from the layer cache alone: it
-    /// fits this evaluator's space (decoding indexes it unchecked) and
-    /// every layer it needs has a completed entry.
-    fn restorable(&self, point: &DesignPoint) -> bool {
-        let params = self.space.params();
-        let fits = point.indices().len() == params.len()
-            && point
-                .indices()
-                .iter()
-                .zip(params)
-                .all(|(&i, p)| i < p.len());
-        fits && {
-            let cfg = decode_edge_point(&self.space, point);
-            self.models.iter().all(|model| {
-                model
-                    .unique_shapes()
-                    .iter()
-                    .all(|u| self.layer_cache.is_cached(&(u.shape, cfg)))
-            })
-        }
     }
 
     /// The infeasible stand-in [`Evaluator::evaluate`] reports for a
@@ -1086,80 +1049,39 @@ impl<M: MappingOptimizer> Evaluator for CodesignEvaluator<M> {
         decode_edge_point(&self.space, point)
     }
 
+    /// Captures the successful layer outcomes the attached disk tier does
+    /// not hold (all of them without one); a resume's `map_layer` finds
+    /// the others on disk by key.
     fn cache_snapshot(&self) -> CacheSnapshot {
-        let points = self
-            .point_cache
-            .completed()
-            .into_iter()
-            .filter_map(|(k, v)| v.is_ok().then_some(k))
-            .collect();
-        // With a disk tier attached, layer entries that are resident on
-        // disk are referenced by record hash instead of duplicated into
-        // the snapshot; only disk-absent entries (e.g. computed while an
-        // append failed) are captured in full.
         let mut layers = Vec::new();
-        let mut disk_layers = Vec::new();
         for ((shape, cfg), v) in self.layer_cache.completed() {
-            let Ok(o) = v else { continue };
-            let hash = self.disk_cache.as_ref().and_then(|disk| {
+            let Ok(outcome) = v else { continue };
+            let on_disk = self.disk_cache.as_ref().is_some_and(|disk| {
                 diskcache::layer_key(&self.mapper_fingerprint, &shape, &cfg)
-                    .ok()
-                    .map(|k| diskcache::key_hash(k.as_bytes()))
-                    .filter(|&h| disk.contains_hash(h))
+                    .is_ok_and(|key| disk.contains(&key))
             });
-            match hash {
-                Some(h) => disk_layers.push(h),
-                None => layers.push(LayerEntry {
+            if !on_disk {
+                layers.push(LayerEntry {
                     mapper: self.mapper_fingerprint.clone(),
                     shape,
                     cfg,
-                    outcome: o,
-                }),
+                    outcome,
+                });
             }
         }
-        disk_layers.sort_unstable();
-        CacheSnapshot {
-            points,
-            layers,
-            disk_layers,
-        }
+        CacheSnapshot { layers }
     }
 
-    /// Restores in two steps, neither of which calls the mapper:
-    ///
-    /// 1. The layer outcomes this evaluator's mapper produced fill the
-    ///    layer cache: inline entries and the disk references that resolve
-    ///    alike. References that do not resolve (record lost to damage, no
-    ///    disk attached) and other mappers' outcomes are left out.
-    /// 2. Every snapshotted point that fits this evaluator's space and has
-    ///    all its layers cached is re-assembled from them and filled in as
-    ///    a completed entry, counted as a unique evaluation but not as
-    ///    point-cache traffic.
-    ///
-    /// Everything else is computed on demand, so what a restored evaluator
-    /// returns never depends on the snapshot's writer.
+    /// Inserts the snapshot's outcomes of this evaluator's own mapper into
+    /// the layer cache, without calling the mapper or counting traffic;
+    /// other mappers' outcomes are ignored. Nothing else is restored: a
+    /// resumed search repeats its points, and each is assembled on demand
+    /// from the warmed layer cache, so what a restored evaluator returns
+    /// never depends on the snapshot's writer.
     fn restore_caches(&self, snapshot: &CacheSnapshot) {
-        let resolved: Vec<LayerEntry> = match &self.disk_cache {
-            Some(disk) => snapshot
-                .disk_layers
-                .iter()
-                .filter_map(|&hash| disk.resolve_hash(hash))
-                .collect(),
-            None => Vec::new(),
-        };
-        for e in snapshot.layers.iter().chain(&resolved) {
+        for e in &snapshot.layers {
             if e.mapper == self.mapper_fingerprint {
                 self.layer_cache.insert((e.shape, e.cfg), Ok(e.outcome));
-            }
-        }
-        for point in &snapshot.points {
-            if !self.restorable(point) {
-                continue;
-            }
-            if let Ok(eval) = self.try_compute(point) {
-                if self.point_cache.insert(point.clone(), Ok(eval)) {
-                    self.unique_evals.fetch_add(1, Ordering::Relaxed);
-                }
             }
         }
     }
@@ -1594,7 +1516,6 @@ mod tests {
             EvalEngine::with_threads(4).with_fault(FaultPolicy {
                 max_retries: 1,
                 backoff: std::time::Duration::ZERO,
-                timeout: None,
             }),
         );
         let p = ev.space().minimum_point();
@@ -1614,9 +1535,7 @@ mod tests {
         assert_eq!(e.objective, f64::INFINITY);
         assert!(!e.feasible(ev.constraints()));
         // Failures are excluded from cache snapshots.
-        let snap = ev.cache_snapshot();
-        assert!(snap.points.is_empty());
-        assert!(snap.layers.is_empty());
+        assert!(ev.cache_snapshot().layers.is_empty());
     }
 
     #[test]
@@ -1632,7 +1551,6 @@ mod tests {
             .with_engine(EvalEngine::serial().with_fault(FaultPolicy {
                 max_retries: 2,
                 backoff: std::time::Duration::ZERO,
-                timeout: None,
             }))
             .with_telemetry(collector.clone());
         let p = ev.space().minimum_point();
@@ -1756,44 +1674,48 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_references_disk_entries_instead_of_duplicating() {
-        let dir = temp_cache_dir("snapref");
+    fn snapshot_leaves_out_the_outcomes_the_disk_tier_holds() {
+        let dir = temp_cache_dir("snapdisk");
         let p = evaluator().space().minimum_point();
+        let q = p.with_index(crate::space::edge::PES, 1);
+        let layers = zoo::resnet18().unique_shape_count();
         let disk = Arc::new(DiskCache::open(&dir).unwrap());
-        let ev = evaluator().with_disk_cache(disk.clone());
-        let before = ev.evaluate(&p);
-        let snap = ev.cache_snapshot();
+        let tally = |calls: &Arc<AtomicUsize>| {
+            CodesignEvaluator::new(
+                edge_space(),
+                vec![zoo::resnet18()],
+                TallyMapper(calls.clone()),
+            )
+            .with_disk_cache(disk.clone())
+        };
+        let cold_calls = Arc::new(AtomicUsize::new(0));
+        let cold = tally(&cold_calls);
+        let before = cold.evaluate(&p);
+        assert_eq!(cold_calls.load(Ordering::Relaxed), layers);
+        let snap = cold.cache_snapshot();
         assert!(snap.layers.is_empty(), "all layer outcomes live on disk");
-        assert_eq!(snap.disk_layers.len(), zoo::resnet18().unique_shape_count());
-        assert!(snap.disk_layers.windows(2).all(|w| w[0] < w[1]), "sorted");
 
-        // Restore into a fresh evaluator sharing the disk: the mapper is
-        // never consulted, not even through the disk-probe path (the
-        // layer cache is pre-filled by reference resolution).
-        let calls = Arc::new(AtomicUsize::new(0));
-        let fresh = CodesignEvaluator::new(
-            edge_space(),
-            vec![zoo::resnet18()],
-            TallyMapper(calls.clone()),
-        )
-        .with_disk_cache(disk.clone());
-        // TallyMapper's fingerprint differs from fixed-os, so references
-        // must be rejected for it...
-        fresh.restore_caches(&snap);
-        assert_eq!(
-            fresh.cache_stats().layer.entries,
-            0,
-            "foreign refs rejected"
-        );
-        // ...while the matching evaluator accepts them all.
-        let fresh = evaluator().with_disk_cache(disk);
-        fresh.restore_caches(&snap);
-        assert_eq!(
-            fresh.cache_stats().layer.entries,
-            zoo::resnet18().unique_shape_count()
-        );
-        assert_eq!(fresh.evaluate(&p), before);
-        drop(fresh);
+        // A fresh evaluator on the same disk restores nothing from the
+        // snapshot and still maps nothing: every layer is found on disk
+        // by key.
+        let warm_calls = Arc::new(AtomicUsize::new(0));
+        let warm = tally(&warm_calls);
+        warm.restore_caches(&snap);
+        assert_eq!(warm.evaluate(&p), before);
+        assert_eq!(warm_calls.load(Ordering::Relaxed), 0);
+        assert_eq!(warm.cache_stats().disk.unwrap().hits as usize, layers);
+
+        // Outcomes computed before a disk tier was attached are not on
+        // disk, so the snapshot keeps exactly those.
+        let ev = evaluator();
+        ev.evaluate(&p);
+        let ev = ev.with_disk_cache(disk);
+        ev.evaluate(&q);
+        let snap = ev.cache_snapshot();
+        assert_eq!(snap.layers.len(), layers);
+        let cfg = ev.decode(&p);
+        assert!(snap.layers.iter().all(|e| e.cfg == cfg));
+        drop((cold, warm, ev));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1805,11 +1727,12 @@ mod tests {
         let a = ev.evaluate(&p);
         let b = ev.evaluate(&q);
         let snap = ev.cache_snapshot();
-        assert_eq!(snap.points.len(), 2);
+        let layers = zoo::resnet18().unique_shape_count();
+        assert_eq!(snap.layers.len(), 2 * layers);
 
         /// A mapper that panics when called, posing as the fixed-dataflow
         /// mapper so the snapshot's outcomes are its own: neither the
-        /// restore nor evaluating the restored points may re-map.
+        /// restore nor evaluating the saved points may re-map.
         struct NeverMapper;
         impl MappingOptimizer for NeverMapper {
             fn optimize(&self, _: &LayerShape, _: &AcceleratorConfig) -> Option<MappedLayer> {
@@ -1825,40 +1748,27 @@ mod tests {
 
         let fresh = CodesignEvaluator::new(edge_space(), vec![zoo::resnet18()], NeverMapper);
         fresh.restore_caches(&snap);
-        assert_eq!(fresh.unique_evaluations(), 2);
-        let restored = fresh.cache_stats().point;
-        assert_eq!(
-            (restored.entries, restored.hits, restored.misses),
-            (2, 0, 0)
-        );
+        // The restore fills the layer cache only: points are assembled
+        // when they are asked for, each once.
+        assert_eq!(fresh.unique_evaluations(), 0);
+        assert_eq!(fresh.cache_stats().layer.entries, 2 * layers);
         assert_eq!(fresh.evaluate(&p), a);
         assert_eq!(fresh.evaluate(&q), b);
         assert_eq!(fresh.unique_evaluations(), 2);
-        assert_eq!(fresh.cache_stats().point.misses, 0);
-    }
+        let stats = fresh.cache_stats();
+        assert_eq!((stats.point.misses, stats.point.hits), (2, 0));
+        assert_eq!(
+            (stats.layer.misses, stats.layer.hits),
+            (0, 2 * layers as u64)
+        );
 
-    #[test]
-    fn restore_skips_points_it_cannot_reassemble() {
-        let ev = evaluator();
-        let p = ev.space().minimum_point();
-        let a = ev.evaluate(&p);
-        let mut snap = ev.cache_snapshot();
-        let mut wide = p.indices().to_vec();
-        wide.push(0);
-        snap.points.extend([
-            // Wrong arity and an index past its parameter's range: decoding
-            // either would index out of bounds.
-            DesignPoint::new(Vec::new()),
-            DesignPoint::new(wide),
-            p.with_index(crate::space::edge::PES, 10_000),
-            // Fits the space, but its layers were never mapped.
-            p.with_index(crate::space::edge::PES, 1),
-        ]);
-        let fresh = evaluator();
-        fresh.restore_caches(&snap);
-        assert_eq!(fresh.unique_evaluations(), 1);
-        assert_eq!(fresh.cache_stats().point.entries, 1);
-        assert_eq!(fresh.evaluate(&p), a);
-        assert_eq!(fresh.cache_stats().point.misses, 0);
+        // Another mapper's outcomes are ignored.
+        let other = CodesignEvaluator::new(
+            edge_space(),
+            vec![zoo::resnet18()],
+            TallyMapper(Arc::new(AtomicUsize::new(0))),
+        );
+        other.restore_caches(&snap);
+        assert_eq!(other.cache_stats().layer.entries, 0);
     }
 }

@@ -1,35 +1,26 @@
-//! The evaluation fault boundary: a panic guard, the retry/deadline
-//! policy, and the permanent-failure record surfaced to the search.
+//! The evaluation fault boundary: a panic guard, the retry policy, and
+//! the permanent-failure record surfaced to the search.
 //!
-//! Long campaigns must survive a misbehaving mapper: a panic (or an
-//! over-deadline computation) inside one candidate's evaluation is caught
-//! at the per-layer mapping boundary, retried with bounded exponential
-//! backoff, and — once retries are exhausted — degraded into an
-//! [`EvalFault`] that the search records as a failed attempt instead of
-//! aborting. See [`crate::evaluate`] for where the guard is applied and
-//! [`crate::dse::Attempt::Failed`] for how failures surface in results.
+//! Long campaigns must survive a misbehaving mapper: a panic inside one
+//! candidate's evaluation is caught at the per-layer mapping boundary,
+//! retried with bounded exponential backoff, and — once retries are
+//! exhausted — degraded into an [`EvalFault`] that the search records as
+//! a failed attempt instead of aborting. See [`crate::evaluate`] for where
+//! the guard is applied and [`crate::dse::Attempt::Failed`] for how
+//! failures surface in results.
 
 use std::time::Duration;
 
-/// Retry and deadline policy of the evaluation fault boundary, configured
-/// on [`crate::evaluate::EvalEngine`].
-///
-/// The deadline is enforced *post hoc*: a mapping whose computation ran
-/// past `timeout` has its result discarded and counts as a failed attempt.
-/// (Pre-emptively interrupting an uncooperative computation would require
-/// abandoning threads; the boundary instead bounds which results are
-/// accepted.) Timeouts are therefore wall-clock dependent — deterministic
-/// resume guarantees hold for the default `timeout: None`.
+/// Retry policy of the evaluation fault boundary, configured on
+/// [`crate::evaluate::EvalEngine`]. No part of it reads the clock, so
+/// whether a mapping succeeds never depends on machine speed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultPolicy {
-    /// Retries after the first failed attempt (panics and timeouts alike).
+    /// Retries after the first failed attempt.
     pub max_retries: u32,
     /// Sleep before retry `k` is `backoff * 2^k`; [`Duration::ZERO`]
     /// disables sleeping (useful in tests).
     pub backoff: Duration,
-    /// Per-layer-mapping wall-clock deadline; `None` (the default) accepts
-    /// results regardless of how long they took.
-    pub timeout: Option<Duration>,
 }
 
 impl Default for FaultPolicy {
@@ -37,7 +28,6 @@ impl Default for FaultPolicy {
         FaultPolicy {
             max_retries: 2,
             backoff: Duration::from_millis(10),
-            timeout: None,
         }
     }
 }
@@ -49,7 +39,6 @@ impl FaultPolicy {
         FaultPolicy {
             max_retries: 0,
             backoff: Duration::ZERO,
-            timeout: None,
         }
     }
 
@@ -65,7 +54,7 @@ impl FaultPolicy {
 /// the candidate instead of aborting the search.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EvalFault {
-    /// Human-readable cause: the panic message or the missed deadline.
+    /// Human-readable cause: the panic message.
     pub error: String,
     /// How many retries were spent before giving up.
     pub retries: u32,

@@ -32,18 +32,18 @@
 //!
 //! Checkpoint/resume policy comes from a [`JobSpec`] applied with
 //! [`SearchSession::spec`] (or [`SearchDriver::spec`]): the driver then
-//! snapshots the evaluator caches every `checkpoint_every` steps, at
-//! completion and on cancel, and with `resume` it restores them and steps
-//! a fresh technique from the start, bit-for-bit identically to the
-//! uninterrupted run. See `DESIGN.md` ("Snapshot format") and the README's
-//! "Resuming an interrupted run".
+//! snapshots the evaluator's layer outcomes every `checkpoint_every`
+//! steps, at completion and on cancel, and with `resume` it restores them
+//! and steps a fresh technique from the start, bit-for-bit identically to
+//! the uninterrupted run. See `DESIGN.md` ("Snapshot format") and the
+//! README's "Resuming an interrupted run".
 //!
 //! For *cross-run* (rather than crash-recovery) reuse, attach a persistent
 //! disk cache to the evaluator before handing it to the session
 //! ([`crate::CodesignEvaluator::with_disk_cache`]): layer mappings are then
-//! warm-started from disk across processes, checkpoints reference the
-//! disk-resident entries instead of duplicating them, and a warm run stays
-//! bit-identical to a cold one. See the README's "Warm-starting runs".
+//! warm-started from disk across processes, checkpoints leave the
+//! disk-resident outcomes out, and a warm run stays bit-identical to a
+//! cold one. See the README's "Warm-starting runs".
 
 use crate::bottleneck::dnn::LayerCtx;
 use crate::bottleneck::model::BottleneckModel;
@@ -110,14 +110,14 @@ pub enum StepOutcome {
 /// Between steps the driver is an inert value: it can be parked in a job
 /// table, moved across threads, snapshotted, or dropped.
 ///
-/// With a checkpoint path the driver saves a snapshot — the evaluator
-/// caches, tagged with the technique label and budget — every
-/// `checkpoint_every` steps, at termination, and on cancel. A technique's
-/// state is a pure function of its seed, its budget and the outcomes it
-/// has observed, and the caches hold those outcomes, so a resume restores
-/// the caches and steps a fresh technique from the start: every completed
-/// evaluation is a cache hit, and the trace is bit-identical to the
-/// uninterrupted run's.
+/// With a checkpoint path the driver saves a snapshot — the layer
+/// outcomes the evaluator's disk tier lacks, tagged with the technique
+/// label and budget — every `checkpoint_every` steps, at termination, and
+/// on cancel. A technique's state is a pure function of its seed, its
+/// budget and the outcomes it has observed, so a resume restores the
+/// layer outcomes and steps a fresh technique from the start: every point
+/// it repeats is assembled without a mapper call, and the trace is
+/// bit-identical to the uninterrupted run's.
 pub struct SearchDriver<'t, E> {
     technique: Box<dyn DseTechnique + 't>,
     evaluator: E,
@@ -167,7 +167,8 @@ impl<'t, E: Evaluator> SearchDriver<'t, E> {
 
     /// Applies the checkpoint path, snapshot cadence (in steps) and resume
     /// policy of a [`JobSpec`]. With `resume` set and the snapshot file
-    /// present, the snapshot's caches are restored into the evaluator.
+    /// present, the snapshot's layer outcomes are restored into the
+    /// evaluator.
     ///
     /// # Errors
     ///
@@ -199,15 +200,16 @@ impl<'t, E: Evaluator> SearchDriver<'t, E> {
                 snapshot.budget, self.budget
             ));
         }
-        let before = self.evaluator.unique_evaluations();
+        let layers = |ev: &E| ev.cache_stats().layer.entries;
+        let before = layers(&self.evaluator);
         self.evaluator.restore_caches(&snapshot.caches);
-        let restored = self.evaluator.unique_evaluations().saturating_sub(before);
+        let restored = layers(&self.evaluator).saturating_sub(before);
         self.telemetry.log(
             Level::Info,
             &format!(
-                "resumed {name} from {}: re-derived {restored} of {} snapshotted evaluations",
+                "resumed {name} from {}: restored {restored} of {} snapshotted layer outcomes",
                 path.display(),
-                snapshot.caches.points.len()
+                snapshot.caches.layers.len()
             ),
         );
         Ok(self)

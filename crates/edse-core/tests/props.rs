@@ -13,9 +13,9 @@ use edse_core::dse::{Attempt, DseConfig, DseResult};
 use edse_core::evaluate::{CacheSnapshot, CodesignEvaluator, EvalEngine, Evaluator};
 use edse_core::fault::{EvalFault, FaultPolicy};
 use edse_core::space::{edge_space, DesignPoint, DesignSpace, ParamDef};
-use edse_core::{load_snapshot, DiskCache, DiskCacheStats, JobSpec, LayerEntry, SearchSession};
+use edse_core::{load_snapshot, DiskCache, DiskCacheStats, JobSpec, LayerOutcome, SearchSession};
 use edse_telemetry::{Collector, MemorySink};
-use mapper::{FaultInjector, FixedMapper};
+use mapper::{FaultInjector, FixedMapper, MappingOptimizer};
 use proptest::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -397,7 +397,6 @@ proptest! {
         let policy = FaultPolicy {
             max_retries: 2,
             backoff: std::time::Duration::ZERO,
-            timeout: None,
         };
         let engine = if parallel {
             EvalEngine::with_threads(4).with_fault(policy)
@@ -569,7 +568,7 @@ enum Mutation {
     /// XOR the byte at `at` with a non-zero `mask`.
     Flip { at: usize, mask: u8 },
     /// Overwrite the `nth` ASCII digit with `digit`: the document still
-    /// parses, but design-point indices and layer records change.
+    /// parses, but numbers in it change.
     Digit { nth: usize, digit: u8 },
     /// Cut the file at `at`.
     Truncate { at: usize },
@@ -624,8 +623,8 @@ impl Mutation {
 }
 
 fn arb_mutation() -> impl Strategy<Value = Mutation> {
-    // The first few dozen digits are the envelope's and the points'; the
-    // rest belong to the layer records.
+    // In a snapshot the first few digits are the envelope's; the rest
+    // belong to the layer records.
     let nth = prop_oneof![0usize..48, 0usize..1 << 20];
     prop_oneof![
         (0usize..1 << 20, 1u8..=255).prop_map(|(at, mask)| Mutation::Flip { at, mask }),
@@ -668,7 +667,7 @@ proptest! {
     /// The snapshot decoder under damaged bytes: flipped, overwritten,
     /// truncated, spliced and deeply nested files either load or fail with
     /// an error, and restoring whatever loads into a fresh evaluator
-    /// never panics, whatever points or layer records it carries.
+    /// never panics, whatever layer records it carries.
     #[test]
     fn damaged_snapshots_load_or_fail_and_restore_without_panicking(
         mutations in collection::vec(arb_mutation(), 1..4),
@@ -684,7 +683,7 @@ proptest! {
         if let Ok(snapshot) = loaded {
             let ev = fresh_evaluator(false);
             ev.restore_caches(&snapshot.caches);
-            prop_assert!(ev.unique_evaluations() <= snapshot.caches.points.len());
+            prop_assert!(ev.cache_stats().layer.entries <= snapshot.caches.layers.len());
         }
     }
 }
@@ -753,8 +752,8 @@ fn arb_segment_mutation() -> impl Strategy<Value = (usize, Mutation)> {
 struct SegmentSource {
     /// `(file name, bytes)` per segment, in creation order.
     segments: Vec<(std::ffi::OsString, Vec<u8>)>,
-    /// `(record hash, canonical key, decoded entry)` per record.
-    records: Vec<(u64, String, LayerEntry)>,
+    /// `(canonical key, outcome)` per record.
+    records: Vec<(String, LayerOutcome)>,
     cold: DseResult,
 }
 
@@ -765,22 +764,27 @@ fn segment_source() -> &'static SegmentSource {
         let (cold, _) = disk_cached_search(&cold_dir, 0);
         let _ = std::fs::remove_dir_all(&cold_dir);
 
+        // The runs' layer keys: every unique layer of every sampled point.
         let dir = temp_cache_dir("mutation-source");
-        let mut hashes = Vec::new();
+        let mut keys = Vec::new();
         for budget in [10, 20] {
-            let (_, ev) = disk_cached_run(&dir, budget, 0);
-            hashes.extend(ev.cache_snapshot().disk_layers);
+            let (result, ev) = disk_cached_run(&dir, budget, 0);
+            for sample in &result.trace().samples {
+                let cfg = ev.decode(&sample.point);
+                for u in zoo::resnet18().unique_shapes() {
+                    keys.push(layer_key(&FixedMapper.fingerprint(), &u.shape, &cfg).unwrap());
+                }
+            }
         }
-        hashes.sort_unstable();
-        hashes.dedup();
+        keys.sort_unstable();
+        keys.dedup();
         let disk = DiskCache::open(&dir).expect("reopen the source directory");
-        assert_eq!(hashes.len(), disk.stats().entries, "every record is listed");
-        let records = hashes
+        assert_eq!(keys.len(), disk.stats().entries, "every record is listed");
+        let records = keys
             .into_iter()
-            .map(|hash| {
-                let entry = disk.resolve_hash(hash).expect("an intact record resolves");
-                let key = layer_key(&entry.mapper, &entry.shape, &entry.cfg).unwrap();
-                (hash, key, entry)
+            .map(|key| {
+                let outcome = disk.get_outcome(&key).expect("an intact record reads back");
+                (key, outcome)
             })
             .collect();
         let segments: Vec<_> = segment_files(&dir)
@@ -810,7 +814,7 @@ proptest! {
     /// bytes: flipped, truncated, spliced over each other, or with a
     /// rewritten header, two segments still open without an error or a
     /// panic. Every written record then reads back exactly or not at all,
-    /// through both lookups, and a warm search equals the cold run.
+    /// and a warm search equals the cold run.
     #[test]
     fn damaged_segments_read_back_exactly_or_miss(
         damage in collection::vec(arb_segment_mutation(), 1..4),
@@ -827,19 +831,10 @@ proptest! {
             std::fs::write(dir.join(name), bytes).unwrap();
         }
 
-        // Separate opens, so one lookup's evictions cannot hide a record
-        // from the other.
         let disk = DiskCache::open(&dir).expect("a damaged directory opens");
-        for (hash, _, entry) in &source.records {
-            if let Some(got) = disk.resolve_hash(*hash) {
-                prop_assert_eq!(&got, entry);
-            }
-        }
-        drop(disk);
-        let disk = DiskCache::open(&dir).expect("a damaged directory opens");
-        for (_, key, entry) in &source.records {
+        for (key, outcome) in &source.records {
             if let Some(got) = disk.get_outcome(key) {
-                prop_assert_eq!(got, entry.outcome);
+                prop_assert_eq!(&got, outcome);
             }
         }
         drop(disk);

@@ -1,6 +1,6 @@
 //! A resume equals a straight run of the resuming spec. A snapshot stores
-//! the evaluated points and the layer outcomes tagged with their mapper,
-//! not evaluations, so an evaluator with other models or another mapper
+//! only layer outcomes tagged with their mapper, not points or
+//! evaluations, so an evaluator with other models or another mapper
 //! derives its own evaluations instead of replaying the writer's.
 
 use edse_core::bottleneck::dnn_latency_model;
@@ -12,7 +12,7 @@ use std::path::{Path, PathBuf};
 use workloads::{zoo, DnnModel};
 
 /// Runs the explainable search (budget 12, seed 7) under `spec`; returns
-/// the result and the evaluator's point-cache misses.
+/// the result and the evaluator's layer-cache misses (its mapper calls).
 fn run<M: MappingOptimizer>(models: Vec<DnnModel>, mapper: M, spec: &JobSpec) -> (DseResult, u64) {
     let ev = CodesignEvaluator::new(edge_space(), models, mapper);
     let config = DseConfig {
@@ -24,7 +24,7 @@ fn run<M: MappingOptimizer>(models: Vec<DnnModel>, mapper: M, spec: &JobSpec) ->
         .evaluator(&ev)
         .spec(spec)
         .run(ev.space().minimum_point());
-    (result, ev.cache_stats().point.misses)
+    (result, ev.cache_stats().layer.misses)
 }
 
 fn temp_path(tag: &str) -> PathBuf {
@@ -61,7 +61,7 @@ fn a_resume_equals_a_straight_run_of_the_resuming_spec() {
     let straight = JobSpec::default();
 
     // (a) Other models: the writer's layer outcomes are the fixed mapper's
-    // too, but no snapshotted point has all of MobileNetV2's layers.
+    // too, but they hold none of MobileNetV2's layers.
     let spec = resume_from(&snapshot, "models");
     let (resumed, _) = run(vec![zoo::mobilenet_v2()], FixedMapper, &spec);
     let (own, _) = run(vec![zoo::mobilenet_v2()], FixedMapper, &straight);
@@ -77,8 +77,8 @@ fn a_resume_equals_a_straight_run_of_the_resuming_spec() {
     assert_ne!(own.trace().samples, written.trace().samples);
     std::fs::remove_file(spec.checkpoint.unwrap()).unwrap();
 
-    // (c) The unchanged spec re-derives every evaluation from the snapshot
-    // and evaluates nothing.
+    // (c) The unchanged spec assembles every evaluation from the restored
+    // layer outcomes and maps nothing.
     let spec = resume_from(&snapshot, "same");
     let (resumed, misses) = run(vec![zoo::resnet18()], FixedMapper, &spec);
     assert_eq!(resumed.trace().samples, written.trace().samples);

@@ -25,6 +25,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Component, Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
+use std::time::Duration;
 
 /// Where a job is in its lifecycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,6 +64,9 @@ impl JobState {
     }
 }
 
+/// The longest [`EventBuffer::wait_from`] blocks.
+const WAIT_LIMIT: Duration = Duration::from_secs(1);
+
 /// Append-only JSONL buffer of one job's iteration records, shared
 /// between the job's telemetry sink and any number of `GET /events`
 /// streamers. Closed exactly once, when the job reaches a terminal state.
@@ -91,14 +95,19 @@ impl EventBuffer {
         self.grew.notify_all();
     }
 
-    /// Lines `[from..]`, blocking until there is something new or the
-    /// buffer is closed. Returns the new lines and whether the stream is
-    /// over (closed and fully drained).
+    /// Lines `[from..]`, blocking until there is something new, the
+    /// buffer is closed, or a second passes. Returns the new lines
+    /// (none after a timeout) and whether the stream is over (closed and
+    /// fully drained). The limit lets a streamer check on its client while
+    /// a job writes nothing; a push still wakes it at once.
     pub fn wait_from(&self, from: usize) -> (Vec<String>, bool) {
-        let mut lines = self.lines.lock().expect("event buffer poisoned");
-        while lines.0.len() <= from && !lines.1 {
-            lines = self.grew.wait(lines).expect("event buffer poisoned");
-        }
+        let lines = self.lines.lock().expect("event buffer poisoned");
+        let (lines, _) = self
+            .grew
+            .wait_timeout_while(lines, WAIT_LIMIT, |(lines, closed)| {
+                lines.len() <= from && !*closed
+            })
+            .expect("event buffer poisoned");
         let new: Vec<String> = lines.0[from.min(lines.0.len())..].to_vec();
         let over = lines.1;
         (new, over)

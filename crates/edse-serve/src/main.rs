@@ -70,7 +70,9 @@ fn parse_args() -> Result<Args, String> {
                      --threads N       scheduler worker threads leasing job steps\n\
                      \u{20}                 (default 2); evaluation itself runs on the\n\
                      \u{20}                 process-wide executor pool shared by all tenants\n\
-                     --http-threads N  HTTP handler threads (default 4)\n\
+                     --http-threads N  HTTP handler threads (default 4); a client that\n\
+                     \u{20}                 keeps an event stream open holds one, also\n\
+                     \u{20}                 while its job is paused or queued\n\
                      --eval-threads N  per-step evaluation-engine budget on the shared\n\
                      \u{20}                 pool (default: all cores, bounded by\n\
                      \u{20}                 EDSE_TEST_THREADS; 1 = serial)\n\

@@ -229,7 +229,8 @@ fn route(stream: &mut TcpStream, request: &Request, registry: &Registry) {
 
 /// Streams a job's iteration records as chunked JSONL, blocking on the
 /// event buffer until the job reaches a terminal state or the client
-/// hangs up.
+/// hangs up. A write notices a hang-up; while the job writes nothing
+/// (paused, or not yet scheduled), a peek after every timed-out wait does.
 fn stream_events(stream: &mut TcpStream, registry: &Registry, id: u64) {
     let Some(events) = registry.events(id) else {
         respond_json(stream, 404, &error_body(&format!("no job {id}")));
@@ -241,6 +242,9 @@ fn stream_events(stream: &mut TcpStream, registry: &Registry, id: u64) {
     let mut cursor = 0usize;
     loop {
         let (lines, over) = events.wait_from(cursor);
+        if lines.is_empty() && !over && client_gone(stream) {
+            return;
+        }
         cursor += lines.len();
         for line in &lines {
             let mut chunk = line.clone();
@@ -254,4 +258,21 @@ fn stream_events(stream: &mut TcpStream, registry: &Registry, id: u64) {
         }
     }
     let _ = end_chunks(stream);
+}
+
+/// Whether the client closed its end of the connection: a non-blocking
+/// peek reads end of stream (or fails). A client that keeps the
+/// connection open reads as present, so it still holds its handler.
+fn client_gone(stream: &TcpStream) -> bool {
+    let peeked = stream
+        .set_nonblocking(true)
+        .and_then(|()| stream.peek(&mut [0u8; 1]));
+    let gone = match peeked {
+        Ok(n) => n == 0,
+        Err(e) => !matches!(
+            e.kind(),
+            std::io::ErrorKind::WouldBlock | std::io::ErrorKind::Interrupted
+        ),
+    };
+    gone || stream.set_nonblocking(false).is_err()
 }

@@ -3,7 +3,8 @@
 //! robustness under a random pause/resume/cancel storm, determinism of a
 //! paused-and-resumed job against a straight-through run, served
 //! checkpoints confined to the cache directory, an HTTP smoke over a real
-//! socket, and the `edse-serve` binary driven end to end.
+//! socket, bounded handlers (hostile heads, silent, trickling and hung-up
+//! clients), and the `edse-serve` binary driven end to end.
 
 use edse_core::evaluate::EvalEngine;
 use edse_core::{CancelToken, DiskCache, JobSpec, StepOutcome};
@@ -595,6 +596,45 @@ fn idle_connection_does_not_stop_the_next_request() {
     );
     assert!(started.elapsed() < std::time::Duration::from_secs(20));
     drop(idle);
+    server.stop();
+}
+
+#[test]
+fn a_dropped_event_stream_frees_its_handler() {
+    use std::time::Duration;
+    // One handler and no scheduler workers: the submitted job stays
+    // queued, so its event stream gets no record and never ends.
+    let registry = Registry::new(EvalEngine::serial(), None, None, Collector::noop());
+    let server = Server::start("127.0.0.1:0", 1, Arc::clone(&registry), Vec::new()).expect("start");
+    let addr = server.addr();
+    let id = registry.submit(toy_spec("random", 5, 1)).expect("submit");
+    let mut events = TcpStream::connect(addr).expect("connect events");
+    events
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("client timeout");
+    write!(events, "GET /jobs/{id}/events HTTP/1.1\r\nHost: t\r\n\r\n").expect("send");
+    // The stream's head arrives, so the handler is inside the stream.
+    let mut head = [0u8; 12];
+    events.read_exact(&mut head).expect("stream head");
+    assert_eq!(&head, b"HTTP/1.1 200");
+    drop(events);
+
+    // A bounded client: a handler still held by the dropped stream fails
+    // this request at its timeout instead of hanging the test.
+    let mut probe = TcpStream::connect(addr).expect("connect probe");
+    probe
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("client timeout");
+    probe
+        .write_all(b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n")
+        .expect("send probe");
+    let mut raw = Vec::new();
+    let answered = probe.read_to_end(&mut raw);
+    let text = String::from_utf8_lossy(&raw);
+    assert!(
+        answered.is_ok() && text.starts_with("HTTP/1.1 200"),
+        "healthz went unanswered behind a dropped event stream: {answered:?} {text:?}"
+    );
     server.stop();
 }
 

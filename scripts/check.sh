@@ -52,6 +52,16 @@ if [ -n "$dirty" ]; then
     echo "commit the recorded counterexample seeds (or fix and remove them)" >&2
     exit 1
 fi
+# The vendored proptest replays only proptest-regressions/<file stem>.txt;
+# upstream's per-source `<file>.proptest-regressions` files are never read,
+# so a counterexample recorded in one is silently never re-run.
+unread="$(find crates -name '*.proptest-regressions')"
+if [ -n "$unread" ]; then
+    echo "regression files the vendored proptest never reads:" >&2
+    echo "$unread" >&2
+    echo "turn each case into a unit test (or a proptest-regressions/ seed) and delete the file" >&2
+    exit 1
+fi
 
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace -- -D warnings
