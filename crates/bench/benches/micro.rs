@@ -38,10 +38,11 @@ fn bench_mapping_space(c: &mut Criterion) {
         b.iter(|| black_box(m.optimize(&l, &cfg)))
     });
     // The evaluation fast path's headline single-thread number: one full
-    // linear mapping of one layer (space + 9 orderings per tiling). Warm
-    // memo: `optimize` takes its space from the process-wide
-    // `MappingSpace::build_shared` memo, so every iteration after the
-    // first is a memo hit and this series measures the sweep alone.
+    // linear mapping of one layer (space + 9 orderings per tiling, up to
+    // the sweep's compute-floor stop). Warm memo: `optimize` takes its
+    // space from the process-wide `MappingSpace::build_shared` memo, so
+    // every iteration after the first is a memo hit and this series
+    // measures the sweep alone.
     c.bench_function("mapper/linear_layer", |b| {
         let m = LinearMapper::new(100);
         b.iter(|| black_box(m.optimize(&l, &cfg)))

@@ -524,4 +524,93 @@ mod tests {
             );
         }
     }
+
+    /// The checked-in bounded-sweep record stays schema-valid and keeps
+    /// documenting the acceptance bar: stopping each layer's tiling sweep
+    /// at the compute floor makes the end-to-end `codesign_cold` benchmark
+    /// at least 1.3x faster from a cold memo, in ten alternating pairs as
+    /// well as in the recorded medians, through a shorter sweep on the
+    /// same mapper calls and spaces; the traced ledger covers the
+    /// wall-clock on both sides, and every recorded budget-one work count
+    /// prepared fewer tilings than it was offered.
+    #[test]
+    fn recorded_bounded_sweep_bench_report_parses_and_holds_the_bar() {
+        let path = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../results/json/bench_bounded_sweep.json"
+        );
+        let text = std::fs::read_to_string(path).expect("results/json/bench_bounded_sweep.json");
+        let doc = edse_telemetry::json::parse(text.trim()).expect("valid JSON");
+        assert_eq!(
+            doc.get("schema").and_then(Json::as_str),
+            Some(REPORT_SCHEMA)
+        );
+        let config = doc.get("config").expect("config");
+        assert_eq!(
+            config.get("memo_at_start").and_then(Json::as_str),
+            Some("cold"),
+            "the record must state the memo temperature"
+        );
+        for state in ["disk_tier", "pool_budget", "host_cpus", "host_steal_s"] {
+            assert!(config.get(state).is_some(), "config must record {state}");
+        }
+        let metric = |name: &str| {
+            doc.get("metrics")
+                .and_then(|m| m.get(name))
+                .and_then(Json::as_f64)
+                .unwrap_or_else(|| panic!("missing metric {name}"))
+        };
+        let speedup = metric("codesign_cold/wall_speedup");
+        assert!(
+            speedup >= 1.3,
+            "recorded wall speedup {speedup} below the 1.3x bar"
+        );
+        let (before, after) = (
+            metric("codesign_cold/before/wall_s"),
+            metric("codesign_cold/after/wall_s"),
+        );
+        assert!(
+            (before / after - speedup).abs() < 0.01,
+            "speedup ratio drifted"
+        );
+        // The pairing rule: the change wins at least nine in ten
+        // alternating pairs, and the medians differ by more than the
+        // parent's interquartile range.
+        let pairs = metric("codesign_cold/pairs/count");
+        assert!(pairs >= 10.0, "at least ten pairs, got {pairs}");
+        assert!(metric("codesign_cold/pairs/wins") >= 0.9 * pairs);
+        let gap = metric("codesign_cold/pairs/before_wall_s_median")
+            - metric("codesign_cold/pairs/after_wall_s_median");
+        let spread = metric("codesign_cold/pairs/before_wall_s_q3")
+            - metric("codesign_cold/pairs/before_wall_s_q1");
+        assert!(
+            gap > spread,
+            "median gain {gap} within the parent's spread {spread}"
+        );
+        for same in ["mapper.calls", "space.tilings"] {
+            assert_eq!(
+                metric(&format!("codesign_cold/before/{same}")),
+                metric(&format!("codesign_cold/after/{same}")),
+                "only the work inside each sweep may change ({same})"
+            );
+        }
+        assert!(
+            metric("codesign_cold/after/sweep.s") < metric("codesign_cold/before/sweep.s"),
+            "the gain must come from the sweep"
+        );
+        for side in ["before", "after"] {
+            let coverage = metric(&format!("codesign_cold/{side}/trace.coverage"));
+            assert!(
+                coverage >= 0.95,
+                "{side}: traced layers cover {coverage} of the wall-clock, below 0.95"
+            );
+        }
+        for seed in 0..4 {
+            let count = |name: &str| metric(&format!("codesign_cold/work/seed{seed}/{name}"));
+            assert!(
+                count("tilings_prepared") < count("tilings"),
+                "seed {seed}: the bounded sweep skipped no tiling"
+            );
+        }
+    }
 }

@@ -416,8 +416,9 @@ impl Registry {
     /// Merged Prometheus exposition: the server collector plus every
     /// job's `job<id>/`-prefixed collector (terminal jobs included — a
     /// scrape after completion still sees the run's totals), plus the
-    /// process-wide executor pool's and space memo's cumulative counters
-    /// (both are shared by all tenants, so these are server-level series).
+    /// process-wide executor pool's, space memo's and mapping sweeps'
+    /// cumulative counters (all shared by every tenant, so these are
+    /// server-level series).
     pub fn prometheus_text(&self) -> String {
         let mut counters = self.server_telemetry.counters();
         let mut histograms: Vec<HistogramSummary> = self.server_telemetry.histograms();
@@ -439,6 +440,11 @@ impl Registry {
         counters.insert("space_memo/misses".to_string(), memo.misses);
         counters.insert("space_memo/inflight_waits".to_string(), memo.inflight_waits);
         counters.insert("space_memo/evictions".to_string(), memo.evictions);
+        let sweep = mapper::sweep_stats();
+        counters.insert("sweep/sweeps".to_string(), sweep.sweeps);
+        counters.insert("sweep/floor_stops".to_string(), sweep.floor_stops);
+        counters.insert("sweep/tilings".to_string(), sweep.tilings);
+        counters.insert("sweep/tilings_prepared".to_string(), sweep.tilings_prepared);
         export::prometheus_text(&counters, &histograms)
     }
 

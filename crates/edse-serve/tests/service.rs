@@ -278,8 +278,8 @@ fn short_tenant_completes_while_long_sweep_tenant_runs() {
         Some(false),
         "long sweep tenant should still be running when the short one finishes"
     );
-    // The shared pool's and space memo's counters are server-level series
-    // in /metrics.
+    // The shared pool's, space memo's and sweeps' counters are
+    // server-level series in /metrics.
     let metrics = registry.prometheus_text();
     for needle in [
         "executor_spawn_avoided",
@@ -289,6 +289,10 @@ fn short_tenant_completes_while_long_sweep_tenant_runs() {
         "space_memo_misses",
         "space_memo_inflight_waits",
         "space_memo_evictions",
+        "sweep_sweeps",
+        "sweep_floor_stops",
+        "sweep_tilings",
+        "sweep_tilings_prepared",
     ] {
         assert!(metrics.contains(needle), "missing {needle} in:\n{metrics}");
     }
@@ -850,6 +854,7 @@ fn the_binary_runs_controls_and_reports_jobs_end_to_end() {
         "edse_job1_",
         "edse_job2_",
         "edse_space_memo_hits",
+        "edse_sweep_tilings_prepared",
     ] {
         assert!(metrics.contains(needle), "missing {needle}:\n{metrics}");
     }

@@ -41,7 +41,7 @@ pub use optimize::{
 };
 pub use size::{layer_space_size, SpaceSize};
 pub use space::{space_cache_stats, MappingSpace, SpaceBudget, SpaceCacheStats, Thresholds};
-pub use sweep::SweepConf;
+pub use sweep::{sweep_stats, SweepConf, SweepStats};
 
 #[cfg(test)]
 mod props;

@@ -431,9 +431,10 @@ impl MappingOptimizer for FixedMapper {
 }
 
 /// Linear exploration of the pruned top-`N` space (dMazeRunner style):
-/// every tiling in the space is evaluated under all nine orderings,
+/// the space's tilings are evaluated in order under all nine orderings,
 /// through the batched SoA kernel ([`accel_model::TilingBatch`] via
-/// [`crate::sweep`]).
+/// [`crate::sweep`]), up to the first chunk whose winner reaches the
+/// compute floor; no later tiling can beat that winner.
 #[derive(Debug, Clone, Copy)]
 pub struct LinearMapper {
     budget: SpaceBudget,
@@ -623,7 +624,9 @@ fn neighbor_tiling(layer: &LayerShape, t: &Tiling, rng: &mut StdRng) -> Tiling {
 }
 
 /// Timeloop-style random search: samples `trials` random valid-factorization
-/// tilings; each sampled tiling is evaluated under all nine orderings.
+/// tilings, which are evaluated in sample order under all nine orderings up
+/// to the first chunk whose winner reaches the compute floor (see
+/// [`crate::sweep`]).
 #[derive(Debug, Clone, Copy)]
 pub struct RandomMapper {
     trials: usize,

@@ -270,49 +270,86 @@ proptest! {
         }
     }
 
-    /// The chunked/threaded sweep is bit-identical to the serial scan for
-    /// every thread count and chunk size, over random shapes and the
-    /// degenerate spaces (single tiling, empty, all-infeasible).
+    /// The bounded sweep is bit-identical to the unbounded oracle, the
+    /// materialized winner of the serial `sweep_scores` scan (itself
+    /// checked against the serial `best_ordering` scan), for every thread
+    /// count, chunk size and claim order. Besides spaces of random shapes
+    /// and the degenerate slices (single tiling, empty), the inputs cover
+    /// the compute-floor stop's edge cases: a floor tiling that is
+    /// NoC-infeasible (the baseline's widest tilings on the starved
+    /// config), floor tilings repeated across chunks (the earliest wins),
+    /// a lone floor tiling in the last chunk, and raw random tilings, some
+    /// over the PE count. `sweep_scores` itself is unbounded and matches
+    /// across configurations cost for cost.
     #[test]
-    fn sweep_matches_serial_for_random_shapes(layer in arb_layer(), seed in 0u64..50) {
-        let confs = [
-            SweepConf::with_threads(2).chunked(3),
-            SweepConf::with_threads(3).chunked(1),
-            SweepConf::with_threads(2).chunked(1000),
-        ];
+    fn sweep_matches_serial_for_random_shapes(
+        layer in arb_layer(),
+        seed in 0u64..50,
+        perturbation in 1u64..u64::MAX,
+    ) {
+        let confs: Vec<SweepConf> = [1, 2, 3]
+            .into_iter()
+            .flat_map(|t| [1, 3, 64, 1000].map(|c| SweepConf::with_threads(t).chunked(c)))
+            .collect();
         let mut rng = StdRng::seed_from_u64(seed);
-        let randoms: Vec<_> = (0..3).map(|_| random_tiling(&layer, &mut rng)).collect();
-        for cfg in [AcceleratorConfig::edge_baseline(), starved_cfg()] {
+        let randoms: Vec<_> = (0..12).map(|_| random_tiling(&layer, &mut rng)).collect();
+        let edge = AcceleratorConfig::edge_baseline();
+        let wide = MappingSpace::build(&layer, &edge, SpaceBudget::top(16));
+        // Ample off-chip and NoC bandwidth leave more winners compute-bound,
+        // so more sweeps stop at the floor.
+        let roomy = AcceleratorConfig {
+            offchip_bw_mbps: 1 << 20,
+            noc_width_bits: 1024,
+            ..edge
+        };
+        for cfg in [edge, starved_cfg(), roomy] {
             let space = MappingSpace::build(&layer, &cfg, SpaceBudget::top(16));
-            let single = space.tilings().len().min(1);
-            let subsets: [&[accel_model::Tiling]; 4] = [
-                space.tilings(),
-                &space.tilings()[..single],
+            let tilings = space.tilings();
+            let single = tilings.len().min(1);
+            let max_used = tilings.iter().map(|t| t.pes_used()).max().unwrap_or(0);
+            let (at_floor, below): (Vec<_>, Vec<_>) =
+                tilings.iter().partition(|t| t.pes_used() == max_used);
+            let noc_blocked: Vec<_> = wide.tilings().iter().chain(tilings).copied().collect();
+            let repeated: Vec<_> = at_floor
+                .iter()
+                .rev()
+                .chain(tilings)
+                .chain(&at_floor)
+                .copied()
+                .collect();
+            let last: Vec<_> = below.iter().chain(at_floor.last()).copied().collect();
+            let subsets: [&[accel_model::Tiling]; 7] = [
+                tilings,
+                &tilings[..single],
                 &[],
+                &noc_blocked,
+                &repeated,
+                &last,
                 // Raw random tilings on the starved config are typically
                 // infeasible under every ordering.
                 &randoms,
             ];
             for subset in subsets {
-                let serial =
-                    sweep::sweep_best(&layer, &cfg, subset, &ALL_ORDERINGS, SweepConf::serial());
-                for conf in confs {
-                    let par = sweep::sweep_best(&layer, &cfg, subset, &ALL_ORDERINGS, conf);
-                    match (&serial, &par) {
-                        (None, None) => {}
-                        (Some(a), Some(b)) => {
-                            prop_assert_eq!(a.mapping, b.mapping);
-                            prop_assert_eq!(
-                                a.profile.latency_cycles.to_bits(),
-                                b.profile.latency_cycles.to_bits()
-                            );
-                        }
-                        _ => prop_assert!(false, "feasibility diverged from serial"),
-                    }
-                }
                 let (s_costs, s_best) =
                     sweep::sweep_scores(&layer, &cfg, subset, SweepConf::serial());
-                for conf in confs {
+                let oracle = s_best.map(|(lat, idx, oi)| {
+                    let m = sweep::materialize(&layer, &cfg, &subset[idx], ALL_ORDERINGS[oi])
+                        .expect("the scan's winner is feasible");
+                    assert_eq!(m.profile.latency_cycles.to_bits(), lat.to_bits());
+                    m
+                });
+                prop_assert_eq!(oracle, sweep::tests::reference_scan(&layer, &cfg, subset));
+
+                let bounded = |conf| sweep::sweep_best(&layer, &cfg, subset, &ALL_ORDERINGS, conf);
+                let mut got: Vec<_> = confs.iter().map(|&conf| bounded(conf)).collect();
+                edse_executor::set_claim_perturbation(perturbation);
+                got.extend(confs.iter().map(|&conf| bounded(conf)));
+                edse_executor::set_claim_perturbation(0);
+                for (i, par) in got.iter().enumerate() {
+                    prop_assert_eq!(par, &oracle, "{:?}", confs[i % confs.len()]);
+                }
+
+                for &conf in &confs {
                     let (costs, best) = sweep::sweep_scores(&layer, &cfg, subset, conf);
                     prop_assert_eq!(costs.len(), s_costs.len());
                     for (a, b) in costs.iter().zip(&s_costs) {

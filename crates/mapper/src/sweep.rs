@@ -19,6 +19,26 @@
 //! index)` for **every** thread count and chunk size, bit-identical to the
 //! serial scan. Conformance's thread-count × chunk-size matrix pins this.
 //!
+//! [`sweep_best`] stops early at the *compute floor*. The latency of a
+//! candidate is `max(T_comp, T_noc, T_dma)`, and `T_comp = macs / pes_used`
+//! depends on the tiling alone, so no candidate is faster than `macs` over
+//! the largest `pes_used` among the slice's tilings that fit the PE array
+//! (the expression `TilingEval::t_comp` evaluates; dividing by a larger
+//! count never gives a larger `f64`, and tilings over `cfg.pes` never reach
+//! the kernel). Once a chunk's winner sits on that floor, every later
+//! candidate can at best tie, and the strict-less merge keeps the earlier
+//! of two ties. That chunk lowers a shared stop index, and chunks above it
+//! store an empty result without preparing their tilings. Chunks below the
+//! stop always run, whichever participant claims them and in whatever
+//! order, so the selected candidate is the full scan's for every thread
+//! count, chunk size and claim order. Only feasible candidates can set the
+//! stop, so a floor tiling that is infeasible under every ordering scans
+//! on. [`sweep_scores`] never stops early: its callers read every cost.
+//! [`sweep_stats`] counts the tilings each sweep was offered and prepared.
+//! At a thread budget of one the counts repeat exactly; with more
+//! participants a worker may prepare a chunk past the stop before the stop
+//! is set.
+//!
 //! # Scratch arena
 //!
 //! Each participating thread (the submitter and any pool worker) owns one
@@ -31,6 +51,7 @@ use crate::optimize::MappedLayer;
 use accel_model::{AcceleratorConfig, Mapping, Stationarity, Tiling, TilingBatch};
 use energy_area::Tech;
 use std::cell::RefCell;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 use workloads::LayerShape;
 
@@ -119,10 +140,42 @@ impl Default for SweepConf {
 type Candidate = (f64, usize, u8);
 
 /// One chunk's contribution: its best candidate plus (when requested) the
-/// per-tiling minimal cost, `INFINITY` for infeasible tilings.
+/// per-tiling minimal cost, `INFINITY` for infeasible tilings, and how many
+/// tilings it prepared (none when it sat above the floor stop).
+#[derive(Default)]
 struct ChunkOut {
     best: Option<Candidate>,
     costs: Option<Vec<f64>>,
+    prepared: usize,
+}
+
+/// Cumulative work totals of every sweep in this process.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SweepStats {
+    /// Sweeps run: [`sweep_best`] and [`sweep_scores`] calls.
+    pub sweeps: u64,
+    /// Sweeps in which a chunk's winner reached the compute floor.
+    pub floor_stops: u64,
+    /// Tilings the sweeps were given.
+    pub tilings: u64,
+    /// Tilings the sweeps passed to [`TilingBatch::prepare`].
+    pub tilings_prepared: u64,
+}
+
+static SWEEPS: AtomicU64 = AtomicU64::new(0);
+static FLOOR_STOPS: AtomicU64 = AtomicU64::new(0);
+static TILINGS: AtomicU64 = AtomicU64::new(0);
+static TILINGS_PREPARED: AtomicU64 = AtomicU64::new(0);
+
+/// Cumulative work totals of every sweep in this process (see the module
+/// docs for when they repeat exactly).
+pub fn sweep_stats() -> SweepStats {
+    SweepStats {
+        sweeps: SWEEPS.load(Ordering::Relaxed),
+        floor_stops: FLOOR_STOPS.load(Ordering::Relaxed),
+        tilings: TILINGS.load(Ordering::Relaxed),
+        tilings_prepared: TILINGS_PREPARED.load(Ordering::Relaxed),
+    }
 }
 
 /// Per-worker scratch: the SoA batch plus the per-slot ordering fold.
@@ -199,11 +252,28 @@ fn scan_chunk(
         }
         costs
     });
-    ChunkOut { best, costs }
+    ChunkOut {
+        best,
+        costs,
+        prepared: tilings.len(),
+    }
 }
 
-/// Runs the full chunked scan on the shared executor pool and merges chunk
-/// results in chunk-index order.
+/// The lowest latency any tiling of `tilings` can reach on `cfg`: `macs`
+/// over the largest PE count among the tilings that fit the array (`None`
+/// when none fits). See the module docs.
+fn compute_floor(layer: &LayerShape, cfg: &AcceleratorConfig, tilings: &[Tiling]) -> Option<f64> {
+    let max_used = tilings
+        .iter()
+        .map(Tiling::pes_used)
+        .filter(|&used| used <= cfg.pes)
+        .max()?;
+    Some(layer.macs() as f64 / max_used as f64)
+}
+
+/// Runs the chunked scan on the shared executor pool and merges chunk
+/// results in chunk-index order. Without `want_costs` the scan stops at the
+/// compute floor (see the module docs).
 fn scan_all(
     layer: &LayerShape,
     cfg: &AcceleratorConfig,
@@ -214,6 +284,15 @@ fn scan_all(
 ) -> (Option<Candidate>, Option<Vec<f64>>) {
     let chunk = conf.chunk.max(1);
     let n_chunks = tilings.len().div_ceil(chunk);
+    let floor = if want_costs {
+        None
+    } else {
+        compute_floor(layer, cfg, tilings)
+    };
+    // The lowest chunk index whose winner sits on the floor. It only ever
+    // decreases, and it publishes no data (the merge reads the slots after
+    // `run` returns), so relaxed accesses suffice.
+    let stop = AtomicUsize::new(usize::MAX);
     // Chunk indices become tasks on the shared executor pool; each
     // participant fills its chunk's dedicated slot, so the merge below
     // sees results in chunk order regardless of which worker computed
@@ -222,25 +301,34 @@ fn scan_all(
     // every chunk inline on the calling thread.
     let slots: Vec<OnceLock<ChunkOut>> = (0..n_chunks).map(|_| OnceLock::new()).collect();
     edse_executor::Executor::global().run(n_chunks, conf.threads, &|c| {
-        SCRATCH.with(|sc| {
-            let mut sc = sc.borrow_mut();
-            let lo = c * chunk;
-            let hi = (lo + chunk).min(tilings.len());
-            let out = scan_chunk(
-                &mut sc,
-                layer,
-                cfg,
-                &tilings[lo..hi],
-                lo,
-                orderings,
-                want_costs,
-            );
-            slots[c].set(out).ok().expect("each chunk scanned once");
-        });
+        let out = if c > stop.load(Ordering::Relaxed) {
+            ChunkOut::default()
+        } else {
+            SCRATCH.with(|sc| {
+                let lo = c * chunk;
+                let hi = (lo + chunk).min(tilings.len());
+                scan_chunk(
+                    &mut sc.borrow_mut(),
+                    layer,
+                    cfg,
+                    &tilings[lo..hi],
+                    lo,
+                    orderings,
+                    want_costs,
+                )
+            })
+        };
+        if let (Some(floor), Some((lat, _, _))) = (floor, out.best) {
+            if lat <= floor {
+                stop.fetch_min(c, Ordering::Relaxed);
+            }
+        }
+        slots[c].set(out).ok().expect("each chunk scanned once");
     });
 
     let mut best: Option<Candidate> = None;
     let mut costs = want_costs.then(|| Vec::with_capacity(tilings.len()));
+    let mut prepared = 0;
     for out in slots
         .into_iter()
         .map(|s| s.into_inner().expect("all chunks scanned"))
@@ -251,6 +339,13 @@ fn scan_all(
         if let (Some(all), Some(part)) = (costs.as_mut(), out.costs) {
             all.extend(part);
         }
+        prepared += out.prepared;
+    }
+    SWEEPS.fetch_add(1, Ordering::Relaxed);
+    TILINGS.fetch_add(tilings.len() as u64, Ordering::Relaxed);
+    TILINGS_PREPARED.fetch_add(prepared as u64, Ordering::Relaxed);
+    if stop.into_inner() != usize::MAX {
+        FLOOR_STOPS.fetch_add(1, Ordering::Relaxed);
     }
     (best, costs)
 }
@@ -277,7 +372,8 @@ pub(crate) fn materialize(
 /// Sweeps `orderings × tilings` and returns the feasible candidate with
 /// the lowest latency — bit-identical, for every `conf`, to the serial
 /// tilings-outer / orderings-inner strict-less scan (`None` when no
-/// candidate is feasible).
+/// candidate is feasible). The sweep stops after the first chunk whose
+/// winner reaches the compute floor (see the module docs).
 pub fn sweep_best(
     layer: &LayerShape,
     cfg: &AcceleratorConfig,
@@ -293,8 +389,9 @@ pub fn sweep_best(
 /// Like [`sweep_best`] over [`ALL_ORDERINGS`], but also returns each
 /// tiling's minimal latency across the nine orderings (`INFINITY` when the
 /// tiling is infeasible under all of them) — the per-individual cost
-/// vector population-based mappers score a generation with. The winner is
-/// returned un-materialized as `(latency, tiling index, ordering index)`.
+/// vector population-based mappers score a generation with. It therefore
+/// never stops at the compute floor. The winner is returned un-materialized
+/// as `(latency, tiling index, ordering index)`.
 pub fn sweep_scores(
     layer: &LayerShape,
     cfg: &AcceleratorConfig,
@@ -309,7 +406,7 @@ pub fn sweep_scores(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::optimize::best_ordering;
     use crate::space::{MappingSpace, SpaceBudget};
@@ -319,7 +416,7 @@ mod tests {
     }
 
     /// The serial reference scan `sweep_best` must reproduce.
-    fn reference_scan(
+    pub(crate) fn reference_scan(
         layer: &LayerShape,
         cfg: &AcceleratorConfig,
         tilings: &[Tiling],
