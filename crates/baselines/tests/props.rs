@@ -209,9 +209,9 @@ proptest! {
     ///
     /// The parallel engine reshuffles *classifications*, never totals:
     /// an access that is a `hit` serially may be an `inflight_wait` in a
-    /// race, and the batch pre-warm phase moves layer-mapping misses out
-    /// of point evaluation — but misses stay misses and every access is
-    /// still counted exactly once.
+    /// race — but misses stay misses and every access is still counted
+    /// exactly once. Both engines take the one batch path, so both
+    /// pre-warm the same layer slots.
     #[test]
     fn telemetry_counters_parallel_sum_to_serial(seed in 0u64..6) {
         use edse_core::evaluate::{CodesignEvaluator, EvalEngine};
@@ -239,7 +239,7 @@ proptest! {
             let _ = session.run(ev.space().minimum_point());
             (ev.unique_evaluations(), collector.counters(), sink.events())
         };
-        let (serial_uniques, serial, _) = run(EvalEngine::serial());
+        let (serial_uniques, serial, serial_events) = run(EvalEngine::serial());
         let (parallel_uniques, parallel, parallel_events) = run(EvalEngine::with_threads(4));
 
         // unique_evaluations() equals the point-cache miss counter — both
@@ -268,23 +268,28 @@ proptest! {
                 + kind_sum(&parallel, "point_cache/", "/inflight_wait")
         );
 
-        // Layer-cache accesses: the parallel pre-warm phase looks every
-        // pre-warmed task up once more than the serial run (warm miss +
-        // point-eval hit, vs. one serial point-eval miss). The Batch
-        // records say exactly how many tasks were pre-warmed, so the
-        // relation is exact, cross-checking counters against records.
-        let prewarmed: u64 = parallel_events
-            .iter()
-            .filter_map(|e| match e {
-                Event::Batch { record, .. } if record.stage == "engine/mapping" => {
-                    Some(record.items)
-                }
-                _ => None,
-            })
-            .sum();
+        // Layer-cache accesses: each engine looks every pre-warmed slot
+        // up twice (warm miss + point-assembly hit). The Batch records say
+        // how many slots each pre-warmed: the same number, and exactly the
+        // misses, cross-checking counters against records.
+        let prewarmed = |events: &[Event]| -> u64 {
+            events
+                .iter()
+                .filter_map(|e| match e {
+                    Event::Batch { record, .. } if record.stage == "engine/mapping" => {
+                        Some(record.items)
+                    }
+                    _ => None,
+                })
+                .sum()
+        };
+        prop_assert_eq!(prewarmed(&serial_events), prewarmed(&parallel_events));
+        prop_assert_eq!(prewarmed(&serial_events), kind_sum(&serial, "layer_cache/", "/miss"));
+        prop_assert_eq!(total(&parallel, "layer_cache/"), total(&serial, "layer_cache/"));
         prop_assert_eq!(
-            total(&parallel, "layer_cache/"),
-            total(&serial, "layer_cache/") + prewarmed
+            kind_sum(&serial, "layer_cache/", "/hit"),
+            kind_sum(&parallel, "layer_cache/", "/hit")
+                + kind_sum(&parallel, "layer_cache/", "/inflight_wait")
         );
     }
 }

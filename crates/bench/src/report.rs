@@ -613,4 +613,124 @@ mod tests {
             );
         }
     }
+
+    /// The layer-rows perf record (config-major layer cache with shared
+    /// outcomes) states its measurement state, holds the pairing rule on
+    /// `fixdf_zoo` wall-clock, keeps every other end-to-end median inside
+    /// its `BENCHMARK.json` bound, did the same mapping work on both
+    /// sides, and records the memory counts, the setup cost that keeps
+    /// the shape table lazy and the one-thread comparison behind deleting
+    /// the serial fork.
+    #[test]
+    fn recorded_layer_rows_bench_report_parses_and_holds_the_bar() {
+        let read = |file: &str| {
+            let path = format!("{}/../../{file}", env!("CARGO_MANIFEST_DIR"));
+            let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+            edse_telemetry::json::parse(text.trim()).expect("valid JSON")
+        };
+        let doc = read("results/json/bench_layer_rows.json");
+        assert_eq!(
+            doc.get("schema").and_then(Json::as_str),
+            Some(REPORT_SCHEMA)
+        );
+        let config = doc.get("config").expect("config");
+        assert_eq!(
+            config.get("memo_at_start").and_then(Json::as_str),
+            Some("cold"),
+            "the record must state the memo temperature"
+        );
+        for state in ["disk_tier", "pool_budget", "host_cpus", "host_steal_s"] {
+            assert!(config.get(state).is_some(), "config must record {state}");
+        }
+        let metric = |name: &str| {
+            doc.get("metrics")
+                .and_then(|m| m.get(name))
+                .and_then(Json::as_f64)
+                .unwrap_or_else(|| panic!("missing metric {name}"))
+        };
+
+        // The pairing rule on the claimed metric: the change wins at
+        // least nine in ten alternating pairs, and the medians differ by
+        // more than the parent's interquartile range.
+        let pairs = metric("fixdf_zoo/pairs/count");
+        assert!(pairs >= 10.0, "at least ten pairs, got {pairs}");
+        assert!(metric("fixdf_zoo/pairs/wins") >= 0.9 * pairs);
+        let gap = metric("fixdf_zoo/pairs/before_wall_s_median")
+            - metric("fixdf_zoo/pairs/after_wall_s_median");
+        let spread =
+            metric("fixdf_zoo/pairs/before_wall_s_q3") - metric("fixdf_zoo/pairs/before_wall_s_q1");
+        assert!(
+            gap > spread,
+            "median gain {gap} within the parent's spread {spread}"
+        );
+        let speedup = metric("fixdf_zoo/wall_speedup");
+        assert!(
+            (metric("fixdf_zoo/before/wall_s") / metric("fixdf_zoo/after/wall_s") - speedup).abs()
+                < 0.01,
+            "speedup ratio drifted"
+        );
+
+        // No end-to-end median got worse than its benchmark bound allows.
+        let bench = read("BENCHMARK.json");
+        let bounds = bench
+            .get("end_to_end")
+            .and_then(Json::as_arr)
+            .expect("end_to_end bounds");
+        for workload in ["fixdf_zoo", "codesign_cold", "serve_mixed"] {
+            for m in bounds {
+                let name = m.get("name").and_then(Json::as_str).expect("name");
+                let bound = m.get("bound").and_then(Json::as_f64).expect("bound");
+                let before = metric(&format!("{workload}/before/{name}"));
+                let after = metric(&format!("{workload}/after/{name}"));
+                assert!(
+                    after <= before * (1.0 + bound),
+                    "{workload} {name}: {before} -> {after} exceeds its {bound} bound"
+                );
+            }
+        }
+
+        // The same work on both sides: the gain is bookkeeping, not
+        // fewer mappings.
+        for same in [
+            "mapper.calls",
+            "evaluate.layer_misses",
+            "evaluate.layer_hits",
+        ] {
+            assert_eq!(
+                metric(&format!("fixdf_zoo/before/{same}")),
+                metric(&format!("fixdf_zoo/after/{same}")),
+                "{same} moved"
+            );
+        }
+        assert!(metric("fixdf_zoo/after/evaluate.s") < metric("fixdf_zoo/before/evaluate.s"));
+
+        // Memory as counts (crates/edse-core/tests/alloc.rs).
+        for count in [
+            "live_bytes_per_layer_entry",
+            "allocations_per_assembled_point",
+        ] {
+            assert!(
+                metric(&format!("alloc/after/{count}")) < metric(&format!("alloc/before/{count}")),
+                "{count} did not fall"
+            );
+        }
+
+        // The shape table is lazy because building it in `new` cost setup.
+        assert!(
+            metric("lazy_shape_table/fixdf_zoo/lazy/setup_s_median")
+                < metric("lazy_shape_table/fixdf_zoo/eager/setup_s_median")
+        );
+
+        // The one-thread fork was deleted under its rule: neither
+        // workload's median without it is worse than the fork's by more
+        // than the fork's interquartile range.
+        for workload in ["fixdf_zoo", "codesign_cold"] {
+            let with = |q: &str| metric(&format!("budget1/{workload}/with_fork/wall_s_{q}"));
+            let without = metric(&format!("budget1/{workload}/without_fork/wall_s_median"));
+            assert!(
+                without - with("median") <= with("q3") - with("q1"),
+                "{workload}: deleting the fork cost more than its spread"
+            );
+        }
+    }
 }

@@ -12,8 +12,10 @@
 
 use edse_core::cost::{Constraint, Evaluation, LayerEval};
 use edse_core::space::{decode_edge_point, DesignPoint, DesignSpace};
+use edse_core::LayerOutcome;
 use energy_area::Tech;
 use mapper::MappingOptimizer;
+use std::sync::Arc;
 use workloads::DnnModel;
 
 /// The cacheless, boundary-free reference evaluator.
@@ -93,12 +95,15 @@ impl<M: MappingOptimizer> NaiveReferenceEvaluator<M> {
                     energy_mj += m.profile.energy_mj() * u.count as f64;
                 }
                 model_latency += latency_ms;
+                let outcome = match mapped {
+                    Some(m) => LayerOutcome::Mapped(m),
+                    None => LayerOutcome::Unmappable(diagnostic),
+                };
                 layers.push(LayerEval {
-                    name: u.name,
-                    model: model.name().to_string(),
+                    name: u.name.into(),
+                    model: model.name().into(),
                     count: u.count,
-                    profile,
-                    mappable: mapped.is_some(),
+                    outcome: Arc::new(outcome),
                     latency_ms,
                 });
             }

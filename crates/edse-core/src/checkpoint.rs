@@ -198,10 +198,7 @@ mod tests {
             mapper: FixedMapper.fingerprint(),
             shape,
             cfg,
-            outcome: LayerOutcome {
-                mapped: FixedMapper.optimize(&shape, &cfg),
-                diagnostic: None,
-            },
+            outcome: LayerOutcome::Mapped(FixedMapper.optimize(&shape, &cfg).expect("maps")),
         }
     }
 

@@ -1,10 +1,12 @@
 //! Costs, constraints, evaluations, and exploration traces — the common
 //! vocabulary shared by Explainable-DSE and every baseline optimizer.
 
+use crate::diskcache::LayerOutcome;
 use crate::space::DesignPoint;
 use accel_model::ExecutionProfile;
 use edse_telemetry::{Collector, IterationRecord};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// An inequality constraint `value <= threshold`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -44,28 +46,43 @@ impl Constraint {
 
 /// Per-layer (sub-function) evaluation result: the cost contribution and the
 /// execution characteristics that bottleneck analysis consumes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// It shares instead of copying: `outcome` is the evaluator's cached
+/// [`LayerOutcome`] for this `(layer, config)`, the same allocation in
+/// every evaluation that reads it (including another model's layer of the
+/// same shape), and `name` and `model` are the evaluator's interned
+/// strings. Cloning one costs three reference-count increments.
+#[derive(Debug, Clone, PartialEq)]
 pub struct LayerEval {
     /// Representative layer name.
-    pub name: String,
+    pub name: Arc<str>,
     /// Which workload the layer belongs to.
-    pub model: String,
+    pub model: Arc<str>,
     /// How many times this unique shape occurs in the workload.
     pub count: u64,
-    /// Execution profile of one occurrence. For unmappable layers
-    /// (`mappable == false`) this is the *diagnostic* relaxed-NoC profile
-    /// when one exists, so bottleneck analysis can still explain the
-    /// incompatibility.
-    pub profile: Option<ExecutionProfile>,
-    /// Whether a feasible mapping exists on this hardware.
-    pub mappable: bool,
+    /// What the mapper found for one occurrence.
+    pub outcome: Arc<LayerOutcome>,
     /// Weighted latency contribution in milliseconds (`count` occurrences;
-    /// infinite when unmappable).
+    /// infinite when unmappable without a diagnostic).
     pub latency_ms: f64,
 }
 
+impl LayerEval {
+    /// Execution profile of one occurrence. For unmappable layers this is
+    /// the *diagnostic* relaxed-NoC profile when one exists, so bottleneck
+    /// analysis can still explain the incompatibility.
+    pub fn profile(&self) -> Option<&ExecutionProfile> {
+        self.outcome.profile()
+    }
+
+    /// Whether a feasible mapping exists on this hardware.
+    pub fn mappable(&self) -> bool {
+        self.outcome.mapped().is_some()
+    }
+}
+
 /// Full evaluation of one design point.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Evaluation {
     /// Objective value (total latency over all target workloads, ms).
     ///

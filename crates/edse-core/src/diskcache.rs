@@ -79,15 +79,79 @@ fn checksum(body: &[u8]) -> u32 {
 
 /// The outcome of mapping one layer onto one configuration: the value of
 /// the evaluator's layer cache, of a disk record and of a snapshot's layer
-/// entry. Both fields `None` records a pair that was searched and found
-/// unmappable with no diagnostic available (just as expensive to
+/// entry. The evaluator keeps one `Arc<LayerOutcome>` per `(layer,
+/// config)` and every [`crate::LayerEval`] that reads it shares that
+/// allocation. `Unmappable(None)` records a pair that was searched and
+/// found unmappable with no diagnostic available (just as expensive to
 /// rediscover as a feasible mapping).
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct LayerOutcome {
+///
+/// A record stores it as `{"mapped":…,"diagnostic":…}`, the encoding of
+/// the two-option struct this enum replaced, so existing cache directories
+/// and snapshots read unchanged.
+#[derive(Debug, Clone, Copy, PartialEq)]
+// Every outcome is shared through one `Arc`; boxing the mapped variant
+// would add a second allocation per outcome.
+#[allow(clippy::large_enum_variant)]
+pub enum LayerOutcome {
     /// The optimized mapping, when one was feasible.
-    pub mapped: Option<MappedLayer>,
-    /// The diagnostic relaxed-NoC profile for infeasible pairs.
-    pub diagnostic: Option<ExecutionProfile>,
+    Mapped(MappedLayer),
+    /// No feasible mapping; the diagnostic relaxed-NoC profile when one
+    /// exists.
+    Unmappable(Option<ExecutionProfile>),
+}
+
+impl LayerOutcome {
+    /// The optimized mapping, when one was feasible.
+    pub fn mapped(&self) -> Option<&MappedLayer> {
+        match self {
+            LayerOutcome::Mapped(m) => Some(m),
+            LayerOutcome::Unmappable(_) => None,
+        }
+    }
+
+    /// The mapped layer's profile, or the diagnostic profile of an
+    /// unmappable one: what bottleneck analysis reads.
+    pub fn profile(&self) -> Option<&ExecutionProfile> {
+        match self {
+            LayerOutcome::Mapped(m) => Some(&m.profile),
+            LayerOutcome::Unmappable(diagnostic) => diagnostic.as_ref(),
+        }
+    }
+}
+
+/// The record encoding of a [`LayerOutcome`]. A record that carries both
+/// members decodes as `Mapped` (an evaluation never read the diagnostic of
+/// a mapped layer).
+#[derive(serde::Serialize, serde::Deserialize)]
+struct OutcomeRecord {
+    mapped: Option<MappedLayer>,
+    diagnostic: Option<ExecutionProfile>,
+}
+
+impl serde::Serialize for LayerOutcome {
+    fn to_value(&self) -> serde::Value {
+        let record = match *self {
+            LayerOutcome::Mapped(m) => OutcomeRecord {
+                mapped: Some(m),
+                diagnostic: None,
+            },
+            LayerOutcome::Unmappable(diagnostic) => OutcomeRecord {
+                mapped: None,
+                diagnostic,
+            },
+        };
+        record.to_value()
+    }
+}
+
+impl serde::Deserialize for LayerOutcome {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
+        let record = OutcomeRecord::from_value(v)?;
+        Ok(match record.mapped {
+            Some(m) => LayerOutcome::Mapped(m),
+            None => LayerOutcome::Unmappable(record.diagnostic),
+        })
+    }
 }
 
 /// One decoded record: the outcome together with the key it is stored
@@ -698,13 +762,9 @@ mod tests {
         (0..n)
             .map(|i| {
                 let shape = LayerShape::conv(1, 16 + i as u64, 16, 14, 14, 3, 3, 1);
-                let mapped = FixedMapper.optimize(&shape, &cfg);
+                let mapped = FixedMapper.optimize(&shape, &cfg).expect("maps");
                 let key = layer_key("fixed-os", &shape, &cfg).unwrap();
-                let value = LayerOutcome {
-                    mapped,
-                    diagnostic: None,
-                };
-                (key, value)
+                (key, LayerOutcome::Mapped(mapped))
             })
             .collect()
     }
@@ -881,10 +941,7 @@ mod tests {
         let cfg = AcceleratorConfig::edge_baseline();
         let shape = LayerShape::conv(1, 8, 8, 7, 7, 3, 3, 1);
         let key = layer_key("fixed-os", &shape, &cfg).unwrap();
-        let value = LayerOutcome {
-            mapped: FixedMapper.optimize(&shape, &cfg),
-            diagnostic: None,
-        };
+        let value = LayerOutcome::Mapped(FixedMapper.optimize(&shape, &cfg).expect("maps"));
         assert!(!cache.contains(&key));
         cache.put_outcome(&key, &value);
         assert!(cache.contains(&key));
@@ -934,6 +991,51 @@ mod tests {
         assert_eq!(collector.counter_value("disk_cache/append"), 0);
         drop(cache);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Records written while `LayerOutcome` was a struct of two options:
+    /// one shape under the fixed mapper on three configurations, giving a
+    /// mapped outcome, an unmappable one with a diagnostic and one
+    /// without. The key hashes below and the values in the fixture file
+    /// were produced by that codec, so a cache directory written by it
+    /// reads warm and exact, never cold or wrong.
+    #[test]
+    fn records_stay_byte_identical_to_the_two_option_encoding() {
+        let shape = LayerShape::conv(1, 16, 16, 14, 14, 3, 3, 1);
+        let base = AcceleratorConfig::edge_baseline();
+        let starved = AcceleratorConfig {
+            noc_phys_links: [1; 4],
+            noc_virt_links: [1; 4],
+            ..base
+        };
+        let cramped = AcceleratorConfig {
+            l1_bytes: 2,
+            l2_bytes: 64,
+            ..base
+        };
+        let recorded: Vec<&str> = include_str!("../testdata/layer_records_v1.txt")
+            .lines()
+            .collect();
+        let cases = [
+            (base, 0xc3d7_0cf3_8fe3_0b6a_u64, recorded[0]),
+            (starved, 0xa65c_56e5_1921_1106, recorded[1]),
+            (cramped, 0xc603_25ad_e5b3_c616, recorded[2]),
+        ];
+        let mut outcomes = Vec::new();
+        for (cfg, key_hash_then, value_then) in cases {
+            let outcome = match FixedMapper.optimize(&shape, &cfg) {
+                Some(m) => LayerOutcome::Mapped(m),
+                None => LayerOutcome::Unmappable(FixedMapper.diagnose(&shape, &cfg)),
+            };
+            let key = layer_key(&FixedMapper.fingerprint(), &shape, &cfg).unwrap();
+            assert_eq!(key_hash(key.as_bytes()), key_hash_then);
+            assert_eq!(serde_json::to_string(&outcome).unwrap(), value_then);
+            assert_eq!(decode_json(value_then.as_bytes()), Ok(outcome));
+            outcomes.push(outcome);
+        }
+        assert!(outcomes[0].mapped().is_some());
+        assert!(matches!(outcomes[1], LayerOutcome::Unmappable(Some(_))));
+        assert_eq!(outcomes[2], LayerOutcome::Unmappable(None));
     }
 
     #[test]

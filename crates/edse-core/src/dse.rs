@@ -499,7 +499,7 @@ impl ExplainableDse {
         let cfg = decode_edge_point(space, current);
         let (predictions, analyses, summary) =
             analyze_subfunctions(&self.model, &self.config, current_eval, factors, |layer| {
-                layer.profile.map(|profile| LayerCtx { cfg, profile })
+                layer.profile().map(|&profile| LayerCtx { cfg, profile })
             });
         let mut attempt = InFlight {
             iteration: self.attempts.len() as u64,
@@ -1106,7 +1106,7 @@ pub(crate) fn analyze_subfunctions<C>(
             } else {
                 1.0
             };
-            (i, contribution, layer.mappable)
+            (i, contribution, layer.mappable())
         })
         .collect();
     ranked.sort_by(|a, b| a.2.cmp(&b.2).then(b.1.partial_cmp(&a.1).unwrap()));
@@ -1130,7 +1130,7 @@ pub(crate) fn analyze_subfunctions<C>(
         }
         summary
             .layer_contributions
-            .push((eval.layers[layer_idx].name.clone(), contribution));
+            .push((eval.layers[layer_idx].name.to_string(), contribution));
         analyses.push(format!(
             "{} ({:.1}% of cost): bottleneck {} needs {:.2}x; {}",
             eval.layers[layer_idx].name,

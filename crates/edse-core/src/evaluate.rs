@@ -7,8 +7,8 @@
 //! interior mutability (sharded mutex maps of [`OnceLock`] slots), so one
 //! evaluator can serve an arbitrary number of threads concurrently. The
 //! parallel entry point is [`Evaluator::evaluate_batch`]; its thread count
-//! is controlled by [`EvalEngine`], and `threads = 1` reproduces the serial
-//! path bit-for-bit.
+//! is controlled by [`EvalEngine`], and results are bit-for-bit identical
+//! for every count (`threads = 1` runs the same batch path inline).
 //!
 //! Evaluation is also **fault-bounded**: each per-layer mapping runs under
 //! a panic guard with bounded retries ([`FaultPolicy`], configured on the
@@ -234,7 +234,7 @@ impl<T: Evaluator + ?Sized> Evaluator for &T {
 /// Parallelism and fault policy for [`Evaluator::evaluate_batch`].
 ///
 /// `threads: None` (the default) uses all available hardware parallelism;
-/// `Some(1)` forces the serial path, which is guaranteed bit-for-bit
+/// `Some(1)` runs every batch phase inline on the caller, bit-for-bit
 /// identical to any parallel run — batch results never depend on the
 /// thread count, only wall-clock time does.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -246,7 +246,7 @@ pub struct EvalEngine {
 }
 
 impl EvalEngine {
-    /// The serial engine (`threads = 1`): today's single-threaded behavior.
+    /// The serial engine (`threads = 1`): every batch runs on the caller.
     pub fn serial() -> Self {
         EvalEngine {
             threads: Some(1),
@@ -297,19 +297,38 @@ fn default_threads() -> usize {
 /// clearing stays trivial.
 const CACHE_SHARDS: usize = 16;
 
-/// A sharded concurrent memo table: each key owns a [`OnceLock`] slot, so
-/// concurrent requests for the same key compute it exactly once (the loser
-/// blocks on the winner instead of duplicating work) while requests for
-/// different keys proceed in parallel. Shard mutexes are only held for the
-/// map lookup, never during computation.
-struct ShardedCache<K, V> {
-    shards: [Mutex<HashMap<K, Arc<OnceLock<V>>>>; CACHE_SHARDS],
+/// What a memo-table entry holds: one [`OnceLock`] slot (the point cache)
+/// or a row of them (the layer cache).
+trait Slots {
+    /// How many of the slots are completed.
+    fn filled(&self) -> usize;
+}
+
+impl<V> Slots for OnceLock<V> {
+    fn filled(&self) -> usize {
+        usize::from(self.get().is_some())
+    }
+}
+
+impl<V> Slots for [OnceLock<V>] {
+    fn filled(&self) -> usize {
+        self.iter().filter(|slot| slot.get().is_some()).count()
+    }
+}
+
+/// A sharded concurrent memo table: each key owns an entry of [`OnceLock`]
+/// slots, so concurrent requests for the same slot compute it exactly once
+/// (the loser blocks on the winner instead of duplicating work) while
+/// requests for different slots proceed in parallel. Shard mutexes are
+/// only held for the map lookup, never during computation.
+struct ShardedCache<K, S: ?Sized> {
+    shards: [Mutex<HashMap<K, Arc<S>>>; CACHE_SHARDS],
     hits: AtomicU64,
     misses: AtomicU64,
     inflight_waits: AtomicU64,
 }
 
-impl<K: Eq + Hash + Clone, V: Clone> ShardedCache<K, V> {
+impl<K: Eq + Hash + Clone, S: Slots + ?Sized> ShardedCache<K, S> {
     fn new() -> Self {
         ShardedCache {
             shards: std::array::from_fn(|_| Mutex::new(HashMap::new())),
@@ -319,55 +338,32 @@ impl<K: Eq + Hash + Clone, V: Clone> ShardedCache<K, V> {
         }
     }
 
-    /// Which of the [`CACHE_SHARDS`] shards holds `key` — also the shard
-    /// label used in telemetry counter names.
-    fn shard_index(&self, key: &K) -> usize {
+    /// The entry for `key`, made by `make` if absent, with the index of
+    /// the shard that holds it (also the shard label of the telemetry
+    /// counters).
+    fn entry(&self, key: &K, make: impl FnOnce() -> Arc<S>) -> (usize, Arc<S>) {
         let mut h = std::hash::DefaultHasher::new();
         key.hash(&mut h);
-        h.finish() as usize % CACHE_SHARDS
+        let shard = h.finish() as usize % CACHE_SHARDS;
+        let mut map = self.shards[shard].lock().expect("cache shard poisoned");
+        let entry = match map.get(key) {
+            Some(entry) => entry.clone(),
+            None => map.entry(key.clone()).or_insert_with(make).clone(),
+        };
+        (shard, entry)
     }
 
-    fn shard(&self, key: &K) -> &Mutex<HashMap<K, Arc<OnceLock<V>>>> {
-        &self.shards[self.shard_index(key)]
-    }
-
-    /// The slot for `key`, inserting an empty one if absent.
-    fn slot(&self, key: &K) -> Arc<OnceLock<V>> {
-        let mut map = self.shard(key).lock().expect("cache shard poisoned");
-        map.entry(key.clone())
-            .or_insert_with(|| Arc::new(OnceLock::new()))
-            .clone()
-    }
-
-    /// Whether `key` has a *completed* entry (an in-flight computation does
-    /// not count).
-    fn is_cached(&self, key: &K) -> bool {
-        let map = self.shard(key).lock().expect("cache shard poisoned");
-        map.get(key).is_some_and(|slot| slot.get().is_some())
-    }
-
-    /// Every completed `(key, value)` entry, in unspecified order.
-    fn completed(&self) -> Vec<(K, V)> {
+    /// Every entry, in unspecified order.
+    fn entries(&self) -> Vec<(K, Arc<S>)> {
         let mut entries = Vec::new();
         for shard in &self.shards {
             let map = shard.lock().expect("cache shard poisoned");
-            for (k, slot) in map.iter() {
-                if let Some(v) = slot.get() {
-                    entries.push((k.clone(), v.clone()));
-                }
-            }
+            entries.extend(map.iter().map(|(k, v)| (k.clone(), v.clone())));
         }
         entries
     }
 
-    /// Pre-fills `key` with a completed `value` (the snapshot-restore
-    /// path) without counting traffic. A no-op when the key already has a
-    /// completed entry.
-    fn insert(&self, key: K, value: V) {
-        let _ = self.slot(&key).set(value);
-    }
-
-    /// Records one access's classification (see
+    /// Records one slot access's classification (see
     /// [`CodesignEvaluator::classify`] for the taxonomy). Always on — the
     /// counters back [`Evaluator::cache_stats`], unlike the per-shard
     /// telemetry counters which exist only when a collector is attached.
@@ -382,7 +378,7 @@ impl<K: Eq + Hash + Clone, V: Clone> ShardedCache<K, V> {
         counter.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Completed-entry count plus cumulative traffic counters. Clearing
+    /// Completed-slot count plus cumulative traffic counters. Clearing
     /// the cache (builder invalidation) empties `entries` but keeps the
     /// traffic history.
     fn stats(&self) -> TierStats {
@@ -394,8 +390,8 @@ impl<K: Eq + Hash + Clone, V: Clone> ShardedCache<K, V> {
                     .lock()
                     .expect("cache shard poisoned")
                     .values()
-                    .filter(|slot| slot.get().is_some())
-                    .count()
+                    .map(|entry| entry.filled())
+                    .sum::<usize>()
             })
             .sum();
         TierStats {
@@ -413,6 +409,68 @@ impl<K: Eq + Hash + Clone, V: Clone> ShardedCache<K, V> {
     }
 }
 
+/// One layer mapping's cached result: the outcome every evaluation shares,
+/// or the fault that ended its retries.
+type LayerResult = Result<Arc<LayerOutcome>, EvalFault>;
+
+/// One configuration's layer results, one slot per distinct shape of the
+/// evaluator's models (indexed by [`ShapeTable`] id).
+type LayerRow = [OnceLock<LayerResult>];
+
+/// A batch's handle on one configuration's row: its shard, the
+/// configuration and the row.
+type PendingRow = (usize, AcceleratorConfig, Arc<LayerRow>);
+
+/// The layer shapes an evaluator's models use, derived once.
+struct ShapeTable {
+    /// Every distinct shape across the models, in first-appearance order;
+    /// a shape's index here is its slot in every [`LayerRow`].
+    shapes: Vec<LayerShape>,
+    /// Each shape's index in `shapes`.
+    ids: HashMap<LayerShape, usize>,
+    /// The models, in declaration order.
+    models: Vec<ModelShapes>,
+}
+
+/// One model's name and its unique shapes in [`DnnModel::unique_shapes`]
+/// order, as `(shape id, layer name, count)`.
+struct ModelShapes {
+    name: Arc<str>,
+    uses: Vec<(usize, Arc<str>, u64)>,
+}
+
+impl ShapeTable {
+    fn new(models: &[DnnModel]) -> Self {
+        let mut shapes = Vec::new();
+        let mut ids = HashMap::new();
+        let models = models
+            .iter()
+            .map(|model| {
+                let uses = model
+                    .unique_shapes()
+                    .into_iter()
+                    .map(|u| {
+                        let id = *ids.entry(u.shape).or_insert_with(|| {
+                            shapes.push(u.shape);
+                            shapes.len() - 1
+                        });
+                        (id, Arc::from(u.name), u.count)
+                    })
+                    .collect();
+                ModelShapes {
+                    name: Arc::from(model.name()),
+                    uses,
+                }
+            })
+            .collect();
+        ShapeTable {
+            shapes,
+            ids,
+            models,
+        }
+    }
+}
+
 /// The standard DNN codesign evaluator: Table-1 edge space, area and power
 /// constraints, and one throughput (latency-ceiling) constraint per target
 /// workload. Generic over the mapping optimizer: [`mapper::FixedMapper`]
@@ -422,6 +480,15 @@ impl<K: Eq + Hash + Clone, V: Clone> ShardedCache<K, V> {
 /// Thread-safe: all evaluation state (the point/layer memo tables and the
 /// unique-evaluation counter) lives behind interior mutability, and
 /// [`Evaluator::evaluate_batch`] fans work out over [`EvalEngine`] threads.
+///
+/// The layer cache is config-major. On first evaluation the evaluator
+/// derives its models' distinct layer shapes once (a shape two models
+/// share is one shape), and each configuration it meets gets a row with
+/// one [`OnceLock`] slot per distinct shape. A point costs one row lookup,
+/// and a mapping task fills its slot without hashing or locking. A slot
+/// holds an `Arc<`[`LayerOutcome`]`>` that every [`LayerEval`] reading
+/// it shares, so assembling a point or cloning an evaluation copies no
+/// profile.
 ///
 /// Fault-bounded: each layer mapping runs under
 /// [`EvalEngine::fault`]'s panic guard and retry policy, and both memo
@@ -438,8 +505,12 @@ pub struct CodesignEvaluator<M> {
     mapper_fingerprint: String,
     engine: EvalEngine,
     telemetry: Collector,
-    point_cache: ShardedCache<DesignPoint, Result<Evaluation, EvalFault>>,
-    layer_cache: ShardedCache<(LayerShape, AcceleratorConfig), Result<LayerOutcome, EvalFault>>,
+    /// Built on first evaluation, not in [`Self::new`]: over the eleven
+    /// zoo models, deriving it in `new` added a third to a fixed-dataflow
+    /// run's setup time.
+    shapes: OnceLock<ShapeTable>,
+    point_cache: ShardedCache<DesignPoint, OnceLock<Result<Evaluation, EvalFault>>>,
+    layer_rows: ShardedCache<AcceleratorConfig, LayerRow>,
     disk_cache: Option<Arc<DiskCache>>,
     disk_error: Option<String>,
     unique_evals: AtomicUsize,
@@ -476,8 +547,9 @@ impl<M: MappingOptimizer> CodesignEvaluator<M> {
             mapper_fingerprint,
             engine: EvalEngine::default(),
             telemetry: Collector::noop(),
+            shapes: OnceLock::new(),
             point_cache: ShardedCache::new(),
-            layer_cache: ShardedCache::new(),
+            layer_rows: ShardedCache::new(),
             disk_cache: None,
             disk_error: None,
             unique_evals: AtomicUsize::new(0),
@@ -656,28 +728,43 @@ impl<M: MappingOptimizer> CodesignEvaluator<M> {
         }
     }
 
-    /// Maps one layer through the fault boundary: the mapper call runs
-    /// under a panic guard and is retried per [`EvalEngine::fault`] with
-    /// exponential backoff before the failure is cached as a permanent
-    /// [`EvalFault`].
+    /// The shape table, derived from the models on first use.
+    fn shapes(&self) -> &ShapeTable {
+        self.shapes.get_or_init(|| ShapeTable::new(&self.models))
+    }
+
+    /// The layer row of `cfg`, made empty if absent, with its shard.
+    fn row(&self, cfg: &AcceleratorConfig) -> (usize, Arc<LayerRow>) {
+        let distinct = self.shapes().shapes.len();
+        self.layer_rows
+            .entry(cfg, || (0..distinct).map(|_| OnceLock::new()).collect())
+    }
+
+    /// Reads slot `id` of `cfg`'s layer `row` (held in shard `shard`),
+    /// mapping the layer through the fault boundary if the slot is empty:
+    /// the mapper call runs under a panic guard and is retried per
+    /// [`EvalEngine::fault`] with exponential backoff before the failure
+    /// is cached as a permanent [`EvalFault`].
     ///
     /// `intra` is the worker budget the mapper may spend *inside* this one
     /// layer's tiling sweep ([`MappingOptimizer::optimize_threaded`]).
     /// Mapper results are bit-identical for every budget, so `intra` is
     /// deliberately absent from both cache keys — a mapping computed with
     /// any budget serves all future requests for this `(shape, cfg)`.
-    fn map_layer(
+    fn map_layer<'r>(
         &self,
-        shape: &LayerShape,
+        row: &'r LayerRow,
+        id: usize,
         cfg: &AcceleratorConfig,
+        shard: usize,
         intra: usize,
-    ) -> Result<LayerOutcome, EvalFault> {
-        let key = (*shape, *cfg);
-        let slot = self.layer_cache.slot(&key);
+    ) -> &'r LayerResult {
+        let slot = &row[id];
         let already = slot.get().is_some();
         let mut computed = false;
-        slot.get_or_init(|| {
+        let result = slot.get_or_init(|| {
             computed = true;
+            let shape = &self.shapes().shapes[id];
             // Disk tier first: a hit fills this slot without running the
             // mapper (and without a `stage/mapper_us` sample — no mapping
             // search happened). Faults never reach disk, so a disk entry
@@ -689,7 +776,7 @@ impl<M: MappingOptimizer> CodesignEvaluator<M> {
             });
             if let Some((disk, k)) = &disk_key {
                 if let Some(stored) = disk.get_outcome(k) {
-                    return Ok(stored);
+                    return Ok(Arc::new(stored));
                 }
             }
             let result = {
@@ -697,17 +784,13 @@ impl<M: MappingOptimizer> CodesignEvaluator<M> {
                 let policy = self.engine.fault;
                 let mut retries = 0u32;
                 loop {
-                    let attempt = fault::guard(|| {
-                        let mapped = self.mapper.optimize_threaded(shape, cfg, intra);
-                        let diagnostic = if mapped.is_none() {
-                            self.mapper.diagnose(shape, cfg)
-                        } else {
-                            None
-                        };
-                        LayerOutcome { mapped, diagnostic }
-                    });
+                    let attempt =
+                        fault::guard(|| match self.mapper.optimize_threaded(shape, cfg, intra) {
+                            Some(mapped) => LayerOutcome::Mapped(mapped),
+                            None => LayerOutcome::Unmappable(self.mapper.diagnose(shape, cfg)),
+                        });
                     match attempt {
-                        Ok(outcome) => break Ok(outcome),
+                        Ok(outcome) => break Ok(Arc::new(outcome)),
                         Err(_) if retries < policy.max_retries => {
                             self.telemetry.counter("fault/retries", 1);
                             let backoff = policy.backoff_before(retries);
@@ -738,15 +821,11 @@ impl<M: MappingOptimizer> CodesignEvaluator<M> {
             }
             result
         });
-        self.layer_cache.note(already, computed);
+        self.layer_rows.note(already, computed);
         if self.telemetry.active() {
-            self.cache_counter(
-                "layer_cache",
-                self.layer_cache.shard_index(&key),
-                Self::classify(already, computed),
-            );
+            self.cache_counter("layer_cache", shard, Self::classify(already, computed));
         }
-        slot.get().expect("initialized above").clone()
+        result
     }
 
     /// Assembles one point's costs; `Err` when any layer mapping failed
@@ -756,32 +835,37 @@ impl<M: MappingOptimizer> CodesignEvaluator<M> {
         let area = cfg.area_mm2(&self.tech);
         let power = cfg.max_power_w(&self.tech);
 
-        let mut layers = Vec::new();
+        let table = self.shapes();
+        let (shard, row) = self.row(&cfg);
+        let mut layers = Vec::with_capacity(table.models.iter().map(|m| m.uses.len()).sum());
         let mut per_model_latency = Vec::with_capacity(self.models.len());
         let mut energy_mj = 0.0;
         let mut mappable = true;
-        for model in &self.models {
+        for model in &table.models {
             let mut model_latency = 0.0f64;
-            for u in model.unique_shapes() {
-                let outcome = self.map_layer(&u.shape, &cfg, 1)?;
-                mappable &= outcome.mapped.is_some();
+            for (id, name, count) in &model.uses {
+                let outcome = self
+                    .map_layer(&row, *id, &cfg, shard, 1)
+                    .as_ref()
+                    .map_err(EvalFault::clone)?;
+                let mapped = outcome.mapped();
+                mappable &= mapped.is_some();
                 // Unmappable layers contribute their diagnostic latency —
                 // a finite surrogate that keeps a search gradient toward
                 // mappability (the design stays infeasible regardless).
-                let profile = outcome.mapped.map(|m| m.profile).or(outcome.diagnostic);
-                let latency_ms = profile
-                    .map(|p| p.latency_ms(cfg.freq_mhz) * u.count as f64)
+                let latency_ms = outcome
+                    .profile()
+                    .map(|p| p.latency_ms(cfg.freq_mhz) * *count as f64)
                     .unwrap_or(f64::INFINITY);
-                if let Some(m) = &outcome.mapped {
-                    energy_mj += m.profile.energy_mj() * u.count as f64;
+                if let Some(m) = mapped {
+                    energy_mj += m.profile.energy_mj() * *count as f64;
                 }
                 model_latency += latency_ms;
                 layers.push(LayerEval {
-                    name: u.name,
-                    model: model.name().to_string(),
-                    count: u.count,
-                    profile,
-                    mappable: outcome.mapped.is_some(),
+                    name: name.clone(),
+                    model: model.name.clone(),
+                    count: *count,
+                    outcome: outcome.clone(),
                     latency_ms,
                 });
             }
@@ -827,39 +911,29 @@ impl<M: MappingOptimizer> CodesignEvaluator<M> {
         Evaluation::failed(self.constraints.len())
     }
 
-    /// The unique `(layer, config)` mapping tasks this batch would need
-    /// that are not yet in the layer cache, in first-appearance order.
-    fn pending_layer_tasks(&self, points: &[DesignPoint]) -> Vec<(LayerShape, AcceleratorConfig)> {
+    /// The layer mappings this batch needs that are not yet cached: each
+    /// distinct configuration's row once, as `(shard, config, row)`, and
+    /// one `(row index, slot)` pair per empty slot, in first-appearance
+    /// order. A row has a slot for every shape of every model, so its
+    /// empty slots are exactly the mappings its points lack.
+    fn pending_layer_tasks(&self, points: &[DesignPoint]) -> (Vec<PendingRow>, Vec<(u32, u32)>) {
         let mut seen = HashSet::new();
+        let mut rows = Vec::new();
         let mut tasks = Vec::new();
         for p in points {
             let cfg = decode_edge_point(&self.space, p);
-            for model in &self.models {
-                for u in model.unique_shapes() {
-                    let key = (u.shape, cfg);
-                    if seen.insert(key) && !self.layer_cache.is_cached(&key) {
-                        tasks.push(key);
-                    }
+            if !seen.insert(cfg) {
+                continue;
+            }
+            let (shard, row) = self.row(&cfg);
+            for (id, slot) in row.iter().enumerate() {
+                if slot.get().is_none() {
+                    tasks.push((rows.len() as u32, id as u32));
                 }
             }
+            rows.push((shard, cfg, row));
         }
-        tasks
-    }
-
-    /// The serial batch path: points evaluated in order on the calling
-    /// thread, reported as one `engine/serial` batch record.
-    fn serial_batch(&self, points: &[DesignPoint]) -> Vec<Result<Evaluation, EvalFault>> {
-        let evals: Vec<Result<Evaluation, EvalFault>> =
-            points.iter().map(|p| self.try_evaluate(p)).collect();
-        if self.telemetry.active() && !points.is_empty() {
-            self.telemetry.batch(BatchRecord {
-                stage: "engine/serial".to_string(),
-                items: points.len() as u64,
-                threads: 1,
-                per_thread: vec![points.len() as u64],
-            });
-        }
-        evals
+        (rows, tasks)
     }
 }
 
@@ -882,7 +956,7 @@ impl<M: MappingOptimizer> Evaluator for CodesignEvaluator<M> {
     }
 
     fn try_evaluate(&self, point: &DesignPoint) -> Result<Evaluation, EvalFault> {
-        let slot = self.point_cache.slot(point);
+        let (shard, slot) = self.point_cache.entry(point, || Arc::new(OnceLock::new()));
         let already = slot.get().is_some();
         let mut computed = false;
         slot.get_or_init(|| {
@@ -904,11 +978,7 @@ impl<M: MappingOptimizer> Evaluator for CodesignEvaluator<M> {
         });
         self.point_cache.note(already, computed);
         if self.telemetry.active() {
-            self.cache_counter(
-                "point_cache",
-                self.point_cache.shard_index(point),
-                Self::classify(already, computed),
-            );
+            self.cache_counter("point_cache", shard, Self::classify(already, computed));
         }
         slot.get().expect("initialized above").clone()
     }
@@ -925,18 +995,18 @@ impl<M: MappingOptimizer> Evaluator for CodesignEvaluator<M> {
 
     /// Parallel batch evaluation. Two fan-out phases on the shared
     /// executor pool with a budget of [`EvalEngine::resolved_threads`]
-    /// participants: first the unique uncached `(layer, config)` mapping
-    /// tasks (the expensive part, deduplicated so no two workers ever
-    /// optimize the same pair), then the per-point cost assembly. Results
-    /// are position-aligned with `points` and bit-for-bit identical to the
-    /// serial path.
+    /// participants: first the empty slots of the batch's layer rows (the
+    /// expensive part, deduplicated so no two workers ever optimize the
+    /// same pair), then the per-point cost assembly. Results are
+    /// position-aligned with `points` and bit-for-bit identical for every
+    /// budget.
     ///
     /// The fan-out unit is a *layer mapping*, not a point: a batch with a
     /// single candidate but many uncached layers still spreads its mapping
     /// work across all workers, and a batch with one uncached layer hands
     /// that mapping the whole budget for its tiling sweep (intra-layer
-    /// parallelism); a phase with at most one item runs inline on the
-    /// caller. The serial path is taken only by a one-thread engine.
+    /// parallelism); a phase with at most one item, and every phase of a
+    /// one-thread engine, runs inline on the caller.
     ///
     /// Worker panics cannot escape: every mapper call runs under the fault
     /// boundary's panic guard, so a faulted candidate yields `Err` in its
@@ -944,24 +1014,12 @@ impl<M: MappingOptimizer> Evaluator for CodesignEvaluator<M> {
     ///
     /// With telemetry attached, each phase emits a [`BatchRecord`] with
     /// per-worker pull counts (stages `engine/mapping` and
-    /// `engine/points`; a one-thread engine emits `engine/serial`),
-    /// plus `engine/layer_jobs` and `engine/point_jobs` counters totalling
-    /// the work items the engine distributed.
+    /// `engine/points`), plus `engine/layer_jobs` and `engine/point_jobs`
+    /// counters totalling the work items the engine distributed.
     fn try_evaluate_batch(&self, points: &[DesignPoint]) -> Vec<Result<Evaluation, EvalFault>> {
         let _batch_span = self.telemetry.span("eval/batch");
         let threads = self.engine.resolved_threads();
-        if threads <= 1 {
-            // Kept on purpose: at one thread the two-phase path below does
-            // the same evaluations plus work this path skips: a
-            // `pending_layer_tasks` pass (every model's unique shapes
-            // re-derived per point), a second layer-cache access per layer
-            // and two executor scopes. Sending one-thread batches through
-            // it measured `fixdf_zoo` cpu_s 1.22-1.29 s -> 1.71-1.78 s and
-            // peak RSS 398 -> 417 MiB (perfbench, `EDSE_TEST_THREADS=1`,
-            // three alternating pairs, 2-vCPU host).
-            return self.serial_batch(points);
-        }
-        let tasks = self.pending_layer_tasks(points);
+        let (rows, tasks) = self.pending_layer_tasks(points);
         if self.telemetry.active() {
             self.telemetry
                 .counter("engine/layer_jobs", tasks.len() as u64);
@@ -979,8 +1037,9 @@ impl<M: MappingOptimizer> Evaluator for CodesignEvaluator<M> {
         let per_thread = {
             let _mapping_span = self.telemetry.span("eval/mapping");
             fan_out(tasks.len(), threads, |i| {
-                let (shape, cfg) = &tasks[i];
-                let _ = self.map_layer(shape, cfg, intra);
+                let (r, id) = tasks[i];
+                let (shard, cfg, row) = &rows[r as usize];
+                let _ = self.map_layer(row, id as usize, cfg, *shard, intra);
             })
         };
         if self.telemetry.active() && !tasks.is_empty() {
@@ -1054,34 +1113,45 @@ impl<M: MappingOptimizer> Evaluator for CodesignEvaluator<M> {
     /// the others on disk by key.
     fn cache_snapshot(&self) -> CacheSnapshot {
         let mut layers = Vec::new();
-        for ((shape, cfg), v) in self.layer_cache.completed() {
-            let Ok(outcome) = v else { continue };
-            let on_disk = self.disk_cache.as_ref().is_some_and(|disk| {
-                diskcache::layer_key(&self.mapper_fingerprint, &shape, &cfg)
-                    .is_ok_and(|key| disk.contains(&key))
-            });
-            if !on_disk {
-                layers.push(LayerEntry {
-                    mapper: self.mapper_fingerprint.clone(),
-                    shape,
-                    cfg,
-                    outcome,
+        let shapes = &self.shapes().shapes;
+        for (cfg, row) in self.layer_rows.entries() {
+            for (shape, slot) in shapes.iter().zip(row.iter()) {
+                let Some(Ok(outcome)) = slot.get() else {
+                    continue;
+                };
+                let on_disk = self.disk_cache.as_ref().is_some_and(|disk| {
+                    diskcache::layer_key(&self.mapper_fingerprint, shape, &cfg)
+                        .is_ok_and(|key| disk.contains(&key))
                 });
+                if !on_disk {
+                    layers.push(LayerEntry {
+                        mapper: self.mapper_fingerprint.clone(),
+                        shape: *shape,
+                        cfg,
+                        outcome: **outcome,
+                    });
+                }
             }
         }
         CacheSnapshot { layers }
     }
 
-    /// Inserts the snapshot's outcomes of this evaluator's own mapper into
-    /// the layer cache, without calling the mapper or counting traffic;
-    /// other mappers' outcomes are ignored. Nothing else is restored: a
-    /// resumed search repeats its points, and each is assembled on demand
-    /// from the warmed layer cache, so what a restored evaluator returns
-    /// never depends on the snapshot's writer.
+    /// Fills the layer slots the snapshot holds outcomes of this
+    /// evaluator's own mapper for, without calling the mapper or counting
+    /// traffic; other mappers' outcomes, and shapes none of this
+    /// evaluator's models has (no evaluation could read them), are
+    /// skipped. Nothing else is restored: a resumed search repeats its
+    /// points, and each is assembled on demand from the warmed layer
+    /// cache, so what a restored evaluator returns never depends on the
+    /// snapshot's writer.
     fn restore_caches(&self, snapshot: &CacheSnapshot) {
+        let ids = &self.shapes().ids;
         for e in &snapshot.layers {
-            if e.mapper == self.mapper_fingerprint {
-                self.layer_cache.insert((e.shape, e.cfg), Ok(e.outcome));
+            if e.mapper != self.mapper_fingerprint {
+                continue;
+            }
+            if let Some(&id) = ids.get(&e.shape) {
+                let _ = self.row(&e.cfg).1[id].set(Ok(Arc::new(e.outcome)));
             }
         }
     }
@@ -1090,7 +1160,7 @@ impl<M: MappingOptimizer> Evaluator for CodesignEvaluator<M> {
         CacheStats {
             unique_evaluations: self.unique_evaluations(),
             point: self.point_cache.stats(),
-            layer: self.layer_cache.stats(),
+            layer: self.layer_rows.stats(),
             disk: self.disk_cache.as_ref().map(|d| d.stats()),
             disk_error: self.disk_error.clone(),
         }
@@ -1717,6 +1787,96 @@ mod tests {
         assert!(snap.layers.iter().all(|e| e.cfg == cfg));
         drop((cold, warm, ev));
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Two models that share a layer shape: the layer cache maps that
+    /// shape once per configuration, every engine budget does the same
+    /// work, and both models' evaluations hold the one cached outcome.
+    #[test]
+    fn models_sharing_a_shape_share_one_outcome() {
+        use workloads::{Layer, ThroughputTarget};
+        let shared = LayerShape::conv(1, 64, 64, 56, 56, 3, 3, 1);
+        let model = |name: &str, own: LayerShape| {
+            DnnModel::new(
+                name,
+                vec![
+                    Layer::new(format!("{name}.own"), own, 1),
+                    Layer::new(format!("{name}.shared"), shared, 2),
+                ],
+                ThroughputTarget::fps(30.0),
+            )
+        };
+        let models = vec![
+            model("a", LayerShape::conv(1, 32, 16, 28, 28, 3, 3, 1)),
+            model("b", LayerShape::gemm(128, 256, 64)),
+        ];
+        let space = edge_space();
+        // Three distinct configurations, each asked for twice.
+        let points: Vec<DesignPoint> = (0..6)
+            .map(|i| {
+                space
+                    .minimum_point()
+                    .with_index(crate::space::edge::PES, i % 3)
+                    .with_index(crate::space::edge::phys_links(1), 31)
+            })
+            .collect();
+        let build = |engine| {
+            CodesignEvaluator::new(space.clone(), models.clone(), FixedMapper).with_engine(engine)
+        };
+        let serial = build(EvalEngine::serial());
+        let parallel = build(EvalEngine::with_threads(3));
+        let a = serial.evaluate_batch(&points);
+        let b = parallel.evaluate_batch(&points);
+        // Debug prints every float exactly, so equal text is equal bits.
+        assert_eq!(format!("{a:?}"), format!("{b:?}"));
+        let (s, p) = (serial.cache_stats().layer, parallel.cache_stats().layer);
+        let (distinct_shapes, distinct_configs) = (3, 3);
+        assert_eq!(s.misses, distinct_shapes * distinct_configs);
+        assert_eq!(p.misses, s.misses);
+        assert_eq!(s.entries as u64, s.misses);
+        assert_eq!(s.inflight_waits, 0);
+        assert_eq!(s.hits, p.hits + p.inflight_waits);
+
+        let shared_outcomes = |e: &Evaluation| -> (Arc<LayerOutcome>, Arc<LayerOutcome>) {
+            let find = |name: &str| {
+                let l = e.layers.iter().find(|l| &*l.name == name).expect("layer");
+                l.outcome.clone()
+            };
+            (find("a.shared"), find("b.shared"))
+        };
+        for e in &a {
+            let (x, y) = shared_outcomes(e);
+            assert!(Arc::ptr_eq(&x, &y), "one outcome for the shared shape");
+        }
+        // Re-assembly after the point cache is cleared reads the same
+        // outcomes; no layer is mapped again.
+        let before = shared_outcomes(&a[0]).0;
+        let serial = serial.with_objective(Objective::Energy);
+        let again = serial.evaluate(&points[0]);
+        let (x, y) = shared_outcomes(&again);
+        assert!(Arc::ptr_eq(&x, &y) && Arc::ptr_eq(&x, &before));
+        assert_eq!(serial.cache_stats().layer.misses, s.misses);
+
+        // A snapshot entry whose shape no model has is never read, so a
+        // restore skips it; a known shape fills exactly its slot.
+        let entry = |shape: LayerShape| {
+            let cfg = serial.decode(&points[0]);
+            LayerEntry {
+                mapper: FixedMapper.fingerprint(),
+                shape,
+                cfg,
+                outcome: LayerOutcome::Unmappable(None),
+            }
+        };
+        let fresh = build(EvalEngine::serial());
+        fresh.restore_caches(&CacheSnapshot {
+            layers: vec![entry(LayerShape::conv(1, 8, 8, 7, 7, 1, 1, 1))],
+        });
+        assert_eq!(fresh.cache_stats().layer.entries, 0);
+        fresh.restore_caches(&CacheSnapshot {
+            layers: vec![entry(shared)],
+        });
+        assert_eq!(fresh.cache_stats().layer.entries, 1);
     }
 
     #[test]

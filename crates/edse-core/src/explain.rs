@@ -181,6 +181,7 @@ mod tests {
     mod aggregation_edges {
         use crate::bottleneck::{BottleneckModel, TreeBuilder};
         use crate::cost::{Evaluation, LayerEval};
+        use crate::diskcache::LayerOutcome;
         use crate::dse::{analyze_subfunctions, Aggregation, DseConfig};
 
         /// A one-leaf model over `f64` contexts (the layer latency). The
@@ -197,13 +198,22 @@ mod tests {
             .mitigation(0, |ctx, _| Some(*ctx))
         }
 
+        /// A layer whose analysis context is its latency; only whether it
+        /// is mappable is read from its outcome.
         fn layer(name: &str, latency_ms: f64, mappable: bool) -> LayerEval {
+            let outcome = if mappable {
+                let shape = workloads::LayerShape::conv(1, 16, 16, 14, 14, 3, 3, 1);
+                let cfg = accel_model::AcceleratorConfig::edge_baseline();
+                let mapped = mapper::MappingOptimizer::optimize(&mapper::FixedMapper, &shape, &cfg);
+                LayerOutcome::Mapped(mapped.expect("maps"))
+            } else {
+                LayerOutcome::Unmappable(None)
+            };
             LayerEval {
                 name: name.into(),
                 model: "synthetic".into(),
                 count: 1,
-                profile: None,
-                mappable,
+                outcome: std::sync::Arc::new(outcome),
                 latency_ms,
             }
         }
@@ -216,7 +226,7 @@ mod tests {
         ) -> (Vec<(usize, Option<f64>)>, Vec<String>) {
             let eval = Evaluation {
                 objective: layers.iter().map(|l| l.latency_ms).sum(),
-                mappable: layers.iter().all(|l| l.mappable),
+                mappable: layers.iter().all(|l| l.mappable()),
                 constraint_values: vec![],
                 layers,
                 area_mm2: 0.0,

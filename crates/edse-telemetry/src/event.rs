@@ -93,7 +93,7 @@ pub struct IterationRecord {
 pub struct BatchRecord {
     /// Which engine phase this batch belongs to (`"engine/mapping"` for
     /// the deduplicated layer-mapping tasks, `"engine/points"` for the
-    /// per-point cost assembly, `"engine/serial"` for a one-thread engine).
+    /// per-point cost assembly).
     pub stage: String,
     /// Number of work items in the batch.
     pub items: u64,

@@ -5,6 +5,7 @@
 
 use explainable_dse::core::bottleneck::{dnn_latency_model, LayerCtx};
 use explainable_dse::core::space::{decode_edge_point, edge, edge_space};
+use explainable_dse::core::LayerEval;
 use explainable_dse::prelude::*;
 
 #[test]
@@ -44,7 +45,7 @@ fn bottleneck_predictions_reduce_latency_when_applied() {
         .expect("layers");
     let ctx = LayerCtx {
         cfg,
-        profile: critical.profile.expect("profile"),
+        profile: *critical.profile().expect("profile"),
     };
     let analysis = bottleneck_model.analyze(&ctx, 1);
     assert!(
@@ -99,8 +100,7 @@ fn per_layer_bottlenecks_differ_across_the_network() {
     let model = dnn_latency_model();
 
     let mut bottlenecks = std::collections::BTreeSet::new();
-    for layer in eval.layers.iter().filter_map(|l| l.profile.map(|p| (l, p))) {
-        let (_, profile) = layer;
+    for &profile in eval.layers.iter().filter_map(LayerEval::profile) {
         let a = model.analyze(&LayerCtx { cfg, profile }, 1);
         bottlenecks.insert(a.bottleneck.split(':').next().unwrap_or("").to_string());
     }
