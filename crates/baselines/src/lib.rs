@@ -47,7 +47,7 @@ use edse_core::bottleneck::dnn_latency_model;
 use edse_core::cost::Trace;
 use edse_core::evaluate::Evaluator;
 use edse_core::space::{DesignPoint, DesignSpace};
-use edse_core::{DseConfig, ExplainableDse, JobSpec, SearchDriver};
+use edse_core::{DseConfig, ExplainableDse, SearchDriver};
 use edse_telemetry::Collector;
 
 /// The technique registry shared by the bench harness and `edse-serve`:
@@ -78,9 +78,11 @@ pub fn by_name(name: &str, seed: u64) -> Option<Box<dyn DseTechnique>> {
 }
 
 /// Builder and runner for one blocking exploration by any
-/// [`DseTechnique`]: telemetry plus checkpoint/resume, run to completion
-/// through [`SearchDriver`] (see there for what a checkpoint holds and how
-/// a resume works).
+/// [`DseTechnique`]: telemetry, then a run to completion through
+/// [`SearchDriver`]. A session does not checkpoint; a checkpointed or
+/// resumed run applies a [`edse_core::JobSpec`] to the driver itself with
+/// [`SearchDriver::spec`], which refuses a snapshot it cannot resume with
+/// an error.
 ///
 /// ```
 /// use baselines::{BaselineSession, RandomSearch};
@@ -98,17 +100,15 @@ pub fn by_name(name: &str, seed: u64) -> Option<Box<dyn DseTechnique>> {
 pub struct BaselineSession<'t> {
     technique: Box<dyn DseTechnique + 't>,
     telemetry: Collector,
-    spec: JobSpec,
 }
 
 impl<'t> BaselineSession<'t> {
     /// Starts a session around a technique (owned or `&mut`). Telemetry
-    /// defaults to the inert collector and checkpointing is off.
+    /// defaults to the inert collector.
     pub fn new(technique: impl DseTechnique + 't) -> Self {
         BaselineSession {
             technique: Box::new(technique),
             telemetry: Collector::noop(),
-            spec: JobSpec::default(),
         }
     }
 
@@ -119,27 +119,10 @@ impl<'t> BaselineSession<'t> {
         self
     }
 
-    /// Applies the session-relevant subset of a [`JobSpec`]: checkpoint
-    /// path, snapshot cadence, and resume policy — the same configuration
-    /// surface `edse_core::SearchSession::spec` consumes.
-    pub fn spec(mut self, spec: &JobSpec) -> Self {
-        self.spec = spec.clone();
-        self
-    }
-
     /// Runs the technique for `budget` evaluations.
-    ///
-    /// # Panics
-    ///
-    /// Panics when resume is enabled and the snapshot file exists but
-    /// cannot be loaded, or records a different technique or budget than
-    /// this run (see [`SearchDriver::spec`], which returns the same
-    /// mismatch as an error).
     pub fn run(self, evaluator: &dyn Evaluator, budget: usize) -> Trace {
         SearchDriver::new(self.technique, evaluator, budget)
             .telemetry(self.telemetry)
-            .spec(&self.spec)
-            .unwrap_or_else(|e| panic!("{e}"))
             .run_to_completion()
             .into_trace()
     }
@@ -163,7 +146,7 @@ mod tests {
     use edse_core::cost::Sample;
     use edse_core::evaluate::CodesignEvaluator;
     use edse_core::space::edge_space;
-    use edse_core::StepOutcome;
+    use edse_core::{JobSpec, StepOutcome};
     use mapper::FixedMapper;
     use workloads::zoo;
 
@@ -399,10 +382,11 @@ mod tests {
             ..spec
         };
         let ev = evaluator();
-        let mut technique = SimulatedAnnealing::new(9);
-        let resumed = BaselineSession::new(&mut technique)
+        let resumed = SearchDriver::new(Box::new(SimulatedAnnealing::new(9)), &ev, budget)
             .spec(&spec)
-            .run(&ev, budget);
+            .unwrap()
+            .run_to_completion()
+            .into_trace();
         assert_eq!(
             uninterrupted.samples, resumed.samples,
             "resume must be bit-identical"
@@ -414,9 +398,8 @@ mod tests {
             "a resume must not remap the saved steps"
         );
 
-        // A mismatched budget must refuse to resume rather than silently
-        // run a different search: an error from the driver, a panic from
-        // the blocking session.
+        // A mismatched budget or technique must refuse to resume rather
+        // than silently run a different search.
         let refused = SearchDriver::new(
             Box::new(SimulatedAnnealing::new(9)),
             evaluator(),
@@ -431,13 +414,6 @@ mod tests {
             .err()
             .expect("technique drift must be rejected");
         assert!(refused.contains("technique"), "{refused}");
-        let mut technique = SimulatedAnnealing::new(9);
-        let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            BaselineSession::new(&mut technique)
-                .spec(&spec)
-                .run(&evaluator(), budget + 1)
-        }));
-        assert!(refused.is_err(), "budget drift must be rejected");
 
         std::fs::remove_dir_all(&dir).ok();
     }

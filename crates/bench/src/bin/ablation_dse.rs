@@ -11,44 +11,38 @@
 //!
 //! Usage: `ablation_dse [--iters N] [--models a,b] [--seed N] [--json PATH]`
 
-use bench::{print_table, BenchArgs, BenchReport, SessionOpts};
+use bench::{fail, print_table, BenchArgs, BenchReport, Harness};
 use edse_core::bottleneck::dnn_latency_model;
 use edse_core::cost::Trace;
-use edse_core::dse::{Aggregation, DseConfig};
-use edse_core::evaluate::{CodesignEvaluator, Evaluator};
+use edse_core::dse::{Aggregation, DseConfig, ExplainableDse};
+use edse_core::evaluate::Evaluator;
 use edse_core::space::edge_space;
-use edse_core::SearchSession;
-use edse_telemetry::Collector;
 use mapper::{FixedMapper, LinearMapper, MappingOptimizer};
 use workloads::{zoo, DnnModel};
 
+/// Runs one variant from the space's minimum point; `label` names its
+/// snapshot under `--checkpoint`.
 fn run<M: MappingOptimizer>(
+    harness: &Harness,
+    label: &str,
     model: &DnnModel,
     mapper: M,
     config: DseConfig,
-    telemetry: &Collector,
-    session: &SessionOpts,
+    budget: usize,
 ) -> (String, String, String, Trace) {
-    let mut ev = CodesignEvaluator::new(edge_space(), vec![model.clone()], mapper)
-        .with_telemetry(telemetry.clone());
-    if let Some(disk) = &session.disk {
-        ev = ev.with_disk_cache(disk.clone());
-    }
-    let session = SearchSession::new(dnn_latency_model(), config)
-        .evaluator(&ev)
-        .telemetry(telemetry.clone());
-    let initial = ev.space().minimum_point();
-    let r = session.run(initial);
+    let ev = harness.evaluator(edge_space(), vec![model.clone()], mapper);
+    let technique = Box::new(ExplainableDse::new(dnn_latency_model(), config));
+    let r = harness.run(label, technique, &ev, budget);
     let best = r
         .best()
         .map(|(_, e)| format!("{:.2}", e.objective))
         .unwrap_or_else(|| "-".into());
-    let budget = r
+    let budget_used = r
         .best()
         .map(|(_, e)| format!("{:.2}", e.constraint_budget(ev.constraints())))
         .unwrap_or_else(|| "-".into());
     let evaluations = r.trace().evaluations().to_string();
-    (best, evaluations, budget, r.into_trace())
+    (best, evaluations, budget_used, r.into_trace())
 }
 
 fn main() {
@@ -56,12 +50,11 @@ fn main() {
     // Convergence comparisons need room even in quick mode.
     args.spec.budget = args.spec.budget.max(150);
     let telemetry = args.telemetry();
-    let session = args.session_opts(&telemetry);
-    let models = args.models_or(&telemetry, vec![zoo::resnet18(), zoo::efficientnet_b0()]);
-    let base = DseConfig {
-        budget: args.spec.budget,
-        ..DseConfig::default()
-    };
+    let harness = Harness::new(&args, &telemetry);
+    let models = args
+        .models_or(vec![zoo::resnet18(), zoo::efficientnet_b0()])
+        .unwrap_or_else(|e| fail(&telemetry, &e));
+    let base = DseConfig::default();
 
     let mut report = BenchReport::new("ablation_dse", &args);
     for model in &models {
@@ -70,14 +63,17 @@ fn main() {
             model.name(),
             args.spec.budget
         );
-        let variants: Vec<(&str, DseConfig, bool)> = vec![
+        // (row name, snapshot tag, configuration, codesign?)
+        let variants: Vec<(&str, &str, DseConfig, bool)> = vec![
             (
                 "paper defaults (min agg, budget-aware, K=5)",
+                "defaults",
                 base.clone(),
                 false,
             ),
             (
                 "max aggregation",
+                "max-aggregation",
                 DseConfig {
                     aggregation: Aggregation::Max,
                     ..base.clone()
@@ -86,6 +82,7 @@ fn main() {
             ),
             (
                 "budget-awareness off",
+                "budget-unaware",
                 DseConfig {
                     budget_aware: false,
                     ..base.clone()
@@ -94,6 +91,7 @@ fn main() {
             ),
             (
                 "top-K = 1",
+                "top1",
                 DseConfig {
                     top_k: 1,
                     ..base.clone()
@@ -102,30 +100,27 @@ fn main() {
             ),
             (
                 "top-K = 20",
+                "top20",
                 DseConfig {
                     top_k: 20,
                     ..base.clone()
                 },
                 false,
             ),
-            ("codesign (linear mapper)", base.clone(), true),
+            ("codesign (linear mapper)", "codesign", base.clone(), true),
         ];
         let mut rows = Vec::new();
-        for (name, config, codesign) in variants {
-            let (best, evals, budget, trace) = if codesign {
-                run(
-                    model,
-                    LinearMapper::new(args.spec.map_trials),
-                    config,
-                    &telemetry,
-                    &session,
-                )
+        for (name, tag, config, codesign) in variants {
+            let label = format!("explainable-{tag}.{}", model.name());
+            let budget = args.spec.budget;
+            let (best, evals, budget_used, trace) = if codesign {
+                let mapper = LinearMapper::new(args.spec.map_trials);
+                run(&harness, &label, model, mapper, config, budget)
             } else {
-                run(model, FixedMapper, config, &telemetry, &session)
+                run(&harness, &label, model, FixedMapper, config, budget)
             };
-            telemetry.flush();
             report.push_trace(&format!("{name}/{}", model.name()), &trace);
-            rows.push(vec![name.to_string(), best, evals, budget]);
+            rows.push(vec![name.to_string(), best, evals, budget_used]);
         }
         print_table(
             &["variant", "best latency (ms)", "evals", "budget used"],

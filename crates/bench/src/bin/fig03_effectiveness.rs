@@ -6,7 +6,8 @@
 //! Usage: `fig03_effectiveness [--full] [--iters N] [--seed N] [--json PATH]`
 
 use bench::{
-    constraints_for, print_table, run_technique, BenchArgs, BenchReport, MapperKind, TechniqueKind,
+    constraints_for, print_table, run_technique, BenchArgs, BenchReport, Harness, MapperKind,
+    TechniqueKind,
 };
 use edse_telemetry::json::Json;
 use workloads::zoo;
@@ -14,7 +15,7 @@ use workloads::zoo;
 fn main() {
     let args = BenchArgs::parse(2500);
     let telemetry = args.telemetry();
-    let session = args.session_opts(&telemetry);
+    let harness = Harness::new(&args, &telemetry);
     let model = zoo::efficientnet_b0();
     let constraints = constraints_for(std::slice::from_ref(&model));
     println!(
@@ -27,14 +28,14 @@ fn main() {
     let mut rows = Vec::new();
     for kind in TechniqueKind::ALL {
         let trace = run_technique(
+            &harness,
             kind,
             MapperKind::FixedDataflow,
-            vec![model.clone()],
+            &model,
             args.spec.budget,
             args.spec.seed,
-            &telemetry,
-            &session,
-        );
+        )
+        .into_trace();
         report.push_trace(kind.label(), &trace);
         report.metric(
             &format!("area_power_feasibility/{}", kind.label()),

@@ -12,15 +12,15 @@
 //! times) so interrupted-and-resumed runs can be diffed against
 //! uninterrupted ones; `scripts/check.sh` does exactly that.
 
-use baselines::{BaselineSession, HyperMapperLike};
+use baselines::HyperMapperLike;
 use bench::toy::{single_layer_model, toy_space};
-use bench::{BenchArgs, BenchReport};
-use edse_core::dse::DseConfig;
-use edse_core::evaluate::{CodesignEvaluator, Evaluator};
+use bench::{BenchArgs, BenchReport, Harness};
+use edse_core::dse::{DseConfig, ExplainableDse};
+use edse_core::evaluate::Evaluator;
 use edse_core::space::{edge, DesignSpace};
-use edse_core::JobSpec;
-use edse_core::{bottleneck::dnn_latency_model, DseResult, SearchSession, Trace};
+use edse_core::{bottleneck::dnn_latency_model, DseResult, Trace};
 use edse_telemetry::json::Json;
+use mapper::FixedMapper;
 
 fn print_trace(title: &str, space: &DesignSpace, trace: &Trace) {
     println!("\n--- {title} ---");
@@ -113,56 +113,26 @@ fn result_json(hm: &Trace, result: &DseResult, unique_evaluations: usize) -> Jso
 fn main() {
     let args = BenchArgs::parse(25);
     let telemetry = args.telemetry();
-    let opts = args.session_opts(&telemetry);
+    let harness = Harness::new(&args, &telemetry);
     let space = toy_space();
     let model = single_layer_model();
+    let budget = args.spec.budget;
 
     // HyperMapper-2.0-style exploration (Fig. 4a).
-    let mut ev = CodesignEvaluator::new(space.clone(), vec![model.clone()], mapper::FixedMapper)
-        .with_telemetry(telemetry.clone());
-    if let Some(disk) = &opts.disk {
-        ev = ev.with_disk_cache(disk.clone());
-    }
-    let mut technique = HyperMapperLike::new(args.spec.seed);
-    let mut hm_session = BaselineSession::new(&mut technique).telemetry(telemetry.clone());
-    if let Some(path) = opts.path_for("hypermapper") {
-        hm_session = hm_session.spec(&JobSpec {
-            checkpoint: Some(path),
-            checkpoint_every: opts.every,
-            resume: opts.resume,
-            ..JobSpec::default()
-        });
-    }
-    let hm = hm_session.run(&ev, args.spec.budget);
-    telemetry.flush();
+    let ev = harness.evaluator(space.clone(), vec![model.clone()], FixedMapper);
+    let technique = Box::new(HyperMapperLike::new(args.spec.seed));
+    let hm = harness
+        .run("hypermapper", technique, &ev, budget)
+        .into_trace();
     print_trace("HyperMapper 2.0 (black-box)", &space, &hm);
 
-    // Explainable-DSE (Fig. 4b).
-    let mut ev = CodesignEvaluator::new(space.clone(), vec![model], mapper::FixedMapper)
-        .with_telemetry(telemetry.clone());
-    if let Some(disk) = &opts.disk {
-        ev = ev.with_disk_cache(disk.clone());
-    }
-    let mut session = SearchSession::new(
+    // Explainable-DSE (Fig. 4b), from the space's minimum point.
+    let ev = harness.evaluator(space.clone(), vec![model], FixedMapper);
+    let technique = Box::new(ExplainableDse::new(
         dnn_latency_model(),
-        DseConfig {
-            budget: args.spec.budget,
-            ..DseConfig::default()
-        },
-    )
-    .evaluator(&ev)
-    .telemetry(telemetry.clone());
-    if let Some(path) = opts.path_for("explainable") {
-        session = session.spec(&JobSpec {
-            checkpoint: Some(path),
-            checkpoint_every: opts.every,
-            resume: opts.resume,
-            ..JobSpec::default()
-        });
-    }
-    let initial = ev.space().minimum_point();
-    let result = session.run(initial);
-    telemetry.flush();
+        DseConfig::default(),
+    ));
+    let result = harness.run("explainable", technique, &ev, budget);
     print_trace(
         "Explainable-DSE (bottleneck-guided)",
         &space,

@@ -6,12 +6,11 @@
 //!
 //! Usage: `fig06_walkthrough [--iters N] [--json PATH]`
 
-use bench::{BenchArgs, BenchReport};
+use bench::{BenchArgs, BenchReport, Harness};
 use edse_core::bottleneck::dnn_latency_model;
-use edse_core::dse::DseConfig;
-use edse_core::evaluate::{CodesignEvaluator, Evaluator};
+use edse_core::dse::{DseConfig, ExplainableDse};
+use edse_core::evaluate::Evaluator;
 use edse_core::space::edge_space;
-use edse_core::SearchSession;
 use edse_telemetry::json::Json;
 use mapper::FixedMapper;
 use workloads::zoo;
@@ -19,25 +18,17 @@ use workloads::zoo;
 fn main() {
     let args = BenchArgs::parse(80);
     let telemetry = args.telemetry();
-    let mut evaluator = CodesignEvaluator::new(edge_space(), vec![zoo::resnet18()], FixedMapper)
-        .with_telemetry(telemetry.clone());
-    if let Some(disk) = &args.session_opts(&telemetry).disk {
-        evaluator = evaluator.with_disk_cache(disk.clone());
-    }
-    let mut session = SearchSession::new(
+    let harness = Harness::new(&args, &telemetry);
+    let evaluator = harness.evaluator(edge_space(), vec![zoo::resnet18()], FixedMapper);
+    let technique = Box::new(ExplainableDse::new(
         dnn_latency_model(),
         DseConfig {
-            budget: args.spec.budget.max(60),
             restarts: 0,
             ..DseConfig::default()
         },
-    )
-    .evaluator(&evaluator)
-    .telemetry(telemetry.clone());
-    session = session.spec(&args.spec);
-    let initial = evaluator.space().minimum_point();
-    let result = session.run(initial);
-    telemetry.flush();
+    ));
+    let budget = args.spec.budget.max(60);
+    let result = harness.run("explainable", technique, &evaluator, budget);
     println!(
         "{}",
         result.report(evaluator.space(), evaluator.constraints())

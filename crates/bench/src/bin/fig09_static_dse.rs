@@ -8,8 +8,8 @@
 //! [--trace-out t.jsonl] [--verbose] [--json PATH]`
 
 use bench::{
-    constraints_for, latency_cell, print_table, run_technique, BenchArgs, BenchReport, MapperKind,
-    TechniqueKind,
+    constraints_for, fail, latency_cell, print_table, run_technique, BenchArgs, BenchReport,
+    Harness, MapperKind, TechniqueKind,
 };
 use edse_telemetry::Level;
 use workloads::zoo;
@@ -17,8 +17,10 @@ use workloads::zoo;
 fn main() {
     let args = BenchArgs::parse(2500);
     let telemetry = args.telemetry();
-    let session = args.session_opts(&telemetry);
-    let models = args.models_or(&telemetry, zoo::all_models());
+    let harness = Harness::new(&args, &telemetry);
+    let models = args
+        .models_or(zoo::all_models())
+        .unwrap_or_else(|e| fail(&telemetry, &e));
     println!(
         "Fig. 9: best feasible latency (ms) after {} evaluations ({} mapping trials\n\
          per layer for black-box codesign)\n",
@@ -62,14 +64,14 @@ fn main() {
         for model in &models {
             let constraints = constraints_for(std::slice::from_ref(model));
             let trace = run_technique(
+                &harness,
                 *kind,
                 *mapper,
-                vec![model.clone()],
+                model,
                 args.spec.budget,
                 args.spec.seed,
-                &telemetry,
-                &session,
-            );
+            )
+            .into_trace();
             report.push_trace(&format!("{label}/{}", model.name()), &trace);
             row.push(latency_cell(&trace, &constraints));
             telemetry.log(

@@ -8,8 +8,7 @@
 //! [--json PATH]`
 
 use bench::{
-    print_table, run_explainable_detailed, run_technique, BenchArgs, BenchReport, MapperKind,
-    TechniqueKind,
+    fail, print_table, run_technique, BenchArgs, BenchReport, Harness, MapperKind, TechniqueKind,
 };
 use edse_telemetry::json::Json;
 use workloads::zoo;
@@ -17,9 +16,11 @@ use workloads::zoo;
 fn main() {
     let args = BenchArgs::parse(2500);
     let telemetry = args.telemetry();
-    let session = args.session_opts(&telemetry);
+    let harness = Harness::new(&args, &telemetry);
     let default = vec![zoo::resnet18(), zoo::efficientnet_b0(), zoo::transformer()];
-    let models = args.models_or(&telemetry, default);
+    let models = args
+        .models_or(default)
+        .unwrap_or_else(|e| fail(&telemetry, &e));
 
     println!(
         "Fig. 10: exploration cost per technique (budget {} evaluations)\n",
@@ -53,27 +54,15 @@ fn main() {
         let mut explainable_seconds: Option<f64> = None;
         let mut blackbox_seconds: Vec<f64> = Vec::new();
         for (kind, mapper) in settings {
-            let (trace, converged) = if kind == TechniqueKind::Explainable {
-                run_explainable_detailed(
-                    mapper,
-                    vec![model.clone()],
-                    args.spec.budget,
-                    args.spec.seed,
-                    &telemetry,
-                    &session,
-                )
-            } else {
-                let t = run_technique(
-                    kind,
-                    mapper,
-                    vec![model.clone()],
-                    args.spec.budget,
-                    args.spec.seed,
-                    &telemetry,
-                    &session,
-                );
-                (t, vec![])
-            };
+            let result = run_technique(
+                &harness,
+                kind,
+                mapper,
+                model,
+                args.spec.budget,
+                args.spec.seed,
+            );
+            let (trace, converged) = (result.trace(), result.converged_after());
             if kind == TechniqueKind::Explainable {
                 explainable_seconds.get_or_insert(trace.wall_seconds.max(1e-3));
             } else {
@@ -84,7 +73,7 @@ fn main() {
             // and wall-clock is excluded from reports by policy.
             report.push_trace(
                 &format!("{}{}/{}", kind.label(), mapper.suffix(), model.name()),
-                &trace,
+                trace,
             );
             if kind == TechniqueKind::Explainable {
                 if let Some(first) = converged.first() {

@@ -4,7 +4,9 @@
 //!
 //! Usage: `fig11_convergence [--full] [--iters N] [--models a,b] [--json PATH]`
 
-use bench::{print_table, run_technique, BenchArgs, BenchReport, MapperKind, TechniqueKind};
+use bench::{
+    fail, print_table, run_technique, BenchArgs, BenchReport, Harness, MapperKind, TechniqueKind,
+};
 use edse_core::Trace;
 use workloads::zoo;
 
@@ -19,8 +21,10 @@ fn fmt(v: f64) -> String {
 fn main() {
     let args = BenchArgs::parse(2500);
     let telemetry = args.telemetry();
-    let session = args.session_opts(&telemetry);
-    let models = args.models_or(&telemetry, vec![zoo::efficientnet_b0(), zoo::transformer()]);
+    let harness = Harness::new(&args, &telemetry);
+    let models = args
+        .models_or(vec![zoo::efficientnet_b0(), zoo::transformer()])
+        .unwrap_or_else(|e| fail(&telemetry, &e));
 
     let settings = [
         (TechniqueKind::Random, MapperKind::FixedDataflow),
@@ -44,14 +48,14 @@ fn main() {
             .iter()
             .map(|(kind, mapper)| {
                 let t = run_technique(
+                    &harness,
                     *kind,
                     *mapper,
-                    vec![model.clone()],
+                    model,
                     args.spec.budget,
                     args.spec.seed,
-                    &telemetry,
-                    &session,
-                );
+                )
+                .into_trace();
                 (format!("{}{}", kind.label(), mapper.suffix()), t)
             })
             .collect();

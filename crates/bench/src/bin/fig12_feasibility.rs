@@ -6,7 +6,8 @@
 //! Usage: `fig12_feasibility [--full] [--iters N] [--models a,b] [--json PATH]`
 
 use bench::{
-    constraints_for, print_table, run_technique, BenchArgs, BenchReport, MapperKind, TechniqueKind,
+    constraints_for, fail, print_table, run_technique, BenchArgs, BenchReport, Harness, MapperKind,
+    TechniqueKind,
 };
 use edse_telemetry::json::Json;
 use workloads::zoo;
@@ -14,9 +15,11 @@ use workloads::zoo;
 fn main() {
     let args = BenchArgs::parse(2500);
     let telemetry = args.telemetry();
-    let session = args.session_opts(&telemetry);
+    let harness = Harness::new(&args, &telemetry);
     let default = vec![zoo::resnet18(), zoo::mobilenet_v2(), zoo::bert_base()];
-    let models = args.models_or(&telemetry, default);
+    let models = args
+        .models_or(default)
+        .unwrap_or_else(|e| fail(&telemetry, &e));
     println!(
         "Fig. 12: feasibility of explored solutions ({} evaluations, mean over {} models)\n",
         args.spec.budget,
@@ -53,14 +56,14 @@ fn main() {
         for model in &models {
             let constraints = constraints_for(std::slice::from_ref(model));
             let trace = run_technique(
+                &harness,
                 kind,
                 mapper,
-                vec![model.clone()],
+                model,
                 args.spec.budget,
                 args.spec.seed,
-                &telemetry,
-                &session,
-            );
+            )
+            .into_trace();
             report.push_trace(&format!("{label}/{}", model.name()), &trace);
             area_power += trace.feasibility_rate_first(2, &constraints);
             all += trace.feasibility_rate();

@@ -11,11 +11,10 @@
 //!
 //! Usage: `fig14_casestudy [--full] [--iters N] [--json PATH]`
 
-use bench::{print_table, run_technique, BenchArgs, BenchReport, MapperKind, TechniqueKind};
-use edse_core::evaluate::{CodesignEvaluator, Evaluator};
-use edse_core::space::edge_space;
+use bench::{
+    print_table, run_technique, BenchArgs, BenchReport, Harness, MapperKind, TechniqueKind,
+};
 use edse_telemetry::json::Json;
-use mapper::LinearMapper;
 use workloads::zoo;
 
 /// Published reference points: (model, FPS, area mm^2, power W).
@@ -61,7 +60,7 @@ fn references() -> Vec<Reference> {
 fn main() {
     let args = BenchArgs::parse(400);
     let telemetry = args.telemetry();
-    let session = args.session_opts(&telemetry);
+    let harness = Harness::new(&args, &telemetry);
     println!("Fig. 14: DSE codesigns vs published edge accelerators\n");
 
     let mut report = BenchReport::new("fig14_casestudy", &args);
@@ -70,17 +69,17 @@ fn main() {
         let Some(model) = zoo::by_name(r.model) else {
             continue;
         };
-        let trace = run_technique(
+        let result = run_technique(
+            &harness,
             TechniqueKind::Explainable,
             MapperKind::Linear(args.spec.map_trials),
-            vec![model.clone()],
+            &model,
             args.spec.budget,
             args.spec.seed,
-            &telemetry,
-            &session,
         );
-        report.push_trace(&format!("explainable-codesign/{}", r.model), &trace);
-        let Some(best) = trace.best_feasible() else {
+        report.push_trace(&format!("explainable-codesign/{}", r.model), result.trace());
+        // The incumbent's evaluation carries its area and energy.
+        let Some((_, eval)) = result.best() else {
             rows.push(vec![
                 r.model.into(),
                 "no feasible design".into(),
@@ -91,17 +90,7 @@ fn main() {
             ]);
             continue;
         };
-        // Re-evaluate the best point for area/power/energy.
-        let mut ev = CodesignEvaluator::new(
-            edge_space(),
-            vec![model.clone()],
-            LinearMapper::new(args.spec.map_trials),
-        );
-        if let Some(disk) = &session.disk {
-            ev = ev.with_disk_cache(disk.clone());
-        }
-        let eval = ev.evaluate(&best.point);
-        let fps = 1000.0 / best.objective;
+        let fps = 1000.0 / eval.objective;
         let fps_per_mm2 = fps / eval.area_mm2;
         // Energy per inference (J) from the execution model.
         let fps_per_j = if eval.energy_mj > 0.0 {

@@ -5,14 +5,12 @@
 //! Usage: `import_model <path/to/model.json> [--iters N] [--json PATH]`
 //! (default path: `assets/custom_model.json`)
 
-use bench::{BenchArgs, BenchReport};
+use bench::{fail, BenchArgs, BenchReport, Harness};
 use edse_core::bottleneck::dnn_latency_model;
-use edse_core::dse::DseConfig;
-use edse_core::evaluate::{CodesignEvaluator, Evaluator};
+use edse_core::dse::{DseConfig, ExplainableDse};
+use edse_core::evaluate::Evaluator;
 use edse_core::space::edge_space;
-use edse_core::SearchSession;
 use edse_telemetry::json::Json;
-use edse_telemetry::Level;
 use mapper::LinearMapper;
 
 fn main() {
@@ -26,20 +24,10 @@ fn main() {
         .retain(|w| !w.ends_with(&format!("argument {path}")));
     let telemetry = args.telemetry();
 
-    let json = match std::fs::read_to_string(&path) {
-        Ok(j) => j,
-        Err(e) => {
-            telemetry.log(Level::Error, &format!("cannot read {path}: {e}"));
-            std::process::exit(1);
-        }
-    };
-    let model = match workloads::from_json_str(&json) {
-        Ok(m) => m,
-        Err(e) => {
-            telemetry.log(Level::Error, &format!("import failed: {e}"));
-            std::process::exit(1);
-        }
-    };
+    let json = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| fail(&telemetry, &format!("cannot read {path}: {e}")));
+    let model = workloads::from_json_str(&json)
+        .unwrap_or_else(|e| fail(&telemetry, &format!("import failed: {e}")));
 
     let mut report = BenchReport::new("import_model", &args);
     report.metric(
@@ -70,28 +58,17 @@ fn main() {
         println!("  {:>14} x{:<3} {}", u.name, u.count, u.shape.describe());
     }
 
-    let mut evaluator = CodesignEvaluator::new(
+    let harness = Harness::new(&args, &telemetry);
+    let evaluator = harness.evaluator(
         edge_space(),
         vec![model],
         LinearMapper::new(args.spec.map_trials),
-    )
-    .with_telemetry(telemetry.clone());
-    if let Some(disk) = &args.session_opts(&telemetry).disk {
-        evaluator = evaluator.with_disk_cache(disk.clone());
-    }
-    let mut session = SearchSession::new(
+    );
+    let technique = Box::new(ExplainableDse::new(
         dnn_latency_model(),
-        DseConfig {
-            budget: args.spec.budget,
-            ..DseConfig::default()
-        },
-    )
-    .evaluator(&evaluator)
-    .telemetry(telemetry.clone());
-    session = session.spec(&args.spec);
-    let initial = evaluator.space().minimum_point();
-    let result = session.run(initial);
-    telemetry.flush();
+        DseConfig::default(),
+    ));
+    let result = harness.run("explainable", technique, &evaluator, args.spec.budget);
     report.push_trace("explainable-import", result.trace());
     report.metric("termination", Json::Str(result.termination().to_string()));
     println!(

@@ -7,8 +7,8 @@
 //! Usage: `tab02_dynamic_dse [--iters N] [--models a,b] [--seed N] [--json PATH]`
 
 use bench::{
-    constraints_for, latency_cell, print_table, run_technique, BenchArgs, BenchReport, MapperKind,
-    TechniqueKind,
+    constraints_for, fail, latency_cell, print_table, run_technique, BenchArgs, BenchReport,
+    Harness, MapperKind, TechniqueKind,
 };
 use workloads::zoo;
 
@@ -18,8 +18,10 @@ fn main() {
         args.spec.budget = 100; // Table 2's budget *is* the dynamic budget.
     }
     let telemetry = args.telemetry();
-    let session = args.session_opts(&telemetry);
-    let models = args.models_or(&telemetry, zoo::all_models());
+    let harness = Harness::new(&args, &telemetry);
+    let models = args
+        .models_or(zoo::all_models())
+        .unwrap_or_else(|e| fail(&telemetry, &e));
     println!(
         "Table 2: best feasible latency (ms) within {} iterations\n",
         args.spec.budget
@@ -64,14 +66,14 @@ fn main() {
         for model in &models {
             let constraints = constraints_for(std::slice::from_ref(model));
             let trace = run_technique(
+                &harness,
                 *kind,
                 *mapper,
-                vec![model.clone()],
+                model,
                 args.spec.budget,
                 args.spec.seed,
-                &telemetry,
-                &session,
-            );
+            )
+            .into_trace();
             report.push_trace(&format!("{label}/{}", model.name()), &trace);
             if *kind == TechniqueKind::Explainable {
                 explainable_evals.push(trace.evaluations());

@@ -5,7 +5,9 @@
 //!
 //! Usage: `tab03_objective_reduction [--full] [--iters N] [--models a,b] [--json PATH]`
 
-use bench::{print_table, run_technique, BenchArgs, BenchReport, MapperKind, TechniqueKind};
+use bench::{
+    fail, print_table, run_technique, BenchArgs, BenchReport, Harness, MapperKind, TechniqueKind,
+};
 use edse_telemetry::json::Json;
 use workloads::zoo;
 
@@ -19,9 +21,11 @@ fn cell(g: Option<f64>) -> String {
 fn main() {
     let args = BenchArgs::parse(2500);
     let telemetry = args.telemetry();
-    let session = args.session_opts(&telemetry);
+    let harness = Harness::new(&args, &telemetry);
     let default = vec![zoo::resnet18(), zoo::efficientnet_b0(), zoo::bert_base()];
-    let models = args.models_or(&telemetry, default);
+    let models = args
+        .models_or(default)
+        .unwrap_or_else(|e| fail(&telemetry, &e));
     println!(
         "Table 3: geometric-mean objective reduction per acquisition\n\
          ({} evaluations budget)\n",
@@ -57,14 +61,14 @@ fn main() {
         let mut row = vec![label.clone()];
         for model in &models {
             let trace = run_technique(
+                &harness,
                 *kind,
                 *mapper,
-                vec![model.clone()],
+                model,
                 args.spec.budget,
                 args.spec.seed,
-                &telemetry,
-                &session,
-            );
+            )
+            .into_trace();
             report.push_trace(&format!("{label}/{}", model.name()), &trace);
             report.metric(
                 &format!("geomean_reduction/{label}/{}", model.name()),

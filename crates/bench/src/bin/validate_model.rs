@@ -12,7 +12,7 @@
 //! Usage: `validate_model [--models a,b] [--json PATH]`
 
 use accel_model::{simulate, AcceleratorConfig};
-use bench::{print_table, BenchArgs, BenchReport};
+use bench::{fail, print_table, BenchArgs, BenchReport};
 use edse_telemetry::json::Json;
 use mapper::{FixedMapper, LinearMapper, MappingOptimizer};
 use workloads::zoo;
@@ -20,7 +20,9 @@ use workloads::zoo;
 fn main() {
     let args = BenchArgs::parse(0);
     let telemetry = args.telemetry();
-    let models = args.models_or(&telemetry, vec![zoo::resnet18(), zoo::mobilenet_v2()]);
+    let models = args
+        .models_or(vec![zoo::resnet18(), zoo::mobilenet_v2()])
+        .unwrap_or_else(|e| fail(&telemetry, &e));
     let cfg = AcceleratorConfig {
         pes: 256,
         l1_bytes: 128,

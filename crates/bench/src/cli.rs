@@ -4,13 +4,12 @@
 //! here once, as [`BenchArgs::parse_from`] over a plain argument slice so
 //! the parser is unit-testable without touching the process environment.
 //! This is also where the checkpoint/resume flags (`--checkpoint`,
-//! `--resume`, `--checkpoint-every`) are hosted, feeding
-//! [`SessionOpts`] into the technique runners.
+//! `--resume`, `--checkpoint-every`) are parsed into the [`JobSpec`] that
+//! [`crate::Harness::run`] applies to every run.
 
-use edse_core::{DiskCache, JobSpec};
+use edse_core::JobSpec;
 use edse_telemetry::{Collector, JsonlSink, Level, PrometheusSink, StderrSink};
 use std::path::PathBuf;
-use std::sync::Arc;
 use workloads::{zoo, DnnModel};
 
 /// Common experiment options parsed from the command line.
@@ -55,46 +54,6 @@ pub struct BenchArgs {
     /// values, conflicting paths); surfaced as `Warn` logs once
     /// [`BenchArgs::telemetry`] builds the collector.
     pub warnings: Vec<String>,
-}
-
-/// Checkpoint/resume and persistent-cache options carried from the CLI
-/// into a technique run.
-#[derive(Debug, Clone, Default)]
-pub struct SessionOpts {
-    /// Checkpoint file base path; `None` disables checkpointing.
-    pub checkpoint: Option<PathBuf>,
-    /// Whether to resume from an existing snapshot.
-    pub resume: bool,
-    /// Snapshot cadence (clamped to at least 1 at use sites).
-    pub every: usize,
-    /// The open persistent evaluation cache (`--cache-dir`), shared by
-    /// every evaluator the run builds; `None` keeps evaluation purely
-    /// in-memory.
-    pub disk: Option<Arc<DiskCache>>,
-    /// Why the disk tier is off although `--cache-dir` was requested
-    /// (the directory could not be opened). Carried into every
-    /// evaluator's [`edse_core::CacheStats::disk_error`] so the
-    /// degradation stays visible beyond the startup warning.
-    pub disk_error: Option<String>,
-}
-
-impl SessionOpts {
-    /// The disabled options: no checkpointing, no resume.
-    pub fn none() -> Self {
-        SessionOpts::default()
-    }
-
-    /// The per-technique snapshot path: `<base>.<label>`, so several
-    /// techniques sharing one `--checkpoint` base in a single binary
-    /// don't clobber each other's snapshots.
-    pub fn path_for(&self, label: &str) -> Option<PathBuf> {
-        self.checkpoint.as_ref().map(|base| {
-            let mut os = base.clone().into_os_string();
-            os.push(".");
-            os.push(label);
-            PathBuf::from(os)
-        })
-    }
 }
 
 impl BenchArgs {
@@ -258,36 +217,6 @@ impl BenchArgs {
         Self::parse_from(&argv, default_iters)
     }
 
-    /// The checkpoint/resume and persistent-cache options for this run's
-    /// technique sessions. Opens the `--cache-dir` store (once — call
-    /// this once per process and share the result, not once per
-    /// technique), wiring its telemetry through `telemetry`; a directory
-    /// that cannot be opened degrades to no disk tier with a `Warn` log
-    /// rather than failing the run.
-    pub fn session_opts(&self, telemetry: &Collector) -> SessionOpts {
-        let (disk, disk_error) = match (&self.cache_dir, self.no_disk_cache) {
-            (Some(dir), false) => match DiskCache::open_with(dir, telemetry.clone()) {
-                Ok(cache) => (Some(Arc::new(cache)), None),
-                Err(e) => {
-                    let msg = format!(
-                        "cannot open cache dir {}: {e}; running without a disk cache",
-                        dir.display()
-                    );
-                    telemetry.log(Level::Warn, &msg);
-                    (None, Some(msg))
-                }
-            },
-            _ => (None, None),
-        };
-        SessionOpts {
-            checkpoint: self.spec.checkpoint.clone(),
-            resume: self.spec.resume,
-            every: self.spec.checkpoint_every,
-            disk,
-            disk_error,
-        }
-    }
-
     /// Builds the run's telemetry collector from the parsed flags:
     /// a [`JsonlSink`] when `--trace-out` was given and a
     /// [`PrometheusSink`] when `--metrics-out` was given (either
@@ -322,21 +251,18 @@ impl BenchArgs {
     }
 
     /// The models this run targets: `--models` if given, else `fallback`.
-    /// Unknown names are skipped with a `Warn` log.
-    pub fn models_or(&self, telemetry: &Collector, fallback: Vec<DnnModel>) -> Vec<DnnModel> {
+    ///
+    /// # Errors
+    ///
+    /// Names the first `--models` entry the zoo does not know.
+    pub fn models_or(&self, fallback: Vec<DnnModel>) -> Result<Vec<DnnModel>, String> {
         if self.spec.models.is_empty() {
-            return fallback;
+            return Ok(fallback);
         }
         self.spec
             .models
             .iter()
-            .filter_map(|name| {
-                let m = zoo::by_name(name);
-                if m.is_none() {
-                    telemetry.log(Level::Warn, &format!("unknown model {name}, skipping"));
-                }
-                m
-            })
+            .map(|name| zoo::by_name(name).ok_or_else(|| format!("unknown model {name:?}")))
             .collect()
     }
 }
@@ -388,7 +314,7 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_flags_feed_session_opts() {
+    fn checkpoint_flags_parse_into_the_spec() {
         let a = BenchArgs::parse_from(
             &[
                 "--checkpoint",
@@ -408,34 +334,21 @@ mod tests {
         assert!(a.spec.resume);
         assert_eq!(a.spec.checkpoint_every, 3);
         assert_eq!(a.out.as_deref(), Some("result.json"));
-
-        let opts = a.session_opts(&Collector::noop());
-        assert_eq!(
-            opts.path_for("explainable-fixdf"),
-            Some(PathBuf::from("/tmp/run.ckpt.explainable-fixdf"))
-        );
-        assert!(opts.resume);
-        assert_eq!(opts.every, 3);
-        assert!(opts.disk.is_none(), "no --cache-dir, no disk tier");
-        assert_eq!(SessionOpts::none().path_for("x"), None);
     }
 
     #[test]
-    fn cache_dir_opens_a_shared_disk_tier() {
-        let dir = std::env::temp_dir().join(format!("edse-cli-cache-{}", std::process::id()));
-        let dir_s = dir.to_str().unwrap().to_string();
-        let a = BenchArgs::parse_from(&["--cache-dir", &dir_s], 100);
-        assert_eq!(a.cache_dir.as_deref(), Some(Path::new(&dir_s)));
-        assert!(a.warnings.is_empty(), "{:?}", a.warnings);
-        let opts = a.session_opts(&Collector::noop());
-        assert!(opts.disk.is_some());
-
-        // --no-disk-cache wins over --cache-dir without warning (wrapper
-        // scripts pass the directory unconditionally).
-        let a = BenchArgs::parse_from(&["--cache-dir", &dir_s, "--no-disk-cache"], 100);
-        assert!(a.warnings.is_empty(), "{:?}", a.warnings);
-        assert!(a.session_opts(&Collector::noop()).disk.is_none());
-        let _ = std::fs::remove_dir_all(&dir);
+    fn unknown_models_are_refused_by_name() {
+        let a = BenchArgs::parse_from(&["--models", "resnet18,nope"], 100);
+        let err = a.models_or(Vec::new()).unwrap_err();
+        assert!(err.contains("nope"), "{err}");
+        let a = BenchArgs::parse_from(&["--models", "ResNet18, mobilenetv2"], 100);
+        let names: Vec<String> = a
+            .models_or(Vec::new())
+            .unwrap()
+            .iter()
+            .map(|m| m.name().to_string())
+            .collect();
+        assert_eq!(names, ["ResNet18", "MobileNetV2"]);
     }
 
     #[test]
@@ -447,21 +360,6 @@ mod tests {
             "{:?}",
             a.warnings
         );
-    }
-
-    #[test]
-    fn unopenable_cache_dir_degrades_to_no_disk_tier() {
-        // A file (not a directory) at the path makes open fail.
-        let path = std::env::temp_dir().join(format!("edse-cli-notadir-{}", std::process::id()));
-        std::fs::write(&path, b"occupied").unwrap();
-        let a = BenchArgs::parse_from(&["--cache-dir", path.to_str().unwrap()], 100);
-        let opts = a.session_opts(&Collector::noop());
-        assert!(opts.disk.is_none(), "open failure must degrade, not panic");
-        // The degradation is not silent: the reason rides along so every
-        // evaluator built from these options reports it in cache_stats().
-        let err = opts.disk_error.as_deref().expect("disk_error recorded");
-        assert!(err.contains("cannot open cache dir"), "{err}");
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -3,28 +3,135 @@
 //! Every binary in `src/bin/` reproduces one table or figure of the
 //! paper's evaluation (see DESIGN.md's experiment index). This library
 //! provides the common pieces: CLI argument handling with a `--quick`
-//! preset, the technique registry (every baseline plus Explainable-DSE,
-//! each in the fixed-dataflow and codesign settings), and plain-text table
-//! rendering so each binary prints the same rows/series the paper reports.
+//! preset, the [`Harness`] that builds evaluators and runs techniques
+//! under the command line's checkpoint policy, the technique registry
+//! (every baseline plus Explainable-DSE, each in the fixed-dataflow and
+//! codesign settings), and plain-text table rendering so each binary
+//! prints the same rows/series the paper reports.
 
-use baselines::BaselineSession;
-use edse_core::bottleneck::dnn_latency_model;
 use edse_core::cost::Trace;
-use edse_core::dse::DseConfig;
 use edse_core::evaluate::{CodesignEvaluator, Evaluator};
-use edse_core::space::edge_space;
-use edse_core::{JobSpec, SearchSession};
-use edse_telemetry::Collector;
+use edse_core::space::{edge_space, DesignSpace};
+use edse_core::{DiskCache, DseResult, DseTechnique, JobSpec, SearchDriver};
+use edse_telemetry::{Collector, Level};
 use mapper::{FixedMapper, LinearMapper, MappingOptimizer, RandomMapper};
+use std::path::PathBuf;
+use std::sync::Arc;
 use workloads::DnnModel;
 
 pub mod cli;
 pub mod report;
 pub mod toy;
 pub mod tracefile;
-pub use cli::{BenchArgs, SessionOpts};
+pub use cli::BenchArgs;
 pub use report::{BenchReport, TraceSummary};
 pub use tracefile::{load_events, TraceError};
+
+/// Logs `message` as an error and ends the process with exit status 1:
+/// how a bench binary reports a mistake in its input. The collector is
+/// flushed first, because `exit` runs no destructor that would write out
+/// a buffered `--trace-out` file.
+pub fn fail(telemetry: &Collector, message: &str) -> ! {
+    telemetry.log(Level::Error, message);
+    telemetry.flush();
+    std::process::exit(1)
+}
+
+/// What every run of one bench process shares: the command line's
+/// [`JobSpec`], the telemetry collector and the `--cache-dir` disk tier.
+/// Build it once in `main`; [`Harness::run`] is where a binary's runs
+/// take the spec's checkpoint policy.
+pub struct Harness {
+    spec: JobSpec,
+    telemetry: Collector,
+    /// The open disk tier, `Ok(None)` without `--cache-dir`, or why the
+    /// directory could not be opened.
+    disk: Result<Option<Arc<DiskCache>>, String>,
+}
+
+impl Harness {
+    /// Opens the `--cache-dir` store (once per process; every evaluator the
+    /// harness builds shares it), wiring its telemetry through
+    /// `telemetry`. A directory that cannot be opened degrades to no disk
+    /// tier with a `Warn` log rather than failing the run.
+    pub fn new(args: &BenchArgs, telemetry: &Collector) -> Self {
+        let disk = match (&args.cache_dir, args.no_disk_cache) {
+            (Some(dir), false) => match DiskCache::open_with(dir, telemetry.clone()) {
+                Ok(cache) => Ok(Some(Arc::new(cache))),
+                Err(e) => {
+                    let msg = format!(
+                        "cannot open cache dir {}: {e}; running without a disk cache",
+                        dir.display()
+                    );
+                    telemetry.log(Level::Warn, &msg);
+                    Err(msg)
+                }
+            },
+            _ => Ok(None),
+        };
+        Harness {
+            spec: args.spec.clone(),
+            telemetry: telemetry.clone(),
+            disk,
+        }
+    }
+
+    /// An evaluator that reports to the harness's collector and warm-starts
+    /// layer mappings from its disk tier. When `--cache-dir` could not be
+    /// opened, the evaluator's [`edse_core::CacheStats::disk_error`] says
+    /// why, so the degradation stays visible beyond the startup warning.
+    pub fn evaluator<M: MappingOptimizer>(
+        &self,
+        space: DesignSpace,
+        models: Vec<DnnModel>,
+        mapper: M,
+    ) -> CodesignEvaluator<M> {
+        let evaluator =
+            CodesignEvaluator::new(space, models, mapper).with_telemetry(self.telemetry.clone());
+        match &self.disk {
+            Ok(Some(disk)) => evaluator.with_disk_cache(disk.clone()),
+            Ok(None) => evaluator,
+            Err(e) => evaluator.with_disk_cache_error(e.clone()),
+        }
+    }
+
+    /// Runs `technique` on `evaluator` for `budget` evaluations through
+    /// [`SearchDriver`], then flushes the collector so each run snapshots
+    /// its own counter traffic into the trace. With `--checkpoint <base>`
+    /// the run snapshots to `<base>.<label>` and, with `--resume`, resumes
+    /// from it; so the labels of one binary's runs must differ. A snapshot
+    /// that cannot be resumed (corrupt, another schema version, or another
+    /// technique or budget) ends the process with exit status 1, naming
+    /// the file.
+    pub fn run(
+        &self,
+        label: &str,
+        technique: Box<dyn DseTechnique + '_>,
+        evaluator: &dyn Evaluator,
+        budget: usize,
+    ) -> DseResult {
+        let checkpoint = self.spec.checkpoint.as_ref().map(|base| {
+            let mut path = base.clone().into_os_string();
+            path.push(".");
+            path.push(label);
+            PathBuf::from(path)
+        });
+        let spec = JobSpec {
+            checkpoint,
+            ..self.spec.clone()
+        };
+        let result = SearchDriver::new(technique, evaluator, budget)
+            .telemetry(self.telemetry.clone())
+            .spec(&spec)
+            .unwrap_or_else(|e| match &spec.checkpoint {
+                Some(path) => fail(&self.telemetry, &format!("{}: {e}", path.display())),
+                None => fail(&self.telemetry, &e),
+            })
+            .run_to_completion();
+        self.telemetry.flush();
+        result
+    }
+}
 
 /// How mappings are obtained during hardware exploration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -122,95 +229,33 @@ impl TechniqueKind {
     }
 }
 
-/// Runs Explainable-DSE and returns its trace together with the
-/// evaluation counts at which each exploration phase converged (the first
-/// entry is the paper's "iterations to converge"). Telemetry is wired
-/// through both the DSE loop (iteration records) and the evaluator
-/// (cache/stage metrics); counter deltas are flushed at the end, so each
-/// run snapshots its own traffic into the trace.
-pub fn run_explainable_detailed(
-    mapper: MapperKind,
-    models: Vec<DnnModel>,
-    budget: usize,
-    seed: u64,
-    telemetry: &Collector,
-    session: &SessionOpts,
-) -> (Trace, Vec<usize>) {
-    let mut evaluator = CodesignEvaluator::new(edge_space(), models, mapper.build(seed))
-        .with_telemetry(telemetry.clone());
-    if let Some(disk) = &session.disk {
-        evaluator = evaluator.with_disk_cache(disk.clone());
-    } else if let Some(err) = &session.disk_error {
-        evaluator = evaluator.with_disk_cache_error(err.clone());
-    }
-    let mut search = SearchSession::new(
-        dnn_latency_model(),
-        DseConfig {
-            budget,
-            seed,
-            ..DseConfig::default()
-        },
-    )
-    .evaluator(&evaluator)
-    .telemetry(telemetry.clone());
-    if let Some(path) = session.path_for(&format!("explainable{}", mapper.suffix())) {
-        search = search.spec(&JobSpec {
-            checkpoint: Some(path),
-            checkpoint_every: session.every,
-            resume: session.resume,
-            ..JobSpec::default()
-        });
-    }
-    let initial = evaluator.space().minimum_point();
-    let result = search.run(initial);
-    telemetry.flush();
-    let converged = result.converged_after().to_vec();
-    let mut trace = result.into_trace();
-    trace.technique = format!("{}{}", trace.technique, mapper.suffix());
-    (trace, converged)
-}
-
-/// Runs one technique on one workload set and returns the trace.
-///
-/// Every technique — built by [`baselines::by_name`] — goes through a
-/// [`BaselineSession`]: Explainable-DSE emits its per-attempt iteration
-/// records, a black-box baseline one comparable record per sample. Either
-/// way the evaluator reports cache and stage metrics, and the run ends
-/// with a counter/histogram flush. When `session` enables checkpointing,
-/// each technique snapshots to its own `<base>.<technique><suffix>` file
-/// (see [`SessionOpts::path_for`]); when it carries a disk cache
-/// (`--cache-dir`), the evaluator warm-starts layer mappings from it and
-/// persists new ones.
+/// Runs one technique of the paper's comparison on one model over the
+/// edge space, through [`Harness::run`]: Explainable-DSE emits its
+/// per-attempt iteration records, a black-box baseline one comparable
+/// record per sample, and the evaluator reports cache and stage metrics.
+/// The trace is labelled `<technique><suffix>`, and a checkpointed run
+/// snapshots to `<base>.<technique><suffix>.<Model>`, so every model and
+/// setting of a binary keeps its own snapshot. The result's
+/// [`DseResult::converged_after`] is empty for a black box.
 pub fn run_technique(
+    harness: &Harness,
     kind: TechniqueKind,
     mapper: MapperKind,
-    models: Vec<DnnModel>,
+    model: &DnnModel,
     budget: usize,
     seed: u64,
-    telemetry: &Collector,
-    session: &SessionOpts,
-) -> Trace {
-    let mut evaluator = CodesignEvaluator::new(edge_space(), models, mapper.build(seed))
-        .with_telemetry(telemetry.clone());
-    if let Some(disk) = &session.disk {
-        evaluator = evaluator.with_disk_cache(disk.clone());
-    } else if let Some(err) = &session.disk_error {
-        evaluator = evaluator.with_disk_cache_error(err.clone());
-    }
-    let mut technique = baselines::by_name(kind.name(), seed).expect("every kind is registered");
-    let mut run = BaselineSession::new(technique.as_mut()).telemetry(telemetry.clone());
-    if let Some(path) = session.path_for(&format!("{}{}", kind.name(), mapper.suffix())) {
-        run = run.spec(&JobSpec {
-            checkpoint: Some(path),
-            checkpoint_every: session.every,
-            resume: session.resume,
-            ..JobSpec::default()
-        });
-    }
-    let mut trace = run.run(&evaluator, budget);
-    telemetry.flush();
-    trace.technique = format!("{}{}", trace.technique, mapper.suffix());
-    trace
+) -> DseResult {
+    let evaluator = harness.evaluator(edge_space(), vec![model.clone()], mapper.build(seed));
+    let technique = baselines::by_name(kind.name(), seed).expect("every kind is registered");
+    let label = format!("{}{}", kind.name(), mapper.suffix());
+    harness
+        .run(
+            &format!("{label}.{}", model.name()),
+            technique,
+            &evaluator,
+            budget,
+        )
+        .labelled(label)
 }
 
 /// Formats a latency cell the way Table 2 does: the value, `-` when no
@@ -269,20 +314,26 @@ pub fn constraints_for(models: &[DnnModel]) -> Vec<edse_core::Constraint> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
     use workloads::zoo;
+
+    fn harness(argv: &[&str], telemetry: &Collector) -> Harness {
+        Harness::new(&BenchArgs::parse_from(argv, 100), telemetry)
+    }
 
     #[test]
     fn technique_registry_runs_every_kind_briefly() {
+        let harness = harness(&[], &Collector::noop());
         for kind in TechniqueKind::ALL {
-            let t = run_technique(
+            let result = run_technique(
+                &harness,
                 kind,
                 MapperKind::FixedDataflow,
-                vec![zoo::resnet18()],
+                &zoo::resnet18(),
                 8,
                 3,
-                &Collector::noop(),
-                &SessionOpts::none(),
             );
+            let t = result.trace();
             assert!(t.evaluations() <= 8, "{:?}", kind);
             assert!(t.technique.ends_with("-fixdf"));
         }
@@ -290,17 +341,16 @@ mod tests {
 
     #[test]
     fn latency_cell_distinguishes_failure_modes() {
-        let t = run_technique(
+        let result = run_technique(
+            &harness(&[], &Collector::noop()),
             TechniqueKind::Explainable,
             MapperKind::FixedDataflow,
-            vec![zoo::resnet18()],
+            &zoo::resnet18(),
             60,
             3,
-            &Collector::noop(),
-            &SessionOpts::none(),
         );
         let constraints = constraints_for(&[zoo::resnet18()]);
-        let cell = latency_cell(&t, &constraints);
+        let cell = latency_cell(result.trace(), &constraints);
         assert!(!cell.is_empty());
     }
 
@@ -308,7 +358,7 @@ mod tests {
     fn args_quick_preset_scales_down() {
         let a = BenchArgs::parse_from(&[] as &[&str], 2500);
         assert!(a.quick);
-        assert!(a.models_or(&Collector::noop(), vec![zoo::resnet18()]).len() == 1);
+        assert_eq!(a.models_or(vec![zoo::resnet18()]).unwrap().len(), 1);
     }
 
     #[test]
@@ -316,16 +366,15 @@ mod tests {
         use edse_telemetry::{Event, MemorySink};
         let sink = MemorySink::new();
         let collector = Collector::builder().sink(sink.clone()).build();
-        let t = run_technique(
+        let result = run_technique(
+            &harness(&[], &collector),
             TechniqueKind::Explainable,
             MapperKind::FixedDataflow,
-            vec![zoo::resnet18()],
+            &zoo::resnet18(),
             12,
             3,
-            &collector,
-            &SessionOpts::none(),
         );
-        assert!(t.evaluations() <= 12);
+        assert!(result.trace().evaluations() <= 12);
         let events = sink.events();
         assert!(events.iter().any(|e| matches!(e, Event::Iteration { .. })));
         assert!(events.iter().any(|e| matches!(e, Event::Counters { .. })));
@@ -345,5 +394,77 @@ mod tests {
             })
             .sum();
         assert!(misses > 0, "flush must snapshot point-cache misses");
+    }
+
+    #[test]
+    fn each_model_of_a_checkpointed_run_keeps_its_own_snapshot() {
+        let dir = std::env::temp_dir().join(format!("edse-bench-snapshots-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let base = dir.join("run.ckpt");
+        let harness = harness(
+            &["--checkpoint", base.to_str().unwrap()],
+            &Collector::noop(),
+        );
+        let models = [zoo::resnet18(), zoo::mobilenet_v2()];
+        for model in &models {
+            let kind = TechniqueKind::Random;
+            run_technique(&harness, kind, MapperKind::FixedDataflow, model, 4, 3);
+        }
+        for model in &models {
+            let path = dir.join(format!("run.ckpt.random-fixdf.{}", model.name()));
+            let snapshot = edse_core::load_snapshot(&path).unwrap();
+            let shapes: HashSet<_> = model.unique_shapes().iter().map(|u| u.shape).collect();
+            assert!(!snapshot.caches.layers.is_empty(), "{}", path.display());
+            assert!(
+                snapshot
+                    .caches
+                    .layers
+                    .iter()
+                    .all(|entry| shapes.contains(&entry.shape)),
+                "{} holds another model's layers",
+                path.display()
+            );
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn cache_dir_opens_a_shared_disk_tier() {
+        let dir = std::env::temp_dir().join(format!("edse-cli-cache-{}", std::process::id()));
+        assert!(matches!(harness(&[], &Collector::noop()).disk, Ok(None)));
+        let dir_s = dir.to_str().unwrap();
+        let a = BenchArgs::parse_from(&["--cache-dir", dir_s], 100);
+        assert_eq!(a.cache_dir.as_deref(), Some(dir.as_path()));
+        assert!(a.warnings.is_empty(), "{:?}", a.warnings);
+        let h = Harness::new(&a, &Collector::noop());
+        let ev = h.evaluator(edge_space(), vec![zoo::resnet18()], FixedMapper);
+        assert!(ev.cache_stats().disk.is_some());
+
+        // --no-disk-cache wins over --cache-dir without warning (wrapper
+        // scripts pass the directory unconditionally).
+        let a = BenchArgs::parse_from(&["--cache-dir", dir_s, "--no-disk-cache"], 100);
+        assert!(a.warnings.is_empty(), "{:?}", a.warnings);
+        assert!(matches!(
+            Harness::new(&a, &Collector::noop()).disk,
+            Ok(None)
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn unopenable_cache_dir_degrades_to_no_disk_tier() {
+        // A file (not a directory) at the path makes open fail.
+        let path = std::env::temp_dir().join(format!("edse-cli-notadir-{}", std::process::id()));
+        std::fs::write(&path, b"occupied").unwrap();
+        let h = harness(&["--cache-dir", path.to_str().unwrap()], &Collector::noop());
+        // The degradation is not silent: every evaluator the harness
+        // builds reports the reason in cache_stats().
+        let stats = h
+            .evaluator(edge_space(), vec![zoo::resnet18()], FixedMapper)
+            .cache_stats();
+        assert!(stats.disk.is_none(), "open failure must degrade, not panic");
+        let err = stats.disk_error.as_deref().expect("disk_error recorded");
+        assert!(err.contains("cannot open cache dir"), "{err}");
+        let _ = std::fs::remove_file(&path);
     }
 }

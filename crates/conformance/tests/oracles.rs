@@ -2,8 +2,9 @@
 //! equivalent, checked for bit-identical results.
 //!
 //! 1. Serial vs parallel [`EvalEngine`] batches (and whole searches).
-//! 2. Straight-through vs killed-and-resumed sessions — both
-//!    [`SearchSession`] and [`BaselineSession`].
+//! 2. Straight-through vs killed-and-resumed runs — the explainable
+//!    search and the baselines — checkpointed through
+//!    [`SearchDriver::spec`].
 //! 3. Cold vs warm runs over a persistent [`DiskCache`] — the identical
 //!    search (explainable and every baseline technique) replayed against a
 //!    warmed cache directory must be bit-identical to the cold run and
@@ -21,7 +22,7 @@ use edse_core::dse::{DseConfig, DseResult};
 use edse_core::evaluate::{CacheSnapshot, CodesignEvaluator, EvalEngine, Evaluator};
 use edse_core::fault::EvalFault;
 use edse_core::space::{edge_space, DesignPoint, DesignSpace};
-use edse_core::{DiskCache, JobSpec, SearchSession};
+use edse_core::{DiskCache, JobSpec, SearchDriver, SearchSession};
 use edse_telemetry::Collector;
 use mapper::FixedMapper;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -264,23 +265,27 @@ fn killed_and_resumed_search_session_matches_straight_through() {
         let killed = catch_unwind(AssertUnwindSafe(|| {
             SearchSession::new(dnn_latency_model(), config.clone())
                 .evaluator(&killed_ev)
+                .driver(initial.clone())
                 .spec(&JobSpec {
                     checkpoint: Some(path.clone()),
                     checkpoint_every: 1,
                     ..JobSpec::default()
                 })
-                .run(initial.clone())
+                .expect("a fresh checkpoint")
+                .run_to_completion()
         }));
         let resumed_ev = edge_evaluator(EvalEngine::serial());
         let resumed = SearchSession::new(dnn_latency_model(), config.clone())
             .evaluator(&resumed_ev)
+            .driver(initial.clone())
             .spec(&JobSpec {
                 checkpoint: Some(path.clone()),
                 checkpoint_every: 1,
                 resume: true,
                 ..JobSpec::default()
             })
-            .run(initial.clone());
+            .expect("the killed run's snapshot resumes")
+            .run_to_completion();
         assert_results_identical(&resumed, &reference);
         assert_eq!(
             resumed_ev.unique_evaluations(),
@@ -316,20 +321,24 @@ fn killed_and_resumed_baseline_session_matches_straight_through() {
             };
             let killed_ev = KillSwitch::new(edge_evaluator(EvalEngine::serial()), kill_after);
             let killed = catch_unwind(AssertUnwindSafe(|| {
-                BaselineSession::new(technique().as_mut())
+                SearchDriver::new(technique(), &killed_ev, budget)
                     .spec(&spec)
-                    .run(&killed_ev, budget)
+                    .expect("a fresh checkpoint")
+                    .run_to_completion()
+                    .into_trace()
             }));
             let saved = edse_core::load_snapshot(&path)
                 .ok()
                 .map(|snapshot| snapshot.caches.layers.len());
             let resumed_ev = edge_evaluator(EvalEngine::serial());
-            let resumed = BaselineSession::new(technique().as_mut())
+            let resumed = SearchDriver::new(technique(), &resumed_ev, budget)
                 .spec(&JobSpec {
                     resume: true,
                     ..spec
                 })
-                .run(&resumed_ev, budget);
+                .expect("the killed run's snapshot resumes")
+                .run_to_completion()
+                .into_trace();
             assert_eq!(
                 resumed.samples, reference.samples,
                 "{name} kill_after={kill_after}"

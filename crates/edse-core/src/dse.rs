@@ -241,6 +241,13 @@ impl DseResult {
         self.trace
     }
 
+    /// The same result with its trace labelled `technique`, e.g. a
+    /// technique's name tagged with the setting a harness ran it in.
+    pub fn labelled(mut self, technique: String) -> DseResult {
+        self.trace.technique = technique;
+        self
+    }
+
     /// Best feasible point and its evaluation, if any was found.
     pub fn best(&self) -> Option<&(DesignPoint, Evaluation)> {
         self.best.as_ref()
@@ -1495,12 +1502,14 @@ mod tests {
         let initial = evaluator.space().minimum_point();
         let first = SearchSession::new(dnn_latency_model(), config.clone())
             .evaluator(&evaluator)
+            .driver(initial.clone())
             .spec(&crate::job::JobSpec {
                 checkpoint: Some(path.clone()),
                 checkpoint_every: 5,
                 ..crate::job::JobSpec::default()
             })
-            .run(initial.clone());
+            .unwrap()
+            .run_to_completion();
         assert!(path.exists(), "a final snapshot must be written");
         // Resuming a *finished* run re-reports the identical result from a
         // fresh evaluator: the replayed search is assembled from the
@@ -1508,12 +1517,14 @@ mod tests {
         let fresh = CodesignEvaluator::new(edge_space(), vec![zoo::resnet18()], FixedMapper);
         let resumed = SearchSession::new(dnn_latency_model(), config)
             .evaluator(&fresh)
+            .driver(initial)
             .spec(&crate::job::JobSpec {
                 checkpoint: Some(path.clone()),
                 resume: true,
                 ..crate::job::JobSpec::default()
             })
-            .run(initial);
+            .unwrap()
+            .run_to_completion();
         assert_eq!(first.trace().samples, resumed.trace().samples);
         assert_eq!(first.attempts(), resumed.attempts());
         assert_eq!(first.best(), resumed.best());

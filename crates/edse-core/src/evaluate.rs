@@ -642,22 +642,10 @@ impl<M: MappingOptimizer> CodesignEvaluator<M> {
     /// are compared against raw `constraint_values` at feasibility-check
     /// time, never baked into cached evaluations.
     ///
-    /// # Panics
-    ///
-    /// Panics if either limit is non-positive (see
-    /// [`Self::try_with_limits`] for the fallible form).
-    pub fn with_limits(self, area_mm2: f64, power_w: f64) -> Self {
-        self.try_with_limits(area_mm2, power_w)
-            .expect("invalid limits")
-    }
-
-    /// Fallible [`Self::with_limits`]: rejects non-positive, NaN, or
-    /// infinite budgets instead of panicking.
-    ///
     /// # Errors
     ///
-    /// Returns a description of the offending limit.
-    pub fn try_with_limits(mut self, area_mm2: f64, power_w: f64) -> Result<Self, String> {
+    /// Rejects a non-positive, NaN or infinite limit, naming it.
+    pub fn with_limits(mut self, area_mm2: f64, power_w: f64) -> Result<Self, String> {
         for (name, v) in [("area_mm2", area_mm2), ("power_w", power_w)] {
             if !(v.is_finite() && v > 0.0) {
                 return Err(format!(
@@ -1245,7 +1233,8 @@ mod tests {
         // A 400 mm^2 / 250 W budget over the TPU-like space: the decode
         // path and constraints compose without edge-specific assumptions.
         let ev = CodesignEvaluator::new(datacenter_space(), vec![zoo::resnet18()], FixedMapper)
-            .with_limits(400.0, 250.0);
+            .with_limits(400.0, 250.0)
+            .unwrap();
         assert_eq!(ev.constraints()[0].threshold, 400.0);
         let p = ev.space().minimum_point();
         let e = ev.evaluate(&p);
@@ -1292,17 +1281,11 @@ mod tests {
 
     #[test]
     fn with_limits_validates_inputs() {
-        assert!(evaluator().try_with_limits(75.0, 4.0).is_ok());
-        assert!(evaluator().try_with_limits(0.0, 4.0).is_err());
-        assert!(evaluator().try_with_limits(75.0, -1.0).is_err());
-        assert!(evaluator().try_with_limits(f64::NAN, 4.0).is_err());
-        assert!(evaluator().try_with_limits(f64::INFINITY, 4.0).is_err());
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid limits")]
-    fn with_limits_panics_on_non_positive_budget() {
-        let _ = evaluator().with_limits(-5.0, 4.0);
+        assert!(evaluator().with_limits(75.0, 4.0).is_ok());
+        assert!(evaluator().with_limits(0.0, 4.0).is_err());
+        assert!(evaluator().with_limits(75.0, -1.0).is_err());
+        assert!(evaluator().with_limits(f64::NAN, 4.0).is_err());
+        assert!(evaluator().with_limits(f64::INFINITY, 4.0).is_err());
     }
 
     /// The builder-method cache-invalidation matrix:
@@ -1343,7 +1326,7 @@ mod tests {
 
         // with_limits: nothing invalidated — the cached evaluation and the
         // unique counter survive, and re-evaluating is a pure cache hit.
-        let ev = ev.with_limits(400.0, 250.0);
+        let ev = ev.with_limits(400.0, 250.0).unwrap();
         assert_eq!(ev.unique_evaluations(), 1);
         let after_limits = ev.evaluate(&p);
         assert_eq!(before, after_limits);

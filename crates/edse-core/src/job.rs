@@ -1,13 +1,12 @@
 //! [`JobSpec`]: the one declarative description of a DSE job.
 //!
-//! Three overlapping configuration surfaces grew up around running a
-//! search — builder setters on [`crate::SearchSession`], the bench
-//! harness's CLI fields, and the service's request body. `JobSpec`
-//! consolidates them: the same struct is the `POST /jobs` request body of
-//! `edse-serve` (via the zero-dependency JSON layer), the input to
-//! [`crate::SearchSession::spec`], and the backing store of the bench
-//! harness's `BenchArgs`. Anything a job needs that is *not* derivable
-//! from the evaluator itself lives here.
+//! One struct describes a job for every front end: it is the `POST /jobs`
+//! request body of `edse-serve` (via the zero-dependency JSON layer) and
+//! the backing store of the bench harness's `BenchArgs`. Its checkpoint
+//! path, cadence and resume policy take effect in one place,
+//! [`crate::SearchDriver::spec`], which both front ends call. Anything a
+//! job needs that is *not* derivable from the evaluator itself lives
+//! here.
 
 use edse_telemetry::json::{self, Json};
 use std::path::PathBuf;

@@ -9,7 +9,7 @@
 //! resumed runs share one code path.
 //!
 //! [`SearchSession`] configures an explainable search — model, evaluator,
-//! telemetry, checkpoint/resume policy — and runs it through that driver:
+//! telemetry — and runs it through that driver:
 //!
 //! ```
 //! use edse_core::bottleneck::dnn_latency_model;
@@ -30,13 +30,16 @@
 //! assert!(result.trace().evaluations() <= 40);
 //! ```
 //!
-//! Checkpoint/resume policy comes from a [`JobSpec`] applied with
-//! [`SearchSession::spec`] (or [`SearchDriver::spec`]): the driver then
+//! Checkpoint/resume policy comes from a [`JobSpec`], and
+//! [`SearchDriver::spec`] is the one place that applies it: the driver then
 //! snapshots the evaluator's layer outcomes every `checkpoint_every`
 //! steps, at completion and on cancel, and with `resume` it restores them
 //! and steps a fresh technique from the start, bit-for-bit identically to
-//! the uninterrupted run. See `DESIGN.md` ("Snapshot format") and the
-//! README's "Resuming an interrupted run".
+//! the uninterrupted run. A snapshot that cannot be resumed is an error,
+//! never a panic. A checkpointed explainable search is
+//! `session.driver(initial).spec(&spec)?.run_to_completion()`. See
+//! `DESIGN.md` ("Snapshot format") and the README's "Resuming an
+//! interrupted run".
 //!
 //! For *cross-run* (rather than crash-recovery) reuse, attach a persistent
 //! disk cache to the evaluator before handing it to the session
@@ -222,12 +225,6 @@ impl<'t, E: Evaluator> SearchDriver<'t, E> {
         self
     }
 
-    /// A clone of the driver's cancellation token; fire it from any thread
-    /// to stop the search at the next step boundary.
-    pub fn cancel_token(&self) -> CancelToken {
-        self.cancel.clone()
-    }
-
     /// Advances the exploration by one ask/tell round (at most one
     /// evaluation batch). Checks the [`CancelToken`] first: when it has
     /// fired, no round runs, the evaluator caches are snapshotted if
@@ -313,13 +310,13 @@ impl<'t, E: Evaluator> SearchDriver<'t, E> {
     }
 
     /// Writes a snapshot now (regardless of cadence) when checkpointing is
-    /// configured; a no-op otherwise. Returns whether a save was attempted.
-    /// Failures are reported through telemetry (`checkpoint/save_failures`
-    /// plus a warning), never panicked on: losing a checkpoint must not
-    /// kill the run it exists to protect.
-    pub fn snapshot(&mut self) -> bool {
+    /// configured; a no-op otherwise. Failures are reported through
+    /// telemetry (`checkpoint/save_failures` plus a warning), never
+    /// panicked on: losing a checkpoint must not kill the run it exists to
+    /// protect.
+    fn snapshot(&mut self) {
         let Some((path, _)) = &self.checkpoint else {
-            return false;
+            return;
         };
         let snapshot = Snapshot {
             technique: self.trace.technique.clone(),
@@ -334,12 +331,6 @@ impl<'t, E: Evaluator> SearchDriver<'t, E> {
                     .log(Level::Warn, &format!("checkpoint save failed: {e}"));
             }
         }
-        true
-    }
-
-    /// Whether the exploration has terminated or been cancelled.
-    pub fn is_done(&self) -> bool {
-        self.outcome.is_some()
     }
 
     /// Samples recorded so far.
@@ -390,16 +381,15 @@ impl<'t, E: Evaluator> SearchDriver<'t, E> {
 ///
 /// Construct with [`SearchSession::new`], attach an evaluator with
 /// [`SearchSession::evaluator`] (which fixes the second type parameter),
-/// optionally configure telemetry and a [`JobSpec`], then either run to
-/// completion with [`SearchSession::run`] or take stepwise control with
-/// [`SearchSession::driver`].
+/// optionally attach telemetry, then either run to completion with
+/// [`SearchSession::run`] or take stepwise control with
+/// [`SearchSession::driver`]. A session does not checkpoint: apply a
+/// [`JobSpec`] to its driver with [`SearchDriver::spec`].
 pub struct SearchSession<E = ()> {
     dse: ExplainableDse,
     budget: usize,
     evaluator: E,
     telemetry: Collector,
-    spec: JobSpec,
-    cancel: CancelToken,
 }
 
 impl SearchSession<()> {
@@ -411,8 +401,6 @@ impl SearchSession<()> {
             dse: ExplainableDse::new(model, config),
             evaluator: (),
             telemetry: Collector::noop(),
-            spec: JobSpec::default(),
-            cancel: CancelToken::new(),
         }
     }
 }
@@ -426,34 +414,14 @@ impl<E> SearchSession<E> {
             budget: self.budget,
             evaluator,
             telemetry: self.telemetry,
-            spec: self.spec,
-            cancel: self.cancel,
         }
     }
 
-    /// Attaches a telemetry collector: the search emits a `dse/run` span
-    /// plus what [`ExplainableDse`] reports through
-    /// [`DseTechnique::attach_telemetry`]; the driver adds
-    /// `checkpoint/saves` counters and resume/save log lines.
+    /// Attaches a telemetry collector: [`SearchSession::run`] emits a
+    /// `dse/run` span, plus what [`ExplainableDse`] reports through
+    /// [`DseTechnique::attach_telemetry`].
     pub fn telemetry(mut self, telemetry: Collector) -> Self {
         self.telemetry = telemetry;
-        self
-    }
-
-    /// Applies the session-relevant subset of a [`JobSpec`]: checkpoint
-    /// path, snapshot cadence, and resume policy. This is the one
-    /// configuration surface shared by the service (`POST /jobs` body),
-    /// the bench harness, and library callers.
-    pub fn spec(mut self, spec: &JobSpec) -> Self {
-        self.spec = spec.clone();
-        self
-    }
-
-    /// Uses `token` as the session's cancellation token instead of a
-    /// fresh one, so the caller can cancel the search it is about to
-    /// build a driver for.
-    pub fn cancel_token(mut self, token: CancelToken) -> Self {
-        self.cancel = token;
         self
     }
 }
@@ -461,14 +429,6 @@ impl<E> SearchSession<E> {
 impl<E: Evaluator> SearchSession<E> {
     /// Turns the session into a stepwise [`SearchDriver`] whose first
     /// phase starts at `initial`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when resume is enabled and the snapshot file exists but
-    /// cannot be loaded, or records another technique or budget (see
-    /// [`SearchDriver::spec`], which returns the same mismatch as an
-    /// error). Silently falling back to a fresh run would discard the
-    /// interrupted run's work, so the mismatch is surfaced loudly.
     pub fn driver(self, initial: DesignPoint) -> SearchDriver<'static, E> {
         SearchDriver::new(
             Box::new(self.dse.starting_at(initial)),
@@ -476,14 +436,11 @@ impl<E: Evaluator> SearchSession<E> {
             self.budget,
         )
         .telemetry(self.telemetry)
-        .with_cancel_token(self.cancel)
-        .spec(&self.spec)
-        .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Runs the search to completion inside a `dse/run` span; a thin
     /// wrapper over [`SearchSession::driver`] (bit-identical to stepping
-    /// the driver by hand), with the same panics.
+    /// the driver by hand).
     pub fn run(self, initial: DesignPoint) -> DseResult {
         let telemetry = self.telemetry.clone();
         let _run_span = telemetry.span("dse/run");

@@ -348,12 +348,14 @@ proptest! {
         let killed = catch_unwind(AssertUnwindSafe(|| {
             SearchSession::new(dnn_latency_model(), config.clone())
                 .evaluator(&killed_ev)
+                .driver(initial.clone())
                 .spec(&JobSpec {
                     checkpoint: Some(path.clone()),
                     checkpoint_every: 1,
                     ..JobSpec::default()
                 })
-                .run(initial.clone())
+                .expect("a fresh checkpoint")
+                .run_to_completion()
         }));
 
         // Resume on a fresh evaluator (caches restored from the snapshot;
@@ -362,13 +364,15 @@ proptest! {
         let resumed_ev = fresh_evaluator(parallel);
         let resumed = SearchSession::new(dnn_latency_model(), config.clone())
             .evaluator(&resumed_ev)
+            .driver(initial)
             .spec(&JobSpec {
                 checkpoint: Some(path.clone()),
                 checkpoint_every: 1,
                 resume: true,
                 ..JobSpec::default()
             })
-            .run(initial);
+            .expect("the killed run's snapshot resumes")
+            .run_to_completion();
 
         assert_results_identical(&resumed, &reference);
         prop_assert_eq!(
@@ -650,11 +654,13 @@ fn saved_snapshot() -> &'static [u8] {
             },
         )
         .evaluator(&ev)
+        .driver(ev.space().minimum_point())
         .spec(&JobSpec {
             checkpoint: Some(path.clone()),
             ..JobSpec::default()
         })
-        .run(ev.space().minimum_point());
+        .expect("a fresh checkpoint")
+        .run_to_completion();
         let bytes = std::fs::read(&path).expect("the search leaves a snapshot");
         let _ = std::fs::remove_file(&path);
         bytes

@@ -22,8 +22,10 @@ fn run<M: MappingOptimizer>(models: Vec<DnnModel>, mapper: M, spec: &JobSpec) ->
     };
     let result = SearchSession::new(dnn_latency_model(), config)
         .evaluator(&ev)
+        .driver(ev.space().minimum_point())
         .spec(spec)
-        .run(ev.space().minimum_point());
+        .expect("the snapshot resumes")
+        .run_to_completion();
     (result, ev.cache_stats().layer.misses)
 }
 

@@ -20,9 +20,10 @@ fn main() {
     let evaluator = CodesignEvaluator::new(edge_space(), vec![model], LinearMapper::new(64));
 
     // 2) The explorer: the DNN latency bottleneck model drives
-    //    acquisitions. A SearchSession could additionally checkpoint the
-    //    run (`.spec(&JobSpec { checkpoint: Some("run.ckpt.json".into()),
-    //    resume: true, ..JobSpec::default() })`).
+    //    acquisitions. To checkpoint the run, step its driver instead:
+    //    `session.driver(initial).spec(&JobSpec { checkpoint:
+    //    Some("run.ckpt.json".into()), resume: true, ..JobSpec::default()
+    //    })?.run_to_completion()`.
     let session = SearchSession::new(
         dnn_latency_model(),
         DseConfig {
