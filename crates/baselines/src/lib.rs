@@ -316,72 +316,56 @@ mod tests {
 
     #[test]
     fn baseline_resumes_by_replay_bit_identically() {
+        use edse_core::DiskCache;
+        use std::sync::Arc;
         let dir = std::env::temp_dir().join(format!(
             "edse-baseline-resume-{}-{:?}",
             std::process::id(),
             std::thread::current().id()
         ));
-        std::fs::create_dir_all(&dir).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
         let path = dir.join("annealing.ckpt.json");
         let budget = 14;
         let layers = zoo::resnet18().unique_shape_count();
+        let on_disk = || evaluator().with_disk_cache(Arc::new(DiskCache::open(&dir).unwrap()));
 
         let full_ev = evaluator();
         let mut technique = SimulatedAnnealing::new(9);
         let uninterrupted = BaselineSession::new(&mut technique).run(&full_ev, budget);
 
-        // "Interrupted" run: annealing proposes one point per step, so
-        // with a snapshot every 3 steps the driver saves after steps 3
-        // and 6. It is dropped after step 7, before the next save.
+        // "Interrupted" run: annealing proposes one point per step. The
+        // checkpoint file exists before the first step; the run is dropped
+        // after step 7, and the disk tier holds the layer outcomes of the
+        // seven steps.
         let spec = JobSpec {
             checkpoint: Some(path.clone()),
-            checkpoint_every: 3,
             ..JobSpec::default()
         };
-        let cached = {
-            let mut driver =
-                SearchDriver::new(Box::new(SimulatedAnnealing::new(9)), evaluator(), budget)
-                    .spec(&spec)
-                    .unwrap();
-            let mut saved = None;
-            for step in 1..=7 {
-                assert_eq!(driver.step(), StepOutcome::Pending);
-                let unique = driver.evaluator().unique_evaluations();
-                if step % 3 == 0 {
-                    saved = Some(unique);
-                }
-                assert_eq!(
-                    path.exists(),
-                    saved.is_some(),
-                    "no snapshot before the first cadence point, one after it"
-                );
-                if let Some(saved) = saved {
-                    let snapshot = edse_core::load_snapshot(&path).unwrap();
-                    assert_eq!(
-                        (snapshot.technique.as_str(), snapshot.budget),
-                        ("annealing", budget)
-                    );
-                    assert_eq!(
-                        snapshot.caches.layers.len(),
-                        saved * layers,
-                        "step {step}: the snapshot holds the last cadence point's layer outcomes"
-                    );
-                }
-            }
-            assert!(
-                driver.evaluator().unique_evaluations() > saved.unwrap(),
-                "step 7 must evaluate past the saved caches for the cadence check to bite"
-            );
-            saved.unwrap()
-        };
+        let mut driver = SearchDriver::new(Box::new(SimulatedAnnealing::new(9)), on_disk(), budget)
+            .spec(&spec)
+            .unwrap();
+        let snapshot = edse_core::load_snapshot(&path).unwrap();
+        assert_eq!(
+            (snapshot.technique.as_str(), snapshot.budget),
+            ("annealing", budget)
+        );
+        for _ in 1..=7 {
+            assert_eq!(driver.step(), StepOutcome::Pending);
+        }
+        let interrupted = driver.evaluator().unique_evaluations();
+        assert_eq!(
+            driver.evaluator().cache_stats().disk.unwrap().appends,
+            (interrupted * layers) as u64
+        );
+        drop(driver);
 
-        // Resume: restore the layer outcomes and step a fresh technique
-        // from the start; the saved steps are assembled without mapping.
+        // Resume: step a fresh technique from the start over the same disk
+        // tier; the interrupted steps are assembled without mapping.
         let spec = JobSpec {
             resume: true,
             ..spec
         };
-        let ev = evaluator();
+        let ev = on_disk();
         let resumed = SearchDriver::new(Box::new(SimulatedAnnealing::new(9)), &ev, budget)
             .spec(&spec)
             .unwrap()
@@ -392,11 +376,15 @@ mod tests {
             "resume must be bit-identical"
         );
         assert_eq!(ev.unique_evaluations(), full_ev.unique_evaluations());
+        let disk = ev.cache_stats().disk.unwrap();
+        let saved = (interrupted * layers) as u64;
+        assert_eq!(disk.hits, saved);
         assert_eq!(
-            ev.cache_stats().layer.misses,
-            full_ev.cache_stats().layer.misses - (cached * layers) as u64,
-            "a resume must not remap the saved steps"
+            disk.misses,
+            full_ev.cache_stats().layer.misses - saved,
+            "a resume must not remap the interrupted steps"
         );
+        drop(ev);
 
         // A mismatched budget or technique must refuse to resume rather
         // than silently run a different search.

@@ -21,7 +21,7 @@ use mapper::{FixedMapper, LinearMapper, MappingOptimizer};
 use workloads::{zoo, DnnModel};
 
 /// Runs one variant from the space's minimum point; `label` names its
-/// snapshot under `--checkpoint`.
+/// checkpoint under `--checkpoint`.
 fn run<M: MappingOptimizer>(
     harness: &Harness,
     label: &str,

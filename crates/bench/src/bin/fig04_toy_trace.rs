@@ -5,7 +5,11 @@
 //! illustration.
 //!
 //! Usage: `fig04_toy_trace [--iters N] [--seed N] [--out PATH]
-//! [--json PATH] [--checkpoint PATH [--checkpoint-every K] [--resume]]`
+//! [--json PATH] [--checkpoint PATH [--resume]]`
+//!
+//! `--checkpoint PATH` writes the two searches' checkpoints to
+//! `PATH.hypermapper` and `PATH.explainable` as each search starts, and
+//! persists their layer outcomes in `PATH.cache/` (or in `--cache-dir`).
 //!
 //! `--out` writes a machine-readable result summary (sample objectives,
 //! best feasible latency, attempt count — deliberately no wall-clock

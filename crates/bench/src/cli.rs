@@ -4,7 +4,7 @@
 //! here once, as [`BenchArgs::parse_from`] over a plain argument slice so
 //! the parser is unit-testable without touching the process environment.
 //! This is also where the checkpoint/resume flags (`--checkpoint`,
-//! `--resume`, `--checkpoint-every`) are parsed into the [`JobSpec`] that
+//! `--resume`) are parsed into the [`JobSpec`] that
 //! [`crate::Harness::run`] applies to every run.
 
 use edse_core::JobSpec;
@@ -58,10 +58,9 @@ pub struct BenchArgs {
 
 impl BenchArgs {
     /// Parses `--iters N --trials N --seed N --models a,b --quick --full
-    /// --trace-out PATH --verbose --checkpoint PATH --resume
-    /// --checkpoint-every K --out PATH --json PATH --cache-dir PATH
-    /// --no-disk-cache` from an argument slice (without the program
-    /// name).
+    /// --trace-out PATH --verbose --checkpoint PATH --resume --out PATH
+    /// --json PATH --cache-dir PATH --no-disk-cache` from an argument
+    /// slice (without the program name).
     ///
     /// `default_iters` applies to the full setting; `--quick` divides the
     /// budgets so every experiment finishes in minutes on a laptop. Quick
@@ -153,11 +152,6 @@ impl BenchArgs {
                 }
                 "--checkpoint" => {
                     args.spec.checkpoint = take(argv, i, &mut args.warnings).map(PathBuf::from);
-                    i += 1;
-                }
-                "--checkpoint-every" => {
-                    args.spec.checkpoint_every =
-                        take_num(argv, i, &mut args.warnings).unwrap_or(10);
                     i += 1;
                 }
                 "--out" => {
@@ -280,7 +274,6 @@ mod tests {
         assert_eq!(a.spec.map_trials, 300);
         assert_eq!(a.spec.seed, 1);
         assert!(a.spec.checkpoint.is_none() && !a.spec.resume);
-        assert_eq!(a.spec.checkpoint_every, 10);
         assert!(a.warnings.is_empty());
     }
 
@@ -320,8 +313,6 @@ mod tests {
                 "--checkpoint",
                 "/tmp/run.ckpt",
                 "--resume",
-                "--checkpoint-every",
-                "3",
                 "--out",
                 "result.json",
             ],
@@ -332,7 +323,6 @@ mod tests {
             Some(Path::new("/tmp/run.ckpt"))
         );
         assert!(a.spec.resume);
-        assert_eq!(a.spec.checkpoint_every, 3);
         assert_eq!(a.out.as_deref(), Some("result.json"));
     }
 
@@ -368,6 +358,14 @@ mod tests {
         assert_eq!(a.spec.budget, 10);
         assert_eq!(a.warnings.len(), 1);
         assert!(a.warnings[0].contains("--bogus"));
+        // The checkpoint cadence is gone: a checkpoint is written once,
+        // when each run starts.
+        let a = BenchArgs::parse_from(&["--checkpoint-every", "1"], 100);
+        assert!(
+            a.warnings[0].contains("ignoring unknown argument --checkpoint-every"),
+            "{:?}",
+            a.warnings
+        );
     }
 
     #[test]
@@ -380,10 +378,6 @@ mod tests {
             "{:?}",
             a.warnings
         );
-
-        let a = BenchArgs::parse_from(&["--checkpoint-every"], 100);
-        assert_eq!(a.spec.checkpoint_every, 10);
-        assert!(a.warnings[0].contains("--checkpoint-every needs a value"));
 
         for flag in [
             "--iters",
@@ -411,14 +405,12 @@ mod tests {
             (["--iters", "25OO"], 250),
             (["--trials", "x"], 300),
             (["--seed", "-1"], 1),
-            (["--checkpoint-every", "k"], 10),
         ] {
             let a = BenchArgs::parse_from(&argv, 2500);
             let got = match argv[0] {
                 "--iters" => a.spec.budget,
                 "--trials" => a.spec.map_trials,
-                "--seed" => a.spec.seed as usize,
-                _ => a.spec.checkpoint_every,
+                _ => a.spec.seed as usize,
             };
             assert_eq!(got, default, "{argv:?}");
             assert_eq!(a.warnings.len(), 1, "{argv:?}: {:?}", a.warnings);

@@ -15,7 +15,7 @@ use edse_core::space::{edge_space, DesignSpace};
 use edse_core::{DiskCache, DseResult, DseTechnique, JobSpec, SearchDriver};
 use edse_telemetry::{Collector, Level};
 use mapper::{FixedMapper, LinearMapper, MappingOptimizer, RandomMapper};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use workloads::DnnModel;
 
@@ -38,25 +38,33 @@ pub fn fail(telemetry: &Collector, message: &str) -> ! {
 }
 
 /// What every run of one bench process shares: the command line's
-/// [`JobSpec`], the telemetry collector and the `--cache-dir` disk tier.
-/// Build it once in `main`; [`Harness::run`] is where a binary's runs
-/// take the spec's checkpoint policy.
+/// [`JobSpec`], the telemetry collector and the disk tier. Build it once
+/// in `main`; [`Harness::run`] is where a binary's runs take the spec's
+/// checkpoint policy.
 pub struct Harness {
     spec: JobSpec,
     telemetry: Collector,
-    /// The open disk tier, `Ok(None)` without `--cache-dir`, or why the
-    /// directory could not be opened.
+    /// The open disk tier, `Ok(None)` without one, or why the directory
+    /// could not be opened.
     disk: Result<Option<Arc<DiskCache>>, String>,
 }
 
 impl Harness {
-    /// Opens the `--cache-dir` store (once per process; every evaluator the
-    /// harness builds shares it), wiring its telemetry through
-    /// `telemetry`. A directory that cannot be opened degrades to no disk
-    /// tier with a `Warn` log rather than failing the run.
+    /// Opens the process's disk tier (once; every evaluator the harness
+    /// builds shares it), wiring its telemetry through `telemetry`: the
+    /// `--cache-dir` store, or else, with `--checkpoint BASE`, the store
+    /// `BASE.cache/`, so that every checkpointed run persists the layer
+    /// outcomes its resume reuses. A directory that cannot be opened
+    /// degrades to no disk tier with a `Warn` log rather than failing the
+    /// run.
     pub fn new(args: &BenchArgs, telemetry: &Collector) -> Self {
-        let disk = match (&args.cache_dir, args.no_disk_cache) {
-            (Some(dir), false) => match DiskCache::open_with(dir, telemetry.clone()) {
+        let dir = match (&args.cache_dir, args.no_disk_cache, &args.spec.checkpoint) {
+            (Some(dir), false, _) => Some(dir.clone()),
+            (_, _, Some(base)) => Some(suffixed(base, "cache")),
+            _ => None,
+        };
+        let disk = match dir {
+            Some(dir) => match DiskCache::open_with(&dir, telemetry.clone()) {
                 Ok(cache) => Ok(Some(Arc::new(cache))),
                 Err(e) => {
                     let msg = format!(
@@ -67,7 +75,7 @@ impl Harness {
                     Err(msg)
                 }
             },
-            _ => Ok(None),
+            None => Ok(None),
         };
         Harness {
             spec: args.spec.clone(),
@@ -98,11 +106,12 @@ impl Harness {
     /// Runs `technique` on `evaluator` for `budget` evaluations through
     /// [`SearchDriver`], then flushes the collector so each run snapshots
     /// its own counter traffic into the trace. With `--checkpoint <base>`
-    /// the run snapshots to `<base>.<label>` and, with `--resume`, resumes
-    /// from it; so the labels of one binary's runs must differ. A snapshot
-    /// that cannot be resumed (corrupt, another schema version, or another
-    /// technique or budget) ends the process with exit status 1, naming
-    /// the file.
+    /// the run writes its checkpoint to `<base>.<label>` when it starts
+    /// and, with `--resume`, resumes from it; so the labels of one
+    /// binary's runs must differ. A checkpoint that cannot be written, or
+    /// cannot be resumed (corrupt, another schema version, or another
+    /// technique or budget), ends the process with exit status 1 before
+    /// anything is evaluated, naming the file.
     pub fn run(
         &self,
         label: &str,
@@ -110,12 +119,11 @@ impl Harness {
         evaluator: &dyn Evaluator,
         budget: usize,
     ) -> DseResult {
-        let checkpoint = self.spec.checkpoint.as_ref().map(|base| {
-            let mut path = base.clone().into_os_string();
-            path.push(".");
-            path.push(label);
-            PathBuf::from(path)
-        });
+        let checkpoint = self
+            .spec
+            .checkpoint
+            .as_ref()
+            .map(|base| suffixed(base, label));
         let spec = JobSpec {
             checkpoint,
             ..self.spec.clone()
@@ -123,14 +131,20 @@ impl Harness {
         let result = SearchDriver::new(technique, evaluator, budget)
             .telemetry(self.telemetry.clone())
             .spec(&spec)
-            .unwrap_or_else(|e| match &spec.checkpoint {
-                Some(path) => fail(&self.telemetry, &format!("{}: {e}", path.display())),
-                None => fail(&self.telemetry, &e),
-            })
+            .unwrap_or_else(|e| fail(&self.telemetry, &e))
             .run_to_completion();
         self.telemetry.flush();
         result
     }
+}
+
+/// `<base>.<suffix>`: where a `--checkpoint` base puts a run's checkpoint
+/// and the process's disk tier.
+fn suffixed(base: &Path, suffix: &str) -> PathBuf {
+    let mut path = base.as_os_str().to_os_string();
+    path.push(".");
+    path.push(suffix);
+    PathBuf::from(path)
 }
 
 /// How mappings are obtained during hardware exploration.
@@ -234,8 +248,8 @@ impl TechniqueKind {
 /// per-attempt iteration records, a black-box baseline one comparable
 /// record per sample, and the evaluator reports cache and stage metrics.
 /// The trace is labelled `<technique><suffix>`, and a checkpointed run
-/// snapshots to `<base>.<technique><suffix>.<Model>`, so every model and
-/// setting of a binary keeps its own snapshot. The result's
+/// writes its checkpoint to `<base>.<technique><suffix>.<Model>`, so every
+/// model and setting of a binary keeps its own checkpoint. The result's
 /// [`DseResult::converged_after`] is empty for a black box.
 pub fn run_technique(
     harness: &Harness,
@@ -314,7 +328,6 @@ pub fn constraints_for(models: &[DnnModel]) -> Vec<edse_core::Constraint> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
     use workloads::zoo;
 
     fn harness(argv: &[&str], telemetry: &Collector) -> Harness {
@@ -399,6 +412,7 @@ mod tests {
     #[test]
     fn each_model_of_a_checkpointed_run_keeps_its_own_snapshot() {
         let dir = std::env::temp_dir().join(format!("edse-bench-snapshots-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let base = dir.join("run.ckpt");
         let harness = harness(
@@ -413,18 +427,15 @@ mod tests {
         for model in &models {
             let path = dir.join(format!("run.ckpt.random-fixdf.{}", model.name()));
             let snapshot = edse_core::load_snapshot(&path).unwrap();
-            let shapes: HashSet<_> = model.unique_shapes().iter().map(|u| u.shape).collect();
-            assert!(!snapshot.caches.layers.is_empty(), "{}", path.display());
-            assert!(
-                snapshot
-                    .caches
-                    .layers
-                    .iter()
-                    .all(|entry| shapes.contains(&entry.shape)),
-                "{} holds another model's layers",
-                path.display()
+            assert_eq!(
+                (snapshot.technique.as_str(), snapshot.budget),
+                ("random", 4)
             );
         }
+        // The runs' layer outcomes are in the disk tier beside the
+        // checkpoints.
+        let disk = edse_core::DiskCache::open(dir.join("run.ckpt.cache")).unwrap();
+        assert!(!disk.is_empty());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -448,6 +459,30 @@ mod tests {
             Harness::new(&a, &Collector::noop()).disk,
             Ok(None)
         ));
+
+        // A checkpointed run always gets a disk tier: --cache-dir when one
+        // is in effect, else one beside the checkpoint base.
+        let base = dir.join("C");
+        let base_s = base.to_str().unwrap();
+        let disk_dir = |argv: &[&str]| match harness(argv, &Collector::noop()).disk {
+            Ok(Some(disk)) => disk.dir().to_path_buf(),
+            other => panic!("{argv:?}: no disk tier ({:?})", other.err()),
+        };
+        assert_eq!(
+            disk_dir(&["--checkpoint", base_s, "--cache-dir", dir_s]),
+            dir
+        );
+        assert_eq!(disk_dir(&["--checkpoint", base_s]), dir.join("C.cache"));
+        assert_eq!(
+            disk_dir(&[
+                "--checkpoint",
+                base_s,
+                "--cache-dir",
+                dir_s,
+                "--no-disk-cache"
+            ]),
+            dir.join("C.cache")
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -4,7 +4,8 @@
 //! 1. Serial vs parallel [`EvalEngine`] batches (and whole searches).
 //! 2. Straight-through vs killed-and-resumed runs — the explainable
 //!    search and the baselines — checkpointed through
-//!    [`SearchDriver::spec`].
+//!    [`SearchDriver::spec`] and resumed over the disk tier the killed
+//!    run wrote, which maps exactly what the killed run left undone.
 //! 3. Cold vs warm runs over a persistent [`DiskCache`] — the identical
 //!    search (explainable and every baseline technique) replayed against a
 //!    warmed cache directory must be bit-identical to the cold run and
@@ -19,14 +20,14 @@ use conformance::NaiveReferenceEvaluator;
 use edse_core::bottleneck::dnn_latency_model;
 use edse_core::cost::{Constraint, Evaluation};
 use edse_core::dse::{DseConfig, DseResult};
-use edse_core::evaluate::{CacheSnapshot, CodesignEvaluator, EvalEngine, Evaluator};
+use edse_core::evaluate::{CodesignEvaluator, EvalEngine, Evaluator};
 use edse_core::fault::EvalFault;
 use edse_core::space::{edge_space, DesignPoint, DesignSpace};
 use edse_core::{DiskCache, JobSpec, SearchDriver, SearchSession};
 use edse_telemetry::Collector;
 use mapper::FixedMapper;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use workloads::zoo;
@@ -159,15 +160,6 @@ fn silence_expected_panics() {
     });
 }
 
-fn temp_snapshot_path(tag: &str) -> PathBuf {
-    static SEQ: AtomicU64 = AtomicU64::new(0);
-    let n = SEQ.fetch_add(1, Ordering::Relaxed);
-    std::env::temp_dir().join(format!(
-        "edse-conformance-{}-{tag}-{n}.json",
-        std::process::id()
-    ))
-}
-
 /// Wraps an evaluator and panics once `kill_after` evaluation requests
 /// have been spent — a SIGKILL landing mid-search, as seen from inside
 /// the process. All bookkeeping methods pass through.
@@ -230,17 +222,34 @@ impl<E: Evaluator> Evaluator for KillSwitch<E> {
         self.inner.decode(point)
     }
 
-    fn cache_snapshot(&self) -> CacheSnapshot {
-        self.inner.cache_snapshot()
-    }
-
-    fn restore_caches(&self, snapshot: &CacheSnapshot) {
-        self.inner.restore_caches(snapshot)
-    }
-
     fn cache_stats(&self) -> edse_core::evaluate::CacheStats {
         self.inner.cache_stats()
     }
+}
+
+/// A serial edge evaluator over the disk tier in `dir`.
+fn edge_evaluator_on_disk(dir: &Path) -> CodesignEvaluator<FixedMapper> {
+    edge_evaluator(EvalEngine::serial())
+        .with_disk_cache(Arc::new(DiskCache::open(dir).expect("open cache dir")))
+}
+
+/// Asserts that a resume over the disk tier the killed run wrote mapped
+/// exactly what the killed run left undone: its disk hits are the `left`
+/// records, and its disk misses (its mapper calls) the rest of the
+/// straight run's layer mappings.
+fn assert_resume_maps_the_rest(
+    resumed: &impl Evaluator,
+    straight: &impl Evaluator,
+    left: u64,
+    what: &str,
+) {
+    let disk = resumed.cache_stats().disk.expect("disk tier attached");
+    assert_eq!(disk.hits, left, "{what}: the resume read every record");
+    assert_eq!(
+        disk.misses,
+        straight.cache_stats().layer.misses - left,
+        "{what}: the resume remapped persisted work"
+    );
 }
 
 #[test]
@@ -258,33 +267,33 @@ fn killed_and_resumed_search_session_matches_straight_through() {
         .run(initial.clone());
 
     // Kill early, mid-run, and past the end (the latter degrades to
-    // resuming a completed snapshot).
+    // resuming a completed run).
     for kill_after in [1usize, 9, 23, 10_000] {
-        let path = temp_snapshot_path("search-kill");
-        let killed_ev = KillSwitch::new(edge_evaluator(EvalEngine::serial()), kill_after);
+        let dir = temp_cache_dir("search-kill");
+        let spec = JobSpec {
+            checkpoint: Some(dir.join("checkpoint.json")),
+            ..JobSpec::default()
+        };
+        let killed_ev = KillSwitch::new(edge_evaluator_on_disk(&dir), kill_after);
         let killed = catch_unwind(AssertUnwindSafe(|| {
             SearchSession::new(dnn_latency_model(), config.clone())
                 .evaluator(&killed_ev)
                 .driver(initial.clone())
-                .spec(&JobSpec {
-                    checkpoint: Some(path.clone()),
-                    checkpoint_every: 1,
-                    ..JobSpec::default()
-                })
+                .spec(&spec)
                 .expect("a fresh checkpoint")
                 .run_to_completion()
         }));
-        let resumed_ev = edge_evaluator(EvalEngine::serial());
+        drop(killed_ev);
+        let resumed_ev = edge_evaluator_on_disk(&dir);
+        let left = resumed_ev.cache_stats().disk.expect("disk tier").entries as u64;
         let resumed = SearchSession::new(dnn_latency_model(), config.clone())
             .evaluator(&resumed_ev)
             .driver(initial.clone())
             .spec(&JobSpec {
-                checkpoint: Some(path.clone()),
-                checkpoint_every: 1,
                 resume: true,
-                ..JobSpec::default()
+                ..spec
             })
-            .expect("the killed run's snapshot resumes")
+            .expect("the killed run's checkpoint resumes")
             .run_to_completion();
         assert_results_identical(&resumed, &reference);
         assert_eq!(
@@ -292,10 +301,14 @@ fn killed_and_resumed_search_session_matches_straight_through() {
             reference_ev.unique_evaluations(),
             "kill_after={kill_after}"
         );
+        let what = format!("kill_after={kill_after}");
+        assert_resume_maps_the_rest(&resumed_ev, &reference_ev, left, &what);
         if let Ok(completed) = killed {
             assert_results_identical(&completed, &reference);
+            assert_eq!(resumed_ev.cache_stats().disk.unwrap().misses, 0, "{what}");
         }
-        let _ = std::fs::remove_file(&path);
+        drop(resumed_ev);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 
@@ -304,22 +317,21 @@ fn killed_and_resumed_baseline_session_matches_straight_through() {
     silence_expected_panics();
     let budget = 25;
     // Random search is one batch, so a kill lands inside its only step,
-    // before any save. Annealing steps one point at a time, so a kill
-    // after `kill_after` evaluations leaves the snapshot of step
-    // `kill_after` to resume from.
+    // before any record is written. Annealing steps one point at a time,
+    // so a kill after `kill_after` evaluations leaves the records of
+    // those steps.
     for name in ["random", "annealing"] {
         let technique = || baselines::by_name(name, 13).expect("registered");
         let reference_ev = edge_evaluator(EvalEngine::serial());
         let reference = BaselineSession::new(technique().as_mut()).run(&reference_ev, budget);
 
         for kill_after in [3usize, 12, 10_000] {
-            let path = temp_snapshot_path("baseline-kill");
+            let dir = temp_cache_dir("baseline-kill");
             let spec = JobSpec {
-                checkpoint: Some(path.clone()),
-                checkpoint_every: 1,
+                checkpoint: Some(dir.join("checkpoint.json")),
                 ..JobSpec::default()
             };
-            let killed_ev = KillSwitch::new(edge_evaluator(EvalEngine::serial()), kill_after);
+            let killed_ev = KillSwitch::new(edge_evaluator_on_disk(&dir), kill_after);
             let killed = catch_unwind(AssertUnwindSafe(|| {
                 SearchDriver::new(technique(), &killed_ev, budget)
                     .spec(&spec)
@@ -327,47 +339,40 @@ fn killed_and_resumed_baseline_session_matches_straight_through() {
                     .run_to_completion()
                     .into_trace()
             }));
-            let saved = edse_core::load_snapshot(&path)
-                .ok()
-                .map(|snapshot| snapshot.caches.layers.len());
-            let resumed_ev = edge_evaluator(EvalEngine::serial());
+            drop(killed_ev);
+            let resumed_ev = edge_evaluator_on_disk(&dir);
+            let left = resumed_ev.cache_stats().disk.expect("disk tier").entries as u64;
             let resumed = SearchDriver::new(technique(), &resumed_ev, budget)
                 .spec(&JobSpec {
                     resume: true,
                     ..spec
                 })
-                .expect("the killed run's snapshot resumes")
+                .expect("the killed run's checkpoint resumes")
                 .run_to_completion()
                 .into_trace();
-            assert_eq!(
-                resumed.samples, reference.samples,
-                "{name} kill_after={kill_after}"
-            );
+            let what = format!("{name} kill_after={kill_after}");
+            assert_eq!(resumed.samples, reference.samples, "{what}");
             assert_eq!(resumed.technique, reference.technique);
+            assert_resume_maps_the_rest(&resumed_ev, &reference_ev, left, &what);
             match killed {
                 Ok(completed) => assert_eq!(completed.samples, reference.samples),
-                Err(_) if name == "random" => assert_eq!(saved, None, "kill_after={kill_after}"),
+                Err(_) if name == "random" => assert_eq!(left, 0, "{what}"),
                 Err(_) => {
-                    // The snapshot of the last step: the layer outcomes of
-                    // its distinct points, which the resume does not remap.
+                    // The records of the completed steps: the layer
+                    // outcomes of their distinct points.
                     let distinct: std::collections::HashSet<_> = reference.samples[..kill_after]
                         .iter()
                         .map(|s| &s.point)
                         .collect();
-                    let saved_layers = distinct.len() * zoo::resnet18().unique_shape_count();
+                    let records = distinct.len() * zoo::resnet18().unique_shape_count();
                     assert_eq!(
-                        saved,
-                        Some(saved_layers),
-                        "{name} kill_after={kill_after}: the snapshot of the last step"
-                    );
-                    assert_eq!(
-                        resumed_ev.cache_stats().layer.misses,
-                        reference_ev.cache_stats().layer.misses - saved_layers as u64,
-                        "{name} kill_after={kill_after}: the resume remapped saved work"
+                        left, records as u64,
+                        "{what}: the records of the completed steps"
                     );
                 }
             }
-            let _ = std::fs::remove_file(&path);
+            drop(resumed_ev);
+            let _ = std::fs::remove_dir_all(&dir);
         }
     }
 }

@@ -1,43 +1,31 @@
-//! Checkpoint/resume: serialize evaluator caches to a versioned snapshot
-//! file, atomically, via the workspace's zero-dep JSON layer.
+//! Checkpoint/resume: the versioned checkpoint file, written atomically
+//! via the workspace's zero-dep JSON layer.
 //!
-//! A snapshot holds the layer outcomes of the evaluator's cache that its
-//! disk tier lacks, tagged with the technique label and budget of the run
-//! that wrote it — for every technique, the explainable search included.
-//! Each outcome is a disk-cache record keyed by the mapper that produced
-//! it (see [`CacheSnapshot`]). A technique's state is a pure function of
-//! its seed, its budget and the outcomes it has observed, so a resume
-//! warms the layer cache and steps a fresh technique from the start: each
-//! point it repeats is assembled from layer outcomes the snapshot or the
-//! disk tier holds, without a mapper call, landing on the same trajectory
-//! (see [`crate::SearchDriver`]).
+//! A checkpoint holds only what the disk tier cannot supply: the
+//! technique label and the budget of the run that wrote it. A technique's
+//! state is a pure function of its seed, its budget and the layer
+//! outcomes it has observed, and the evaluator's disk tier persists each
+//! outcome as soon as its mapping completes. So a resume steps a fresh
+//! technique from the start, and every point it repeats is assembled from
+//! the outcomes the disk tier holds, landing on the same trajectory (see
+//! [`crate::SearchDriver::spec`]). The file exists so that a resume can
+//! refuse another technique or budget.
 //!
-//! Snapshots are written with a write-then-rename so a crash mid-write
-//! never corrupts the previous snapshot. See `DESIGN.md` ("Snapshot
-//! format") for the on-disk layout and the determinism contract.
+//! Checkpoints are written with a write-then-rename, so a crash mid-write
+//! never leaves a torn file. See `DESIGN.md` ("Checkpoint/resume") for the
+//! layout and the determinism contract.
 
-use crate::diskcache::LayerEntry;
-use crate::evaluate::CacheSnapshot;
 use edse_telemetry::json::{self, Json};
 use std::path::{Path, PathBuf};
 
-/// Magic string identifying a snapshot file.
+/// Magic string identifying a checkpoint file.
 pub const SNAPSHOT_FORMAT: &str = "edse-snapshot";
-/// Current snapshot schema version; loaders reject anything else.
-pub const SNAPSHOT_VERSION: u64 = 4;
-
-// ---------------------------------------------------------------------------
-// JSON codec helpers
-// ---------------------------------------------------------------------------
+/// Current checkpoint schema version; loaders reject anything else.
+pub const SNAPSHOT_VERSION: u64 = 5;
 
 fn field<'j>(j: &'j Json, key: &str) -> Result<&'j Json, String> {
     j.get(key)
         .ok_or_else(|| format!("snapshot field `{key}` is missing"))
-}
-
-fn arr(j: &Json) -> Result<&[Json], String> {
-    j.as_arr()
-        .ok_or_else(|| format!("expected an array, got {j:?}"))
 }
 
 fn str_field(j: &Json, key: &str) -> Result<String, String> {
@@ -54,99 +42,52 @@ fn usize_field(j: &Json, key: &str) -> Result<usize, String> {
         .ok_or_else(|| format!("snapshot field `{key}` must be a non-negative integer, got {v:?}"))
 }
 
-// ---------------------------------------------------------------------------
-// Domain converters
-// ---------------------------------------------------------------------------
-
-/// One layer entry as `{"key": .., "value": ..}`, exactly the disk tier's
-/// record, plus the key string it sorts by.
-fn layer_to_json(e: &LayerEntry) -> Result<(String, Json), String> {
-    let (key, value) = e.to_record()?;
-    let entry = Json::obj(vec![
-        ("key", json::parse(&key)?),
-        ("value", json::parse(&value)?),
-    ]);
-    Ok((key, entry))
-}
-
-fn layer_from_json(j: &Json) -> Result<LayerEntry, String> {
-    LayerEntry::from_record(
-        field(j, "key")?.to_line().as_bytes(),
-        field(j, "value")?.to_line().as_bytes(),
-    )
-}
-
-fn caches_to_json(c: &CacheSnapshot) -> Result<Json, String> {
-    // Entries sort by their record key, so hash-map iteration order never
-    // shows in the file.
-    let mut layers = c
-        .layers
-        .iter()
-        .map(layer_to_json)
-        .collect::<Result<Vec<_>, String>>()?;
-    layers.sort_by(|(a, _), (b, _)| a.cmp(b));
-    Ok(Json::obj(vec![(
-        "layers",
-        Json::Arr(layers.into_iter().map(|(_, entry)| entry).collect()),
-    )]))
-}
-
-fn caches_from_json(j: &Json) -> Result<CacheSnapshot, String> {
-    Ok(CacheSnapshot {
-        layers: arr(field(j, "layers")?)?
-            .iter()
-            .map(layer_from_json)
-            .collect::<Result<_, String>>()?,
-    })
-}
-
-/// A search snapshot: evaluator caches plus enough identity to verify
-/// that a resume matches (technique label and budget). See the module
-/// docs for how a search resumes.
+/// A checkpoint: the identity a resume must match (technique label and
+/// budget). See the module docs for how a search resumes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Snapshot {
     /// The technique's [`name`](crate::Trace::technique) label.
     pub technique: String,
-    /// The evaluation budget the interrupted run was given.
+    /// The evaluation budget the checkpointed run was given.
     pub budget: usize,
-    /// The layer outcomes the evaluator held and its disk tier lacked at
-    /// checkpoint time.
-    pub caches: CacheSnapshot,
 }
 
-/// Saves a snapshot atomically.
+/// Saves a checkpoint atomically.
 ///
 /// # Errors
 ///
-/// Returns a description of the I/O or serialization failure.
+/// Returns a description of the I/O failure that names `path`.
 pub fn save_snapshot(path: &Path, snapshot: &Snapshot) -> Result<(), String> {
     let j = Json::obj(vec![
         ("format", Json::Str(SNAPSHOT_FORMAT.into())),
         ("version", Json::Num(SNAPSHOT_VERSION as f64)),
         ("technique", Json::Str(snapshot.technique.clone())),
         ("budget", Json::Num(snapshot.budget as f64)),
-        ("caches", caches_to_json(&snapshot.caches)?),
     ]);
     write_atomic(path, &j.to_line())
 }
 
 /// Writes `contents` to a `.tmp` sibling of `path`, then renames it over
-/// `path`, so a crash mid-write never corrupts the previous file.
+/// `path`, so a crash mid-write never corrupts the previous file. A failed
+/// write leaves no `.tmp` behind.
 fn write_atomic(path: &Path, contents: &str) -> Result<(), String> {
     let mut tmp_name = path.as_os_str().to_os_string();
     tmp_name.push(".tmp");
     let tmp = PathBuf::from(tmp_name);
-    std::fs::write(&tmp, contents).map_err(|e| format!("write {}: {e}", tmp.display()))?;
-    std::fs::rename(&tmp, path)
-        .map_err(|e| format!("rename {} -> {}: {e}", tmp.display(), path.display()))
+    std::fs::write(&tmp, contents)
+        .and_then(|()| std::fs::rename(&tmp, path))
+        .map_err(|e| {
+            let _ = std::fs::remove_file(&tmp);
+            format!("cannot write checkpoint {}: {e}", path.display())
+        })
 }
 
-/// Loads a snapshot.
+/// Loads a checkpoint.
 ///
 /// # Errors
 ///
 /// Returns a description of the I/O, parse, or schema failure (including
-/// the path), e.g. a snapshot of an older schema version.
+/// the path), e.g. a checkpoint of an older schema version.
 pub fn load_snapshot(path: &Path) -> Result<Snapshot, String> {
     let text =
         std::fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))?;
@@ -168,19 +109,14 @@ fn snapshot_from_str(text: &str) -> Result<Snapshot, String> {
     Ok(Snapshot {
         technique: str_field(&j, "technique")?,
         budget: usize_field(&j, "budget")?,
-        caches: caches_from_json(field(&j, "caches")?)?,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::diskcache::LayerOutcome;
-    use accel_model::AcceleratorConfig;
-    use mapper::{FixedMapper, MappingOptimizer};
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicU64, Ordering};
-    use workloads::LayerShape;
 
     fn temp_path(tag: &str) -> PathBuf {
         static SEQ: AtomicU64 = AtomicU64::new(0);
@@ -191,52 +127,58 @@ mod tests {
         ))
     }
 
-    fn layer(c: u64) -> LayerEntry {
-        let shape = LayerShape::conv(1, c, 8, 7, 7, 3, 3, 1);
-        let cfg = AcceleratorConfig::edge_baseline();
-        LayerEntry {
-            mapper: FixedMapper.fingerprint(),
-            shape,
-            cfg,
-            outcome: LayerOutcome::Mapped(FixedMapper.optimize(&shape, &cfg).expect("maps")),
-        }
-    }
-
     #[test]
     fn snapshot_round_trips_and_rejects_older_versions() {
-        let mut snap = Snapshot {
+        let snap = Snapshot {
             technique: "random-fixdf".into(),
             budget: 250,
-            caches: CacheSnapshot {
-                layers: vec![layer(8), layer(16)],
-            },
         };
-        // Entries sort by their record key, so the order they were captured
-        // in never shows in the file.
-        snap.caches.layers.sort_by_key(|e| e.to_record().unwrap().0);
         let path = temp_path("snapshot");
         save_snapshot(&path, &snap).unwrap();
         assert_eq!(load_snapshot(&path).unwrap(), snap);
-        let bytes = std::fs::read(&path).unwrap();
-        snap.caches.layers.reverse();
-        save_snapshot(&path, &snap).unwrap();
-        assert_eq!(std::fs::read(&path).unwrap(), bytes);
+        assert_eq!(
+            std::fs::read_to_string(&path).unwrap(),
+            r#"{"format":"edse-snapshot","version":5,"technique":"random-fixdf","budget":250}"#
+        );
         // The tmp sibling is gone after the rename.
         let mut tmp = path.as_os_str().to_os_string();
         tmp.push(".tmp");
         assert!(!PathBuf::from(tmp).exists());
-        // A version-3 snapshot (which also stored the evaluated points and
-        // referenced disk records by hash) gets the version error, naming
-        // the file.
+        // A version-4 snapshot (the last to carry the layer outcomes the
+        // disk tier lacked) gets the version error, naming the file.
         std::fs::write(
             &path,
-            r#"{"format":"edse-snapshot","version":3,"technique":"random-fixdf","budget":250,"caches":{"points":[],"layers":[],"disk_layers":[]}}"#,
+            r#"{"format":"edse-snapshot","version":4,"technique":"random-fixdf","budget":250,"caches":{"layers":[]}}"#,
         )
         .unwrap();
         let err = load_snapshot(&path).unwrap_err();
-        assert!(err.contains("unsupported snapshot version 3"), "{err}");
+        assert!(err.contains("unsupported snapshot version 4"), "{err}");
         assert!(err.contains(path.to_str().unwrap()), "{err}");
         std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn an_unwritable_snapshot_is_an_error_naming_the_file_once() {
+        let blocker = temp_path("blocker");
+        std::fs::write(&blocker, b"a regular file").unwrap();
+        let path = blocker.join("C");
+        let snap = Snapshot {
+            technique: "grid".into(),
+            budget: 3,
+        };
+        let err = save_snapshot(&path, &snap).unwrap_err();
+        assert_eq!(err.matches(path.to_str().unwrap()).count(), 1, "{err}");
+        std::fs::remove_file(&blocker).unwrap();
+        // A name taken by a directory fails at the rename, and the written
+        // `.tmp` sibling is removed.
+        let taken = temp_path("taken");
+        std::fs::create_dir(&taken).unwrap();
+        let err = save_snapshot(&taken, &snap).unwrap_err();
+        assert!(err.contains("cannot write checkpoint"), "{err}");
+        let mut tmp = taken.as_os_str().to_os_string();
+        tmp.push(".tmp");
+        assert!(!PathBuf::from(tmp).exists());
+        std::fs::remove_dir(&taken).unwrap();
     }
 
     #[test]

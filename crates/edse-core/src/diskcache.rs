@@ -78,16 +78,16 @@ fn checksum(body: &[u8]) -> u32 {
 }
 
 /// The outcome of mapping one layer onto one configuration: the value of
-/// the evaluator's layer cache, of a disk record and of a snapshot's layer
-/// entry. The evaluator keeps one `Arc<LayerOutcome>` per `(layer,
-/// config)` and every [`crate::LayerEval`] that reads it shares that
-/// allocation. `Unmappable(None)` records a pair that was searched and
-/// found unmappable with no diagnostic available (just as expensive to
+/// the evaluator's layer cache and of a disk record. The evaluator keeps
+/// one `Arc<LayerOutcome>` per `(layer, config)` and every
+/// [`crate::LayerEval`] that reads it shares that allocation.
+/// `Unmappable(None)` records a pair that was searched and found
+/// unmappable with no diagnostic available (just as expensive to
 /// rediscover as a feasible mapping).
 ///
 /// A record stores it as `{"mapped":…,"diagnostic":…}`, the encoding of
 /// the two-option struct this enum replaced, so existing cache directories
-/// and snapshots read unchanged.
+/// read unchanged.
 #[derive(Debug, Clone, Copy, PartialEq)]
 // Every outcome is shared through one `Arc`; boxing the mapped variant
 // would add a second allocation per outcome.
@@ -154,44 +154,6 @@ impl serde::Deserialize for LayerOutcome {
     }
 }
 
-/// One decoded record: the outcome together with the key it is stored
-/// under. A snapshot carries these for layer outcomes the disk tier does
-/// not hold, in the same key/value encoding as the disk.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LayerEntry {
-    /// The [`mapper::MappingOptimizer::fingerprint`] of the mapper that
-    /// produced the outcome.
-    pub mapper: String,
-    /// The layer shape that was mapped.
-    pub shape: LayerShape,
-    /// The hardware configuration it was mapped onto.
-    pub cfg: AcceleratorConfig,
-    /// What the mapper found.
-    pub outcome: LayerOutcome,
-}
-
-impl LayerEntry {
-    /// The record's canonical key (see [`layer_key`]) and its serialized
-    /// value.
-    pub(crate) fn to_record(&self) -> Result<(String, String), String> {
-        let key = layer_key(&self.mapper, &self.shape, &self.cfg)?;
-        let value =
-            serde_json::to_string(&self.outcome).map_err(|e| format!("serialize record: {e}"))?;
-        Ok((key, value))
-    }
-
-    /// Decodes a record's key and value.
-    pub(crate) fn from_record(key: &[u8], value: &[u8]) -> Result<LayerEntry, String> {
-        let key: KeyRepr = decode_json(key)?;
-        Ok(LayerEntry {
-            mapper: key.mapper,
-            shape: key.shape,
-            cfg: key.cfg,
-            outcome: decode_json(value)?,
-        })
-    }
-}
-
 fn decode_json<T: serde::Deserialize>(bytes: &[u8]) -> Result<T, String> {
     let text = std::str::from_utf8(bytes).map_err(|e| e.to_string())?;
     serde_json::from_str(text).map_err(|e| e.to_string())
@@ -200,7 +162,7 @@ fn decode_json<T: serde::Deserialize>(bytes: &[u8]) -> Result<T, String> {
 /// The canonical key representation: mapper fingerprint + evaluation
 /// inputs, serialized to one deterministic JSON string. Serde field order
 /// is declaration order, so equal inputs always produce byte-equal keys.
-#[derive(serde::Serialize, serde::Deserialize)]
+#[derive(serde::Serialize)]
 struct KeyRepr {
     mapper: String,
     shape: LayerShape,
@@ -383,18 +345,6 @@ impl DiskCache {
     /// Whether the cache holds no readable records.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Whether a record is indexed under this canonical key's hash (a
-    /// snapshot leaves such outcomes out). Reads nothing: a record that
-    /// later fails its read checks, or belongs to a colliding key, is a
-    /// miss at lookup time and gets recomputed.
-    pub fn contains(&self, key: &str) -> bool {
-        self.inner
-            .lock()
-            .expect("disk cache poisoned")
-            .index
-            .contains_key(&key_hash(key.as_bytes()))
     }
 
     /// A point-in-time snapshot of this cache's counters.
@@ -929,37 +879,6 @@ mod tests {
         assert_eq!(
             cache.get_outcome(&entries[0].0).as_ref(),
             Some(&entries[0].1)
-        );
-        drop(cache);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn contains_reports_stored_keys_without_reading_them() {
-        let dir = temp_dir("contains");
-        let cache = DiskCache::open(&dir).unwrap();
-        let cfg = AcceleratorConfig::edge_baseline();
-        let shape = LayerShape::conv(1, 8, 8, 7, 7, 3, 3, 1);
-        let key = layer_key("fixed-os", &shape, &cfg).unwrap();
-        let value = LayerOutcome::Mapped(FixedMapper.optimize(&shape, &cfg).expect("maps"));
-        assert!(!cache.contains(&key));
-        cache.put_outcome(&key, &value);
-        assert!(cache.contains(&key));
-        assert!(!cache.contains(&layer_key("other", &shape, &cfg).unwrap()));
-        // Neither check is lookup traffic.
-        assert_eq!((cache.stats().hits, cache.stats().misses), (0, 0));
-        let entry = LayerEntry {
-            mapper: "fixed-os".into(),
-            shape,
-            cfg,
-            outcome: value,
-        };
-        // A record's key and value decode back to the same entry.
-        let (k, v) = entry.to_record().unwrap();
-        assert_eq!(k, key);
-        assert_eq!(
-            LayerEntry::from_record(k.as_bytes(), v.as_bytes()),
-            Ok(entry)
         );
         drop(cache);
         std::fs::remove_dir_all(&dir).unwrap();

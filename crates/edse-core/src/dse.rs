@@ -1489,32 +1489,45 @@ mod tests {
 
     #[test]
     fn resuming_a_completed_snapshot_reproduces_the_result() {
-        let path = std::env::temp_dir().join(format!(
-            "edse-dse-test-completed-{}.json",
-            std::process::id()
+        use crate::{DiskCache, Evaluator};
+        use std::sync::Arc;
+        let dir = std::env::temp_dir().join(format!(
+            "edse-dse-test-completed-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
         ));
-        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_dir_all(&dir);
+        let path = dir.join("checkpoint.json");
         let config = DseConfig {
             budget: 60,
             ..DseConfig::default()
         };
-        let evaluator = CodesignEvaluator::new(edge_space(), vec![zoo::resnet18()], FixedMapper);
-        let initial = evaluator.space().minimum_point();
+        let evaluator = |disk: &Arc<DiskCache>| {
+            CodesignEvaluator::new(edge_space(), vec![zoo::resnet18()], FixedMapper)
+                .with_disk_cache(disk.clone())
+        };
+        let first_ev = evaluator(&Arc::new(DiskCache::open(&dir).unwrap()));
+        let initial = first_ev.space().minimum_point();
         let first = SearchSession::new(dnn_latency_model(), config.clone())
-            .evaluator(&evaluator)
+            .evaluator(&first_ev)
             .driver(initial.clone())
             .spec(&crate::job::JobSpec {
                 checkpoint: Some(path.clone()),
-                checkpoint_every: 5,
                 ..crate::job::JobSpec::default()
             })
             .unwrap()
             .run_to_completion();
-        assert!(path.exists(), "a final snapshot must be written");
+        assert!(
+            path.exists(),
+            "the checkpoint is written when the run starts"
+        );
+        let records = first_ev.cache_stats().disk.unwrap().appends;
+        drop(first_ev);
         // Resuming a *finished* run re-reports the identical result from a
-        // fresh evaluator: the replayed search is assembled from the
-        // restored layer outcomes without a single mapper call.
-        let fresh = CodesignEvaluator::new(edge_space(), vec![zoo::resnet18()], FixedMapper);
+        // fresh evaluator on the same disk tier: the replayed search is
+        // assembled from the persisted layer outcomes without a single
+        // mapper call.
+        let fresh = evaluator(&Arc::new(DiskCache::open(&dir).unwrap()));
         let resumed = SearchSession::new(dnn_latency_model(), config)
             .evaluator(&fresh)
             .driver(initial)
@@ -1530,8 +1543,10 @@ mod tests {
         assert_eq!(first.best(), resumed.best());
         assert_eq!(first.converged_after(), resumed.converged_after());
         assert_eq!(first.termination(), resumed.termination());
-        assert_eq!(fresh.cache_stats().layer.misses, 0);
-        std::fs::remove_file(&path).unwrap();
+        let disk = fresh.cache_stats().disk.unwrap();
+        assert_eq!((disk.misses, disk.hits), (0, records));
+        drop(fresh);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

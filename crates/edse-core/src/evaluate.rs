@@ -17,7 +17,7 @@
 //! [`Evaluator::try_evaluate_batch`] — instead of tearing down the search.
 
 use crate::cost::{Constraint, Evaluation, LayerEval};
-use crate::diskcache::{self, DiskCache, DiskCacheStats, LayerEntry, LayerOutcome};
+use crate::diskcache::{self, DiskCache, DiskCacheStats, LayerOutcome};
 use crate::fault::{self, EvalFault, FaultPolicy};
 use crate::space::{decode_edge_point, DesignPoint, DesignSpace};
 use accel_model::AcceleratorConfig;
@@ -30,23 +30,15 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use workloads::{DnnModel, LayerShape};
 
-/// A snapshot of an evaluator's memo tables, as captured by
-/// [`Evaluator::cache_snapshot`] and restored by
-/// [`Evaluator::restore_caches`]. It holds only what neither the disk tier
-/// nor a replay can supply: the layer outcomes the attached persistent
-/// cache lacks, each tagged with the mapper that produced it. Points and
-/// evaluations are not stored; a resumed search repeats its points and
-/// the evaluator assembles them from the warmed layer cache, so a restore
-/// under other models, space, objective, tech or mapper yields that
-/// evaluator's own evaluations. Only *successful* outcomes are captured:
-/// failed mappings are re-attempted after a resume (the fault may have
-/// been environmental).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct CacheSnapshot {
-    /// Layer outcomes the attached persistent cache does not hold (all of
-    /// them without a disk tier).
-    pub layers: Vec<LayerEntry>,
-}
+/// What [`Evaluator::cache_snapshot`] returns: nothing. A checkpoint
+/// holds no evaluator state, because a resume reads the layer outcomes of
+/// the interrupted run from the disk tier by key (see
+/// [`crate::SearchDriver::spec`]). The type and the two trait methods stay
+/// only because the benchmark crate's `TracedEvaluator`
+/// (`perfbench/src/trace.rs`) forwards them; nothing in the workspace
+/// calls or overrides them.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CacheSnapshot;
 
 /// Traffic counters for one in-memory cache tier, as reported by
 /// [`Evaluator::cache_stats`]. Counters are cumulative since the
@@ -138,15 +130,16 @@ pub trait Evaluator {
     /// Decodes a point into the hardware configuration it describes.
     fn decode(&self, point: &DesignPoint) -> AcceleratorConfig;
 
-    /// Captures the completed layer outcomes a resume could not otherwise
-    /// recover, for checkpointing. The default (for cacheless evaluators)
-    /// captures nothing.
+    /// Returns the empty [`CacheSnapshot`]. Kept as a no-op only for the
+    /// benchmark crate's forwarding decorator (see [`CacheSnapshot`]);
+    /// nothing in the workspace calls or overrides it.
     fn cache_snapshot(&self) -> CacheSnapshot {
-        CacheSnapshot::default()
+        CacheSnapshot
     }
 
-    /// Warms the evaluator's layer cache from a snapshot (the resume path
-    /// — call on a freshly built evaluator). The default is a no-op.
+    /// Does nothing. Kept as a no-op only for the benchmark crate's
+    /// forwarding decorator (see [`CacheSnapshot`]); nothing in the
+    /// workspace calls or overrides it.
     fn restore_caches(&self, snapshot: &CacheSnapshot) {
         let _ = snapshot;
     }
@@ -216,14 +209,6 @@ impl<T: Evaluator + ?Sized> Evaluator for &T {
 
     fn decode(&self, point: &DesignPoint) -> AcceleratorConfig {
         (**self).decode(point)
-    }
-
-    fn cache_snapshot(&self) -> CacheSnapshot {
-        (**self).cache_snapshot()
-    }
-
-    fn restore_caches(&self, snapshot: &CacheSnapshot) {
-        (**self).restore_caches(snapshot)
     }
 
     fn cache_stats(&self) -> CacheStats {
@@ -353,16 +338,6 @@ impl<K: Eq + Hash + Clone, S: Slots + ?Sized> ShardedCache<K, S> {
         (shard, entry)
     }
 
-    /// Every entry, in unspecified order.
-    fn entries(&self) -> Vec<(K, Arc<S>)> {
-        let mut entries = Vec::new();
-        for shard in &self.shards {
-            let map = shard.lock().expect("cache shard poisoned");
-            entries.extend(map.iter().map(|(k, v)| (k.clone(), v.clone())));
-        }
-        entries
-    }
-
     /// Records one slot access's classification (see
     /// [`CodesignEvaluator::classify`] for the taxonomy). Always on — the
     /// counters back [`Evaluator::cache_stats`], unlike the per-shard
@@ -426,8 +401,6 @@ struct ShapeTable {
     /// Every distinct shape across the models, in first-appearance order;
     /// a shape's index here is its slot in every [`LayerRow`].
     shapes: Vec<LayerShape>,
-    /// Each shape's index in `shapes`.
-    ids: HashMap<LayerShape, usize>,
     /// The models, in declaration order.
     models: Vec<ModelShapes>,
 }
@@ -463,11 +436,7 @@ impl ShapeTable {
                 }
             })
             .collect();
-        ShapeTable {
-            shapes,
-            ids,
-            models,
-        }
+        ShapeTable { shapes, models }
     }
 }
 
@@ -568,8 +537,7 @@ impl<M: MappingOptimizer> CodesignEvaluator<M> {
     /// Invalidates nothing, and never changes results: a warm run is
     /// bit-identical to a cold one (the disk stores exactly what the
     /// mapper would recompute). Permanently faulted mappings are *not*
-    /// persisted — like the snapshot path, failures are re-attempted by
-    /// later runs.
+    /// persisted: later runs, a resumed one included, re-attempt them.
     pub fn with_disk_cache(mut self, cache: Arc<DiskCache>) -> Self {
         self.disk_cache = Some(cache);
         self.disk_error = None;
@@ -1096,54 +1064,6 @@ impl<M: MappingOptimizer> Evaluator for CodesignEvaluator<M> {
         decode_edge_point(&self.space, point)
     }
 
-    /// Captures the successful layer outcomes the attached disk tier does
-    /// not hold (all of them without one); a resume's `map_layer` finds
-    /// the others on disk by key.
-    fn cache_snapshot(&self) -> CacheSnapshot {
-        let mut layers = Vec::new();
-        let shapes = &self.shapes().shapes;
-        for (cfg, row) in self.layer_rows.entries() {
-            for (shape, slot) in shapes.iter().zip(row.iter()) {
-                let Some(Ok(outcome)) = slot.get() else {
-                    continue;
-                };
-                let on_disk = self.disk_cache.as_ref().is_some_and(|disk| {
-                    diskcache::layer_key(&self.mapper_fingerprint, shape, &cfg)
-                        .is_ok_and(|key| disk.contains(&key))
-                });
-                if !on_disk {
-                    layers.push(LayerEntry {
-                        mapper: self.mapper_fingerprint.clone(),
-                        shape: *shape,
-                        cfg,
-                        outcome: **outcome,
-                    });
-                }
-            }
-        }
-        CacheSnapshot { layers }
-    }
-
-    /// Fills the layer slots the snapshot holds outcomes of this
-    /// evaluator's own mapper for, without calling the mapper or counting
-    /// traffic; other mappers' outcomes, and shapes none of this
-    /// evaluator's models has (no evaluation could read them), are
-    /// skipped. Nothing else is restored: a resumed search repeats its
-    /// points, and each is assembled on demand from the warmed layer
-    /// cache, so what a restored evaluator returns never depends on the
-    /// snapshot's writer.
-    fn restore_caches(&self, snapshot: &CacheSnapshot) {
-        let ids = &self.shapes().ids;
-        for e in &snapshot.layers {
-            if e.mapper != self.mapper_fingerprint {
-                continue;
-            }
-            if let Some(&id) = ids.get(&e.shape) {
-                let _ = self.row(&e.cfg).1[id].set(Ok(Arc::new(e.outcome)));
-            }
-        }
-    }
-
     fn cache_stats(&self) -> CacheStats {
         CacheStats {
             unique_evaluations: self.unique_evaluations(),
@@ -1565,12 +1485,13 @@ mod tests {
         // Every (layer, cfg) pair faults permanently: the point must fail
         // with a caught panic message, not tear down the test.
         let mapper = FaultInjector::new(FixedMapper, 7, 1.1);
-        let ev = CodesignEvaluator::new(space, vec![zoo::resnet18()], mapper).with_engine(
-            EvalEngine::with_threads(4).with_fault(FaultPolicy {
+        let dir = temp_cache_dir("faults");
+        let ev = CodesignEvaluator::new(space, vec![zoo::resnet18()], mapper)
+            .with_engine(EvalEngine::with_threads(4).with_fault(FaultPolicy {
                 max_retries: 1,
                 backoff: std::time::Duration::ZERO,
-            }),
-        );
+            }))
+            .with_disk_cache(Arc::new(DiskCache::open(&dir).unwrap()));
         let p = ev.space().minimum_point();
         let fault = ev.try_evaluate(&p).expect_err("all layers fault");
         assert!(
@@ -1587,8 +1508,11 @@ mod tests {
         assert!(!e.mappable);
         assert_eq!(e.objective, f64::INFINITY);
         assert!(!e.feasible(ev.constraints()));
-        // Failures are excluded from cache snapshots.
-        assert!(ev.cache_snapshot().layers.is_empty());
+        // Failures never reach the disk tier, so a later run (a resumed
+        // one included) re-attempts them.
+        assert_eq!(ev.cache_stats().disk.unwrap().appends, 0);
+        drop(ev);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -1726,52 +1650,6 @@ mod tests {
         assert_eq!(Evaluator::cache_stats(&&ev), stats);
     }
 
-    #[test]
-    fn snapshot_leaves_out_the_outcomes_the_disk_tier_holds() {
-        let dir = temp_cache_dir("snapdisk");
-        let p = evaluator().space().minimum_point();
-        let q = p.with_index(crate::space::edge::PES, 1);
-        let layers = zoo::resnet18().unique_shape_count();
-        let disk = Arc::new(DiskCache::open(&dir).unwrap());
-        let tally = |calls: &Arc<AtomicUsize>| {
-            CodesignEvaluator::new(
-                edge_space(),
-                vec![zoo::resnet18()],
-                TallyMapper(calls.clone()),
-            )
-            .with_disk_cache(disk.clone())
-        };
-        let cold_calls = Arc::new(AtomicUsize::new(0));
-        let cold = tally(&cold_calls);
-        let before = cold.evaluate(&p);
-        assert_eq!(cold_calls.load(Ordering::Relaxed), layers);
-        let snap = cold.cache_snapshot();
-        assert!(snap.layers.is_empty(), "all layer outcomes live on disk");
-
-        // A fresh evaluator on the same disk restores nothing from the
-        // snapshot and still maps nothing: every layer is found on disk
-        // by key.
-        let warm_calls = Arc::new(AtomicUsize::new(0));
-        let warm = tally(&warm_calls);
-        warm.restore_caches(&snap);
-        assert_eq!(warm.evaluate(&p), before);
-        assert_eq!(warm_calls.load(Ordering::Relaxed), 0);
-        assert_eq!(warm.cache_stats().disk.unwrap().hits as usize, layers);
-
-        // Outcomes computed before a disk tier was attached are not on
-        // disk, so the snapshot keeps exactly those.
-        let ev = evaluator();
-        ev.evaluate(&p);
-        let ev = ev.with_disk_cache(disk);
-        ev.evaluate(&q);
-        let snap = ev.cache_snapshot();
-        assert_eq!(snap.layers.len(), layers);
-        let cfg = ev.decode(&p);
-        assert!(snap.layers.iter().all(|e| e.cfg == cfg));
-        drop((cold, warm, ev));
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
     /// Two models that share a layer shape: the layer cache maps that
     /// shape once per configuration, every engine budget does the same
     /// work, and both models' evaluations hold the one cached outcome.
@@ -1839,79 +1717,5 @@ mod tests {
         let (x, y) = shared_outcomes(&again);
         assert!(Arc::ptr_eq(&x, &y) && Arc::ptr_eq(&x, &before));
         assert_eq!(serial.cache_stats().layer.misses, s.misses);
-
-        // A snapshot entry whose shape no model has is never read, so a
-        // restore skips it; a known shape fills exactly its slot.
-        let entry = |shape: LayerShape| {
-            let cfg = serial.decode(&points[0]);
-            LayerEntry {
-                mapper: FixedMapper.fingerprint(),
-                shape,
-                cfg,
-                outcome: LayerOutcome::Unmappable(None),
-            }
-        };
-        let fresh = build(EvalEngine::serial());
-        fresh.restore_caches(&CacheSnapshot {
-            layers: vec![entry(LayerShape::conv(1, 8, 8, 7, 7, 1, 1, 1))],
-        });
-        assert_eq!(fresh.cache_stats().layer.entries, 0);
-        fresh.restore_caches(&CacheSnapshot {
-            layers: vec![entry(shared)],
-        });
-        assert_eq!(fresh.cache_stats().layer.entries, 1);
-    }
-
-    #[test]
-    fn restored_caches_reproduce_evaluations_without_the_mapper() {
-        let ev = evaluator();
-        let p = ev.space().minimum_point();
-        let q = p.with_index(crate::space::edge::PES, 1);
-        let a = ev.evaluate(&p);
-        let b = ev.evaluate(&q);
-        let snap = ev.cache_snapshot();
-        let layers = zoo::resnet18().unique_shape_count();
-        assert_eq!(snap.layers.len(), 2 * layers);
-
-        /// A mapper that panics when called, posing as the fixed-dataflow
-        /// mapper so the snapshot's outcomes are its own: neither the
-        /// restore nor evaluating the saved points may re-map.
-        struct NeverMapper;
-        impl MappingOptimizer for NeverMapper {
-            fn optimize(&self, _: &LayerShape, _: &AcceleratorConfig) -> Option<MappedLayer> {
-                panic!("restored caches must not re-map");
-            }
-            fn name(&self) -> String {
-                "never".into()
-            }
-            fn fingerprint(&self) -> String {
-                FixedMapper.fingerprint()
-            }
-        }
-
-        let fresh = CodesignEvaluator::new(edge_space(), vec![zoo::resnet18()], NeverMapper);
-        fresh.restore_caches(&snap);
-        // The restore fills the layer cache only: points are assembled
-        // when they are asked for, each once.
-        assert_eq!(fresh.unique_evaluations(), 0);
-        assert_eq!(fresh.cache_stats().layer.entries, 2 * layers);
-        assert_eq!(fresh.evaluate(&p), a);
-        assert_eq!(fresh.evaluate(&q), b);
-        assert_eq!(fresh.unique_evaluations(), 2);
-        let stats = fresh.cache_stats();
-        assert_eq!((stats.point.misses, stats.point.hits), (2, 0));
-        assert_eq!(
-            (stats.layer.misses, stats.layer.hits),
-            (0, 2 * layers as u64)
-        );
-
-        // Another mapper's outcomes are ignored.
-        let other = CodesignEvaluator::new(
-            edge_space(),
-            vec![zoo::resnet18()],
-            TallyMapper(Arc::new(AtomicUsize::new(0))),
-        );
-        other.restore_caches(&snap);
-        assert_eq!(other.cache_stats().layer.entries, 0);
     }
 }

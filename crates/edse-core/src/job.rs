@@ -3,7 +3,7 @@
 //! One struct describes a job for every front end: it is the `POST /jobs`
 //! request body of `edse-serve` (via the zero-dependency JSON layer) and
 //! the backing store of the bench harness's `BenchArgs`. Its checkpoint
-//! path, cadence and resume policy take effect in one place,
+//! path and resume policy take effect in one place,
 //! [`crate::SearchDriver::spec`], which both front ends call. Anything a
 //! job needs that is *not* derivable from the evaluator itself lives
 //! here.
@@ -39,11 +39,12 @@ pub struct JobSpec {
     pub space: String,
     /// Mapper label: `"fixed"`, `"random"`, or `"linear"`.
     pub mapper: String,
-    /// Snapshot file path; `None` disables checkpointing.
+    /// Checkpoint file path; `None` disables checkpointing. The file,
+    /// which records the technique and the budget, is written when the
+    /// search starts; the work a resume reuses lives in the evaluator's
+    /// disk tier.
     pub checkpoint: Option<PathBuf>,
-    /// Snapshot cadence in search steps (clamped to at least 1 on use).
-    pub checkpoint_every: usize,
-    /// Resume from `checkpoint` when the snapshot file exists.
+    /// Resume from `checkpoint` when the checkpoint file exists.
     pub resume: bool,
 }
 
@@ -58,7 +59,6 @@ impl Default for JobSpec {
             space: "edge".to_string(),
             mapper: "fixed".to_string(),
             checkpoint: None,
-            checkpoint_every: 10,
             resume: false,
         }
     }
@@ -87,7 +87,6 @@ impl JobSpec {
                     None => Json::Null,
                 },
             ),
-            ("checkpoint_every", Json::Num(self.checkpoint_every as f64)),
             ("resume", Json::Bool(self.resume)),
         ])
     }
@@ -143,9 +142,6 @@ impl JobSpec {
         if let Some(v) = get("checkpoint") {
             spec.checkpoint = Some(PathBuf::from(req_str(v, "checkpoint")?));
         }
-        if let Some(v) = get("checkpoint_every") {
-            spec.checkpoint_every = req_usize(v, "checkpoint_every")?;
-        }
         if let Some(v) = get("resume") {
             spec.resume = v.as_bool().ok_or("`resume` must be a boolean")?;
         }
@@ -160,7 +156,7 @@ impl JobSpec {
 }
 
 /// The JSON members [`JobSpec::from_json`] reads, one per field.
-const FIELDS: [&str; 10] = [
+const FIELDS: [&str; 9] = [
     "technique",
     "budget",
     "map_trials",
@@ -169,7 +165,6 @@ const FIELDS: [&str; 10] = [
     "space",
     "mapper",
     "checkpoint",
-    "checkpoint_every",
     "resume",
 ];
 
@@ -209,7 +204,6 @@ mod tests {
             space: "toy".to_string(),
             mapper: "random".to_string(),
             checkpoint: Some(PathBuf::from("/tmp/ck")),
-            checkpoint_every: 3,
             resume: true,
         };
         let back = JobSpec::from_json_str(&spec.to_json_string()).unwrap();
@@ -234,12 +228,14 @@ mod tests {
 
     #[test]
     fn unknown_members_are_errors_that_name_the_member() {
-        // A typo, and the two members that were once fields but that
-        // nothing read.
+        // A typo, the two members that were once fields but that nothing
+        // read, and the checkpoint cadence, which a checkpoint written once
+        // at the start no longer has.
         for (body, member) in [
             (r#"{"budjet":5}"#, "budjet"),
             (r#"{"threads":4}"#, "threads"),
             (r#"{"cache_dir":"/x"}"#, "cache_dir"),
+            (r#"{"checkpoint_every":1}"#, "checkpoint_every"),
             (r#"{"budget":5,"budjet":5}"#, "budjet"),
         ] {
             let err = JobSpec::from_json_str(body).unwrap_err();

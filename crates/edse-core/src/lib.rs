@@ -21,13 +21,14 @@
 //! * [`dse`] — the constraints-aware, bottleneck-guided exploration loop,
 //!   [`ExplainableDse`], one such technique;
 //! * [`session`] — the one stepwise, cancellable [`SearchDriver`] that
-//!   steps every technique, and the [`SearchSession`] front door of the
-//!   explainable search (builder-style configuration of evaluator,
-//!   telemetry, and checkpoint/resume);
+//!   steps every technique and applies a job's checkpoint/resume policy,
+//!   and the [`SearchSession`] front door of the explainable search
+//!   (builder-style configuration of evaluator and telemetry);
 //! * [`job`] — the [`JobSpec`] declarative job description shared by the
 //!   session builder, the bench harness, and the `edse-serve` service;
 //! * [`fault`] / [`checkpoint`] — the evaluation fault boundary and the
-//!   versioned snapshot format behind checkpoint/resume.
+//!   versioned checkpoint file (technique and budget) that a resume
+//!   checks; the work a resume reuses comes from the [`diskcache`].
 //!
 //! # Quick start
 //!
@@ -66,11 +67,9 @@ pub mod technique;
 pub use bottleneck::{dnn_latency_model, BottleneckModel, BottleneckTree, LayerCtx, TreeBuilder};
 pub use checkpoint::{load_snapshot, save_snapshot, Snapshot};
 pub use cost::{Constraint, Evaluation, LayerEval, Sample, Trace};
-pub use diskcache::{DiskCache, DiskCacheStats, LayerEntry, LayerOutcome};
+pub use diskcache::{DiskCache, DiskCacheStats, LayerOutcome};
 pub use dse::{Attempt, DseConfig, DseResult, ExplainableDse, Explanation};
-pub use evaluate::{
-    CacheSnapshot, CacheStats, CodesignEvaluator, EvalEngine, Evaluator, TierStats,
-};
+pub use evaluate::{CacheStats, CodesignEvaluator, EvalEngine, Evaluator, TierStats};
 pub use fault::{EvalFault, FaultPolicy};
 pub use job::JobSpec;
 pub use session::{CancelToken, SearchDriver, SearchSession, StepOutcome};

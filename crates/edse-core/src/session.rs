@@ -31,22 +31,23 @@
 //! ```
 //!
 //! Checkpoint/resume policy comes from a [`JobSpec`], and
-//! [`SearchDriver::spec`] is the one place that applies it: the driver then
-//! snapshots the evaluator's layer outcomes every `checkpoint_every`
-//! steps, at completion and on cancel, and with `resume` it restores them
-//! and steps a fresh technique from the start, bit-for-bit identically to
-//! the uninterrupted run. A snapshot that cannot be resumed is an error,
-//! never a panic. A checkpointed explainable search is
+//! [`SearchDriver::spec`] is the one place that applies it: it writes the
+//! checkpoint file (the technique label and the budget) once, when the
+//! driver starts, and with `resume` it reads that file only to refuse
+//! another technique or budget. A resume steps a fresh technique from the
+//! start, and the evaluator's disk tier supplies every layer outcome the
+//! interrupted run persisted, so the result is bit-for-bit identical to
+//! the uninterrupted run. A checkpoint that cannot be written or resumed
+//! is an error, never a panic. A checkpointed explainable search is
 //! `session.driver(initial).spec(&spec)?.run_to_completion()`. See
-//! `DESIGN.md` ("Snapshot format") and the README's "Resuming an
+//! `DESIGN.md` ("Checkpoint/resume") and the README's "Resuming an
 //! interrupted run".
 //!
 //! For *cross-run* (rather than crash-recovery) reuse, attach a persistent
 //! disk cache to the evaluator before handing it to the session
 //! ([`crate::CodesignEvaluator::with_disk_cache`]): layer mappings are then
-//! warm-started from disk across processes, checkpoints leave the
-//! disk-resident outcomes out, and a warm run stays bit-identical to a
-//! cold one. See the README's "Warm-starting runs".
+//! warm-started from disk across processes, and a warm run stays
+//! bit-identical to a cold one. See the README's "Warm-starting runs".
 
 use crate::bottleneck::dnn::LayerCtx;
 use crate::bottleneck::model::BottleneckModel;
@@ -57,8 +58,7 @@ use crate::evaluate::Evaluator;
 use crate::job::JobSpec;
 use crate::space::DesignPoint;
 use crate::technique::{DseTechnique, Problem};
-use edse_telemetry::{Collector, Level};
-use std::path::PathBuf;
+use edse_telemetry::Collector;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -98,9 +98,11 @@ pub enum StepOutcome {
     /// The search terminated (budget exhausted, converged, or stalled).
     /// Further `step` calls return `Done` without doing work.
     Done,
-    /// The [`CancelToken`] fired: no step was taken, and (when
-    /// checkpointing is configured) a resumable snapshot was written.
-    /// Further `step` calls return `Cancelled` without doing work.
+    /// The [`CancelToken`] fired: no step was taken. Further `step` calls
+    /// return `Cancelled` without doing work. A checkpointed run resumes
+    /// from here like from any other interruption: its checkpoint file was
+    /// written when it started, and its completed layer outcomes are in
+    /// the disk tier.
     Cancelled,
 }
 
@@ -111,16 +113,14 @@ pub enum StepOutcome {
 /// technique observes each point's evaluation or fault. Successful
 /// evaluations become trace samples; a permanently failed one never does.
 /// Between steps the driver is an inert value: it can be parked in a job
-/// table, moved across threads, snapshotted, or dropped.
+/// table, moved across threads, or dropped.
 ///
-/// With a checkpoint path the driver saves a snapshot — the layer
-/// outcomes the evaluator's disk tier lacks, tagged with the technique
-/// label and budget — every `checkpoint_every` steps, at termination, and
-/// on cancel. A technique's state is a pure function of its seed, its
-/// budget and the outcomes it has observed, so a resume restores the
-/// layer outcomes and steps a fresh technique from the start: every point
-/// it repeats is assembled without a mapper call, and the trace is
-/// bit-identical to the uninterrupted run's.
+/// A technique's state is a pure function of its seed, its budget and the
+/// outcomes it has observed. So a resume (see [`SearchDriver::spec`])
+/// steps a fresh technique from the start: every point it repeats is
+/// assembled from the layer outcomes the evaluator's disk tier holds,
+/// without a mapper call, and the trace is bit-identical to the
+/// uninterrupted run's.
 pub struct SearchDriver<'t, E> {
     technique: Box<dyn DseTechnique + 't>,
     evaluator: E,
@@ -128,8 +128,6 @@ pub struct SearchDriver<'t, E> {
     telemetry: Collector,
     /// Whether the technique emits its own iteration records.
     self_reporting: bool,
-    checkpoint: Option<(PathBuf, usize)>,
-    steps_since_save: usize,
     cancel: CancelToken,
     trace: Trace,
     best: Option<(DesignPoint, Evaluation)>,
@@ -148,8 +146,6 @@ impl<'t, E: Evaluator> SearchDriver<'t, E> {
             budget,
             telemetry: Collector::noop(),
             self_reporting: false,
-            checkpoint: None,
-            steps_since_save: 0,
             cancel: CancelToken::new(),
             trace,
             best: None,
@@ -168,53 +164,55 @@ impl<'t, E: Evaluator> SearchDriver<'t, E> {
         self
     }
 
-    /// Applies the checkpoint path, snapshot cadence (in steps) and resume
-    /// policy of a [`JobSpec`]. With `resume` set and the snapshot file
-    /// present, the snapshot's layer outcomes are restored into the
-    /// evaluator.
+    /// Applies the checkpoint path and resume policy of a [`JobSpec`].
+    ///
+    /// With `resume` set and the checkpoint file present, the file is read
+    /// and must record this run's technique label and budget; nothing is
+    /// restored from it. Otherwise a checkpoint path gets the four-field
+    /// checkpoint file (format, version, technique, budget), written
+    /// atomically now, before anything is evaluated. After `spec` returns
+    /// the driver holds no checkpoint state: the work a resume reuses is
+    /// the layer outcomes the evaluator's disk tier persisted, by key.
+    /// Without a disk tier a checkpointed run still resumes bit-identically,
+    /// by recomputing every mapping.
     ///
     /// # Errors
     ///
-    /// Fails when the snapshot cannot be loaded (it is corrupt or has
-    /// another schema version), or records a different technique or budget
-    /// than this run: stepping a different search against those caches
-    /// would not reproduce the interrupted run.
-    pub fn spec(mut self, spec: &JobSpec) -> Result<Self, String> {
-        self.checkpoint = spec
-            .checkpoint
-            .clone()
-            .map(|path| (path, spec.checkpoint_every.max(1)));
-        let resume_from = self.checkpoint.as_ref().map(|(path, _)| path);
-        let Some(path) = resume_from.filter(|path| spec.resume && path.exists()) else {
+    /// Fails, naming the file, when the checkpoint cannot be written, or
+    /// when resuming and it cannot be loaded (it is corrupt or has another
+    /// schema version) or records a different technique or budget than
+    /// this run: replaying a different search would not reproduce the
+    /// interrupted run.
+    pub fn spec(self, spec: &JobSpec) -> Result<Self, String> {
+        let Some(path) = &spec.checkpoint else {
             return Ok(self);
         };
+        let name = &self.trace.technique;
+        if !(spec.resume && path.exists()) {
+            let snapshot = Snapshot {
+                technique: name.clone(),
+                budget: self.budget,
+            };
+            save_snapshot(path, &snapshot)?;
+            return Ok(self);
+        }
         let _span = self.telemetry.span("session/load_checkpoint");
         let snapshot = load_snapshot(path).map_err(|e| format!("cannot resume: {e}"))?;
-        let name = &self.trace.technique;
         if &snapshot.technique != name {
             return Err(format!(
-                "cannot resume: snapshot records technique {:?}, this run is {name:?}",
+                "cannot resume: {} records technique {:?}, this run is {name:?}",
+                path.display(),
                 snapshot.technique
             ));
         }
         if snapshot.budget != self.budget {
             return Err(format!(
-                "cannot resume: snapshot records budget {}, this run has {}",
-                snapshot.budget, self.budget
+                "cannot resume: {} records budget {}, this run has {}",
+                path.display(),
+                snapshot.budget,
+                self.budget
             ));
         }
-        let layers = |ev: &E| ev.cache_stats().layer.entries;
-        let before = layers(&self.evaluator);
-        self.evaluator.restore_caches(&snapshot.caches);
-        let restored = layers(&self.evaluator).saturating_sub(before);
-        self.telemetry.log(
-            Level::Info,
-            &format!(
-                "resumed {name} from {}: restored {restored} of {} snapshotted layer outcomes",
-                path.display(),
-                snapshot.caches.layers.len()
-            ),
-        );
         Ok(self)
     }
 
@@ -227,16 +225,14 @@ impl<'t, E: Evaluator> SearchDriver<'t, E> {
 
     /// Advances the exploration by one ask/tell round (at most one
     /// evaluation batch). Checks the [`CancelToken`] first: when it has
-    /// fired, no round runs, the evaluator caches are snapshotted if
-    /// checkpointing is configured, and [`StepOutcome::Cancelled`] is
-    /// returned. After termination (or a cancel) further calls are no-ops
-    /// returning the same outcome.
+    /// fired, no round runs and [`StepOutcome::Cancelled`] is returned.
+    /// After termination (or a cancel) further calls are no-ops returning
+    /// the same outcome.
     pub fn step(&mut self) -> StepOutcome {
         if let Some(outcome) = self.outcome {
             return outcome;
         }
         if self.cancel.is_cancelled() {
-            self.snapshot();
             self.outcome = Some(StepOutcome::Cancelled);
             return StepOutcome::Cancelled;
         }
@@ -287,13 +283,6 @@ impl<'t, E: Evaluator> SearchDriver<'t, E> {
             self.trace
                 .emit_iteration_records_from(&self.telemetry, self.budget, start);
         }
-        if let Some((_, every)) = self.checkpoint {
-            self.steps_since_save += 1;
-            if done || self.steps_since_save >= every {
-                self.steps_since_save = 0;
-                self.snapshot();
-            }
-        }
         if done {
             self.outcome = Some(StepOutcome::Done);
             StepOutcome::Done
@@ -307,30 +296,6 @@ impl<'t, E: Evaluator> SearchDriver<'t, E> {
     pub fn run_to_completion(mut self) -> DseResult {
         while self.step() == StepOutcome::Pending {}
         self.finish()
-    }
-
-    /// Writes a snapshot now (regardless of cadence) when checkpointing is
-    /// configured; a no-op otherwise. Failures are reported through
-    /// telemetry (`checkpoint/save_failures` plus a warning), never
-    /// panicked on: losing a checkpoint must not kill the run it exists to
-    /// protect.
-    fn snapshot(&mut self) {
-        let Some((path, _)) = &self.checkpoint else {
-            return;
-        };
-        let snapshot = Snapshot {
-            technique: self.trace.technique.clone(),
-            budget: self.budget,
-            caches: self.evaluator.cache_snapshot(),
-        };
-        match save_snapshot(path, &snapshot) {
-            Ok(()) => self.telemetry.counter("checkpoint/saves", 1),
-            Err(e) => {
-                self.telemetry.counter("checkpoint/save_failures", 1);
-                self.telemetry
-                    .log(Level::Warn, &format!("checkpoint save failed: {e}"));
-            }
-        }
     }
 
     /// Samples recorded so far.
@@ -445,5 +410,80 @@ impl<E: Evaluator> SearchSession<E> {
         let telemetry = self.telemetry.clone();
         let _run_span = telemetry.span("dse/run");
         self.driver(initial).run_to_completion()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::bottleneck::dnn_latency_model;
+    use crate::evaluate::CodesignEvaluator;
+    use crate::space::edge_space;
+    use mapper::FixedMapper;
+    use std::path::PathBuf;
+    use workloads::zoo;
+
+    fn driver(
+        ev: &CodesignEvaluator<FixedMapper>,
+    ) -> SearchDriver<'static, &CodesignEvaluator<FixedMapper>> {
+        SearchSession::new(
+            dnn_latency_model(),
+            DseConfig {
+                budget: 6,
+                ..DseConfig::default()
+            },
+        )
+        .evaluator(ev)
+        .driver(ev.space().minimum_point())
+    }
+
+    fn scratch(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("edse-session-{}-{tag}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    #[test]
+    fn the_checkpoint_exists_when_spec_returns_and_is_never_rewritten() {
+        let dir = scratch("written");
+        let path = dir.join("C");
+        let ev = CodesignEvaluator::new(edge_space(), vec![zoo::resnet18()], FixedMapper);
+        let spec = JobSpec {
+            checkpoint: Some(path.clone()),
+            ..JobSpec::default()
+        };
+        let mut driver = driver(&ev).spec(&spec).expect("a fresh checkpoint");
+        let written = std::fs::read_to_string(&path).expect("written before any step");
+        assert_eq!(
+            written,
+            r#"{"format":"edse-snapshot","version":5,"technique":"explainable","budget":6}"#
+        );
+        assert_eq!(ev.unique_evaluations(), 0);
+        while driver.step() == StepOutcome::Pending {}
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), written);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn an_unwritable_checkpoint_is_an_error_before_anything_is_evaluated() {
+        let dir = scratch("unwritable");
+        let blocker = dir.join("file");
+        std::fs::write(&blocker, b"a regular file").unwrap();
+        let path = blocker.join("C");
+        let ev = CodesignEvaluator::new(edge_space(), vec![zoo::resnet18()], FixedMapper);
+        for resume in [false, true] {
+            let err = driver(&ev)
+                .spec(&JobSpec {
+                    checkpoint: Some(path.clone()),
+                    resume,
+                    ..JobSpec::default()
+                })
+                .err()
+                .expect("the checkpoint cannot be written");
+            assert_eq!(err.matches(path.to_str().unwrap()).count(), 1, "{err}");
+        }
+        assert_eq!(ev.cache_stats().layer.misses, 0, "nothing was evaluated");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -10,10 +10,12 @@ use edse_core::bottleneck::tree::{NodeKind, TreeBuilder};
 use edse_core::cost::{Constraint, Evaluation, Sample, Trace};
 use edse_core::diskcache::layer_key;
 use edse_core::dse::{Attempt, DseConfig, DseResult};
-use edse_core::evaluate::{CacheSnapshot, CodesignEvaluator, EvalEngine, Evaluator};
+use edse_core::evaluate::{CodesignEvaluator, EvalEngine, Evaluator};
 use edse_core::fault::{EvalFault, FaultPolicy};
 use edse_core::space::{edge_space, DesignPoint, DesignSpace, ParamDef};
-use edse_core::{load_snapshot, DiskCache, DiskCacheStats, JobSpec, LayerOutcome, SearchSession};
+use edse_core::{
+    load_snapshot, save_snapshot, DiskCache, DiskCacheStats, JobSpec, LayerOutcome, SearchSession,
+};
 use edse_telemetry::{Collector, MemorySink};
 use mapper::{FaultInjector, FixedMapper, MappingOptimizer};
 use proptest::prelude::*;
@@ -284,14 +286,6 @@ impl<E: Evaluator> Evaluator for KillSwitch<E> {
         self.inner.decode(point)
     }
 
-    fn cache_snapshot(&self) -> CacheSnapshot {
-        self.inner.cache_snapshot()
-    }
-
-    fn restore_caches(&self, snapshot: &CacheSnapshot) {
-        self.inner.restore_caches(snapshot)
-    }
-
     fn cache_stats(&self) -> edse_core::evaluate::CacheStats {
         self.inner.cache_stats()
     }
@@ -319,12 +313,14 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Determinism under interruption: for a random kill point `k`, a run
-    /// killed after `k` evaluation requests (snapshotting every step) and
-    /// then resumed produces a `DseResult` — incumbent, attempt sequence,
-    /// sample trace, unique-evaluation count — bit-identical to an
-    /// uninterrupted run, with the serial and the parallel `EvalEngine`
-    /// alike. Kills past the end of the search degrade to resuming a
-    /// completed snapshot, which must also be identical.
+    /// killed after `k` evaluation requests (possibly mid-batch, possibly
+    /// never) and then resumed over the disk tier it wrote produces a
+    /// `DseResult` — incumbent, attempt sequence, sample trace,
+    /// unique-evaluation count — bit-identical to an uninterrupted run,
+    /// with the serial and the parallel `EvalEngine` alike. The resume maps
+    /// exactly what the killed run left undone: its disk hits are the
+    /// records the killed run left, and its disk misses (its mapper calls)
+    /// are the rest of the uninterrupted run's layer mappings.
     #[test]
     fn killed_and_resumed_search_matches_uninterrupted_run(
         kill_after in 1usize..60,
@@ -341,37 +337,36 @@ proptest! {
             .evaluator(&reference_ev)
             .run(initial.clone());
 
-        // Killed run: checkpoint every step, die after `kill_after`
-        // evaluation requests (possibly mid-batch, possibly never).
-        let path = temp_snapshot_path("kill");
-        let killed_ev = KillSwitch::new(fresh_evaluator(parallel), kill_after);
+        // Killed run over a fresh disk tier: die after `kill_after`
+        // evaluation requests.
+        let dir = temp_cache_dir("kill");
+        let path = dir.join("checkpoint.json");
+        let on_disk = |ev: CodesignEvaluator<FixedMapper>| {
+            ev.with_disk_cache(Arc::new(DiskCache::open(&dir).expect("open cache dir")))
+        };
+        let spec = JobSpec {
+            checkpoint: Some(path.clone()),
+            ..JobSpec::default()
+        };
+        let killed_ev = KillSwitch::new(on_disk(fresh_evaluator(parallel)), kill_after);
         let killed = catch_unwind(AssertUnwindSafe(|| {
             SearchSession::new(dnn_latency_model(), config.clone())
                 .evaluator(&killed_ev)
                 .driver(initial.clone())
-                .spec(&JobSpec {
-                    checkpoint: Some(path.clone()),
-                    checkpoint_every: 1,
-                    ..JobSpec::default()
-                })
+                .spec(&spec)
                 .expect("a fresh checkpoint")
                 .run_to_completion()
         }));
+        drop(killed_ev);
 
-        // Resume on a fresh evaluator (caches restored from the snapshot;
-        // when the kill landed before the first snapshot, this is a fresh
-        // start — also equivalent to the uninterrupted run).
-        let resumed_ev = fresh_evaluator(parallel);
+        // Resume on a fresh evaluator over the same directory.
+        let resumed_ev = on_disk(fresh_evaluator(parallel));
+        let left = resumed_ev.cache_stats().disk.expect("disk tier").entries as u64;
         let resumed = SearchSession::new(dnn_latency_model(), config.clone())
             .evaluator(&resumed_ev)
             .driver(initial)
-            .spec(&JobSpec {
-                checkpoint: Some(path.clone()),
-                checkpoint_every: 1,
-                resume: true,
-                ..JobSpec::default()
-            })
-            .expect("the killed run's snapshot resumes")
+            .spec(&JobSpec { resume: true, ..spec })
+            .expect("the killed run's checkpoint resumes")
             .run_to_completion();
 
         assert_results_identical(&resumed, &reference);
@@ -379,12 +374,16 @@ proptest! {
             resumed_ev.unique_evaluations(),
             reference_ev.unique_evaluations()
         );
+        let disk = resumed_ev.cache_stats().disk.expect("disk tier");
+        prop_assert_eq!(disk.hits, left);
+        prop_assert_eq!(disk.misses, reference_ev.cache_stats().layer.misses - left);
         if let Ok(completed) = killed {
             // The kill never fired: the "killed" run finished normally and
             // must match too.
             assert_results_identical(&completed, &reference);
         }
-        let _ = std::fs::remove_file(&path);
+        drop(resumed_ev);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// Graceful degradation: with a 20% injected fault rate the search
@@ -627,8 +626,8 @@ impl Mutation {
 }
 
 fn arb_mutation() -> impl Strategy<Value = Mutation> {
-    // In a snapshot the first few digits are the envelope's; the rest
-    // belong to the layer records.
+    // The narrow range lands on the digits of a short document's fields
+    // (a checkpoint's version and budget); the wide one anywhere.
     let nth = prop_oneof![0usize..48, 0usize..1 << 20];
     prop_oneof![
         (0usize..1 << 20, 1u8..=255).prop_map(|(at, mask)| Mutation::Flip { at, mask }),
@@ -640,7 +639,7 @@ fn arb_mutation() -> impl Strategy<Value = Mutation> {
     ]
 }
 
-/// A saved snapshot of a three-point ResNet-18 search, written once.
+/// The checkpoint file of a ResNet-18 search, written once.
 fn saved_snapshot() -> &'static [u8] {
     static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
     BYTES.get_or_init(|| {
@@ -659,9 +658,8 @@ fn saved_snapshot() -> &'static [u8] {
             checkpoint: Some(path.clone()),
             ..JobSpec::default()
         })
-        .expect("a fresh checkpoint")
-        .run_to_completion();
-        let bytes = std::fs::read(&path).expect("the search leaves a snapshot");
+        .expect("a fresh checkpoint");
+        let bytes = std::fs::read(&path).expect("the driver writes its checkpoint");
         let _ = std::fs::remove_file(&path);
         bytes
     })
@@ -670,12 +668,11 @@ fn saved_snapshot() -> &'static [u8] {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// The snapshot decoder under damaged bytes: flipped, overwritten,
+    /// The checkpoint decoder under damaged bytes: flipped, overwritten,
     /// truncated, spliced and deeply nested files either load or fail with
-    /// an error, and restoring whatever loads into a fresh evaluator
-    /// never panics, whatever layer records it carries.
+    /// an error, and whatever loads saves back to a file that loads equal.
     #[test]
-    fn damaged_snapshots_load_or_fail_and_restore_without_panicking(
+    fn damaged_snapshots_load_or_fail_without_panicking(
         mutations in collection::vec(arb_mutation(), 1..4),
     ) {
         let mut bytes = saved_snapshot().to_vec();
@@ -684,13 +681,11 @@ proptest! {
         }
         let path = temp_snapshot_path("mutated");
         std::fs::write(&path, &bytes).unwrap();
-        let loaded = load_snapshot(&path);
-        let _ = std::fs::remove_file(&path);
-        if let Ok(snapshot) = loaded {
-            let ev = fresh_evaluator(false);
-            ev.restore_caches(&snapshot.caches);
-            prop_assert!(ev.cache_stats().layer.entries <= snapshot.caches.layers.len());
+        if let Ok(snapshot) = load_snapshot(&path) {
+            save_snapshot(&path, &snapshot).unwrap();
+            prop_assert_eq!(load_snapshot(&path), Ok(snapshot));
         }
+        let _ = std::fs::remove_file(&path);
     }
 }
 

@@ -1,20 +1,32 @@
-//! A resume equals a straight run of the resuming spec. A snapshot stores
-//! only layer outcomes tagged with their mapper, not points or
-//! evaluations, so an evaluator with other models or another mapper
-//! derives its own evaluations instead of replaying the writer's.
+//! A resume equals a straight run of the resuming spec. A checkpoint
+//! stores no evaluator state, and the disk tier it resumes over keys each
+//! layer outcome by the mapper that produced it, so an evaluator with
+//! other models or another mapper derives its own evaluations instead of
+//! replaying the writer's.
 
 use edse_core::bottleneck::dnn_latency_model;
 use edse_core::evaluate::{CodesignEvaluator, Evaluator};
 use edse_core::space::edge_space;
-use edse_core::{DseConfig, DseResult, JobSpec, SearchSession};
+use edse_core::{DiskCache, DseConfig, DseResult, JobSpec, SearchSession};
 use mapper::{FixedMapper, LinearMapper, MappingOptimizer};
-use std::path::{Path, PathBuf};
+use std::path::Path;
+use std::sync::Arc;
 use workloads::{zoo, DnnModel};
 
-/// Runs the explainable search (budget 12, seed 7) under `spec`; returns
-/// the result and the evaluator's layer-cache misses (its mapper calls).
-fn run<M: MappingOptimizer>(models: Vec<DnnModel>, mapper: M, spec: &JobSpec) -> (DseResult, u64) {
-    let ev = CodesignEvaluator::new(edge_space(), models, mapper);
+/// Runs the explainable search (budget 12, seed 7) under `spec`, over the
+/// disk tier in `dir` when one is given; returns the result and the
+/// mapper calls it made (disk misses with a disk tier, layer-cache misses
+/// without).
+fn run<M: MappingOptimizer>(
+    models: Vec<DnnModel>,
+    mapper: M,
+    spec: &JobSpec,
+    dir: Option<&Path>,
+) -> (DseResult, u64) {
+    let mut ev = CodesignEvaluator::new(edge_space(), models, mapper);
+    if let Some(dir) = dir {
+        ev = ev.with_disk_cache(Arc::new(DiskCache::open(dir).unwrap()));
+    }
     let config = DseConfig {
         budget: 12,
         seed: 7,
@@ -24,69 +36,55 @@ fn run<M: MappingOptimizer>(models: Vec<DnnModel>, mapper: M, spec: &JobSpec) ->
         .evaluator(&ev)
         .driver(ev.space().minimum_point())
         .spec(spec)
-        .expect("the snapshot resumes")
+        .expect("the checkpoint resumes")
         .run_to_completion();
-    (result, ev.cache_stats().layer.misses)
-}
-
-fn temp_path(tag: &str) -> PathBuf {
-    std::env::temp_dir().join(format!(
-        "edse-resume-test-{}-{tag}.json",
-        std::process::id()
-    ))
-}
-
-/// A resume spec over a private copy of `snapshot` (a resumed run writes
-/// its own snapshot over the file it resumed from).
-fn resume_from(snapshot: &Path, tag: &str) -> JobSpec {
-    let path = temp_path(tag);
-    std::fs::copy(snapshot, &path).unwrap();
-    JobSpec {
-        checkpoint: Some(path),
-        resume: true,
-        ..JobSpec::default()
-    }
+    let stats = ev.cache_stats();
+    let mapped = stats.disk.map_or(stats.layer.misses, |disk| disk.misses);
+    (result, mapped)
 }
 
 #[test]
 fn a_resume_equals_a_straight_run_of_the_resuming_spec() {
-    let snapshot = temp_path("written");
+    let dir = std::env::temp_dir().join(format!("edse-resume-test-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let checkpoint = dir.join("C");
     let (written, _) = run(
         vec![zoo::resnet18()],
         FixedMapper,
         &JobSpec {
-            checkpoint: Some(snapshot.clone()),
+            checkpoint: Some(checkpoint.clone()),
             ..JobSpec::default()
         },
+        Some(&dir),
     );
-    assert!(snapshot.exists(), "the run leaves a snapshot");
+    assert!(checkpoint.exists(), "the run leaves a checkpoint");
     let straight = JobSpec::default();
+    let resume = JobSpec {
+        checkpoint: Some(checkpoint),
+        resume: true,
+        ..JobSpec::default()
+    };
 
-    // (a) Other models: the writer's layer outcomes are the fixed mapper's
-    // too, but they hold none of MobileNetV2's layers.
-    let spec = resume_from(&snapshot, "models");
-    let (resumed, _) = run(vec![zoo::mobilenet_v2()], FixedMapper, &spec);
-    let (own, _) = run(vec![zoo::mobilenet_v2()], FixedMapper, &straight);
+    // (a) Other models: the disk holds the fixed mapper's outcomes, but
+    // none of MobileNetV2's layers.
+    let (resumed, _) = run(vec![zoo::mobilenet_v2()], FixedMapper, &resume, Some(&dir));
+    let (own, _) = run(vec![zoo::mobilenet_v2()], FixedMapper, &straight, None);
     assert_eq!(resumed.trace().samples, own.trace().samples);
     assert_ne!(own.trace().samples, written.trace().samples);
-    std::fs::remove_file(spec.checkpoint.unwrap()).unwrap();
 
     // (b) Another mapper: none of the writer's layer outcomes are its own.
-    let spec = resume_from(&snapshot, "mapper");
-    let (resumed, _) = run(vec![zoo::resnet18()], LinearMapper::new(50), &spec);
-    let (own, _) = run(vec![zoo::resnet18()], LinearMapper::new(50), &straight);
+    let mapper = || LinearMapper::new(50);
+    let (resumed, _) = run(vec![zoo::resnet18()], mapper(), &resume, Some(&dir));
+    let (own, _) = run(vec![zoo::resnet18()], mapper(), &straight, None);
     assert_eq!(resumed.trace().samples, own.trace().samples);
     assert_ne!(own.trace().samples, written.trace().samples);
-    std::fs::remove_file(spec.checkpoint.unwrap()).unwrap();
 
-    // (c) The unchanged spec assembles every evaluation from the restored
-    // layer outcomes and maps nothing.
-    let spec = resume_from(&snapshot, "same");
-    let (resumed, misses) = run(vec![zoo::resnet18()], FixedMapper, &spec);
+    // (c) The unchanged spec assembles every evaluation from the layer
+    // outcomes on disk and maps nothing.
+    let (resumed, mapped) = run(vec![zoo::resnet18()], FixedMapper, &resume, Some(&dir));
     assert_eq!(resumed.trace().samples, written.trace().samples);
     assert_eq!(resumed.attempts(), written.attempts());
     assert_eq!(resumed.best(), written.best());
-    assert_eq!(misses, 0);
-    std::fs::remove_file(spec.checkpoint.unwrap()).unwrap();
-    std::fs::remove_file(&snapshot).unwrap();
+    assert_eq!(mapped, 0);
+    std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -149,11 +149,12 @@ fn build_evaluator(
     Ok(evaluator)
 }
 
-/// Turns a [`JobSpec`] into a running-ready [`HostedSearch`]. Validation errors
-/// (unknown technique/space/mapper/model, or a resume whose snapshot
-/// cannot be loaded or records another technique or budget) come back as
-/// `Err` and map to HTTP 400 — nothing is evaluated until the spec is
-/// sound.
+/// Turns a [`JobSpec`] into a running-ready [`HostedSearch`], writing its
+/// checkpoint file when the spec names one. Validation errors (unknown
+/// technique/space/mapper/model, a checkpoint that cannot be written, or
+/// a resume whose checkpoint cannot be loaded or records another
+/// technique or budget) come back as `Err` and map to HTTP 400 — nothing
+/// is evaluated until the spec is sound.
 pub fn build_driver(
     spec: &JobSpec,
     engine: EvalEngine,

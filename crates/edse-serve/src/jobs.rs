@@ -5,8 +5,9 @@
 //! `step` (at most one evaluation batch) per turn. That batch boundary is
 //! the service's unit of everything: fairness (no job holds a worker
 //! longer than one batch), cancellation (a cancel takes effect at the
-//! next boundary and leaves a resumable snapshot), and pause/resume
-//! (a paused job is simply not re-queued until resumed).
+//! next boundary; a checkpointed job's checkpoint was written at submit
+//! and its work is in the disk cache, so a cancel has nothing to save),
+//! and pause/resume (a paused job is simply not re-queued until resumed).
 //!
 //! Every job gets its **own evaluator** (so per-job budgets count per-job
 //! work) sharing the server's one [`EvalEngine`] configuration and one
@@ -34,8 +35,8 @@ pub enum JobState {
     Running,
     /// Not scheduled until `POST /jobs/:id/resume`.
     Paused,
-    /// Terminated by `POST /jobs/:id/cancel`; a resumable snapshot was
-    /// written if the spec configured a checkpoint path.
+    /// Terminated by `POST /jobs/:id/cancel`; a checkpointed job can be
+    /// resumed from its checkpoint.
     Cancelled,
     /// Ran to its own termination (budget, convergence, or stall).
     Completed,
@@ -203,9 +204,11 @@ impl Registry {
     /// Validates `spec`, builds its driver, and enqueues it. Returns the
     /// job id; `Err` is a client error (HTTP 400).
     ///
-    /// A served `checkpoint` names a snapshot, never a place on the
+    /// A served `checkpoint` names a checkpoint, never a place on the
     /// server's disk: it must be a bare file name, and it resolves to
-    /// `<cache dir>/checkpoints/<name>`.
+    /// `<cache dir>/checkpoints/<name>`. The checkpoint is written here,
+    /// before the job is queued; a checkpoint that cannot be written is a
+    /// client error like a refused resume.
     pub fn submit(&self, mut spec: JobSpec) -> Result<u64, String> {
         if let Some(name) = &spec.checkpoint {
             spec.checkpoint = Some(self.checkpoint_path(name)?);
@@ -257,7 +260,7 @@ impl Registry {
         Ok(id)
     }
 
-    /// Where the snapshot a job names `name` lives: in the `checkpoints`
+    /// Where the checkpoint a job names `name` lives: in the `checkpoints`
     /// directory of the open disk cache, created on first use. A name
     /// with a separator, a `..`, a root or no characters is refused, and
     /// so is any name on a server without an open disk cache.
@@ -318,8 +321,9 @@ impl Registry {
     }
 
     /// Requests cancellation: the token fires now, and the job's next
-    /// scheduled step observes it — within one evaluation batch — writing
-    /// a resumable snapshot when the spec configured a checkpoint.
+    /// scheduled step observes it, within one evaluation batch. A
+    /// checkpointed job needs no save on the way out: its checkpoint was
+    /// written at submit and its completed mappings are in the disk cache.
     /// Idempotent; `Err` on unknown id.
     pub fn cancel(&self, id: u64) -> Result<JobState, String> {
         let mut inner = self.inner.lock().expect("registry poisoned");

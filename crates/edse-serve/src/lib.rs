@@ -5,9 +5,10 @@
 //! hosts the search as a parked [`driver::HostedSearch`], and a fixed
 //! worker pool round-robins over all live jobs one evaluation batch at a
 //! time. Because a batch boundary is also the driver's cancellation
-//! point, pause/resume/cancel
-//! are exact: a cancel takes effect within one batch and leaves a
-//! resumable snapshot when the job configured a checkpoint.
+//! point, pause/resume/cancel are exact: a cancel takes effect within one
+//! batch. A job's checkpoint is written when it is submitted and its
+//! completed layer mappings live in the shared disk cache, so a cancelled
+//! or killed checkpointed job resumes with nothing left to save.
 //!
 //! Concurrent jobs share one [`EvalEngine`](edse_core::evaluate::EvalEngine)
 //! configuration and one [`DiskCache`](edse_core::DiskCache) while each

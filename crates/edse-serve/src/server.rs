@@ -9,7 +9,7 @@
 //! | `GET /jobs/:id/events` | chunked JSONL stream of iteration records |
 //! | `POST /jobs/:id/pause` | stop scheduling after the in-flight batch |
 //! | `POST /jobs/:id/resume` | resume a paused job |
-//! | `POST /jobs/:id/cancel` | cancel within one batch, snapshot if configured |
+//! | `POST /jobs/:id/cancel` | cancel within one batch |
 //! | `GET /metrics` | Prometheus exposition, all tenants merged |
 //!
 //! [`JobSpec`]: edse_core::JobSpec

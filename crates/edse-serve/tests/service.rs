@@ -1,10 +1,11 @@
 //! Service-level tests: shared-cache multi-tenancy, per-job budgets,
-//! cancellation within one batch with resumable snapshots, scheduler
+//! cancellation within one batch with a resumable checkpoint, scheduler
 //! robustness under a random pause/resume/cancel storm, determinism of a
 //! paused-and-resumed job against a straight-through run, served
 //! checkpoints confined to the cache directory, an HTTP smoke over a real
 //! socket, bounded handlers (hostile heads, silent, trickling and hung-up
-//! clients), and the `edse-serve` binary driven end to end.
+//! clients), and the `edse-serve` binary driven end to end, SIGKILLed
+//! mid-search and resumed.
 
 use edse_core::evaluate::EvalEngine;
 use edse_core::{CancelToken, DiskCache, JobSpec, StepOutcome};
@@ -142,16 +143,27 @@ fn cancel_stops_within_one_batch_and_leaves_resumable_snapshot() {
         space: "edge".to_string(),
         mapper: "fixed".to_string(),
         checkpoint: Some(snap.clone()),
-        checkpoint_every: 1,
         ..JobSpec::default()
     };
     let engine = EvalEngine::serial();
+    let disk = || Some(Arc::new(DiskCache::open(dir.join("cache")).expect("disk")));
 
     // Step a standalone driver a few batches, then cancel: the VERY NEXT
     // step must observe the token ("within one evaluation batch").
     let cancel = CancelToken::new();
-    let mut driver = build_driver(&spec, engine, None, None, Collector::noop(), cancel.clone())
-        .expect("build driver");
+    let mut driver = build_driver(
+        &spec,
+        engine,
+        disk(),
+        None,
+        Collector::noop(),
+        cancel.clone(),
+    )
+    .expect("build driver");
+    assert!(
+        snap.exists(),
+        "the checkpoint is written when the job is built"
+    );
     for _ in 0..5 {
         assert_eq!(driver.step(), StepOutcome::Pending);
     }
@@ -167,15 +179,27 @@ fn cancel_stops_within_one_batch_and_leaves_resumable_snapshot() {
         summary.get("termination").and_then(Json::as_str),
         Some("cancelled")
     );
-    assert!(snap.exists(), "cancel must leave the snapshot behind");
 
-    // Resuming from the snapshot and running to completion is
-    // bit-identical to a straight-through run of the same spec.
+    // Resuming from the checkpoint over the same disk cache and running
+    // to completion is bit-identical to a straight-through run of the
+    // same spec, and reads the cancelled steps' mappings from disk.
     let resumed_spec = JobSpec {
         resume: true,
         ..spec.clone()
     };
-    let resumed = run_straight(&resumed_spec, engine);
+    let mut resumed = build_driver(
+        &resumed_spec,
+        engine,
+        disk(),
+        None,
+        Collector::noop(),
+        CancelToken::new(),
+    )
+    .expect("the cancelled job resumes");
+    while resumed.step() == StepOutcome::Pending {}
+    let disk_hits = resumed.cache_stats().disk.expect("disk").hits;
+    assert!(disk_hits > 0, "the resume read the cancelled work");
+    let resumed = resumed.finish();
     let fresh_spec = JobSpec {
         checkpoint: None,
         ..spec.clone()
@@ -490,7 +514,7 @@ fn mismatched_explainable_resume_is_a_400_not_a_dead_handler() {
     assert_eq!(registry.wait_terminal(id), Some(JobState::Completed));
     assert!(
         dir.join("cache/checkpoints/explainable.snapshot").exists(),
-        "the recorded job leaves a snapshot"
+        "the recorded job leaves a checkpoint"
     );
 
     // One handler: a panic on it would leave the next request unanswered.
@@ -708,7 +732,6 @@ fn served_checkpoints_stay_under_the_cache_dir() {
     let job = |checkpoint: &str| {
         JobSpec {
             checkpoint: Some(PathBuf::from(checkpoint)),
-            checkpoint_every: 1,
             ..toy_spec("random", 5, 1)
         }
         .to_json_string()
@@ -720,6 +743,15 @@ fn served_checkpoints_stay_under_the_cache_dir() {
         assert!(body.contains("bare file name"), "{body}");
     }
     assert_eq!(std::fs::read(&precious).expect("read"), b"not a snapshot");
+    // A checkpoint that cannot be written (here its name is taken by a
+    // directory) is a 400 naming it, and no job is created.
+    let taken = dir.join("cache/checkpoints/taken");
+    std::fs::create_dir_all(&taken).expect("mkdir");
+    let (status, body) = http(addr, "POST", "/jobs", &job("taken"));
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("cannot write checkpoint"), "{body}");
+    assert!(body.contains("taken"), "{body}");
+    assert_eq!(http(addr, "GET", "/jobs/1", "").0, 404);
     server.stop();
 
     // Without a disk cache even a bare name has nowhere to go.
@@ -814,16 +846,19 @@ fn the_binary_runs_controls_and_reports_jobs_end_to_end() {
     assert_eq!(status, 200);
     assert!(events.contains("\"iteration\""), "{events}");
 
-    // Job 3 is still running when the control requests land, and its
-    // checkpoint makes the cancel leave a snapshot.
+    // Job 3 is still running when the control requests land; its
+    // checkpoint is written at submit.
     let job3 = JobSpec {
         space: "edge".to_string(),
         checkpoint: Some(PathBuf::from("job3.snapshot")),
-        checkpoint_every: 1,
         ..toy_spec("explainable", 5000, 3)
     };
     let (status, body) = http(addr, "POST", "/jobs", &job3.to_json_string());
     assert_eq!(status, 202, "{body}");
+    assert!(
+        dir.join("cache/checkpoints/job3.snapshot").exists(),
+        "the checkpoint is written at submit"
+    );
     let (status, body) = http(addr, "POST", "/jobs/3/pause", "");
     assert_eq!(status, 200, "pause: {body}");
     assert_eq!(wait_state(addr, 3, &["paused"]), "paused");
@@ -833,10 +868,6 @@ fn the_binary_runs_controls_and_reports_jobs_end_to_end() {
     assert_eq!(status, 200, "cancel: {body}");
     let state = wait_state(addr, 3, &["cancelled", "completed", "failed"]);
     assert_eq!(state, "cancelled");
-    assert!(
-        dir.join("cache/checkpoints/job3.snapshot").exists(),
-        "cancel left no snapshot"
-    );
 
     // A terminal job cannot be paused; unknown ids and techniques are
     // client errors.
@@ -858,6 +889,94 @@ fn the_binary_runs_controls_and_reports_jobs_end_to_end() {
     ] {
         assert!(metrics.contains(needle), "missing {needle}:\n{metrics}");
     }
+    drop(server);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The value of the counter `name` in a `/metrics` exposition (0 when
+/// absent).
+fn metric(metrics: &str, name: &str) -> u64 {
+    metrics
+        .lines()
+        .find_map(|line| line.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
+        .unwrap_or(0)
+}
+
+/// A served job SIGKILLed mid-search resumes on a restarted server over
+/// the same cache directory, bit-identically to a straight run: its
+/// checkpoint was written at submit, and its completed layer mappings are
+/// in the disk cache. The restarted server's disk counters prove the kill
+/// landed mid-search: hits (the killed run had written records) and
+/// misses (it had not finished).
+#[test]
+fn a_served_job_killed_mid_search_resumes_bit_identically() {
+    let dir = scratch_dir("sigkill");
+    let cache = dir.join("cache");
+    let spec = JobSpec {
+        technique: "explainable".to_string(),
+        budget: 60,
+        seed: 3,
+        space: "edge".to_string(),
+        mapper: "linear".to_string(),
+        map_trials: 20,
+        checkpoint: Some(PathBuf::from("killed.snapshot")),
+        ..JobSpec::default()
+    };
+    let mut server = ServeProcess::spawn(&cache);
+    let (status, body) = http(server.addr, "POST", "/jobs", &spec.to_json_string());
+    assert_eq!(status, 202, "{body}");
+    let mut evaluated = false;
+    for _ in 0..6000 {
+        let (_, body) = http(server.addr, "GET", "/jobs/1", "");
+        let doc = json::parse(&body).expect("status JSON");
+        let state = doc.get("state").and_then(Json::as_str).expect("state");
+        assert_eq!(state, "running", "the job ended before the kill: {body}");
+        let evaluations = doc.get("evaluations").and_then(Json::as_f64);
+        if evaluations.is_some_and(|n| n >= 1.0) {
+            evaluated = true;
+            break;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    }
+    assert!(evaluated, "the job never evaluated a point");
+    server.child.kill().expect("SIGKILL");
+    server.child.wait().expect("the killed server exits");
+    assert!(cache.join("checkpoints/killed.snapshot").exists());
+
+    let server = ServeProcess::spawn(&cache);
+    let resume = JobSpec {
+        resume: true,
+        ..spec.clone()
+    };
+    let (status, body) = http(server.addr, "POST", "/jobs", &resume.to_json_string());
+    assert_eq!(status, 202, "{body}");
+    assert_eq!(
+        wait_state(server.addr, 1, &["completed", "failed"]),
+        "completed"
+    );
+    let (_, body) = http(server.addr, "GET", "/jobs/1", "");
+    let doc = json::parse(&body).expect("status JSON");
+    let resumed = doc
+        .get("result")
+        .expect("terminal status carries the summary");
+    let straight = run_straight(
+        &JobSpec {
+            checkpoint: None,
+            ..spec
+        },
+        EvalEngine::serial(),
+    );
+    assert_eq!(resumed.to_line(), straight.to_line());
+    let (_, metrics) = http(server.addr, "GET", "/metrics", "");
+    let (hits, misses) = (
+        metric(&metrics, "edse_disk_cache_hit"),
+        metric(&metrics, "edse_disk_cache_miss"),
+    );
+    assert!(hits > 0, "the killed run wrote no records:\n{metrics}");
+    assert!(
+        misses > 0,
+        "the killed run had already finished:\n{metrics}"
+    );
     drop(server);
     let _ = std::fs::remove_dir_all(&dir);
 }
