@@ -129,11 +129,6 @@ impl Tiling {
         &self.factors
     }
 
-    /// Product of a dimension's factors over the given levels.
-    pub fn extent_over(&self, dim: Dim, levels: &[Level]) -> u64 {
-        levels.iter().map(|l| self.factor(dim, *l)).product()
-    }
-
     /// Cumulative tile extent of `dim` covering all levels up to and
     /// including `level` (innermost first).
     pub fn tile_extent(&self, dim: Dim, level: Level) -> u64 {

@@ -5,7 +5,7 @@ use baselines::{by_name, DseTechnique, EvalResult, Problem, RandomSearch};
 use edse_core::cost::Sample;
 use edse_core::evaluate::{CodesignEvaluator, EvalEngine};
 use edse_core::space::{edge_space, DesignPoint};
-use edse_core::{Explanation, FaultPolicy};
+use edse_core::Explanation;
 use edse_telemetry::Collector;
 use mapper::{FaultInjector, FixedMapper};
 use std::collections::HashSet;
@@ -90,7 +90,7 @@ fn failed_evaluations_are_observed_but_never_samples() {
             vec![zoo::resnet18()],
             FaultInjector::new(FixedMapper, 11, 0.05),
         )
-        .with_engine(EvalEngine::serial().with_fault(FaultPolicy::fail_fast()));
+        .with_engine(EvalEngine::serial());
         let mut recorder = Recorder {
             inner: technique,
             proposed: Vec::new(),

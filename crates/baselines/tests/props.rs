@@ -8,13 +8,14 @@ use baselines::{
 };
 use edse_core::cost::{Constraint, Evaluation};
 use edse_core::evaluate::Evaluator;
+use edse_core::fault::EvalFault;
 use edse_core::space::{DesignPoint, DesignSpace, ParamDef};
 use proptest::prelude::*;
 use std::cell::Cell;
 
 /// A cheap synthetic problem: quadratic bowl objective with one synthetic
 /// constraint, over an arbitrary discrete space. The call counter uses a
-/// `Cell` because [`Evaluator::evaluate`] takes `&self`.
+/// `Cell` because [`Evaluator::try_evaluate`] takes `&self`.
 struct Bowl {
     space: DesignSpace,
     constraints: Vec<Constraint>,
@@ -37,7 +38,7 @@ impl Bowl {
 }
 
 impl Evaluator for Bowl {
-    fn evaluate(&self, point: &DesignPoint) -> Evaluation {
+    fn try_evaluate(&self, point: &DesignPoint) -> Result<Evaluation, EvalFault> {
         self.evals.set(self.evals.get() + 1);
         let obj: f64 = point
             .indices()
@@ -49,7 +50,7 @@ impl Evaluator for Bowl {
             })
             .sum::<f64>()
             + 1.0;
-        Evaluation {
+        Ok(Evaluation {
             objective: obj,
             mappable: true,
             constraint_values: vec![obj],
@@ -57,7 +58,7 @@ impl Evaluator for Bowl {
             area_mm2: 0.0,
             power_w: 0.0,
             energy_mj: 0.0,
-        }
+        })
     }
 
     fn space(&self) -> &DesignSpace {

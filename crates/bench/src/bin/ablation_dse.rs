@@ -54,7 +54,10 @@ fn main() {
     let models = args
         .models_or(vec![zoo::resnet18(), zoo::efficientnet_b0()])
         .unwrap_or_else(|e| fail(&telemetry, &e));
-    let base = DseConfig::default();
+    let base = DseConfig {
+        seed: args.spec.seed,
+        ..DseConfig::default()
+    };
 
     let mut report = BenchReport::new("ablation_dse", &args);
     for model in &models {

@@ -134,7 +134,10 @@ fn main() {
     let ev = harness.evaluator(space.clone(), vec![model], FixedMapper);
     let technique = Box::new(ExplainableDse::new(
         dnn_latency_model(),
-        DseConfig::default(),
+        DseConfig {
+            seed: args.spec.seed,
+            ..DseConfig::default()
+        },
     ));
     let result = harness.run("explainable", technique, &ev, budget);
     print_trace(

@@ -4,7 +4,7 @@
 //! acquisitions, (e) constraints-aware update — rendered as the markdown
 //! report the framework produces for any run.
 //!
-//! Usage: `fig06_walkthrough [--iters N] [--json PATH]`
+//! Usage: `fig06_walkthrough [--iters N] [--seed N] [--json PATH]`
 
 use bench::{BenchArgs, BenchReport, Harness};
 use edse_core::bottleneck::dnn_latency_model;
@@ -24,6 +24,7 @@ fn main() {
         dnn_latency_model(),
         DseConfig {
             restarts: 0,
+            seed: args.spec.seed,
             ..DseConfig::default()
         },
     ));

@@ -2,7 +2,7 @@
 //! run a quick explainable exploration for it — the end-to-end path a
 //! downstream user takes for a network that is not in the built-in zoo.
 //!
-//! Usage: `import_model <path/to/model.json> [--iters N] [--json PATH]`
+//! Usage: `import_model <path/to/model.json> [--iters N] [--seed N] [--json PATH]`
 //! (default path: `assets/custom_model.json`)
 
 use bench::{fail, BenchArgs, BenchReport, Harness};
@@ -66,7 +66,10 @@ fn main() {
     );
     let technique = Box::new(ExplainableDse::new(
         dnn_latency_model(),
-        DseConfig::default(),
+        DseConfig {
+            seed: args.spec.seed,
+            ..DseConfig::default()
+        },
     ));
     let result = harness.run("explainable", technique, &evaluator, args.spec.budget);
     report.push_trace("explainable-import", result.trace());

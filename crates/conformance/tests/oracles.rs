@@ -186,16 +186,6 @@ impl<E> KillSwitch<E> {
 }
 
 impl<E: Evaluator> Evaluator for KillSwitch<E> {
-    fn evaluate(&self, point: &DesignPoint) -> Evaluation {
-        self.spend(1);
-        self.inner.evaluate(point)
-    }
-
-    fn evaluate_batch(&self, points: &[DesignPoint]) -> Vec<Evaluation> {
-        self.spend(points.len());
-        self.inner.evaluate_batch(points)
-    }
-
     fn try_evaluate(&self, point: &DesignPoint) -> Result<Evaluation, EvalFault> {
         self.spend(1);
         self.inner.try_evaluate(point)

@@ -30,6 +30,11 @@ pub struct MitigationInputs {
     pub leaf: String,
 }
 
+/// The progress floor for the scaling `s`: when the bottleneck is nearly
+/// balanced against the runner-up, the DSE still scales by at least this
+/// much.
+const MIN_SCALING: f64 = 1.25;
+
 /// A mitigation subroutine: predicts the new raw value of one parameter, or
 /// `None` when no prediction applies (the DSE then falls back to its
 /// black-box counterpart, sampling the neighboring value).
@@ -65,7 +70,6 @@ pub struct BottleneckModel<C> {
     tree_fn: Arc<dyn Fn(&C) -> BottleneckTree + Send + Sync>,
     param_dict: Vec<(String, Vec<ParamId>)>,
     mitigations: HashMap<ParamId, MitigationFn<C>>,
-    min_scaling: f64,
 }
 
 impl<C> std::fmt::Debug for BottleneckModel<C> {
@@ -73,7 +77,6 @@ impl<C> std::fmt::Debug for BottleneckModel<C> {
         f.debug_struct("BottleneckModel")
             .field("param_dict", &self.param_dict)
             .field("mitigations", &self.mitigations.keys().collect::<Vec<_>>())
-            .field("min_scaling", &self.min_scaling)
             .finish()
     }
 }
@@ -85,7 +88,6 @@ impl<C> BottleneckModel<C> {
             tree_fn: Arc::new(tree_fn),
             param_dict: Vec::new(),
             mitigations: HashMap::new(),
-            min_scaling: 1.25,
         }
     }
 
@@ -104,15 +106,6 @@ impl<C> BottleneckModel<C> {
         f: impl Fn(&C, &MitigationInputs) -> Option<f64> + Send + Sync + 'static,
     ) -> Self {
         self.mitigations.insert(param, Arc::new(f));
-        self
-    }
-
-    /// Sets the progress floor for the scaling `s` (default 1.25): when the
-    /// bottleneck is nearly balanced against the runner-up, the DSE still
-    /// scales by at least this much.
-    pub fn with_min_scaling(mut self, s: f64) -> Self {
-        assert!(s > 1.0, "min scaling must exceed 1");
-        self.min_scaling = s;
         self
     }
 
@@ -138,7 +131,6 @@ impl<C> BottleneckModel<C> {
             for (param, f) in part.mitigations {
                 merged.mitigations.entry(param).or_insert(f);
             }
-            merged.min_scaling = merged.min_scaling.min(part.min_scaling);
         }
         merged
     }
@@ -162,7 +154,7 @@ impl<C> BottleneckModel<C> {
         let tree = self.tree(ctx);
         let ranked = tree.ranked_factors();
         let root_value = tree.value(tree.root());
-        let scaling = tree.required_scaling(self.min_scaling);
+        let scaling = tree.required_scaling(MIN_SCALING);
 
         let mut predictions = Vec::new();
         let mut seen: Vec<ParamId> = Vec::new();
@@ -177,7 +169,7 @@ impl<C> BottleneckModel<C> {
             let s = if rank == 0 {
                 scaling
             } else {
-                (root_value / factor_value).max(self.min_scaling)
+                (root_value / factor_value).max(MIN_SCALING)
             };
             let path = tree.dominant_path_from(*factor_id);
             let leaf = tree

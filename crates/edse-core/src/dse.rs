@@ -97,8 +97,8 @@ impl Default for DseConfig {
 /// One acquisition attempt's record: what was analyzed, predicted,
 /// acquired, and decided — the DSE's explanation artifact. A
 /// [`Attempt::Failed`] entry records a candidate whose evaluation failed
-/// permanently at the fault boundary (see [`crate::EvalFault`]) instead of
-/// aborting the search.
+/// at the fault boundary (see [`crate::EvalFault`]) instead of aborting
+/// the search.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Attempt {
     /// A regular attempt that ran analysis, acquisition, and update.
@@ -113,18 +113,16 @@ pub enum Attempt {
         /// What the update rule decided.
         decision: String,
     },
-    /// A candidate whose evaluation failed permanently (panic or deadline,
-    /// retries exhausted); the search degraded gracefully and moved on.
+    /// A candidate whose evaluation failed (a layer mapping panicked);
+    /// the search degraded gracefully and moved on.
     Failed {
         /// Attempt number (0-based, shared sequence with completed
         /// attempts).
         index: usize,
         /// The candidate design point that could not be evaluated.
         candidate: DesignPoint,
-        /// The underlying failure (panic message or missed deadline).
+        /// The underlying failure: the panic message.
         error: String,
-        /// Retries spent before giving up.
-        retries: u32,
     },
 }
 
@@ -716,7 +714,6 @@ impl ExplainableDse {
                         index,
                         candidate: cand.clone(),
                         error: fault.error,
-                        retries: fault.retries,
                     });
                 }
             }

@@ -6,19 +6,21 @@
 //! takes `&self`, and [`CodesignEvaluator`] keeps its caches behind
 //! interior mutability (sharded mutex maps of [`OnceLock`] slots), so one
 //! evaluator can serve an arbitrary number of threads concurrently. The
-//! parallel entry point is [`Evaluator::evaluate_batch`]; its thread count
-//! is controlled by [`EvalEngine`], and results are bit-for-bit identical
-//! for every count (`threads = 1` runs the same batch path inline).
+//! parallel entry point is [`Evaluator::try_evaluate_batch`]; its thread
+//! count is controlled by [`EvalEngine`], and results are bit-for-bit
+//! identical for every count (`threads = 1` runs the same batch path
+//! inline).
 //!
-//! Evaluation is also **fault-bounded**: each per-layer mapping runs under
-//! a panic guard with bounded retries ([`FaultPolicy`], configured on the
-//! engine), so a misbehaving mapper degrades a candidate into an
-//! [`EvalFault`] — surfaced through [`Evaluator::try_evaluate`] /
-//! [`Evaluator::try_evaluate_batch`] — instead of tearing down the search.
+//! Evaluation is also **fault-bounded**: each per-layer mapping runs once
+//! under a panic guard ([`fault::guard`]), so a misbehaving mapper
+//! degrades a candidate into an [`EvalFault`] — surfaced through
+//! [`Evaluator::try_evaluate`] / [`Evaluator::try_evaluate_batch`] —
+//! instead of tearing down the search. The fault is cached like any other
+//! layer result and never retried within a process.
 
 use crate::cost::{Constraint, Evaluation, LayerEval};
 use crate::diskcache::{self, DiskCache, DiskCacheStats, LayerOutcome};
-use crate::fault::{self, EvalFault, FaultPolicy};
+use crate::fault::{self, EvalFault};
 use crate::space::{decode_edge_point, DesignPoint, DesignSpace};
 use accel_model::AcceleratorConfig;
 use edse_telemetry::{BatchRecord, Collector, Level};
@@ -85,35 +87,40 @@ pub struct CacheStats {
 ///
 /// All methods take `&self`: an evaluator is safe to share. Implementations
 /// with caches use interior mutability (see [`CodesignEvaluator`]).
+///
+/// [`Self::try_evaluate`] is the one required evaluation method; the
+/// other three are provided. The infallible pair maps a fault to the
+/// infeasible sentinel [`Evaluation::failed`] here and nowhere else.
 pub trait Evaluator {
-    /// Evaluates one point (cached). A fault-bounded implementation maps
-    /// permanent failures to an infeasible sentinel (infinite objective and
-    /// constraint values); use [`Self::try_evaluate`] to observe the fault.
-    fn evaluate(&self, point: &DesignPoint) -> Evaluation;
+    /// Evaluates one point (cached): `Err` when a layer mapping failed at
+    /// the fault boundary.
+    fn try_evaluate(&self, point: &DesignPoint) -> Result<Evaluation, EvalFault>;
 
-    /// Evaluates a batch of points, returning evaluations in input order.
+    /// Evaluates a batch of points, position-aligned with `points`.
     ///
     /// The default implementation is the serial loop; implementations may
     /// parallelize as long as results (including
     /// [`Self::unique_evaluations`] accounting) are identical to the
     /// serial path.
-    fn evaluate_batch(&self, points: &[DesignPoint]) -> Vec<Evaluation> {
-        points.iter().map(|p| self.evaluate(p)).collect()
-    }
-
-    /// Fault-surfacing [`Self::evaluate`]: `Err` when the evaluation failed
-    /// permanently at the fault boundary. The default implementation never
-    /// fails.
-    fn try_evaluate(&self, point: &DesignPoint) -> Result<Evaluation, EvalFault> {
-        Ok(self.evaluate(point))
-    }
-
-    /// Fault-surfacing [`Self::evaluate_batch`], position-aligned with
-    /// `points`. The default delegates to [`Self::evaluate_batch`] (so
-    /// implementations that only override the infallible path keep their
-    /// behavior) and never fails.
     fn try_evaluate_batch(&self, points: &[DesignPoint]) -> Vec<Result<Evaluation, EvalFault>> {
-        self.evaluate_batch(points).into_iter().map(Ok).collect()
+        points.iter().map(|p| self.try_evaluate(p)).collect()
+    }
+
+    /// [`Self::try_evaluate`] with a fault mapped to the infeasible
+    /// sentinel [`Evaluation::failed`] (infinite objective and constraint
+    /// values).
+    fn evaluate(&self, point: &DesignPoint) -> Evaluation {
+        self.try_evaluate(point)
+            .unwrap_or_else(|_| Evaluation::failed(self.constraints().len()))
+    }
+
+    /// [`Self::try_evaluate_batch`] with each fault mapped to the
+    /// infeasible sentinel [`Evaluation::failed`].
+    fn evaluate_batch(&self, points: &[DesignPoint]) -> Vec<Evaluation> {
+        self.try_evaluate_batch(points)
+            .into_iter()
+            .map(|r| r.unwrap_or_else(|_| Evaluation::failed(self.constraints().len())))
+            .collect()
     }
 
     /// The design space this evaluator understands.
@@ -216,7 +223,7 @@ impl<T: Evaluator + ?Sized> Evaluator for &T {
     }
 }
 
-/// Parallelism and fault policy for [`Evaluator::evaluate_batch`].
+/// Parallelism for [`Evaluator::try_evaluate_batch`].
 ///
 /// `threads: None` (the default) uses all available hardware parallelism;
 /// `Some(1)` runs every batch phase inline on the caller, bit-for-bit
@@ -226,31 +233,19 @@ impl<T: Evaluator + ?Sized> Evaluator for &T {
 pub struct EvalEngine {
     /// Worker threads per batch; `None` = available parallelism.
     pub threads: Option<usize>,
-    /// Retry policy of the per-layer-mapping fault boundary.
-    pub fault: FaultPolicy,
 }
 
 impl EvalEngine {
     /// The serial engine (`threads = 1`): every batch runs on the caller.
     pub fn serial() -> Self {
-        EvalEngine {
-            threads: Some(1),
-            ..EvalEngine::default()
-        }
+        EvalEngine { threads: Some(1) }
     }
 
     /// An engine with an explicit worker count (0 is treated as 1).
     pub fn with_threads(threads: usize) -> Self {
         EvalEngine {
             threads: Some(threads.max(1)),
-            ..EvalEngine::default()
         }
-    }
-
-    /// Replaces the fault boundary's retry policy.
-    pub fn with_fault(mut self, fault: FaultPolicy) -> Self {
-        self.fault = fault;
-        self
     }
 
     /// The concrete worker count this engine resolves to on this host.
@@ -278,7 +273,7 @@ fn default_threads() -> usize {
 }
 
 /// Number of lock shards per cache: enough to make contention negligible at
-/// the thread counts `evaluate_batch` fans out to, small enough that
+/// the thread counts `try_evaluate_batch` fans out to, small enough that
 /// clearing stays trivial.
 const CACHE_SHARDS: usize = 16;
 
@@ -385,7 +380,7 @@ impl<K: Eq + Hash + Clone, S: Slots + ?Sized> ShardedCache<K, S> {
 }
 
 /// One layer mapping's cached result: the outcome every evaluation shares,
-/// or the fault that ended its retries.
+/// or the fault its mapper call raised.
 type LayerResult = Result<Arc<LayerOutcome>, EvalFault>;
 
 /// One configuration's layer results, one slot per distinct shape of the
@@ -448,7 +443,8 @@ impl ShapeTable {
 ///
 /// Thread-safe: all evaluation state (the point/layer memo tables and the
 /// unique-evaluation counter) lives behind interior mutability, and
-/// [`Evaluator::evaluate_batch`] fans work out over [`EvalEngine`] threads.
+/// [`Evaluator::try_evaluate_batch`] fans work out over [`EvalEngine`]
+/// threads.
 ///
 /// The layer cache is config-major. On first evaluation the evaluator
 /// derives its models' distinct layer shapes once (a shape two models
@@ -459,11 +455,10 @@ impl ShapeTable {
 /// it shares, so assembling a point or cloning an evaluation copies no
 /// profile.
 ///
-/// Fault-bounded: each layer mapping runs under
-/// [`EvalEngine::fault`]'s panic guard and retry policy, and both memo
-/// tables cache failures (`Err`) alongside results, so a permanently
+/// Fault-bounded: each layer mapping runs once under [`fault::guard`],
+/// and both memo tables cache failures (`Err`) alongside results, so a
 /// faulted `(layer, config)` pair fails fast on re-encounter instead of
-/// re-panicking through its retries.
+/// panicking again.
 pub struct CodesignEvaluator<M> {
     space: DesignSpace,
     constraints: Vec<Constraint>,
@@ -536,8 +531,8 @@ impl<M: MappingOptimizer> CodesignEvaluator<M> {
     ///
     /// Invalidates nothing, and never changes results: a warm run is
     /// bit-identical to a cold one (the disk stores exactly what the
-    /// mapper would recompute). Permanently faulted mappings are *not*
-    /// persisted: later runs, a resumed one included, re-attempt them.
+    /// mapper would recompute). Faulted mappings are *not* persisted: a
+    /// new process, a resumed one included, maps them again.
     pub fn with_disk_cache(mut self, cache: Arc<DiskCache>) -> Self {
         self.disk_cache = Some(cache);
         self.disk_error = None;
@@ -558,12 +553,11 @@ impl<M: MappingOptimizer> CodesignEvaluator<M> {
     }
 
     /// Selects the batch-evaluation engine (default: all available
-    /// parallelism, default [`FaultPolicy`]). [`EvalEngine::serial`] forces
-    /// single-threaded batches.
+    /// parallelism). [`EvalEngine::serial`] forces single-threaded
+    /// batches.
     ///
     /// Changing the engine never invalidates caches: results are identical
-    /// for every thread count by construction. (Changing the *fault policy*
-    /// of an engine mid-run does not re-attempt already-cached failures.)
+    /// for every thread count by construction.
     pub fn with_engine(mut self, engine: EvalEngine) -> Self {
         self.engine = engine;
         self
@@ -573,10 +567,9 @@ impl<M: MappingOptimizer> CodesignEvaluator<M> {
     /// cache counters (`point_cache/shardNN/{hit,miss,inflight_wait}` and
     /// the `layer_cache/` equivalents), `stage/mapper_us` and
     /// `stage/point_eval_us` timing histograms, fault-boundary counters
-    /// (`fault/retries`, `fault/layer_failures`, `fault/point_failures`)
-    /// with one warning log per permanent failure, and one
-    /// batch-utilization record per [`Evaluator::evaluate_batch`] fan-out
-    /// phase.
+    /// (`fault/layer_failures`, `fault/point_failures`) with one warning
+    /// log per failed layer mapping, and one batch-utilization record per
+    /// [`Evaluator::try_evaluate_batch`] fan-out phase.
     ///
     /// Invalidates nothing: observation never changes results. The default
     /// is [`Collector::noop`], whose instrumentation cost is one branch
@@ -698,9 +691,8 @@ impl<M: MappingOptimizer> CodesignEvaluator<M> {
 
     /// Reads slot `id` of `cfg`'s layer `row` (held in shard `shard`),
     /// mapping the layer through the fault boundary if the slot is empty:
-    /// the mapper call runs under a panic guard and is retried per
-    /// [`EvalEngine::fault`] with exponential backoff before the failure
-    /// is cached as a permanent [`EvalFault`].
+    /// the mapper runs once under [`fault::guard`], and a panic is cached
+    /// in the slot as its [`EvalFault`].
     ///
     /// `intra` is the worker budget the mapper may spend *inside* this one
     /// layer's tiling sweep ([`MappingOptimizer::optimize_threaded`]).
@@ -737,40 +729,21 @@ impl<M: MappingOptimizer> CodesignEvaluator<M> {
             }
             let result = {
                 let _mapper_timer = self.telemetry.time("stage/mapper_us");
-                let policy = self.engine.fault;
-                let mut retries = 0u32;
-                loop {
-                    let attempt =
-                        fault::guard(|| match self.mapper.optimize_threaded(shape, cfg, intra) {
-                            Some(mapped) => LayerOutcome::Mapped(mapped),
-                            None => LayerOutcome::Unmappable(self.mapper.diagnose(shape, cfg)),
-                        });
-                    match attempt {
-                        Ok(outcome) => break Ok(Arc::new(outcome)),
-                        Err(_) if retries < policy.max_retries => {
-                            self.telemetry.counter("fault/retries", 1);
-                            let backoff = policy.backoff_before(retries);
-                            if !backoff.is_zero() {
-                                std::thread::sleep(backoff);
-                            }
-                            retries += 1;
-                        }
-                        Err(error) => {
-                            self.telemetry.counter("fault/layer_failures", 1);
-                            if self.telemetry.active() {
-                                self.telemetry.log(
-                                    Level::Warn,
-                                    &format!(
-                                        "layer mapping failed permanently after {retries} retries \
-                                         ({} PEs): {error}",
-                                        cfg.pes
-                                    ),
-                                );
-                            }
-                            break Err(EvalFault { error, retries });
-                        }
+                fault::guard(|| match self.mapper.optimize_threaded(shape, cfg, intra) {
+                    Some(mapped) => LayerOutcome::Mapped(mapped),
+                    None => LayerOutcome::Unmappable(self.mapper.diagnose(shape, cfg)),
+                })
+                .map(Arc::new)
+                .map_err(|error| {
+                    self.telemetry.counter("fault/layer_failures", 1);
+                    if self.telemetry.active() {
+                        self.telemetry.log(
+                            Level::Warn,
+                            &format!("layer mapping failed ({} PEs): {error}", cfg.pes),
+                        );
                     }
-                }
+                    EvalFault { error }
+                })
             };
             if let (Some((disk, k)), Ok(outcome)) = (&disk_key, &result) {
                 disk.put_outcome(k, outcome);
@@ -785,7 +758,7 @@ impl<M: MappingOptimizer> CodesignEvaluator<M> {
     }
 
     /// Assembles one point's costs; `Err` when any layer mapping failed
-    /// permanently at the fault boundary.
+    /// at the fault boundary.
     fn try_compute(&self, point: &DesignPoint) -> Result<Evaluation, EvalFault> {
         let cfg = decode_edge_point(&self.space, point);
         let area = cfg.area_mm2(&self.tech);
@@ -861,12 +834,6 @@ impl<M: MappingOptimizer> CodesignEvaluator<M> {
         })
     }
 
-    /// The infeasible stand-in [`Evaluator::evaluate`] reports for a
-    /// permanently failed point (see [`Evaluation::failed`]).
-    fn fault_sentinel(&self) -> Evaluation {
-        Evaluation::failed(self.constraints.len())
-    }
-
     /// The layer mappings this batch needs that are not yet cached: each
     /// distinct configuration's row once, as `(shard, config, row)`, and
     /// one `(row index, slot)` pair per empty slot, in first-appearance
@@ -906,11 +873,6 @@ fn fan_out<F: Fn(usize) + Sync>(n: usize, threads: usize, work: F) -> Vec<u64> {
 }
 
 impl<M: MappingOptimizer> Evaluator for CodesignEvaluator<M> {
-    fn evaluate(&self, point: &DesignPoint) -> Evaluation {
-        self.try_evaluate(point)
-            .unwrap_or_else(|_| self.fault_sentinel())
-    }
-
     fn try_evaluate(&self, point: &DesignPoint) -> Result<Evaluation, EvalFault> {
         let (shard, slot) = self.point_cache.entry(point, || Arc::new(OnceLock::new()));
         let already = slot.get().is_some();
@@ -937,16 +899,6 @@ impl<M: MappingOptimizer> Evaluator for CodesignEvaluator<M> {
             self.cache_counter("point_cache", shard, Self::classify(already, computed));
         }
         slot.get().expect("initialized above").clone()
-    }
-
-    /// Parallel batch evaluation; faults are mapped to the infeasible
-    /// sentinel (see [`Self::try_evaluate_batch`] for the fault-surfacing
-    /// form, which this method delegates to).
-    fn evaluate_batch(&self, points: &[DesignPoint]) -> Vec<Evaluation> {
-        self.try_evaluate_batch(points)
-            .into_iter()
-            .map(|r| r.unwrap_or_else(|_| self.fault_sentinel()))
-            .collect()
     }
 
     /// Parallel batch evaluation. Two fan-out phases on the shared
@@ -1219,29 +1171,17 @@ mod tests {
     /// | `with_telemetry` | kept        | kept        | kept           |
     #[test]
     fn builder_cache_invalidation_matrix() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-
-        /// A mapper that counts optimize calls, to observe the layer cache.
-        struct CountingMapper(AtomicUsize);
-        impl MappingOptimizer for CountingMapper {
-            fn optimize(&self, layer: &LayerShape, cfg: &AcceleratorConfig) -> Option<MappedLayer> {
-                self.0.fetch_add(1, Ordering::Relaxed);
-                FixedMapper.optimize(layer, cfg)
-            }
-            fn name(&self) -> String {
-                "counting".into()
-            }
-        }
-
+        // The tally observes the layer cache.
+        let calls = Arc::new(AtomicUsize::new(0));
         let ev = CodesignEvaluator::new(
             edge_space(),
             vec![zoo::resnet18()],
-            CountingMapper(AtomicUsize::new(0)),
+            TallyMapper(FixedMapper, calls.clone()),
         );
         let p = ev.space().minimum_point();
         let before = ev.evaluate(&p);
         assert_eq!(ev.unique_evaluations(), 1);
-        let mapper_calls = ev.mapper.0.load(Ordering::Relaxed);
+        let mapper_calls = calls.load(Ordering::Relaxed);
         assert!(mapper_calls > 0);
 
         // with_limits: nothing invalidated — the cached evaluation and the
@@ -1251,7 +1191,7 @@ mod tests {
         let after_limits = ev.evaluate(&p);
         assert_eq!(before, after_limits);
         assert_eq!(ev.unique_evaluations(), 1);
-        assert_eq!(ev.mapper.0.load(Ordering::Relaxed), mapper_calls);
+        assert_eq!(calls.load(Ordering::Relaxed), mapper_calls);
 
         // with_engine: nothing invalidated (results are thread-count
         // independent by construction).
@@ -1270,7 +1210,7 @@ mod tests {
         let after_objective = ev.evaluate(&p);
         assert_eq!(ev.unique_evaluations(), 1);
         assert_eq!(
-            ev.mapper.0.load(Ordering::Relaxed),
+            calls.load(Ordering::Relaxed),
             mapper_calls,
             "layer cache kept"
         );
@@ -1289,7 +1229,7 @@ mod tests {
         let after_tech = ev.evaluate(&p);
         assert_eq!(ev.unique_evaluations(), 1);
         assert_eq!(
-            ev.mapper.0.load(Ordering::Relaxed),
+            calls.load(Ordering::Relaxed),
             mapper_calls,
             "layer cache kept"
         );
@@ -1482,15 +1422,13 @@ mod tests {
     fn fault_boundary_catches_panics_and_reports_the_fault() {
         silence_injected_panics();
         let space = edge_space();
-        // Every (layer, cfg) pair faults permanently: the point must fail
-        // with a caught panic message, not tear down the test.
-        let mapper = FaultInjector::new(FixedMapper, 7, 1.1);
+        // Every (layer, cfg) pair faults: the point must fail with a
+        // caught panic message, not tear down the test. The default engine
+        // runs the batch below in parallel wherever the host allows.
+        let calls = Arc::new(AtomicUsize::new(0));
+        let mapper = TallyMapper(FaultInjector::new(FixedMapper, 7, 1.1), calls.clone());
         let dir = temp_cache_dir("faults");
         let ev = CodesignEvaluator::new(space, vec![zoo::resnet18()], mapper)
-            .with_engine(EvalEngine::with_threads(4).with_fault(FaultPolicy {
-                max_retries: 1,
-                backoff: std::time::Duration::ZERO,
-            }))
             .with_disk_cache(Arc::new(DiskCache::open(&dir).unwrap()));
         let p = ev.space().minimum_point();
         let fault = ev.try_evaluate(&p).expect_err("all layers fault");
@@ -1499,44 +1437,40 @@ mod tests {
             "panic message surfaced: {}",
             fault.error
         );
-        assert_eq!(fault.retries, 1);
+        assert_eq!(fault.to_string(), fault.error);
+        // The first faulty layer ends the point after one mapper call.
+        assert_eq!(calls.load(Ordering::Relaxed), 1);
         // Failed points consume no budget and are cached as failures.
         assert_eq!(ev.unique_evaluations(), 0);
         assert_eq!(ev.try_evaluate(&p).unwrap_err(), fault);
-        // The infallible path degrades to the infeasible sentinel.
-        let e = ev.evaluate(&p);
-        assert!(!e.mappable);
-        assert_eq!(e.objective, f64::INFINITY);
-        assert!(!e.feasible(ev.constraints()));
-        // Failures never reach the disk tier, so a later run (a resumed
-        // one included) re-attempts them.
+        assert_eq!(
+            calls.load(Ordering::Relaxed),
+            1,
+            "a cached fault maps nothing"
+        );
+        // The batch maps the rest of the point's layers; each faulty pair
+        // is optimized exactly once over all three calls.
+        assert_eq!(
+            ev.try_evaluate_batch(std::slice::from_ref(&p)),
+            vec![Err(fault)]
+        );
+        let layers = zoo::resnet18().unique_shape_count();
+        assert_eq!(ev.cache_stats().layer.misses as usize, layers);
+        assert_eq!(calls.load(Ordering::Relaxed), layers);
+        // The provided infallible pair degrades to the infeasible sentinel.
+        let failed = Evaluation::failed(ev.constraints().len());
+        assert!(!failed.feasible(ev.constraints()));
+        assert_eq!(ev.evaluate(&p), failed);
+        assert_eq!(
+            ev.evaluate_batch(&[p.clone(), p]),
+            vec![failed.clone(), failed]
+        );
+        assert_eq!(calls.load(Ordering::Relaxed), layers);
+        // Failures never reach the disk tier, so a new process maps them
+        // again.
         assert_eq!(ev.cache_stats().disk.unwrap().appends, 0);
         drop(ev);
         std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn fault_boundary_retries_recover_transient_faults() {
-        use edse_telemetry::MemorySink;
-        silence_injected_panics();
-        let collector = Collector::builder().sink(MemorySink::new()).build();
-        // Every pair faults on its first 2 optimize calls, then succeeds:
-        // with 2 retries the evaluation must come out identical to the
-        // fault-free one.
-        let mapper = FaultInjector::new(FixedMapper, 7, 1.1).recovering_after(2);
-        let ev = CodesignEvaluator::new(edge_space(), vec![zoo::resnet18()], mapper)
-            .with_engine(EvalEngine::serial().with_fault(FaultPolicy {
-                max_retries: 2,
-                backoff: std::time::Duration::ZERO,
-            }))
-            .with_telemetry(collector.clone());
-        let p = ev.space().minimum_point();
-        let healthy = evaluator().evaluate(&p);
-        assert_eq!(ev.try_evaluate(&p).expect("recovers on retry"), healthy);
-        assert_eq!(ev.unique_evaluations(), 1);
-        let layers = zoo::resnet18().unique_shape_count() as u64;
-        assert_eq!(collector.counter_value("fault/retries"), 2 * layers);
-        assert_eq!(collector.counter_value("fault/layer_failures"), 0);
     }
 
     fn temp_cache_dir(tag: &str) -> std::path::PathBuf {
@@ -1545,13 +1479,14 @@ mod tests {
         std::env::temp_dir().join(format!("edse-evaltier-{}-{tag}-{n}", std::process::id()))
     }
 
-    /// A mapper that counts optimize calls (used to observe whether the
-    /// disk tier short-circuits the mapping search).
-    struct TallyMapper(Arc<AtomicUsize>);
-    impl MappingOptimizer for TallyMapper {
+    /// A mapper that counts the optimize calls of the mapper it wraps (used
+    /// to observe whether the disk tier short-circuits the mapping search,
+    /// and how often a faulty pair is mapped).
+    struct TallyMapper<M>(M, Arc<AtomicUsize>);
+    impl<M: MappingOptimizer> MappingOptimizer for TallyMapper<M> {
         fn optimize(&self, layer: &LayerShape, cfg: &AcceleratorConfig) -> Option<MappedLayer> {
-            self.0.fetch_add(1, Ordering::Relaxed);
-            FixedMapper.optimize(layer, cfg)
+            self.1.fetch_add(1, Ordering::Relaxed);
+            self.0.optimize(layer, cfg)
         }
         fn name(&self) -> String {
             "tally".into()
@@ -1569,7 +1504,7 @@ mod tests {
             let ev = CodesignEvaluator::new(
                 edge_space(),
                 vec![zoo::resnet18()],
-                TallyMapper(cold_calls.clone()),
+                TallyMapper(FixedMapper, cold_calls.clone()),
             )
             .with_disk_cache(disk.clone());
             let e = ev.evaluate(&p);
@@ -1589,7 +1524,7 @@ mod tests {
         let ev = CodesignEvaluator::new(
             edge_space(),
             vec![zoo::resnet18()],
-            TallyMapper(warm_calls.clone()),
+            TallyMapper(FixedMapper, warm_calls.clone()),
         )
         .with_disk_cache(disk);
         let warm_eval = ev.evaluate(&p);

@@ -1,76 +1,40 @@
-//! The evaluation fault boundary: a panic guard, the retry policy, and
-//! the permanent-failure record surfaced to the search.
+//! The evaluation fault boundary: a panic guard and the failure record
+//! surfaced to the search.
 //!
 //! Long campaigns must survive a misbehaving mapper: a panic inside one
-//! candidate's evaluation is caught at the per-layer mapping boundary,
-//! retried with bounded exponential backoff, and — once retries are
-//! exhausted — degraded into an [`EvalFault`] that the search records as
-//! a failed attempt instead of aborting. See [`crate::evaluate`] for where
-//! the guard is applied and [`crate::dse::Attempt::Failed`] for how
-//! failures surface in results.
+//! candidate's evaluation is caught once at the per-layer mapping
+//! boundary and degraded into an [`EvalFault`] that the search records as
+//! a failed attempt instead of aborting. A layer mapping is a pure
+//! function of `(layer, config, seed)`, so a mapper that panicked on an
+//! input panics again on it: the fault is cached for the life of the
+//! evaluator and never retried within a process. See [`crate::evaluate`]
+//! for where the guard is applied and [`crate::dse::Attempt::Failed`] for
+//! how failures surface in results.
 
-use std::time::Duration;
-
-/// Retry policy of the evaluation fault boundary, configured on
-/// [`crate::evaluate::EvalEngine`]. No part of it reads the clock, so
-/// whether a mapping succeeds never depends on machine speed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FaultPolicy {
-    /// Retries after the first failed attempt.
-    pub max_retries: u32,
-    /// Sleep before retry `k` is `backoff * 2^k`; [`Duration::ZERO`]
-    /// disables sleeping (useful in tests).
-    pub backoff: Duration,
-}
-
-impl Default for FaultPolicy {
-    fn default() -> Self {
-        FaultPolicy {
-            max_retries: 2,
-            backoff: Duration::from_millis(10),
-        }
-    }
-}
-
-impl FaultPolicy {
-    /// A policy that never retries and never sleeps — failures surface
-    /// immediately (panics are still caught).
-    pub fn fail_fast() -> Self {
-        FaultPolicy {
-            max_retries: 0,
-            backoff: Duration::ZERO,
-        }
-    }
-
-    /// The sleep before retry number `retry` (0-based).
-    pub(crate) fn backoff_before(&self, retry: u32) -> Duration {
-        self.backoff
-            .saturating_mul(2u32.saturating_pow(retry.min(16)))
-    }
-}
-
-/// A candidate evaluation that failed permanently: the fault boundary
-/// exhausted its retries (or caught a non-retryable panic) and degraded
-/// the candidate instead of aborting the search.
+/// A candidate evaluation that failed: a layer mapping panicked at the
+/// fault boundary, and the candidate was degraded instead of aborting the
+/// search.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EvalFault {
     /// Human-readable cause: the panic message.
     pub error: String,
-    /// How many retries were spent before giving up.
-    pub retries: u32,
 }
 
 impl std::fmt::Display for EvalFault {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{} (after {} retries)", self.error, self.retries)
+        f.write_str(&self.error)
     }
 }
 
-/// Runs `f`, converting a panic into `Err(message)`. The closure is
-/// treated as unwind-safe: the evaluator's caches are only written through
-/// [`std::sync::OnceLock`] initializers, which stay uninitialized when the
-/// initializer unwinds, so no partially-written state is ever observed.
-pub(crate) fn guard<T>(f: impl FnOnce() -> T) -> Result<T, String> {
+/// Runs `f`, converting a panic into `Err(message)`: the payload when it
+/// is a `&str` or a `String`, else `"panic with non-string payload"`.
+///
+/// The closure is treated as unwind-safe, so a caller must never observe
+/// state it left half-written. The evaluator's caches are only written
+/// through [`std::sync::OnceLock`] initializers, which stay uninitialized
+/// when the initializer unwinds; `edse-serve` drops the driver of a job
+/// whose step panicked.
+pub fn guard<T>(f: impl FnOnce() -> T) -> Result<T, String> {
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).map_err(|payload| {
         if let Some(s) = payload.downcast_ref::<&str>() {
             (*s).to_string()
@@ -95,17 +59,9 @@ mod tests {
             guard(move || panic!("{msg}")),
             Err::<(), _>("fault 42".into())
         );
-    }
-
-    #[test]
-    fn backoff_doubles_per_retry() {
-        let p = FaultPolicy {
-            backoff: Duration::from_millis(5),
-            ..FaultPolicy::default()
-        };
-        assert_eq!(p.backoff_before(0), Duration::from_millis(5));
-        assert_eq!(p.backoff_before(1), Duration::from_millis(10));
-        assert_eq!(p.backoff_before(2), Duration::from_millis(20));
-        assert_eq!(FaultPolicy::fail_fast().backoff_before(3), Duration::ZERO);
+        assert_eq!(
+            guard(|| std::panic::panic_any(42u8)),
+            Err::<(), _>("panic with non-string payload".into())
+        );
     }
 }

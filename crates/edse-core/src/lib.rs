@@ -70,7 +70,7 @@ pub use cost::{Constraint, Evaluation, LayerEval, Sample, Trace};
 pub use diskcache::{DiskCache, DiskCacheStats, LayerOutcome};
 pub use dse::{Attempt, DseConfig, DseResult, ExplainableDse, Explanation};
 pub use evaluate::{CacheStats, CodesignEvaluator, EvalEngine, Evaluator, TierStats};
-pub use fault::{EvalFault, FaultPolicy};
+pub use fault::EvalFault;
 pub use job::JobSpec;
 pub use session::{CancelToken, SearchDriver, SearchSession, StepOutcome};
 pub use space::{

@@ -18,11 +18,10 @@
 
 use crate::driver::{build_driver, HostedSearch};
 use edse_core::evaluate::{CacheStats, EvalEngine};
-use edse_core::{CancelToken, DiskCache, JobSpec, StepOutcome};
+use edse_core::{fault, CancelToken, DiskCache, JobSpec, StepOutcome};
 use edse_telemetry::json::Json;
 use edse_telemetry::{export, Collector, Event, HistogramSummary, Sink};
 use std::collections::{BTreeMap, VecDeque};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Component, Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -516,10 +515,10 @@ impl Registry {
             };
 
             // Step outside the lock: other workers keep scheduling.
-            let stepped = catch_unwind(AssertUnwindSafe(|| {
+            let stepped = fault::guard(|| {
                 let outcome = driver.step();
                 (outcome, driver)
-            }));
+            });
 
             let mut inner = self.inner.lock().expect("registry poisoned");
             let Some(job) = inner.jobs.get_mut(&id) else {
@@ -552,12 +551,7 @@ impl Registry {
                         }
                     }
                 }
-                Err(payload) => {
-                    let message = payload
-                        .downcast_ref::<String>()
-                        .cloned()
-                        .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
-                        .unwrap_or_else(|| "job panicked".to_string());
+                Err(message) => {
                     job.state = JobState::Failed;
                     job.error = Some(message);
                     job.events.close();

@@ -23,7 +23,6 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::rc::Rc;
-use std::sync::Mutex;
 use workloads::layer::Dim;
 use workloads::LayerShape;
 
@@ -246,86 +245,37 @@ impl<M: MappingOptimizer> MappingOptimizer for InstrumentedMapper<M> {
 }
 
 /// Deterministically injects mapping faults (panics), for exercising an
-/// evaluation fault boundary — panic containment, bounded retries, graceful
-/// degradation — in tests and fault drills.
+/// evaluation fault boundary — panic containment and graceful degradation
+/// — in tests and fault drills.
 ///
 /// Whether a `(layer, cfg)` pair is *faulty* is a pure function of the
-/// injector's seed and a stable hash of the pair (compared against the
-/// configured failure rate), plus an explicit always-faulty target list —
-/// never of call order or thread interleaving, so fault patterns reproduce
-/// exactly across runs. A faulty pair panics on each of its first
-/// [`FaultInjector::recovering_after`] calls and then behaves normally;
-/// by default faults are permanent (every call panics).
+/// injector's seed and a stable hash of the pair, compared against the
+/// configured failure rate — never of call order or thread interleaving,
+/// so fault patterns reproduce exactly across runs. A faulty pair panics
+/// on every call, as a deterministic mapper that panics on an input does.
 pub struct FaultInjector<M> {
     inner: M,
     seed: u64,
     rate: f64,
-    transient_failures: u32,
-    targets: Vec<(LayerShape, AcceleratorConfig)>,
-    attempts: Mutex<HashMap<u64, u32>>,
 }
 
 impl<M: MappingOptimizer> FaultInjector<M> {
-    /// Wraps `inner`; each `(layer, cfg)` pair faults permanently with
-    /// probability `rate` (deterministically chosen from `seed`).
+    /// Wraps `inner`; each `(layer, cfg)` pair is faulty with probability
+    /// `rate` (deterministically chosen from `seed`).
     pub fn new(inner: M, seed: u64, rate: f64) -> Self {
-        FaultInjector {
-            inner,
-            seed,
-            rate,
-            transient_failures: u32::MAX,
-            targets: Vec::new(),
-            attempts: Mutex::new(HashMap::new()),
-        }
+        FaultInjector { inner, seed, rate }
     }
 
-    /// Makes faults transient: a faulty pair panics on its first `calls`
-    /// optimize invocations, then succeeds — the retry-success path.
-    pub fn recovering_after(mut self, calls: u32) -> Self {
-        self.transient_failures = calls;
-        self
-    }
-
-    /// Marks one specific `(layer, cfg)` pair as always faulty, regardless
-    /// of the failure rate.
-    pub fn target(mut self, layer: LayerShape, cfg: AcceleratorConfig) -> Self {
-        self.targets.push((layer, cfg));
-        self
-    }
-
-    fn key(&self, layer: &LayerShape, cfg: &AcceleratorConfig) -> u64 {
+    /// Panics when this `(layer, cfg)` pair is faulty — shared by both
+    /// optimize entry points so thread-budgeted calls see the identical
+    /// fault pattern.
+    fn maybe_fault(&self, layer: &LayerShape, cfg: &AcceleratorConfig) {
         let mut h = std::hash::DefaultHasher::new();
         self.seed.hash(&mut h);
         layer.hash(&mut h);
         cfg.hash(&mut h);
-        h.finish()
-    }
-
-    fn is_faulty(&self, layer: &LayerShape, cfg: &AcceleratorConfig) -> bool {
-        self.targets.iter().any(|(l, c)| l == layer && c == cfg)
-            || (self.key(layer, cfg) as f64 / u64::MAX as f64) < self.rate
-    }
-}
-
-impl<M: MappingOptimizer> FaultInjector<M> {
-    /// Panics when this `(layer, cfg)` pair is scheduled to fault on this
-    /// attempt — shared by both optimize entry points so thread-budgeted
-    /// calls see the identical fault pattern.
-    fn maybe_fault(&self, layer: &LayerShape, cfg: &AcceleratorConfig) {
-        if self.is_faulty(layer, cfg) {
-            let key = self.key(layer, cfg);
-            let attempt = {
-                let mut attempts = self.attempts.lock().expect("fault ledger poisoned");
-                let n = attempts.entry(key).or_insert(0);
-                *n = n.saturating_add(1);
-                *n
-            };
-            if attempt <= self.transient_failures {
-                panic!(
-                    "injected mapping fault (attempt {attempt}) for {layer:?} on {} PEs",
-                    cfg.pes
-                );
-            }
+        if (h.finish() as f64 / u64::MAX as f64) < self.rate {
+            panic!("injected mapping fault for {layer:?} on {} PEs", cfg.pes);
         }
     }
 }
@@ -352,11 +302,10 @@ impl<M: MappingOptimizer> MappingOptimizer for FaultInjector<M> {
 
     fn fingerprint(&self) -> String {
         format!(
-            "faulty-{}-seed{}-rate{}-recover{}",
+            "faulty-{}-seed{}-rate{}",
             self.inner.fingerprint(),
             self.seed,
-            self.rate,
-            self.transient_failures
+            self.rate
         )
     }
 
@@ -446,14 +395,6 @@ impl LinearMapper {
     pub fn new(n: usize) -> Self {
         Self {
             budget: SpaceBudget::top(n),
-            sweep: SweepConf::serial(),
-        }
-    }
-
-    /// A linear mapper with an explicit budget.
-    pub fn with_budget(budget: SpaceBudget) -> Self {
-        Self {
-            budget,
             sweep: SweepConf::serial(),
         }
     }

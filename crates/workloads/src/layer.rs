@@ -83,11 +83,6 @@ impl Tensor {
             Tensor::OutputWrite => "out_wr",
         }
     }
-
-    /// Whether this operand refers to the output tensor.
-    pub fn is_output(self) -> bool {
-        matches!(self, Tensor::OutputRead | Tensor::OutputWrite)
-    }
 }
 
 /// Names of the seven canonical loop dimensions.

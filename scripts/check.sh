@@ -13,8 +13,11 @@ cd "$(dirname "$0")/.."
 # bit-identical for every worker count, so this changes nothing else.
 export EDSE_TEST_THREADS=2
 
-echo "==> cargo build --release"
-cargo build --release
+echo "==> cargo build --release --workspace"
+# Every package's binaries: the smokes below run target/release/edse-trace
+# and target/release/fig04_toy_trace by path, and a bare build makes only
+# the root package (the workspace's one default member).
+cargo build --release --workspace
 
 echo "==> cargo test -q --workspace --exclude conformance"
 # The root manifest is also a package, so a bare `cargo test` would run

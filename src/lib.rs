@@ -33,7 +33,7 @@ pub mod prelude {
     pub use edse_core::bottleneck::{dnn_latency_model, BottleneckModel, LayerCtx, TreeBuilder};
     pub use edse_core::dse::{Attempt, DseConfig, DseResult, ExplainableDse};
     pub use edse_core::evaluate::{CodesignEvaluator, EvalEngine, Evaluator};
-    pub use edse_core::fault::{EvalFault, FaultPolicy};
+    pub use edse_core::fault::EvalFault;
     pub use edse_core::session::SearchSession;
     pub use edse_core::space::{edge_space, DesignPoint, DesignSpace};
     pub use edse_core::{Constraint, Trace};
