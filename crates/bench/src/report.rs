@@ -733,4 +733,134 @@ mod tests {
             );
         }
     }
+
+    /// The disk-codec perf record (binary disk-tier records, format
+    /// version 2) states its measurement state, holds the pairing rule on
+    /// `serve_mixed` wall-clock with the stated 25% floor, lowers cpu_s
+    /// and job_p50_s there, keeps every end-to-end median of the three
+    /// workloads inside its `BENCHMARK.json` bound, served the same disk
+    /// lookups and mapper calls on both sides, and records the cheaper
+    /// per-operation costs, reopen and segment bytes.
+    #[test]
+    fn recorded_disk_codec_bench_report_parses_and_holds_the_bar() {
+        let read = |file: &str| {
+            let path = format!("{}/../../{file}", env!("CARGO_MANIFEST_DIR"));
+            let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+            edse_telemetry::json::parse(text.trim()).expect("valid JSON")
+        };
+        let doc = read("results/json/bench_disk_codec.json");
+        assert_eq!(
+            doc.get("schema").and_then(Json::as_str),
+            Some(REPORT_SCHEMA)
+        );
+        let config = doc.get("config").expect("config");
+        for state in [
+            "memo_at_start",
+            "disk_tier",
+            "pool_budget",
+            "host_cpus",
+            "host_steal_s",
+        ] {
+            assert!(config.get(state).is_some(), "config must record {state}");
+        }
+        let metric = |name: &str| {
+            doc.get("metrics")
+                .and_then(|m| m.get(name))
+                .and_then(Json::as_f64)
+                .unwrap_or_else(|| panic!("missing metric {name}"))
+        };
+
+        // The pairing rule on the claimed metric, and the stated floor.
+        let pairs = metric("serve_mixed/pairs/count");
+        assert!(pairs >= 10.0, "at least ten pairs, got {pairs}");
+        assert!(metric("serve_mixed/pairs/wins") >= 0.9 * pairs);
+        let gap = metric("serve_mixed/pairs/before_wall_s_median")
+            - metric("serve_mixed/pairs/after_wall_s_median");
+        let spread = metric("serve_mixed/pairs/before_wall_s_q3")
+            - metric("serve_mixed/pairs/before_wall_s_q1");
+        assert!(
+            gap > spread,
+            "median gain {gap} within the parent's spread {spread}"
+        );
+        let (before, after) = (
+            metric("serve_mixed/before/wall_s"),
+            metric("serve_mixed/after/wall_s"),
+        );
+        assert!(
+            after <= 0.75 * before,
+            "wall_s {before} -> {after}: under 25% lower"
+        );
+        assert!(
+            (before / after - metric("serve_mixed/wall_speedup")).abs() < 0.01,
+            "speedup ratio drifted"
+        );
+        for lower in ["cpu_s", "job_p50_s"] {
+            assert!(
+                metric(&format!("serve_mixed/after/{lower}"))
+                    < metric(&format!("serve_mixed/before/{lower}")),
+                "serve_mixed {lower} did not fall"
+            );
+        }
+
+        // No end-to-end median got worse than its benchmark bound allows.
+        let bench = read("BENCHMARK.json");
+        let bounds = bench
+            .get("end_to_end")
+            .and_then(Json::as_arr)
+            .expect("end_to_end bounds");
+        for workload in ["serve_mixed", "codesign_cold", "fixdf_zoo"] {
+            for m in bounds {
+                let name = m.get("name").and_then(Json::as_str).expect("name");
+                let bound = m.get("bound").and_then(Json::as_f64).expect("bound");
+                let before = metric(&format!("{workload}/before/{name}"));
+                let after = metric(&format!("{workload}/after/{name}"));
+                assert!(
+                    after <= before * (1.0 + bound),
+                    "{workload} {name}: {before} -> {after} exceeds its {bound} bound"
+                );
+            }
+        }
+
+        // The same lookups and records on both sides: the gain is the
+        // codec, not fewer disk reads or mappings. A mapper call is a disk
+        // miss; misses exceed the appends only when both tenants miss one
+        // record at once and both map it.
+        let traced = |side: &str, name: &str| metric(&format!("serve_mixed/{side}/{name}"));
+        let lookups =
+            |side: &str| traced(side, "diskcache.hits") + traced(side, "diskcache.misses");
+        assert_eq!(lookups("before"), lookups("after"), "disk lookups moved");
+        let appends = traced("before", "diskcache.appends");
+        assert_eq!(
+            appends,
+            traced("after", "diskcache.appends"),
+            "records moved"
+        );
+        for side in ["before", "after"] {
+            let calls = traced(side, "mapper.calls");
+            assert!(
+                calls >= appends && calls - appends <= 0.01 * appends,
+                "{side}: {calls} mapper calls for {appends} records"
+            );
+        }
+        assert!(traced("after", "diskcache.open_s") < traced("before", "diskcache.open_s"));
+
+        // Per operation, and the bytes one budget-20 search leaves
+        // (crates/edse-core/tests/disk_work.rs).
+        for op in [
+            "key_us",
+            "append_us",
+            "hit_us",
+            "bytes_per_record",
+            "reopen_s",
+        ] {
+            assert!(
+                metric(&format!("disk_op/after/{op}")) < metric(&format!("disk_op/before/{op}")),
+                "{op} did not fall"
+            );
+        }
+        assert_eq!(metric("disk_work/before/records"), 180.0);
+        assert_eq!(metric("disk_work/after/records"), 180.0);
+        assert_eq!(metric("disk_work/before/segment_bytes"), 281_041.0);
+        assert_eq!(metric("disk_work/after/segment_bytes"), 137_824.0);
+    }
 }

@@ -717,13 +717,14 @@ impl<M: MappingOptimizer> CodesignEvaluator<M> {
             // mapper (and without a `stage/mapper_us` sample — no mapping
             // search happened). Faults never reach disk, so a disk entry
             // is always `Ok`.
-            let disk_key = self.disk_cache.as_deref().and_then(|disk| {
-                diskcache::layer_key(&self.mapper_fingerprint, shape, cfg)
-                    .ok()
-                    .map(|k| (disk, k))
+            let disk_key = self.disk_cache.as_deref().map(|disk| {
+                (
+                    disk,
+                    diskcache::layer_key(&self.mapper_fingerprint, shape, cfg),
+                )
             });
             if let Some((disk, k)) = &disk_key {
-                if let Some(stored) = disk.get_outcome(k) {
+                if let Some(stored) = disk.get_outcome(k, shape) {
                     return Ok(Arc::new(stored));
                 }
             }

@@ -177,5 +177,12 @@ grep -q '"disk_cache/hit"' "$trace_tmp/warm.jsonl" || {
     echo "warm run recorded no disk-cache hits" >&2
     exit 1
 }
+# The cold run stored every layer the warm run reads, so a warm miss means
+# the decoder refused a record the encoder wrote. The output stays correct
+# (the layer is mapped again), so only this counter shows it.
+if grep -q '"disk_cache/miss"' "$trace_tmp/warm.jsonl"; then
+    echo "warm run missed the disk cache: a stored record was refused" >&2
+    exit 1
+fi
 
 echo "All checks passed."
