@@ -863,4 +863,124 @@ mod tests {
         assert_eq!(metric("disk_work/before/segment_bytes"), 281_041.0);
         assert_eq!(metric("disk_work/after/segment_bytes"), 137_824.0);
     }
+
+    #[test]
+    fn recorded_bo_surrogate_bench_report_parses_and_holds_the_bar() {
+        let read = |file: &str| {
+            let path = format!("{}/../../{file}", env!("CARGO_MANIFEST_DIR"));
+            let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+            edse_telemetry::json::parse(text.trim()).expect("valid JSON")
+        };
+        let doc = read("results/json/bench_bo_surrogate.json");
+        assert_eq!(
+            doc.get("schema").and_then(Json::as_str),
+            Some(REPORT_SCHEMA)
+        );
+        let config = doc.get("config").expect("config");
+        for state in [
+            "memo_at_start",
+            "disk_tier",
+            "pool_budget",
+            "host_cpus",
+            "host_steal_s",
+        ] {
+            assert!(config.get(state).is_some(), "config must record {state}");
+        }
+        let metric = |name: &str| {
+            doc.get("metrics")
+                .and_then(|m| m.get(name))
+                .and_then(Json::as_f64)
+                .unwrap_or_else(|| panic!("missing metric {name}"))
+        };
+
+        // The pairing rule on the claimed metric.
+        let pairs = metric("serve_mixed/pairs/count");
+        assert!(pairs >= 10.0, "at least ten pairs, got {pairs}");
+        assert!(metric("serve_mixed/pairs/wins") >= 0.9 * pairs);
+        let gap = metric("serve_mixed/pairs/before_wall_s_median")
+            - metric("serve_mixed/pairs/after_wall_s_median");
+        let spread = metric("serve_mixed/pairs/before_wall_s_q3")
+            - metric("serve_mixed/pairs/before_wall_s_q1");
+        assert!(
+            gap > spread,
+            "median gain {gap} within the parent's spread {spread}"
+        );
+        let (before, after) = (
+            metric("serve_mixed/before/wall_s"),
+            metric("serve_mixed/after/wall_s"),
+        );
+        assert!(
+            (before / after - metric("serve_mixed/wall_speedup")).abs() < 0.01,
+            "speedup ratio drifted"
+        );
+        assert!(
+            metric("serve_mixed/after/cpu_s") < metric("serve_mixed/before/cpu_s"),
+            "serve_mixed cpu_s did not fall"
+        );
+
+        // No end-to-end median got worse than its benchmark bound allows,
+        // and no run failed.
+        let bench = read("BENCHMARK.json");
+        let bounds = bench
+            .get("end_to_end")
+            .and_then(Json::as_arr)
+            .expect("end_to_end bounds");
+        for workload in ["serve_mixed", "codesign_cold", "fixdf_zoo"] {
+            assert_eq!(metric(&format!("{workload}/failed")), 0.0);
+            for m in bounds {
+                let name = m.get("name").and_then(Json::as_str).expect("name");
+                let bound = m.get("bound").and_then(Json::as_f64).expect("bound");
+                let before = metric(&format!("{workload}/before/{name}"));
+                let after = metric(&format!("{workload}/after/{name}"));
+                assert!(
+                    after <= before * (1.0 + bound),
+                    "{workload} {name}: {before} -> {after} exceeds its {bound} bound"
+                );
+            }
+        }
+
+        // The gain is the BO jobs': their per-class p50 falls, and each of
+        // the eight served specs proposes faster with the same trace.
+        for class in ["bayesian", "hypermapper"] {
+            assert!(
+                metric(&format!("serve_mixed/after/class_p50_s/{class}"))
+                    < metric(&format!("serve_mixed/before/class_p50_s/{class}")),
+                "{class} jobs did not get faster"
+            );
+        }
+        assert_eq!(metric("propose/specs"), 8.0);
+        assert_eq!(metric("propose/identical_traces"), 8.0);
+        for technique in ["bayesian", "hypermapper"] {
+            for seed in 1..=4 {
+                let spec = format!("{technique}_{seed}_s");
+                assert!(
+                    metric(&format!("propose/after/{spec}"))
+                        < metric(&format!("propose/before/{spec}")),
+                    "{spec} did not fall"
+                );
+            }
+        }
+        assert!(
+            metric("propose/after/sum_propose_s") < 0.5 * metric("propose/before/sum_propose_s")
+        );
+
+        // The same evaluations on both sides of the traced runs.
+        for name in [
+            "evaluate.points",
+            "evaluate.layer_hits",
+            "diskcache.appends",
+        ] {
+            assert_eq!(
+                metric(&format!("serve_mixed/before/{name}")),
+                metric(&format!("serve_mixed/after/{name}")),
+                "{name} moved"
+            );
+        }
+
+        // Work as counts (crates/baselines/src/bo.rs unit tests).
+        assert_eq!(metric("factor_rows/budget100/before"), 4_760.0);
+        assert_eq!(metric("factor_rows/budget100/after"), 99.0);
+        assert_eq!(metric("factor_rows/budget150/before"), 10_550.0);
+        assert_eq!(metric("factor_rows/budget150/after"), 3_600.0);
+    }
 }

@@ -33,9 +33,8 @@ cargo check --offline --locked --manifest-path perfbench/Cargo.toml \
 
 echo "==> conformance: golden fixtures, differential oracles, paper bounds"
 # The harness must stay fast enough to gate every change; the timeout is
-# the budget, not an estimate (the suite runs in about 12 s on a 2-vCPU
-# host once built, `paper_bounds` about 7 s of it, with the baselines
-# crate optimized in dev builds; see the root Cargo.toml).
+# the budget, not an estimate (the suite runs in about 15 s on a 2-vCPU
+# host once built, `paper_bounds` about 14 s of it).
 timeout 120 cargo test -q -p conformance
 
 echo "==> executor stress: concurrent tenants on the shared pool (bounded)"
