@@ -20,11 +20,9 @@ use edse_core::space::edge_space;
 use mapper::{FixedMapper, LinearMapper, MappingOptimizer};
 use workloads::{zoo, DnnModel};
 
-/// Runs one variant from the space's minimum point; `label` names its
-/// checkpoint under `--checkpoint`.
+/// Runs one variant from the space's minimum point.
 fn run<M: MappingOptimizer>(
     harness: &Harness,
-    label: &str,
     model: &DnnModel,
     mapper: M,
     config: DseConfig,
@@ -32,7 +30,7 @@ fn run<M: MappingOptimizer>(
 ) -> (String, String, String, Trace) {
     let ev = harness.evaluator(edge_space(), vec![model.clone()], mapper);
     let technique = Box::new(ExplainableDse::new(dnn_latency_model(), config));
-    let r = harness.run(label, technique, &ev, budget);
+    let r = harness.run(technique, &ev, budget);
     let best = r
         .best()
         .map(|(_, e)| format!("{:.2}", e.objective))
@@ -66,17 +64,15 @@ fn main() {
             model.name(),
             args.spec.budget
         );
-        // (row name, snapshot tag, configuration, codesign?)
-        let variants: Vec<(&str, &str, DseConfig, bool)> = vec![
+        // (row name, configuration, codesign?)
+        let variants: Vec<(&str, DseConfig, bool)> = vec![
             (
                 "paper defaults (min agg, budget-aware, K=5)",
-                "defaults",
                 base.clone(),
                 false,
             ),
             (
                 "max aggregation",
-                "max-aggregation",
                 DseConfig {
                     aggregation: Aggregation::Max,
                     ..base.clone()
@@ -85,7 +81,6 @@ fn main() {
             ),
             (
                 "budget-awareness off",
-                "budget-unaware",
                 DseConfig {
                     budget_aware: false,
                     ..base.clone()
@@ -94,7 +89,6 @@ fn main() {
             ),
             (
                 "top-K = 1",
-                "top1",
                 DseConfig {
                     top_k: 1,
                     ..base.clone()
@@ -103,24 +97,22 @@ fn main() {
             ),
             (
                 "top-K = 20",
-                "top20",
                 DseConfig {
                     top_k: 20,
                     ..base.clone()
                 },
                 false,
             ),
-            ("codesign (linear mapper)", "codesign", base.clone(), true),
+            ("codesign (linear mapper)", base.clone(), true),
         ];
         let mut rows = Vec::new();
-        for (name, tag, config, codesign) in variants {
-            let label = format!("explainable-{tag}.{}", model.name());
+        for (name, config, codesign) in variants {
             let budget = args.spec.budget;
             let (best, evals, budget_used, trace) = if codesign {
                 let mapper = LinearMapper::new(args.spec.map_trials);
-                run(&harness, &label, model, mapper, config, budget)
+                run(&harness, model, mapper, config, budget)
             } else {
-                run(&harness, &label, model, FixedMapper, config, budget)
+                run(&harness, model, FixedMapper, config, budget)
             };
             report.push_trace(&format!("{name}/{}", model.name()), &trace);
             rows.push(vec![name.to_string(), best, evals, budget_used]);

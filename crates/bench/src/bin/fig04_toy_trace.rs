@@ -5,16 +5,15 @@
 //! illustration.
 //!
 //! Usage: `fig04_toy_trace [--iters N] [--seed N] [--out PATH]
-//! [--json PATH] [--checkpoint PATH [--resume]]`
+//! [--json PATH] [--cache-dir DIR]`
 //!
-//! `--checkpoint PATH` writes the two searches' checkpoints to
-//! `PATH.hypermapper` and `PATH.explainable` as each search starts, and
-//! persists their layer outcomes in `PATH.cache/` (or in `--cache-dir`).
+//! `--cache-dir DIR` persists the two searches' layer outcomes in `DIR`;
+//! rerunning the same command over it resumes a killed run.
 //!
 //! `--out` writes a machine-readable result summary (sample objectives,
 //! best feasible latency, attempt count — deliberately no wall-clock
-//! times) so interrupted-and-resumed runs can be diffed against
-//! uninterrupted ones; `scripts/check.sh` does exactly that.
+//! times) so killed-and-rerun runs can be diffed against uninterrupted
+//! ones; `scripts/check.sh` does exactly that.
 
 use baselines::HyperMapperLike;
 use bench::toy::{single_layer_model, toy_space};
@@ -52,7 +51,7 @@ fn print_trace(title: &str, space: &DesignSpace, trace: &Trace) {
     }
 }
 
-/// The deterministic portion of one trace: everything a resumed run must
+/// The deterministic portion of one trace: everything a rerun must
 /// reproduce bit-for-bit. Wall-clock times are deliberately excluded.
 fn trace_json(trace: &Trace) -> Json {
     Json::obj(vec![
@@ -125,9 +124,7 @@ fn main() {
     // HyperMapper-2.0-style exploration (Fig. 4a).
     let ev = harness.evaluator(space.clone(), vec![model.clone()], FixedMapper);
     let technique = Box::new(HyperMapperLike::new(args.spec.seed));
-    let hm = harness
-        .run("hypermapper", technique, &ev, budget)
-        .into_trace();
+    let hm = harness.run(technique, &ev, budget).into_trace();
     print_trace("HyperMapper 2.0 (black-box)", &space, &hm);
 
     // Explainable-DSE (Fig. 4b), from the space's minimum point.
@@ -139,7 +136,7 @@ fn main() {
             ..DseConfig::default()
         },
     ));
-    let result = harness.run("explainable", technique, &ev, budget);
+    let result = harness.run(technique, &ev, budget);
     print_trace(
         "Explainable-DSE (bottleneck-guided)",
         &space,

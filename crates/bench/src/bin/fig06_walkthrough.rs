@@ -29,7 +29,7 @@ fn main() {
         },
     ));
     let budget = args.spec.budget.max(60);
-    let result = harness.run("explainable", technique, &evaluator, budget);
+    let result = harness.run(technique, &evaluator, budget);
     println!(
         "{}",
         result.report(evaluator.space(), evaluator.constraints())

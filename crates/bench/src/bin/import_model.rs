@@ -71,7 +71,7 @@ fn main() {
             ..DseConfig::default()
         },
     ));
-    let result = harness.run("explainable", technique, &evaluator, args.spec.budget);
+    let result = harness.run(technique, &evaluator, args.spec.budget);
     report.push_trace("explainable-import", result.trace());
     report.metric("termination", Json::Str(result.termination().to_string()));
     println!(

@@ -3,9 +3,8 @@
 //! Historically each binary re-parsed its own flags; the logic now lives
 //! here once, as [`BenchArgs::parse_from`] over a plain argument slice so
 //! the parser is unit-testable without touching the process environment.
-//! This is also where the checkpoint/resume flags (`--checkpoint`,
-//! `--resume`) are parsed into the [`JobSpec`] that
-//! [`crate::Harness::run`] applies to every run.
+//! An interrupted run resumes by running the same command again with the
+//! same `--cache-dir`.
 
 use edse_core::JobSpec;
 use edse_telemetry::{Collector, JsonlSink, Level, PrometheusSink, StderrSink};
@@ -14,18 +13,19 @@ use workloads::{zoo, DnnModel};
 
 /// Common experiment options parsed from the command line.
 ///
-/// The job-shaped options — budget (`--iters`), mapping trials, seed,
-/// models, and checkpoint/resume policy — live in the embedded
-/// [`JobSpec`] (the same struct the `edse-serve` `POST /jobs` body
-/// deserializes into); the remaining fields are harness concerns (cache
-/// directory, output destinations, verbosity, presets).
+/// The job-shaped options — budget (`--iters`), mapping trials, seed and
+/// models — live in the embedded [`JobSpec`] (the same struct the
+/// `edse-serve` `POST /jobs` body deserializes into); the remaining fields
+/// are harness concerns (cache directory, output destinations, verbosity,
+/// presets).
 #[derive(Debug, Clone)]
 pub struct BenchArgs {
     /// The consolidated job description: evaluation budget, mapping
-    /// trials, seed, model names, and checkpoint/resume policy.
+    /// trials, seed and model names.
     pub spec: JobSpec,
     /// Persistent disk-cache directory (`--cache-dir <path>`); `None`
-    /// runs without a disk tier.
+    /// runs without a disk tier. Rerunning a command with the same
+    /// directory resumes it, or warm-starts it once it has finished.
     pub cache_dir: Option<PathBuf>,
     /// Whether the `--quick` preset was chosen.
     pub quick: bool,
@@ -58,19 +58,18 @@ pub struct BenchArgs {
 
 impl BenchArgs {
     /// Parses `--iters N --trials N --seed N --models a,b --quick --full
-    /// --trace-out PATH --verbose --checkpoint PATH --resume --out PATH
-    /// --json PATH --cache-dir PATH --no-disk-cache` from an argument
-    /// slice (without the program name).
+    /// --trace-out PATH --metrics-out PATH --verbose --out PATH --json PATH
+    /// --cache-dir PATH --no-disk-cache` from an argument slice (without
+    /// the program name).
     ///
     /// `default_iters` applies to the full setting; `--quick` divides the
     /// budgets so every experiment finishes in minutes on a laptop. Quick
     /// is the default; pass `--full` for paper-scale budgets.
     ///
     /// Parsing never fails: unknown flags, value-taking flags missing
-    /// their value, numeric flags whose value does not parse, `--resume`
-    /// without `--checkpoint`, and `--json` colliding with
-    /// `--out`/`--trace-out` all land in
-    /// [`BenchArgs::warnings`] (logged at `Warn` by
+    /// their value, numeric flags whose value does not parse, and any two
+    /// of `--out`, `--json`, `--trace-out` and `--metrics-out` naming the
+    /// same file all land in [`BenchArgs::warnings`] (logged at `Warn` by
     /// [`BenchArgs::telemetry`]) while the run proceeds on defaults.
     pub fn parse_from<S: AsRef<str>>(argv: &[S], default_iters: usize) -> Self {
         let mut args = Self {
@@ -150,10 +149,6 @@ impl BenchArgs {
                     args.metrics_out = take(argv, i, &mut args.warnings);
                     i += 1;
                 }
-                "--checkpoint" => {
-                    args.spec.checkpoint = take(argv, i, &mut args.warnings).map(PathBuf::from);
-                    i += 1;
-                }
                 "--out" => {
                     args.out = take(argv, i, &mut args.warnings);
                     i += 1;
@@ -167,7 +162,6 @@ impl BenchArgs {
                     i += 1;
                 }
                 "--no-disk-cache" => args.no_disk_cache = true,
-                "--resume" => args.spec.resume = true,
                 "--verbose" => args.verbose = true,
                 "--full" => args.quick = false,
                 "--quick" => args.quick = true,
@@ -187,19 +181,23 @@ impl BenchArgs {
         if let Some(v) = explicit_trials {
             args.spec.map_trials = v;
         }
-        if args.spec.resume && args.spec.checkpoint.is_none() {
-            args.warnings
-                .push("--resume has no effect without --checkpoint".into());
-        }
         if args.no_disk_cache && args.cache_dir.is_none() {
             args.warnings
                 .push("--no-disk-cache has no effect without --cache-dir".into());
         }
-        for (flag, other) in [("--out", &args.out), ("--trace-out", &args.trace_out)] {
-            if args.json.is_some() && args.json == *other {
-                args.warnings.push(format!(
-                    "--json and {flag} point at the same file; the later writer clobbers it"
-                ));
+        let outputs = [
+            ("--out", &args.out),
+            ("--json", &args.json),
+            ("--trace-out", &args.trace_out),
+            ("--metrics-out", &args.metrics_out),
+        ];
+        for (i, (flag, path)) in outputs.iter().enumerate() {
+            for (other, other_path) in &outputs[i + 1..] {
+                if path.is_some() && path == other_path {
+                    args.warnings.push(format!(
+                        "{flag} and {other} point at the same file; one writer clobbers the other"
+                    ));
+                }
             }
         }
         args
@@ -264,7 +262,6 @@ impl BenchArgs {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::path::Path;
 
     #[test]
     fn defaults_apply_the_quick_preset() {
@@ -273,7 +270,6 @@ mod tests {
         assert_eq!(a.spec.budget, 250);
         assert_eq!(a.spec.map_trials, 300);
         assert_eq!(a.spec.seed, 1);
-        assert!(a.spec.checkpoint.is_none() && !a.spec.resume);
         assert!(a.warnings.is_empty());
     }
 
@@ -304,26 +300,6 @@ mod tests {
     fn models_split_on_commas_and_trim() {
         let a = BenchArgs::parse_from(&["--models", "resnet18, mobilenet_v2"], 100);
         assert_eq!(a.spec.models, vec!["resnet18", "mobilenet_v2"]);
-    }
-
-    #[test]
-    fn checkpoint_flags_parse_into_the_spec() {
-        let a = BenchArgs::parse_from(
-            &[
-                "--checkpoint",
-                "/tmp/run.ckpt",
-                "--resume",
-                "--out",
-                "result.json",
-            ],
-            100,
-        );
-        assert_eq!(
-            a.spec.checkpoint.as_deref(),
-            Some(Path::new("/tmp/run.ckpt"))
-        );
-        assert!(a.spec.resume);
-        assert_eq!(a.out.as_deref(), Some("result.json"));
     }
 
     #[test]
@@ -358,14 +334,6 @@ mod tests {
         assert_eq!(a.spec.budget, 10);
         assert_eq!(a.warnings.len(), 1);
         assert!(a.warnings[0].contains("--bogus"));
-        // The checkpoint cadence is gone: a checkpoint is written once,
-        // when each run starts.
-        let a = BenchArgs::parse_from(&["--checkpoint-every", "1"], 100);
-        assert!(
-            a.warnings[0].contains("ignoring unknown argument --checkpoint-every"),
-            "{:?}",
-            a.warnings
-        );
     }
 
     #[test]
@@ -385,7 +353,6 @@ mod tests {
             "--models",
             "--trace-out",
             "--metrics-out",
-            "--checkpoint",
             "--out",
             "--json",
             "--cache-dir",
@@ -452,37 +419,23 @@ mod tests {
     }
 
     #[test]
-    fn resume_without_checkpoint_warns() {
-        let a = BenchArgs::parse_from(&["--resume"], 100);
-        assert!(a.spec.resume && a.spec.checkpoint.is_none());
-        assert_eq!(a.warnings.len(), 1);
-        assert!(
-            a.warnings[0].contains("--resume has no effect without --checkpoint"),
-            "{:?}",
-            a.warnings
-        );
-        // With a checkpoint the combination is legitimate.
-        let a = BenchArgs::parse_from(&["--resume", "--checkpoint", "x.ckpt"], 100);
-        assert!(a.warnings.is_empty(), "{:?}", a.warnings);
-    }
-
-    #[test]
     fn json_colliding_with_out_or_trace_out_warns() {
-        let a = BenchArgs::parse_from(&["--json", "same.json", "--out", "same.json"], 100);
-        assert_eq!(a.warnings.len(), 1);
-        assert!(
-            a.warnings[0].contains("--json and --out"),
-            "{:?}",
-            a.warnings
-        );
-
-        let a = BenchArgs::parse_from(&["--json", "t.jsonl", "--trace-out", "t.jsonl"], 100);
-        assert_eq!(a.warnings.len(), 1);
-        assert!(
-            a.warnings[0].contains("--json and --trace-out"),
-            "{:?}",
-            a.warnings
-        );
+        // Every pair of output flags naming one file gets one warning that
+        // names both flags: `--json` against `--out` or `--trace-out`, and
+        // the pairs without `--json` too, e.g. the Prometheus sink renaming
+        // its snapshot over the trace.
+        let flags = ["--out", "--json", "--trace-out", "--metrics-out"];
+        for (i, flag) in flags.iter().enumerate() {
+            for other in &flags[i + 1..] {
+                let a = BenchArgs::parse_from(&[flag, "same", other, "same"], 100);
+                assert_eq!(a.warnings.len(), 1, "{flag} {other}: {:?}", a.warnings);
+                let expected = format!("{flag} and {other} point at the same file");
+                assert!(a.warnings[0].contains(&expected), "{:?}", a.warnings);
+            }
+        }
+        // Three flags on one file are three colliding pairs.
+        let a = BenchArgs::parse_from(&["--out", "x", "--json", "x", "--trace-out", "x"], 100);
+        assert_eq!(a.warnings.len(), 3, "{:?}", a.warnings);
 
         // Distinct paths coexist silently.
         let a = BenchArgs::parse_from(
@@ -493,6 +446,8 @@ mod tests {
                 "o.json",
                 "--trace-out",
                 "t.jsonl",
+                "--metrics-out",
+                "m.prom",
             ],
             100,
         );
@@ -500,5 +455,6 @@ mod tests {
         assert_eq!(a.json.as_deref(), Some("r.json"));
         assert_eq!(a.out.as_deref(), Some("o.json"));
         assert_eq!(a.trace_out.as_deref(), Some("t.jsonl"));
+        assert_eq!(a.metrics_out.as_deref(), Some("m.prom"));
     }
 }

@@ -3,8 +3,8 @@
 //! Every binary in `src/bin/` reproduces one table or figure of the
 //! paper's evaluation (see DESIGN.md's experiment index). This library
 //! provides the common pieces: CLI argument handling with a `--quick`
-//! preset, the [`Harness`] that builds evaluators and runs techniques
-//! under the command line's checkpoint policy, the technique registry
+//! preset, the [`Harness`] that builds evaluators over the command line's
+//! disk tier and runs techniques, the technique registry
 //! (every baseline plus Explainable-DSE, each in the fixed-dataflow and
 //! codesign settings), and plain-text table rendering so each binary
 //! prints the same rows/series the paper reports.
@@ -12,10 +12,9 @@
 use edse_core::cost::Trace;
 use edse_core::evaluate::{CodesignEvaluator, Evaluator};
 use edse_core::space::{edge_space, DesignSpace};
-use edse_core::{DiskCache, DseResult, DseTechnique, JobSpec, SearchDriver};
+use edse_core::{DiskCache, DseResult, DseTechnique, SearchDriver};
 use edse_telemetry::{Collector, Level};
 use mapper::{FixedMapper, LinearMapper, MappingOptimizer, RandomMapper};
-use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use workloads::DnnModel;
 
@@ -37,12 +36,12 @@ pub fn fail(telemetry: &Collector, message: &str) -> ! {
     std::process::exit(1)
 }
 
-/// What every run of one bench process shares: the command line's
-/// [`JobSpec`], the telemetry collector and the disk tier. Build it once
-/// in `main`; [`Harness::run`] is where a binary's runs take the spec's
-/// checkpoint policy.
+/// What every run of one bench process shares: the telemetry collector
+/// and the disk tier. Build it once in `main`. Rerunning a binary with the
+/// same `--cache-dir` resumes an interrupted run: every layer outcome it
+/// persisted is read back instead of mapped, and the output is
+/// bit-identical to an uninterrupted run's.
 pub struct Harness {
-    spec: JobSpec,
     telemetry: Collector,
     /// The open disk tier, `Ok(None)` without one, or why the directory
     /// could not be opened.
@@ -50,21 +49,14 @@ pub struct Harness {
 }
 
 impl Harness {
-    /// Opens the process's disk tier (once; every evaluator the harness
-    /// builds shares it), wiring its telemetry through `telemetry`: the
-    /// `--cache-dir` store, or else, with `--checkpoint BASE`, the store
-    /// `BASE.cache/`, so that every checkpointed run persists the layer
-    /// outcomes its resume reuses. A directory that cannot be opened
-    /// degrades to no disk tier with a `Warn` log rather than failing the
-    /// run.
+    /// Opens the process's disk tier, the `--cache-dir` store (once;
+    /// every evaluator the harness builds shares it), wiring its telemetry
+    /// through `telemetry`. A directory that cannot be opened degrades to
+    /// no disk tier with a `Warn` log rather than failing the run.
     pub fn new(args: &BenchArgs, telemetry: &Collector) -> Self {
-        let dir = match (&args.cache_dir, args.no_disk_cache, &args.spec.checkpoint) {
-            (Some(dir), false, _) => Some(dir.clone()),
-            (_, _, Some(base)) => Some(suffixed(base, "cache")),
-            _ => None,
-        };
+        let dir = args.cache_dir.as_ref().filter(|_| !args.no_disk_cache);
         let disk = match dir {
-            Some(dir) => match DiskCache::open_with(&dir, telemetry.clone()) {
+            Some(dir) => match DiskCache::open_with(dir, telemetry.clone()) {
                 Ok(cache) => Ok(Some(Arc::new(cache))),
                 Err(e) => {
                     let msg = format!(
@@ -78,7 +70,6 @@ impl Harness {
             None => Ok(None),
         };
         Harness {
-            spec: args.spec.clone(),
             telemetry: telemetry.clone(),
             disk,
         }
@@ -105,46 +96,19 @@ impl Harness {
 
     /// Runs `technique` on `evaluator` for `budget` evaluations through
     /// [`SearchDriver`], then flushes the collector so each run snapshots
-    /// its own counter traffic into the trace. With `--checkpoint <base>`
-    /// the run writes its checkpoint to `<base>.<label>` when it starts
-    /// and, with `--resume`, resumes from it; so the labels of one
-    /// binary's runs must differ. A checkpoint that cannot be written, or
-    /// cannot be resumed (corrupt, another schema version, or another
-    /// technique or budget), ends the process with exit status 1 before
-    /// anything is evaluated, naming the file.
+    /// its own counter traffic into the trace.
     pub fn run(
         &self,
-        label: &str,
         technique: Box<dyn DseTechnique + '_>,
         evaluator: &dyn Evaluator,
         budget: usize,
     ) -> DseResult {
-        let checkpoint = self
-            .spec
-            .checkpoint
-            .as_ref()
-            .map(|base| suffixed(base, label));
-        let spec = JobSpec {
-            checkpoint,
-            ..self.spec.clone()
-        };
         let result = SearchDriver::new(technique, evaluator, budget)
             .telemetry(self.telemetry.clone())
-            .spec(&spec)
-            .unwrap_or_else(|e| fail(&self.telemetry, &e))
             .run_to_completion();
         self.telemetry.flush();
         result
     }
-}
-
-/// `<base>.<suffix>`: where a `--checkpoint` base puts a run's checkpoint
-/// and the process's disk tier.
-fn suffixed(base: &Path, suffix: &str) -> PathBuf {
-    let mut path = base.as_os_str().to_os_string();
-    path.push(".");
-    path.push(suffix);
-    PathBuf::from(path)
 }
 
 /// How mappings are obtained during hardware exploration.
@@ -227,8 +191,9 @@ impl TechniqueKind {
         }
     }
 
-    /// Technique name, as in traces and [`JobSpec::technique`], e.g.
-    /// `"hypermapper"`; [`baselines::by_name`] builds the technique from it.
+    /// Technique name, as in traces and
+    /// [`edse_core::JobSpec::technique`], e.g. `"hypermapper"`;
+    /// [`baselines::by_name`] builds the technique from it.
     pub fn name(self) -> &'static str {
         match self {
             TechniqueKind::Grid => "grid",
@@ -247,9 +212,7 @@ impl TechniqueKind {
 /// edge space, through [`Harness::run`]: Explainable-DSE emits its
 /// per-attempt iteration records, a black-box baseline one comparable
 /// record per sample, and the evaluator reports cache and stage metrics.
-/// The trace is labelled `<technique><suffix>`, and a checkpointed run
-/// writes its checkpoint to `<base>.<technique><suffix>.<Model>`, so every
-/// model and setting of a binary keeps its own checkpoint. The result's
+/// The trace is labelled `<technique><suffix>`. The result's
 /// [`DseResult::converged_after`] is empty for a black box.
 pub fn run_technique(
     harness: &Harness,
@@ -262,14 +225,7 @@ pub fn run_technique(
     let evaluator = harness.evaluator(edge_space(), vec![model.clone()], mapper.build(seed));
     let technique = baselines::by_name(kind.name(), seed).expect("every kind is registered");
     let label = format!("{}{}", kind.name(), mapper.suffix());
-    harness
-        .run(
-            &format!("{label}.{}", model.name()),
-            technique,
-            &evaluator,
-            budget,
-        )
-        .labelled(label)
+    harness.run(technique, &evaluator, budget).labelled(label)
 }
 
 /// Formats a latency cell the way Table 2 does: the value, `-` when no
@@ -410,36 +366,6 @@ mod tests {
     }
 
     #[test]
-    fn each_model_of_a_checkpointed_run_keeps_its_own_snapshot() {
-        let dir = std::env::temp_dir().join(format!("edse-bench-snapshots-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let base = dir.join("run.ckpt");
-        let harness = harness(
-            &["--checkpoint", base.to_str().unwrap()],
-            &Collector::noop(),
-        );
-        let models = [zoo::resnet18(), zoo::mobilenet_v2()];
-        for model in &models {
-            let kind = TechniqueKind::Random;
-            run_technique(&harness, kind, MapperKind::FixedDataflow, model, 4, 3);
-        }
-        for model in &models {
-            let path = dir.join(format!("run.ckpt.random-fixdf.{}", model.name()));
-            let snapshot = edse_core::load_snapshot(&path).unwrap();
-            assert_eq!(
-                (snapshot.technique.as_str(), snapshot.budget),
-                ("random", 4)
-            );
-        }
-        // The runs' layer outcomes are in the disk tier beside the
-        // checkpoints.
-        let disk = edse_core::DiskCache::open(dir.join("run.ckpt.cache")).unwrap();
-        assert!(!disk.is_empty());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn cache_dir_opens_a_shared_disk_tier() {
         let dir = std::env::temp_dir().join(format!("edse-cli-cache-{}", std::process::id()));
         assert!(matches!(harness(&[], &Collector::noop()).disk, Ok(None)));
@@ -459,30 +385,6 @@ mod tests {
             Harness::new(&a, &Collector::noop()).disk,
             Ok(None)
         ));
-
-        // A checkpointed run always gets a disk tier: --cache-dir when one
-        // is in effect, else one beside the checkpoint base.
-        let base = dir.join("C");
-        let base_s = base.to_str().unwrap();
-        let disk_dir = |argv: &[&str]| match harness(argv, &Collector::noop()).disk {
-            Ok(Some(disk)) => disk.dir().to_path_buf(),
-            other => panic!("{argv:?}: no disk tier ({:?})", other.err()),
-        };
-        assert_eq!(
-            disk_dir(&["--checkpoint", base_s, "--cache-dir", dir_s]),
-            dir
-        );
-        assert_eq!(disk_dir(&["--checkpoint", base_s]), dir.join("C.cache"));
-        assert_eq!(
-            disk_dir(&[
-                "--checkpoint",
-                base_s,
-                "--cache-dir",
-                dir_s,
-                "--no-disk-cache"
-            ]),
-            dir.join("C.cache")
-        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -6,7 +6,7 @@
 //! feasible objective, iterations-to-incumbent, feasibility rate, every
 //! sample's objective) plus experiment-specific scalar metrics — and
 //! serializes them as one JSON document. Wall-clock times are deliberately
-//! excluded so reports from different hosts (or interrupted-and-resumed
+//! excluded so reports from different hosts (or killed-and-rerun
 //! runs) are byte-comparable; the conformance crate pins these reports as
 //! golden fixtures.
 

@@ -13,8 +13,8 @@
 //! * **Differential oracles** (`tests/oracles.rs`) — pairs of code paths
 //!   the codebase promises are equivalent: serial vs parallel
 //!   [`edse_core::EvalEngine`] batches, straight-through vs
-//!   killed-and-resumed runs checkpointed through
-//!   [`edse_core::SearchDriver::spec`], cold vs warm
+//!   killed-and-resumed runs (the resume reruns the search over the
+//!   killed run's disk tier), cold vs warm
 //!   runs over a persistent [`edse_core::DiskCache`] (bit-identical, with
 //!   a ≥ 99% disk hit rate when warm), and the evaluator's cached fast
 //!   path vs the straight-line [`reference::NaiveReferenceEvaluator`].

@@ -59,7 +59,7 @@ pub fn toy_technique(kind: TechniqueKind, seed: u64) -> Box<dyn DseTechnique> {
 
 /// Runs one technique against an arbitrary evaluator (the scenarios' and
 /// paper-bound tests' shared driver; mirrors `bench::run_technique`
-/// without the telemetry/checkpoint plumbing the fixtures don't pin).
+/// without the telemetry and disk-tier plumbing the fixtures don't pin).
 pub fn run_with<E: Evaluator>(
     kind: TechniqueKind,
     evaluator: E,

@@ -3,9 +3,9 @@
 //!
 //! 1. Serial vs parallel [`EvalEngine`] batches (and whole searches).
 //! 2. Straight-through vs killed-and-resumed runs — the explainable
-//!    search and the baselines — checkpointed through
-//!    [`SearchDriver::spec`] and resumed over the disk tier the killed
-//!    run wrote, which maps exactly what the killed run left undone.
+//!    search and the baselines — where the resume is the same search run
+//!    again over the disk tier the killed run wrote, and maps exactly what
+//!    the killed run left undone.
 //! 3. Cold vs warm runs over a persistent [`DiskCache`] — the identical
 //!    search (explainable and every baseline technique) replayed against a
 //!    warmed cache directory must be bit-identical to the cold run and
@@ -23,7 +23,7 @@ use edse_core::dse::{DseConfig, DseResult};
 use edse_core::evaluate::{CodesignEvaluator, EvalEngine, Evaluator};
 use edse_core::fault::EvalFault;
 use edse_core::space::{edge_space, DesignPoint, DesignSpace};
-use edse_core::{DiskCache, JobSpec, SearchDriver, SearchSession};
+use edse_core::{DiskCache, SearchSession};
 use edse_telemetry::Collector;
 use mapper::FixedMapper;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -260,31 +260,18 @@ fn killed_and_resumed_search_session_matches_straight_through() {
     // resuming a completed run).
     for kill_after in [1usize, 9, 23, 10_000] {
         let dir = temp_cache_dir("search-kill");
-        let spec = JobSpec {
-            checkpoint: Some(dir.join("checkpoint.json")),
-            ..JobSpec::default()
-        };
         let killed_ev = KillSwitch::new(edge_evaluator_on_disk(&dir), kill_after);
         let killed = catch_unwind(AssertUnwindSafe(|| {
             SearchSession::new(dnn_latency_model(), config.clone())
                 .evaluator(&killed_ev)
-                .driver(initial.clone())
-                .spec(&spec)
-                .expect("a fresh checkpoint")
-                .run_to_completion()
+                .run(initial.clone())
         }));
         drop(killed_ev);
         let resumed_ev = edge_evaluator_on_disk(&dir);
         let left = resumed_ev.cache_stats().disk.expect("disk tier").entries as u64;
         let resumed = SearchSession::new(dnn_latency_model(), config.clone())
             .evaluator(&resumed_ev)
-            .driver(initial.clone())
-            .spec(&JobSpec {
-                resume: true,
-                ..spec
-            })
-            .expect("the killed run's checkpoint resumes")
-            .run_to_completion();
+            .run(initial.clone());
         assert_results_identical(&resumed, &reference);
         assert_eq!(
             resumed_ev.unique_evaluations(),
@@ -317,29 +304,14 @@ fn killed_and_resumed_baseline_session_matches_straight_through() {
 
         for kill_after in [3usize, 12, 10_000] {
             let dir = temp_cache_dir("baseline-kill");
-            let spec = JobSpec {
-                checkpoint: Some(dir.join("checkpoint.json")),
-                ..JobSpec::default()
-            };
             let killed_ev = KillSwitch::new(edge_evaluator_on_disk(&dir), kill_after);
             let killed = catch_unwind(AssertUnwindSafe(|| {
-                SearchDriver::new(technique(), &killed_ev, budget)
-                    .spec(&spec)
-                    .expect("a fresh checkpoint")
-                    .run_to_completion()
-                    .into_trace()
+                BaselineSession::new(technique().as_mut()).run(&killed_ev, budget)
             }));
             drop(killed_ev);
             let resumed_ev = edge_evaluator_on_disk(&dir);
             let left = resumed_ev.cache_stats().disk.expect("disk tier").entries as u64;
-            let resumed = SearchDriver::new(technique(), &resumed_ev, budget)
-                .spec(&JobSpec {
-                    resume: true,
-                    ..spec
-                })
-                .expect("the killed run's checkpoint resumes")
-                .run_to_completion()
-                .into_trace();
+            let resumed = BaselineSession::new(technique().as_mut()).run(&resumed_ev, budget);
             let what = format!("{name} kill_after={kill_after}");
             assert_eq!(resumed.samples, reference.samples, "{what}");
             assert_eq!(resumed.technique, reference.technique);

@@ -15,9 +15,9 @@
 //! candidates, and the update rule runs once the attempt's candidates are
 //! used up or the budget is spent. The search counts its own budget — the
 //! distinct points it has seen evaluate successfully — so its path never
-//! depends on what the evaluator cached before, which is what lets a resume
-//! restore the caches and replay the search from the start (see
-//! [`crate::SearchDriver`] and [`crate::checkpoint`]).
+//! depends on what the evaluator cached before, which is what lets a rerun
+//! over an interrupted run's disk tier replay the search from the start
+//! (see [`crate::SearchDriver`]).
 
 use crate::bottleneck::dnn::LayerCtx;
 use crate::bottleneck::model::BottleneckModel;
@@ -302,7 +302,7 @@ struct PhaseState {
 }
 
 /// An acquisition attempt whose candidates are still being handed out and
-/// observed. It lives only in the technique: a resume replays the search,
+/// observed. It lives only in the technique: a rerun replays the search,
 /// so it is never serialized.
 struct InFlight {
     /// The provenance iteration of every candidate the attempt proposes.
@@ -1482,68 +1482,6 @@ mod tests {
         assert!(disk_stats.hits > 0);
         drop(evaluator);
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn resuming_a_completed_snapshot_reproduces_the_result() {
-        use crate::{DiskCache, Evaluator};
-        use std::sync::Arc;
-        let dir = std::env::temp_dir().join(format!(
-            "edse-dse-test-completed-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let path = dir.join("checkpoint.json");
-        let config = DseConfig {
-            budget: 60,
-            ..DseConfig::default()
-        };
-        let evaluator = |disk: &Arc<DiskCache>| {
-            CodesignEvaluator::new(edge_space(), vec![zoo::resnet18()], FixedMapper)
-                .with_disk_cache(disk.clone())
-        };
-        let first_ev = evaluator(&Arc::new(DiskCache::open(&dir).unwrap()));
-        let initial = first_ev.space().minimum_point();
-        let first = SearchSession::new(dnn_latency_model(), config.clone())
-            .evaluator(&first_ev)
-            .driver(initial.clone())
-            .spec(&crate::job::JobSpec {
-                checkpoint: Some(path.clone()),
-                ..crate::job::JobSpec::default()
-            })
-            .unwrap()
-            .run_to_completion();
-        assert!(
-            path.exists(),
-            "the checkpoint is written when the run starts"
-        );
-        let records = first_ev.cache_stats().disk.unwrap().appends;
-        drop(first_ev);
-        // Resuming a *finished* run re-reports the identical result from a
-        // fresh evaluator on the same disk tier: the replayed search is
-        // assembled from the persisted layer outcomes without a single
-        // mapper call.
-        let fresh = evaluator(&Arc::new(DiskCache::open(&dir).unwrap()));
-        let resumed = SearchSession::new(dnn_latency_model(), config)
-            .evaluator(&fresh)
-            .driver(initial)
-            .spec(&crate::job::JobSpec {
-                checkpoint: Some(path.clone()),
-                resume: true,
-                ..crate::job::JobSpec::default()
-            })
-            .unwrap()
-            .run_to_completion();
-        assert_eq!(first.trace().samples, resumed.trace().samples);
-        assert_eq!(first.attempts(), resumed.attempts());
-        assert_eq!(first.best(), resumed.best());
-        assert_eq!(first.converged_after(), resumed.converged_after());
-        assert_eq!(first.termination(), resumed.termination());
-        let disk = fresh.cache_stats().disk.unwrap();
-        assert_eq!((disk.misses, disk.hits), (0, records));
-        drop(fresh);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

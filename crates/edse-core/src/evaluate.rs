@@ -32,13 +32,12 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use workloads::{DnnModel, LayerShape};
 
-/// What [`Evaluator::cache_snapshot`] returns: nothing. A checkpoint
-/// holds no evaluator state, because a resume reads the layer outcomes of
-/// the interrupted run from the disk tier by key (see
-/// [`crate::SearchDriver::spec`]). The type and the two trait methods stay
-/// only because the benchmark crate's `TracedEvaluator`
-/// (`perfbench/src/trace.rs`) forwards them; nothing in the workspace
-/// calls or overrides them.
+/// What [`Evaluator::cache_snapshot`] returns: nothing. A resume is a
+/// rerun over the interrupted run's disk tier, which reads its layer
+/// outcomes back by key, so no evaluator state is ever saved. The type and
+/// the two trait methods stay only because the benchmark crate's
+/// `TracedEvaluator` (`perfbench/src/trace.rs`) forwards them; nothing in
+/// the workspace calls or overrides them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheSnapshot;
 
@@ -532,7 +531,8 @@ impl<M: MappingOptimizer> CodesignEvaluator<M> {
     /// Invalidates nothing, and never changes results: a warm run is
     /// bit-identical to a cold one (the disk stores exactly what the
     /// mapper would recompute). Faulted mappings are *not* persisted: a
-    /// new process, a resumed one included, maps them again.
+    /// new process, a rerun of an interrupted one included, maps them
+    /// again.
     pub fn with_disk_cache(mut self, cache: Arc<DiskCache>) -> Self {
         self.disk_cache = Some(cache);
         self.disk_error = None;

@@ -2,18 +2,17 @@
 //!
 //! One struct describes a job for every front end: it is the `POST /jobs`
 //! request body of `edse-serve` (via the zero-dependency JSON layer) and
-//! the backing store of the bench harness's `BenchArgs`. Its checkpoint
-//! path and resume policy take effect in one place,
-//! [`crate::SearchDriver::spec`], which both front ends call. Anything a
-//! job needs that is *not* derivable from the evaluator itself lives
-//! here.
+//! the backing store of the bench harness's `BenchArgs`. Anything a job
+//! needs that is *not* derivable from the evaluator itself lives here.
+//!
+//! A spec is the whole identity of a search: the same spec run again over
+//! the same disk tier resumes it, so there is no checkpoint member.
 
 use edse_telemetry::json::{self, Json};
-use std::path::PathBuf;
 
 /// A complete, serializable description of one DSE job: which technique to
-/// run, over which models and space, with which budget and knobs, and how
-/// to checkpoint it.
+/// run, over which models and space, with which budget and knobs. Running
+/// it again over the disk tier of an interrupted run resumes that run.
 ///
 /// JSON (de)serialization goes through the telemetry crate's zero-dep JSON
 /// layer ([`JobSpec::to_json`] / [`JobSpec::from_json`]); every field is
@@ -39,13 +38,6 @@ pub struct JobSpec {
     pub space: String,
     /// Mapper label: `"fixed"`, `"random"`, or `"linear"`.
     pub mapper: String,
-    /// Checkpoint file path; `None` disables checkpointing. The file,
-    /// which records the technique and the budget, is written when the
-    /// search starts; the work a resume reuses lives in the evaluator's
-    /// disk tier.
-    pub checkpoint: Option<PathBuf>,
-    /// Resume from `checkpoint` when the checkpoint file exists.
-    pub resume: bool,
 }
 
 impl Default for JobSpec {
@@ -58,16 +50,13 @@ impl Default for JobSpec {
             models: Vec::new(),
             space: "edge".to_string(),
             mapper: "fixed".to_string(),
-            checkpoint: None,
-            resume: false,
         }
     }
 }
 
 impl JobSpec {
-    /// Serializes the spec as a JSON object (the `POST /jobs` body shape).
-    /// A `None` checkpoint is emitted as `null` so the output round-trips
-    /// through [`JobSpec::from_json`] unchanged.
+    /// Serializes the spec as a JSON object (the `POST /jobs` body shape);
+    /// the output round-trips through [`JobSpec::from_json`] unchanged.
     pub fn to_json(&self) -> Json {
         Json::obj(vec![
             ("technique", Json::Str(self.technique.clone())),
@@ -80,14 +69,6 @@ impl JobSpec {
             ),
             ("space", Json::Str(self.space.clone())),
             ("mapper", Json::Str(self.mapper.clone())),
-            (
-                "checkpoint",
-                match &self.checkpoint {
-                    Some(path) => Json::Str(path.display().to_string()),
-                    None => Json::Null,
-                },
-            ),
-            ("resume", Json::Bool(self.resume)),
         ])
     }
 
@@ -139,12 +120,6 @@ impl JobSpec {
         if let Some(v) = get("mapper") {
             spec.mapper = req_str(v, "mapper")?;
         }
-        if let Some(v) = get("checkpoint") {
-            spec.checkpoint = Some(PathBuf::from(req_str(v, "checkpoint")?));
-        }
-        if let Some(v) = get("resume") {
-            spec.resume = v.as_bool().ok_or("`resume` must be a boolean")?;
-        }
         Ok(spec)
     }
 
@@ -156,7 +131,7 @@ impl JobSpec {
 }
 
 /// The JSON members [`JobSpec::from_json`] reads, one per field.
-const FIELDS: [&str; 9] = [
+const FIELDS: [&str; 7] = [
     "technique",
     "budget",
     "map_trials",
@@ -164,8 +139,6 @@ const FIELDS: [&str; 9] = [
     "models",
     "space",
     "mapper",
-    "checkpoint",
-    "resume",
 ];
 
 fn req_str(value: &Json, key: &str) -> Result<String, String> {
@@ -203,8 +176,6 @@ mod tests {
             models: vec!["resnet18".to_string(), "mobilenet_v2".to_string()],
             space: "toy".to_string(),
             mapper: "random".to_string(),
-            checkpoint: Some(PathBuf::from("/tmp/ck")),
-            resume: true,
         };
         let back = JobSpec::from_json_str(&spec.to_json_string()).unwrap();
         assert_eq!(spec, back);
@@ -216,7 +187,6 @@ mod tests {
         assert_eq!(spec.technique, "grid");
         assert_eq!(spec.budget, 5);
         assert_eq!(spec.seed, JobSpec::default().seed);
-        assert!(spec.checkpoint.is_none());
     }
 
     #[test]
@@ -229,13 +199,17 @@ mod tests {
     #[test]
     fn unknown_members_are_errors_that_name_the_member() {
         // A typo, the two members that were once fields but that nothing
-        // read, and the checkpoint cadence, which a checkpoint written once
-        // at the start no longer has.
+        // read, and the checkpoint members: a rerun over the same disk tier
+        // is the resume, so a body that still asks for a checkpoint file
+        // must not run as if it had one.
         for (body, member) in [
             (r#"{"budjet":5}"#, "budjet"),
             (r#"{"threads":4}"#, "threads"),
             (r#"{"cache_dir":"/x"}"#, "cache_dir"),
             (r#"{"checkpoint_every":1}"#, "checkpoint_every"),
+            (r#"{"checkpoint":"job1.snapshot"}"#, "checkpoint"),
+            (r#"{"checkpoint":null}"#, "checkpoint"),
+            (r#"{"budget":5,"resume":true}"#, "resume"),
             (r#"{"budget":5,"budjet":5}"#, "budjet"),
         ] {
             let err = JobSpec::from_json_str(body).unwrap_err();

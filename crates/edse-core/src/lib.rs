@@ -21,14 +21,17 @@
 //! * [`dse`] — the constraints-aware, bottleneck-guided exploration loop,
 //!   [`ExplainableDse`], one such technique;
 //! * [`session`] — the one stepwise, cancellable [`SearchDriver`] that
-//!   steps every technique and applies a job's checkpoint/resume policy,
-//!   and the [`SearchSession`] front door of the explainable search
-//!   (builder-style configuration of evaluator and telemetry);
+//!   steps every technique, and the [`SearchSession`] front door of the
+//!   explainable search (builder-style configuration of evaluator and
+//!   telemetry);
 //! * [`job`] — the [`JobSpec`] declarative job description shared by the
-//!   session builder, the bench harness, and the `edse-serve` service;
-//! * [`fault`] / [`checkpoint`] — the evaluation fault boundary and the
-//!   versioned checkpoint file (technique and budget) that a resume
-//!   checks; the work a resume reuses comes from the [`diskcache`].
+//!   bench harness and the `edse-serve` service;
+//! * [`fault`] — the evaluation fault boundary.
+//!
+//! A search resumes by running again over the same [`diskcache`]: every
+//! technique's state is a pure function of its seed, its budget and the
+//! evaluations it has observed, so the rerun lands on the same trajectory
+//! and maps only what the interrupted run left undone.
 //!
 //! # Quick start
 //!
@@ -52,7 +55,6 @@
 //! ```
 
 pub mod bottleneck;
-pub mod checkpoint;
 pub mod cost;
 pub mod diskcache;
 pub mod dse;
@@ -65,7 +67,6 @@ pub mod space;
 pub mod technique;
 
 pub use bottleneck::{dnn_latency_model, BottleneckModel, BottleneckTree, LayerCtx, TreeBuilder};
-pub use checkpoint::{load_snapshot, save_snapshot, Snapshot};
 pub use cost::{Constraint, Evaluation, LayerEval, Sample, Trace};
 pub use diskcache::{DiskCache, DiskCacheStats, LayerOutcome};
 pub use dse::{Attempt, DseConfig, DseResult, ExplainableDse, Explanation};

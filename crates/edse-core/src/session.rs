@@ -4,9 +4,9 @@
 //! [`SearchDriver`] steps any [`DseTechnique`] — the explainable search
 //! and every baseline alike — one ask/tell round at a time: the technique
 //! proposes a batch, the evaluator evaluates it as one batch, and the
-//! technique observes the outcomes. It owns the trace, telemetry,
-//! checkpoints and cancellation, so blocking, stepped, checkpointed and
-//! resumed runs share one code path.
+//! technique observes the outcomes. It owns the trace, telemetry and
+//! cancellation, so blocking, stepped and cancelled runs share one code
+//! path.
 //!
 //! [`SearchSession`] configures an explainable search — model, evaluator,
 //! telemetry — and runs it through that driver:
@@ -30,32 +30,19 @@
 //! assert!(result.trace().evaluations() <= 40);
 //! ```
 //!
-//! Checkpoint/resume policy comes from a [`JobSpec`], and
-//! [`SearchDriver::spec`] is the one place that applies it: it writes the
-//! checkpoint file (the technique label and the budget) once, when the
-//! driver starts, and with `resume` it reads that file only to refuse
-//! another technique or budget. A resume steps a fresh technique from the
-//! start, and the evaluator's disk tier supplies every layer outcome the
-//! interrupted run persisted, so the result is bit-for-bit identical to
-//! the uninterrupted run. A checkpoint that cannot be written or resumed
-//! is an error, never a panic. A checkpointed explainable search is
-//! `session.driver(initial).spec(&spec)?.run_to_completion()`. See
-//! `DESIGN.md` ("Checkpoint/resume") and the README's "Resuming an
-//! interrupted run".
-//!
-//! For *cross-run* (rather than crash-recovery) reuse, attach a persistent
-//! disk cache to the evaluator before handing it to the session
-//! ([`crate::CodesignEvaluator::with_disk_cache`]): layer mappings are then
-//! warm-started from disk across processes, and a warm run stays
-//! bit-identical to a cold one. See the README's "Warm-starting runs".
+//! An interrupted search resumes by running again over the same disk
+//! tier ([`crate::CodesignEvaluator::with_disk_cache`]): the rerun steps a
+//! fresh technique from the start, every layer outcome the interrupted
+//! run persisted is read back instead of mapped, and the result is
+//! bit-for-bit identical to the uninterrupted run. The same rerun is the
+//! *cross-run* warm start. See `DESIGN.md` ("The disk tier and the
+//! determinism contract") and the README's "Warm-starting runs".
 
 use crate::bottleneck::dnn::LayerCtx;
 use crate::bottleneck::model::BottleneckModel;
-use crate::checkpoint::{load_snapshot, save_snapshot, Snapshot};
 use crate::cost::{Evaluation, Sample, Trace};
 use crate::dse::{DseConfig, DseResult, ExplainableDse};
 use crate::evaluate::Evaluator;
-use crate::job::JobSpec;
 use crate::space::DesignPoint;
 use crate::technique::{DseTechnique, Problem};
 use edse_telemetry::Collector;
@@ -99,10 +86,10 @@ pub enum StepOutcome {
     /// Further `step` calls return `Done` without doing work.
     Done,
     /// The [`CancelToken`] fired: no step was taken. Further `step` calls
-    /// return `Cancelled` without doing work. A checkpointed run resumes
-    /// from here like from any other interruption: its checkpoint file was
-    /// written when it started, and its completed layer outcomes are in
-    /// the disk tier.
+    /// return `Cancelled` without doing work. The run resumes like from
+    /// any other interruption: its completed layer outcomes are in the
+    /// evaluator's disk tier, and a rerun of the same search over it
+    /// finishes bit-identically.
     Cancelled,
 }
 
@@ -116,11 +103,10 @@ pub enum StepOutcome {
 /// table, moved across threads, or dropped.
 ///
 /// A technique's state is a pure function of its seed, its budget and the
-/// outcomes it has observed. So a resume (see [`SearchDriver::spec`])
-/// steps a fresh technique from the start: every point it repeats is
-/// assembled from the layer outcomes the evaluator's disk tier holds,
-/// without a mapper call, and the trace is bit-identical to the
-/// uninterrupted run's.
+/// outcomes it has observed. So a resume is a fresh driver over the same
+/// disk tier: every point it repeats is assembled from the layer outcomes
+/// the tier holds, without a mapper call, and the trace is bit-identical
+/// to the uninterrupted run's.
 pub struct SearchDriver<'t, E> {
     technique: Box<dyn DseTechnique + 't>,
     evaluator: E,
@@ -162,58 +148,6 @@ impl<'t, E: Evaluator> SearchDriver<'t, E> {
         self.self_reporting = self.technique.attach_telemetry(&telemetry);
         self.telemetry = telemetry;
         self
-    }
-
-    /// Applies the checkpoint path and resume policy of a [`JobSpec`].
-    ///
-    /// With `resume` set and the checkpoint file present, the file is read
-    /// and must record this run's technique label and budget; nothing is
-    /// restored from it. Otherwise a checkpoint path gets the four-field
-    /// checkpoint file (format, version, technique, budget), written
-    /// atomically now, before anything is evaluated. After `spec` returns
-    /// the driver holds no checkpoint state: the work a resume reuses is
-    /// the layer outcomes the evaluator's disk tier persisted, by key.
-    /// Without a disk tier a checkpointed run still resumes bit-identically,
-    /// by recomputing every mapping.
-    ///
-    /// # Errors
-    ///
-    /// Fails, naming the file, when the checkpoint cannot be written, or
-    /// when resuming and it cannot be loaded (it is corrupt or has another
-    /// schema version) or records a different technique or budget than
-    /// this run: replaying a different search would not reproduce the
-    /// interrupted run.
-    pub fn spec(self, spec: &JobSpec) -> Result<Self, String> {
-        let Some(path) = &spec.checkpoint else {
-            return Ok(self);
-        };
-        let name = &self.trace.technique;
-        if !(spec.resume && path.exists()) {
-            let snapshot = Snapshot {
-                technique: name.clone(),
-                budget: self.budget,
-            };
-            save_snapshot(path, &snapshot)?;
-            return Ok(self);
-        }
-        let _span = self.telemetry.span("session/load_checkpoint");
-        let snapshot = load_snapshot(path).map_err(|e| format!("cannot resume: {e}"))?;
-        if &snapshot.technique != name {
-            return Err(format!(
-                "cannot resume: {} records technique {:?}, this run is {name:?}",
-                path.display(),
-                snapshot.technique
-            ));
-        }
-        if snapshot.budget != self.budget {
-            return Err(format!(
-                "cannot resume: {} records budget {}, this run has {}",
-                path.display(),
-                snapshot.budget,
-                self.budget
-            ));
-        }
-        Ok(self)
     }
 
     /// Uses `token` as the driver's cancellation token instead of a fresh
@@ -348,8 +282,7 @@ impl<'t, E: Evaluator> SearchDriver<'t, E> {
 /// [`SearchSession::evaluator`] (which fixes the second type parameter),
 /// optionally attach telemetry, then either run to completion with
 /// [`SearchSession::run`] or take stepwise control with
-/// [`SearchSession::driver`]. A session does not checkpoint: apply a
-/// [`JobSpec`] to its driver with [`SearchDriver::spec`].
+/// [`SearchSession::driver`].
 pub struct SearchSession<E = ()> {
     dse: ExplainableDse,
     budget: usize,
@@ -410,80 +343,5 @@ impl<E: Evaluator> SearchSession<E> {
         let telemetry = self.telemetry.clone();
         let _run_span = telemetry.span("dse/run");
         self.driver(initial).run_to_completion()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::bottleneck::dnn_latency_model;
-    use crate::evaluate::CodesignEvaluator;
-    use crate::space::edge_space;
-    use mapper::FixedMapper;
-    use std::path::PathBuf;
-    use workloads::zoo;
-
-    fn driver(
-        ev: &CodesignEvaluator<FixedMapper>,
-    ) -> SearchDriver<'static, &CodesignEvaluator<FixedMapper>> {
-        SearchSession::new(
-            dnn_latency_model(),
-            DseConfig {
-                budget: 6,
-                ..DseConfig::default()
-            },
-        )
-        .evaluator(ev)
-        .driver(ev.space().minimum_point())
-    }
-
-    fn scratch(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("edse-session-{}-{tag}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
-    }
-
-    #[test]
-    fn the_checkpoint_exists_when_spec_returns_and_is_never_rewritten() {
-        let dir = scratch("written");
-        let path = dir.join("C");
-        let ev = CodesignEvaluator::new(edge_space(), vec![zoo::resnet18()], FixedMapper);
-        let spec = JobSpec {
-            checkpoint: Some(path.clone()),
-            ..JobSpec::default()
-        };
-        let mut driver = driver(&ev).spec(&spec).expect("a fresh checkpoint");
-        let written = std::fs::read_to_string(&path).expect("written before any step");
-        assert_eq!(
-            written,
-            r#"{"format":"edse-snapshot","version":5,"technique":"explainable","budget":6}"#
-        );
-        assert_eq!(ev.unique_evaluations(), 0);
-        while driver.step() == StepOutcome::Pending {}
-        assert_eq!(std::fs::read_to_string(&path).unwrap(), written);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn an_unwritable_checkpoint_is_an_error_before_anything_is_evaluated() {
-        let dir = scratch("unwritable");
-        let blocker = dir.join("file");
-        std::fs::write(&blocker, b"a regular file").unwrap();
-        let path = blocker.join("C");
-        let ev = CodesignEvaluator::new(edge_space(), vec![zoo::resnet18()], FixedMapper);
-        for resume in [false, true] {
-            let err = driver(&ev)
-                .spec(&JobSpec {
-                    checkpoint: Some(path.clone()),
-                    resume,
-                    ..JobSpec::default()
-                })
-                .err()
-                .expect("the checkpoint cannot be written");
-            assert_eq!(err.matches(path.to_str().unwrap()).count(), 1, "{err}");
-        }
-        assert_eq!(ev.cache_stats().layer.misses, 0, "nothing was evaluated");
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -3,8 +3,8 @@
 //! that it is done. Techniques never see the evaluator; one driver
 //! ([`crate::SearchDriver`]) owns the loop, so the explainable search
 //! ([`crate::ExplainableDse`]) and the black-box baselines (the
-//! `baselines` crate) share one code path for blocking, stepped,
-//! checkpointed and resumed runs, and report the same [`Trace`] format.
+//! `baselines` crate) share one code path for blocking, stepped and
+//! cancelled runs, and report the same [`Trace`] format.
 
 use crate::cost::{Constraint, Evaluation, Sample, Trace};
 use crate::dse::Explanation;
@@ -55,8 +55,8 @@ pub type EvalResult = Result<Evaluation, EvalFault>;
 /// A DSE technique as an ask/tell state machine: it proposes batches of
 /// design points and observes their outcomes until it reports that it is
 /// done. Its state is a pure function of its seed, the problem, and the
-/// outcomes it has observed, which is what makes a resumed run (restore
-/// the evaluator caches, step a fresh technique from the start)
+/// outcomes it has observed, which is what makes a resumed run (step a
+/// fresh technique from the start over the interrupted run's disk tier)
 /// bit-identical to an uninterrupted one.
 ///
 /// A technique explores once: build a fresh one per run. Techniques are
@@ -101,7 +101,7 @@ pub trait DseTechnique: Send {
     }
 
     /// Runs the exploration against an evaluator for `budget` evaluations,
-    /// without telemetry or checkpointing.
+    /// without telemetry.
     fn run(&mut self, evaluator: &dyn Evaluator, budget: usize) -> Trace {
         SearchDriver::new(Box::new(self), evaluator, budget)
             .run_to_completion()

@@ -1,8 +1,8 @@
 //! Property-based tests for the bottleneck trees, the design space, the
-//! trace/constraint utilities, the checkpoint/resume + fault-tolerance
+//! trace/constraint utilities, the kill-and-rerun + fault-tolerance
 //! acceptance criteria (determinism under interruption, graceful
-//! degradation under injected faults), and the decoders of the disk cache,
-//! snapshot files and job specs under damaged bytes.
+//! degradation under injected faults), and the decoders of the disk cache
+//! and job specs under damaged bytes.
 
 use accel_model::AcceleratorConfig;
 use edse_core::bottleneck::dnn_latency_model;
@@ -13,9 +13,7 @@ use edse_core::dse::{Attempt, DseConfig, DseResult};
 use edse_core::evaluate::{CodesignEvaluator, EvalEngine, Evaluator};
 use edse_core::fault::EvalFault;
 use edse_core::space::{edge_space, DesignPoint, DesignSpace, ParamDef};
-use edse_core::{
-    load_snapshot, save_snapshot, DiskCache, DiskCacheStats, JobSpec, LayerOutcome, SearchSession,
-};
+use edse_core::{DiskCache, DiskCacheStats, JobSpec, LayerOutcome, SearchSession};
 use edse_telemetry::{Collector, MemorySink};
 use mapper::{FaultInjector, FixedMapper, MappingOptimizer};
 use proptest::prelude::*;
@@ -193,7 +191,7 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Checkpoint/resume + fault-tolerance acceptance tests
+// Kill-and-rerun + fault-tolerance acceptance tests
 // ---------------------------------------------------------------------------
 
 /// Installs (once per process) a panic hook that swallows the panics these
@@ -216,12 +214,6 @@ fn silence_expected_panics() {
             }
         }));
     });
-}
-
-fn temp_snapshot_path(tag: &str) -> PathBuf {
-    static SEQ: AtomicU64 = AtomicU64::new(0);
-    let n = SEQ.fetch_add(1, Ordering::Relaxed);
-    std::env::temp_dir().join(format!("edse-props-{}-{tag}-{n}.json", std::process::id()))
 }
 
 /// Wraps an evaluator and panics once `kill_after` evaluation requests have
@@ -304,10 +296,10 @@ proptest! {
 
     /// Determinism under interruption: for a random kill point `k`, a run
     /// killed after `k` evaluation requests (possibly mid-batch, possibly
-    /// never) and then resumed over the disk tier it wrote produces a
+    /// never) and then run again over the disk tier it wrote produces a
     /// `DseResult` — incumbent, attempt sequence, sample trace,
     /// unique-evaluation count — bit-identical to an uninterrupted run,
-    /// with the serial and the parallel `EvalEngine` alike. The resume maps
+    /// with the serial and the parallel `EvalEngine` alike. The rerun maps
     /// exactly what the killed run left undone: its disk hits are the
     /// records the killed run left, and its disk misses (its mapper calls)
     /// are the rest of the uninterrupted run's layer mappings.
@@ -330,34 +322,24 @@ proptest! {
         // Killed run over a fresh disk tier: die after `kill_after`
         // evaluation requests.
         let dir = temp_cache_dir("kill");
-        let path = dir.join("checkpoint.json");
         let on_disk = |ev: CodesignEvaluator<FixedMapper>| {
             ev.with_disk_cache(Arc::new(DiskCache::open(&dir).expect("open cache dir")))
-        };
-        let spec = JobSpec {
-            checkpoint: Some(path.clone()),
-            ..JobSpec::default()
         };
         let killed_ev = KillSwitch::new(on_disk(fresh_evaluator(parallel)), kill_after);
         let killed = catch_unwind(AssertUnwindSafe(|| {
             SearchSession::new(dnn_latency_model(), config.clone())
                 .evaluator(&killed_ev)
-                .driver(initial.clone())
-                .spec(&spec)
-                .expect("a fresh checkpoint")
-                .run_to_completion()
+                .run(initial.clone())
         }));
         drop(killed_ev);
 
-        // Resume on a fresh evaluator over the same directory.
+        // Rerun the same search on a fresh evaluator over the same
+        // directory.
         let resumed_ev = on_disk(fresh_evaluator(parallel));
         let left = resumed_ev.cache_stats().disk.expect("disk tier").entries as u64;
         let resumed = SearchSession::new(dnn_latency_model(), config.clone())
             .evaluator(&resumed_ev)
-            .driver(initial)
-            .spec(&JobSpec { resume: true, ..spec })
-            .expect("the killed run's checkpoint resumes")
-            .run_to_completion();
+            .run(initial);
 
         assert_results_identical(&resumed, &reference);
         prop_assert_eq!(
@@ -547,7 +529,7 @@ proptest! {
     }
 }
 
-/// One way of damaging a file's bytes (a snapshot or a cache segment).
+/// One way of damaging a file's bytes (a job spec or a cache segment).
 /// Positions are taken modulo the length, so every mutation applies to any
 /// file.
 #[derive(Debug, Clone)]
@@ -611,7 +593,7 @@ impl Mutation {
 
 fn arb_mutation() -> impl Strategy<Value = Mutation> {
     // The narrow range lands on the digits of a short document's fields
-    // (a checkpoint's version and budget); the wide one anywhere.
+    // (a job spec's budget, trials and seed); the wide one anywhere.
     let nth = prop_oneof![0usize..48, 0usize..1 << 20];
     prop_oneof![
         (0usize..1 << 20, 1u8..=255).prop_map(|(at, mask)| Mutation::Flip { at, mask }),
@@ -621,56 +603,6 @@ fn arb_mutation() -> impl Strategy<Value = Mutation> {
             .prop_map(|(from, len, at)| Mutation::Splice { from, len, at }),
         (0usize..1 << 20, 1usize..20_000).prop_map(|(at, depth)| Mutation::Nest { at, depth }),
     ]
-}
-
-/// The checkpoint file of a ResNet-18 search, written once.
-fn saved_snapshot() -> &'static [u8] {
-    static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
-    BYTES.get_or_init(|| {
-        let path = temp_snapshot_path("mutation-source");
-        let ev = fresh_evaluator(false);
-        SearchSession::new(
-            dnn_latency_model(),
-            DseConfig {
-                budget: 3,
-                ..DseConfig::default()
-            },
-        )
-        .evaluator(&ev)
-        .driver(ev.space().minimum_point())
-        .spec(&JobSpec {
-            checkpoint: Some(path.clone()),
-            ..JobSpec::default()
-        })
-        .expect("a fresh checkpoint");
-        let bytes = std::fs::read(&path).expect("the driver writes its checkpoint");
-        let _ = std::fs::remove_file(&path);
-        bytes
-    })
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
-
-    /// The checkpoint decoder under damaged bytes: flipped, overwritten,
-    /// truncated, spliced and deeply nested files either load or fail with
-    /// an error, and whatever loads saves back to a file that loads equal.
-    #[test]
-    fn damaged_snapshots_load_or_fail_without_panicking(
-        mutations in collection::vec(arb_mutation(), 1..4),
-    ) {
-        let mut bytes = saved_snapshot().to_vec();
-        for m in &mutations {
-            m.apply(&mut bytes);
-        }
-        let path = temp_snapshot_path("mutated");
-        std::fs::write(&path, &bytes).unwrap();
-        if let Ok(snapshot) = load_snapshot(&path) {
-            save_snapshot(&path, &snapshot).unwrap();
-            prop_assert_eq!(load_snapshot(&path), Ok(snapshot));
-        }
-        let _ = std::fs::remove_file(&path);
-    }
 }
 
 proptest! {
@@ -688,8 +620,6 @@ proptest! {
             budget: 42,
             models: vec!["resnet18".to_string()],
             space: "toy".to_string(),
-            checkpoint: Some(PathBuf::from("job1.snapshot")),
-            resume: true,
             ..JobSpec::default()
         };
         let mut bytes = spec.to_json_string().into_bytes();

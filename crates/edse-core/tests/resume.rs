@@ -1,5 +1,5 @@
-//! A resume equals a straight run of the resuming spec. A checkpoint
-//! stores no evaluator state, and the disk tier it resumes over keys each
+//! A resume equals a straight run of the resuming spec. A resume is a
+//! rerun over the disk tier an earlier run wrote, and that tier keys each
 //! layer outcome by the mapper that produced it, so an evaluator with
 //! other models or another mapper derives its own evaluations instead of
 //! replaying the writer's.
@@ -7,20 +7,18 @@
 use edse_core::bottleneck::dnn_latency_model;
 use edse_core::evaluate::{CodesignEvaluator, Evaluator};
 use edse_core::space::edge_space;
-use edse_core::{DiskCache, DseConfig, DseResult, JobSpec, SearchSession};
+use edse_core::{DiskCache, DseConfig, DseResult, SearchSession};
 use mapper::{FixedMapper, LinearMapper, MappingOptimizer};
 use std::path::Path;
 use std::sync::Arc;
 use workloads::{zoo, DnnModel};
 
-/// Runs the explainable search (budget 12, seed 7) under `spec`, over the
-/// disk tier in `dir` when one is given; returns the result and the
-/// mapper calls it made (disk misses with a disk tier, layer-cache misses
-/// without).
+/// Runs the explainable search (budget 12, seed 7), over the disk tier in
+/// `dir` when one is given; returns the result and the mapper calls it
+/// made (disk misses with a disk tier, layer-cache misses without).
 fn run<M: MappingOptimizer>(
     models: Vec<DnnModel>,
     mapper: M,
-    spec: &JobSpec,
     dir: Option<&Path>,
 ) -> (DseResult, u64) {
     let mut ev = CodesignEvaluator::new(edge_space(), models, mapper);
@@ -34,10 +32,7 @@ fn run<M: MappingOptimizer>(
     };
     let result = SearchSession::new(dnn_latency_model(), config)
         .evaluator(&ev)
-        .driver(ev.space().minimum_point())
-        .spec(spec)
-        .expect("the checkpoint resumes")
-        .run_to_completion();
+        .run(ev.space().minimum_point());
     let stats = ev.cache_stats();
     let mapped = stats.disk.map_or(stats.layer.misses, |disk| disk.misses);
     (result, mapped)
@@ -47,41 +42,25 @@ fn run<M: MappingOptimizer>(
 fn a_resume_equals_a_straight_run_of_the_resuming_spec() {
     let dir = std::env::temp_dir().join(format!("edse-resume-test-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let checkpoint = dir.join("C");
-    let (written, _) = run(
-        vec![zoo::resnet18()],
-        FixedMapper,
-        &JobSpec {
-            checkpoint: Some(checkpoint.clone()),
-            ..JobSpec::default()
-        },
-        Some(&dir),
-    );
-    assert!(checkpoint.exists(), "the run leaves a checkpoint");
-    let straight = JobSpec::default();
-    let resume = JobSpec {
-        checkpoint: Some(checkpoint),
-        resume: true,
-        ..JobSpec::default()
-    };
+    let (written, _) = run(vec![zoo::resnet18()], FixedMapper, Some(&dir));
 
     // (a) Other models: the disk holds the fixed mapper's outcomes, but
     // none of MobileNetV2's layers.
-    let (resumed, _) = run(vec![zoo::mobilenet_v2()], FixedMapper, &resume, Some(&dir));
-    let (own, _) = run(vec![zoo::mobilenet_v2()], FixedMapper, &straight, None);
+    let (resumed, _) = run(vec![zoo::mobilenet_v2()], FixedMapper, Some(&dir));
+    let (own, _) = run(vec![zoo::mobilenet_v2()], FixedMapper, None);
     assert_eq!(resumed.trace().samples, own.trace().samples);
     assert_ne!(own.trace().samples, written.trace().samples);
 
     // (b) Another mapper: none of the writer's layer outcomes are its own.
     let mapper = || LinearMapper::new(50);
-    let (resumed, _) = run(vec![zoo::resnet18()], mapper(), &resume, Some(&dir));
-    let (own, _) = run(vec![zoo::resnet18()], mapper(), &straight, None);
+    let (resumed, _) = run(vec![zoo::resnet18()], mapper(), Some(&dir));
+    let (own, _) = run(vec![zoo::resnet18()], mapper(), None);
     assert_eq!(resumed.trace().samples, own.trace().samples);
     assert_ne!(own.trace().samples, written.trace().samples);
 
-    // (c) The unchanged spec assembles every evaluation from the layer
+    // (c) The writer's own spec assembles every evaluation from the layer
     // outcomes on disk and maps nothing.
-    let (resumed, mapped) = run(vec![zoo::resnet18()], FixedMapper, &resume, Some(&dir));
+    let (resumed, mapped) = run(vec![zoo::resnet18()], FixedMapper, Some(&dir));
     assert_eq!(resumed.trace().samples, written.trace().samples);
     assert_eq!(resumed.attempts(), written.attempts());
     assert_eq!(resumed.best(), written.best());

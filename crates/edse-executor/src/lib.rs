@@ -415,7 +415,7 @@ impl Executor {
         self.workers
     }
 
-    /// Snapshot the cumulative pool counters.
+    /// The cumulative pool counters, read now.
     pub fn counters(&self) -> Counters {
         let c = &self.shared.counters;
         Counters {

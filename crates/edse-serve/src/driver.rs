@@ -149,12 +149,10 @@ fn build_evaluator(
     Ok(evaluator)
 }
 
-/// Turns a [`JobSpec`] into a running-ready [`HostedSearch`], writing its
-/// checkpoint file when the spec names one. Validation errors (unknown
-/// technique/space/mapper/model, a checkpoint that cannot be written, or
-/// a resume whose checkpoint cannot be loaded or records another
-/// technique or budget) come back as `Err` and map to HTTP 400 — nothing
-/// is evaluated until the spec is sound.
+/// Turns a [`JobSpec`] into a running-ready [`HostedSearch`]. Validation
+/// errors (a zero budget, an unknown technique, space, mapper or model)
+/// come back as `Err` and map to HTTP 400 — nothing is evaluated until
+/// the spec is sound.
 pub fn build_driver(
     spec: &JobSpec,
     engine: EvalEngine,
@@ -176,7 +174,6 @@ pub fn build_driver(
     let evaluator = build_evaluator(spec, engine, disk, disk_error, telemetry.clone())?;
     let driver = SearchDriver::new(technique, evaluator, spec.budget)
         .telemetry(telemetry)
-        .with_cancel_token(cancel)
-        .spec(spec)?;
+        .with_cancel_token(cancel);
     Ok(HostedSearch { driver })
 }

@@ -5,9 +5,9 @@
 //! `step` (at most one evaluation batch) per turn. That batch boundary is
 //! the service's unit of everything: fairness (no job holds a worker
 //! longer than one batch), cancellation (a cancel takes effect at the
-//! next boundary; a checkpointed job's checkpoint was written at submit
-//! and its work is in the disk cache, so a cancel has nothing to save),
-//! and pause/resume (a paused job is simply not re-queued until resumed).
+//! next boundary; the job's completed mappings are in the disk cache, so
+//! a cancel has nothing to save), and pause/resume (a paused job is simply
+//! not re-queued until resumed).
 //!
 //! Every job gets its **own evaluator** (so per-job budgets count per-job
 //! work) sharing the server's one [`EvalEngine`] configuration and one
@@ -22,7 +22,6 @@ use edse_core::{fault, CancelToken, DiskCache, JobSpec, StepOutcome};
 use edse_telemetry::json::Json;
 use edse_telemetry::{export, Collector, Event, HistogramSummary, Sink};
 use std::collections::{BTreeMap, VecDeque};
-use std::path::{Component, Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -34,8 +33,11 @@ pub enum JobState {
     Running,
     /// Not scheduled until `POST /jobs/:id/resume`.
     Paused,
-    /// Terminated by `POST /jobs/:id/cancel`; a checkpointed job can be
-    /// resumed from its checkpoint.
+    /// Terminated by `POST /jobs/:id/cancel`. Submitting the same spec
+    /// again, on this server or on one restarted over the same
+    /// `--cache-dir`, resumes it: the rerun reads the cancelled job's
+    /// mappings from the disk cache and ends with the result an
+    /// uninterrupted run would have.
     Cancelled,
     /// Ran to its own termination (budget, convergence, or stall).
     Completed,
@@ -202,18 +204,9 @@ impl Registry {
 
     /// Validates `spec`, builds its driver, and enqueues it. Returns the
     /// job id; `Err` is a client error (HTTP 400).
-    ///
-    /// A served `checkpoint` names a checkpoint, never a place on the
-    /// server's disk: it must be a bare file name, and it resolves to
-    /// `<cache dir>/checkpoints/<name>`. The checkpoint is written here,
-    /// before the job is queued; a checkpoint that cannot be written is a
-    /// client error like a refused resume.
-    pub fn submit(&self, mut spec: JobSpec) -> Result<u64, String> {
-        if let Some(name) = &spec.checkpoint {
-            spec.checkpoint = Some(self.checkpoint_path(name)?);
-        }
+    pub fn submit(&self, spec: JobSpec) -> Result<u64, String> {
         // Build outside the registry lock: constructing an evaluator
-        // (resume loads, model setup) must not stall the scheduler.
+        // (model setup) must not stall the scheduler.
         let id = {
             let mut inner = self.inner.lock().expect("registry poisoned");
             let id = inner.next_id;
@@ -259,32 +252,6 @@ impl Registry {
         Ok(id)
     }
 
-    /// Where the checkpoint a job names `name` lives: in the `checkpoints`
-    /// directory of the open disk cache, created on first use. A name
-    /// with a separator, a `..`, a root or no characters is refused, and
-    /// so is any name on a server without an open disk cache.
-    fn checkpoint_path(&self, name: &Path) -> Result<PathBuf, String> {
-        let text = name.to_string_lossy();
-        let mut parts = name.components();
-        let bare = !text.contains(['/', '\\'])
-            && matches!(
-                (parts.next(), parts.next()),
-                (Some(Component::Normal(_)), None)
-            );
-        if !bare {
-            return Err(format!(
-                "`checkpoint` must be a bare file name (no directory, `..` or root), got {text:?}"
-            ));
-        }
-        let disk = self.disk.as_ref().ok_or(
-            "`checkpoint` needs a disk cache: start edse-serve with a working --cache-dir",
-        )?;
-        let dir = disk.dir().join("checkpoints");
-        std::fs::create_dir_all(&dir)
-            .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
-        Ok(dir.join(name))
-    }
-
     /// Pauses a running job: it finishes its in-flight step (if a worker
     /// holds it) and is then not rescheduled. `Err` on unknown id or a
     /// terminal job.
@@ -320,10 +287,9 @@ impl Registry {
     }
 
     /// Requests cancellation: the token fires now, and the job's next
-    /// scheduled step observes it, within one evaluation batch. A
-    /// checkpointed job needs no save on the way out: its checkpoint was
-    /// written at submit and its completed mappings are in the disk cache.
-    /// Idempotent; `Err` on unknown id.
+    /// scheduled step observes it, within one evaluation batch. The job
+    /// needs no save on the way out: its completed mappings are in the
+    /// disk cache. Idempotent; `Err` on unknown id.
     pub fn cancel(&self, id: u64) -> Result<JobState, String> {
         let mut inner = self.inner.lock().expect("registry poisoned");
         let job = inner.jobs.get_mut(&id).ok_or(format!("no job {id}"))?;

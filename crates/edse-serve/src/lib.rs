@@ -6,9 +6,9 @@
 //! worker pool round-robins over all live jobs one evaluation batch at a
 //! time. Because a batch boundary is also the driver's cancellation
 //! point, pause/resume/cancel are exact: a cancel takes effect within one
-//! batch. A job's checkpoint is written when it is submitted and its
-//! completed layer mappings live in the shared disk cache, so a cancelled
-//! or killed checkpointed job resumes with nothing left to save.
+//! batch. A job's completed layer mappings live in the shared disk cache,
+//! so a cancelled or killed job resumes when its spec is submitted again,
+//! to this server or to one restarted over the same `--cache-dir`.
 //!
 //! Concurrent jobs share one [`EvalEngine`](edse_core::evaluate::EvalEngine)
 //! configuration and one [`DiskCache`](edse_core::DiskCache) while each

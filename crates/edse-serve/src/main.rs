@@ -76,8 +76,9 @@ fn parse_args() -> Result<Args, String> {
                      --eval-threads N  per-step evaluation-engine budget on the shared\n\
                      \u{20}                 pool (default: all cores, bounded by\n\
                      \u{20}                 EDSE_TEST_THREADS; 1 = serial)\n\
-                     --cache-dir DIR   shared persistent evaluation cache; a job's\n\
-                     \u{20}                 checkpoint is a file name in DIR/checkpoints"
+                     --cache-dir DIR   shared persistent evaluation cache; submitting\n\
+                     \u{20}                 a killed or cancelled job's spec again to a\n\
+                     \u{20}                 server on the same DIR resumes it"
                 );
                 std::process::exit(0);
             }

@@ -10,7 +10,6 @@ use edse_serve::http::read_request;
 use proptest::prelude::*;
 use std::io::Write;
 use std::net::{Shutdown, TcpListener, TcpStream};
-use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 /// A valid `POST /jobs` request, as a client sends it.
@@ -20,8 +19,6 @@ fn recorded_request() -> Vec<u8> {
         budget: 42,
         models: vec!["resnet18".to_string()],
         space: "toy".to_string(),
-        checkpoint: Some(PathBuf::from("job1.snapshot")),
-        resume: true,
         ..JobSpec::default()
     }
     .to_json_string();

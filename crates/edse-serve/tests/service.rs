@@ -1,11 +1,11 @@
 //! Service-level tests: shared-cache multi-tenancy, per-job budgets,
-//! cancellation within one batch with a resumable checkpoint, scheduler
-//! robustness under a random pause/resume/cancel storm, determinism of a
-//! paused-and-resumed job against a straight-through run, served
-//! checkpoints confined to the cache directory, an HTTP smoke over a real
-//! socket, bounded handlers (hostile heads, silent, trickling and hung-up
+//! cancellation within one batch and a resubmit that finishes the
+//! cancelled run, scheduler robustness under a random pause/resume/cancel
+//! storm, determinism of a paused-and-resumed job against a
+//! straight-through run, an HTTP smoke over a real socket, bounded
+//! handlers (hostile heads and bodies, silent, trickling and hung-up
 //! clients), and the `edse-serve` binary driven end to end, SIGKILLed
-//! mid-search and resumed.
+//! mid-search and resumed by resubmitting the job to a restarted server.
 
 use edse_core::evaluate::EvalEngine;
 use edse_core::{CancelToken, DiskCache, JobSpec, StepOutcome};
@@ -28,8 +28,7 @@ fn scratch_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// A registry whose jobs share a disk cache in `dir/cache`, the store
-/// served checkpoints resolve into.
+/// A registry whose jobs share a disk cache in `dir/cache`.
 fn disk_registry(dir: &Path) -> Arc<Registry> {
     let disk = Arc::new(DiskCache::open_with(dir.join("cache"), Collector::noop()).expect("disk"));
     Registry::new(EvalEngine::serial(), Some(disk), None, Collector::noop())
@@ -133,16 +132,14 @@ fn concurrent_jobs_share_disk_cache_with_private_budgets() {
 }
 
 #[test]
-fn cancel_stops_within_one_batch_and_leaves_resumable_snapshot() {
+fn cancel_stops_within_one_batch_and_a_resubmit_reproduces_the_run() {
     let dir = scratch_dir("cancel");
-    let snap = dir.join("job.snapshot");
     let spec = JobSpec {
         technique: "explainable".to_string(),
         budget: 60,
         seed: 3,
         space: "edge".to_string(),
         mapper: "fixed".to_string(),
-        checkpoint: Some(snap.clone()),
         ..JobSpec::default()
     };
     let engine = EvalEngine::serial();
@@ -160,10 +157,6 @@ fn cancel_stops_within_one_batch_and_leaves_resumable_snapshot() {
         cancel.clone(),
     )
     .expect("build driver");
-    assert!(
-        snap.exists(),
-        "the checkpoint is written when the job is built"
-    );
     for _ in 0..5 {
         assert_eq!(driver.step(), StepOutcome::Pending);
     }
@@ -180,35 +173,26 @@ fn cancel_stops_within_one_batch_and_leaves_resumable_snapshot() {
         Some("cancelled")
     );
 
-    // Resuming from the checkpoint over the same disk cache and running
-    // to completion is bit-identical to a straight-through run of the
-    // same spec, and reads the cancelled steps' mappings from disk.
-    let resumed_spec = JobSpec {
-        resume: true,
-        ..spec.clone()
-    };
+    // Submitting the same spec again over the same disk cache and running
+    // to completion is bit-identical to a straight-through run, and reads
+    // the cancelled steps' mappings from disk.
     let mut resumed = build_driver(
-        &resumed_spec,
+        &spec,
         engine,
         disk(),
         None,
         Collector::noop(),
         CancelToken::new(),
     )
-    .expect("the cancelled job resumes");
+    .expect("the cancelled spec builds again");
     while resumed.step() == StepOutcome::Pending {}
     let disk_hits = resumed.cache_stats().disk.expect("disk").hits;
-    assert!(disk_hits > 0, "the resume read the cancelled work");
+    assert!(disk_hits > 0, "the resubmit read the cancelled work");
     let resumed = resumed.finish();
-    let fresh_spec = JobSpec {
-        checkpoint: None,
-        ..spec.clone()
-    };
-    let fresh = run_straight(&fresh_spec, engine);
     assert_eq!(
         resumed.to_line(),
-        fresh.to_line(),
-        "resume-after-cancel must reproduce the straight-through run"
+        run_straight(&spec, engine).to_line(),
+        "a resubmit after a cancel must reproduce the straight-through run"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -231,42 +215,6 @@ fn grid_job_over_single_valued_parameters_completes() {
     for w in workers {
         w.join().expect("worker join");
     }
-}
-
-#[test]
-fn mismatched_baseline_resume_is_rejected_at_submit() {
-    let dir = scratch_dir("mismatch");
-    let registry = disk_registry(&dir);
-    let workers = registry.spawn_workers(1);
-    let recorded = JobSpec {
-        checkpoint: Some(PathBuf::from("random.snapshot")),
-        ..toy_spec("random", 10, 5)
-    };
-    let id = registry.submit(recorded.clone()).expect("record");
-    assert_eq!(registry.wait_terminal(id), Some(JobState::Completed));
-
-    let drifted = JobSpec {
-        budget: 11,
-        resume: true,
-        ..recorded.clone()
-    };
-    let err = registry
-        .submit(drifted)
-        .expect_err("a snapshot of another budget must not resume");
-    assert!(err.contains("budget"), "{err}");
-    // The registry is unharmed: a valid resume is accepted and completes.
-    let id = registry
-        .submit(JobSpec {
-            resume: true,
-            ..recorded
-        })
-        .expect("valid resume");
-    assert_eq!(registry.wait_terminal(id), Some(JobState::Completed));
-    registry.shutdown();
-    for w in workers {
-        w.join().expect("worker join");
-    }
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -501,42 +449,6 @@ fn http_smoke_submit_poll_metrics() {
     server.stop();
 }
 
-#[test]
-fn mismatched_explainable_resume_is_a_400_not_a_dead_handler() {
-    let dir = scratch_dir("explainable-mismatch");
-    let registry = disk_registry(&dir);
-    let workers = registry.spawn_workers(1);
-    let recorded = JobSpec {
-        checkpoint: Some(PathBuf::from("explainable.snapshot")),
-        ..toy_spec("explainable", 10, 5)
-    };
-    let id = registry.submit(recorded.clone()).expect("record");
-    assert_eq!(registry.wait_terminal(id), Some(JobState::Completed));
-    assert!(
-        dir.join("cache/checkpoints/explainable.snapshot").exists(),
-        "the recorded job leaves a checkpoint"
-    );
-
-    // One handler: a panic on it would leave the next request unanswered.
-    let server = Server::start("127.0.0.1:0", 1, Arc::clone(&registry), workers).expect("start");
-    let addr = server.addr();
-    let resume = |budget: usize| {
-        JobSpec {
-            budget,
-            resume: true,
-            ..recorded.clone()
-        }
-        .to_json_string()
-    };
-    let (status, body) = http(addr, "POST", "/jobs", &resume(11));
-    assert_eq!(status, 400, "{body}");
-    assert!(body.contains("budget"), "{body}");
-    let (status, body) = http(addr, "POST", "/jobs", &resume(10));
-    assert_eq!(status, 202, "{body}");
-    server.stop();
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
 /// Sends `request` raw and returns the response status, or `None` when the
 /// server closed the connection without one.
 fn raw_status(addr: std::net::SocketAddr, request: &[u8]) -> Option<u16> {
@@ -600,10 +512,21 @@ fn hostile_job_bodies_get_400_and_the_handler_survives() {
     let (status, body) = http(addr, "POST", "/jobs", r#"{"space":"toy","seed":-5}"#);
     assert_eq!(status, 400, "{body}");
     assert!(body.contains("seed"), "{body}");
-    // So would a misspelt member, ignored.
-    let (status, body) = http(addr, "POST", "/jobs", r#"{"space":"toy","budjet":5}"#);
-    assert_eq!(status, 400, "{body}");
-    assert!(body.contains("budjet"), "{body}");
+    // So would a misspelt member, ignored, and so would the removed
+    // checkpoint members: a client still asking for a checkpoint file
+    // learns that none is written.
+    for (body, member) in [
+        (r#"{"space":"toy","budjet":5}"#, "`budjet`"),
+        (
+            r#"{"space":"toy","checkpoint":"job1.snapshot"}"#,
+            "`checkpoint`",
+        ),
+        (r#"{"space":"toy","resume":true}"#, "`resume`"),
+    ] {
+        let (status, answer) = http(addr, "POST", "/jobs", body);
+        assert_eq!(status, 400, "{body}: {answer}");
+        assert!(answer.contains(member), "{body}: {answer}");
+    }
     let (status, _) = http(addr, "GET", "/healthz", "");
     assert_eq!(status, 200);
     server.stop();
@@ -721,51 +644,6 @@ fn a_trickling_client_is_cut_off_at_the_request_deadline() {
     server.stop();
 }
 
-#[test]
-fn served_checkpoints_stay_under_the_cache_dir() {
-    let dir = scratch_dir("confined");
-    let precious = dir.join("precious.txt");
-    std::fs::write(&precious, b"not a snapshot").expect("write");
-    let registry = disk_registry(&dir);
-    let server = Server::start("127.0.0.1:0", 1, Arc::clone(&registry), Vec::new()).expect("start");
-    let addr = server.addr();
-    let job = |checkpoint: &str| {
-        JobSpec {
-            checkpoint: Some(PathBuf::from(checkpoint)),
-            ..toy_spec("random", 5, 1)
-        }
-        .to_json_string()
-    };
-    let absolute = precious.display().to_string();
-    for checkpoint in [absolute.as_str(), "../x", "a/b", "..", ".", ""] {
-        let (status, body) = http(addr, "POST", "/jobs", &job(checkpoint));
-        assert_eq!(status, 400, "{checkpoint:?}: {body}");
-        assert!(body.contains("bare file name"), "{body}");
-    }
-    assert_eq!(std::fs::read(&precious).expect("read"), b"not a snapshot");
-    // A checkpoint that cannot be written (here its name is taken by a
-    // directory) is a 400 naming it, and no job is created.
-    let taken = dir.join("cache/checkpoints/taken");
-    std::fs::create_dir_all(&taken).expect("mkdir");
-    let (status, body) = http(addr, "POST", "/jobs", &job("taken"));
-    assert_eq!(status, 400, "{body}");
-    assert!(body.contains("cannot write checkpoint"), "{body}");
-    assert!(body.contains("taken"), "{body}");
-    assert_eq!(http(addr, "GET", "/jobs/1", "").0, 404);
-    server.stop();
-
-    // Without a disk cache even a bare name has nowhere to go.
-    let cacheless = Registry::new(EvalEngine::serial(), None, None, Collector::noop());
-    let err = cacheless
-        .submit(JobSpec {
-            checkpoint: Some(PathBuf::from("job.snapshot")),
-            ..toy_spec("random", 5, 1)
-        })
-        .expect_err("a checkpoint needs a cache directory");
-    assert!(err.contains("--cache-dir"), "{err}");
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
 /// The `edse-serve` binary listening on an ephemeral port. Killed on
 /// drop, so a failed assertion does not leave it running.
 struct ServeProcess {
@@ -846,19 +724,13 @@ fn the_binary_runs_controls_and_reports_jobs_end_to_end() {
     assert_eq!(status, 200);
     assert!(events.contains("\"iteration\""), "{events}");
 
-    // Job 3 is still running when the control requests land; its
-    // checkpoint is written at submit.
+    // Job 3 is still running when the control requests land.
     let job3 = JobSpec {
         space: "edge".to_string(),
-        checkpoint: Some(PathBuf::from("job3.snapshot")),
         ..toy_spec("explainable", 5000, 3)
     };
     let (status, body) = http(addr, "POST", "/jobs", &job3.to_json_string());
     assert_eq!(status, 202, "{body}");
-    assert!(
-        dir.join("cache/checkpoints/job3.snapshot").exists(),
-        "the checkpoint is written at submit"
-    );
     let (status, body) = http(addr, "POST", "/jobs/3/pause", "");
     assert_eq!(status, 200, "pause: {body}");
     assert_eq!(wait_state(addr, 3, &["paused"]), "paused");
@@ -902,10 +774,10 @@ fn metric(metrics: &str, name: &str) -> u64 {
         .unwrap_or(0)
 }
 
-/// A served job SIGKILLed mid-search resumes on a restarted server over
-/// the same cache directory, bit-identically to a straight run: its
-/// checkpoint was written at submit, and its completed layer mappings are
-/// in the disk cache. The restarted server's disk counters prove the kill
+/// A served job SIGKILLed mid-search resumes when its spec is submitted
+/// again to a server restarted over the same cache directory,
+/// bit-identically to a straight run: its completed layer mappings are in
+/// the disk cache. The restarted server's disk counters prove the kill
 /// landed mid-search: hits (the killed run had written records) and
 /// misses (it had not finished).
 #[test]
@@ -919,7 +791,6 @@ fn a_served_job_killed_mid_search_resumes_bit_identically() {
         space: "edge".to_string(),
         mapper: "linear".to_string(),
         map_trials: 20,
-        checkpoint: Some(PathBuf::from("killed.snapshot")),
         ..JobSpec::default()
     };
     let mut server = ServeProcess::spawn(&cache);
@@ -941,14 +812,9 @@ fn a_served_job_killed_mid_search_resumes_bit_identically() {
     assert!(evaluated, "the job never evaluated a point");
     server.child.kill().expect("SIGKILL");
     server.child.wait().expect("the killed server exits");
-    assert!(cache.join("checkpoints/killed.snapshot").exists());
 
     let server = ServeProcess::spawn(&cache);
-    let resume = JobSpec {
-        resume: true,
-        ..spec.clone()
-    };
-    let (status, body) = http(server.addr, "POST", "/jobs", &resume.to_json_string());
+    let (status, body) = http(server.addr, "POST", "/jobs", &spec.to_json_string());
     assert_eq!(status, 202, "{body}");
     assert_eq!(
         wait_state(server.addr, 1, &["completed", "failed"]),
@@ -959,13 +825,7 @@ fn a_served_job_killed_mid_search_resumes_bit_identically() {
     let resumed = doc
         .get("result")
         .expect("terminal status carries the summary");
-    let straight = run_straight(
-        &JobSpec {
-            checkpoint: None,
-            ..spec
-        },
-        EvalEngine::serial(),
-    );
+    let straight = run_straight(&spec, EvalEngine::serial());
     assert_eq!(resumed.to_line(), straight.to_line());
     let (_, metrics) = http(server.addr, "GET", "/metrics", "");
     let (hits, misses) = (

@@ -9,8 +9,7 @@
 use crate::json::{parse, Json};
 
 /// Version tag of the JSONL trace schema, stamped as the first line of
-/// every [`crate::JsonlSink`] trace via [`Event::Meta`] (the same
-/// versioning discipline as the `edse-snapshot` checkpoint envelope).
+/// every [`crate::JsonlSink`] trace via [`Event::Meta`].
 /// v1 traces (flat spans, no provenance, no meta line) still parse: the
 /// added members default when absent.
 pub const TRACE_SCHEMA: &str = "edse-trace/v2";

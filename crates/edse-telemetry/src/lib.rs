@@ -240,7 +240,7 @@ impl Collector {
         })
     }
 
-    /// Snapshot of all cumulative counters.
+    /// All cumulative counters, read now.
     pub fn counters(&self) -> BTreeMap<String, u64> {
         self.metric_inner().map_or_else(BTreeMap::new, |inner| {
             inner
@@ -302,7 +302,7 @@ impl Collector {
             .map(|h| h.summary(name.as_ref()))
     }
 
-    /// Snapshot of all histogram summaries, sorted by name.
+    /// All histogram summaries, read now and sorted by name.
     pub fn histograms(&self) -> Vec<HistogramSummary> {
         self.metric_inner().map_or_else(Vec::new, |inner| {
             inner

@@ -28,9 +28,8 @@ use workloads::LayerShape;
 
 /// An optimized mapping with its evaluated execution profile.
 ///
-/// Serializable so evaluator layer caches can be captured into search
-/// snapshots (see the `edse-core` checkpoint layer) and restored without
-/// re-running the mapping search.
+/// `edse-core`'s disk tier persists it per `(mapper, layer, config)`, so
+/// a rerun reads it back without re-running the mapping search.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct MappedLayer {
     /// The chosen mapping.

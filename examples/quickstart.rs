@@ -20,10 +20,10 @@ fn main() {
     let evaluator = CodesignEvaluator::new(edge_space(), vec![model], LinearMapper::new(64));
 
     // 2) The explorer: the DNN latency bottleneck model drives
-    //    acquisitions. To checkpoint the run, step its driver instead:
-    //    `session.driver(initial).spec(&JobSpec { checkpoint:
-    //    Some("run.ckpt.json".into()), resume: true, ..JobSpec::default()
-    //    })?.run_to_completion()`.
+    //    acquisitions. To make the run resumable, give the evaluator a
+    //    disk tier: `.with_disk_cache(Arc::new(DiskCache::open("cache")?))`.
+    //    Running again over the same directory then resumes a killed run,
+    //    bit-identically, and maps only what it had left undone.
     let session = SearchSession::new(
         dnn_latency_model(),
         DseConfig {

@@ -127,37 +127,37 @@ if "$edse_trace" summary "$trace_tmp/empty.jsonl" 2> /dev/null; then
     exit 1
 fi
 
-echo "==> checkpoint smoke: SIGKILL fig04_toy_trace between its searches, resume, diff"
+echo "==> kill-and-rerun smoke: SIGKILL fig04_toy_trace mid-run, rerun over its --cache-dir, diff"
 fig04=target/release/fig04_toy_trace
-ck="$trace_tmp/fig04.ckpt"
+kill_cache="$trace_tmp/kill-cache"
 # Uninterrupted reference run.
 "$fig04" --iters 25 --out "$trace_tmp/a.json" > /dev/null
-# Checkpointed run, killed as soon as the explainable search's checkpoint
-# appears. HyperMapper runs first and a checkpoint is written when its
-# search starts, so by then HyperMapper has finished and its layer
-# outcomes are in the disk tier $ck.cache/. The explainable search runs
-# for about a millisecond, so no poll can reliably land the kill inside
-# it: this smoke covers a SIGKILL of the real binary and a resume that
-# replays HyperMapper from disk. A kill provably inside a search is
-# pinned by edse-serve's served SIGKILL test and by the KillSwitch kill
-# oracles (conformance and edse-core property tests).
-"$fig04" --iters 25 --checkpoint "$ck" --out "$trace_tmp/b.json" > /dev/null &
+# The same run over a fresh disk tier, killed as soon as a segment holds a
+# record (a seg-*.edc larger than its 16-byte header), or left alone once
+# it has exited: a fast host can finish the run between two polls. Either
+# way the rerun below must read records the first run wrote. A kill
+# provably inside a search is pinned by edse-serve's served SIGKILL test
+# and by the KillSwitch kill oracles (conformance and edse-core property
+# tests).
+"$fig04" --iters 25 --cache-dir "$kill_cache" --out "$trace_tmp/b.json" > /dev/null &
 fig04_pid=$!
-while [ ! -f "$ck.explainable" ] && kill -0 "$fig04_pid" 2>/dev/null; do
+while kill -0 "$fig04_pid" 2>/dev/null &&
+    [ -z "$(find "$kill_cache" -name 'seg-*.edc' -size +16c 2>/dev/null)" ]; do
     sleep 0.01
 done
 kill -9 "$fig04_pid" 2>/dev/null || true
 wait "$fig04_pid" 2>/dev/null || true
-ls "$ck.cache"/seg-*.edc > /dev/null 2>&1 || {
-    echo "the killed run left no disk-cache records in $ck.cache" >&2
+# Rerun the same command over the same disk tier: that is the resume. The
+# result summary (no wall-clock fields) must be bit-identical to the
+# uninterrupted run's, and the rerun must have been answered from disk.
+"$fig04" --iters 25 --cache-dir "$kill_cache" --out "$trace_tmp/b.json" \
+    --trace-out "$trace_tmp/rerun.jsonl" > /dev/null
+diff "$trace_tmp/a.json" "$trace_tmp/b.json" || {
+    echo "rerun after a kill diverged from the uninterrupted run" >&2
     exit 1
 }
-# Resume from the checkpoints and the disk tier and finish; the result
-# summary (no wall-clock fields) must be bit-identical to the
-# uninterrupted run's.
-"$fig04" --iters 25 --checkpoint "$ck" --resume --out "$trace_tmp/b.json" > /dev/null
-diff "$trace_tmp/a.json" "$trace_tmp/b.json" || {
-    echo "resumed run diverged from the uninterrupted run" >&2
+grep -q '"disk_cache/hit"' "$trace_tmp/rerun.jsonl" || {
+    echo "the rerun read none of the killed run's disk-cache records" >&2
     exit 1
 }
 
