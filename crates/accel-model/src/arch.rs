@@ -1,10 +1,9 @@
 //! Accelerator configuration: the hardware half of a codesign point.
 
 use energy_area::{AcceleratorResources, Tech};
-use serde::{Deserialize, Serialize};
 
 /// One accelerator hardware configuration (the paper's Table 1 parameters).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct AcceleratorConfig {
     /// Number of processing elements.
     pub pes: u64,

@@ -4,13 +4,12 @@ use crate::arch::AcceleratorConfig;
 use crate::mapping::{rf_bytes, spm_bytes, tile_volume, Level, Mapping, Stationarity, Tiling};
 use crate::profile::{ExecutionProfile, OperandStats};
 use energy_area::{EnergyTable, Tech};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use workloads::layer::Dim;
 use workloads::{LayerShape, Tensor};
 
 /// Why a mapping cannot execute on a configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ExecError {
     /// The tiling's factor products do not match the layer extents.
     InvalidTiling(String),
@@ -86,7 +85,7 @@ impl fmt::Display for ExecError {
 impl std::error::Error for ExecError {}
 
 /// Cheap validity/utilization summary used by mapping-space pruning.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Validity {
     /// PE-array utilization in `[0, 1]`.
     pub pe_utilization: f64,

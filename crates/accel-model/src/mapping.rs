@@ -10,12 +10,11 @@
 //! ordering classes that dMazeRunner, Interstellar and ZigZag prune to.
 
 use crate::arch::AcceleratorConfig;
-use serde::{Deserialize, Serialize};
 use workloads::layer::Dim;
 use workloads::{LayerShape, Tensor};
 
 /// Processing levels, innermost first.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Level {
     /// Temporal loops inside a PE, data in the register file.
     Rf,
@@ -44,7 +43,7 @@ impl Level {
 
 /// Loop-order class at a memory boundary: the operand whose irrelevant
 /// loops are innermost and therefore enjoys maximal reuse at that boundary.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Stationarity {
     /// Inputs resident; weight/output loops rotate beneath them.
     InputStationary,
@@ -75,7 +74,7 @@ impl Stationarity {
 
 /// A valid four-level tiling: `factors[dim][level]`, with the product over
 /// levels equal to the layer extent for every dimension.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Tiling {
     factors: [[u64; 4]; 7],
 }
@@ -154,7 +153,7 @@ impl Tiling {
 
 /// A full mapping: tiling plus the loop-order class at the two memory
 /// boundaries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Mapping {
     /// The four-level tiling.
     pub tiling: Tiling,

@@ -1,11 +1,10 @@
 //! Execution profiles: the rich, explicitly analyzable output of the cost
 //! model that bottleneck models are built from (paper §4.7).
 
-use serde::{Deserialize, Serialize};
 use workloads::Tensor;
 
 /// Per-operand execution characteristics.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct OperandStats {
     /// Bytes moved between DRAM and the scratchpad for this operand
     /// (`data_offchip` in the paper's bottleneck-model vocabulary).
@@ -35,7 +34,7 @@ pub struct OperandStats {
 }
 
 /// Complete execution profile of one layer on one configuration+mapping.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExecutionProfile {
     /// Computation cycles (`T_comp`).
     pub t_comp: f64,
@@ -97,7 +96,7 @@ impl ExecutionProfile {
 }
 
 /// Top-level latency factors (children of the bottleneck-tree root).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LatencyFactor {
     /// PE computation time dominates.
     Compute,

@@ -23,12 +23,11 @@
 use crate::arch::AcceleratorConfig;
 use crate::exec::Validity;
 use crate::mapping::{tile_volume, Level, Mapping};
-use serde::{Deserialize, Serialize};
 use workloads::layer::Dim;
 use workloads::{LayerShape, Tensor};
 
 /// Outcome of a simulation run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimReport {
     /// End-to-end simulated latency in cycles.
     pub cycles: f64,
@@ -59,7 +58,7 @@ impl SimReport {
 }
 
 /// Why a simulation could not run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum SimError {
     /// The mapping is invalid or infeasible for the configuration.
     Infeasible(String),
@@ -387,15 +386,5 @@ mod tests {
         // slightly: per-tile overhead vs per-run overhead).
         let ratio = sim.dma_busy / analytical.t_dma.max(1.0);
         assert!((0.3..3.0).contains(&ratio), "dma ratio {ratio}");
-    }
-
-    #[test]
-    fn report_serializes() {
-        let layer = LayerShape::conv(1, 16, 16, 8, 8, 3, 3, 1);
-        let (cfg, m) = setup(layer);
-        let sim = simulate(&cfg, &layer, &m, 2_000_000).unwrap();
-        let json = serde_json::to_string(&sim).unwrap();
-        let back: SimReport = serde_json::from_str(&json).unwrap();
-        assert_eq!(sim, back);
     }
 }

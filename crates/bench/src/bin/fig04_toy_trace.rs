@@ -16,11 +16,11 @@
 //! ones; `scripts/check.sh` does exactly that.
 
 use baselines::HyperMapperLike;
-use bench::toy::{single_layer_model, toy_space};
 use bench::{BenchArgs, BenchReport, Harness};
 use edse_core::dse::{DseConfig, ExplainableDse};
 use edse_core::evaluate::Evaluator;
 use edse_core::space::{edge, DesignSpace};
+use edse_core::toy::{single_layer_model, toy_space};
 use edse_core::{bottleneck::dnn_latency_model, DseResult, Trace};
 use edse_telemetry::json::Json;
 use mapper::FixedMapper;

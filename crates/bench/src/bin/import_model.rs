@@ -26,7 +26,7 @@ fn main() {
 
     let json = std::fs::read_to_string(&path)
         .unwrap_or_else(|e| fail(&telemetry, &format!("cannot read {path}: {e}")));
-    let model = workloads::from_json_str(&json)
+    let model = edse_core::import::from_json_str(&json)
         .unwrap_or_else(|e| fail(&telemetry, &format!("import failed: {e}")));
 
     let mut report = BenchReport::new("import_model", &args);

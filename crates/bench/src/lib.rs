@@ -20,7 +20,6 @@ use workloads::DnnModel;
 
 pub mod cli;
 pub mod report;
-pub mod toy;
 pub mod tracefile;
 pub use cli::BenchArgs;
 pub use report::{BenchReport, TraceSummary};

@@ -2,7 +2,7 @@
 //!
 //! Each scenario is a deterministic, seconds-scale exploration — every
 //! technique of the paper's comparison on the Fig. 4 toy setting
-//! ([`bench::toy`]), plus two short full-edge-space runs — reported
+//! ([`edse_core::toy`]), plus two short full-edge-space runs — reported
 //! through the same [`bench::BenchReport`] machinery the figure binaries
 //! use for `--json`. The serialized report (config, per-sample series,
 //! derived summary metrics) is what `golden/*.json` pins: a change in the
@@ -10,11 +10,11 @@
 //! schema shows up as a fixture diff naming the exact metric that moved.
 
 use baselines::{BaselineSession, DseTechnique, GeneticAlgorithm};
-use bench::toy::{single_layer_model, toy_space};
 use bench::{BenchArgs, BenchReport, TechniqueKind};
 use edse_core::cost::Trace;
 use edse_core::evaluate::{CodesignEvaluator, EvalEngine, Evaluator};
 use edse_core::space::edge_space;
+use edse_core::toy::{single_layer_model, toy_space};
 use edse_telemetry::json::Json;
 use mapper::FixedMapper;
 use workloads::zoo;

@@ -22,8 +22,8 @@ const TENANTS: usize = 3;
 fn toy_evaluator(engine: EvalEngine, chunk: usize) -> CodesignEvaluator<LinearMapper> {
     let mapper = LinearMapper::new(8).with_sweep(SweepConf::serial().chunked(chunk));
     CodesignEvaluator::new(
-        bench::toy::toy_space(),
-        vec![bench::toy::single_layer_model()],
+        edse_core::toy::toy_space(),
+        vec![edse_core::toy::single_layer_model()],
         mapper,
     )
     .with_engine(engine)

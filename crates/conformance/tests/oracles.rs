@@ -476,8 +476,8 @@ fn batched_fast_path_matches_naive_reference() {
 /// covers the parallel batch path.
 fn toy_evaluator(engine: EvalEngine) -> CodesignEvaluator<FixedMapper> {
     CodesignEvaluator::new(
-        bench::toy::toy_space(),
-        vec![bench::toy::single_layer_model()],
+        edse_core::toy::toy_space(),
+        vec![edse_core::toy::single_layer_model()],
         FixedMapper,
     )
     .with_engine(engine)

@@ -8,11 +8,10 @@
 //! is explicitly analyzable: contributions can be traced top-down and the
 //! dominant path extracted.
 
-use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 
 /// The mathematical function a node applies to its children.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NodeKind {
     /// Maximum of children (e.g. overlapped latency factors).
     Max,
@@ -32,7 +31,7 @@ pub enum NodeKind {
 pub type NodeId = usize;
 
 /// One node of a bottleneck tree.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Node {
     /// Name, e.g. `"t_dma"` or `"t_noc:wt"`. Names ending in `":<tag>"`
     /// carry a domain tag (the paper's operand annotation).
@@ -55,7 +54,7 @@ impl Node {
 }
 
 /// A bottleneck-model tree with populated values.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BottleneckTree {
     nodes: Vec<Node>,
     root: NodeId,

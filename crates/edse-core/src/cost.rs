@@ -5,11 +5,10 @@ use crate::diskcache::LayerOutcome;
 use crate::space::DesignPoint;
 use accel_model::ExecutionProfile;
 use edse_telemetry::{Collector, IterationRecord};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// An inequality constraint `value <= threshold`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Constraint {
     /// Human-readable name (`"area_mm2"`, `"power_w"`,
     /// `"latency_ms:ResNet18"`, ...).
@@ -163,7 +162,7 @@ fn constraint_budget(values: &[f64], constraints: &[Constraint]) -> f64 {
 }
 
 /// One evaluated sample in an exploration trace.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Sample {
     /// The evaluated design point.
     pub point: DesignPoint,
@@ -196,7 +195,7 @@ impl Sample {
 /// A complete exploration trace: every evaluated sample in order, plus
 /// timing. All DSE techniques (explainable and baselines) report this
 /// format so figures compare like with like.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Trace {
     /// Technique name, e.g. `"explainable"` or `"random-fixdf"`.
     pub technique: String,

@@ -74,7 +74,7 @@ use edse_telemetry::{Collector, Level};
 use mapper::MappedLayer;
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
-use std::io::{BufReader, Read, Seek, SeekFrom, Write};
+use std::io::{BufReader, ErrorKind, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -474,10 +474,12 @@ struct Inner {
 /// The disk-backed, content-addressed store; see the module docs for the
 /// on-disk layout, the read checks and the crash-safety contract.
 ///
-/// One process per cache directory at a time for writers (appends from two
-/// processes would interleave into the same namespace without
-/// coordination); any number of instances may share one [`DiskCache`]
-/// through an [`std::sync::Arc`] — all methods take `&self`.
+/// Any number of processes may open and append to one directory at once:
+/// each writer appends to a segment it created itself, taking the next
+/// free id when another writer created its first choice, and a record
+/// another process writes becomes visible at the next open. Any number of
+/// instances may share one [`DiskCache`] through an [`std::sync::Arc`] —
+/// all methods take `&self`.
 pub struct DiskCache {
     dir: PathBuf,
     telemetry: Collector,
@@ -871,15 +873,23 @@ fn append_record(inner: &mut Inner, dir: &Path, record: &[u8]) -> Result<Loc, St
     let seg = match inner.active {
         Some(seg) => seg,
         None => {
-            let id = inner.next_id;
-            inner.next_id += 1;
-            let path = dir.join(segment_name(id));
-            let mut file = OpenOptions::new()
-                .read(true)
-                .append(true)
-                .create_new(true)
-                .open(&path)
-                .map_err(|e| format!("create {}: {e}", path.display()))?;
+            // Another process may have created this id since the open-time
+            // scan (two processes opening one fresh directory start from
+            // the same id), so take the next free one.
+            let (path, mut file) = loop {
+                let path = dir.join(segment_name(inner.next_id));
+                inner.next_id += 1;
+                match OpenOptions::new()
+                    .read(true)
+                    .append(true)
+                    .create_new(true)
+                    .open(&path)
+                {
+                    Ok(file) => break (path, file),
+                    Err(e) if e.kind() == ErrorKind::AlreadyExists => continue,
+                    Err(e) => return Err(format!("create {}: {e}", path.display())),
+                }
+            };
             let mut header = Vec::with_capacity(HEADER_LEN as usize);
             header.extend_from_slice(SEGMENT_MAGIC);
             header.extend_from_slice(&DISKCACHE_VERSION.to_le_bytes());
@@ -1038,6 +1048,31 @@ mod tests {
         cache.put_outcome(&entries[0].key, &entries[0].outcome);
         assert_eq!(cache.stats().appends, 3);
         drop(cache);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn two_handles_on_one_fresh_directory_keep_both_records() {
+        let dir = temp_dir("two-writers");
+        let entries = sample_entries(2);
+        // Both open before either writes, so both start from segment 0,
+        // as two processes started together do.
+        let first = DiskCache::open(&dir).unwrap();
+        let second = DiskCache::open(&dir).unwrap();
+        first.put_outcome(&entries[0].key, &entries[0].outcome);
+        second.put_outcome(&entries[1].key, &entries[1].outcome);
+        for cache in [&first, &second] {
+            let stats = cache.stats();
+            assert_eq!(stats.appends, 1);
+            assert_eq!(stats.write_failures, 0);
+        }
+        drop((first, second));
+        let reopened = DiskCache::open(&dir).unwrap();
+        assert_eq!(reopened.stats().entries, 2);
+        for e in &entries {
+            assert_eq!(get(&reopened, e), Some(e.outcome));
+        }
+        drop(reopened);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -41,6 +41,18 @@ pub enum Aggregation {
     Max,
 }
 
+/// Contribution threshold scale: a sub-function participates when its
+/// fraction of the total cost exceeds `THRESHOLD_SCALE / l` for `l`
+/// sub-functions (the paper uses 0.5).
+const THRESHOLD_SCALE: f64 = 0.5;
+/// Maximum candidates acquired per attempt.
+const MAX_CANDIDATES: usize = 10;
+/// How many ranked bottleneck factors each analysis contributes once the
+/// search stalls (1 before the first stall).
+const STALL_FACTORS: usize = 3;
+/// Consecutive non-improving attempts tolerated before terminating.
+const MAX_STALLS: usize = 3;
+
 /// Tunable knobs of the DSE (defaults follow the paper).
 #[derive(Debug, Clone, PartialEq)]
 pub struct DseConfig {
@@ -51,17 +63,6 @@ pub struct DseConfig {
     /// Consider predictions from at most this many sub-functions per
     /// attempt (the paper sets K = 5).
     pub top_k: usize,
-    /// Contribution threshold scale: a sub-function participates when its
-    /// fraction of the total cost exceeds `threshold_scale / l` for `l`
-    /// sub-functions (the paper uses 0.5).
-    pub threshold_scale: f64,
-    /// Maximum candidates acquired per attempt.
-    pub max_candidates: usize,
-    /// How many ranked bottleneck factors each analysis contributes once
-    /// the search stalls (1 before the first stall).
-    pub stall_factors: usize,
-    /// Consecutive non-improving attempts tolerated before terminating.
-    pub max_stalls: usize,
     /// Seed of the §C restart perturbation.
     pub seed: u64,
     /// Aggregation rule for conflicting per-layer predictions (§4.4).
@@ -82,10 +83,6 @@ impl Default for DseConfig {
         Self {
             budget: 2500,
             top_k: 5,
-            threshold_scale: 0.5,
-            max_candidates: 10,
-            stall_factors: 3,
-            max_stalls: 3,
             seed: 0,
             aggregation: Aggregation::Min,
             restarts: 8,
@@ -496,11 +493,7 @@ impl ExplainableDse {
         // ---- (1) + (2): per-sub-function analysis and aggregation. Each
         // sub-function's context is its execution profile on the decoded
         // hardware configuration.
-        let factors = if *stalls > 0 {
-            self.config.stall_factors
-        } else {
-            1
-        };
+        let factors = if *stalls > 0 { STALL_FACTORS } else { 1 };
         let cfg = decode_edge_point(space, current);
         let (predictions, analyses, summary) =
             analyze_subfunctions(&self.model, &self.config, current_eval, factors, |layer| {
@@ -571,7 +564,7 @@ impl ExplainableDse {
                 self.telemetry.provenance(record);
             }
         };
-        for (param, idx) in moves.iter().take(self.config.max_candidates) {
+        for (param, idx) in moves.iter().take(MAX_CANDIDATES) {
             let action = if active {
                 format!(
                     "raise {} to {}",
@@ -620,7 +613,7 @@ impl ExplainableDse {
                     let cand = current.with_index(param, cur_idx - 1);
                     acquire(&mut attempt, Some(param), cand, action);
                 }
-                if attempt.acquisitions.len() >= self.config.max_candidates {
+                if attempt.acquisitions.len() >= MAX_CANDIDATES {
                     break;
                 }
             }
@@ -791,14 +784,9 @@ impl ExplainableDse {
             acquisitions,
             decision,
         });
-        let stalled = ps.stalls > self.config.max_stalls;
+        let stalled = ps.stalls > MAX_STALLS;
         self.phase_state = Some(ps);
-        stalled.then(|| {
-            format!(
-                "converged after {} stalled attempts",
-                self.config.max_stalls
-            )
-        })
+        stalled.then(|| format!("converged after {MAX_STALLS} stalled attempts"))
     }
 
     /// Ends the current phase: the search terminates once the budget is
@@ -1095,7 +1083,7 @@ pub(crate) fn analyze_subfunctions<C>(
         .filter(|v| v.is_finite())
         .sum();
     let l = eval.layers.len().max(1);
-    let threshold = config.threshold_scale / l as f64;
+    let threshold = THRESHOLD_SCALE / l as f64;
 
     // Rank sub-functions by cost contribution. Layers without a
     // feasible mapping gate feasibility outright, so they are always

@@ -462,7 +462,6 @@ pub struct CodesignEvaluator<M> {
     space: DesignSpace,
     constraints: Vec<Constraint>,
     models: Vec<DnnModel>,
-    tech: Tech,
     objective: Objective,
     mapper: M,
     mapper_fingerprint: String,
@@ -504,7 +503,6 @@ impl<M: MappingOptimizer> CodesignEvaluator<M> {
             space,
             constraints,
             models,
-            tech: Tech::n45(),
             objective: Objective::Latency,
             mapper,
             mapper_fingerprint,
@@ -579,22 +577,6 @@ impl<M: MappingOptimizer> CodesignEvaluator<M> {
         self
     }
 
-    /// Replaces the technology model (default: 45 nm).
-    ///
-    /// Invalidates the point cache (and resets
-    /// [`Evaluator::unique_evaluations`]): area and power are baked into
-    /// every cached [`Evaluation`]. The layer-mapping cache is kept — the
-    /// mapping optimizers evaluate candidate mappings with the fixed 45 nm
-    /// energy model regardless of the evaluator's tech (a pre-existing
-    /// modeling simplification of the mapper crate), so layer outcomes do
-    /// not depend on this setting.
-    pub fn with_tech(mut self, tech: Tech) -> Self {
-        self.tech = tech;
-        self.point_cache.clear();
-        *self.unique_evals.get_mut() = 0;
-        self
-    }
-
     /// Replaces the area/power budgets (defaults: the paper's 75 mm^2 and
     /// 4 W edge limits). Use e.g. 400 mm^2 / 250 W with
     /// [`crate::space::datacenter_space`].
@@ -636,11 +618,6 @@ impl<M: MappingOptimizer> CodesignEvaluator<M> {
     /// The target workloads.
     pub fn models(&self) -> &[DnnModel] {
         &self.models
-    }
-
-    /// The technology model in use.
-    pub fn tech(&self) -> &Tech {
-        &self.tech
     }
 
     /// The batch-evaluation engine in use.
@@ -762,8 +739,10 @@ impl<M: MappingOptimizer> CodesignEvaluator<M> {
     /// at the fault boundary.
     fn try_compute(&self, point: &DesignPoint) -> Result<Evaluation, EvalFault> {
         let cfg = decode_edge_point(&self.space, point);
-        let area = cfg.area_mm2(&self.tech);
-        let power = cfg.max_power_w(&self.tech);
+        // Area and power use the 45 nm technology model, as the mappers do.
+        let tech = Tech::n45();
+        let area = cfg.area_mm2(&tech);
+        let power = cfg.max_power_w(&tech);
 
         let table = self.shapes();
         let (shard, row) = self.row(&cfg);
@@ -1167,7 +1146,6 @@ mod tests {
     /// |------------------|-------------|-------------|----------------|
     /// | `with_limits`    | kept        | kept        | kept           |
     /// | `with_objective` | cleared     | kept        | reset          |
-    /// | `with_tech`      | cleared     | kept        | reset           |
     /// | `with_engine`    | kept        | kept        | kept           |
     /// | `with_telemetry` | kept        | kept        | kept           |
     #[test]
@@ -1218,23 +1196,6 @@ mod tests {
         if after_objective.mappable {
             assert_ne!(before.objective, after_objective.objective);
         }
-
-        // with_tech: point cache cleared + counter reset (area/power are
-        // baked in), layer cache kept (mapping search is tech-independent).
-        let denser = energy_area::Tech {
-            mac_area_mm2: energy_area::Tech::n45().mac_area_mm2 * 0.5,
-            ..energy_area::Tech::n45()
-        };
-        let ev = ev.with_tech(denser);
-        assert_eq!(ev.unique_evaluations(), 0);
-        let after_tech = ev.evaluate(&p);
-        assert_eq!(ev.unique_evaluations(), 1);
-        assert_eq!(
-            calls.load(Ordering::Relaxed),
-            mapper_calls,
-            "layer cache kept"
-        );
-        assert_ne!(before.area_mm2, after_tech.area_mm2);
     }
 
     #[test]

@@ -91,36 +91,22 @@ impl JobSpec {
                 FIELDS.join(", ")
             ));
         }
-        let mut spec = JobSpec::default();
-        let get = |key: &str| value.get(key).filter(|v| !matches!(v, Json::Null));
-        if let Some(v) = get("technique") {
-            spec.technique = req_str(v, "technique")?;
-        }
-        if let Some(v) = get("budget") {
-            spec.budget = req_usize(v, "budget")?;
-        }
-        if let Some(v) = get("map_trials") {
-            spec.map_trials = req_usize(v, "map_trials")?;
-        }
-        if let Some(v) = get("seed") {
-            spec.seed = v
-                .as_u64()
-                .ok_or("`seed` must be a non-negative integer below 2^53")?;
-        }
-        if let Some(v) = get("models") {
-            let items = v.as_arr().ok_or("`models` must be an array")?;
-            spec.models = items
-                .iter()
-                .map(|m| req_str(m, "models[..]"))
-                .collect::<Result<_, _>>()?;
-        }
-        if let Some(v) = get("space") {
-            spec.space = req_str(v, "space")?;
-        }
-        if let Some(v) = get("mapper") {
-            spec.mapper = req_str(v, "mapper")?;
-        }
-        Ok(spec)
+        let d = JobSpec::default();
+        Ok(JobSpec {
+            technique: opt(value, "technique", req_str)?.unwrap_or(d.technique),
+            budget: opt(value, "budget", req_usize)?.unwrap_or(d.budget),
+            map_trials: opt(value, "map_trials", req_usize)?.unwrap_or(d.map_trials),
+            seed: opt(value, "seed", req_u64)?.unwrap_or(d.seed),
+            models: match opt(value, "models", req_arr)? {
+                Some(items) => items
+                    .iter()
+                    .map(|m| req_str(m, "models[..]"))
+                    .collect::<Result<_, _>>()?,
+                None => d.models,
+            },
+            space: opt(value, "space", req_str)?.unwrap_or(d.space),
+            mapper: opt(value, "mapper", req_str)?.unwrap_or(d.mapper),
+        })
     }
 
     /// Parses a spec from JSON text (e.g. an HTTP request body).
@@ -141,18 +127,62 @@ const FIELDS: [&str; 7] = [
     "mapper",
 ];
 
-fn req_str(value: &Json, key: &str) -> Result<String, String> {
+// The member readers every document decoder of this crate shares (the job
+// spec, the design space and the model import). A missing or `null`
+// member takes its default, a present member of the wrong type is an error
+// naming it, and an integer is read only in RFC 8259's interoperable range
+// (see `Json::as_u64`).
+
+/// Reads member `key` of `obj` with `read`: `None` when the member is
+/// absent or `null` (or `obj` is not an object).
+pub(crate) fn opt<'a, T>(
+    obj: &'a Json,
+    key: &str,
+    read: impl FnOnce(&'a Json, &str) -> Result<T, String>,
+) -> Result<Option<T>, String> {
+    obj.get(key)
+        .filter(|v| !matches!(v, Json::Null))
+        .map(|v| read(v, key))
+        .transpose()
+}
+
+pub(crate) fn req_str(value: &Json, key: &str) -> Result<String, String> {
     value
         .as_str()
         .map(str::to_string)
         .ok_or_else(|| format!("`{key}` must be a string"))
 }
 
-fn req_usize(value: &Json, key: &str) -> Result<usize, String> {
+pub(crate) fn req_u64(value: &Json, key: &str) -> Result<u64, String> {
+    value
+        .as_u64()
+        .ok_or_else(|| format!("`{key}` must be a non-negative integer below 2^53"))
+}
+
+pub(crate) fn req_usize(value: &Json, key: &str) -> Result<usize, String> {
     value
         .as_u64()
         .and_then(|n| usize::try_from(n).ok())
         .ok_or_else(|| format!("`{key}` must be a non-negative integer below 2^53"))
+}
+
+pub(crate) fn req_f64(value: &Json, key: &str) -> Result<f64, String> {
+    value
+        .as_f64()
+        .ok_or_else(|| format!("`{key}` must be a number"))
+}
+
+pub(crate) fn req_arr<'a>(value: &'a Json, key: &str) -> Result<&'a [Json], String> {
+    value
+        .as_arr()
+        .ok_or_else(|| format!("`{key}` must be an array"))
+}
+
+pub(crate) fn req_obj<'a>(value: &'a Json, key: &str) -> Result<&'a Json, String> {
+    match value {
+        Json::Obj(_) => Ok(value),
+        _ => Err(format!("`{key}` must be an object")),
+    }
 }
 
 #[cfg(test)]

@@ -26,6 +26,11 @@
 //!   telemetry);
 //! * [`job`] — the [`JobSpec`] declarative job description shared by the
 //!   bench harness and the `edse-serve` service;
+//! * [`import`] — the model-description importer (JSON to
+//!   [`workloads::DnnModel`]); the [`space::space_from_json`] and
+//!   [`JobSpec::from_json_str`] documents read their members the same way;
+//! * [`toy`] — the paper's Fig. 4 two-parameter space and single-layer
+//!   model;
 //! * [`fault`] — the evaluation fault boundary.
 //!
 //! A search resumes by running again over the same [`diskcache`]: every
@@ -61,10 +66,12 @@ pub mod dse;
 pub mod evaluate;
 pub mod explain;
 pub mod fault;
+pub mod import;
 pub mod job;
 pub mod session;
 pub mod space;
 pub mod technique;
+pub mod toy;
 
 pub use bottleneck::{dnn_latency_model, BottleneckModel, BottleneckTree, LayerCtx, TreeBuilder};
 pub use cost::{Constraint, Evaluation, LayerEval, Sample, Trace};

@@ -1,65 +1,48 @@
 //! Design-space description: parameters, their value domains, and design
 //! points, plus the paper's Table-1 edge-accelerator space.
 
+use crate::job::{opt, req_arr, req_f64, req_obj, req_str};
 use accel_model::AcceleratorConfig;
-use serde::{Deserialize, Serialize};
+use edse_telemetry::json;
 
 /// Index of a parameter within a [`DesignSpace`].
 pub type ParamId = usize;
 
 /// One design parameter with its ordered domain of numeric values.
-///
-/// Deserialization revalidates the domain, so a hand-written JSON space
-/// cannot violate the ascending-values invariant.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-#[serde(try_from = "RawParamDef")]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ParamDef {
     name: String,
     values: Vec<f64>,
 }
 
-#[derive(Deserialize)]
-struct RawParamDef {
-    name: String,
-    values: Vec<f64>,
-}
-
-impl TryFrom<RawParamDef> for ParamDef {
-    type Error = String;
-
-    fn try_from(raw: RawParamDef) -> Result<Self, Self::Error> {
-        if raw.values.is_empty() {
-            return Err(format!("parameter `{}` has an empty domain", raw.name));
+impl ParamDef {
+    /// Builds a parameter definition, checking its domain.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the parameter if `values` is empty or not
+    /// strictly ascending.
+    pub fn try_new(name: impl Into<String>, values: Vec<f64>) -> Result<Self, String> {
+        let name = name.into();
+        if values.is_empty() {
+            return Err(format!("parameter `{name}` has an empty domain"));
         }
-        if !raw.values.windows(2).all(|w| w[0] < w[1]) {
+        if !values.windows(2).all(|w| w[0] < w[1]) {
             return Err(format!(
-                "parameter `{}` values must be strictly ascending",
-                raw.name
+                "parameter `{name}` values must be strictly ascending"
             ));
         }
-        Ok(ParamDef {
-            name: raw.name,
-            values: raw.values,
-        })
+        Ok(Self { name, values })
     }
-}
 
-impl ParamDef {
     /// Builds a parameter definition.
     ///
     /// # Panics
     ///
-    /// Panics if `values` is empty or not strictly ascending.
+    /// Panics if `values` is empty or not strictly ascending (see
+    /// [`ParamDef::try_new`]).
     pub fn new(name: impl Into<String>, values: Vec<f64>) -> Self {
-        assert!(!values.is_empty(), "parameter needs at least one value");
-        assert!(
-            values.windows(2).all(|w| w[0] < w[1]),
-            "parameter values must be strictly ascending"
-        );
-        Self {
-            name: name.into(),
-            values,
-        }
+        Self::try_new(name, values).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Parameter name.
@@ -94,7 +77,7 @@ impl ParamDef {
 }
 
 /// An ordered collection of design parameters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DesignSpace {
     params: Vec<ParamDef>,
 }
@@ -148,7 +131,7 @@ impl DesignSpace {
 }
 
 /// A design point: one chosen value index per parameter.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct DesignPoint(Vec<usize>);
 
 impl DesignPoint {
@@ -211,22 +194,38 @@ pub mod edge {
 ///
 /// This is the "comprehensive design space specification" entry point of
 /// the paper's §B: users define arbitrary domains (not only powers of two)
-/// and the bottleneck-guided DSE picks values within them.
+/// and the bottleneck-guided DSE picks values within them. A missing or
+/// `null` member takes its default (no parameters, an empty domain), a
+/// member of the wrong type is an error naming it, and unknown members are
+/// ignored.
 ///
 /// # Errors
 ///
-/// Returns a message naming the offending parameter for empty or unsorted
-/// domains, or the JSON error for malformed input.
+/// Returns a message naming the offending parameter for a missing name and
+/// for empty or unsorted domains ([`ParamDef::try_new`]'s check), or the
+/// JSON error for malformed input.
 pub fn space_from_json(json: &str) -> Result<DesignSpace, String> {
-    #[derive(serde::Deserialize)]
-    struct Doc {
-        params: Vec<ParamDef>,
-    }
-    let doc: Doc = serde_json::from_str(json).map_err(|e| e.to_string())?;
-    if doc.params.is_empty() {
+    let doc = json::parse(json).map_err(|e| format!("invalid JSON: {e}"))?;
+    req_obj(&doc, "space")?;
+    let entries = opt(&doc, "params", req_arr)?.unwrap_or_default();
+    if entries.is_empty() {
         return Err("a design space needs at least one parameter".into());
     }
-    Ok(DesignSpace::new(doc.params))
+    let mut params = Vec::with_capacity(entries.len());
+    for (i, entry) in entries.iter().enumerate() {
+        let name = req_obj(entry, "params[..]")
+            .and_then(|entry| opt(entry, "name", req_str))
+            .and_then(|name| name.ok_or_else(|| "`name` is required".to_string()))
+            .map_err(|e| format!("parameter {i}: {e}"))?;
+        let values = opt(entry, "values", req_arr)
+            .and_then(|values| {
+                let values = values.unwrap_or_default();
+                values.iter().map(|v| req_f64(v, "values[..]")).collect()
+            })
+            .map_err(|e| format!("parameter `{name}`: {e}"))?;
+        params.push(ParamDef::try_new(name, values)?);
+    }
+    Ok(DesignSpace::new(params))
 }
 
 /// The paper's Table-1 design space for edge DNN inference accelerators:
@@ -433,6 +432,56 @@ mod tests {
     }
 
     #[test]
+    fn space_members_follow_the_document_rules() {
+        // Unknown members are ignored.
+        let s = space_from_json(
+            r#"{"version":2,"params":[{"name":"pes","values":[1,2],"unit":"count"}]}"#,
+        )
+        .unwrap();
+        assert_eq!(s.param(0).values(), &[1.0, 2.0]);
+        // A member of the wrong type is an error naming it.
+        for (doc, member) in [
+            (r#"{"params":{}}"#, "params"),
+            (r#"{"params":[3]}"#, "params[..]"),
+            (r#"{"params":[{"name":1,"values":[1]}]}"#, "name"),
+            (r#"{"params":[{"values":[1]}]}"#, "name"),
+            (r#"{"params":[{"name":"pes","values":"1,2"}]}"#, "values"),
+            (
+                r#"{"params":[{"name":"pes","values":[1,null]}]}"#,
+                "values[..]",
+            ),
+        ] {
+            let err = space_from_json(doc).unwrap_err();
+            assert!(err.contains(&format!("`{member}`")), "{doc}: {err}");
+        }
+        // A missing or `null` member takes its default, which the checks
+        // then refuse.
+        for doc in [r#"{}"#, r#"{"params":null}"#] {
+            let err = space_from_json(doc).unwrap_err();
+            assert!(err.contains("at least one"), "{doc}: {err}");
+        }
+        for doc in [
+            r#"{"params":[{"name":"pes"}]}"#,
+            r#"{"params":[{"name":"pes","values":null}]}"#,
+        ] {
+            let err = space_from_json(doc).unwrap_err();
+            assert!(err.contains("`pes` has an empty domain"), "{doc}: {err}");
+        }
+    }
+
+    #[test]
+    fn try_new_refuses_what_new_panics_on() {
+        let err = ParamDef::try_new("x", vec![]).unwrap_err();
+        assert!(err.contains("empty domain"), "{err}");
+        let err = ParamDef::try_new("x", vec![1.0, 1.0]).unwrap_err();
+        assert!(err.contains("ascending"), "{err}");
+        assert_eq!(
+            ParamDef::try_new("x", vec![1.0, 2.0]),
+            Ok(ParamDef::new("x", vec![1.0, 2.0]))
+        );
+    }
+
+    #[test]
     fn datacenter_space_is_vaster_than_edge() {
         let edge = edge_space();
         let dc = datacenter_space();
@@ -446,13 +495,5 @@ mod tests {
         let cfg = decode_edge_point(&dc, &dc.minimum_point());
         assert_eq!(cfg.pes, 1024);
         assert_eq!(cfg.l2_bytes, 1024 * 1024);
-    }
-
-    #[test]
-    fn serde_roundtrip_preserves_space() {
-        let s = edge_space();
-        let json = serde_json::to_string(&s).unwrap();
-        let back: DesignSpace = serde_json::from_str(&json).unwrap();
-        assert_eq!(s, back);
     }
 }

@@ -1,19 +1,18 @@
-//! The paper's Fig. 4 toy setting, shared by `fig04_toy_trace` and the
-//! conformance suite: a two-parameter exploration (#PEs x shared-memory
-//! size) for a late ResNet convolution, with every other parameter frozen
-//! mid-range. Small enough that a full search runs in well under a second,
-//! which makes it the standard fixture for paper-bound assertions
-//! (explainable vs black-box iterations-to-target, as in Fig. 4/11).
+//! The paper's Fig. 4 toy setting, shared by `fig04_toy_trace`, the
+//! conformance suite and `edse-serve`'s `"toy"` space: a two-parameter
+//! exploration (#PEs x shared-memory size) for a late ResNet convolution,
+//! with every other parameter frozen at its largest value. Small enough
+//! that a full search runs in well under a second, which makes it the
+//! standard fixture for paper-bound assertions (explainable vs black-box
+//! iterations-to-target, as in Fig. 4/11).
 
-use edse_core::space::{edge, DesignSpace, ParamDef};
-use workloads::constraints::ThroughputTarget;
-use workloads::model::{DnnModel, Layer};
-use workloads::LayerShape;
+use crate::space::{edge, edge_space, DesignSpace, ParamDef};
+use workloads::{DnnModel, Layer, LayerShape, ThroughputTarget};
 
-/// The edge space with every parameter except #PEs and L2 frozen to a
-/// workable mid value (single-option domains).
+/// The edge space with every parameter except #PEs and L2 frozen to its
+/// largest value (single-option domains).
 pub fn toy_space() -> DesignSpace {
-    let full = edse_core::space::edge_space();
+    let full = edge_space();
     let params = full
         .params()
         .iter()
@@ -22,9 +21,8 @@ pub fn toy_space() -> DesignSpace {
             if i == edge::PES || i == edge::L2_KB {
                 p.clone()
             } else {
-                let values = p.values();
-                let mid = values[values.len() - 1];
-                ParamDef::new(p.name().to_string(), vec![mid])
+                let largest = p.values()[p.len() - 1];
+                ParamDef::new(p.name(), vec![largest])
             }
         })
         .collect();

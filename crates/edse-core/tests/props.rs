@@ -1,8 +1,9 @@
 //! Property-based tests for the bottleneck trees, the design space, the
 //! trace/constraint utilities, the kill-and-rerun + fault-tolerance
 //! acceptance criteria (determinism under interruption, graceful
-//! degradation under injected faults), and the decoders of the disk cache
-//! and job specs under damaged bytes.
+//! degradation under injected faults), and the decoders of the disk cache,
+//! job specs, model descriptions and design-space documents under damaged
+//! bytes.
 
 use accel_model::AcceleratorConfig;
 use edse_core::bottleneck::dnn_latency_model;
@@ -12,7 +13,7 @@ use edse_core::diskcache::{layer_key, DISKCACHE_VERSION};
 use edse_core::dse::{Attempt, DseConfig, DseResult};
 use edse_core::evaluate::{CodesignEvaluator, EvalEngine, Evaluator};
 use edse_core::fault::EvalFault;
-use edse_core::space::{edge_space, DesignPoint, DesignSpace, ParamDef};
+use edse_core::space::{edge_space, space_from_json, DesignPoint, DesignSpace, ParamDef};
 use edse_core::{DiskCache, DiskCacheStats, JobSpec, LayerOutcome, SearchSession};
 use edse_telemetry::{Collector, MemorySink};
 use mapper::{FaultInjector, FixedMapper, MappingOptimizer};
@@ -21,7 +22,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
-use workloads::{zoo, LayerShape};
+use workloads::{zoo, LayerShape, Tensor};
 
 /// A random three-level tree: root max over sums of leaves.
 fn arb_tree_values() -> impl Strategy<Value = Vec<Vec<f64>>> {
@@ -529,7 +530,8 @@ proptest! {
     }
 }
 
-/// One way of damaging a file's bytes (a job spec or a cache segment).
+/// One way of damaging a file's bytes (a JSON document or a cache
+/// segment).
 /// Positions are taken modulo the length, so every mutation applies to any
 /// file.
 #[derive(Debug, Clone)]
@@ -550,6 +552,9 @@ enum Mutation {
     Overwrite { at: usize, len: usize, seed: u64 },
     /// Insert `depth` opening brackets in front of `at`.
     Nest { at: usize, depth: usize },
+    /// Overwrite the `nth` run of ASCII digits with `digits`: extents,
+    /// strides and repeats grow to sizes whose products overflow.
+    Digits { nth: usize, digits: String },
 }
 
 impl Mutation {
@@ -586,6 +591,23 @@ impl Mutation {
             }
             Mutation::Nest { at, depth } => {
                 bytes.splice(at % n..at % n, std::iter::repeat_n(b'[', depth));
+            }
+            Mutation::Digits { nth, ref digits } => {
+                let starts: Vec<usize> = (0..n)
+                    .filter(|&i| {
+                        bytes[i].is_ascii_digit() && (i == 0 || !bytes[i - 1].is_ascii_digit())
+                    })
+                    .collect();
+                if starts.is_empty() {
+                    return;
+                }
+                let start = starts[nth % starts.len()];
+                let end = start
+                    + bytes[start..]
+                        .iter()
+                        .take_while(|b| b.is_ascii_digit())
+                        .count();
+                bytes.splice(start..end, digits.bytes());
             }
         }
     }
@@ -628,6 +650,114 @@ proptest! {
         }
         if let Ok(parsed) = JobSpec::from_json_str(&String::from_utf8_lossy(&bytes)) {
             prop_assert_eq!(JobSpec::from_json_str(&parsed.to_json_string()), Ok(parsed));
+        }
+    }
+}
+
+/// The model description from the `edse_core::import` module docs.
+const MODEL_SAMPLE: &str = r#"{
+  "name": "MyNet",
+  "target": { "fps": 30.0 },
+  "layers": [
+    { "name": "conv1", "op": "conv", "m": 64, "c": 3,
+      "oy": 112, "ox": 112, "fy": 7, "fx": 7, "stride": 2 },
+    { "name": "blocks", "op": "dwconv", "m": 64, "oy": 56, "ox": 56,
+      "fy": 3, "fx": 3, "repeat": 4 },
+    { "name": "fc", "op": "gemm", "m": 1000, "n": 1, "k": 512 }
+  ]
+}"#;
+
+/// The design space from the `space_from_json` docs, with a domain that is
+/// not a power-of-two ladder.
+const SPACE_SAMPLE: &str = r#"{ "params": [
+  { "name": "pes", "values": [64, 128, 256] },
+  { "name": "l2_kb", "values": [64, 96, 128] } ] }"#;
+
+/// Long digit strings written over a digit run: around 2^32, 2^53 (the
+/// largest integer a member may hold is 2^53 - 1), 2^63 and 2^64, plus
+/// ones past `u64`.
+fn arb_digits() -> impl Strategy<Value = Mutation> {
+    let digits = prop_oneof![
+        Just("4294967296".to_string()),
+        Just("9007199254740991".to_string()),
+        Just("9007199254740992".to_string()),
+        Just("9223372036854775807".to_string()),
+        Just("18446744073709551615".to_string()),
+        Just("18446744073709551616".to_string()),
+        Just("1.5".to_string()),
+        (1usize..40).prop_map(|len| "9".repeat(len)),
+        (1u64..u64::MAX).prop_map(|v| v.to_string()),
+    ];
+    (0usize..64, digits).prop_map(|(nth, digits)| Mutation::Digits { nth, digits })
+}
+
+/// Byte damage within a short document: flipped, truncated or spliced.
+fn arb_damage() -> impl Strategy<Value = Mutation> {
+    let pos = || 0usize..1 << 12;
+    prop_oneof![
+        (pos(), 1u8..=255).prop_map(|(at, mask)| Mutation::Flip { at, mask }),
+        pos().prop_map(|at| Mutation::Truncate { at }),
+        (pos(), 1usize..64, pos()).prop_map(|(from, len, at)| Mutation::Splice { from, len, at }),
+    ]
+}
+
+/// `sample` with `digits`, then `damage`, applied in order.
+fn damaged(sample: &str, digits: &[Mutation], damage: &[Mutation]) -> String {
+    let mut bytes = sample.as_bytes().to_vec();
+    for m in digits.iter().chain(damage) {
+        m.apply(&mut bytes);
+    }
+    String::from_utf8_lossy(&bytes).into_owned()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Model import returns `Ok` or `Err` on damaged descriptions without
+    /// panicking, and every model it accepts has sizes that fit `u64`: the
+    /// layer count, the total MAC count, the unique shapes and each
+    /// layer's MAC count and operand volumes compute without an overflow
+    /// panic.
+    #[test]
+    fn damaged_model_descriptions_import_or_fail_without_panicking(
+        digits in collection::vec(arb_digits(), 1..4),
+        damage in collection::vec(arb_damage(), 0..2),
+    ) {
+        let text = damaged(MODEL_SAMPLE, &digits, &damage);
+        if let Ok(model) = edse_core::import::from_json_str(&text) {
+            let count = model.layer_count();
+            let _ = model.total_macs();
+            let unique = model.unique_shapes();
+            prop_assert!(unique.iter().map(|u| u.count).sum::<u64>() == count);
+            for layer in model.layers() {
+                let _ = layer.shape.macs();
+                for t in Tensor::ALL {
+                    let _ = layer.shape.tensor_elems(t);
+                }
+            }
+        }
+    }
+
+    /// The design-space decoder returns `Ok` or `Err` on damaged documents
+    /// without panicking, and every space it accepts has at least one
+    /// parameter, each with a non-empty, strictly ascending domain.
+    #[test]
+    fn damaged_space_documents_decode_or_fail_without_panicking(
+        digits in collection::vec(arb_digits(), 0..3),
+        damage in collection::vec(prop_oneof![arb_damage(), arb_mutation()], 0..3),
+    ) {
+        let text = damaged(SPACE_SAMPLE, &digits, &damage);
+        if let Ok(space) = space_from_json(&text) {
+            prop_assert!(!space.is_empty());
+            for p in space.params() {
+                prop_assert!(!p.values().is_empty(), "{}: empty domain", p.name());
+                prop_assert!(
+                    p.values().windows(2).all(|w| w[0] < w[1]),
+                    "{}: {:?} not strictly ascending",
+                    p.name(),
+                    p.values()
+                );
+            }
         }
     }
 }

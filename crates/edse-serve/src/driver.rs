@@ -6,9 +6,9 @@
 //! protocol: one `step` is at most one evaluation batch, which is the
 //! service's cancellation and fairness granularity.
 
-use bench::toy::{single_layer_model, toy_space};
 use edse_core::evaluate::{CacheStats, CodesignEvaluator, EvalEngine, Evaluator};
 use edse_core::space::{datacenter_space, edge_space, DesignSpace};
+use edse_core::toy::{single_layer_model, toy_space};
 use edse_core::{CancelToken, DiskCache, DseResult, JobSpec, SearchDriver, StepOutcome};
 use edse_telemetry::json::Json;
 use edse_telemetry::Collector;

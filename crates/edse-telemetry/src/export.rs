@@ -3,8 +3,8 @@
 //!
 //! All three formats are produced from recorded [`Event`] sequences (or
 //! live collector snapshots, for Prometheus) with the hand-rolled
-//! [`crate::json`] writer — no serde, no external crates, matching the
-//! rest of the telemetry layer.
+//! [`crate::json`] writer — no external crates, matching the rest of the
+//! telemetry layer.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;

@@ -1,11 +1,13 @@
 //! A deliberately tiny JSON tree, writer, and recursive-descent parser.
 //!
 //! The telemetry crate is zero-dependency by design (see the crate docs),
-//! so it cannot lean on the workspace's vendored `serde_json`; events
-//! instead (de)serialize through this module. The emitted text is plain
-//! RFC-8259 JSON — one object per line in the JSONL sink — so any external
-//! tool can consume traces, and [`parse`] reads back exactly what
-//! [`Json::write`] produced (used by `edse-trace` and round-trip tests).
+//! and this module is the workspace's one JSON stack: events, bench
+//! reports and HTTP bodies are written with it, and `edse-core` decodes
+//! the documents a user hands the library (a `JobSpec`, a design space, a
+//! model description) from its tree. The emitted text is plain RFC-8259
+//! JSON — one object per line in the JSONL sink — so any external tool can
+//! consume traces, and [`parse`] reads back exactly what [`Json::write`]
+//! produced (used by `edse-trace` and round-trip tests).
 
 use std::fmt::Write as _;
 

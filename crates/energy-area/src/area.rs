@@ -2,10 +2,9 @@
 
 use crate::tech::Tech;
 use crate::AcceleratorResources;
-use serde::{Deserialize, Serialize};
 
 /// Per-component area estimate in mm^2.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AreaBreakdown {
     /// PE array: MAC datapaths, control, and per-PE register files.
     pub pe_array_mm2: f64,

@@ -2,13 +2,12 @@
 
 use crate::tech::Tech;
 use crate::AcceleratorResources;
-use serde::{Deserialize, Serialize};
 
 /// Per-access energies (picojoules) for one accelerator configuration.
 ///
 /// The execution model multiplies these with access counts to obtain total
 /// inference energy; the power model uses them for peak single-cycle energy.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyTable {
     /// One int16 multiply-accumulate.
     pub mac_pj: f64,

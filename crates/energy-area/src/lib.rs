@@ -43,13 +43,11 @@ pub use energy::EnergyTable;
 pub use power::PowerBreakdown;
 pub use tech::Tech;
 
-use serde::{Deserialize, Serialize};
-
 /// Physical resources of one accelerator configuration, as consumed by the
 /// technology model. This mirrors the hardware half of the paper's Table 1
 /// design space (virtual unicast links are time-multiplexing and add no
 /// physical resources beyond small control, so they do not appear here).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AcceleratorResources {
     /// Number of processing elements (each one scalar int16 MAC + RF).
     pub pes: u64,

@@ -5,10 +5,9 @@
 use crate::energy::EnergyTable;
 use crate::tech::Tech;
 use crate::AcceleratorResources;
-use serde::{Deserialize, Serialize};
 
 /// Per-component peak power in watts.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerBreakdown {
     /// PE array at full MAC + RF activity.
     pub pe_array_w: f64,

@@ -4,7 +4,6 @@ use crate::area::AreaBreakdown;
 use crate::energy::EnergyTable;
 use crate::power::PowerBreakdown;
 use crate::AcceleratorResources;
-use serde::{Deserialize, Serialize};
 
 /// Coefficients of one technology node.
 ///
@@ -12,7 +11,7 @@ use serde::{Deserialize, Serialize};
 /// ([`Tech::n45`]) are anchored to published 45 nm numbers; every formula in
 /// [`crate::area`], [`crate::energy`] and [`crate::power`] reads these
 /// coefficients, so alternative nodes can be modelled by scaling them.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Tech {
     /// Node name, informational only.
     pub node_nm: u32,

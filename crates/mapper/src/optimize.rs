@@ -30,7 +30,7 @@ use workloads::LayerShape;
 ///
 /// `edse-core`'s disk tier persists it per `(mapper, layer, config)`, so
 /// a rerun reads it back without re-running the mapping search.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MappedLayer {
     /// The chosen mapping.
     pub mapping: Mapping,

@@ -16,12 +16,11 @@ use accel_model::mapping::prime_factors;
 use accel_model::{AcceleratorConfig, Level, Tiling};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use workloads::layer::Dim;
 use workloads::{LayerShape, OpKind};
 
 /// Space sizes for one layer, all counts as `log10`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SpaceSize {
     /// Column A: free tile sizings (three free levels per dimension).
     pub log10_free_tilings: f64,

@@ -10,7 +10,6 @@
 //! "top-N mappings by iteratively adjusting pruning thresholds".
 
 use accel_model::{AcceleratorConfig, Level, Mapping, Stationarity, Tiling};
-use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -20,7 +19,7 @@ use workloads::layer::Dim;
 use workloads::{LayerShape, Tensor};
 
 /// Utilization floors used to prune ineffectual tilings.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Thresholds {
     /// Minimum PE-array utilization.
     pub pe: f64,
@@ -51,7 +50,7 @@ impl Thresholds {
 }
 
 /// Size limits for the constructed space.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SpaceBudget {
     /// Lower bound on the space size before thresholds are relaxed.
     pub n_min: usize,

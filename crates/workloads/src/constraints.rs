@@ -6,10 +6,8 @@
 //! wav2vec2 language models. A throughput floor is equivalent to a latency
 //! ceiling for single-stream inference, which is how the DSE consumes it.
 
-use serde::{Deserialize, Serialize};
-
 /// Broad workload class, used to pick default constraint levels.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ModelClass {
     /// Light computer-vision models (ResNet18, MobileNetV2, EfficientNetB0,
     /// FasterRCNN-MobileNetV3): 40 FPS floor.
@@ -25,7 +23,7 @@ pub enum ModelClass {
 /// Internally stored as inferences-per-second; audio models express their
 /// requirement in audio-samples-per-second, which is converted using the
 /// number of audio samples consumed per inference.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ThroughputTarget {
     inferences_per_second: f64,
     class: ModelClass,

@@ -15,10 +15,8 @@
 //! flagged with [`OpKind::DepthwiseConv`] so that the *input* channel count
 //! is taken from `M` (each output channel reads its own input channel).
 
-use serde::{Deserialize, Serialize};
-
 /// The kind of operator a [`LayerShape`] describes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum OpKind {
     /// Standard convolution: reduction over `C`, `FY`, `FX`.
     Conv,
@@ -43,7 +41,7 @@ impl OpKind {
 ///
 /// Output appears twice because partial sums may be both read and written,
 /// mirroring the four dedicated operand NoCs of the accelerator template.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Tensor {
     /// Input feature map (or GEMM right-hand matrix).
     Input,
@@ -86,7 +84,7 @@ impl Tensor {
 }
 
 /// Names of the seven canonical loop dimensions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Dim {
     /// Batch.
     N,
@@ -146,7 +144,7 @@ impl Dim {
 /// Construct with [`LayerShape::conv`], [`LayerShape::dwconv`] or
 /// [`LayerShape::gemm`]; the raw constructor is private so every value is
 /// validated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct LayerShape {
     n: u64,
     m: u64,
@@ -284,7 +282,7 @@ impl LayerShape {
     /// Whether [`Self::macs`] and every [`Self::tensor_elems`] (the input
     /// halo included) fit `u64`. The weight and output volumes divide the
     /// MAC count, so checking the MACs and the input volume covers all.
-    pub(crate) fn sizes_fit_u64(&self) -> bool {
+    pub fn sizes_fit_u64(&self) -> bool {
         let product = |xs: [u64; 4]| xs.iter().try_fold(1u64, |acc, &x| acc.checked_mul(x));
         let halo = |o: u64, f: u64| (o - 1).checked_mul(self.stride)?.checked_add(f);
         let macs = product([self.n, self.m, self.c, self.oy])

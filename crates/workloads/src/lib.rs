@@ -23,12 +23,10 @@
 //! ```
 
 pub mod constraints;
-pub mod import;
 pub mod layer;
 pub mod model;
 pub mod zoo;
 
 pub use constraints::{ModelClass, ThroughputTarget};
-pub use import::{from_json_str, ImportError};
 pub use layer::{LayerShape, OpKind, Tensor};
 pub use model::{DnnModel, Layer, UniqueShape};

@@ -5,11 +5,10 @@
 
 use crate::constraints::ThroughputTarget;
 use crate::layer::LayerShape;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// One named operator instance in a network, possibly repeated.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Layer {
     /// Layer name as it would appear in the framework export.
     pub name: String,
@@ -33,7 +32,7 @@ impl Layer {
 }
 
 /// A unique operator shape together with how many layer instances share it.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct UniqueShape {
     /// Representative name (first layer encountered with this shape).
     pub name: String,
@@ -44,7 +43,7 @@ pub struct UniqueShape {
 }
 
 /// A deep neural network as an ordered list of execution-critical operators.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DnnModel {
     name: String,
     layers: Vec<Layer>,

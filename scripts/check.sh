@@ -14,9 +14,10 @@ cd "$(dirname "$0")/.."
 export EDSE_TEST_THREADS=2
 
 echo "==> cargo build --release --workspace"
-# Every package's binaries: the smokes below run target/release/edse-trace
-# and target/release/fig04_toy_trace by path, and a bare build makes only
-# the root package (the workspace's one default member).
+# Every package's binaries: the smokes below run target/release/edse-trace,
+# target/release/import_model and target/release/fig04_toy_trace by path,
+# and a bare build makes only the root package (the workspace's one
+# default member).
 cargo build --release --workspace
 
 echo "==> cargo test -q --workspace --exclude conformance"
@@ -127,30 +128,37 @@ if "$edse_trace" summary "$trace_tmp/empty.jsonl" 2> /dev/null; then
     exit 1
 fi
 
-echo "==> kill-and-rerun smoke: SIGKILL fig04_toy_trace mid-run, rerun over its --cache-dir, diff"
-fig04=target/release/fig04_toy_trace
+echo "==> kill-and-rerun smoke: SIGKILL import_model mid-run, rerun over its --cache-dir, diff"
+import_model=target/release/import_model
 kill_cache="$trace_tmp/kill-cache"
+# About half a second of codesign search on the imported model: long
+# enough that the kill below lands inside the run, not after it.
+kill_run=(assets/custom_model.json --iters 60 --trials 1500)
 # Uninterrupted reference run.
-"$fig04" --iters 25 --out "$trace_tmp/a.json" > /dev/null
+"$import_model" "${kill_run[@]}" --json "$trace_tmp/a.json" > /dev/null
 # The same run over a fresh disk tier, killed as soon as a segment holds a
-# record (a seg-*.edc larger than its 16-byte header), or left alone once
-# it has exited: a fast host can finish the run between two polls. Either
-# way the rerun below must read records the first run wrote. A kill
-# provably inside a search is pinned by edse-serve's served SIGKILL test
-# and by the KillSwitch kill oracles (conformance and edse-core property
-# tests).
-"$fig04" --iters 25 --cache-dir "$kill_cache" --out "$trace_tmp/b.json" > /dev/null &
-fig04_pid=$!
-while kill -0 "$fig04_pid" 2>/dev/null &&
+# record (a seg-*.edc larger than its 16-byte header).
+"$import_model" "${kill_run[@]}" --cache-dir "$kill_cache" --json "$trace_tmp/b.json" \
+    > /dev/null &
+import_pid=$!
+while kill -0 "$import_pid" 2>/dev/null &&
     [ -z "$(find "$kill_cache" -name 'seg-*.edc' -size +16c 2>/dev/null)" ]; do
     sleep 0.01
 done
-kill -9 "$fig04_pid" 2>/dev/null || true
-wait "$fig04_pid" 2>/dev/null || true
+kill -9 "$import_pid" 2>/dev/null || true
+# 137 = 128 + SIGKILL: any other status means the run had already exited,
+# and the rerun below would test a warm start, not a resume.
+import_status=0
+wait "$import_pid" 2>/dev/null || import_status=$?
+if [ "$import_status" -ne 137 ]; then
+    echo "import_model exited with status $import_status before the kill" >&2
+    exit 1
+fi
 # Rerun the same command over the same disk tier: that is the resume. The
-# result summary (no wall-clock fields) must be bit-identical to the
-# uninterrupted run's, and the rerun must have been answered from disk.
-"$fig04" --iters 25 --cache-dir "$kill_cache" --out "$trace_tmp/b.json" \
+# report (no wall-clock fields) must be bit-identical to the uninterrupted
+# run's, and the rerun must have read the killed run's records from disk
+# and mapped the layers it left undone.
+"$import_model" "${kill_run[@]}" --cache-dir "$kill_cache" --json "$trace_tmp/b.json" \
     --trace-out "$trace_tmp/rerun.jsonl" > /dev/null
 diff "$trace_tmp/a.json" "$trace_tmp/b.json" || {
     echo "rerun after a kill diverged from the uninterrupted run" >&2
@@ -160,8 +168,13 @@ grep -q '"disk_cache/hit"' "$trace_tmp/rerun.jsonl" || {
     echo "the rerun read none of the killed run's disk-cache records" >&2
     exit 1
 }
+grep -q '"disk_cache/miss"' "$trace_tmp/rerun.jsonl" || {
+    echo "the rerun mapped nothing: the kill landed after the search" >&2
+    exit 1
+}
 
 echo "==> warm-start smoke: run fig04_toy_trace twice with --cache-dir, diff"
+fig04=target/release/fig04_toy_trace
 cache="$trace_tmp/cache"
 # Cold run populates the cache; the warm rerun must be answered from disk
 # (disk_cache/hit counters in the trace) and stay byte-identical.

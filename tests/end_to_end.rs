@@ -142,11 +142,3 @@ fn best_design_respects_all_constraints() {
     assert!(best.area_mm2 <= 75.0);
     assert!(best.power_w <= 4.0);
 }
-
-#[test]
-fn traces_serialize_for_the_harness() {
-    let (result, _) = explainable_run(zoo::resnet18(), 60);
-    let json = serde_json::to_string(&result.trace()).expect("serialize");
-    let back: Trace = serde_json::from_str(&json).expect("deserialize");
-    assert_eq!(back.evaluations(), result.trace().evaluations());
-}
